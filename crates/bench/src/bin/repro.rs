@@ -9,7 +9,7 @@ use ts_bench::*;
 
 fn usage() -> ! {
     eprintln!(
-        "usage: repro <all | e1 .. e15>...\n\
+        "usage: repro <all | e1 .. e16>...\n\
          \n\
          E1  control processor (Fig. 1)      E9  dual-bank ablation\n\
          E2  bandwidth hierarchy (Fig. 2)    E10 ops/word balance crossover\n\

@@ -1,8 +1,9 @@
 //! # ts-bench — the experiment harness
 //!
-//! One function per experiment in DESIGN.md's index (E1–E15). Each runs the
+//! One function per experiment in DESIGN.md's index (E1–E16). Each runs the
 //! simulator, prints a paper-versus-measured table, and returns the headline
-//! measurements so Criterion benches and tests can assert on them.
+//! measurements so tests can assert on them. Host-clock and per-layer
+//! measurement lives in `benchmark/`, not here.
 //!
 //! Run everything: `cargo run -p ts-bench --bin repro -- all`
 //! Run one:        `cargo run -p ts-bench --bin repro -- e5`
@@ -10,15 +11,9 @@
 #![deny(missing_docs)]
 
 pub mod experiments;
-pub mod harness;
-pub mod report;
 pub mod sweep;
 
 pub use experiments::*;
-pub use harness::Bench;
-pub use report::{
-    BenchReport, CollectiveRow, CounterBench, KernelRow, ScaleRow, ServiceRow, TransportCounters,
-};
 pub use sweep::parallel_sweep;
 
 /// Pretty-print a paper-vs-measured row.

@@ -443,6 +443,32 @@ mod tests {
     }
 
     #[test]
+    fn every_node_books_one_latency_sample_per_collective() {
+        let mut m = small(2);
+        let cube = m.cube;
+        m.launch(move |ctx| async move {
+            let payload = (ctx.id() == 0).then(|| vec![7u32; 64]);
+            broadcast(&ctx, cube, 0, payload).await;
+            let mine = vec![Sf64::from(ctx.id() as f64)];
+            allreduce(&ctx, cube, CombineOp::Add, mine).await;
+            barrier(&ctx, cube).await;
+        });
+        assert!(m.run().quiescent);
+        for id in 0..4 {
+            for op in ["broadcast", "allreduce", "barrier"] {
+                let h = m
+                    .registry()
+                    .scope(&format!("node/{id}"))
+                    .scope("collective")
+                    .histogram(&format!("{op}_us"));
+                assert_eq!(h.total(), 1, "node {id} {op}");
+                assert!(h.mean() > 0.0, "node {id} {op}");
+                assert!(h.quantile_bound(0.99) as f64 >= h.mean(), "node {id} {op}");
+            }
+        }
+    }
+
+    #[test]
     fn zero_cube_collectives_are_trivial() {
         let mut m = small(0);
         let cube = m.cube;

@@ -1286,6 +1286,37 @@ mod tests {
             ratio < 1.05,
             "snapshot should not grow with machine size: {ratio}"
         );
+
+        // The same claim on the staged path (system thread -> board ->
+        // disk -> ring commit): flat within 10 % across dims 3/4/5, and a
+        // one-row delta streams under a quarter of the full image.
+        use checkpoint::{CheckpointStore, SnapshotMode};
+        let staged: Vec<f64> = [3u32, 4, 5]
+            .iter()
+            .map(|&dim| {
+                let mut m = Machine::build(MachineCfg::cube_small_mem(dim, 8));
+                let mut store = CheckpointStore::new(m.nodes.len());
+                let full = m.checkpoint(&mut store, SnapshotMode::Full).unwrap();
+                for node in &m.nodes {
+                    node.mem_mut().write_word(0, 0xD17).unwrap();
+                }
+                let delta = m.checkpoint(&mut store, SnapshotMode::Delta).unwrap();
+                assert!(
+                    delta.bytes_streamed * 4 < full.bytes_streamed,
+                    "dim {dim}: one-row delta {} B vs full {} B",
+                    delta.bytes_streamed,
+                    full.bytes_streamed
+                );
+                full.duration.as_secs_f64()
+            })
+            .collect();
+        for w in staged.windows(2) {
+            let ratio = w[1] / w[0];
+            assert!(
+                (0.9..=1.1).contains(&ratio),
+                "staged checkpoint time must be flat across dims: {staged:?}"
+            );
+        }
     }
 
     #[test]

@@ -114,8 +114,8 @@ struct NodeState {
 ///
 /// Every handle is a shared cell registered once at node construction, so
 /// the per-event cost on the hot path is a single store — no map lookup,
-/// no string, no allocation (the property the bench microbenchmark
-/// verifies against the legacy [`Metrics::inc`] path).
+/// no string, no allocation (`crates/sim/tests/scale.rs` asserts the
+/// zero-allocation half under a counting allocator).
 #[derive(Clone)]
 pub struct NodeMeters {
     scope: MetricsScope,
@@ -1398,11 +1398,17 @@ mod tests {
         }
         let jh = sim.spawn(async move {
             ctx.row_move(5, 700, 1).await.unwrap();
-            ctx.now()
+            let moved = ctx.now();
+            // A swap reads both rows and writes both: 1.6 µs per row pair.
+            ctx.row_swap(6, 700, 1).await.unwrap();
+            (moved, ctx.now().since(moved))
         });
         assert!(sim.run().quiescent);
-        assert_eq!(jh.try_take().unwrap().as_ns(), 800);
-        assert_eq!(node.mem().read_word(700 * ROW_WORDS + 3).unwrap(), 777);
+        let (moved, swap) = jh.try_take().unwrap();
+        assert_eq!(moved.as_ns(), 800);
+        assert_eq!(swap.as_ns(), 1600);
+        assert_eq!(node.mem().read_word(6 * ROW_WORDS + 3).unwrap(), 777);
+        assert_eq!(node.mem().read_word(700 * ROW_WORDS + 3).unwrap(), 0);
     }
 
     #[test]

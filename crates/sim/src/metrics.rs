@@ -10,8 +10,7 @@
 //!
 //! [`Metrics`] is the older flat `&'static str`-keyed bundle. It remains
 //! for cold-path counters (fault bookkeeping, router retries, supervisor
-//! accounting) and as the baseline the hot-path microbenchmark compares
-//! against; new per-unit accounting should use registry handles.
+//! accounting); new per-unit accounting should use registry handles.
 
 use std::cell::{Cell, RefCell};
 use std::cmp::Ordering;

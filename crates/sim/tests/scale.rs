@@ -15,7 +15,7 @@
 //! allocator).
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use t_series_core::parallel::{run_parallel, ParallelCfg};
 use t_series_core::{collectives, Hypercube, Machine, MachineCfg};
@@ -26,18 +26,27 @@ use ts_node::CombineOp;
 /// zero-allocation assertions sample the counter around a hot region.
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Per thread, so a test samples only its own allocations while the
+    /// other tests of this binary run beside it. Const-initialised and
+    /// without a destructor, so the allocator may touch it at any time.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_alloc() {
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         System.alloc(layout)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         System.dealloc(ptr, layout)
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -54,8 +63,8 @@ fn fnv(h: u64, bytes: &[u8]) -> u64 {
     h
 }
 
-/// Run the dim-8 (256-node) allreduce the scale bench uses and fold every
-/// node's result — values and order — plus the finish time into one digest.
+/// Run a dim-8 (256-node) allreduce and fold every node's result — values
+/// and order — plus the finish time into one digest.
 fn dim8_allreduce_digest() -> u64 {
     let dim = 8;
     let mut m = Machine::build(MachineCfg::cube_small_mem(dim, 8));
@@ -155,30 +164,47 @@ fn parallel_backend_matches_golden_digest_at_1_shard() {
     assert_eq!(got, GOLDEN_DIM8_ALLREDUCE);
 }
 
-/// Poll count stays within 2x of the timer event count: every wake does
-/// useful work, so scaling the node count cannot trigger poll storms.
-#[test]
-fn polls_stay_within_twice_events() {
-    let dim = 6;
-    let mut m = Machine::build(MachineCfg::cube_small_mem(dim, 8));
+/// Allreduce `[id, 1.0]` on a machine built from `cfg`: every node must
+/// hold the two sums, and the poll count must stay within 2x of the timer
+/// event count — every wake does useful work, so scaling the node count
+/// cannot trigger poll storms.
+fn allreduce_sums_without_poll_storm(cfg: MachineCfg) {
+    let mut m = Machine::build(cfg);
     let cube = m.cube;
     let handles = m.launch(move |ctx| async move {
-        let id = ctx.id();
-        let mine = vec![Sf64::from(id as f64), Sf64::from(1.0)];
+        let mine = vec![Sf64::from(ctx.id() as f64), Sf64::from(1.0)];
         collectives::allreduce(&ctx, cube, CombineOp::Add, mine).await
     });
-    assert!(m.run().quiescent, "dim-6 allreduce stalled");
+    assert!(m.run().quiescent, "dim-{} allreduce stalled", cube.dim());
+    let n = handles.len() as f64;
     for h in handles {
-        h.try_take().expect("allreduce result missing");
+        let got = h.try_take().expect("allreduce result missing");
+        assert_eq!(got[0].to_host(), n * (n - 1.0) / 2.0);
+        assert_eq!(got[1].to_host(), n);
     }
     let p = m.profile();
     assert!(p.timer_events > 0 && p.polls > 0, "profile counters empty");
     assert!(
         p.polls <= 2 * p.timer_events,
-        "poll storm: {} polls for {} timer events (> 2x)",
+        "poll storm at dim {}: {} polls for {} timer events (> 2x)",
+        cube.dim(),
         p.polls,
         p.timer_events
     );
+}
+
+#[test]
+fn polls_stay_within_twice_events() {
+    allreduce_sums_without_poll_storm(MachineCfg::cube_small_mem(6, 8));
+}
+
+/// The paper's largest machine, run sequentially: the 14-cube (16,384
+/// nodes, every node ending on `[134209536, 16384]`) on the full sublink
+/// budget. Release-only — a debug build takes minutes.
+#[test]
+#[cfg_attr(debug_assertions, ignore)]
+fn dim14_cube_max_allreduce_runs_sequentially() {
+    allreduce_sums_without_poll_storm(MachineCfg::cube_max(14));
 }
 
 /// Meter updates are allocation-free: at 4096 nodes the per-event metrics
@@ -191,13 +217,13 @@ fn meter_updates_do_not_allocate() {
     let hist = reg.histogram("scale/lens");
     // Warm the histogram's bucket storage before sampling.
     hist.observe(1);
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = ALLOCS.with(Cell::get);
     for i in 0..10_000u64 {
         counter.add(1);
         busy.add(ts_sim::Dur::ns(100));
         hist.observe(i % 64);
     }
-    let after = ALLOCS.load(Ordering::Relaxed);
+    let after = ALLOCS.with(Cell::get);
     assert_eq!(
         after - before,
         0,

@@ -93,6 +93,6 @@ fn main() {
 
     println!("\n(On a single-core host the sharded runs are slower — the");
     println!("barrier protocol costs more than it buys. The win shows up on");
-    println!("multi-core hardware; see the scale-parallel CI lane and the");
-    println!("`parallel` rows of BENCH_8.json, which record host_cores.)");
+    println!("multi-core hardware; see the `sharded_dim12` workload of");
+    println!("benchmark/, which records host_cores with every number.)");
 }

@@ -4,7 +4,9 @@
 //!
 //! * **binomial trees** (via [`Hypercube::binomial_children`]) for rooted
 //!   operations — broadcast and reduce complete in n = log₂ p steps, the
-//!   O(log n) long-range cost the paper advertises;
+//!   O(log n) long-range cost the paper advertises; [`broadcast_striped`]
+//!   runs n rotated trees at once, one stripe of the payload down each, so
+//!   all n links of a node carry traffic in every step;
 //! * **dimension exchange** for symmetric operations — all-reduce,
 //!   all-gather and barriers exchange across dimension 0, 1, …, n−1 in
 //!   turn, with both directions of each bidirectional link in flight at
@@ -115,6 +117,77 @@ pub async fn broadcast(
     }
     book_latency(ctx, "broadcast", t0);
     buf
+}
+
+/// Broadcast that keeps every link of the cube busy: the payload is cut
+/// into `n` stripes and stripe `q` travels the binomial tree whose
+/// dimension order is rotated by `q` — in round `r` it crosses dimension
+/// `(q + r) mod n`, so the stripes of a round ride `n` different links (an
+/// Occam `PAR`). `n` rounds of `1/n` of the payload: ≈ `n·o + m·w` against
+/// [`broadcast`]'s `n·(o + m·w)`. Same contract as [`broadcast`].
+pub async fn broadcast_striped(
+    ctx: &NodeCtx,
+    cube: Hypercube,
+    root: u32,
+    data: Option<Vec<u32>>,
+) -> Vec<u32> {
+    let t0 = ctx.now();
+    let n = cube.dim() as usize;
+    let rel = ctx.id() ^ root;
+    let mut stripes: Vec<Option<Vec<u32>>> = vec![None; n];
+    if rel == 0 {
+        let buf = data.expect("root must provide the broadcast payload");
+        if n == 0 {
+            return buf;
+        }
+        for (q, stripe) in stripes.iter_mut().enumerate() {
+            *stripe = Some(buf[q * buf.len() / n..(q + 1) * buf.len() / n].to_vec());
+        }
+    }
+    // Stripe q reaches me in the round that crosses the last (in its
+    // rotated order) of the address bits separating me from the root.
+    let arrives: Vec<Option<usize>> = (0..n)
+        .map(|q| {
+            (0..n)
+                .filter(|b| rel >> b & 1 == 1)
+                .map(|b| (b + n - q) % n)
+                .max()
+        })
+        .collect();
+    for r in 0..n {
+        let ops = (0..n).filter_map(|q| {
+            let dim = (q + r) % n;
+            match arrives[q] {
+                Some(a) if a > r => None,
+                Some(a) if a == r => Some(stripe_hop(ctx.clone(), q, dim, None)),
+                _ => Some(stripe_hop(ctx.clone(), q, dim, stripes[q].clone())),
+            }
+        });
+        for (q, got) in occam::par_all(ctx.handle(), ops.collect()).await {
+            if got.is_some() {
+                stripes[q] = got;
+            }
+        }
+    }
+    book_latency(ctx, "broadcast_striped", t0);
+    stripes.into_iter().flatten().flatten().collect()
+}
+
+/// One stripe crossing one dimension: send `have` if this node holds the
+/// stripe, otherwise receive it. Returns the stripe index with any arrival.
+async fn stripe_hop(
+    ctx: NodeCtx,
+    q: usize,
+    dim: usize,
+    have: Option<Vec<u32>>,
+) -> (usize, Option<Vec<u32>>) {
+    match have {
+        Some(words) => {
+            ctx.send_dim(dim, words).await;
+            (q, None)
+        }
+        None => (q, Some(ctx.recv_dim(dim).await)),
+    }
 }
 
 /// Reduce element-wise (`op`) onto `root`; returns `Some(result)` there and
@@ -298,6 +371,71 @@ mod tests {
             for h in handles {
                 assert_eq!(h.try_take(), Some(vec![42, 43, 44]));
             }
+        }
+    }
+
+    #[test]
+    fn striped_broadcast_delivers_what_broadcast_delivers() {
+        // Every root, dims 0–5, lengths around the stripe count and beyond.
+        for dim in 0..=5u32 {
+            let d = dim as usize;
+            for len in [0, 1, d.saturating_sub(1), d, 2 * d + 3, 256, 301] {
+                let payload: Vec<u32> = (0..len as u32).map(|i| i * 2654435761).collect();
+                for root in 0..1u32 << dim {
+                    let mut m = small(dim);
+                    let cube = m.cube;
+                    let handles = m.launch(|ctx| {
+                        let mine = (ctx.id() == root).then(|| payload.clone());
+                        async move {
+                            let striped = broadcast_striped(&ctx, cube, root, mine.clone()).await;
+                            (striped, broadcast(&ctx, cube, root, mine).await)
+                        }
+                    });
+                    assert!(m.run().quiescent, "dim {dim} len {len} root {root}");
+                    for h in handles {
+                        let (striped, plain) = h.try_take().unwrap();
+                        assert_eq!(striped, plain, "dim {dim} len {len} root {root}");
+                        assert_eq!(striped, payload);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn striped_broadcast_inside_a_subcube_view() {
+        // A 2-subcube on physical dimensions {1, 3} of a 4-cube, based at
+        // node 4: virtual neighbours are physical neighbours.
+        let mut m = small(4);
+        let sub = Hypercube::new(2);
+        let payload: Vec<u32> = (0..77).collect();
+        let handles: Vec<_> = (0..4u32)
+            .map(|vid| {
+                let phys = 4 | (vid & 1) << 1 | (vid >> 1) << 3;
+                let ctx = m.ctx(phys).subcube_view(vid, vec![1, 3]);
+                let data = (vid == 2).then(|| payload.clone());
+                m.launch_on(
+                    phys,
+                    async move { broadcast_striped(&ctx, sub, 2, data).await },
+                )
+            })
+            .collect();
+        assert!(m.run().quiescent);
+        for h in handles {
+            assert_eq!(h.try_take(), Some(payload.clone()));
+        }
+        // Only the view's two physical dimensions carried traffic, and at
+        // the root both did.
+        for phys in [4u32, 6, 12, 14] {
+            let ctx = m.ctx(phys);
+            for dim in 0..4 {
+                let busy = ctx.in_channel(dim).wire().busy_total() > Dur::ZERO;
+                assert!(!busy || dim == 1 || dim == 3, "node {phys} dim {dim}");
+            }
+        }
+        for dim in [1, 3] {
+            let out = m.nodes[12].out_channel(dim).unwrap();
+            assert!(out.wire().busy_total() > Dur::ZERO, "root dim {dim}");
         }
     }
 

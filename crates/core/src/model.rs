@@ -57,6 +57,42 @@ impl NetModel {
         self.p2p(2 * m_f64) * n as u64
     }
 
+    /// Striped binomial broadcast ([`collectives::broadcast_striped`](crate::collectives::broadcast_striped)):
+    /// the `m` words travel as `n` stripes, stripe `q` down the tree whose
+    /// dimension order is rotated by `q`, so every round moves one stripe
+    /// per link — `n · (o + ⌈m/n⌉·w)`, i.e. ≈ `n·o + m·w`. Exact while every
+    /// dimension has a link to itself (n ≤ 4, one cabinet); beyond that
+    /// dimensions `d` and `d + 4` share one and the form is a lower bound.
+    pub fn broadcast_striped(&self, n: u32, m: usize) -> Dur {
+        self.p2p(m.div_ceil(n.max(1) as usize)) * n as u64
+    }
+
+    /// `n` successive dimension exchanges of `m` words run as a pipeline of
+    /// `pieces` (stage k works on piece i while stage k+1 has piece i−1,
+    /// each stage on its own link): `(pieces + n − 1) · (o + ⌈m/pieces⌉·w)`.
+    pub fn pipelined_exchange(&self, n: u32, m: usize, pieces: usize) -> Dur {
+        self.p2p(m.div_ceil(pieces)) * (pieces as u64 + n as u64 - 1)
+    }
+
+    /// The piece length (words) that minimises [`NetModel::pipelined_exchange`]:
+    /// `√(m·o / ((n−1)·w))`; the whole message when there is one stage.
+    pub fn pipeline_piece_words(&self, n: u32, m: usize) -> usize {
+        if n <= 1 {
+            return m;
+        }
+        let ideal = m as f64 * self.o.as_secs_f64() / ((n - 1) as f64 * self.w.as_secs_f64());
+        (ideal.sqrt().ceil() as usize).clamp(1, m.max(1))
+    }
+
+    /// Overlapped Cannon on an `s × s` torus with `m`-word blocks: the skew
+    /// (at most `s/2` hops, both matrices at once), then `s − 1` steps of
+    /// `max(gemm, shift)` — both shifts fly while the GEMM runs — and the
+    /// last GEMM: `⌊s/2⌋·p2p(m) + (s−1)·max(gemm, p2p(m)) + gemm`.
+    pub fn cannon(&self, s: u32, m: usize, gemm: Dur) -> Dur {
+        let shift = self.p2p(m);
+        shift * (s / 2) as u64 + shift.max(gemm) * (s as u64 - 1) + gemm
+    }
+
     /// E-cube routed message over `h` hops, store-and-forward:
     /// `h · (o + m·w)` plus per-hop routing decisions charged elsewhere.
     pub fn routed(&self, h: u32, m: usize) -> Dur {
@@ -110,6 +146,62 @@ mod tests {
                 "broadcast dim {dim}, {words}w: measured {measured}, model {predicted}"
             );
         }
+    }
+
+    #[test]
+    fn striped_broadcast_matches_model() {
+        let net = NetModel::default();
+        for (dim, words, root) in [(1u32, 7usize, 1u32), (2, 64, 0), (3, 250, 5), (4, 256, 9)] {
+            let mut m = Machine::build(MachineCfg::cube_small_mem(dim, 8));
+            let cube = m.cube;
+            m.launch(move |ctx| async move {
+                let data = (ctx.id() == root).then(|| vec![0u32; words]);
+                collectives::broadcast_striped(&ctx, cube, root, data).await;
+            });
+            assert!(m.run().quiescent);
+            let measured = m.now().since(ts_sim::Time::ZERO);
+            let predicted = net.broadcast_striped(dim, words);
+            assert!(
+                within(measured, predicted, 0.05),
+                "striped broadcast dim {dim}, {words}w: measured {measured}, model {predicted}"
+            );
+        }
+    }
+
+    #[test]
+    fn striped_broadcast_on_shared_links_stays_between_the_bounds() {
+        // Five dimensions on four links: dims 0 and 4 share one, so the
+        // closed form is a floor — and the plain tree still the ceiling.
+        let net = NetModel::default();
+        let mut m = Machine::build(MachineCfg::cube_small_mem(5, 8));
+        let cube = m.cube;
+        m.launch(move |ctx| async move {
+            let data = (ctx.id() == 0).then(|| vec![0u32; 320]);
+            collectives::broadcast_striped(&ctx, cube, 0, data).await;
+        });
+        assert!(m.run().quiescent);
+        let measured = m.now().since(ts_sim::Time::ZERO);
+        assert!(measured >= net.broadcast_striped(5, 320));
+        assert!(measured < net.broadcast(5, 320) / 2);
+    }
+
+    #[test]
+    fn pipeline_piece_minimises_the_closed_form() {
+        let net = NetModel::default();
+        let (n, m) = (4u32, 65_536usize);
+        let best = net.pipeline_piece_words(n, m);
+        let at = |piece: usize| net.pipelined_exchange(n, m, m.div_ceil(piece));
+        assert!(at(best) <= at(best / 2) && at(best) <= at(best * 2));
+        assert!(
+            at(best) < net.p2p(m) * n as u64 * 3 / 10,
+            "≈ one exchange, not four"
+        );
+        assert_eq!(
+            net.pipeline_piece_words(1, m),
+            m,
+            "one stage: nothing to pipeline"
+        );
+        assert_eq!(net.pipelined_exchange(3, 100, 1), net.p2p(100) * 3);
     }
 
     #[test]

@@ -193,7 +193,7 @@ pub fn distributed_cg(
         .map(|_| crate::rand_f64(&mut st))
         .collect();
 
-    let t0 = machine.now();
+    let mark = KernelStats::mark(machine);
     let handles: Vec<_> = machine
         .nodes
         .iter()
@@ -213,7 +213,6 @@ pub fn distributed_cg(
         .collect();
     let report = machine.run();
     assert!(report.quiescent, "CG deadlocked");
-    let elapsed = machine.now().since(t0);
 
     let mut x = vec![0.0; b.len()];
     let mut iters = 0;
@@ -228,7 +227,7 @@ pub fn distributed_cg(
             }
         }
     }
-    let stats = KernelStats::from_metrics(&machine.metrics(), elapsed, cube.nodes() as u64);
+    let stats = KernelStats::since(machine, mark);
     (b, x, iters, stats)
 }
 

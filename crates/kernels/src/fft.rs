@@ -7,18 +7,28 @@
 //!
 //! With N points over p = 2ⁿ nodes (N/p consecutive points per node, N/p a
 //! power of two), a decimation-in-frequency FFT runs its first n stages
-//! **across nodes** — each node exchanges its whole block with the partner
+//! **across nodes** — each node exchanges its block with the partner
 //! across one cube dimension and keeps its half of every butterfly — and
 //! the remaining log₂(N/p) stages locally. Output lands in bit-reversed
 //! order, as DIF always does; [`bit_reverse_permute`] restores natural
 //! order host-side.
 //!
-//! Arithmetic is complex `Sf64` (the machine's 64-bit mode) and each
-//! butterfly charges the vector units 10 hardware flops.
+//! The cross-node stages are independent per local index, and each rides
+//! its own cube dimension, i.e. its own physical link. So they run as an
+//! Occam **pipeline**: one stage process per dimension, joined by soft
+//! channels, with the block cut into row-sized pieces — in steady state
+//! all n links carry a piece at once and the n exchanges cost about one.
+//!
+//! Arithmetic is complex `Sf64` (the machine's 64-bit mode); a butterfly
+//! is 10 hardware flops (complex add, sub and multiply), charged to the
+//! vector unit of the node that performs each part.
 
+use t_series_core::model::NetModel;
 use ts_cube::Hypercube;
 use ts_fpu::Sf64;
+use ts_mem::ROW_WORDS;
 use ts_node::{occam, NodeCtx};
+use ts_sim::Rendezvous;
 
 use crate::KernelStats;
 
@@ -89,25 +99,86 @@ fn twiddle(k: usize, span: usize) -> Cpx {
 /// Hardware flops charged per butterfly (complex add + sub + mul).
 pub const FLOPS_PER_BUTTERFLY: u64 = 10;
 
-fn pack(data: &[Cpx]) -> Vec<u32> {
-    let mut words = ts_sim::pool::take_words(data.len() * 4);
+/// Overwrite `words` with the wire form of `data`.
+fn pack(data: &[Cpx], words: &mut Vec<u32>) {
+    words.clear();
+    words.reserve(data.len() * POINT_WORDS);
     for c in data {
         for bits in [c.re.to_bits(), c.im.to_bits()] {
             words.push(bits as u32);
             words.push((bits >> 32) as u32);
         }
     }
-    words
 }
 
-fn unpack(words: &[u32]) -> Vec<Cpx> {
-    words
-        .chunks_exact(4)
-        .map(|c| Cpx {
-            re: Sf64::from_bits(c[0] as u64 | ((c[1] as u64) << 32)),
-            im: Sf64::from_bits(c[2] as u64 | ((c[3] as u64) << 32)),
-        })
-        .collect()
+fn unpack(words: &[u32]) -> impl Iterator<Item = Cpx> + '_ {
+    words.chunks_exact(POINT_WORDS).map(|c| Cpx {
+        re: Sf64::from_bits(c[0] as u64 | ((c[1] as u64) << 32)),
+        im: Sf64::from_bits(c[2] as u64 | ((c[3] as u64) << 32)),
+    })
+}
+
+/// Words on the wire per complex point.
+const POINT_WORDS: usize = 4;
+
+/// Points per pipeline piece for `nl` local points crossing `stages` cube
+/// dimensions: the model's optimum, rounded up to whole memory rows (the
+/// unit the DMA engine streams) and to a power of two so it divides `nl`.
+fn piece_points(ctx: &NodeCtx, stages: u32, nl: usize) -> usize {
+    let net = NetModel::from_params(ctx.in_channel(0).wire().params());
+    let words = net.pipeline_piece_words(stages, nl * POINT_WORDS);
+    let rows = words.div_ceil(ROW_WORDS).next_power_of_two();
+    (rows * ROW_WORDS / POINT_WORDS).min(nl)
+}
+
+/// One cross-node butterfly stage as a pipeline process: exchange each
+/// piece arriving on `input` with the partner across the stage's cube
+/// dimension, keep this node's half of every butterfly, pass the piece on.
+async fn cross_stage(
+    ctx: NodeCtx,
+    nl: usize,
+    span: usize,
+    pieces: usize,
+    input: Rendezvous<Vec<Cpx>>,
+    output: Rendezvous<Vec<Cpx>>,
+) {
+    let me = ctx.id() as usize;
+    // The node-address bit this stage pairs across.
+    let bit = span / nl;
+    let pdim = bit.trailing_zeros() as usize;
+    let low_side = me & bit == 0;
+    // Twiddle index: the low global index mod span.
+    let mut g_low = (me & !bit) * nl;
+    // The partner's wire buffer carries my next piece out: no allocation
+    // in steady state.
+    let mut wire = Vec::new();
+    for _ in 0..pieces {
+        let mut piece = input.recv().await;
+        let tx = ctx.clone();
+        let rx = ctx.clone();
+        pack(&piece, &mut wire);
+        let outgoing = std::mem::take(&mut wire);
+        let (_, words) = occam::par2(
+            ctx.handle(),
+            async move { tx.send_dim(pdim, outgoing).await },
+            async move { rx.recv_dim(pdim).await },
+        )
+        .await;
+        for (mine, theirs) in piece.iter_mut().zip(unpack(&words)) {
+            if low_side {
+                *mine = *mine + theirs;
+            } else {
+                *mine = (theirs - *mine) * twiddle(g_low % span, span);
+                g_low += 1;
+            }
+        }
+        wire = words;
+        // The low node adds (2 flops a point), the high node subtracts and
+        // multiplies by the twiddle (8).
+        let flops = if low_side { 2 } else { FLOPS_PER_BUTTERFLY - 2 };
+        ctx.charge_vec_flops(flops * piece.len() as u64).await;
+        output.send(piece).await;
+    }
 }
 
 /// The per-node DIF FFT program over `local` points (global index =
@@ -123,39 +194,36 @@ pub async fn fft_node(
     assert!(nl.is_power_of_two() && total == nl << cube.dim() as usize);
     let me = ctx.id() as usize;
     let mut span = total / 2;
-    // Cross-node stages: span ≥ nl.
-    while span >= nl {
-        let pdim = (span / nl).trailing_zeros() as usize;
-        let low_side = me & (span / nl) == 0;
-        // Full-block exchange with the butterfly partner.
-        let h = ctx.handle().clone();
-        let tx = ctx.clone();
-        let rx = ctx.clone();
-        let outgoing = pack(&local);
-        let (_, words) = occam::par2(
-            &h,
-            async move { tx.send_dim(pdim, outgoing).await },
-            async move { rx.recv_dim(pdim).await },
+    // Cross-node stages (span ≥ nl): one pipeline process per dimension,
+    // fed piece by piece from `local` and drained back into it.
+    if cube.dim() > 0 {
+        let piece = piece_points(&ctx, cube.dim(), nl);
+        let pieces = nl / piece;
+        let feed = Rendezvous::new();
+        let mut drain = feed.clone();
+        while span >= nl {
+            let next = Rendezvous::new();
+            let stage = cross_stage(ctx.clone(), nl, span, pieces, drain, next.clone());
+            ctx.handle().spawn(stage);
+            drain = next;
+            span /= 2;
+        }
+        (_, local) = occam::par2(
+            ctx.handle(),
+            async move {
+                for piece in local.chunks(piece) {
+                    feed.send(piece.to_vec()).await;
+                }
+            },
+            async move {
+                let mut out = Vec::with_capacity(nl);
+                for _ in 0..pieces {
+                    out.extend(drain.recv().await);
+                }
+                out
+            },
         )
         .await;
-        let theirs = unpack(&words);
-        ts_sim::pool::put_words(words);
-        for j in 0..nl {
-            let (a, b) = if low_side {
-                (local[j], theirs[j])
-            } else {
-                (theirs[j], local[j])
-            };
-            if low_side {
-                local[j] = a + b;
-            } else {
-                // Twiddle index: the low global index mod span.
-                let g_low = (me & !(span / nl)) * nl + j;
-                local[j] = (a - b) * twiddle(g_low % span, span);
-            }
-        }
-        ctx.charge_vec_flops(FLOPS_PER_BUTTERFLY * nl as u64).await;
-        span /= 2;
     }
     // Local stages.
     while span >= 1 {
@@ -204,7 +272,7 @@ pub fn distributed_fft(
     let total = input.len();
     assert!(total.is_power_of_two() && total >= 2 * p);
     let nl = total / p;
-    let t0 = machine.now();
+    let mark = KernelStats::mark(machine);
     let handles: Vec<_> = machine
         .nodes
         .iter()
@@ -220,7 +288,6 @@ pub fn distributed_fft(
         .collect();
     let report = machine.run();
     assert!(report.quiescent, "FFT deadlocked");
-    let elapsed = machine.now().since(t0);
     let mut flat = Vec::with_capacity(total);
     for jh in handles {
         flat.extend(
@@ -231,7 +298,7 @@ pub fn distributed_fft(
         );
     }
     let natural = bit_reverse_permute(&flat);
-    let stats = KernelStats::from_metrics(&machine.metrics(), elapsed, p as u64);
+    let stats = KernelStats::since(machine, mark);
     (natural, stats)
 }
 
@@ -293,6 +360,43 @@ mod tests {
         // n stages cross-node: each node sends its block once per stage.
         // 8 nodes × 3 stages × 8 points × 16 bytes.
         assert_eq!(stats.bytes_sent, 8 * 3 * 8 * 16);
+    }
+
+    #[test]
+    fn transform_totals_five_n_log_n_flops() {
+        // N/2 butterflies of 10 flops per stage, log₂N stages — with each
+        // half of a cross-node butterfly charged where it is computed.
+        for (dim, total) in [(0u32, 64usize), (2, 256), (3, 64), (4, 1 << 12)] {
+            let stats = stats_of(dim, total);
+            let want = 5 * total as u64 * total.trailing_zeros() as u64;
+            assert_eq!(stats.flops, want, "dim {dim}, N {total}");
+        }
+    }
+
+    fn stats_of(dim: u32, total: usize) -> KernelStats {
+        let input = vec![(1.0, -1.0); total];
+        let mut m = Machine::build(MachineCfg::cube_small_mem(dim, 8));
+        distributed_fft(&mut m, &input).1
+    }
+
+    #[test]
+    fn cross_node_stages_cost_one_pipelined_exchange() {
+        // 2¹⁴ points on 16 nodes: 4096 words a node, 16 row-sized pieces
+        // through 4 stages. What the run adds to the local stages (a
+        // one-node FFT of the same block) is the pipeline; the model leaves
+        // out the butterflies, ≈ 2 % of a piece's wire time.
+        let net = NetModel::default();
+        let (dim, total) = (4u32, 1usize << 14);
+        let nl = total >> dim;
+        let pipeline = stats_of(dim, total).elapsed - stats_of(0, nl).elapsed;
+        let pieces = nl * POINT_WORDS / ROW_WORDS;
+        let model = net.pipelined_exchange(dim, nl * POINT_WORDS, pieces);
+        let (p, m) = (pipeline.as_secs_f64(), model.as_secs_f64());
+        assert!(
+            (p - m).abs() <= 0.10 * m,
+            "measured {pipeline}, model {model}"
+        );
+        assert!(model < net.p2p(nl * POINT_WORDS) * 2, "4 exchanges for < 2");
     }
 
     #[test]

@@ -7,15 +7,17 @@
 //! program over [`ts_node::NodeCtx`]:
 //!
 //! * [`matmul`] — Cannon's algorithm on the 2-D torus embedding
-//!   (Gray-coded mesh shifts, local SAXPY-based GEMM);
+//!   (Gray-coded mesh shifts, local SAXPY-based GEMM), with the A shift,
+//!   the B shift and the GEMM of a step running at once;
 //! * [`fft`] — radix-2 complex FFT using the dilation-1 butterfly
-//!   embedding: high stages exchange across cube dimensions, low stages
-//!   are local;
+//!   embedding: high stages exchange across cube dimensions — pipelined,
+//!   one stage process and one link per dimension — low stages are local;
 //! * [`lu`] — LU factorization with partial pivoting on row-cyclic
 //!   distributed matrices, using the **real node memory**: gather for
-//!   column access, the `AbsMax` vector form for pivot search, physical
-//!   row moves for the swap (the paper's §II argument), software division
-//!   (no divider!), and `Saxpy` vector forms for elimination;
+//!   column access, the `AbsMax` vector form for pivot search, an implicit
+//!   permutation instead of a swap (no row moves), a striped broadcast of
+//!   the pivot row's trailing columns, software division (no divider!),
+//!   and `Saxpy` vector forms for elimination;
 //! * [`sort`] — bitonic sort across the cube (the paper's "sorting
 //!   records" use of fast data movement);
 //! * [`stencil`] — Jacobi relaxation on the embedded 2-D mesh with halo
@@ -32,8 +34,9 @@
 //!   schedule.
 //!
 //! Every kernel verifies its numerics against a host-side reference and
-//! reports a [`KernelStats`] from the machine's metrics, so the benches can
-//! plot achieved MFLOPS, speedup and communication share.
+//! reports a [`KernelStats`] — the machine's counters since the kernel was
+//! launched — so achieved MFLOPS, speedup and communication share can be
+//! tabulated.
 
 #![deny(missing_docs)]
 
@@ -47,7 +50,8 @@ pub mod spmv;
 pub mod stencil;
 pub mod transpose;
 
-use ts_sim::{Dur, Metrics};
+use t_series_core::Machine;
+use ts_sim::{Dur, Time};
 
 /// What a kernel run achieved, derived from machine metrics.
 #[derive(Clone, Copy, Debug)]
@@ -64,25 +68,52 @@ pub struct KernelStats {
     pub vec_utilization: f64,
 }
 
+/// The machine-wide counters behind a [`KernelStats`], read at one instant.
+#[derive(Clone, Copy, Debug)]
+pub struct Mark {
+    at: Time,
+    flops: u64,
+    bytes_sent: u64,
+    vec_busy: Dur,
+}
+
 impl KernelStats {
-    /// Derive stats from aggregated machine metrics over `elapsed` time on
-    /// `nodes` nodes.
-    pub fn from_metrics(metrics: &Metrics, elapsed: Dur, nodes: u64) -> KernelStats {
-        let flops = metrics.get("vec.flops");
-        let bytes = metrics.get("link.bytes_sent");
+    /// Read the counters before launching a kernel. They are cumulative
+    /// over the machine's life, so a kernel's stats are the deltas from
+    /// its mark — the same on a reused machine as on a fresh one.
+    pub fn mark(machine: &Machine) -> Mark {
+        let mut mark = Mark {
+            at: machine.now(),
+            flops: 0,
+            bytes_sent: 0,
+            vec_busy: Dur::ZERO,
+        };
+        for node in &machine.nodes {
+            mark.flops += node.meters().vec_flops.get();
+            mark.bytes_sent += node.metrics().get("link.bytes_sent");
+            mark.vec_busy += node.meters().vec_busy.get();
+        }
+        mark
+    }
+
+    /// What the machine did since `mark`.
+    pub fn since(machine: &Machine, mark: Mark) -> KernelStats {
+        let now = KernelStats::mark(machine);
+        let elapsed = now.at.since(mark.at);
+        let flops = now.flops - mark.flops;
         let secs = elapsed.as_secs_f64();
-        let vec_busy = metrics.get_time("vec.busy").as_secs_f64();
+        let node_secs = secs * machine.nodes.len() as f64;
         KernelStats {
             elapsed,
             flops,
-            bytes_sent: bytes,
+            bytes_sent: now.bytes_sent - mark.bytes_sent,
             mflops: if secs > 0.0 {
                 flops as f64 / secs / 1e6
             } else {
                 0.0
             },
             vec_utilization: if secs > 0.0 {
-                vec_busy / (secs * nodes as f64)
+                (now.vec_busy - mark.vec_busy).as_secs_f64() / node_secs
             } else {
                 0.0
             },
@@ -103,4 +134,24 @@ pub fn splitmix(state: &mut u64) -> u64 {
 /// A reproducible pseudo-random f64 in (-1, 1).
 pub fn rand_f64(state: &mut u64) -> f64 {
     (splitmix(state) >> 11) as f64 / (1u64 << 52) as f64 * 2.0 - 1.0
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use t_series_core::MachineCfg;
+
+    #[test]
+    fn stats_on_a_reused_machine_equal_those_on_a_fresh_one() {
+        let input: Vec<(f64, f64)> = (0..256).map(|i| (i as f64, 0.5)).collect();
+        let cfg = MachineCfg::cube(2);
+        let mut fresh = Machine::build(cfg);
+        let (_, want) = fft::distributed_fft(&mut fresh, &input);
+
+        let mut reused = Machine::build(cfg);
+        matmul::distributed_matmul(&mut reused, 16, 3);
+        lu::distributed_solve(&mut reused, 16, 3);
+        let (_, got) = fft::distributed_fft(&mut reused, &input);
+        assert_eq!(format!("{got:?}"), format!("{want:?}"));
+    }
 }

@@ -6,7 +6,9 @@
 //!   by the control processor at 1.6 µs/element (the paper's number);
 //! * the local pivot candidate comes from the `AbsMax` **vector form**;
 //! * the global pivot is agreed by an all-gather (the cube collective);
-//! * the pivot row is **broadcast** down a binomial tree;
+//! * the trailing columns of the pivot row are **broadcast** in stripes
+//!   down rotated binomial trees, one stripe per link
+//!   (`collectives::broadcast_striped`);
 //! * the division by the pivot has no divider to use, so it runs the
 //!   Newton–Raphson **software reciprocal** (`ts_fpu::softdiv`);
 //! * elimination is one chained **SAXPY vector form per row**
@@ -14,9 +16,9 @@
 //!   bank B (matrix) at the full dual-bank rate.
 //!
 //! Rows are distributed cyclically (global row g on node g mod p) and
-//! pivoting is implicit (a shared permutation); local storage still uses
-//! physical row moves where rows swap within a node (experiment E15
-//! compares those moves against element-wise swapping).
+//! pivoting is implicit (a shared permutation): no row ever moves, within
+//! a node or between nodes. (Experiment E15 measures what an explicit swap
+//! would cost, row moves against element-wise.)
 
 use ts_cube::Hypercube;
 use ts_fpu::{softdiv, Sf64};
@@ -114,25 +116,28 @@ pub async fn lu_node(ctx: NodeCtx, cube: Hypercube, n: usize) -> Vec<usize> {
         let owner = (best_row % p) as u32;
 
         // --- broadcast the pivot row -------------------------------------
+        // Only columns k.. travel: the elimination masks the rest to zero.
         let pivot_words: Option<Vec<u32>> = if me == owner as usize {
             let l = best_row / p;
             let mem = ctx.mem();
             let base = (layout.matrix_base + l) * ROW_WORDS;
             Some(
-                (0..2 * n)
+                (2 * k..2 * n)
                     .map(|i| mem.read_word(base + i).unwrap())
                     .collect(),
             )
         } else {
             None
         };
-        let pivot = t_series_core::collectives::broadcast(&ctx, cube, owner, pivot_words).await;
+        let pivot =
+            t_series_core::collectives::broadcast_striped(&ctx, cube, owner, pivot_words).await;
+        // pivot_f[j − k] is column j of the pivot row.
         let pivot_f: Vec<Sf64> = pivot
             .chunks_exact(2)
             .map(|c| Sf64::from_bits(c[0] as u64 | ((c[1] as u64) << 32)))
             .collect();
         // Software reciprocal of the pivot element (no divider!).
-        let pivot_recip = softdiv::recip(pivot_f[k]);
+        let pivot_recip = softdiv::recip(pivot_f[0]);
         ctx.charge_vec_flops(softdiv::RECIP_FLOPS).await;
 
         // Owner retires the pivot row from its free set.
@@ -149,8 +154,8 @@ pub async fn lu_node(ctx: NodeCtx, cube: Hypercube, n: usize) -> Vec<usize> {
         {
             let mut mem = ctx.mem_mut();
             let base = layout.pivot_row * ROW_WORDS;
-            for (j, &pf) in pivot_f.iter().enumerate().take(n) {
-                let v = if j > k { pf } else { Sf64::ZERO };
+            for j in 0..n {
+                let v = if j > k { pivot_f[j - k] } else { Sf64::ZERO };
                 mem.write_f64(base + 2 * j, v).unwrap();
             }
         }
@@ -249,11 +254,11 @@ pub fn distributed_solve(
     n: usize,
     seed: u64,
 ) -> (Vec<f64>, Vec<f64>, Vec<f64>, KernelStats) {
+    let mark = KernelStats::mark(machine);
     let (a, perm, _lu, _) = distributed_lu(machine, n, seed);
     let mut st = seed ^ 0xb0b;
     let b: Vec<f64> = (0..n).map(|_| rand_f64(&mut st)).collect();
     let cube = machine.cube;
-    let t0 = machine.now();
     let handles: Vec<_> = machine
         .nodes
         .iter()
@@ -265,7 +270,6 @@ pub fn distributed_solve(
         .collect();
     let report = machine.run();
     assert!(report.quiescent, "solve deadlocked");
-    let elapsed = machine.now().since(t0);
     let xs: Vec<Vec<f64>> = handles
         .into_iter()
         .map(|h| h.try_take().expect("solve incomplete"))
@@ -273,7 +277,7 @@ pub fn distributed_solve(
     for x in &xs[1..] {
         assert_eq!(x, &xs[0], "nodes disagree on the solution");
     }
-    let stats = KernelStats::from_metrics(&machine.metrics(), elapsed, cube.nodes() as u64);
+    let stats = KernelStats::since(machine, mark);
     (a, b, xs[0].clone(), stats)
 }
 
@@ -313,7 +317,7 @@ pub fn distributed_lu(
         }
     }
 
-    let t0 = machine.now();
+    let mark = KernelStats::mark(machine);
     let handles: Vec<_> = machine
         .nodes
         .iter()
@@ -321,7 +325,6 @@ pub fn distributed_lu(
         .collect();
     let report = machine.run();
     assert!(report.quiescent, "LU deadlocked");
-    let elapsed = machine.now().since(t0);
 
     let perms: Vec<Vec<usize>> = handles
         .into_iter()
@@ -342,7 +345,7 @@ pub fn distributed_lu(
             lu[g * n + j] = mem.read_f64(base + 2 * j).unwrap().to_host();
         }
     }
-    let stats = KernelStats::from_metrics(&machine.metrics(), elapsed, p as u64);
+    let stats = KernelStats::since(machine, mark);
     (a, perms[0].clone(), lu, stats)
 }
 
@@ -418,8 +421,20 @@ mod tests {
     fn lu_on_a_square() {
         let stats = check(2, 16);
         assert!(stats.bytes_sent > 0);
-        // Column gathers happened (the 1.6 µs path).
-        // (metrics key is cp.gathered; see NodeCtx::gather64)
+    }
+
+    #[test]
+    fn pivot_search_gathers_and_no_row_moves() {
+        let n = 16;
+        let mut m = Machine::build(MachineCfg::cube(2));
+        distributed_lu(&mut m, n, 3);
+        // Step k gathers column k of the n − k rows still free (the
+        // 1.6 µs/element path); pivoting is a permutation, not a swap.
+        let total = |f: fn(&ts_node::NodeMeters) -> u64| -> u64 {
+            m.nodes.iter().map(|node| f(node.meters())).sum()
+        };
+        assert_eq!(total(|mt| mt.cp_gathered.get()), (n * (n + 1) / 2) as u64);
+        assert_eq!(total(|mt| mt.rows_moved.get()), 0);
     }
 
     #[test]

@@ -143,7 +143,7 @@ pub fn distributed_nbody(
         })
         .collect();
 
-    let t0 = machine.now();
+    let mark = KernelStats::mark(machine);
     let handles: Vec<_> = machine
         .nodes
         .iter()
@@ -156,12 +156,11 @@ pub fn distributed_nbody(
         .collect();
     let report = machine.run();
     assert!(report.quiescent, "n-body deadlocked");
-    let elapsed = machine.now().since(t0);
     let mut forces = Vec::with_capacity(total);
     for jh in handles {
         forces.extend(jh.try_take().expect("n-body incomplete"));
     }
-    let stats = KernelStats::from_metrics(&machine.metrics(), elapsed, p as u64);
+    let stats = KernelStats::since(machine, mark);
     (bodies, forces, stats)
 }
 

@@ -101,7 +101,7 @@ pub fn distributed_sort(
     let nl = total / p;
     let mut st = seed;
     let keys: Vec<f64> = (0..total).map(|_| rand_f64(&mut st) * 1e6).collect();
-    let t0 = machine.now();
+    let mark = KernelStats::mark(machine);
     let handles: Vec<_> = machine
         .nodes
         .iter()
@@ -114,12 +114,11 @@ pub fn distributed_sort(
         .collect();
     let report = machine.run();
     assert!(report.quiescent, "bitonic sort deadlocked");
-    let elapsed = machine.now().since(t0);
     let mut out = Vec::with_capacity(total);
     for jh in handles {
         out.extend(jh.try_take().expect("sort incomplete"));
     }
-    let stats = KernelStats::from_metrics(&machine.metrics(), elapsed, p as u64);
+    let stats = KernelStats::since(machine, mark);
     (out, stats)
 }
 

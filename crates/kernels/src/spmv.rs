@@ -209,7 +209,7 @@ pub fn distributed_spmv(
     }
 
     let shared = std::rc::Rc::new(a.clone());
-    let t0 = machine.now();
+    let mark = KernelStats::mark(machine);
     let handles: Vec<_> = machine
         .nodes
         .iter()
@@ -221,12 +221,11 @@ pub fn distributed_spmv(
         .collect();
     let report = machine.run();
     assert!(report.quiescent, "spmv deadlocked");
-    let elapsed = machine.now().since(t0);
     let mut y = Vec::with_capacity(a.n);
     for jh in handles {
         y.extend(jh.try_take().expect("spmv incomplete"));
     }
-    let stats = KernelStats::from_metrics(&machine.metrics(), elapsed, p as u64);
+    let stats = KernelStats::since(machine, mark);
     (x, y, stats)
 }
 

@@ -131,7 +131,7 @@ pub fn distributed_jacobi(
     let side_x = sx * g;
     assert_eq!(init.len(), side_x * sy * g);
 
-    let t0 = machine.now();
+    let mark = KernelStats::mark(machine);
     let handles: Vec<_> = machine
         .nodes
         .iter()
@@ -151,7 +151,6 @@ pub fn distributed_jacobi(
         .collect();
     let report = machine.run();
     assert!(report.quiescent, "Jacobi deadlocked");
-    let elapsed = machine.now().since(t0);
 
     let mut out = vec![0.0; init.len()];
     for (node, jh) in machine.nodes.iter().zip(handles) {
@@ -164,7 +163,7 @@ pub fn distributed_jacobi(
             }
         }
     }
-    let stats = KernelStats::from_metrics(&machine.metrics(), elapsed, cube.nodes() as u64);
+    let stats = KernelStats::since(machine, mark);
     (out, stats)
 }
 

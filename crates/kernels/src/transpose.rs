@@ -64,7 +64,7 @@ pub fn distributed_transpose(
     let mut st = seed;
     let a: Vec<f64> = (0..n * n).map(|_| rand_f64(&mut st)).collect();
 
-    let t0 = machine.now();
+    let mark = KernelStats::mark(machine);
     let handles: Vec<_> = machine
         .nodes
         .iter()
@@ -89,7 +89,6 @@ pub fn distributed_transpose(
         .collect();
     let report = machine.run();
     assert!(report.quiescent, "transpose deadlocked");
-    let elapsed = machine.now().since(t0);
 
     let mut at = vec![0.0; n * n];
     for (node, jh) in machine.nodes.iter().zip(handles) {
@@ -103,7 +102,7 @@ pub fn distributed_transpose(
             }
         }
     }
-    let stats = KernelStats::from_metrics(&machine.metrics(), elapsed, p as u64);
+    let stats = KernelStats::since(machine, mark);
     (a, at, stats)
 }
 

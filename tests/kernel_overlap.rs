@@ -1,0 +1,126 @@
+//! The communication schedules of the three dense kernels (Cannon matmul,
+//! butterfly FFT, LU) may be rearranged freely — every link and the vector
+//! unit busy at once — but not their arithmetic. This file pins:
+//!
+//! * **outputs**: FNV digests of C, the spectrum and the LU rows, taken at
+//!   the commit *before* the schedules were overlapped (PR 12, `190ffa5`);
+//! * **simulated time**: deterministic ceilings, so the overlap cannot
+//!   silently regress to the one-link-at-a-time schedule;
+//! * **overlap itself**: on a Cannon node the vector unit's busy time plus
+//!   its incoming wires' busy time exceeds the elapsed time, which a
+//!   schedule that does one thing at a time cannot produce.
+
+use fps_t_series::kernels::{fft::distributed_fft, lu::distributed_lu, matmul::distributed_matmul};
+use fps_t_series::machine::{Machine, MachineCfg};
+use ts_sim::Dur;
+
+/// FNV-1a over the bit patterns of a float sequence.
+fn fnv(vals: impl IntoIterator<Item = f64>) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for v in vals {
+        for b in v.to_bits().to_le_bytes() {
+            h = (h ^ b as u64).wrapping_mul(0x100_0000_01b3);
+        }
+    }
+    h
+}
+
+fn fft_input(points: usize) -> Vec<(f64, f64)> {
+    (0..points)
+        .map(|i| ((i as f64 * 0.37).sin(), (i as f64 * 0.11).cos()))
+        .collect()
+}
+
+/// `(dim, size, digest at the parent commit, simulated-time ceiling)`. The
+/// ceilings sit a few percent above what the overlapped schedules take; the
+/// sequential ones took 224.6 ms, 136.9 ms and 1151 ms on the last row of
+/// each table (and exactly as long as now on the one-node rows, which have
+/// nothing to overlap).
+type Case = (u32, usize, u64, Dur);
+
+const MATMUL: [Case; 4] = [
+    (0, 8, 0x044f21f450531a61, Dur::us(250)),
+    (2, 16, 0x8a69de326dd77700, Dur::us(2_400)),
+    (4, 32, 0xa58efba468da0095, Dur::us(5_600)),
+    (4, 128, 0x5162e951f1f550cc, Dur::us(92_000)),
+];
+
+const FFT: [Case; 4] = [
+    (0, 64, 0x6211dd68d732bde0, Dur::us(140)),
+    (2, 256, 0xc5bceab057184184, Dur::us(4_320)),
+    (4, 1024, 0x8ac909e5526ca33f, Dur::us(8_500)),
+    (4, 1 << 14, 0x4f6f6cbc9325d55c, Dur::us(46_000)),
+];
+
+const LU: [Case; 4] = [
+    (0, 16, 0xa94c207878fe7883, Dur::us(1_400)),
+    (2, 32, 0x88cdbf76201bf065, Dur::us(15_500)),
+    (4, 64, 0x03667c5d4d604d36, Dur::us(82_000)),
+    (4, 128, 0xe7c040a474133ab1, Dur::us(245_000)),
+];
+
+fn check(kernel: &str, case: Case, digest: u64, elapsed: Dur) {
+    let (dim, size, want, ceiling) = case;
+    println!("{kernel} dim {dim} size {size}: digest {digest:#018x}, {elapsed}");
+    assert_eq!(
+        digest, want,
+        "{kernel} dim {dim} size {size}: output differs from the sequential schedule's"
+    );
+    assert!(
+        elapsed <= ceiling,
+        "{kernel} dim {dim} size {size}: {elapsed} simulated, ceiling {ceiling}"
+    );
+}
+
+#[test]
+fn cannon_output_is_pinned_and_time_is_bounded() {
+    for case in MATMUL {
+        let mut m = Machine::build(MachineCfg::cube(case.0));
+        let (_, _, c, stats) = distributed_matmul(&mut m, case.1, 1986);
+        check("matmul", case, fnv(c), stats.elapsed);
+    }
+}
+
+#[test]
+fn fft_output_is_pinned_and_time_is_bounded() {
+    for case in FFT {
+        let mut m = Machine::build(MachineCfg::cube(case.0));
+        let (spectrum, stats) = distributed_fft(&mut m, &fft_input(case.1));
+        let flat = spectrum.into_iter().flat_map(|(re, im)| [re, im]);
+        check("fft", case, fnv(flat), stats.elapsed);
+    }
+}
+
+#[test]
+fn lu_output_is_pinned_and_time_is_bounded() {
+    for case in LU {
+        let mut m = Machine::build(MachineCfg::cube(case.0));
+        let (_, perm, rows, stats) = distributed_lu(&mut m, case.1, 1986);
+        let flat = perm.into_iter().map(|p| p as f64).chain(rows);
+        check("lu", case, fnv(flat), stats.elapsed);
+    }
+}
+
+#[test]
+fn cannon_overlaps_both_shifts_with_the_gemm() {
+    // 4×4 torus, 32×32 blocks. A node that did one thing at a time would
+    // have elapsed ≥ vector busy + A-wire busy + B-wire busy.
+    let mut m = Machine::build(MachineCfg::cube(4));
+    let (_, _, _, stats) = distributed_matmul(&mut m, 128, 7);
+    for node in &m.nodes {
+        let vec_busy = node.meters().vec_busy.get();
+        let ctx = node.ctx();
+        let wires: Vec<Dur> = (0..4)
+            .map(|d| ctx.in_channel(d).wire().busy_total())
+            .collect();
+        let wire_busy = wires.iter().fold(Dur::ZERO, |a, &b| a + b);
+        assert!(
+            vec_busy + wire_busy > stats.elapsed,
+            "node {}: vec {vec_busy} + wires {wire_busy} within elapsed {}",
+            node.id,
+            stats.elapsed
+        );
+        // Both torus axes carried traffic, on different physical links.
+        assert!(wires.iter().filter(|w| **w > Dur::ZERO).count() >= 2);
+    }
+}

@@ -55,8 +55,8 @@ impl std::error::Error for DeadlineExpired {}
 /// timed-out attempt is dropped (cancelling its parked channel operations —
 /// the claim protocol makes that safe) and retried. A collective whose
 /// partner crashed thus errors within `attempts × dur` of simulated time
-/// instead of blocking forever. Books `collective.retries` /
-/// `collective.deadline_expired` into `ctx`'s node metrics.
+/// instead of blocking forever. Books `collective/retries` /
+/// `collective/deadline_expired` under `ctx`'s node scope.
 ///
 /// Caveat: operations that *spawn* helper tasks (the dimension-exchange
 /// collectives run their send/recv pair under an Occam `PAR`) leave those
@@ -77,7 +77,7 @@ where
     let h: &SimHandle = ctx.handle();
     for attempt in 0..attempts.max(1) {
         if attempt > 0 {
-            ctx.metrics().inc("collective.retries");
+            ctx.meters().cold().collective_retries.inc();
         }
         let fut = Box::pin(op());
         match select2(fut, h.sleep(dur)).await {
@@ -85,7 +85,7 @@ where
             Either::Right(()) => {}
         }
     }
-    ctx.metrics().inc("collective.deadline_expired");
+    ctx.meters().cold().collective_deadline_expired.inc();
     Err(DeadlineExpired {
         attempts: attempts.max(1),
     })
@@ -380,7 +380,9 @@ mod tests {
         for dim in 0..=5u32 {
             let d = dim as usize;
             for len in [0, 1, d.saturating_sub(1), d, 2 * d + 3, 256, 301] {
-                let payload: Vec<u32> = (0..len as u32).map(|i| i * 2654435761).collect();
+                let payload: Vec<u32> = (0..len as u32)
+                    .map(|i| i.wrapping_mul(2654435761))
+                    .collect();
                 for root in 0..1u32 << dim {
                     let mut m = small(dim);
                     let cube = m.cube;
@@ -645,8 +647,8 @@ mod tests {
         let (r, t) = jh.try_take().unwrap();
         assert_eq!(r, Err(DeadlineExpired { attempts: 3 }));
         assert_eq!(t.since(ts_sim::Time::ZERO), Dur::us(15_000));
-        assert_eq!(m.metrics().get("collective.retries"), 2);
-        assert_eq!(m.metrics().get("collective.deadline_expired"), 1);
+        assert_eq!(m.registry().sum_counters("collective/retries"), 2);
+        assert_eq!(m.registry().sum_counters("collective/deadline_expired"), 1);
     }
 
     #[test]
@@ -664,6 +666,6 @@ mod tests {
         for h in handles {
             assert_eq!(h.try_take().unwrap().unwrap()[0].to_host(), 6.0);
         }
-        assert_eq!(m.metrics().get("collective.retries"), 0);
+        assert_eq!(m.registry().sum_counters("collective/retries"), 0);
     }
 }

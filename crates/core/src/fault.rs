@@ -128,56 +128,43 @@ impl FaultEvent {
 
     /// Inject this fault into `m` right now.
     pub fn apply(&self, m: &Machine) {
-        let f = m.faults();
-        match *self {
-            FaultEvent::LinkDown { node, dim } => f.link_down(node, dim),
-            FaultEvent::NodeCrash { node } => f.crash(node),
-            FaultEvent::MemFlip { node, addr, bit } => f.mem_flip(node, addr, bit),
-            FaultEvent::WireCorrupt {
-                node,
-                dim,
-                flit_bit,
-            } => f.wire_corrupt(node, dim, flit_bit),
-            FaultEvent::FlitDrop { node, dim } => f.flit_drop(node, dim),
-            FaultEvent::LinkFlap {
-                node,
-                dim,
-                down_for,
-            } => f.link_flap(node, dim, down_for),
-        }
+        self.apply_to(&m.nodes[self.node() as usize]);
     }
 
-    /// Inject directly through a node handle (used by the timed tasks
-    /// [`FaultPlan::schedule`] spawns, which cannot borrow the machine,
-    /// and by the supervisor when it pre-schedules plan faults that land
-    /// inside a checkpoint window).
+    /// Inject through the target's node handle and book the event under the
+    /// node's `fault/...` counters. The single place a node fault lands:
+    /// [`crate::FaultInjector`], the timed tasks [`FaultPlan::schedule`]
+    /// spawns (which cannot borrow the machine), the supervisor's
+    /// checkpoint-window pre-scheduling and the parallel backend's shards
+    /// all come through here.
     pub(crate) fn apply_to(&self, n: &Node) {
+        let cold = n.meters().cold();
         match *self {
             FaultEvent::LinkDown { dim, .. } => {
                 n.set_link_down(dim as usize);
-                n.metrics().inc("fault.link_down");
+                cold.fault_link_down.inc();
             }
             FaultEvent::NodeCrash { .. } => {
                 n.crash();
-                n.metrics().inc("fault.node_crash");
+                cold.fault_node_crash.inc();
             }
             FaultEvent::MemFlip { addr, bit, .. } => {
                 n.mem_mut()
                     .inject_bit_flip(addr, bit)
                     .expect("mem-flip address out of range");
-                n.metrics().inc("fault.mem_flip");
+                cold.fault_mem_flip.inc();
             }
             FaultEvent::WireCorrupt { dim, flit_bit, .. } => {
                 n.queue_wire_corrupt(dim as usize, flit_bit);
-                n.metrics().inc("fault.wire_corrupt");
+                cold.fault_wire_corrupt.inc();
             }
             FaultEvent::FlitDrop { dim, .. } => {
                 n.queue_flit_drop(dim as usize);
-                n.metrics().inc("fault.flit_drop");
+                cold.fault_flit_drop.inc();
             }
             FaultEvent::LinkFlap { dim, down_for, .. } => {
                 n.flap_link(dim as usize, down_for);
-                n.metrics().inc("fault.link_flap");
+                cold.fault_link_flap.inc();
             }
         }
     }
@@ -717,8 +704,8 @@ mod tests {
         assert_eq!(m.nodes[2].mem().parity_errors(), 0);
         m.run_for(Dur::us(200));
         assert_eq!(m.nodes[2].mem().parity_errors(), 1);
-        assert_eq!(m.metrics().get("fault.link_down"), 1);
-        assert_eq!(m.metrics().get("fault.node_crash"), 1);
-        assert_eq!(m.metrics().get("fault.mem_flip"), 1);
+        assert_eq!(m.registry().sum_counters("fault/link_down"), 1);
+        assert_eq!(m.registry().sum_counters("fault/node_crash"), 1);
+        assert_eq!(m.registry().sum_counters("fault/mem_flip"), 1);
     }
 }

@@ -41,13 +41,15 @@ pub mod router;
 pub mod supervisor;
 pub mod system;
 
+use std::collections::HashMap;
 use std::fmt;
+use std::ops::Range;
 
 pub use ts_cube::Hypercube;
 use ts_cube::{NodeId, Subcube, SublinkBudget};
-use ts_link::{LinkChannel, Wire};
-use ts_node::{Node, NodeCfg, NodeCtx};
-use ts_sim::{Dur, JoinHandle, Metrics, MetricsRegistry, RunReport, Sim, SimHandle, Time};
+use ts_link::{BoundaryOutbox, LinkChannel, Wire};
+use ts_node::{Node, NodeCfg, NodeCtx, NodeMeters};
+use ts_sim::{Dur, JoinHandle, MetricsRegistry, RunReport, Sim, SimHandle, Time};
 
 use crate::system::{Disk, SystemBoard};
 
@@ -202,6 +204,187 @@ impl fmt::Display for MachineError {
 
 impl std::error::Error for MachineError {}
 
+/// The hardware [`wire`] assembles for one node range: the whole machine,
+/// or one shard's slice of it.
+pub(crate) struct Wired {
+    /// The range's nodes, in address order.
+    pub(crate) nodes: Vec<Node>,
+    /// The range's system boards, in module order.
+    pub(crate) boards: Vec<SystemBoard>,
+    /// Boundary sublinks by directed-edge id ([`edge_key`]); empty when the
+    /// range is the whole cube.
+    pub(crate) boundary: HashMap<u64, LinkChannel>,
+    /// Where those sublinks post their cross-shard envelopes.
+    pub(crate) outbox: BoundaryOutbox,
+}
+
+/// Stable directed-edge id of the cube edge `tx_node --dim-->`.
+fn edge_key(tx_node: u32, dim: u32) -> u64 {
+    ((tx_node as u64) << 6) | dim as u64
+}
+
+/// Attach the transmitting node's meters to a cube sublink: per-message
+/// counts at commit, and retransmit accounting — corruption is injected at
+/// the sender's end and retransmission is the sender's work.
+fn meter_tx(ch: &mut LinkChannel, m: &NodeMeters) {
+    ch.set_sent_meters(m.link_msgs_sent.clone(), m.link_bytes_sent.clone());
+    ch.set_transport_meters(
+        m.link_retransmits.clone(),
+        m.link_crc_errors.clone(),
+        m.link_escalations.clone(),
+    );
+}
+
+/// Attach the receiving node's meters to a cube sublink: delivery counts
+/// and message latency are booked at delivery, on the receiver.
+fn meter_rx(ch: &mut LinkChannel, m: &NodeMeters) {
+    ch.set_recv_meters(m.link_msgs_recv.clone(), m.link_bytes_recv.clone());
+    ch.set_latency_histogram(m.link_latency_ns.clone());
+}
+
+/// Assemble the homogeneous unit of §III — nodes, cube edges, one system
+/// board per 8-node module, the system ring — for the nodes `range` of
+/// `cfg`'s cube. [`Machine::build`] passes the whole cube; the parallel
+/// backend passes one shard's aligned block, and then a cube edge whose far
+/// end lies outside the range becomes a pair of boundary half-links and the
+/// ring stays open at the block's ends (ring traffic is unsupported across
+/// shards).
+///
+/// Panics if the sublink budget cannot support `cfg.dim` (a 13-cube needs
+/// the I/O sublinks the default allocation reserves — §III).
+pub(crate) fn wire(
+    cfg: &MachineCfg,
+    h: &SimHandle,
+    registry: &MetricsRegistry,
+    range: Range<u32>,
+) -> Wired {
+    assert!(
+        cfg.budget.supports(cfg.dim),
+        "sublink budget supports at most a {}-cube",
+        cfg.budget.max_dim()
+    );
+    let cube = Hypercube::new(cfg.dim);
+    let whole = range == (0..cube.nodes());
+    let li = |id: u32| (id - range.start) as usize;
+    let nodes: Vec<Node> = range
+        .clone()
+        .map(|id| Node::with_registry(id, cfg.node, h.clone(), registry))
+        .collect();
+
+    // Four link engines per node, each direction its own FIFO server.
+    let engines = |name: &'static str| -> Vec<Vec<Wire>> {
+        range
+            .clone()
+            .map(|_| (0..4).map(|_| Wire::new(name, cfg.node.link)).collect())
+            .collect()
+    };
+    let wires_out = engines("link.out");
+    let wires_in = engines("link.in");
+
+    let outbox: BoundaryOutbox = Default::default();
+    let mut boundary: HashMap<u64, LinkChannel> = HashMap::new();
+
+    // Hypercube edges: dimension d rides physical link d mod 4.
+    for d in 0..cfg.dim {
+        let l = (d % 4) as usize;
+        for a in range.clone() {
+            let b = cube.neighbor(a, d);
+            let ai = li(a);
+            if range.contains(&b) {
+                if a > b {
+                    continue;
+                }
+                let bi = li(b);
+                let directed = |tx: usize, rx: usize| {
+                    let mut ch =
+                        LinkChannel::new_pair(wires_out[tx][l].clone(), wires_in[rx][l].clone());
+                    meter_tx(&mut ch, nodes[tx].meters());
+                    meter_rx(&mut ch, nodes[rx].meters());
+                    ch
+                };
+                let (ab, mut ba) = (directed(ai, bi), directed(bi, ai));
+                // Both directions of one physical edge share a health flag,
+                // so a single LinkDown fault fails traffic both ways.
+                ba.set_status(ab.status().clone());
+                nodes[ai].wire_dim(d as usize, ab.clone(), ba.clone());
+                nodes[bi].wire_dim(d as usize, ba, ab);
+            } else {
+                // The far end lives on another shard: a boundary half on
+                // each side stands in for the rendezvous pair.
+                let peer = b / range.len() as u32;
+                let mut out = LinkChannel::new_boundary_tx(
+                    wires_out[ai][l].clone(),
+                    edge_key(a, d),
+                    peer,
+                    outbox.clone(),
+                );
+                meter_tx(&mut out, nodes[ai].meters());
+                let mut inp = LinkChannel::new_boundary_rx(
+                    wires_in[ai][l].clone(),
+                    edge_key(b, d),
+                    peer,
+                    outbox.clone(),
+                );
+                meter_rx(&mut inp, nodes[ai].meters());
+                boundary.insert(edge_key(a, d), out.clone());
+                boundary.insert(edge_key(b, d), inp.clone());
+                nodes[ai].wire_dim(d as usize, out, inp);
+            }
+        }
+    }
+
+    // System boards: one per 8-node module; the system thread uses the
+    // nodes' link 3 and the board's own engine.
+    let modules = range.start as usize / 8..(range.end as usize).div_ceil(8);
+    let mut boards = Vec::with_capacity(modules.len());
+    for m in modules {
+        let board_out = Wire::new("board.out", cfg.node.link);
+        let board_in = Wire::new("board.in", cfg.node.link);
+        let mut to_node = Vec::new();
+        let mut from_node = Vec::new();
+        for id in (m * 8) as u32..((m + 1) * 8).min(range.end as usize) as u32 {
+            let i = li(id);
+            let down = LinkChannel::new_pair(board_out.clone(), wires_in[i][3].clone());
+            let mut up = LinkChannel::new_pair(wires_out[i][3].clone(), board_in.clone());
+            up.set_status(down.status().clone());
+            nodes[i].wire_system(up.clone(), down.clone());
+            to_node.push(down);
+            from_node.push(up);
+        }
+        boards.push(SystemBoard::new(
+            m as u32,
+            h.clone(),
+            to_node,
+            from_node,
+            board_out,
+            board_in,
+            Disk::new(cfg.disk_rate),
+        ));
+    }
+    // Ring links between consecutive boards (independent of the cube); the
+    // last board links back to the first only when the ring is whole.
+    let n = boards.len();
+    let ring_links = if whole && n > 1 {
+        n
+    } else {
+        n.saturating_sub(1)
+    };
+    for m in 0..ring_links {
+        let next = (m + 1) % n;
+        let ch =
+            LinkChannel::new_pair(boards[m].wire_out().clone(), boards[next].wire_in().clone());
+        boards[m].set_ring_next(ch.clone());
+        boards[next].set_ring_prev(ch);
+    }
+
+    Wired {
+        nodes,
+        boards,
+        boundary,
+        outbox,
+    }
+}
+
 /// A complete, wired T Series machine plus its simulation.
 pub struct Machine {
     /// The interconnect shape.
@@ -221,119 +404,10 @@ impl Machine {
     /// Panics if the sublink budget cannot support `cfg.dim` (a 13-cube
     /// needs the I/O sublinks the default allocation reserves — §III).
     pub fn build(cfg: MachineCfg) -> Machine {
-        assert!(
-            cfg.budget.supports(cfg.dim),
-            "sublink budget supports at most a {}-cube",
-            cfg.budget.max_dim()
-        );
         let sim = Sim::new();
-        let h = sim.handle();
-        let cube = Hypercube::new(cfg.dim);
         let registry = MetricsRegistry::new();
-        let nodes: Vec<Node> = cube
-            .iter()
-            .map(|id| Node::with_registry(id, cfg.node, h.clone(), &registry))
-            .collect();
-
-        // Four link engines per node, each direction its own FIFO server.
-        let wires_out: Vec<Vec<Wire>> = cube
-            .iter()
-            .map(|_| {
-                (0..4)
-                    .map(|_| Wire::new("link.out", cfg.node.link))
-                    .collect()
-            })
-            .collect();
-        let wires_in: Vec<Vec<Wire>> = cube
-            .iter()
-            .map(|_| {
-                (0..4)
-                    .map(|_| Wire::new("link.in", cfg.node.link))
-                    .collect()
-            })
-            .collect();
-
-        // Hypercube edges: dimension d rides physical link d mod 4.
-        for d in 0..cfg.dim {
-            for a in cube.iter() {
-                let b = cube.neighbor(a, d);
-                if a > b {
-                    continue;
-                }
-                let l = (d % 4) as usize;
-                let (ai, bi) = (a as usize, b as usize);
-                let mut ab =
-                    LinkChannel::new_pair(wires_out[ai][l].clone(), wires_in[bi][l].clone());
-                ab.set_metrics(nodes[ai].metrics().clone());
-                // Message latency is booked at delivery, on the receiver.
-                ab.set_latency_histogram(nodes[bi].meters().link_latency_ns.clone());
-                let mut ba =
-                    LinkChannel::new_pair(wires_out[bi][l].clone(), wires_in[ai][l].clone());
-                ba.set_metrics(nodes[bi].metrics().clone());
-                ba.set_latency_histogram(nodes[ai].meters().link_latency_ns.clone());
-                // Retransmit accounting lands on the *transmitting* node's
-                // meters — corruption is injected at the sender's end.
-                let (ma, mb) = (nodes[ai].meters().clone(), nodes[bi].meters().clone());
-                ab.set_transport_meters(
-                    ma.link_retransmits.clone(),
-                    ma.link_crc_errors.clone(),
-                    ma.link_escalations.clone(),
-                );
-                ba.set_transport_meters(
-                    mb.link_retransmits.clone(),
-                    mb.link_crc_errors.clone(),
-                    mb.link_escalations.clone(),
-                );
-                // Both directions of one physical edge share a health flag,
-                // so a single LinkDown fault fails traffic both ways.
-                ba.set_status(ab.status().clone());
-                nodes[ai].wire_dim(d as usize, ab.clone(), ba.clone());
-                nodes[bi].wire_dim(d as usize, ba, ab);
-            }
-        }
-
-        // System boards: one per 8-node module; the system thread uses the
-        // nodes' link 3 and the board's own engine. Boards chain in a ring.
-        let module_count = cube.modules() as usize;
-        let mut boards = Vec::with_capacity(module_count);
-        for m in 0..module_count {
-            let board_out = Wire::new("board.out", cfg.node.link);
-            let board_in = Wire::new("board.in", cfg.node.link);
-            let lo = m * 8;
-            let hi = ((m + 1) * 8).min(cube.nodes() as usize);
-            let mut to_node = Vec::new();
-            let mut from_node = Vec::new();
-            for id in lo..hi {
-                let down = LinkChannel::new_pair(board_out.clone(), wires_in[id][3].clone());
-                let mut up = LinkChannel::new_pair(wires_out[id][3].clone(), board_in.clone());
-                up.set_status(down.status().clone());
-                nodes[id].wire_system(up.clone(), down.clone());
-                to_node.push(down);
-                from_node.push(up);
-            }
-            boards.push(SystemBoard::new(
-                m as u32,
-                h.clone(),
-                to_node,
-                from_node,
-                board_out,
-                board_in,
-                Disk::new(cfg.disk_rate),
-            ));
-        }
-        // Ring links between consecutive boards (independent of the cube).
-        if module_count > 1 {
-            for m in 0..module_count {
-                let next = (m + 1) % module_count;
-                let ch = LinkChannel::new_pair(
-                    boards[m].wire_out().clone(),
-                    boards[next].wire_in().clone(),
-                );
-                boards[m].set_ring_next(ch.clone());
-                boards[next].set_ring_prev(ch);
-            }
-        }
-
+        let cube = Hypercube::new(cfg.dim);
+        let Wired { nodes, boards, .. } = wire(&cfg, &sim.handle(), &registry, 0..cube.nodes());
         Machine {
             cube,
             nodes,
@@ -496,45 +570,13 @@ impl Machine {
         self.sim.run_for(d)
     }
 
-    /// The machine-wide metrics registry: every node's unit meters under
-    /// `node/{id}/...`, plus whatever routers and collectives register.
+    /// The machine-wide metrics registry — the one store every count lives
+    /// in: each node's unit meters and cold counters under `node/{id}/...`,
+    /// machine-level facts (checkpoints, supervisor accounting, disk and
+    /// ring faults) under `machine/...`, plus whatever routers, collectives
+    /// and schedulers register.
     pub fn registry(&self) -> &MetricsRegistry {
         &self.registry
-    }
-
-    /// Aggregate all node metrics into one legacy-keyed bundle.
-    ///
-    /// Hot-path accounting lives in the typed registry now; this bridge
-    /// folds the meter totals back under the historical flat keys
-    /// (`vec.flops`, `cp.busy`, ...) so existing reports and kernel-stat
-    /// consumers keep working unchanged.
-    pub fn metrics(&self) -> Metrics {
-        let total = Metrics::new();
-        for n in &self.nodes {
-            Machine::fold_node_metrics(&total, n);
-        }
-        total
-    }
-
-    /// Fold one node's counters into a legacy-keyed bundle — the shared
-    /// kernel of [`Machine::metrics`] and the parallel backend's per-shard
-    /// partials (one loop, so the two can never drift apart).
-    pub(crate) fn fold_node_metrics(total: &Metrics, n: &Node) {
-        total.merge(n.metrics());
-        let mt = n.meters();
-        total.add("cp.instrs", mt.cp_instrs.get());
-        total.add_time("cp.busy", mt.cp_busy.get());
-        total.add("cp.gathered", mt.cp_gathered.get());
-        total.add("cp.scattered", mt.cp_scattered.get());
-        total.add_time("port.cp", mt.port_cp.get());
-        total.add("vec.flops", mt.vec_flops.get());
-        total.add_time("vec.busy", mt.vec_busy.get());
-        total.add("mem.rows_moved", mt.rows_moved.get());
-        total.add("link.words_sent", mt.link_words_sent.get());
-        total.add("link.words_recv", mt.link_words_recv.get());
-        total.add("link.retransmits", mt.link_retransmits.get());
-        total.add("link.crc_errors", mt.link_crc_errors.get());
-        total.add("link.escalations", mt.link_escalations.get());
     }
 
     /// Achieved MFLOPS across the machine for the elapsed simulated time.
@@ -590,42 +632,7 @@ impl Machine {
     /// merges them in shard order; rendering the merged capture reproduces
     /// the sequential report byte for byte.
     pub fn report_data(&self) -> report::ReportData {
-        let n = self.nodes.len();
-        let mut data = report::ReportData {
-            now_ps: self.now().as_ps(),
-            peak_mflops: self.cfg.specs().peak_mflops,
-            rows: Vec::with_capacity(n),
-            vec_len: Vec::with_capacity(n),
-            latency: Vec::with_capacity(n),
-            flaps: Vec::with_capacity(n),
-            ..report::ReportData::default()
-        };
-        for node in &self.nodes {
-            let m = node.metrics();
-            let mt = node.meters();
-            data.rows.push(report::NodeRow {
-                id: node.id,
-                vec_busy_ps: mt.vec_busy.get().as_ps(),
-                cp_busy_ps: mt.cp_busy.get().as_ps(),
-                vec_flops: mt.vec_flops.get(),
-                sent_b: m.get("link.bytes_sent"),
-                recv_b: m.get("link.bytes_recv"),
-            });
-            data.vec_len.push(report::HistSnapshot::of(&mt.vec_len));
-            data.latency
-                .push(report::HistSnapshot::of(&mt.link_latency_ns));
-            data.flaps.push(report::HistSnapshot::of(&mt.link_flap_us));
-        }
-        let m = self.metrics();
-        data.counters = m.counters();
-        data.durations = m.durations();
-        data.disk_busy_ps = self
-            .boards
-            .iter()
-            .map(|b| b.disk.busy_total().as_ps())
-            .collect();
-        data.ring_bytes = self.boards.iter().map(|b| b.ring_bytes()).collect();
-        data
+        report::ReportData::capture(self.now(), &self.registry, &self.nodes, &self.boards)
     }
 
     /// Take a coordinated snapshot of every node's memory through the
@@ -722,7 +729,8 @@ impl Machine {
                     mem.restore(&image);
                     drop(mem);
                     if latent > 0 {
-                        node.metrics().add("fault.scrubbed_words", latent as u64);
+                        let cold = node.meters().cold();
+                        cold.fault_scrubbed_words.add(latent as u64);
                     }
                 });
             }
@@ -857,13 +865,13 @@ impl Machine {
         store
             .commit(effective, bytes_streamed, bytes_full)
             .expect("commit with a fully staged store");
-        let met = self.nodes[0].metrics();
+        let met = self.registry.scope("machine/ckpt");
         match effective {
-            SnapshotMode::Full => met.inc("ckpt.full"),
-            SnapshotMode::Delta => met.inc("ckpt.delta"),
+            SnapshotMode::Full => met.counter("full").inc(),
+            SnapshotMode::Delta => met.counter("delta").inc(),
         }
-        met.add("ckpt.bytes_streamed", bytes_streamed);
-        met.add("ckpt.bytes_full_equiv", bytes_full);
+        met.counter("bytes_streamed").add(bytes_streamed);
+        met.counter("bytes_full_equiv").add(bytes_full);
         Ok(checkpoint::CheckpointStats {
             mode: effective,
             duration: self.sim.now().since(t0),
@@ -882,7 +890,7 @@ impl Machine {
         for n in &self.nodes {
             n.mem_mut().mark_all_dirty();
         }
-        self.nodes[0].metrics().inc("ckpt.torn_aborts");
+        self.registry.counter("machine/ckpt/torn_aborts").inc();
     }
 
     /// Restore every node's memory from the store's committed version (the
@@ -942,19 +950,23 @@ impl Machine {
 }
 
 /// Fault-injection facade returned by [`Machine::faults`]: breaks (and
-/// repairs) hardware, booking each event into the fault metrics.
+/// repairs) hardware, booking each event into the fault metrics — node
+/// faults under the node's `fault/...`, disk and ring faults (which belong
+/// to a module, not a node) under `machine/fault/...`.
 pub struct FaultInjector<'m> {
     m: &'m Machine,
 }
 
 impl FaultInjector<'_> {
+    fn inject(&self, event: fault::FaultEvent) {
+        event.apply_to(&self.m.nodes[event.node() as usize]);
+    }
+
     /// Kill the physical link carrying cube dimension `dim` at `node`.
     /// Both directions go down (the neighbour sees it too); failable
     /// traffic on the edge then errors instead of hanging.
     pub fn link_down(&self, node: NodeId, dim: u32) {
-        let n = &self.m.nodes[node as usize];
-        n.set_link_down(dim as usize);
-        n.metrics().inc("fault.link_down");
+        self.inject(fault::FaultEvent::LinkDown { node, dim });
     }
 
     /// Repair the physical link carrying cube dimension `dim` at `node`
@@ -963,25 +975,19 @@ impl FaultInjector<'_> {
     pub fn link_up(&self, node: NodeId, dim: u32) {
         let n = &self.m.nodes[node as usize];
         n.set_link_up(dim as usize);
-        n.metrics().inc("fault.link_repair");
+        n.meters().cold().fault_link_repair.inc();
     }
 
     /// Crash `node`: its control processor is dead and every wired link
     /// (cube and system thread) is marked down.
     pub fn crash(&self, node: NodeId) {
-        let n = &self.m.nodes[node as usize];
-        n.crash();
-        n.metrics().inc("fault.node_crash");
+        self.inject(fault::FaultEvent::NodeCrash { node });
     }
 
     /// Flip `bit` of the word at `addr` in `node`'s memory without fixing
     /// parity — the next read reports a parity error.
     pub fn mem_flip(&self, node: NodeId, addr: usize, bit: u32) {
-        let n = &self.m.nodes[node as usize];
-        n.mem_mut()
-            .inject_bit_flip(addr, bit)
-            .expect("mem-flip address out of range");
-        n.metrics().inc("fault.mem_flip");
+        self.inject(fault::FaultEvent::MemFlip { node, addr, bit });
     }
 
     /// True while the physical link on `(node, dim)` is alive.
@@ -993,26 +999,28 @@ impl FaultInjector<'_> {
     /// on `dim`: the hit flit fails its CRC-16 at the receiver and is
     /// recovered by go-back-N retransmission.
     pub fn wire_corrupt(&self, node: NodeId, dim: u32, flit_bit: u64) {
-        let n = &self.m.nodes[node as usize];
-        n.queue_wire_corrupt(dim as usize, flit_bit);
-        n.metrics().inc("fault.wire_corrupt");
+        self.inject(fault::FaultEvent::WireCorrupt {
+            node,
+            dim,
+            flit_bit,
+        });
     }
 
     /// Queue a transient flit loss on `node`'s next outbound message on
     /// `dim`: the receiver times out and the window is retransmitted.
     pub fn flit_drop(&self, node: NodeId, dim: u32) {
-        let n = &self.m.nodes[node as usize];
-        n.queue_flit_drop(dim as usize);
-        n.metrics().inc("fault.flit_drop");
+        self.inject(fault::FaultEvent::FlitDrop { node, dim });
     }
 
     /// Flap the link on `(node, dim)`: down now, self-healing after
     /// `down_for` of sim time (unless retransmit escalation has condemned
     /// it in the meantime — a condemned link stays down).
     pub fn link_flap(&self, node: NodeId, dim: u32, down_for: ts_sim::Dur) {
-        let n = &self.m.nodes[node as usize];
-        n.flap_link(dim as usize, down_for);
-        n.metrics().inc("fault.link_flap");
+        self.inject(fault::FaultEvent::LinkFlap {
+            node,
+            dim,
+            down_for,
+        });
     }
 
     /// Fault `module`'s disk controller: transfers in flight (and any
@@ -1020,13 +1028,13 @@ impl FaultInjector<'_> {
     /// aborts. Heals with [`FaultInjector::disk_heal`] or a reboot.
     pub fn disk_fault(&self, module: usize) {
         self.m.boards[module].disk.fail();
-        self.m.nodes[module * 8].metrics().inc("fault.disk");
+        self.m.registry.counter("machine/fault/disk").inc();
     }
 
     /// Repair `module`'s disk controller.
     pub fn disk_heal(&self, module: usize) {
         self.m.boards[module].disk.heal();
-        self.m.nodes[module * 8].metrics().inc("fault.disk_repair");
+        self.m.registry.counter("machine/fault/disk_repair").inc();
     }
 
     /// Flap `module`'s outbound system-ring link: down now, self-healing
@@ -1043,7 +1051,7 @@ impl FaultInjector<'_> {
             h.sleep(down_for).await;
             status.set_up();
         });
-        self.m.nodes[module * 8].metrics().inc("fault.ring_flap");
+        self.m.registry.counter("machine/fault/ring_flap").inc();
     }
 }
 
@@ -1099,7 +1107,7 @@ mod tests {
         for (i, h) in handles.into_iter().enumerate() {
             assert_eq!(h.try_take(), Some(i as u32));
         }
-        assert_eq!(m.metrics().get("cp.instrs"), 800);
+        assert_eq!(m.registry().sum_counters("cp/instrs"), 800);
     }
 
     #[test]
@@ -1195,8 +1203,6 @@ mod tests {
         assert!(m.run().quiescent);
         assert_eq!(m.registry().get_counter("node/3/cp/instrs"), Some(100));
         assert_eq!(m.registry().sum_counters("cp/instrs"), 800);
-        // The legacy bridge folds meter totals under the flat keys.
-        assert_eq!(m.metrics().get("cp.instrs"), 800);
     }
 
     #[test]
@@ -1210,8 +1216,8 @@ mod tests {
         f.link_up(0, 1);
         assert!(f.is_link_up(0, 1));
         assert!(f.is_link_up(2, 1));
-        assert_eq!(m.metrics().get("fault.link_down"), 1);
-        assert_eq!(m.metrics().get("fault.link_repair"), 1);
+        assert_eq!(m.registry().sum_counters("fault/link_down"), 1);
+        assert_eq!(m.registry().sum_counters("fault/link_repair"), 1);
     }
 
     #[test]
@@ -1222,9 +1228,9 @@ mod tests {
         m.faults().crash(3);
         assert!(m.nodes[3].is_crashed());
         m.faults().mem_flip(1, 7, 4);
-        assert_eq!(m.metrics().get("fault.link_down"), 1);
-        assert_eq!(m.metrics().get("fault.node_crash"), 1);
-        assert_eq!(m.metrics().get("fault.mem_flip"), 1);
+        assert_eq!(m.registry().sum_counters("fault/link_down"), 1);
+        assert_eq!(m.registry().sum_counters("fault/node_crash"), 1);
+        assert_eq!(m.registry().sum_counters("fault/mem_flip"), 1);
     }
 
     #[test]
@@ -1408,7 +1414,7 @@ mod tests {
             assert_eq!(err, MachineError::Stalled { op: "checkpoint" });
             assert_eq!(store.torn_aborts(), 1);
             assert!(!store.has_committed());
-            assert_eq!(m.metrics().get("fault.disk"), 1);
+            assert_eq!(m.registry().get_counter("machine/fault/disk"), Some(1));
             assert_eq!(
                 m.restore_from(&store).unwrap_err(),
                 MachineError::NoCheckpoint
@@ -1433,7 +1439,7 @@ mod tests {
         m.checkpoint(&mut store, SnapshotMode::Full).unwrap();
         assert_eq!(store.epoch(), 1);
         assert_eq!(store.torn_aborts(), 0);
-        assert_eq!(m.metrics().get("fault.ring_flap"), 1);
+        assert_eq!(m.registry().get_counter("machine/fault/ring_flap"), Some(1));
         let report = m.utilization_report();
         assert!(report.contains("checkpoint I/O"), "{report}");
     }

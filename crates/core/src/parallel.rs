@@ -53,21 +53,18 @@
 //! Fault plans passed to [`run_parallel_faulted`] must target intra-shard
 //! dimensions; the backend asserts this up front.
 
-use std::cell::RefCell;
-use std::collections::HashMap;
 use std::future::Future;
 use std::panic::AssertUnwindSafe;
-use std::rc::Rc;
 use std::sync::{Barrier, Mutex};
 use std::time::Instant;
 
-use ts_link::{BoundaryEnvelope, BoundaryOutbox, LinkChannel, Wire};
-use ts_node::{Node, NodeCtx};
-use ts_sim::{Metrics, MetricsRegistry, Sim, Time};
+use ts_link::BoundaryEnvelope;
+use ts_node::NodeCtx;
+use ts_sim::{MetricsRegistry, Sim, Time};
 
-use crate::report::{HistSnapshot, NodeRow, ReportData};
-use crate::system::{Disk, SystemBoard};
-use crate::{Machine, MachineCfg};
+use crate::fault::FaultEvent;
+use crate::report::ReportData;
+use crate::{wire, Machine, MachineCfg, Wired};
 
 /// Parallel-backend configuration.
 #[derive(Clone, Copy, Debug)]
@@ -138,10 +135,25 @@ pub enum PlannedFault {
 }
 
 impl PlannedFault {
-    fn node(&self) -> u32 {
+    /// The same fault as a [`FaultEvent`], which knows how to inject and
+    /// book itself on either backend.
+    fn event(&self) -> FaultEvent {
         match *self {
-            PlannedFault::WireCorrupt { node, .. } | PlannedFault::FlitDrop { node, .. } => node,
+            PlannedFault::WireCorrupt {
+                node,
+                dim,
+                flit_bit,
+            } => FaultEvent::WireCorrupt {
+                node,
+                dim,
+                flit_bit,
+            },
+            PlannedFault::FlitDrop { node, dim } => FaultEvent::FlitDrop { node, dim },
         }
+    }
+
+    fn node(&self) -> u32 {
+        self.event().node()
     }
 
     fn dim(&self) -> u32 {
@@ -152,14 +164,7 @@ impl PlannedFault {
 
     /// Apply to a sequential [`Machine`] (for equivalence testing).
     pub fn apply_to(&self, m: &Machine) {
-        match *self {
-            PlannedFault::WireCorrupt {
-                node,
-                dim,
-                flit_bit,
-            } => m.faults().wire_corrupt(node, dim, flit_bit),
-            PlannedFault::FlitDrop { node, dim } => m.faults().flit_drop(node, dim),
-        }
+        self.event().apply(m);
     }
 }
 
@@ -191,11 +196,6 @@ impl<R> ParallelRun<R> {
     }
 }
 
-/// Stable directed-edge id of the cube edge `tx_node --dim-->`.
-fn edge_key(tx_node: u32, dim: u32) -> u64 {
-    ((tx_node as u64) << 6) | dim as u64
-}
-
 /// Shared lockstep coordination state. Plain data under one mutex; all
 /// ordering comes from the barrier.
 struct CoordState {
@@ -210,19 +210,6 @@ struct CoordState {
 struct Coord {
     barrier: Barrier,
     state: Mutex<CoordState>,
-}
-
-/// One shard's slice of the machine.
-struct ShardMachine {
-    sim: Sim,
-    nodes: Vec<Node>,
-    boards: Vec<SystemBoard>,
-    /// Boundary sublinks by directed-edge id, for envelope ingestion.
-    channels: HashMap<u64, LinkChannel>,
-    outbox: BoundaryOutbox,
-    lo: u32,
-    #[allow(dead_code)]
-    registry: MetricsRegistry,
 }
 
 /// What a shard thread hands back to the coordinator: plain `Send` data.
@@ -270,6 +257,8 @@ where
     if pcfg.shards == 1 {
         return run_sequential(cfg, faults, program);
     }
+    // Validate everything before any thread spawns: a panic inside a shard
+    // aborts the whole process (see the barrier note below).
     assert!(
         cfg.budget.supports(cfg.dim),
         "sublink budget supports at most a {}-cube",
@@ -284,8 +273,6 @@ where
     );
     let local_bits = cfg.dim - shard_bits;
     let n = pcfg.shards as usize;
-    // Validate the fault plan before any thread spawns: a panic inside a
-    // shard aborts the whole process (see the barrier note below).
     for f in faults {
         assert!(
             f.dim() < local_bits,
@@ -347,7 +334,6 @@ where
         }
     });
 
-    let peak = cfg.specs().peak_mflops;
     let mut results = Vec::with_capacity(1usize << cfg.dim);
     let mut parts = Vec::with_capacity(n);
     let mut rounds = Vec::new();
@@ -368,7 +354,7 @@ where
         quiescent: live == 0,
         events,
         polls,
-        report: ReportData::merge(parts, peak),
+        report: ReportData::merge(parts),
         rounds,
     }
 }
@@ -416,30 +402,29 @@ where
     Fut: Future<Output = R> + 'static,
     R: 'static,
 {
-    let mut sm = build_shard(cfg, me as u32, local_bits);
+    // This shard's slice of the machine: the machine builder on a sub-range.
+    let mut sim = Sim::new();
+    let registry = MetricsRegistry::new();
+    let lo = (me as u32) << local_bits;
+    let Wired {
+        nodes,
+        boards,
+        boundary,
+        outbox,
+    } = wire(cfg, &sim.handle(), &registry, lo..lo + (1 << local_bits));
 
     for f in faults {
         if (f.node() >> local_bits) as usize != me {
             continue;
         }
         debug_assert!(f.dim() < local_bits, "plan validated by the coordinator");
-        let n = &sm.nodes[(f.node() - sm.lo) as usize];
-        match *f {
-            PlannedFault::WireCorrupt { dim, flit_bit, .. } => {
-                n.queue_wire_corrupt(dim as usize, flit_bit);
-                n.metrics().inc("fault.wire_corrupt");
-            }
-            PlannedFault::FlitDrop { dim, .. } => {
-                n.queue_flit_drop(dim as usize);
-                n.metrics().inc("fault.flit_drop");
-            }
-        }
+        f.event().apply_to(&nodes[(f.node() - lo) as usize]);
     }
 
-    let mut handles = Vec::with_capacity(sm.nodes.len());
-    for node in &sm.nodes {
+    let mut handles = Vec::with_capacity(nodes.len());
+    for node in &nodes {
         let fut = program(node.ctx());
-        handles.push(sm.sim.spawn(fut));
+        handles.push(sim.spawn(fut));
     }
 
     let mut rounds = Vec::new();
@@ -449,7 +434,7 @@ where
         // proposals, then every shard reads the same global minimum.
         {
             let mut st = coord.state.lock().unwrap();
-            st.next[me] = sm.sim.next_event_time().map(|t| t.as_ps());
+            st.next[me] = sim.next_event_time().map(|t| t.as_ps());
         }
         coord.barrier.wait();
         let t_ps = {
@@ -465,10 +450,10 @@ where
 
         // Run everything at T, then exchange boundary envelopes and repeat
         // at the same T until the whole machine has nothing left to say.
-        sm.sim.advance_to(t);
-        sm.sim.run_until(t);
+        sim.advance_to(t);
+        sim.run_until(t);
         loop {
-            let out: Vec<BoundaryEnvelope> = sm.outbox.borrow_mut().drain(..).collect();
+            let out: Vec<BoundaryEnvelope> = outbox.borrow_mut().drain(..).collect();
             envelopes += out.len() as u64;
             {
                 let mut st = coord.state.lock().unwrap();
@@ -491,19 +476,18 @@ where
             // Deterministic ingestion order, independent of which thread
             // pushed first: time, then edge id, then sequence, then leg.
             mine.sort_by_key(|e| e.sort_key());
-            let h = sm.sim.handle();
+            let h = sim.handle();
             for env in mine {
-                let ch = sm
-                    .channels
+                let ch = boundary
                     .get(&env.edge)
                     .expect("boundary envelope for unknown edge");
                 ch.boundary_ingest(&h, env);
             }
-            sm.sim.run_until(t);
+            sim.run_until(t);
         }
 
         if record_rounds && rounds.len() < (1 << 20) {
-            let events = sm.sim.profile().timer_events;
+            let events = sim.profile().timer_events;
             rounds.push(ShardRound {
                 shard: me as u32,
                 at_ps: t_ps,
@@ -516,12 +500,12 @@ where
         }
     }
 
-    let live = sm.sim.live_tasks();
-    let prof = sm.sim.profile();
+    let live = sim.live_tasks();
+    let prof = sim.profile();
     ShardOutcome {
         results: handles.into_iter().map(|h| h.try_take()).collect(),
-        report: shard_report_data(&sm),
-        final_ps: sm.sim.now().as_ps(),
+        report: ReportData::capture(sim.now(), &registry, &nodes, &boards),
+        final_ps: sim.now().as_ps(),
         live,
         events: prof.timer_events,
         polls: prof.polls,
@@ -529,190 +513,73 @@ where
     }
 }
 
-/// Build shard `shard`'s slice of the machine: the same wiring as
-/// `Machine::build`, with boundary sublinks standing in for cube edges
-/// whose far endpoint lives on another shard.
-fn build_shard(cfg: &MachineCfg, shard: u32, local_bits: u32) -> ShardMachine {
-    let sim = Sim::new();
-    let h = sim.handle();
-    let cube = ts_cube::Hypercube::new(cfg.dim);
-    let registry = MetricsRegistry::new();
-    let lo = shard << local_bits;
-    let hi = lo + (1u32 << local_bits);
-    let li = |id: u32| (id - lo) as usize;
-    let nodes: Vec<Node> = (lo..hi)
-        .map(|id| Node::with_registry(id, cfg.node, h.clone(), &registry))
-        .collect();
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::collectives;
+    use ts_fpu::Sf64;
+    use ts_node::CombineOp;
 
-    let wires_out: Vec<Vec<Wire>> = (lo..hi)
-        .map(|_| {
-            (0..4)
-                .map(|_| Wire::new("link.out", cfg.node.link))
-                .collect()
-        })
-        .collect();
-    let wires_in: Vec<Vec<Wire>> = (lo..hi)
-        .map(|_| {
-            (0..4)
-                .map(|_| Wire::new("link.in", cfg.node.link))
-                .collect()
-        })
-        .collect();
+    #[test]
+    fn the_sequential_machine_is_the_one_range_case_of_wire() {
+        let cfg = MachineCfg::cube_small_mem(4, 8);
+        let cube = crate::Hypercube::new(cfg.dim);
+        let program = move |ctx: NodeCtx| async move {
+            let mine = vec![Sf64::from(ctx.id() as f64)];
+            collectives::allreduce(&ctx, cube, CombineOp::Add, mine).await;
+        };
+        let mut m = Machine::build(cfg);
+        m.launch(program);
+        assert!(m.run().quiescent);
 
-    let outbox: BoundaryOutbox = Rc::new(RefCell::new(Vec::new()));
-    let mut channels: HashMap<u64, LinkChannel> = HashMap::new();
-
-    // Hypercube edges: dimension d rides physical link d mod 4, exactly as
-    // in `Machine::build`. Dimensions below `local_bits` stay inside the
-    // shard and get the ordinary rendezvous pair; higher dimensions cross
-    // to the neighbor shard and get a boundary half on each side.
-    for d in 0..cfg.dim {
-        let l = (d % 4) as usize;
-        for a in lo..hi {
-            let b = cube.neighbor(a, d);
-            if b >> local_bits == shard {
-                if a > b {
-                    continue;
-                }
-                let (ai, bi) = (li(a), li(b));
-                let mut ab =
-                    LinkChannel::new_pair(wires_out[ai][l].clone(), wires_in[bi][l].clone());
-                ab.set_metrics(nodes[ai].metrics().clone());
-                // Message latency is booked at delivery, on the receiver.
-                ab.set_latency_histogram(nodes[bi].meters().link_latency_ns.clone());
-                let mut ba =
-                    LinkChannel::new_pair(wires_out[bi][l].clone(), wires_in[ai][l].clone());
-                ba.set_metrics(nodes[bi].metrics().clone());
-                ba.set_latency_histogram(nodes[ai].meters().link_latency_ns.clone());
-                let (ma, mb) = (nodes[ai].meters().clone(), nodes[bi].meters().clone());
-                ab.set_transport_meters(
-                    ma.link_retransmits.clone(),
-                    ma.link_crc_errors.clone(),
-                    ma.link_escalations.clone(),
-                );
-                ba.set_transport_meters(
-                    mb.link_retransmits.clone(),
-                    mb.link_crc_errors.clone(),
-                    mb.link_escalations.clone(),
-                );
-                ba.set_status(ab.status().clone());
-                nodes[ai].wire_dim(d as usize, ab.clone(), ba.clone());
-                nodes[bi].wire_dim(d as usize, ba, ab);
-            } else {
-                let peer = b >> local_bits;
-                // Outbound half: `a` transmits to remote `b` on edge (a,d).
-                let mut out = LinkChannel::new_boundary_tx(
-                    wires_out[li(a)][l].clone(),
-                    edge_key(a, d),
-                    peer,
-                    outbox.clone(),
-                );
-                // Hot link counters land on the transmitter's metrics in
-                // the sequential wiring; keep that here.
-                out.set_metrics(nodes[li(a)].metrics().clone());
-                // Inbound half: remote `b` transmits to `a` on edge (b,d).
-                let inp = LinkChannel::new_boundary_rx(
-                    wires_in[li(a)][l].clone(),
-                    edge_key(b, d),
-                    peer,
-                    outbox.clone(),
-                );
-                inp.set_latency_histogram(nodes[li(a)].meters().link_latency_ns.clone());
-                channels.insert(edge_key(a, d), out.clone());
-                channels.insert(edge_key(b, d), inp.clone());
-                nodes[li(a)].wire_dim(d as usize, out, inp);
-            }
+        // What a shard thread does, over the whole cube.
+        let mut sim = Sim::new();
+        let registry = MetricsRegistry::new();
+        let w = wire(&cfg, &sim.handle(), &registry, 0..cube.nodes());
+        assert!(w.boundary.is_empty(), "no edge of the whole cube is remote");
+        for node in &w.nodes {
+            sim.spawn(program(node.ctx()));
         }
-    }
+        assert!(sim.run().quiescent);
 
-    // System boards: shards are whole numbers of 8-node modules, so every
-    // board is internal to exactly one shard.
-    let m_lo = (lo / 8) as usize;
-    let m_hi = (hi / 8) as usize;
-    let mut boards = Vec::with_capacity(m_hi - m_lo);
-    for m in m_lo..m_hi {
-        let board_out = Wire::new("board.out", cfg.node.link);
-        let board_in = Wire::new("board.in", cfg.node.link);
-        let mut to_node = Vec::new();
-        let mut from_node = Vec::new();
-        for id in (m * 8) as u32..(m * 8 + 8) as u32 {
-            let i = li(id);
-            let down = LinkChannel::new_pair(board_out.clone(), wires_in[i][3].clone());
-            let mut up = LinkChannel::new_pair(wires_out[i][3].clone(), board_in.clone());
-            up.set_status(down.status().clone());
-            nodes[i].wire_system(up.clone(), down.clone());
-            to_node.push(down);
-            from_node.push(up);
-        }
-        boards.push(SystemBoard::new(
-            m as u32,
-            h.clone(),
-            to_node,
-            from_node,
-            board_out,
-            board_in,
-            Disk::new(cfg.disk_rate),
-        ));
-    }
-    // Ring links between consecutive boards of this shard. The ring stays
-    // open at shard boundaries: checkpoint traffic over the global ring is
-    // unsupported on the parallel backend.
-    for i in 1..boards.len() {
-        let ch = LinkChannel::new_pair(
-            boards[i - 1].wire_out().clone(),
-            boards[i].wire_in().clone(),
+        let paths = |r: &MetricsRegistry| -> Vec<String> {
+            r.snapshot().into_iter().map(|(path, _)| path).collect()
+        };
+        assert_eq!(paths(m.registry()), paths(&registry));
+        assert_eq!(
+            m.utilization_report(),
+            ReportData::capture(sim.now(), &registry, &w.nodes, &w.boards).render()
         );
-        boards[i - 1].set_ring_next(ch.clone());
-        boards[i].set_ring_prev(ch);
     }
 
-    ShardMachine {
-        sim,
-        nodes,
-        boards,
-        channels,
-        outbox,
-        lo,
-        registry,
+    #[test]
+    fn one_way_traffic_is_received_by_the_receiver_on_every_backend() {
+        // Node 0 sends 16 words across the top dimension and receives
+        // nothing. At 2 shards the dim-4 edge crosses the shard boundary.
+        let one_way = |dim: u32, shards: u32| {
+            let top = dim as usize - 1;
+            let far = 1u32 << top;
+            let run = run_parallel(
+                MachineCfg::cube_small_mem(dim, 8),
+                &ParallelCfg::new(shards),
+                move |ctx| async move {
+                    if ctx.id() == 0 {
+                        ctx.send_dim(top, vec![0; 16]).await;
+                    } else if ctx.id() == far {
+                        ctx.recv_dim(top).await;
+                    }
+                },
+            );
+            assert!(run.quiescent);
+            let bytes = |id: u32| {
+                let row = run.report.rows[id as usize];
+                (row.sent_b, row.recv_b)
+            };
+            assert_eq!(bytes(0), (64, 0), "dim {dim}, {shards} shards");
+            assert_eq!(bytes(far), (0, 64), "dim {dim}, {shards} shards");
+            run.utilization_report()
+        };
+        one_way(1, 1);
+        assert_eq!(one_way(4, 1), one_way(4, 2));
     }
-}
-
-/// Capture this shard's partial of the report: same loops as
-/// `Machine::report_data`, restricted to the shard's nodes and boards.
-fn shard_report_data(sm: &ShardMachine) -> ReportData {
-    let n = sm.nodes.len();
-    let mut data = ReportData {
-        now_ps: sm.sim.now().as_ps(),
-        rows: Vec::with_capacity(n),
-        vec_len: Vec::with_capacity(n),
-        latency: Vec::with_capacity(n),
-        flaps: Vec::with_capacity(n),
-        ..ReportData::default()
-    };
-    let flat = Metrics::new();
-    for node in &sm.nodes {
-        let m = node.metrics();
-        let mt = node.meters();
-        data.rows.push(NodeRow {
-            id: node.id,
-            vec_busy_ps: mt.vec_busy.get().as_ps(),
-            cp_busy_ps: mt.cp_busy.get().as_ps(),
-            vec_flops: mt.vec_flops.get(),
-            sent_b: m.get("link.bytes_sent"),
-            recv_b: m.get("link.bytes_recv"),
-        });
-        data.vec_len.push(HistSnapshot::of(&mt.vec_len));
-        data.latency.push(HistSnapshot::of(&mt.link_latency_ns));
-        data.flaps.push(HistSnapshot::of(&mt.link_flap_us));
-        Machine::fold_node_metrics(&flat, node);
-    }
-    data.counters = flat.counters();
-    data.durations = flat.durations();
-    data.disk_busy_ps = sm
-        .boards
-        .iter()
-        .map(|b| b.disk.busy_total().as_ps())
-        .collect();
-    data.ring_bytes = sm.boards.iter().map(|b| b.ring_bytes()).collect();
-    data
 }

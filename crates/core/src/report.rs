@@ -2,16 +2,87 @@
 //!
 //! [`ReportData`] is a plain-data capture of everything
 //! `Machine::utilization_report` prints: per-node rows, per-node histogram
-//! snapshots, the merged flat metrics, and per-board disk/ring tallies. The
-//! sequential backend captures it from live objects; the parallel backend
-//! captures one partial per shard (plain `Send` data, so it crosses the
-//! thread boundary) and concatenates them in shard order. Both then render
+//! snapshots, the machine-wide counters, and per-board disk/ring tallies.
+//! One capture function reads them from `(now, registry, nodes, boards)`:
+//! the sequential machine calls it once over everything, the parallel
+//! backend once per shard (plain `Send` data, so it crosses the thread
+//! boundary) and concatenates the partials in shard order. Both then render
 //! through the same code path, so a parallel run's report is byte-identical
 //! to the sequential run's — including the floating-point reductions, which
 //! are re-run in node/board order rather than pre-merged per shard.
+//!
+//! The counters keep the flat `unit.metric` keys reports have always used;
+//! `COUNTER_KEYS` is the one table that says where in the registry each
+//! key's count lives.
 
+use ts_node::{ColdMeters, Node, NodeMeters};
 use ts_sim::metrics::HIST_BUCKETS;
-use ts_sim::{Dur, Histogram, Metrics, Time};
+use ts_sim::{Counter, Dur, Histogram, MetricsRegistry, Time};
+
+use crate::system::SystemBoard;
+use crate::NODE_PEAK_MFLOPS;
+
+/// Where a report key's count lives.
+#[derive(Clone, Copy)]
+pub(crate) enum Source {
+    /// Summed over the nodes: a meter every node pre-registers.
+    Hot(fn(&NodeMeters) -> &Counter),
+    /// Summed over the nodes that booked any: a cold counter, registered on
+    /// a node's first fault or retry.
+    Cold(fn(&ColdMeters) -> &Counter),
+    /// One machine-level counter at exactly this registry path.
+    Machine(&'static str),
+}
+
+impl Source {
+    fn read(self, registry: &MetricsRegistry, nodes: &[Node]) -> u64 {
+        let meters = nodes.iter().map(|n| n.meters());
+        match self {
+            Source::Hot(meter) => meters.map(|m| meter(m).get()).sum(),
+            Source::Cold(meter) => meters
+                .filter_map(|m| m.cold_booked())
+                .map(|c| meter(c).get())
+                .sum(),
+            Source::Machine(path) => registry.get_counter(path).unwrap_or(0),
+        }
+    }
+}
+
+/// Every key of [`ReportData::counters`] and its source, sorted by key:
+/// what [`ReportData::render`] prints plus what the benchmark's census
+/// reads. [`ReportData::capture`] fills the counters in this order, so a
+/// key absent here reads as zero everywhere. Each key is its registry path
+/// with `/` for `.`, below `node/{id}/` or `machine/`.
+#[rustfmt::skip]
+pub(crate) const COUNTER_KEYS: &[(&str, Source)] = {
+    use Source::{Cold, Hot, Machine};
+    &[
+        ("ckpt.bytes_full_equiv", Machine("machine/ckpt/bytes_full_equiv")),
+        ("ckpt.bytes_streamed", Machine("machine/ckpt/bytes_streamed")),
+        ("ckpt.delta", Machine("machine/ckpt/delta")),
+        ("ckpt.full", Machine("machine/ckpt/full")),
+        ("ckpt.torn_aborts", Machine("machine/ckpt/torn_aborts")),
+        ("collective.deadline_expired", Cold(|c| &c.collective_deadline_expired)),
+        ("collective.retries", Cold(|c| &c.collective_retries)),
+        ("fault.flit_drop", Cold(|c| &c.fault_flit_drop)),
+        ("fault.link_down", Cold(|c| &c.fault_link_down)),
+        ("fault.link_flap", Cold(|c| &c.fault_link_flap)),
+        ("fault.mem_flip", Cold(|c| &c.fault_mem_flip)),
+        ("fault.node_crash", Cold(|c| &c.fault_node_crash)),
+        ("fault.scrubbed_words", Cold(|c| &c.fault_scrubbed_words)),
+        ("fault.wire_corrupt", Cold(|c| &c.fault_wire_corrupt)),
+        ("link.crc_errors", Hot(|m| &m.link_crc_errors)),
+        ("link.escalations", Hot(|m| &m.link_escalations)),
+        ("link.retransmits", Hot(|m| &m.link_retransmits)),
+        ("link.words_sent", Hot(|m| &m.link_words_sent)),
+        ("mem.rows_moved", Hot(|m| &m.rows_moved)),
+        ("router.dropped", Cold(|c| &c.router_dropped)),
+        ("router.reroutes", Cold(|c| &c.router_reroutes)),
+        ("router.retries", Cold(|c| &c.router_retries)),
+        ("supervisor.reboots", Machine("machine/supervisor/reboots")),
+        ("supervisor.snapshots", Machine("machine/supervisor/snapshots")),
+    ]
+};
 
 /// A plain-data snapshot of one [`Histogram`]: exactly the values the
 /// report's merge loop reads (bucket counts, total, and the histogram's own
@@ -70,10 +141,12 @@ pub struct ReportData {
     pub latency: Vec<HistSnapshot>,
     /// Per-node link-flap histograms (µs), in node order.
     pub flaps: Vec<HistSnapshot>,
-    /// Merged flat counters (the legacy-keyed bundle), key order.
+    /// Machine-wide counters under their flat `unit.metric` keys, in key
+    /// order (one entry per row of the key table, zero when never booked).
     pub counters: Vec<(&'static str, u64)>,
-    /// Merged flat durations, key order.
-    pub durations: Vec<(&'static str, Dur)>,
+    /// Job time the supervisor spent on work later lost and replayed,
+    /// picoseconds.
+    pub rework_ps: u64,
     /// Per-board disk busy time, picoseconds, in board order.
     pub disk_busy_ps: Vec<u64>,
     /// Per-board ring bytes pushed, in board order.
@@ -86,46 +159,88 @@ const _: () = {
 };
 
 impl ReportData {
-    /// Concatenate shard partials (given in shard = ascending-node order)
-    /// into one machine-wide capture. Node and board vectors concatenate;
-    /// flat metrics merge by key (integer adds, order-independent); the
-    /// final time is the maximum.
-    pub fn merge(parts: Vec<ReportData>, peak_mflops: f64) -> ReportData {
-        let mut out = ReportData {
-            peak_mflops,
+    /// Capture the report of `nodes` and `boards` — a whole machine or one
+    /// shard's slice of it — at `now`, reading counts from `registry`.
+    pub(crate) fn capture(
+        now: Time,
+        registry: &MetricsRegistry,
+        nodes: &[Node],
+        boards: &[SystemBoard],
+    ) -> ReportData {
+        let n = nodes.len();
+        let mut data = ReportData {
+            now_ps: now.as_ps(),
+            peak_mflops: n as f64 * NODE_PEAK_MFLOPS,
+            rows: Vec::with_capacity(n),
+            vec_len: Vec::with_capacity(n),
+            latency: Vec::with_capacity(n),
+            flaps: Vec::with_capacity(n),
             ..ReportData::default()
         };
-        let flat = Metrics::new();
+        for node in nodes {
+            let mt = node.meters();
+            data.rows.push(NodeRow {
+                id: node.id,
+                vec_busy_ps: mt.vec_busy.get().as_ps(),
+                cp_busy_ps: mt.cp_busy.get().as_ps(),
+                vec_flops: mt.vec_flops.get(),
+                sent_b: mt.link_bytes_sent.get(),
+                recv_b: mt.link_bytes_recv.get(),
+            });
+            data.vec_len.push(HistSnapshot::of(&mt.vec_len));
+            data.latency.push(HistSnapshot::of(&mt.link_latency_ns));
+            data.flaps.push(HistSnapshot::of(&mt.link_flap_us));
+        }
+        data.counters = COUNTER_KEYS
+            .iter()
+            .map(|&(key, source)| (key, source.read(registry, nodes)))
+            .collect();
+        data.rework_ps = registry
+            .get_busy("machine/supervisor/rework")
+            .map_or(0, |d| d.as_ps());
+        data.disk_busy_ps = boards.iter().map(|b| b.disk.busy_total().as_ps()).collect();
+        data.ring_bytes = boards.iter().map(|b| b.ring_bytes()).collect();
+        data
+    }
+
+    /// Concatenate shard partials (given in shard = ascending-node order)
+    /// into one machine-wide capture. Node and board vectors concatenate;
+    /// counters add key by key (every capture carries the same keys in the
+    /// same order); the final time is the maximum.
+    pub fn merge(parts: Vec<ReportData>) -> ReportData {
+        let mut out = ReportData::default();
         for p in parts {
             out.now_ps = out.now_ps.max(p.now_ps);
+            out.peak_mflops += p.peak_mflops;
             out.rows.extend(p.rows);
             out.vec_len.extend(p.vec_len);
             out.latency.extend(p.latency);
             out.flaps.extend(p.flaps);
             out.disk_busy_ps.extend(p.disk_busy_ps);
             out.ring_bytes.extend(p.ring_bytes);
-            for (k, v) in p.counters {
-                flat.add(k, v);
-            }
-            for (k, d) in p.durations {
-                flat.add_time(k, d);
+            out.rework_ps += p.rework_ps;
+            if out.counters.is_empty() {
+                out.counters = p.counters;
+            } else {
+                for (mine, theirs) in out.counters.iter_mut().zip(p.counters) {
+                    debug_assert_eq!(mine.0, theirs.0);
+                    mine.1 += theirs.1;
+                }
             }
         }
-        out.counters = flat.counters();
-        out.durations = flat.durations();
         out
     }
 
-    /// Rebuild the flat metrics bundle for keyed lookups.
-    fn flat(&self) -> Metrics {
-        let m = Metrics::new();
-        for &(k, v) in &self.counters {
-            m.add(k, v);
-        }
-        for &(k, d) in &self.durations {
-            m.add_time(k, d);
-        }
-        m
+    /// The count booked under `key`, which must be a row of the key table
+    /// (a capture that was never filled reads zero).
+    fn get(&self, key: &str) -> u64 {
+        debug_assert!(
+            COUNTER_KEYS.binary_search_by_key(&key, |&(k, _)| k).is_ok(),
+            "report key {key:?} is not in the key table"
+        );
+        self.counters
+            .binary_search_by_key(&key, |&(k, _)| k)
+            .map_or(0, |i| self.counters[i].1)
     }
 
     /// Achieved MFLOPS over the captured run.
@@ -197,7 +312,7 @@ impl ReportData {
         // Fault and recovery story, when there is one: faults injected,
         // how the fabric and collectives coped, and what the supervisor's
         // healing cost.
-        let m = self.flat();
+        let m = self;
         // Reliable-transport story: retransmissions absorbed below the
         // routing layer, and the flap outages that drove some of them.
         let retrans = m.get("link.retransmits");
@@ -270,7 +385,7 @@ impl ReportData {
                     "recovery: {} snapshots, {} reboots, {:.3} ms rework",
                     m.get("supervisor.snapshots"),
                     m.get("supervisor.reboots"),
-                    m.get_time("supervisor.rework").as_secs_f64() * 1e3,
+                    Dur::ps(self.rework_ps).as_secs_f64() * 1e3,
                 );
             }
         }
@@ -348,5 +463,49 @@ pub(crate) fn merge_snapshots(snaps: &[HistSnapshot]) -> MergedHist {
             0.0
         },
         counts,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn key_table_is_sorted_and_covers_every_reader() {
+        let keys: Vec<&str> = COUNTER_KEYS.iter().map(|&(k, _)| k).collect();
+        assert!(
+            keys.windows(2).all(|w| w[0] < w[1]),
+            "COUNTER_KEYS must be sorted by key, without duplicates"
+        );
+        // What `benchmark/src/census.rs` reads by key.
+        for key in [
+            "collective.retries",
+            "link.crc_errors",
+            "link.escalations",
+            "link.retransmits",
+            "link.words_sent",
+            "mem.rows_moved",
+            "router.reroutes",
+        ] {
+            assert!(keys.contains(&key), "census key {key} left the table");
+        }
+        // What `render` reads: with every count non-zero each conditional
+        // section prints, and `get` asserts its key is a table row.
+        let data = ReportData {
+            counters: keys.iter().map(|&k| (k, 1)).collect(),
+            disk_busy_ps: vec![1],
+            ..ReportData::default()
+        };
+        let text = data.render();
+        for section in [
+            "transport:",
+            "faults:",
+            "transient faults:",
+            "router:",
+            "recovery:",
+            "checkpoint I/O:",
+        ] {
+            assert!(text.contains(section), "{section} missing from\n{text}");
+        }
     }
 }

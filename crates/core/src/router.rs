@@ -30,8 +30,9 @@
 //! per-message budget of two extra hops (`DETOUR_BUDGET`), and records the
 //! flipped dimension so the next hop does not immediately undo it. A
 //! message whose budget runs dry is dropped rather than left to wander.
-//! The daemon books `router.reroutes`, `router.retries` (a link died while
-//! a hop was being sent) and `router.dropped` into its node's metrics.
+//! The daemon books `router/reroutes`, `router/retries` (a link died while
+//! a hop was being sent) and `router/dropped` under its node's registry
+//! scope ([`ts_node::ColdMeters`], registered on first bump).
 
 use std::rc::Rc;
 
@@ -350,7 +351,7 @@ async fn forward_frame(ctx: NodeCtx, table: Rc<RouteTable>, mut frame: Vec<u32>)
                         d
                     }
                     _ => {
-                        ctx.metrics().inc("router.dropped");
+                        ctx.meters().cold().router_dropped.inc();
                         ts_sim::pool::put_words(frame);
                         return;
                     }
@@ -358,7 +359,7 @@ async fn forward_frame(ctx: NodeCtx, table: Rc<RouteTable>, mut frame: Vec<u32>)
             }
         };
         if d != ecube {
-            ctx.metrics().inc("router.reroutes");
+            ctx.meters().cold().router_reroutes.inc();
         }
         // Count the hop in the (pooled) copy we send; a failed attempt
         // retries from the original frame without inflating the count.
@@ -373,12 +374,12 @@ async fn forward_frame(ctx: NodeCtx, table: Rc<RouteTable>, mut frame: Vec<u32>)
             }
             ts_sim::Either::Left(Err(_)) => {
                 // The link died under us: pick again.
-                ctx.metrics().inc("router.retries");
+                ctx.meters().cold().router_retries.inc();
             }
             ts_sim::Either::Right(()) => {
                 // Nobody took the frame within the deadline — the next
                 // daemon is gone. Abandon rather than park forever.
-                ctx.metrics().inc("router.dropped");
+                ctx.meters().cold().router_dropped.inc();
                 ts_sim::pool::put_words(frame);
                 return;
             }
@@ -463,9 +464,8 @@ mod tests {
         let r = m.run();
         assert!(r.quiescent, "degraded routing must still terminate");
         assert_eq!(done.try_take(), Some(((0, vec![77]), (0, vec![11]))));
-        let metrics = m.metrics();
         assert!(
-            metrics.get("router.reroutes") >= 1,
+            m.registry().sum_counters("router/reroutes") >= 1,
             "detour must be counted"
         );
         // Data traffic was fully delivered (asserted above); only shutdown
@@ -489,7 +489,7 @@ mod tests {
         let r = m.run();
         assert!(r.quiescent, "crashed node must not strand the fabric");
         assert!(done.try_take().is_some());
-        assert!(m.metrics().get("router.dropped") >= 1);
+        assert!(m.registry().sum_counters("router/dropped") >= 1);
     }
 
     #[test]

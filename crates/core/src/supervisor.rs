@@ -381,18 +381,19 @@ impl Supervisor {
         }
 
         report.total = job(base, &m, mark);
-        // Book the supervisor's own accounting into the machine's metrics
+        // Book the supervisor's own accounting into the machine's registry
         // so `Machine::utilization_report` can show the recovery story.
-        let meters = m.nodes[0].metrics();
-        meters.add("supervisor.reboots", report.reboots as u64);
-        meters.add("supervisor.snapshots", report.snapshots as u64);
-        meters.add("supervisor.delta_snapshots", report.delta_snapshots as u64);
-        meters.add(
-            "supervisor.torn_checkpoints",
-            report.torn_checkpoints as u64,
-        );
-        meters.add("supervisor.watchdog_trips", report.watchdog_trips as u64);
-        meters.add_time("supervisor.rework", report.rework);
+        let booked = m.registry().scope("machine/supervisor");
+        for (name, count) in [
+            ("reboots", report.reboots),
+            ("snapshots", report.snapshots),
+            ("delta_snapshots", report.delta_snapshots),
+            ("torn_checkpoints", report.torn_checkpoints),
+            ("watchdog_trips", report.watchdog_trips),
+        ] {
+            booked.counter(name).add(count as u64);
+        }
+        booked.busy_time("rework").add(report.rework);
         Ok((m, report))
     }
 }
@@ -516,7 +517,145 @@ mod tests {
         );
         assert!(rep.delta_snapshots >= 1, "retried snapshot is incremental");
         assert!(!m.nodes[5].is_crashed());
-        assert_eq!(m.metrics().get("supervisor.torn_checkpoints"), 1);
+        assert_eq!(
+            m.registry()
+                .get_counter("machine/supervisor/torn_checkpoints"),
+            Some(1)
+        );
+    }
+
+    #[test]
+    fn every_report_key_is_booked_where_the_key_table_says() {
+        use crate::collectives::{broadcast, with_deadline};
+        use crate::report::COUNTER_KEYS;
+        use crate::router::Router;
+
+        // The torn-snapshot fixture above: one torn attempt, one reboot,
+        // delta commits on the surviving incarnation.
+        let sup = Supervisor::new(cfg()).checkpoint_interval(Dur::us(1));
+        let (d0, p0, _) = probe_times();
+        let plan = FaultPlan::new().with(d0 + p0 + Dur::ms(1), FaultEvent::NodeCrash { node: 5 });
+        let (mut m, rep) = sup.run_to_completion(seed, &phases(), &plan).unwrap();
+        assert_eq!((rep.torn_checkpoints, rep.reboots), (1, 1));
+
+        // The reboot took incarnation 1's counters with it, so the rest of
+        // the story is booked on the survivor: all six fault kinds, struck
+        // in three waves between the steps that need the machine whole.
+        let six = FaultPlan::new()
+            .with(
+                Dur::ZERO,
+                FaultEvent::MemFlip {
+                    node: 2,
+                    addr: 40,
+                    bit: 3,
+                },
+            )
+            .with(
+                Dur::ZERO,
+                FaultEvent::WireCorrupt {
+                    node: 0,
+                    dim: 0,
+                    flit_bit: 5,
+                },
+            )
+            .with(Dur::ZERO, FaultEvent::FlitDrop { node: 0, dim: 0 })
+            .with(
+                Dur::ZERO,
+                FaultEvent::LinkFlap {
+                    node: 3,
+                    dim: 1,
+                    down_for: Dur::us(10),
+                },
+            )
+            .with(Dur::us(100), FaultEvent::LinkDown { node: 0, dim: 0 })
+            .with(Dur::ms(5), FaultEvent::NodeCrash { node: 7 });
+        // Arm the plan's faults due `at` that long after now.
+        let arm = |m: &Machine, at: Dur| {
+            for tf in six.iter().filter(|tf| tf.at == at) {
+                let (h, node, event) = (
+                    m.handle(),
+                    m.nodes[tf.event.node() as usize].clone(),
+                    tf.event,
+                );
+                m.handle().spawn(async move {
+                    h.sleep(at).await;
+                    event.apply_to(&node);
+                });
+            }
+        };
+
+        // A full commit, the first wave, and a restore that scrubs the flip.
+        let mut store = CheckpointStore::new(m.nodes.len());
+        m.checkpoint(&mut store, SnapshotMode::Full).unwrap();
+        arm(&m, Dur::ZERO);
+        m.restore_from(&store).unwrap();
+
+        // The transport absorbs the corrupt + drop queued on 0 -> 1; nine
+        // more drops on 4 -> 6 exhaust the budget and condemn that link.
+        for _ in 0..=ts_link::TransportCfg::default().budget {
+            m.faults().flit_drop(4, 1);
+        }
+        for (from, dim) in [(0u32, 0usize), (4, 1)] {
+            let (tx, rx) = (m.ctx(from), m.ctx(from ^ (1 << dim)));
+            m.launch_on(from, async move {
+                tx.row_move(0, 1, 1).await.unwrap();
+                tx.send_dim(dim, vec![7; 64]).await;
+            });
+            m.launch_on(from ^ (1 << dim), async move {
+                rx.recv_dim(dim).await;
+            });
+        }
+        assert!(m.run().quiescent);
+
+        // Two routed frames 0 -> 1 back to back: the second is parked behind
+        // the first's 0.5 ms transfer when the link dies under it (a retry),
+        // and then goes the long way round (a reroute).
+        let router = Router::start(&m);
+        let (h0, h1) = (router.handle(0), router.handle(1));
+        arm(&m, Dur::us(100));
+        let routed = m.handle().spawn(async move {
+            h0.send_to(1, vec![1; 64]).await.unwrap();
+            h0.send_to(1, vec![2; 64]).await.unwrap();
+            let got = (h1.recv().await.1[0], h1.recv().await.1[0]);
+            router.shutdown().await;
+            got
+        });
+        assert!(m.run().quiescent);
+        assert_eq!(routed.try_take(), Some((1, 2)));
+
+        // A broadcast nobody joins: one retry, then the deadline expires.
+        let ctx = m.ctx(6);
+        let cube = m.cube;
+        m.launch_on(6, async move {
+            let tried = with_deadline(&ctx, Dur::ms(1), 2, || {
+                broadcast(&ctx, cube, 6, Some(vec![1]))
+            });
+            assert!(tried.await.is_err());
+        });
+        assert!(m.run().quiescent);
+
+        // The crash lands 5 ms into the next snapshot and tears it; the
+        // machine is never quiescent again, but the fabric still routes —
+        // and drops what is addressed to the dead node.
+        arm(&m, Dur::ms(5));
+        assert!(m.checkpoint(&mut store, SnapshotMode::Full).is_err());
+        let router = Router::start(&m);
+        let h0 = router.handle(0);
+        let dropped = m.handle().spawn(async move {
+            h0.send_to(7, vec![9]).await.unwrap();
+            router.shutdown().await
+        });
+        m.run();
+        assert!(dropped.try_take().is_some());
+
+        let data = m.report_data();
+        assert_eq!(data.rework_ps, rep.rework.as_ps());
+        for (&(key, _), &(booked, count)) in COUNTER_KEYS.iter().zip(&data.counters) {
+            assert_eq!(key, booked);
+            assert!(count > 0, "{key} was never booked\n{}", data.render());
+            let path = key.replace('.', "/");
+            assert_eq!(count, m.registry().sum_counters(&path), "{key}");
+        }
     }
 
     /// Measure the job timeline without a supervisor: (baseline snapshot
@@ -566,8 +705,14 @@ mod tests {
         assert!(rep.total > ref_rep.total, "healing costs job time");
         assert!(!m.nodes[5].is_crashed(), "reboot repaired the node");
         // Supervisor accounting is visible through machine metrics.
-        assert_eq!(m.metrics().get("supervisor.reboots"), 1);
-        assert_eq!(m.metrics().get("supervisor.snapshots"), 1);
+        assert_eq!(
+            m.registry().get_counter("machine/supervisor/reboots"),
+            Some(1)
+        );
+        assert_eq!(
+            m.registry().get_counter("machine/supervisor/snapshots"),
+            Some(1)
+        );
     }
 
     #[test]
@@ -677,7 +822,11 @@ mod tests {
             m.faults().is_link_up(0, 0),
             "a flap is transient: reboot comes back clean"
         );
-        assert_eq!(m.metrics().get("supervisor.watchdog_trips"), 1);
+        assert_eq!(
+            m.registry()
+                .get_counter("machine/supervisor/watchdog_trips"),
+            Some(1)
+        );
         // The flap itself was booked on incarnation 1's metrics, which died
         // with the reboot — only the supervisor's accounting survives.
         assert_eq!(rep.faults.len(), 1);

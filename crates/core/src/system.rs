@@ -568,6 +568,23 @@ mod tests {
         }
         // Boot costs real time: ring + self-tests.
         assert!(m.now().as_secs_f64() > 0.0);
+
+        // Both self-test programs are charged in full: a node's CP time is
+        // what the two cost when each runs alone on a fresh node.
+        let alone = |source: String| {
+            let mut fresh = Machine::build(MachineCfg::cube_small_mem(0, 8));
+            let ctx = fresh.ctx(0);
+            fresh.launch_on(0, async move {
+                let code = ts_cp::assemble(&source).unwrap();
+                ctx.run_cp_program(&code, 2400, 256).await.unwrap();
+            });
+            assert!(fresh.run().quiescent);
+            fresh.nodes[0].meters().cp_busy.get()
+        };
+        let words = verdicts[0].words_tested as u32;
+        let both = alone(ts_cp::programs::memset(1200, 0x5A5A, words))
+            + alone(ts_cp::programs::sum_words(1200, words));
+        assert_eq!(m.nodes[0].meters().cp_busy.get(), both);
     }
 
     #[test]

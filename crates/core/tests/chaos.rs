@@ -120,11 +120,11 @@ fn run_workload(plan: &FaultPlan) -> Outcome {
         fnv_f64s(&mut digest, &[re, im]);
     }
 
-    let met = m.metrics();
+    let met = m.registry();
     Outcome {
         digest,
-        retransmits: met.get("link.retransmits"),
-        crc_errors: met.get("link.crc_errors"),
+        retransmits: met.sum_counters("link/retransmits"),
+        crc_errors: met.sum_counters("link/crc_errors"),
         report: m.utilization_report(),
     }
 }
@@ -227,9 +227,9 @@ fn exhausted_retransmit_budget_escalates_to_permanent_link_down() {
         !m.faults().is_link_up(0, 0),
         "budget exhaustion kills the link for good"
     );
-    let met = m.metrics();
-    assert!(met.get("link.escalations") >= 1);
-    assert!(met.get("link.retransmits") > 0);
+    let met = m.registry();
+    assert!(met.sum_counters("link/escalations") >= 1);
+    assert!(met.sum_counters("link/retransmits") > 0);
 
     // The dead link now feeds the degraded-routing path: 0 → 3 normally
     // leaves on dimension 0; the router must detour around the condemned
@@ -246,7 +246,7 @@ fn exhausted_retransmit_budget_escalates_to_permanent_link_down() {
     assert!(m.run().quiescent, "router did not shut down cleanly");
     assert_eq!(done.try_take(), Some((0, vec![99])));
     assert!(
-        m.metrics().get("router.reroutes") >= 1,
+        m.registry().sum_counters("router/reroutes") >= 1,
         "delivery went the long way around"
     );
     assert!(

@@ -182,7 +182,11 @@ fn checkpoint_storm_heals_bit_identically_with_zero_torn_restores() {
         store.bytes_full_equiv()
     );
     // The damage is visible in the counters, not the results.
-    let met = m.metrics();
-    assert_eq!(met.get("ckpt.torn_aborts"), 0, "fresh machine after reboot");
+    let met = m.registry();
+    assert_eq!(
+        met.get_counter("machine/ckpt/torn_aborts").unwrap_or(0),
+        0,
+        "fresh machine after reboot"
+    );
     assert!(m.utilization_report().contains("checkpoint I/O"));
 }

@@ -90,7 +90,7 @@ impl KernelStats {
         };
         for node in &machine.nodes {
             mark.flops += node.meters().vec_flops.get();
-            mark.bytes_sent += node.metrics().get("link.bytes_sent");
+            mark.bytes_sent += node.meters().link_bytes_sent.get();
             mark.vec_busy += node.meters().vec_busy.get();
         }
         mark

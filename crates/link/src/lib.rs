@@ -36,8 +36,8 @@ use std::rc::Rc;
 use std::task::{Context, Poll, Waker};
 
 use ts_sim::{
-    select2, Counter, Dur, Either, Histogram, Metrics, OneShot, Rendezvous, Resource, SimHandle,
-    Time, Tracer, TrackId,
+    select2, Counter, Dur, Either, Histogram, OneShot, Rendezvous, Resource, SimHandle, Time,
+    Tracer, TrackId,
 };
 
 /// Line rate and framing of one serial link.
@@ -697,34 +697,21 @@ struct LinkTelemetry {
     flow: Option<(Tracer, TrackId, TrackId)>,
 }
 
-/// Hot-path handles into the channel's [`Metrics`] bundle, pre-registered
-/// when the bundle is attached so per-message accounting is four cell bumps
-/// instead of four `BTreeMap` lookups.
-struct HotCounters {
-    msgs_sent: Rc<Cell<u64>>,
-    bytes_sent: Rc<Cell<u64>>,
-    msgs_recv: Rc<Cell<u64>>,
-    bytes_recv: Rc<Cell<u64>>,
+/// One direction's per-message counters: messages and payload bytes. The
+/// machine layer attaches the transmitting node's handles to a sublink's
+/// `sent` side and the receiving node's to its `recv` side; a sublink built
+/// bare keeps detached counters nobody reads.
+#[derive(Default)]
+struct Traffic {
+    msgs: Counter,
+    bytes: Counter,
 }
 
-impl HotCounters {
-    fn of(metrics: &Metrics) -> HotCounters {
-        HotCounters {
-            msgs_sent: metrics.counter_cell("link.msgs_sent"),
-            bytes_sent: metrics.counter_cell("link.bytes_sent"),
-            msgs_recv: metrics.counter_cell("link.msgs_recv"),
-            bytes_recv: metrics.counter_cell("link.bytes_recv"),
-        }
-    }
-
-    fn book_sent(&self, bytes: u64) {
-        self.msgs_sent.set(self.msgs_sent.get() + 1);
-        self.bytes_sent.set(self.bytes_sent.get() + bytes);
-    }
-
-    fn book_recv(&self, bytes: u64) {
-        self.msgs_recv.set(self.msgs_recv.get() + 1);
-        self.bytes_recv.set(self.bytes_recv.get() + bytes);
+impl Traffic {
+    #[inline]
+    fn book(&self, bytes: usize) {
+        self.msgs.inc();
+        self.bytes.add(bytes as u64);
     }
 }
 
@@ -736,8 +723,10 @@ struct ChanInner {
     rv: Rendezvous<Packet>,
     tx_wire: Wire,
     rx_wire: Wire,
-    metrics: Metrics,
-    hot: HotCounters,
+    /// Booked at the sender's commit, into the transmitting node's meters.
+    sent: Traffic,
+    /// Booked at delivery, into the receiving node's meters.
+    recv: Traffic,
     status: LinkStatus,
     telem: RefCell<LinkTelemetry>,
     transport: RefCell<TransportState>,
@@ -762,38 +751,23 @@ impl LinkChannel {
     /// Create a sublink whose two ends share one `wire` (unit tests and
     /// simple point-to-point setups).
     pub fn new(wire: Wire) -> LinkChannel {
-        LinkChannel::assemble(wire.clone(), wire, Metrics::new())
+        LinkChannel::assemble(wire.clone(), wire, None)
     }
 
     /// Create a sublink between two distinct link engines: the sender's
     /// output wire and the receiver's input wire.
     pub fn new_pair(tx_wire: Wire, rx_wire: Wire) -> LinkChannel {
-        LinkChannel::assemble(tx_wire, rx_wire, Metrics::new())
+        LinkChannel::assemble(tx_wire, rx_wire, None)
     }
 
-    /// Create a sublink with shared metrics (the node's counters).
-    pub fn with_metrics(wire: Wire, metrics: Metrics) -> LinkChannel {
-        LinkChannel::assemble(wire.clone(), wire, metrics)
-    }
-
-    fn assemble(tx_wire: Wire, rx_wire: Wire, metrics: Metrics) -> LinkChannel {
-        Self::assemble_full(tx_wire, rx_wire, metrics, None)
-    }
-
-    fn assemble_full(
-        tx_wire: Wire,
-        rx_wire: Wire,
-        metrics: Metrics,
-        boundary: Option<BoundaryState>,
-    ) -> LinkChannel {
-        let hot = HotCounters::of(&metrics);
+    fn assemble(tx_wire: Wire, rx_wire: Wire, boundary: Option<BoundaryState>) -> LinkChannel {
         LinkChannel {
             inner: Rc::new(ChanInner {
                 rv: Rendezvous::new(),
                 tx_wire,
                 rx_wire,
-                metrics,
-                hot,
+                sent: Traffic::default(),
+                recv: Traffic::default(),
                 status: LinkStatus::new(),
                 telem: RefCell::new(LinkTelemetry::default()),
                 transport: RefCell::new(TransportState::default()),
@@ -812,7 +786,7 @@ impl LinkChannel {
         outbox: BoundaryOutbox,
     ) -> LinkChannel {
         let boundary = BoundaryState::new(edge, peer_shard, true, outbox);
-        Self::assemble_full(tx_wire.clone(), tx_wire, Metrics::new(), Some(boundary))
+        Self::assemble(tx_wire.clone(), tx_wire, Some(boundary))
     }
 
     /// Create the **receiving half** of a shard-boundary sublink: the local
@@ -824,7 +798,7 @@ impl LinkChannel {
         outbox: BoundaryOutbox,
     ) -> LinkChannel {
         let boundary = BoundaryState::new(edge, peer_shard, false, outbox);
-        Self::assemble_full(rx_wire.clone(), rx_wire, Metrics::new(), Some(boundary))
+        Self::assemble(rx_wire.clone(), rx_wire, Some(boundary))
     }
 
     /// True when this sublink's far endpoint lives on another shard.
@@ -837,14 +811,21 @@ impl LinkChannel {
         self.inner.boundary.as_ref().map(|b| b.edge)
     }
 
-    /// Attach a metrics bundle after construction. Must run before the
-    /// channel is cloned out to its endpoints (the wiring phase), while
-    /// this handle still owns the sublink exclusively.
-    pub fn set_metrics(&mut self, metrics: Metrics) {
-        let inner = Rc::get_mut(&mut self.inner)
-            .expect("set_metrics must run before the channel is cloned out");
-        inner.hot = HotCounters::of(&metrics);
-        inner.metrics = metrics;
+    /// Book every message this sublink sends into the transmitting node's
+    /// meters. Must run before the channel is cloned out to its endpoints
+    /// (the wiring phase), while this handle still owns the sublink.
+    pub fn set_sent_meters(&mut self, msgs: Counter, bytes: Counter) {
+        Rc::get_mut(&mut self.inner)
+            .expect("set_sent_meters must run before the channel is cloned out")
+            .sent = Traffic { msgs, bytes };
+    }
+
+    /// Book every message this sublink delivers into the receiving node's
+    /// meters. Same wiring-phase rule as [`LinkChannel::set_sent_meters`].
+    pub fn set_recv_meters(&mut self, msgs: Counter, bytes: Counter) {
+        Rc::get_mut(&mut self.inner)
+            .expect("set_recv_meters must run before the channel is cloned out")
+            .recv = Traffic { msgs, bytes };
     }
 
     /// Record every delivered message's end-to-end latency (sender commit →
@@ -860,10 +841,11 @@ impl LinkChannel {
         self.inner.telem.borrow_mut().flow = Some((tracer, from, to));
     }
 
-    /// Receive-side accounting shared by every delivery path: legacy
-    /// counters, the optional latency histogram and the optional flow arrow.
+    /// Receive-side accounting shared by every delivery path: the receiving
+    /// node's counters, the optional latency histogram and the optional
+    /// flow arrow.
     fn book_recv(&self, sent_at: Time, end: Time, bytes: usize) {
-        self.inner.hot.book_recv(bytes as u64);
+        self.inner.recv.book(bytes);
         let telem = self.inner.telem.borrow();
         if let Some(hist) = &telem.latency_ns {
             hist.observe(end.since(sent_at).as_ns());
@@ -907,7 +889,7 @@ impl LinkChannel {
         // DMA engine setup on the sending side.
         h.sleep(self.inner.tx_wire.params.dma_startup).await;
         let done = take_done();
-        self.inner.hot.book_sent(bytes as u64);
+        self.inner.sent.book(bytes);
         self.inner
             .rv
             .send(Packet {
@@ -951,7 +933,7 @@ impl LinkChannel {
         debug_assert!(b.is_tx, "send on the receiving half of a boundary link");
         let bytes = words.len() * 4;
         h.sleep(self.inner.tx_wire.params.dma_startup).await;
-        self.inner.hot.book_sent(bytes as u64);
+        self.inner.sent.book(bytes);
         let seq = b.next_seq.get();
         b.next_seq.set(seq + 1);
         let done: OneShot<Time> = OneShot::new();
@@ -1006,13 +988,7 @@ impl LinkChannel {
         self.inner.rx_wire.book(bytes);
         self.inner.rx_wire.resource().apply_grant(start, end, dur);
         h.sleep_until(end).await;
-        // Sender-side legacy counters (msgs_recv on the transmitting
-        // node's bundle) are booked by the tx shard at Request time; here
-        // only the receiver-resident telemetry observes.
-        let telem = self.inner.telem.borrow();
-        if let Some(hist) = &telem.latency_ns {
-            hist.observe(end.since(sent_at).as_ns());
-        }
+        self.book_recv(sent_at, end, bytes);
         words
     }
 
@@ -1051,9 +1027,6 @@ impl LinkChannel {
                 let end = start + dur;
                 self.inner.tx_wire.book(bytes as usize);
                 tx_res.apply_grant(start, end, dur);
-                // The sequential receiver books these into the transmitting
-                // node's bundle (the channel's metrics); same attribution.
-                self.inner.hot.book_recv(bytes);
                 if let Some(done) = b.granted.borrow_mut().remove(&env.seq) {
                     done.send(end);
                 } else {
@@ -1300,7 +1273,7 @@ impl LinkChannel {
         };
         match select2(self.inner.rv.send(pkt), self.inner.status.watch_down()).await {
             Either::Left(()) => {
-                self.inner.hot.book_sent(bytes as u64);
+                self.inner.sent.book(bytes);
                 let end = done.recv().await;
                 h.sleep_until(end).await;
                 put_done(done);
@@ -1337,11 +1310,6 @@ impl LinkChannel {
     /// True if a sender is currently blocked on this sublink (used by ALT).
     pub fn sender_waiting(&self) -> bool {
         self.inner.rv.sender_waiting()
-    }
-
-    /// This channel's metrics handle.
-    pub fn metrics(&self) -> &Metrics {
-        &self.inner.metrics
     }
 }
 
@@ -1582,8 +1550,11 @@ mod tests {
     fn metrics_count_traffic() {
         let mut sim = Sim::new();
         let h = sim.handle();
-        let m = Metrics::new();
-        let ch = LinkChannel::with_metrics(Wire::new("w", LinkParams::default()), m.clone());
+        let (msgs_sent, bytes_sent) = (Counter::new(), Counter::new());
+        let (msgs_recv, bytes_recv) = (Counter::new(), Counter::new());
+        let mut ch = LinkChannel::new(Wire::new("w", LinkParams::default()));
+        ch.set_sent_meters(msgs_sent.clone(), bytes_sent.clone());
+        ch.set_recv_meters(msgs_recv.clone(), bytes_recv.clone());
         let (tx, rx) = (ch.clone(), ch);
         let h2 = h.clone();
         sim.spawn(async move { tx.send(&h2, vec![0; 4]).await });
@@ -1591,10 +1562,12 @@ mod tests {
             rx.recv(&h).await;
         });
         assert!(sim.run().quiescent);
-        assert_eq!(m.get("link.msgs_sent"), 1);
-        assert_eq!(m.get("link.bytes_sent"), 16);
-        assert_eq!(m.get("link.bytes_recv"), 16);
+        assert_eq!(msgs_sent.get(), 1);
+        assert_eq!(bytes_sent.get(), 16);
+        assert_eq!(msgs_recv.get(), 1);
+        assert_eq!(bytes_recv.get(), 16);
     }
+
     #[test]
     fn wire_tallies_bytes_and_flits() {
         let mut sim = Sim::new();

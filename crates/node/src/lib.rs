@@ -36,7 +36,7 @@
 
 pub mod occam;
 
-use std::cell::{Ref, RefCell, RefMut};
+use std::cell::{OnceCell, Ref, RefCell, RefMut};
 use std::rc::Rc;
 
 use ts_cp::{Cp, CpBus, CpError, CpEvent, StepOutcome};
@@ -44,7 +44,7 @@ use ts_fpu::Sf64;
 use ts_link::{LinkChannel, LinkError};
 use ts_mem::{MemCfg, MemError, NodeMemory, GATHER64_TIME, ROW_TIME, ROW_WORDS, WORD_TIME};
 use ts_sim::{
-    BusyTime, Counter, Dur, Histogram, Metrics, MetricsRegistry, MetricsScope, Resource, SimHandle,
+    BusyTime, Counter, Dur, Histogram, MetricsRegistry, MetricsScope, Resource, SimHandle,
 };
 use ts_vec::{VecForm, VecResult, VecUnit};
 
@@ -116,9 +116,9 @@ struct NodeState {
 /// the per-event cost on the hot path is a single store — no map lookup,
 /// no string, no allocation (`crates/sim/tests/scale.rs` asserts the
 /// zero-allocation half under a counting allocator).
-#[derive(Clone)]
 pub struct NodeMeters {
     scope: MetricsScope,
+    cold: OnceCell<ColdMeters>,
     /// Control-processor busy time (`node/{id}/cp/busy`).
     pub cp_busy: BusyTime,
     /// Control-processor instructions executed (`node/{id}/cp/instrs`).
@@ -137,6 +137,14 @@ pub struct NodeMeters {
     pub vec_len: Histogram,
     /// Memory rows moved through the row port (`node/{id}/mem/rows_moved`).
     pub rows_moved: Counter,
+    /// Messages committed on outbound cube sublinks (`node/{id}/link/msgs_sent`).
+    pub link_msgs_sent: Counter,
+    /// Payload bytes of those messages (`node/{id}/link/bytes_sent`).
+    pub link_bytes_sent: Counter,
+    /// Messages delivered by inbound cube sublinks (`node/{id}/link/msgs_recv`).
+    pub link_msgs_recv: Counter,
+    /// Payload bytes of those messages (`node/{id}/link/bytes_recv`).
+    pub link_bytes_recv: Counter,
     /// Payload words sent over cube links (`node/{id}/link/words_sent`).
     pub link_words_sent: Counter,
     /// Payload words received over cube links (`node/{id}/link/words_recv`).
@@ -168,6 +176,10 @@ impl NodeMeters {
             vec_flops: scope.counter("vec/flops"),
             vec_len: scope.histogram("vec/len"),
             rows_moved: scope.counter("mem/rows_moved"),
+            link_msgs_sent: scope.counter("link/msgs_sent"),
+            link_bytes_sent: scope.counter("link/bytes_sent"),
+            link_msgs_recv: scope.counter("link/msgs_recv"),
+            link_bytes_recv: scope.counter("link/bytes_recv"),
             link_words_sent: scope.counter("link/words_sent"),
             link_words_recv: scope.counter("link/words_recv"),
             link_latency_ns: scope.histogram("link/latency_ns"),
@@ -176,6 +188,7 @@ impl NodeMeters {
             link_escalations: scope.counter("link/escalations"),
             link_flap_us: scope.histogram("link/flap_us"),
             scope,
+            cold: OnceCell::new(),
         }
     }
 
@@ -183,6 +196,75 @@ impl NodeMeters {
     /// (router hop histograms, collective latencies).
     pub fn scope(&self) -> &MetricsScope {
         &self.scope
+    }
+
+    /// The node's cold counters, for bumping one. They register under the
+    /// node's scope the first time this is called, so a node nothing ever
+    /// went wrong on never pays for them.
+    pub fn cold(&self) -> &ColdMeters {
+        self.cold.get_or_init(|| ColdMeters::new(&self.scope))
+    }
+
+    /// The node's cold counters if any was ever bumped (readers use this so
+    /// that looking does not register them).
+    pub fn cold_booked(&self) -> Option<&ColdMeters> {
+        self.cold.get()
+    }
+}
+
+/// One node's cold-path counters: the faults injected on it and how its
+/// router daemon and collectives coped. See [`NodeMeters::cold`].
+pub struct ColdMeters {
+    /// Links killed here (`node/{id}/fault/link_down`).
+    pub fault_link_down: Counter,
+    /// Links repaired here (`node/{id}/fault/link_repair`).
+    pub fault_link_repair: Counter,
+    /// Crashes of this node (`node/{id}/fault/node_crash`).
+    pub fault_node_crash: Counter,
+    /// Memory bit flips injected (`node/{id}/fault/mem_flip`).
+    pub fault_mem_flip: Counter,
+    /// Outbound wire corruptions queued (`node/{id}/fault/wire_corrupt`).
+    pub fault_wire_corrupt: Counter,
+    /// Outbound flit drops queued (`node/{id}/fault/flit_drop`).
+    pub fault_flit_drop: Counter,
+    /// Link flaps started here (`node/{id}/fault/link_flap`).
+    pub fault_link_flap: Counter,
+    /// Words whose parity a restore had to scrub
+    /// (`node/{id}/fault/scrubbed_words`).
+    pub fault_scrubbed_words: Counter,
+    /// Hops the router took off the e-cube dimension
+    /// (`node/{id}/router/reroutes`).
+    pub router_reroutes: Counter,
+    /// Hops retried because the link died mid-send
+    /// (`node/{id}/router/retries`).
+    pub router_retries: Counter,
+    /// Frames the router gave up on (`node/{id}/router/dropped`).
+    pub router_dropped: Counter,
+    /// Collective attempts repeated after a deadline
+    /// (`node/{id}/collective/retries`).
+    pub collective_retries: Counter,
+    /// Collectives that ran out of attempts
+    /// (`node/{id}/collective/deadline_expired`).
+    pub collective_deadline_expired: Counter,
+}
+
+impl ColdMeters {
+    fn new(scope: &MetricsScope) -> ColdMeters {
+        ColdMeters {
+            fault_link_down: scope.counter("fault/link_down"),
+            fault_link_repair: scope.counter("fault/link_repair"),
+            fault_node_crash: scope.counter("fault/node_crash"),
+            fault_mem_flip: scope.counter("fault/mem_flip"),
+            fault_wire_corrupt: scope.counter("fault/wire_corrupt"),
+            fault_flit_drop: scope.counter("fault/flit_drop"),
+            fault_link_flap: scope.counter("fault/link_flap"),
+            fault_scrubbed_words: scope.counter("fault/scrubbed_words"),
+            router_reroutes: scope.counter("router/reroutes"),
+            router_retries: scope.counter("router/retries"),
+            router_dropped: scope.counter("router/dropped"),
+            collective_retries: scope.counter("collective/retries"),
+            collective_deadline_expired: scope.counter("collective/deadline_expired"),
+        }
     }
 }
 
@@ -208,7 +290,6 @@ struct NodeShared {
     vec_res: Resource,
     /// The random-access memory port (CP + link DMA share it).
     port_res: Resource,
-    metrics: Metrics,
     meters: NodeMeters,
 }
 
@@ -245,7 +326,6 @@ impl Node {
                 cp_res: Resource::new("cp"),
                 vec_res: Resource::new("vec"),
                 port_res: Resource::new("port"),
-                metrics: Metrics::new(),
                 meters,
             }),
         }
@@ -379,11 +459,6 @@ impl Node {
         }
     }
 
-    /// This node's metrics.
-    pub fn metrics(&self) -> &Metrics {
-        &self.shared.metrics
-    }
-
     /// This node's pre-registered unit meters.
     pub fn meters(&self) -> &NodeMeters {
         &self.shared.meters
@@ -503,11 +578,6 @@ impl NodeCtx {
     /// Current virtual time.
     pub fn now(&self) -> ts_sim::Time {
         self.node.h.now()
-    }
-
-    /// Node metrics.
-    pub fn metrics(&self) -> &Metrics {
-        &self.node.shared.metrics
     }
 
     /// The node's pre-registered unit meters.
@@ -1106,6 +1176,7 @@ impl NodeCtx {
             ts_cp::emu::load_code(&mut bus, base, code).map_err(CpRunError::Cp)?;
         }
         let mut cp = Cp::new(base, wptr);
+        let mut charged = Dur::ZERO;
         loop {
             let outcome = {
                 let mut st = self.node.shared.state.borrow_mut();
@@ -1113,10 +1184,8 @@ impl NodeCtx {
                 cp.run(&mut bus, 10_000_000).map_err(CpRunError::Cp)?
             };
             // Charge the cycles executed since the last yield.
-            let elapsed = cp.elapsed();
-            let already = self.node.shared.metrics.get_time("cp.isa_charged");
-            let fresh = elapsed - already;
-            self.node.shared.metrics.add_time("cp.isa_charged", fresh);
+            let fresh = cp.elapsed() - charged;
+            charged += fresh;
             self.node.shared.meters.cp_busy.add(fresh);
             self.node.shared.cp_res.use_for(&self.node.h, fresh).await;
             match outcome {
@@ -1485,12 +1554,18 @@ mod tests {
                 .run_occ("n := 6; f := 1; while n > 1 { f := f * n; n := n - 1; }")
                 .await
                 .unwrap();
-            (cp.instructions, vars["f"])
+            // A second, shorter program on the same node: its charge cursor
+            // starts at zero again, so both are charged in full.
+            let (short, _) = ctx.run_occ("n := 2;").await.unwrap();
+            assert!(short.elapsed() < cp.elapsed());
+            (cp.instructions, vars["f"], cp.elapsed() + short.elapsed())
         });
         assert!(sim.run().quiescent);
-        let (instrs, slot) = jh.try_take().unwrap();
+        let (instrs, slot, elapsed) = jh.try_take().unwrap();
         assert!(instrs > 20);
         assert_eq!(node.mem().read_word(256 + slot).unwrap(), 720);
+        assert_eq!(node.meters().cp_busy.get(), elapsed);
+        assert_eq!(sim.now(), ts_sim::Time::ZERO + elapsed);
     }
 
     #[test]

@@ -119,8 +119,8 @@ fn random_programs_are_deterministic() {
             assert!(sim.run().quiescent);
             (
                 sim.now(),
-                node.metrics().get("vec.flops"),
-                node.metrics().get_time("cp.busy"),
+                node.meters().vec_flops.get(),
+                node.meters().cp_busy.get(),
             )
         };
         assert_eq!(run(&ops), run(&ops));

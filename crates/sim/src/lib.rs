@@ -14,7 +14,8 @@
 //!   mailboxes, plus an `ALT`-style select.
 //! * [`resource`] — FIFO servers used to model contended hardware (physical
 //!   links, memory ports, disks).
-//! * [`metrics`] — cheap named counters for utilization accounting.
+//! * [`metrics`] — the typed metrics registry: counters, busy time and
+//!   histograms behind pre-registered handles.
 //!
 //! ## Determinism
 //!
@@ -56,7 +57,7 @@ pub mod trace;
 pub use channel::{alt, select2, Either, Mailbox, OneShot, Rendezvous};
 pub use executor::{ExecProfile, JoinHandle, RunReport, Sim, SimHandle};
 pub use metrics::{
-    natural_cmp, BusyTime, Counter, Histogram, MetricValue, Metrics, MetricsRegistry, MetricsScope,
+    natural_cmp, BusyTime, Counter, Histogram, MetricValue, MetricsRegistry, MetricsScope,
 };
 pub use perfetto::{trace_event_json, write_trace};
 pub use resource::Resource;

@@ -1,21 +1,19 @@
-//! Metrics: a typed, hierarchical registry plus a legacy flat bundle.
+//! Metrics: one typed, hierarchical registry.
 //!
-//! [`MetricsRegistry`] is the machine-wide store. Producers register a
-//! handle once — a [`Counter`], a [`BusyTime`] accumulator or a log₂-bucket
-//! [`Histogram`] — under a scoped path such as `node/3/vec/flops`, then
-//! bump the handle on the hot path with nothing but a `Cell` store: no map
-//! lookup, no allocation, no string. Consumers walk [`MetricsRegistry::snapshot`]
-//! (paths in natural order, so `node/2` precedes `node/10`) to build
-//! utilization reports.
-//!
-//! [`Metrics`] is the older flat `&'static str`-keyed bundle. It remains
-//! for cold-path counters (fault bookkeeping, router retries, supervisor
-//! accounting); new per-unit accounting should use registry handles.
+//! [`MetricsRegistry`] is the machine-wide store, and the only one.
+//! Producers register a handle once — a [`Counter`], a [`BusyTime`]
+//! accumulator or a log₂-bucket [`Histogram`] — under a scoped path such as
+//! `node/3/vec/flops`, then bump the handle on the hot path with nothing
+//! but a `Cell` store: no map lookup, no allocation, no string. Cold paths
+//! (fault bookkeeping, router retries, supervisor accounting) register
+//! their counter at the moment they first bump it. Consumers read handles
+//! they hold, [`MetricsRegistry::sum_counters`] /
+//! [`MetricsRegistry::get_counter`], or walk [`MetricsRegistry::snapshot`]
+//! (paths in natural order, so `node/2` precedes `node/10`).
 
 use std::cell::{Cell, RefCell};
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
-use std::fmt;
 use std::rc::Rc;
 
 use crate::time::Dur;
@@ -470,184 +468,9 @@ impl MetricsScope {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Legacy flat bundle
-// ---------------------------------------------------------------------------
-
-#[derive(Default)]
-struct MetricsInner {
-    counters: BTreeMap<&'static str, Rc<Cell<u64>>>,
-    durations: BTreeMap<&'static str, Dur>,
-}
-
-/// Cloneable flat bundle of named counters (`u64`) and durations ([`Dur`]).
-///
-/// Keyed updates are a `BTreeMap` lookup each — fine for cold paths. Hot
-/// paths pre-register a [`Metrics::counter_cell`] handle once and bump the
-/// cell directly, or use [`Counter`]/[`BusyTime`] handles on a
-/// [`MetricsRegistry`].
-#[derive(Clone, Default)]
-pub struct Metrics {
-    inner: Rc<RefCell<MetricsInner>>,
-}
-
-impl Metrics {
-    /// Create an empty metrics bundle.
-    pub fn new() -> Metrics {
-        Metrics::default()
-    }
-
-    /// Add `n` to counter `key`.
-    pub fn add(&self, key: &'static str, n: u64) {
-        let mut inner = self.inner.borrow_mut();
-        let c = inner.counters.entry(key).or_default();
-        c.set(c.get() + n);
-    }
-
-    /// Shared cell behind counter `key`, registering it at zero if new.
-    /// Bumping the cell is equivalent to [`Metrics::add`] without the map
-    /// lookup — the handle for per-message hot paths. [`Metrics::clear`]
-    /// detaches outstanding cells.
-    pub fn counter_cell(&self, key: &'static str) -> Rc<Cell<u64>> {
-        self.inner
-            .borrow_mut()
-            .counters
-            .entry(key)
-            .or_default()
-            .clone()
-    }
-
-    /// Increment counter `key` by one.
-    pub fn inc(&self, key: &'static str) {
-        self.add(key, 1);
-    }
-
-    /// Read counter `key` (0 if never written).
-    pub fn get(&self, key: &'static str) -> u64 {
-        self.inner
-            .borrow()
-            .counters
-            .get(key)
-            .map(|c| c.get())
-            .unwrap_or(0)
-    }
-
-    /// Accumulate busy time under `key`.
-    pub fn add_time(&self, key: &'static str, d: Dur) {
-        let mut inner = self.inner.borrow_mut();
-        let slot = inner.durations.entry(key).or_insert(Dur::ZERO);
-        *slot += d;
-    }
-
-    /// Read accumulated time under `key`.
-    pub fn get_time(&self, key: &'static str) -> Dur {
-        self.inner
-            .borrow()
-            .durations
-            .get(key)
-            .copied()
-            .unwrap_or(Dur::ZERO)
-    }
-
-    /// Snapshot of all counters (sorted by key).
-    pub fn counters(&self) -> Vec<(&'static str, u64)> {
-        self.inner
-            .borrow()
-            .counters
-            .iter()
-            .map(|(k, v)| (*k, v.get()))
-            .collect()
-    }
-
-    /// Snapshot of all durations (sorted by key).
-    pub fn durations(&self) -> Vec<(&'static str, Dur)> {
-        self.inner
-            .borrow()
-            .durations
-            .iter()
-            .map(|(k, v)| (*k, *v))
-            .collect()
-    }
-
-    /// Fold another bundle into this one (used to aggregate per-node metrics
-    /// into machine totals).
-    pub fn merge(&self, other: &Metrics) {
-        let o = other.inner.borrow();
-        let mut m = self.inner.borrow_mut();
-        for (k, v) in &o.counters {
-            let c = m.counters.entry(k).or_default();
-            c.set(c.get() + v.get());
-        }
-        for (k, d) in &o.durations {
-            let slot = m.durations.entry(k).or_insert(Dur::ZERO);
-            *slot += *d;
-        }
-    }
-
-    /// Reset everything to zero.
-    pub fn clear(&self) {
-        let mut m = self.inner.borrow_mut();
-        m.counters.clear();
-        m.durations.clear();
-    }
-}
-
-impl fmt::Debug for Metrics {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let inner = self.inner.borrow();
-        let counters: BTreeMap<&'static str, u64> =
-            inner.counters.iter().map(|(k, v)| (*k, v.get())).collect();
-        f.debug_struct("Metrics")
-            .field("counters", &counters)
-            .field("durations", &inner.durations)
-            .finish()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counters_accumulate() {
-        let m = Metrics::new();
-        m.inc("flops");
-        m.add("flops", 9);
-        assert_eq!(m.get("flops"), 10);
-        assert_eq!(m.get("missing"), 0);
-    }
-
-    #[test]
-    fn durations_accumulate() {
-        let m = Metrics::new();
-        m.add_time("vec_busy", Dur::ns(125));
-        m.add_time("vec_busy", Dur::ns(125));
-        assert_eq!(m.get_time("vec_busy"), Dur::ns(250));
-    }
-
-    #[test]
-    fn merge_folds() {
-        let a = Metrics::new();
-        let b = Metrics::new();
-        a.add("x", 1);
-        b.add("x", 2);
-        b.add("y", 3);
-        b.add_time("t", Dur::us(1));
-        a.merge(&b);
-        assert_eq!(a.get("x"), 3);
-        assert_eq!(a.get("y"), 3);
-        assert_eq!(a.get_time("t"), Dur::us(1));
-    }
-
-    #[test]
-    fn clear_resets() {
-        let m = Metrics::new();
-        m.inc("a");
-        m.add_time("b", Dur::ns(1));
-        m.clear();
-        assert_eq!(m.counters().len(), 0);
-        assert_eq!(m.durations().len(), 0);
-    }
 
     #[test]
     fn natural_order() {

@@ -108,12 +108,12 @@ fn run_workload(dim: u32, plan: &FaultPlan) -> Outcome {
         fnv(&mut digest, &im.to_bits().to_le_bytes());
     }
 
-    let met = m.metrics();
+    let met = m.registry();
     Outcome {
         digest,
-        retransmits: met.get("link.retransmits"),
-        crc_errors: met.get("link.crc_errors"),
-        flaps: met.get("fault.link_flap"),
+        retransmits: met.sum_counters("link/retransmits"),
+        crc_errors: met.sum_counters("link/crc_errors"),
+        flaps: met.sum_counters("fault/link_flap"),
         report: m.utilization_report(),
     }
 }

@@ -24,7 +24,7 @@ fn main() {
         let (a, perm, lu, stats) = distributed_lu(&mut machine, N, 7);
         let err = reconstruction_error(N, &a, &perm, &lu);
         assert!(err < 1e-9, "P·A = L·U reconstruction error {err}");
-        let gathered = machine.metrics().get("cp.gathered");
+        let gathered = machine.registry().sum_counters("cp/gathered");
         println!(
             "{:>6} {:>12} {:>10.3} {:>12} {:>10}",
             1u32 << dim,

@@ -40,8 +40,12 @@ fn run_rounds(k: usize) -> (String, f64) {
     });
     assert!(machine.run().quiescent);
     let horizon = machine.now();
-    let vec_busy = machine.metrics().get_time("vec.busy").as_secs_f64();
-    let eff = vec_busy / horizon.as_secs_f64();
+    let vec_busy: fps_t_series::sim::Dur = machine
+        .nodes
+        .iter()
+        .map(|n| n.meters().vec_busy.get())
+        .sum();
+    let eff = vec_busy.as_secs_f64() / horizon.as_secs_f64();
     (tracer.gantt(horizon, 72), eff)
 }
 

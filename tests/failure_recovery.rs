@@ -156,7 +156,7 @@ fn router_poison_shutdown_completes_after_scheduled_link_down() {
     let r = m.run();
     assert!(r.quiescent, "shutdown must not hang on a degraded fabric");
     assert!(jh.try_take().is_some(), "every daemon stopped and reported");
-    assert_eq!(m.metrics().get("fault.link_down"), 1);
+    assert_eq!(m.registry().sum_counters("fault/link_down"), 1);
 }
 
 #[test]
@@ -246,7 +246,7 @@ fn utilization_report_reflects_the_run() {
     let report = m.utilization_report();
     assert!(report.contains("node"), "{report}");
     // 4 nodes × 4 sweeps × 256 flops.
-    assert_eq!(m.metrics().get("vec.flops"), 4 * 4 * 256);
+    assert_eq!(m.registry().sum_counters("vec/flops"), 4 * 4 * 256);
     assert!(report.contains("MFLOPS achieved"));
     // Vector utilization is >0% and ≤100% on every line.
     for line in report.lines().skip(1).take(4) {

@@ -166,7 +166,7 @@ fn link_kill_plus_node_crash_heals_bit_identically() {
     // The replayed exchange ran on a degraded fabric: the router had to
     // detour around the dead edge, and counted it.
     assert!(
-        m.metrics().get("router.reroutes") >= 1,
+        m.registry().sum_counters("router/reroutes") >= 1,
         "{}",
         m.utilization_report()
     );
@@ -190,8 +190,8 @@ fn the_same_plan_reproduces_the_same_healed_run() {
     assert_eq!(r1.reboots, r2.reboots);
     assert_eq!(results(&m1), results(&m2));
     assert_eq!(
-        m1.metrics().get("router.reroutes"),
-        m2.metrics().get("router.reroutes"),
+        m1.registry().sum_counters("router/reroutes"),
+        m2.registry().sum_counters("router/reroutes"),
         "identical reroute counts"
     );
 }

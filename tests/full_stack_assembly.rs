@@ -90,8 +90,11 @@ fn distributed_dot_product_in_machine_code() {
     }
 
     // The run exercised the vector units and the links for real.
-    assert_eq!(machine.metrics().get("vec.flops"), 2 * 2 * N as u64);
-    assert!(machine.metrics().get("link.bytes_sent") >= 16);
+    assert_eq!(
+        machine.registry().sum_counters("vec/flops"),
+        2 * 2 * N as u64
+    );
+    assert!(machine.registry().sum_counters("link/bytes_sent") >= 16);
 }
 
 #[test]
@@ -141,5 +144,5 @@ fn compiled_occ_programs_communicate_across_a_link() {
         441
     );
     // Two messages actually crossed the serial link.
-    assert_eq!(machine.metrics().get("link.msgs_sent"), 2);
+    assert_eq!(machine.registry().sum_counters("link/msgs_sent"), 2);
 }

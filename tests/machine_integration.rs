@@ -80,7 +80,7 @@ fn simulation_is_deterministic_end_to_end() {
             m.now(),
             report.events,
             results,
-            m.metrics().get("link.bytes_sent"),
+            m.registry().sum_counters("link/bytes_sent"),
         )
     };
     assert_eq!(run(), run());

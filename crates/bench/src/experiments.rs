@@ -2,7 +2,7 @@
 //! claim in the paper, regenerated from the simulator.
 
 use t_series_core::baseline::{CrossbarCost, SharedBusMachine};
-use t_series_core::checkpoint::{simulate_run, young_interval};
+use t_series_core::checkpoint::{simulate_run, young_interval, CheckpointStore, SnapshotMode};
 use t_series_core::system::ring_distribute;
 use t_series_core::{collectives, Machine, MachineCfg};
 use ts_cube::embed::{FftEmbedding, MeshEmbedding, RingEmbedding};
@@ -480,8 +480,9 @@ pub fn e8_checkpointing() -> (f64, f64) {
     let mut snap_secs = 0.0;
     for dim in [3u32, 4] {
         let mut m = Machine::build(MachineCfg::cube(dim));
-        let (_, t) = m.snapshot().unwrap();
-        snap_secs = t.as_secs_f64();
+        let mut store = CheckpointStore::new(m.nodes.len());
+        let snap = m.checkpoint(&mut store, SnapshotMode::Full).unwrap();
+        snap_secs = snap.duration.as_secs_f64();
         row(
             &format!("snapshot time, {dim}-cube ({} nodes)", 1 << dim),
             "about 15 s",

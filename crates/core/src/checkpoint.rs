@@ -7,12 +7,16 @@
 //!
 //! Three pieces reproduce that engineering judgement:
 //!
-//! * [`CheckpointStore`] — the disks' view of the checkpoint: a
+//! * [`CheckpointStore`] — the one format a saved memory state has: a
 //!   **two-version store** per node (one committed image, one staging
-//!   slot) with an atomic machine-wide commit. A crash at any point during
-//!   a snapshot leaves the previous committed version intact, so a torn
-//!   image can never be restored. Incremental snapshots stage a
-//!   [`ts_mem::RowDelta`] on top of the committed version.
+//!   slot) with an atomic commit over all its nodes. A crash at any point
+//!   during a snapshot leaves the previous committed version intact, so a
+//!   torn image can never be restored. Incremental snapshots stage a
+//!   [`ts_mem::RowDelta`] that the commit folds into the committed image.
+//!   `Machine::checkpoint` / `restore_from` fill and load it with the whole
+//!   machine's images as simulated traffic through the system boards;
+//!   `Machine::capture_subcube` / `load_subcube` do the same for one
+//!   partition host-side, in zero simulated time.
 //! * [`young_interval`] — Young's classical first-order optimum
 //!   `T* = sqrt(2 δ M)` for snapshot cost δ and mean time between failures
 //!   M. The paper's 10 minutes is optimal for δ ≈ 16 s at M ≈ 3.1 h —
@@ -87,6 +91,16 @@ pub struct CheckpointStats {
     pub dirty_rows: u64,
 }
 
+/// One node's contribution to a snapshot: every word of its memory, or
+/// the rows written since the last commit.
+#[derive(Clone, Debug)]
+pub(crate) enum Payload {
+    /// A full memory image.
+    Full(Vec<u32>),
+    /// The dirty rows, to be folded into the committed image.
+    Delta(RowDelta),
+}
+
 /// The two-version checkpoint store: what survives on the module disks
 /// across node crashes and machine reboots.
 ///
@@ -100,7 +114,7 @@ pub struct CheckpointStore {
     /// Committed full image per node; empty until the first commit.
     committed: Vec<Vec<u32>>,
     /// In-flight staging slot per node.
-    staging: Vec<Option<Vec<u32>>>,
+    staging: Vec<Option<Payload>>,
     epoch: u64,
     torn_aborts: u64,
     full_snapshots: u64,
@@ -165,6 +179,16 @@ impl CheckpointStore {
         self.bytes_full_equiv
     }
 
+    /// The mode a snapshot requested as `mode` actually runs in: a delta
+    /// with no committed base to apply to is promoted to full.
+    pub(crate) fn effective_mode(&self, mode: SnapshotMode) -> SnapshotMode {
+        if self.has_committed() {
+            mode
+        } else {
+            SnapshotMode::Full
+        }
+    }
+
     /// Begin a snapshot: clear any leftover staging slots.
     pub fn begin(&mut self) {
         for s in &mut self.staging {
@@ -174,20 +198,17 @@ impl CheckpointStore {
 
     /// Stage a full image for one node.
     pub fn stage_full(&mut self, node: usize, image: Vec<u32>) {
-        self.staging[node] = Some(image);
+        self.staging[node] = Some(Payload::Full(image));
     }
 
-    /// Stage a delta for one node: materialised immediately as a copy of
-    /// the committed version with the dirty rows applied (the disk has
-    /// both on hand).
-    pub fn stage_delta(&mut self, node: usize, delta: &RowDelta) -> Result<(), StoreError> {
-        let base = self
-            .committed
-            .get(node)
-            .ok_or(StoreError::NoBase { node })?;
-        let mut image = base.clone();
-        delta.apply_to(&mut image);
-        self.staging[node] = Some(image);
+    /// Stage the payload one node captured. A delta stays a delta until
+    /// [`CheckpointStore::commit`] folds its rows into the committed image
+    /// (the disk has both on hand), so an abort costs the base nothing.
+    pub(crate) fn stage(&mut self, node: usize, payload: Payload) -> Result<(), StoreError> {
+        if matches!(payload, Payload::Delta(_)) && node >= self.committed.len() {
+            return Err(StoreError::NoBase { node });
+        }
+        self.staging[node] = Some(payload);
         Ok(())
     }
 
@@ -203,7 +224,13 @@ impl CheckpointStore {
         if let Some(node) = self.staging.iter().position(|s| s.is_none()) {
             return Err(StoreError::Incomplete { node });
         }
-        self.committed = self.staging.iter_mut().map(|s| s.take().unwrap()).collect();
+        self.committed.resize(self.staging.len(), Vec::new());
+        for (image, staged) in self.committed.iter_mut().zip(&mut self.staging) {
+            match staged.take().expect("every slot checked staged") {
+                Payload::Full(full) => *image = full,
+                Payload::Delta(delta) => delta.apply_to(image),
+            }
+        }
         self.epoch += 1;
         match mode {
             SnapshotMode::Full => self.full_snapshots += 1,
@@ -217,9 +244,7 @@ impl CheckpointStore {
     /// Abort an in-flight snapshot: discard staging, keep the committed
     /// version. The snapshot is counted as torn.
     pub fn abort(&mut self) {
-        for s in &mut self.staging {
-            *s = None;
-        }
+        self.begin();
         self.torn_aborts += 1;
     }
 }
@@ -349,7 +374,7 @@ mod tests {
         let mut store = CheckpointStore::new(1);
         store.begin();
         assert_eq!(
-            store.stage_delta(0, &delta),
+            store.stage(0, Payload::Delta(delta.clone())),
             Err(StoreError::NoBase { node: 0 })
         );
         // Commit a full base, then the delta applies on top of it.
@@ -357,11 +382,15 @@ mod tests {
         store
             .commit(SnapshotMode::Full, mem.cfg().bytes() as u64, 0)
             .unwrap();
+        // A torn delta snapshot leaves the base exactly as committed.
         store.begin();
-        store.stage_delta(0, &delta).unwrap();
-        store
-            .commit(SnapshotMode::Delta, delta.bytes() as u64, 0)
-            .unwrap();
+        store.stage(0, Payload::Delta(delta.clone())).unwrap();
+        store.abort();
+        assert_eq!(store.committed()[0], vec![0; mem.cfg().words()]);
+        store.begin();
+        let delta_bytes = delta.bytes() as u64;
+        store.stage(0, Payload::Delta(delta)).unwrap();
+        store.commit(SnapshotMode::Delta, delta_bytes, 0).unwrap();
         assert_eq!(store.committed()[0], mem.snapshot());
         assert_eq!(store.delta_snapshots(), 1);
         assert!(store.bytes_streamed() > 0);

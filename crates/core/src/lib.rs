@@ -14,8 +14,10 @@
 //! * [`collectives`] — broadcast / reduce / all-reduce / all-gather /
 //!   barrier on binomial trees and dimension exchange: the communication
 //!   library every kernel builds on.
-//! * [`checkpoint`] — snapshot-interval policy: Young's approximation and a
-//!   Monte-Carlo failure/replay simulation (experiment E8).
+//! * [`checkpoint`] — the two-version [`CheckpointStore`] every
+//!   saved memory state lives in, and snapshot-interval policy: Young's
+//!   approximation and a Monte-Carlo failure/replay simulation
+//!   (experiment E8).
 //! * [`baseline`] — the §I comparison points: a bus-based shared-memory
 //!   machine model and interconnect cost counts (experiment E13).
 //!
@@ -51,6 +53,7 @@ use ts_link::{BoundaryOutbox, LinkChannel, Wire};
 use ts_node::{Node, NodeCfg, NodeCtx, NodeMeters};
 use ts_sim::{Dur, JoinHandle, MetricsRegistry, RunReport, Sim, SimHandle, Time};
 
+use crate::checkpoint::{CheckpointStats, CheckpointStore, Payload, SnapshotMode};
 use crate::system::{Disk, SystemBoard};
 
 /// Peak floating-point rate of one node, MFLOPS (§II).
@@ -140,18 +143,18 @@ pub struct Specs {
     pub max_hops: u32,
 }
 
-/// Why a machine-level snapshot or restore could not complete.
+/// Why a snapshot or restore (machine-wide or of one partition) failed.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum MachineError {
-    /// Restore was handed a different number of images than the machine
-    /// has nodes.
+    /// The [`CheckpointStore`] covers a different number of
+    /// nodes than the machine (or partition) it was used with.
     BadImageCount {
-        /// Nodes in the machine.
+        /// Nodes in the machine or partition.
         expected: usize,
-        /// Images supplied.
+        /// Nodes the store covers.
         got: usize,
     },
-    /// An image's word count does not match the node's memory geometry.
+    /// A committed image's word count does not match its node's memory.
     BadImageGeometry {
         /// The mismatched node.
         node: NodeId,
@@ -172,7 +175,7 @@ pub enum MachineError {
         /// Which procedure stalled.
         op: &'static str,
     },
-    /// Restore was requested from a [`checkpoint::CheckpointStore`] that
+    /// Restore was requested from a [`CheckpointStore`] that
     /// has never committed a snapshot.
     NoCheckpoint,
 }
@@ -513,50 +516,6 @@ impl Machine {
         handles
     }
 
-    /// Host-side capture of a partition's node memories, in virtual node
-    /// order. Takes zero simulated time — callers that model the §III
-    /// system-thread streaming cost (as `ts-sched` does for job
-    /// checkpoints) charge it separately.
-    pub fn subcube_images(&self, sub: &Subcube) -> Vec<Vec<u32>> {
-        (0..sub.len())
-            .map(|v| self.nodes[sub.to_phys(v) as usize].mem().snapshot())
-            .collect()
-    }
-
-    /// Host-side restore of a partition's node memories from images in
-    /// virtual node order (the job-migration path: the images may have
-    /// been captured on a *different* subcube of the same dim). Zero
-    /// simulated time; see [`Machine::subcube_images`].
-    pub fn restore_subcube(&self, sub: &Subcube, images: &[Vec<u32>]) -> Result<(), MachineError> {
-        if images.len() != sub.len() as usize {
-            return Err(MachineError::BadImageCount {
-                expected: sub.len() as usize,
-                got: images.len(),
-            });
-        }
-        for (v, image) in images.iter().enumerate() {
-            let node = &self.nodes[sub.to_phys(v as NodeId) as usize];
-            let expected = node.mem().cfg().words();
-            if image.len() != expected {
-                return Err(MachineError::BadImageGeometry {
-                    node: node.id,
-                    expected,
-                    got: image.len(),
-                });
-            }
-            if node.is_crashed() {
-                return Err(MachineError::NodeDown { node: node.id });
-            }
-        }
-        for (v, image) in images.iter().enumerate() {
-            let node = &self.nodes[sub.to_phys(v as NodeId) as usize];
-            let mut mem = node.mem_mut();
-            mem.scrub_all();
-            mem.restore(image);
-        }
-        Ok(())
-    }
-
     // --- fault injection ----------------------------------------------------
 
     /// The machine's fault-injection facade: every way of breaking (or
@@ -635,117 +594,20 @@ impl Machine {
         report::ReportData::capture(self.now(), &self.registry, &self.nodes, &self.boards)
     }
 
-    /// Take a coordinated snapshot of every node's memory through the
-    /// system boards and disks (§III), as a simulated procedure. Returns
-    /// the images (node order) and the wall-clock the snapshot took.
-    ///
-    /// Fails with [`MachineError::NodeDown`] if any node is crashed (a
-    /// dead control processor cannot stream its memory), and with
-    /// [`MachineError::Stalled`] if the streaming procedure deadlocks.
-    pub fn snapshot(&mut self) -> Result<(Vec<Vec<u32>>, Dur), MachineError> {
-        if let Some(n) = self.nodes.iter().find(|n| n.is_crashed()) {
-            return Err(MachineError::NodeDown { node: n.id });
-        }
-        let t0 = self.sim.now();
-        let mut image_handles = Vec::new();
-        for (m, board) in self.boards.iter().enumerate() {
-            let lo = m * 8;
-            let hi = ((m + 1) * 8).min(self.nodes.len());
-            // Node side: each node streams its memory up the system thread.
-            for id in lo..hi {
-                let ctx = self.nodes[id].ctx();
-                let image = self.nodes[id].mem().snapshot();
-                self.sim.spawn(async move {
-                    system::send_image(&ctx, &image).await;
-                });
-            }
-            // Board side: receive per node, write to disk.
-            let board = board.clone();
-            let count = hi - lo;
-            image_handles.push(
-                self.sim
-                    .spawn(async move { board.collect_snapshot(count).await }),
-            );
-        }
-        let report = self.sim.run();
-        if !report.quiescent {
-            return Err(MachineError::Stalled { op: "snapshot" });
-        }
-        let mut images = Vec::new();
-        for h in image_handles {
-            images.extend(
-                h.try_take()
-                    .ok_or(MachineError::Stalled { op: "snapshot" })?,
-            );
-        }
-        Ok((images, self.sim.now().since(t0)))
+    // --- checkpointing ------------------------------------------------------
+
+    /// The nodes of module `m`, as indices into [`Machine::nodes`].
+    fn module_nodes(&self, m: usize) -> Range<usize> {
+        m * 8..((m + 1) * 8).min(self.nodes.len())
     }
 
-    /// Restore every node's memory from snapshot images (the recovery
-    /// path: boards stream images back down the system thread).
-    ///
-    /// Fails with [`MachineError::BadImageCount`] /
-    /// [`MachineError::BadImageGeometry`] on a malformed image set,
-    /// [`MachineError::NodeDown`] if a crashed node cannot receive its
-    /// image, and [`MachineError::Stalled`] on deadlock.
-    pub fn restore(&mut self, images: &[Vec<u32>]) -> Result<Dur, MachineError> {
-        if images.len() != self.nodes.len() {
-            return Err(MachineError::BadImageCount {
-                expected: self.nodes.len(),
-                got: images.len(),
-            });
-        }
-        for (node, image) in self.nodes.iter().zip(images) {
-            let expected = node.mem().cfg().words();
-            if image.len() != expected {
-                return Err(MachineError::BadImageGeometry {
-                    node: node.id,
-                    expected,
-                    got: image.len(),
-                });
-            }
-        }
-        if let Some(n) = self.nodes.iter().find(|n| n.is_crashed()) {
-            return Err(MachineError::NodeDown { node: n.id });
-        }
-        let t0 = self.sim.now();
-        for (m, board) in self.boards.iter().enumerate() {
-            let lo = m * 8;
-            let hi = ((m + 1) * 8).min(self.nodes.len());
-            let board = board.clone();
-            let module_images: Vec<Vec<u32>> = images[lo..hi].to_vec();
-            self.sim.spawn(async move {
-                board.send_restore(module_images).await;
-            });
-            for id in lo..hi {
-                let ctx = self.nodes[id].ctx();
-                let node = self.nodes[id].clone();
-                self.sim.spawn(async move {
-                    let image = system::recv_image(&ctx).await;
-                    let mut mem = node.mem_mut();
-                    // Scrub first: count the words whose parity a fault
-                    // desynced, so the recovery report can show them.
-                    let latent = mem.scrub_all();
-                    mem.restore(&image);
-                    drop(mem);
-                    if latent > 0 {
-                        let cold = node.meters().cold();
-                        cold.fault_scrubbed_words.add(latent as u64);
-                    }
-                });
-            }
-        }
-        let report = self.sim.run();
-        if !report.quiescent {
-            return Err(MachineError::Stalled { op: "restore" });
-        }
-        Ok(self.sim.now().since(t0))
+    /// A partition's nodes in virtual order.
+    fn subcube_nodes<'a>(&'a self, sub: &'a Subcube) -> impl Iterator<Item = &'a Node> + Clone {
+        (0..sub.len()).map(move |v| &self.nodes[sub.to_phys(v) as usize])
     }
 
-    // --- two-version checkpointing ------------------------------------------
-
-    /// Take a machine-wide snapshot into a two-version
-    /// [`checkpoint::CheckpointStore`], as the simulated §III procedure:
+    /// Take a machine-wide snapshot into a two-version [`CheckpointStore`],
+    /// as the simulated §III procedure:
     ///
     /// 1. **stream** — every node sends its payload (a full image, or the
     ///    dirty rows since the last commit for [`SnapshotMode::Delta`]) up
@@ -764,61 +626,46 @@ impl Machine {
     /// a crash does before further use.
     ///
     /// A requested delta is promoted to full when the store has no
-    /// committed base yet.
+    /// committed base yet. A store that does not fit the machine, or a
+    /// crashed node (a dead control processor cannot stream its memory), is
+    /// refused up front with [`MachineError::BadImageCount`],
+    /// [`MachineError::BadImageGeometry`] or [`MachineError::NodeDown`].
     pub fn checkpoint(
         &mut self,
-        store: &mut checkpoint::CheckpointStore,
-        mode: checkpoint::SnapshotMode,
-    ) -> Result<checkpoint::CheckpointStats, MachineError> {
-        use checkpoint::SnapshotMode;
-        assert_eq!(
-            store.nodes(),
-            self.nodes.len(),
-            "checkpoint store sized for a different machine"
-        );
-        if let Some(n) = self.nodes.iter().find(|n| n.is_crashed()) {
-            return Err(MachineError::NodeDown { node: n.id });
-        }
-        let effective = if mode == SnapshotMode::Delta && store.has_committed() {
-            SnapshotMode::Delta
-        } else {
-            SnapshotMode::Full
-        };
+        store: &mut CheckpointStore,
+        mode: SnapshotMode,
+    ) -> Result<CheckpointStats, MachineError> {
+        validate(store, self.nodes.iter())?;
+        let effective = store.effective_mode(mode);
         store.begin();
         let t0 = self.sim.now();
         let bytes_full: u64 = self
             .nodes
             .iter()
-            .map(|n| n.mem().cfg().bytes() as u64 + 8)
+            .map(|n| streamed_bytes(n, SnapshotMode::Full))
             .sum();
         let mut bytes_streamed = 0u64;
         let mut dirty_rows = 0u64;
         let mut payload_handles = Vec::new();
         for (m, board) in self.boards.iter().enumerate() {
-            let lo = m * 8;
-            let hi = ((m + 1) * 8).min(self.nodes.len());
-            for id in lo..hi {
-                let ctx = self.nodes[id].ctx();
-                // Dirty bits transfer to the payload at capture time: a
-                // write landing while the stream is in flight dirties its
-                // row afresh and rides the *next* delta. (On abort the
-                // captured bits are re-marked wholesale below.)
-                let (mode_word, payload) = match effective {
-                    SnapshotMode::Full => (system::PAYLOAD_FULL, self.nodes[id].mem().snapshot()),
-                    SnapshotMode::Delta => {
-                        let delta = self.nodes[id].mem().snapshot_delta();
+            let ids = self.module_nodes(m);
+            let count = ids.len();
+            for id in ids {
+                let node = &self.nodes[id];
+                let ctx = node.ctx();
+                bytes_streamed += streamed_bytes(node, effective);
+                let (mode_word, payload) = match capture(node, effective) {
+                    Payload::Full(image) => (system::PAYLOAD_FULL, image),
+                    Payload::Delta(delta) => {
                         dirty_rows += delta.row_count() as u64;
                         (system::PAYLOAD_DELTA, delta.encode())
                     }
                 };
-                self.nodes[id].mem_mut().clear_dirty();
-                bytes_streamed += (payload.len() as u64 + 2) * 4;
                 self.sim.spawn(async move {
                     system::send_payload(&ctx, mode_word, &payload).await;
                 });
             }
             let board = board.clone();
-            let count = hi - lo;
             payload_handles.push(
                 self.sim
                     .spawn(async move { board.collect_payloads(count).await }),
@@ -835,16 +682,16 @@ impl Machine {
             let payloads = h
                 .try_take()
                 .ok_or(MachineError::Stalled { op: "checkpoint" })?;
-            for (mode_word, payload) in payloads {
-                if mode_word == system::PAYLOAD_FULL {
-                    store.stage_full(node_idx, payload);
+            for (mode_word, words) in payloads {
+                let payload = if mode_word == system::PAYLOAD_FULL {
+                    Payload::Full(words)
                 } else {
-                    let delta = ts_mem::RowDelta::decode(&payload)
-                        .expect("delta payload corrupted in flight");
-                    store
-                        .stage_delta(node_idx, &delta)
-                        .expect("delta staged without a committed base");
-                }
+                    let delta = ts_mem::RowDelta::decode(&words);
+                    Payload::Delta(delta.expect("delta payload corrupted in flight"))
+                };
+                store
+                    .stage(node_idx, payload)
+                    .expect("delta staged without a committed base");
                 node_idx += 1;
             }
         }
@@ -872,7 +719,7 @@ impl Machine {
         }
         met.counter("bytes_streamed").add(bytes_streamed);
         met.counter("bytes_full_equiv").add(bytes_full);
-        Ok(checkpoint::CheckpointStats {
+        Ok(CheckpointStats {
             mode: effective,
             duration: self.sim.now().since(t0),
             bytes_streamed,
@@ -885,7 +732,7 @@ impl Machine {
     /// (now lost) payloads were already cleared, so every row is re-marked
     /// dirty: the next delta degenerates to a full image rather than
     /// silently missing the rows the aborted stream had claimed.
-    fn abort_checkpoint(&self, store: &mut checkpoint::CheckpointStore) {
+    fn abort_checkpoint(&self, store: &mut CheckpointStore) {
         store.abort();
         for n in &self.nodes {
             n.mem_mut().mark_all_dirty();
@@ -895,57 +742,187 @@ impl Machine {
 
     /// Restore every node's memory from the store's committed version (the
     /// crash-recovery path: always a full-image stream down the system
-    /// threads). The nodes' dirty bits are cleared afterwards — memory now
-    /// equals the committed checkpoint exactly.
-    pub fn restore_from(
-        &mut self,
-        store: &checkpoint::CheckpointStore,
-    ) -> Result<Dur, MachineError> {
+    /// threads, disk read first). Each node's dirty bits are cleared as its
+    /// image lands — memory now equals the committed checkpoint exactly.
+    ///
+    /// Refuses a store that does not fit or a crashed node (reboot first)
+    /// like [`Machine::checkpoint`]; fails with
+    /// [`MachineError::NoCheckpoint`] before the first commit and
+    /// [`MachineError::Stalled`] on deadlock.
+    pub fn restore_from(&mut self, store: &CheckpointStore) -> Result<Dur, MachineError> {
+        validate(store, self.nodes.iter())?;
         if !store.has_committed() {
             return Err(MachineError::NoCheckpoint);
         }
-        let d = self.restore(store.committed())?;
-        for n in &self.nodes {
-            n.mem_mut().clear_dirty();
+        let t0 = self.sim.now();
+        for (m, board) in self.boards.iter().enumerate() {
+            let ids = self.module_nodes(m);
+            let board = board.clone();
+            let module_images = store.committed()[ids.clone()].to_vec();
+            self.sim.spawn(async move {
+                board.send_restore(module_images).await;
+            });
+            for id in ids {
+                let ctx = self.nodes[id].ctx();
+                let node = self.nodes[id].clone();
+                self.sim.spawn(async move {
+                    let image = system::recv_image(&ctx).await;
+                    load_image(&node, &image);
+                });
+            }
         }
-        Ok(d)
+        if !self.sim.run().quiescent {
+            return Err(MachineError::Stalled { op: "restore" });
+        }
+        Ok(self.sim.now().since(t0))
+    }
+
+    /// Host-side counterpart of [`Machine::checkpoint`] for one partition:
+    /// capture `sub`'s node memories, in virtual node order, into a store
+    /// sized `sub.len()` and commit at once — full images the first time,
+    /// the rows dirtied since after that. Takes zero simulated time, so
+    /// nothing can tear; callers that model the §III streaming cost (as
+    /// `ts-sched` does for job checkpoints) charge it themselves, from the
+    /// payload bytes this returns (stream headers not included). Refuses
+    /// what [`Machine::checkpoint`] refuses.
+    pub fn capture_subcube(
+        &self,
+        store: &mut CheckpointStore,
+        sub: &Subcube,
+    ) -> Result<u64, MachineError> {
+        validate(store, self.subcube_nodes(sub))?;
+        let mode = store.effective_mode(SnapshotMode::Delta);
+        store.begin();
+        let (mut bytes, mut bytes_full) = (0u64, 0u64);
+        for (v, node) in self.subcube_nodes(sub).enumerate() {
+            bytes += payload_bytes(node, mode);
+            bytes_full += payload_bytes(node, SnapshotMode::Full);
+            store
+                .stage(v, capture(node, mode))
+                .expect("delta staged without a committed base");
+        }
+        store
+            .commit(mode, bytes, bytes_full)
+            .expect("commit with a fully staged store");
+        Ok(bytes)
+    }
+
+    /// Host-side counterpart of [`Machine::restore_from`] for one
+    /// partition: load the store's committed images, in virtual node order,
+    /// onto `sub` — which may be a *different* subcube of the same dim than
+    /// the one they were captured on (the job-migration path). Zero
+    /// simulated time; returns the image bytes loaded. Fails like
+    /// [`Machine::restore_from`], minus the stall.
+    pub fn load_subcube(
+        &self,
+        store: &CheckpointStore,
+        sub: &Subcube,
+    ) -> Result<u64, MachineError> {
+        validate(store, self.subcube_nodes(sub))?;
+        if !store.has_committed() {
+            return Err(MachineError::NoCheckpoint);
+        }
+        let mut bytes = 0u64;
+        for (node, image) in self.subcube_nodes(sub).zip(store.committed()) {
+            load_image(node, image);
+            bytes += image.len() as u64 * 4;
+        }
+        Ok(bytes)
     }
 
     /// A host-side upper estimate of how long [`Machine::checkpoint`] will
     /// run: the slowest module's payload bytes over the system-thread
     /// rate, plus commit slack, with 50 % headroom. The supervisor uses it
     /// to pre-schedule faults that land inside the snapshot window.
-    pub fn checkpoint_eta(
-        &self,
-        store: &checkpoint::CheckpointStore,
-        mode: checkpoint::SnapshotMode,
-    ) -> Dur {
-        use checkpoint::SnapshotMode;
-        let effective = if mode == SnapshotMode::Delta && store.has_committed() {
-            SnapshotMode::Delta
-        } else {
-            SnapshotMode::Full
+    pub fn checkpoint_eta(&self, store: &CheckpointStore, mode: SnapshotMode) -> Dur {
+        let effective = store.effective_mode(mode);
+        let module_bytes = |m| -> u64 {
+            let ids = self.module_nodes(m);
+            ids.map(|id| streamed_bytes(&self.nodes[id], effective))
+                .sum()
         };
-        let mut worst = 0u64;
-        for m in 0..self.boards.len() {
-            let lo = m * 8;
-            let hi = ((m + 1) * 8).min(self.nodes.len());
-            let mut bytes = 0u64;
-            for id in lo..hi {
-                bytes += 8 + match effective {
-                    SnapshotMode::Full => self.nodes[id].mem().cfg().bytes() as u64,
-                    SnapshotMode::Delta => {
-                        let rows = self.nodes[id].mem().dirty_row_count() as u64;
-                        (1 + rows + rows * ts_mem::ROW_WORDS as u64) * 4
-                    }
-                };
-            }
-            worst = worst.max(bytes);
-        }
+        let worst = (0..self.boards.len()).map(module_bytes).max().unwrap_or(0);
         let stream = worst as f64 / (self.cfg.node.link.effective_mb_per_s() * 1e6);
         let commit = 1e-3 * self.boards.len() as f64
             + system::COMMIT_RECORD_BYTES as f64 / self.cfg.disk_rate;
         Dur::from_secs_f64((stream + commit) * 1.5 + 1e-6)
+    }
+}
+
+/// Bytes of `node`'s snapshot payload in `mode`: every word of memory, or
+/// the [`ts_mem::RowDelta`] encoding of the rows dirty right now.
+fn payload_bytes(node: &Node, mode: SnapshotMode) -> u64 {
+    let mem = node.mem();
+    match mode {
+        SnapshotMode::Full => mem.cfg().bytes() as u64,
+        SnapshotMode::Delta => {
+            let rows = mem.dirty_row_count() as u64;
+            (1 + rows + rows * ts_mem::ROW_WORDS as u64) * 4
+        }
+    }
+}
+
+/// Bytes the same payload puts on the node's system thread: the two-word
+/// `[mode, len]` stream header rides along.
+fn streamed_bytes(node: &Node, mode: SnapshotMode) -> u64 {
+    payload_bytes(node, mode) + 8
+}
+
+/// Capture one node's snapshot payload. Dirty bits transfer to the payload
+/// at capture time: a write landing while the payload is still in flight
+/// dirties its row afresh and rides the *next* delta. (When a streamed
+/// snapshot aborts, [`Machine::checkpoint`] re-marks the captured bits
+/// wholesale.)
+fn capture(node: &Node, mode: SnapshotMode) -> Payload {
+    let mut mem = node.mem_mut();
+    let payload = match mode {
+        SnapshotMode::Full => Payload::Full(mem.snapshot()),
+        SnapshotMode::Delta => Payload::Delta(mem.snapshot_delta()),
+    };
+    mem.clear_dirty();
+    payload
+}
+
+/// Check that `store` fits `nodes` (the whole machine in address order, or
+/// a partition in virtual order) before anything is captured from or loaded
+/// onto them: one slot per node, every committed image the size of its
+/// node's memory, and every node alive.
+fn validate<'a>(
+    store: &CheckpointStore,
+    nodes: impl Iterator<Item = &'a Node> + Clone,
+) -> Result<(), MachineError> {
+    let (expected, got) = (nodes.clone().count(), store.nodes());
+    if got != expected {
+        return Err(MachineError::BadImageCount { expected, got });
+    }
+    for (v, node) in nodes.enumerate() {
+        let expected = node.mem().cfg().words();
+        match store.committed().get(v) {
+            Some(image) if image.len() != expected => {
+                return Err(MachineError::BadImageGeometry {
+                    node: node.id,
+                    expected,
+                    got: image.len(),
+                });
+            }
+            _ if node.is_crashed() => return Err(MachineError::NodeDown { node: node.id }),
+            _ => {}
+        }
+    }
+    Ok(())
+}
+
+/// Load one committed image into a node's memory. Scrub first: count the
+/// words whose parity a fault desynced, so the recovery report can show
+/// them. Afterwards memory equals the checkpoint, so no row is dirty.
+fn load_image(node: &Node, image: &[u32]) {
+    let mut mem = node.mem_mut();
+    let latent = mem.scrub_all();
+    mem.restore(image);
+    mem.clear_dirty();
+    drop(mem);
+    if latent > 0 {
+        node.meters().cold().fault_scrubbed_words.add(latent as u64);
     }
 }
 
@@ -1234,25 +1211,53 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_and_restore_report_machine_errors() {
+    fn checkpoint_and_restore_report_machine_errors() {
         let mut m = Machine::build(MachineCfg::cube_small_mem(3, 8));
-        let (images, _) = m.snapshot().unwrap();
+        let all = Subcube::aligned(0, 3);
+        let bad_count = Err(MachineError::BadImageCount {
+            expected: 8,
+            got: 3,
+        });
+        let mut small = CheckpointStore::new(3);
         assert_eq!(
-            m.restore(&images[..3]),
-            Err(MachineError::BadImageCount {
-                expected: 8,
-                got: 3
-            })
+            m.checkpoint(&mut small, SnapshotMode::Full).map(|_| ()),
+            bad_count
         );
-        let mut bad = images.clone();
-        bad[2].pop();
-        match m.restore(&bad) {
-            Err(MachineError::BadImageGeometry { node: 2, .. }) => {}
-            other => panic!("expected BadImageGeometry for node 2, got {other:?}"),
+        assert_eq!(m.restore_from(&small).map(|_| ()), bad_count);
+        assert_eq!(m.capture_subcube(&mut small, &all).map(|_| ()), bad_count);
+        assert_eq!(m.load_subcube(&small, &all).map(|_| ()), bad_count);
+
+        // A store committed with one short image.
+        let mut store = CheckpointStore::new(8);
+        m.checkpoint(&mut store, SnapshotMode::Full).unwrap();
+        let mut bad = CheckpointStore::new(8);
+        for (i, image) in store.committed().iter().enumerate() {
+            let short = if i == 2 { 1 } else { 0 };
+            bad.stage_full(i, image[..image.len() - short].to_vec());
         }
+        bad.commit(SnapshotMode::Full, 0, 0).unwrap();
+        for r in [
+            m.checkpoint(&mut bad, SnapshotMode::Delta).map(|_| ()),
+            m.restore_from(&bad).map(|_| ()),
+            m.capture_subcube(&mut bad, &all).map(|_| ()),
+            m.load_subcube(&bad, &all).map(|_| ()),
+        ] {
+            match r {
+                Err(MachineError::BadImageGeometry { node: 2, .. }) => {}
+                other => panic!("expected BadImageGeometry for node 2, got {other:?}"),
+            }
+        }
+
         m.faults().crash(5);
-        assert_eq!(m.snapshot(), Err(MachineError::NodeDown { node: 5 }));
-        assert_eq!(m.restore(&images), Err(MachineError::NodeDown { node: 5 }));
+        let down = Err(MachineError::NodeDown { node: 5 });
+        assert_eq!(
+            m.checkpoint(&mut store, SnapshotMode::Full).map(|_| ()),
+            down
+        );
+        assert_eq!(m.restore_from(&store).map(|_| ()), down);
+        assert_eq!(m.capture_subcube(&mut store, &all).map(|_| ()), down);
+        assert_eq!(m.load_subcube(&store, &all).map(|_| ()), down);
+        assert_eq!(store.epoch(), 1, "a refused capture commits nothing");
     }
 
     #[test]
@@ -1261,14 +1266,15 @@ mod tests {
         for (i, node) in m.nodes.iter().enumerate() {
             node.mem_mut().write_word(10, 1000 + i as u32).unwrap();
         }
-        let (images, snap_time) = m.snapshot().unwrap();
-        assert_eq!(images.len(), 8);
-        assert!(snap_time > Dur::ZERO);
+        let mut store = CheckpointStore::new(m.nodes.len());
+        let snap = m.checkpoint(&mut store, SnapshotMode::Full).unwrap();
+        assert_eq!(store.committed().len(), 8);
+        assert!(snap.duration > Dur::ZERO);
         // Corrupt, then restore.
         for node in &m.nodes {
             node.mem_mut().write_word(10, 0).unwrap();
         }
-        let restore_time = m.restore(&images).unwrap();
+        let restore_time = m.restore_from(&store).unwrap();
         assert!(restore_time > Dur::ZERO);
         for (i, node) in m.nodes.iter().enumerate() {
             assert_eq!(node.mem().read_word(10).unwrap(), 1000 + i as u32);
@@ -1278,25 +1284,10 @@ mod tests {
     #[test]
     fn snapshot_time_independent_of_machine_size() {
         // §III: "It takes about 15 seconds to take a snapshot, regardless
-        // of configuration" — modules snapshot in parallel.
-        let t3 = {
-            let mut m = Machine::build(MachineCfg::cube_small_mem(3, 16));
-            m.snapshot().unwrap().1
-        };
-        let t5 = {
-            let mut m = Machine::build(MachineCfg::cube_small_mem(5, 16));
-            m.snapshot().unwrap().1
-        };
-        let ratio = t5.as_secs_f64() / t3.as_secs_f64();
-        assert!(
-            ratio < 1.05,
-            "snapshot should not grow with machine size: {ratio}"
-        );
-
-        // The same claim on the staged path (system thread -> board ->
-        // disk -> ring commit): flat within 10 % across dims 3/4/5, and a
-        // one-row delta streams under a quarter of the full image.
-        use checkpoint::{CheckpointStore, SnapshotMode};
+        // of configuration" — modules snapshot in parallel (system thread
+        // -> board -> disk -> ring commit): flat within 10 % across dims
+        // 3/4/5, and a one-row delta streams under a quarter of the full
+        // image.
         let staged: Vec<f64> = [3u32, 4, 5]
             .iter()
             .map(|&dim| {
@@ -1325,9 +1316,91 @@ mod tests {
         }
     }
 
+    /// Fill rows `0..rows` of every node with a seeded pattern.
+    fn scribble(m: &Machine, rows: usize, seed: u32) {
+        for node in &m.nodes {
+            let mut mem = node.mem_mut();
+            for w in 0..rows * ts_mem::ROW_WORDS {
+                let v = (w as u32 ^ seed).wrapping_mul(0x9E37_79B9) ^ node.id;
+                mem.write_word(w, v).unwrap();
+            }
+        }
+    }
+
+    #[test]
+    fn streamed_and_host_side_checkpoints_agree() {
+        let mut m = Machine::build(MachineCfg::cube_small_mem(3, 8));
+        let all = Subcube::aligned(0, 3);
+        scribble(&m, 8, 1986);
+        let (mut a, mut b) = (CheckpointStore::new(8), CheckpointStore::new(8));
+        m.checkpoint(&mut a, SnapshotMode::Full).unwrap();
+        // The streamed capture took the dirty bits; hand them back so the
+        // host-side capture sees the same memory in the same state.
+        for node in &m.nodes {
+            node.mem_mut().mark_all_dirty();
+        }
+        let image_bytes = m.capture_subcube(&mut b, &all).unwrap();
+        assert_eq!(image_bytes, 8 * m.nodes[0].mem().cfg().bytes() as u64);
+        assert_eq!(a.committed(), b.committed());
+        assert_eq!((b.full_snapshots(), b.delta_snapshots()), (1, 0));
+
+        // Dirty one row per node and take a delta both ways.
+        let dirty_a_row = |m: &Machine| {
+            for node in &m.nodes {
+                let w = (node.id as usize % 8) * ts_mem::ROW_WORDS + 3;
+                node.mem_mut().write_word(w, 0xD1_0000 | node.id).unwrap();
+            }
+        };
+        dirty_a_row(&m);
+        let streamed = m.checkpoint(&mut a, SnapshotMode::Delta).unwrap();
+        dirty_a_row(&m);
+        let delta_bytes = m.capture_subcube(&mut b, &all).unwrap();
+        assert_eq!(a.committed(), b.committed());
+        assert_eq!((a.delta_snapshots(), b.delta_snapshots()), (1, 1));
+        // Same payloads; only the streamed path pays the two header words.
+        assert_eq!(streamed.bytes_streamed, delta_bytes + 8 * 8);
+        assert!(m.nodes.iter().all(|n| n.mem().dirty_row_count() == 0));
+
+        // Load `b` onto a different aligned subcube of a bigger machine and
+        // read the same words back in virtual order.
+        let big = Machine::build(MachineCfg::cube_small_mem(4, 8));
+        let elsewhere = Subcube::aligned(8, 3);
+        let loaded = big.load_subcube(&b, &elsewhere).unwrap();
+        assert_eq!(loaded, image_bytes);
+        for v in 0..8 {
+            let node = &big.nodes[elsewhere.to_phys(v) as usize];
+            assert_eq!(node.mem().snapshot(), b.committed()[v as usize]);
+            assert_eq!(
+                node.mem().dirty_row_count(),
+                0,
+                "a load leaves no row dirty"
+            );
+        }
+        assert_eq!(
+            big.nodes[0].mem().snapshot(),
+            vec![0; 8 * ts_mem::ROW_WORDS]
+        );
+    }
+
+    #[test]
+    fn loading_scrubs_latent_parity_faults_on_both_paths() {
+        let mut m = Machine::build(MachineCfg::cube_small_mem(3, 8));
+        let mut store = CheckpointStore::new(8);
+        m.checkpoint(&mut store, SnapshotMode::Full).unwrap();
+        m.faults().mem_flip(2, 40, 3);
+        m.restore_from(&store).unwrap();
+        m.faults().mem_flip(6, 7, 1);
+        m.load_subcube(&store, &Subcube::aligned(0, 3)).unwrap();
+        for id in [2, 6] {
+            let path = format!("node/{id}/fault/scrubbed_words");
+            assert_eq!(m.registry().get_counter(&path), Some(1), "{path}");
+            assert_eq!(m.nodes[id].mem().parity_errors(), 0);
+        }
+        assert_eq!(m.registry().sum_counters("fault/scrubbed_words"), 2);
+    }
+
     #[test]
     fn delta_checkpoint_streams_fewer_bytes_and_restores() {
-        use checkpoint::{CheckpointStore, SnapshotMode};
         // Two modules, so the commit rides the real ring.
         let mut m = Machine::build(MachineCfg::cube_small_mem(4, 8));
         for (i, node) in m.nodes.iter().enumerate() {
@@ -1368,7 +1441,6 @@ mod tests {
 
     #[test]
     fn torn_checkpoint_never_restores_a_torn_image() {
-        use checkpoint::{CheckpointStore, SnapshotMode};
         let mut m = Machine::build(MachineCfg::cube_small_mem(3, 8));
         for node in &m.nodes {
             node.mem_mut().write_word(10, 111).unwrap();
@@ -1402,7 +1474,6 @@ mod tests {
 
     #[test]
     fn disk_fault_aborts_and_the_store_survives_reboot() {
-        use checkpoint::{CheckpointStore, SnapshotMode};
         let mut store = CheckpointStore::new(8);
         {
             let mut m = Machine::build(MachineCfg::cube_small_mem(3, 8));
@@ -1432,7 +1503,6 @@ mod tests {
 
     #[test]
     fn ring_flap_delays_but_does_not_tear_the_commit() {
-        use checkpoint::{CheckpointStore, SnapshotMode};
         let mut m = Machine::build(MachineCfg::cube_small_mem(4, 8));
         let mut store = CheckpointStore::new(m.nodes.len());
         m.faults().ring_flap(0, Dur::ms(50));

@@ -124,10 +124,13 @@ pub struct Supervisor {
     cfg: MachineCfg,
     interval: Dur,
     mtbf: Option<Dur>,
-    quantum: Dur,
     max_reboots: u32,
     hang_horizon: Dur,
 }
+
+/// Health-check granularity: how much simulated time may pass between looks
+/// at the machine (and the outer bound on fault-to-detection latency).
+const QUANTUM: Dur = Dur::ms(1);
 
 impl Supervisor {
     /// A supervisor for machines of configuration `cfg`, with a 10-minute
@@ -138,7 +141,6 @@ impl Supervisor {
             cfg,
             interval: Dur::secs(600),
             mtbf: None,
-            quantum: Dur::ms(1),
             max_reboots: 16,
             hang_horizon: Dur::secs(60),
         }
@@ -175,15 +177,6 @@ impl Supervisor {
     pub fn checkpoint_interval(mut self, d: Dur) -> Supervisor {
         assert!(!d.is_zero(), "checkpoint interval must be positive");
         self.interval = d;
-        self
-    }
-
-    /// Health-check granularity: how much simulated time may pass between
-    /// looks at the machine (and the outer bound on fault-to-detection
-    /// latency).
-    pub fn quantum(mut self, d: Dur) -> Supervisor {
-        assert!(!d.is_zero(), "quantum must be positive");
-        self.quantum = d;
         self
     }
 
@@ -243,8 +236,8 @@ impl Supervisor {
                     .min();
                 let slice = match next_fault {
                     Some(at) if at <= jnow => Dur::ZERO, // overdue: inject below
-                    Some(at) if at < jnow + self.quantum => at - jnow,
-                    _ => self.quantum,
+                    Some(at) if at < jnow + QUANTUM => at - jnow,
+                    _ => QUANTUM,
                 };
                 let before = m.now();
                 let ran = if slice.is_zero() {
@@ -592,7 +585,7 @@ mod tests {
 
         // The transport absorbs the corrupt + drop queued on 0 -> 1; nine
         // more drops on 4 -> 6 exhaust the budget and condemn that link.
-        for _ in 0..=ts_link::TransportCfg::default().budget {
+        for _ in 0..=ts_link::RETRANSMIT_BUDGET {
             m.faults().flit_drop(4, 1);
         }
         for (from, dim) in [(0u32, 0usize), (4, 1)] {

@@ -95,11 +95,6 @@ impl Disk {
         self.failed.set(false);
     }
 
-    /// Is the controller faulted?
-    pub fn is_failed(&self) -> bool {
-        self.failed.get()
-    }
-
     /// Total bytes-time the disk has served.
     pub fn busy_total(&self) -> Dur {
         self.res.busy_total()
@@ -228,19 +223,6 @@ impl SystemBoard {
         payloads
     }
 
-    /// Collect full snapshot images from all `count` nodes of this module
-    /// (the legacy host-held snapshot path).
-    pub async fn collect_snapshot(&self, count: usize) -> Vec<Vec<u32>> {
-        self.collect_payloads(count)
-            .await
-            .into_iter()
-            .map(|(mode, payload)| {
-                assert_eq!(mode, PAYLOAD_FULL, "collect_snapshot saw a delta payload");
-                payload
-            })
-            .collect()
-    }
-
     /// Stream restore images back down to the nodes (disk read first).
     /// Restores are always full images — the committed version on disk.
     pub async fn send_restore(&self, images: Vec<Vec<u32>>) {
@@ -335,12 +317,6 @@ pub async fn send_payload(ctx: &NodeCtx, mode: u32, payload: &[u32]) {
     if ctx.try_send_system(vec![EOF_WORD]).await.is_err() {
         std::future::pending::<()>().await;
     }
-}
-
-/// Node side of a snapshot: stream the full memory image up the system
-/// thread.
-pub async fn send_image(ctx: &NodeCtx, image: &[u32]) {
-    send_payload(ctx, PAYLOAD_FULL, image).await;
 }
 
 /// Node side of a restore: receive a full image from the system thread.
@@ -475,7 +451,7 @@ pub fn boot(machine: &mut crate::Machine, image_words: usize) -> Vec<SelfTest> {
     // Boards gather their nodes' reports.
     for (m, board) in machine.boards.iter().enumerate() {
         let board = board.clone();
-        let count = ((m + 1) * 8).min(machine.nodes.len()) - m * 8;
+        let count = machine.module_nodes(m).len();
         h.spawn(async move {
             let mut seen = 0;
             while seen < count {

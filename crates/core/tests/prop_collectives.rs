@@ -2,6 +2,7 @@
 //! roots and cube sizes; agreement with sequential references. Seeded
 //! random cases via [`Rng`] (offline, reproducible).
 
+use t_series_core::checkpoint::{CheckpointStore, SnapshotMode};
 use t_series_core::{collectives, Machine, MachineCfg};
 use ts_fpu::Sf64;
 use ts_node::CombineOp;
@@ -152,11 +153,12 @@ fn snapshot_restore_arbitrary_state() {
                 node.mem_mut().write_word(addr, v ^ k as u32).unwrap();
             }
         }
-        let (images, _) = m.snapshot().unwrap();
+        let mut store = CheckpointStore::new(m.nodes.len());
+        m.checkpoint(&mut store, SnapshotMode::Full).unwrap();
         for node in &m.nodes {
             node.mem_mut().write_word(writes[0].0, !0).unwrap();
         }
-        m.restore(&images).unwrap();
+        m.restore_from(&store).unwrap();
         for (k, node) in m.nodes.iter().enumerate() {
             let mut model = std::collections::HashMap::new();
             for &(addr, v) in &writes {

@@ -103,13 +103,6 @@ impl Hypercube {
         path
     }
 
-    /// The dimensions (lowest first) an e-cube route out of `a` towards `b`
-    /// crosses.
-    pub fn route_dims(self, a: NodeId, b: NodeId) -> impl Iterator<Item = u32> {
-        let diff = a ^ b;
-        (0..self.dim).filter(move |d| diff & (1 << d) != 0)
-    }
-
     /// Binomial spanning tree rooted at `root`: returns `parent[node]`
     /// (with `parent[root] = root`). The tree edge for node v is across the
     /// *lowest* set bit of `v ^ root`, so a broadcast completes in n steps —

@@ -18,24 +18,7 @@ use ts_cube::{embed::MeshEmbedding, Hypercube};
 use ts_fpu::Sf64;
 use ts_node::{CombineOp, NodeCtx};
 
-use crate::KernelStats;
-
-fn pack(vals: &[f64]) -> Vec<u32> {
-    let mut words = Vec::with_capacity(vals.len() * 2);
-    for v in vals {
-        let b = v.to_bits();
-        words.push(b as u32);
-        words.push((b >> 32) as u32);
-    }
-    words
-}
-
-fn unpack(words: &[u32]) -> Vec<f64> {
-    words
-        .chunks_exact(2)
-        .map(|c| f64::from_bits(c[0] as u64 | ((c[1] as u64) << 32)))
-        .collect()
-}
+use crate::{pack, unpack, KernelStats};
 
 /// Apply the five-point Laplacian `q = A·p` on one tile with fresh halos.
 struct TileGeometry {

@@ -121,6 +121,25 @@ impl KernelStats {
     }
 }
 
+/// Message encoding of `f64` values: two words each, low half first.
+fn pack(vals: &[f64]) -> Vec<u32> {
+    let mut words = Vec::with_capacity(vals.len() * 2);
+    for v in vals {
+        let b = v.to_bits();
+        words.push(b as u32);
+        words.push((b >> 32) as u32);
+    }
+    words
+}
+
+/// Inverse of [`pack`].
+fn unpack(words: &[u32]) -> Vec<f64> {
+    words
+        .chunks_exact(2)
+        .map(|c| f64::from_bits(c[0] as u64 | ((c[1] as u64) << 32)))
+        .collect()
+}
+
 /// Simple splitmix64 PRNG for reproducible test data without threading a
 /// rand dependency through every kernel.
 pub fn splitmix(state: &mut u64) -> u64 {

@@ -14,7 +14,7 @@
 use ts_cube::Hypercube;
 use ts_node::{occam, NodeCtx};
 
-use crate::{rand_f64, KernelStats};
+use crate::{pack, rand_f64, unpack, KernelStats};
 
 /// Merge two sorted slices and keep the lower (or upper) half.
 fn compare_split(mine: &[f64], theirs: &[f64], keep_low: bool) -> Vec<f64> {
@@ -36,23 +36,6 @@ fn compare_split(mine: &[f64], theirs: &[f64], keep_low: bool) -> Vec<f64> {
     } else {
         merged[n..].to_vec()
     }
-}
-
-fn pack(vals: &[f64]) -> Vec<u32> {
-    let mut words = Vec::with_capacity(vals.len() * 2);
-    for v in vals {
-        let b = v.to_bits();
-        words.push(b as u32);
-        words.push((b >> 32) as u32);
-    }
-    words
-}
-
-fn unpack(words: &[u32]) -> Vec<f64> {
-    words
-        .chunks_exact(2)
-        .map(|c| f64::from_bits(c[0] as u64 | ((c[1] as u64) << 32)))
-        .collect()
 }
 
 /// The per-node bitonic sort program: returns this node's sorted block;

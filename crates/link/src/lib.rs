@@ -151,43 +151,30 @@ pub fn crc16_words(words: &[u32]) -> u16 {
     crc
 }
 
-/// Reliable-transport parameters of one sublink direction.
-///
-/// Messages are framed into flits of `flit_words` payload words, each
-/// carrying a sequence number and a [`crc16`] trailer. The receiver NAKs a
-/// flit whose CRC fails; a flit that vanishes entirely is recovered by the
-/// sender's retransmit timer. Either way the sender **goes back N**: it
-/// rewinds to the failed sequence number and resends up to `window` flits.
-/// A transfer that needs more than `budget` recovery rounds condemns the
-/// link — it is declared permanently down and the degraded-routing path
-/// takes over.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct TransportCfg {
-    /// Payload words per flit (the DMA engine's burst unit).
-    pub flit_words: usize,
-    /// Go-back-N window: flits in flight before the sender stalls for an
-    /// acknowledge, and the most it resends per recovery round.
-    pub window: usize,
-    /// Retransmit timer for a flit that was never acknowledged (a drop —
-    /// nothing came back to NAK).
-    pub timeout: Dur,
-    /// Consecutive drops double the timeout up to `timeout << backoff_cap`.
-    pub backoff_cap: u32,
-    /// Recovery rounds allowed per transfer before the link is condemned.
-    pub budget: u32,
-}
+// Reliable-transport parameters of a sublink direction.
+//
+// Messages are framed into flits of `FLIT_WORDS` payload words, each
+// carrying a sequence number and a `crc16` trailer. The receiver NAKs a
+// flit whose CRC fails; a flit that vanishes entirely is recovered by the
+// sender's retransmit timer. Either way the sender **goes back N**: it
+// rewinds to the failed sequence number and resends up to `WINDOW` flits.
+// A transfer that needs more than `RETRANSMIT_BUDGET` recovery rounds
+// condemns the link — it is declared permanently down and the
+// degraded-routing path takes over.
 
-impl Default for TransportCfg {
-    fn default() -> Self {
-        TransportCfg {
-            flit_words: 4,
-            window: 8,
-            timeout: Dur::us(200),
-            backoff_cap: 4,
-            budget: 8,
-        }
-    }
-}
+/// Payload words per flit (the DMA engine's burst unit).
+const FLIT_WORDS: usize = 4;
+/// Go-back-N window: flits in flight before the sender stalls for an
+/// acknowledge, and the most it resends per recovery round.
+const WINDOW: usize = 8;
+/// Retransmit timer for a flit that was never acknowledged (a drop —
+/// nothing came back to NAK).
+const RETRANSMIT_TIMEOUT: Dur = Dur::us(200);
+/// Consecutive drops double the timeout up to
+/// `RETRANSMIT_TIMEOUT << BACKOFF_CAP`.
+const BACKOFF_CAP: u32 = 4;
+/// Recovery rounds allowed per transfer before the link is condemned.
+pub const RETRANSMIT_BUDGET: u32 = 8;
 
 /// One framed flit: a sequence number, up to `flit_words` payload words,
 /// and a CRC-16 over both.
@@ -271,24 +258,12 @@ enum Impair {
 
 /// Per-direction reliable-transport state, shared by every clone of one
 /// sublink.
+#[derive(Default)]
 struct TransportState {
-    cfg: TransportCfg,
     pending: VecDeque<Impair>,
     retransmits: Counter,
     crc_errors: Counter,
     escalations: Counter,
-}
-
-impl Default for TransportState {
-    fn default() -> Self {
-        TransportState {
-            cfg: TransportCfg::default(),
-            pending: VecDeque::new(),
-            retransmits: Counter::new(),
-            crc_errors: Counter::new(),
-            escalations: Counter::new(),
-        }
-    }
 }
 
 /// One direction of one physical serial link: a FIFO bandwidth server with
@@ -801,16 +776,6 @@ impl LinkChannel {
         Self::assemble(rx_wire.clone(), rx_wire, Some(boundary))
     }
 
-    /// True when this sublink's far endpoint lives on another shard.
-    pub fn is_boundary(&self) -> bool {
-        self.inner.boundary.is_some()
-    }
-
-    /// The stable directed-edge id of a boundary sublink.
-    pub fn boundary_edge(&self) -> Option<u64> {
-        self.inner.boundary.as_ref().map(|b| b.edge)
-    }
-
     /// Book every message this sublink sends into the transmitting node's
     /// meters. Must run before the channel is cloned out to its endpoints
     /// (the wiring phase), while this handle still owns the sublink.
@@ -910,6 +875,14 @@ impl LinkChannel {
             return self.boundary_recv(h).await;
         }
         let pkt = self.inner.rv.recv().await;
+        self.complete_recv(h, pkt).await
+    }
+
+    /// Finish a receive whose sender has committed `pkt`: run the framed
+    /// transfer on both engines, wait it out, book the delivery on the
+    /// receiving side and release the sender. Every receive path — plain,
+    /// failable, `ALT` — ends here.
+    async fn complete_recv(&self, h: &SimHandle, pkt: Packet) -> Vec<u32> {
         let bytes = pkt.words.len() * 4;
         let (_start, end) = self.transfer(h.now(), &pkt.words);
         h.sleep_until(end).await;
@@ -1069,16 +1042,6 @@ impl LinkChannel {
 
     // --- reliable transport -------------------------------------------------
 
-    /// Set this direction's transport parameters (shared across clones).
-    pub fn set_transport_cfg(&self, cfg: TransportCfg) {
-        self.inner.transport.borrow_mut().cfg = cfg;
-    }
-
-    /// This direction's transport parameters.
-    pub fn transport_cfg(&self) -> TransportCfg {
-        self.inner.transport.borrow().cfg
-    }
-
     /// Route retransmit/CRC/escalation counts into pre-registered meters
     /// (the sending node's, since retransmission is the sender's work).
     pub fn set_transport_meters(
@@ -1153,10 +1116,10 @@ impl LinkChannel {
     /// is NAKed after a CRC check on the actual framed words; a dropped
     /// flit waits out the retransmit timer (with exponential backoff on
     /// consecutive drops); either way the sender rewinds and resends up to
-    /// `window` flits, whose bytes occupy both wires for real. A transfer
-    /// needing more than `budget` rounds condemns the link — the message
-    /// in flight still completes, but the link is permanently down and
-    /// every later operation sees [`LinkError::Down`].
+    /// [`WINDOW`] flits, whose bytes occupy both wires for real. A transfer
+    /// needing more than [`RETRANSMIT_BUDGET`] rounds condemns the link — the
+    /// message in flight still completes, but the link is permanently down
+    /// and every later operation sees [`LinkError::Down`].
     fn transfer(&self, now: Time, words: &[u32]) -> (Time, Time) {
         let bytes = words.len() * 4;
         let (start, end) = self.reserve_both(now, bytes);
@@ -1165,11 +1128,9 @@ impl LinkChannel {
         }
 
         let mut tr = self.inner.transport.borrow_mut();
-        let cfg = tr.cfg;
-        let flit_words = cfg.flit_words.max(1);
-        let flits = Flit::frame(words, flit_words);
+        let flits = Flit::frame(words, FLIT_WORDS);
         let nflits = flits.len();
-        let payload_bits = (flit_words * 32) as u64;
+        let payload_bits = (FLIT_WORDS * 32) as u64;
         let byte_time = self.inner.rx_wire.params.byte_time();
 
         let mut rounds: u32 = 0;
@@ -1197,19 +1158,19 @@ impl LinkChannel {
                 Impair::Drop => {
                     // Nothing came back: the retransmit timer fires, doubled
                     // for consecutive drops up to the backoff cap.
-                    let exp = consecutive_drops.min(cfg.backoff_cap);
-                    idle += Dur::ps(cfg.timeout.as_ps() << exp);
+                    let exp = consecutive_drops.min(BACKOFF_CAP);
+                    idle += Dur::ps(RETRANSMIT_TIMEOUT.as_ps() << exp);
                     consecutive_drops += 1;
                     0
                 }
             };
-            // Go back N: resend from the failed flit, at most `window`.
-            let resent = (nflits - rewind_to).min(cfg.window.max(1));
-            resent_bytes += resent * (flit_words * 4 + Flit::OVERHEAD_BYTES);
+            // Go back N: resend from the failed flit, at most a window.
+            let resent = (nflits - rewind_to).min(WINDOW);
+            resent_bytes += resent * (FLIT_WORDS * 4 + Flit::OVERHEAD_BYTES);
             tr.retransmits.add(resent as u64);
         }
 
-        let exhausted = rounds > cfg.budget;
+        let exhausted = rounds > RETRANSMIT_BUDGET;
         if exhausted {
             tr.escalations.inc();
         }
@@ -1295,14 +1256,7 @@ impl LinkChannel {
             return Err(LinkError::Down);
         }
         match select2(self.inner.rv.recv(), self.inner.status.watch_down()).await {
-            Either::Left(pkt) => {
-                let bytes = pkt.words.len() * 4;
-                let (_start, end) = self.transfer(h.now(), &pkt.words);
-                h.sleep_until(end).await;
-                self.book_recv(pkt.sent_at, end, bytes);
-                pkt.done.send(end);
-                Ok(pkt.words)
-            }
+            Either::Left(pkt) => Ok(self.complete_recv(h, pkt).await),
             Either::Right(()) => Err(LinkError::Down),
         }
     }
@@ -1320,19 +1274,6 @@ impl LinkChannel {
 pub async fn alt_recv(h: &SimHandle, chans: &[&LinkChannel]) -> (usize, Vec<u32>) {
     let set = AltSet::new(chans);
     set.recv(h).await
-}
-
-/// Failable [`alt_recv`]: races the `ALT` against `watch` going down, so a
-/// daemon parked over its input channels can be torn down (node crash,
-/// shutdown) instead of hanging forever. Senders that commit first are
-/// still served.
-pub async fn alt_recv_or_down(
-    h: &SimHandle,
-    chans: &[&LinkChannel],
-    watch: &LinkStatus,
-) -> Result<(usize, Vec<u32>), LinkError> {
-    let set = AltSet::new(chans);
-    set.recv_or_down(h, watch).await
 }
 
 /// A prepared `ALT` over a fixed set of sublinks.
@@ -1365,13 +1306,7 @@ impl AltSet {
     /// senders are already parked (`PRI ALT`).
     pub async fn recv(&self, h: &SimHandle) -> (usize, Vec<u32>) {
         let (idx, pkt) = ts_sim::alt(&self.rvs).await;
-        let bytes = pkt.words.len() * 4;
-        let ch = &self.chans[idx];
-        let (_start, end) = ch.transfer(h.now(), &pkt.words);
-        h.sleep_until(end).await;
-        ch.book_recv(pkt.sent_at, end, bytes);
-        pkt.done.send(end);
-        (idx, pkt.words)
+        (idx, self.chans[idx].complete_recv(h, pkt).await)
     }
 
     /// Failable [`AltSet::recv`]: resolves to [`LinkError::Down`] when
@@ -1385,15 +1320,7 @@ impl AltSet {
             return Err(LinkError::Down);
         }
         match select2(ts_sim::alt(&self.rvs), watch.watch_down()).await {
-            Either::Left((idx, pkt)) => {
-                let bytes = pkt.words.len() * 4;
-                let ch = &self.chans[idx];
-                let (_start, end) = ch.transfer(h.now(), &pkt.words);
-                h.sleep_until(end).await;
-                ch.book_recv(pkt.sent_at, end, bytes);
-                pkt.done.send(end);
-                Ok((idx, pkt.words))
-            }
+            Either::Left((idx, pkt)) => Ok((idx, self.chans[idx].complete_recv(h, pkt).await)),
             Either::Right(()) => Err(LinkError::Down),
         }
     }
@@ -1891,8 +1818,7 @@ mod tests {
         let mut sim = Sim::new();
         let h = sim.handle();
         let ch = LinkChannel::new(Wire::new("w", LinkParams::default()));
-        let budget = ch.transport_cfg().budget;
-        for _ in 0..=budget {
+        for _ in 0..=RETRANSMIT_BUDGET {
             ch.inject_drop();
         }
         let (tx, rx) = (ch.clone(), ch.clone());
@@ -1922,32 +1848,6 @@ mod tests {
         });
         assert!(sim.run().quiescent);
         assert_eq!(jh2.try_take(), Some(true));
-    }
-
-    #[test]
-    fn custom_transport_cfg_is_honored() {
-        let mut sim = Sim::new();
-        let h = sim.handle();
-        let ch = LinkChannel::new(Wire::new("w", LinkParams::default()));
-        ch.set_transport_cfg(TransportCfg {
-            flit_words: 2,
-            window: 1,
-            timeout: Dur::us(50),
-            backoff_cap: 0,
-            budget: 8,
-        });
-        ch.inject_drop();
-        let (tx, rx) = (ch.clone(), ch.clone());
-        let h2 = h.clone();
-        sim.spawn(async move { tx.send(&h2, vec![4; 8]).await });
-        let jh = sim.spawn(async move {
-            rx.recv(&h).await;
-            h.now()
-        });
-        assert!(sim.run().quiescent);
-        // Window of 1 flit of 2 words: 8 + 6 = 14 B resent (28 µs) + 50 µs.
-        assert_eq!(jh.try_take().unwrap().as_ns(), 69_000 + 28_000 + 50_000);
-        assert_eq!(ch.transport_retransmits(), 1);
     }
 
     #[test]

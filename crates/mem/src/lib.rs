@@ -491,17 +491,6 @@ impl RowDelta {
     }
 }
 
-/// Cost of moving `n` 64-bit elements one at a time through the word port
-/// (the control processor's gather or scatter loop).
-pub fn gather64_cost(n: u64) -> Dur {
-    GATHER64_TIME * n
-}
-
-/// Cost of moving `n` 32-bit elements through the word port.
-pub fn gather32_cost(n: u64) -> Dur {
-    GATHER32_TIME * n
-}
-
 /// Cost of moving `rows` whole rows through the row port (physical data
 /// movement at 2560 MB/s — the paper's alternative to pointer chasing).
 pub fn row_move_cost(rows: u64) -> Dur {

@@ -471,11 +471,6 @@ impl Node {
         self.shared.state.borrow().out_dims.get(dim).cloned()
     }
 
-    /// Number of cube dimensions wired so far.
-    pub fn dims_wired(&self) -> usize {
-        self.shared.state.borrow().out_dims.len()
-    }
-
     /// Direct (zero-simulated-time) access to memory, for host-side setup
     /// and verification.
     pub fn mem(&self) -> Ref<'_, NodeMemory> {
@@ -531,12 +526,6 @@ impl NodeCtx {
             Some(v) => v.vid,
             None => self.node.id,
         }
-    }
-
-    /// Physical hypercube address of the underlying node, regardless of
-    /// any attached view.
-    pub fn phys_id(&self) -> u32 {
-        self.node.id
     }
 
     /// A relabeled context for a node inside a partition: [`NodeCtx::id`]
@@ -1035,15 +1024,6 @@ impl NodeCtx {
             self.node.shared.meters.link_words_sent.add(n);
         }
         r
-    }
-
-    /// Failable [`NodeCtx::recv_dim`]: returns [`LinkError::Down`] instead
-    /// of hanging when the link across `dim` is (or goes) dead.
-    pub async fn try_recv_dim(&self, dim: usize) -> Result<Vec<u32>, LinkError> {
-        let ch = self.in_chan(dim);
-        let w = ch.try_recv(&self.node.h).await?;
-        self.node.shared.meters.link_words_recv.add(w.len() as u64);
-        Ok(w)
     }
 
     /// True while the physical link across `dim` (a virtual dimension when

@@ -10,7 +10,7 @@
 //!
 //! * **SEQ** — ordinary `async` control flow (`.await` one thing after
 //!   another);
-//! * **PAR** — [`par2`]/[`par3`]/[`par_all`]: run constituent processes
+//! * **PAR** — [`par2`]/[`par_all`]: run constituent processes
 //!   concurrently on the node and resume when *all* complete (fork–join,
 //!   like Occam's PAR);
 //! * **ALT** — [`NodeCtx::alt_dims`](crate::NodeCtx::alt_dims) over link
@@ -64,48 +64,6 @@ where
     })
     .await;
     (ra.take().unwrap(), rb.take().unwrap())
-}
-
-/// Run three processes in parallel (in-place, like [`par2`]).
-pub async fn par3<A, B, C>(_h: &SimHandle, a: A, b: B, c: C) -> (A::Output, B::Output, C::Output)
-where
-    A: Future + 'static,
-    B: Future + 'static,
-    C: Future + 'static,
-    A::Output: 'static,
-    B::Output: 'static,
-    C::Output: 'static,
-{
-    let mut a = pin!(a);
-    let mut b = pin!(b);
-    let mut c = pin!(c);
-    let mut ra = None;
-    let mut rb = None;
-    let mut rc = None;
-    std::future::poll_fn(|cx| {
-        if ra.is_none() {
-            if let Poll::Ready(v) = a.as_mut().poll(cx) {
-                ra = Some(v);
-            }
-        }
-        if rb.is_none() {
-            if let Poll::Ready(v) = b.as_mut().poll(cx) {
-                rb = Some(v);
-            }
-        }
-        if rc.is_none() {
-            if let Poll::Ready(v) = c.as_mut().poll(cx) {
-                rc = Some(v);
-            }
-        }
-        if ra.is_some() && rb.is_some() && rc.is_some() {
-            Poll::Ready(())
-        } else {
-            Poll::Pending
-        }
-    })
-    .await;
-    (ra.take().unwrap(), rb.take().unwrap(), rc.take().unwrap())
 }
 
 /// Run a homogeneous collection of processes in parallel, collecting their

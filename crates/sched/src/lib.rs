@@ -16,7 +16,8 @@
 //! * [`Scheduler`] — a space-sharing runtime driving many jobs
 //!   concurrently on one simulated machine under [`Policy::Fcfs`] or
 //!   [`Policy::FcfsBackfill`], with priority preemption and fault-driven
-//!   re-allocation, both via checkpoint images at phase boundaries;
+//!   re-allocation, both via a per-job checkpoint store kept current at
+//!   phase boundaries;
 //! * per-job accounting — `job/{id}/...` counters in the machine's
 //!   [`ts_sim::MetricsRegistry`] and job spans on a Perfetto
 //!   [`ts_sim::Tracer`].
@@ -26,20 +27,25 @@
 //! The deterministic executor cannot kill a task, so the scheduler never
 //! needs to: jobs only yield the machine at **phase boundaries**, where
 //! a partition has no live tasks and its whole state is node memory.
-//! Preemption marks a running job; at its next boundary the scheduler
-//! captures the partition's memory images, frees the subcube and
-//! re-queues the job, which later resumes — bit-identically — on
-//! whatever subcube is free. A fault (crashed node, latent parity error)
-//! inside a partition instead **condemns** the subcube permanently: its
-//! parked tasks and corrupt memory are harmless on nodes that are never
-//! handed out again, and the job is re-allocated to a fresh subcube and
-//! replayed from its last boundary checkpoint.
+//! Every job owns a [`t_series_core::checkpoint::CheckpointStore`] sized
+//! for its subcube — the same saved-memory format the machine-wide
+//! checkpoint uses — filled by [`Machine::capture_subcube`] (a full image
+//! at first placement, the dirty rows at each later boundary) and loaded
+//! by [`Machine::load_subcube`]. Preemption marks a running job; at its
+//! next boundary the scheduler captures the partition into the job's
+//! store, frees the subcube and re-queues the job, which later resumes —
+//! bit-identically — on whatever subcube is free. A fault (crashed node,
+//! latent parity error) inside a partition instead **condemns** the
+//! subcube permanently: its parked tasks and corrupt memory are harmless
+//! on nodes that are never handed out again, and the job is re-allocated
+//! to a fresh subcube and replayed from its last boundary checkpoint.
 //!
-//! Checkpoint streaming cost is charged when a job resumes (snapshot +
-//! restore, `image bytes / stream_rate` each way) as a gate before its
-//! next phase launches; capturing the host-side images themselves is
-//! free, mirroring how [`t_series_core::supervisor`] charges snapshot
-//! cost to job time.
+//! Checkpoint streaming cost is charged as a gate before the job's next
+//! phase launches — each boundary's dirty-row delta when captured, an
+//! evicted job's last delta plus the full image back in when it resumes,
+//! all at the module disk's 1 MB/s; the host-side capture and load
+//! themselves take no simulated time, mirroring how
+//! [`t_series_core::supervisor`] charges snapshot cost to job time.
 
 mod buddy;
 mod job;
@@ -51,6 +57,7 @@ pub use service::{ServiceCfg, ServiceReport, ServiceScheduler};
 
 use std::cmp::Reverse;
 
+use t_series_core::checkpoint::CheckpointStore;
 use t_series_core::{Machine, MachineCfg};
 use ts_cube::Subcube;
 use ts_sim::{Dur, JoinHandle, Time, Tracer};
@@ -221,10 +228,10 @@ struct Job {
     spec: JobSpec,
     state: State,
     next_phase: u32,
-    /// Boundary checkpoint: memory images (virtual node order) with
-    /// phases `0..next_phase` applied. `None` until first placement.
-    /// Kept current by applying each boundary's dirty-row delta.
-    images: Option<Vec<Vec<u32>>>,
+    /// Boundary checkpoint: the partition's memory (virtual node order)
+    /// with phases `0..next_phase` applied. Nothing committed until first
+    /// placement; kept current by each boundary's dirty-row delta.
+    ckpt: CheckpointStore,
     /// Delta bytes captured at the last eviction, still to be streamed
     /// out — charged (with the full image back in) at the resume gate.
     pending_out_bytes: u64,
@@ -255,38 +262,42 @@ fn deadline_key(job: &Job) -> u64 {
         .map_or(u64::MAX, |d| (job.spec.submit_at + d).as_ps())
 }
 
-/// The space-sharing runtime. Construct with [`Scheduler::new`], tune
-/// with the builder methods, then [`Scheduler::run_batch`].
+/// The space-sharing runtime. Construct with [`Scheduler::new`],
+/// optionally enable [`Scheduler::aging`], then [`Scheduler::run_batch`].
 pub struct Scheduler {
     policy: Policy,
-    quantum: Dur,
-    stream_rate: f64,
     aging: Option<(Dur, u32)>,
-    reserve_after: Dur,
+}
+
+/// Scheduling granularity: phase boundaries, arrivals and faults are
+/// observed at most this much simulated time after they occur.
+const QUANTUM: Dur = Dur::us(50);
+
+/// Bytes/second charged for streaming checkpoint traffic (the module disk
+/// rate): each boundary's dirty-row delta is charged as a gate when
+/// captured, and a resume charges the evicted job's pending delta plus the
+/// full image back in before its next phase may launch.
+const STREAM_RATE: f64 = 1.0e6;
+
+/// How long the head of the queue must wait before it earns a backfill
+/// reservation. Below the threshold later jobs backfill greedily (maximum
+/// utilization for batches that drain on their own); past it the head's
+/// block is fenced off so an open stream of small jobs cannot starve a
+/// wide one.
+const RESERVE_AFTER: Dur = Dur::ms(1);
+
+/// The gate a job waits out while `bytes` of checkpoint traffic stream.
+fn stream_gate(now: Time, bytes: u64) -> Time {
+    now + Dur::from_secs_f64(bytes as f64 / STREAM_RATE)
 }
 
 impl Scheduler {
-    /// A scheduler with the given queue policy, a 50 µs scheduling
-    /// quantum, 1 MB/s checkpoint streaming (the module disk rate), no
-    /// priority aging, and a 1 ms backfill-reservation grace period.
+    /// A scheduler with the given queue policy and no priority aging.
     pub fn new(policy: Policy) -> Scheduler {
         Scheduler {
             policy,
-            quantum: Dur::us(50),
-            stream_rate: 1.0e6,
             aging: None,
-            reserve_after: Dur::ms(1),
         }
-    }
-
-    /// How long the head of the queue must wait before it earns a
-    /// backfill reservation. Below the threshold later jobs backfill
-    /// greedily (maximum utilization for batches that drain on their
-    /// own); past it the head's block is fenced off so an open stream
-    /// of small jobs cannot starve a wide one.
-    pub fn reserve_after(mut self, d: Dur) -> Scheduler {
-        self.reserve_after = d;
-        self
     }
 
     /// Enable priority aging: a waiting job gains one priority level per
@@ -296,24 +307,6 @@ impl Scheduler {
     pub fn aging(mut self, period: Dur, max_boost: u32) -> Scheduler {
         assert!(!period.is_zero(), "aging period must be positive");
         self.aging = Some((period, max_boost));
-        self
-    }
-
-    /// Scheduling granularity: phase boundaries, arrivals and faults are
-    /// observed at most this much simulated time after they occur.
-    pub fn quantum(mut self, d: Dur) -> Scheduler {
-        assert!(!d.is_zero(), "quantum must be positive");
-        self.quantum = d;
-        self
-    }
-
-    /// Bytes/second charged for streaming checkpoint traffic: each
-    /// boundary's dirty-row delta is charged as a gate when captured,
-    /// and a resume charges the evicted job's pending delta plus the
-    /// full image back in before its next phase may launch.
-    pub fn stream_rate(mut self, bytes_per_s: f64) -> Scheduler {
-        assert!(bytes_per_s > 0.0, "stream rate must be positive");
-        self.stream_rate = bytes_per_s;
         self
     }
 
@@ -341,10 +334,10 @@ impl Scheduler {
             .into_iter()
             .map(|spec| Job {
                 queued_at: t0 + spec.submit_at,
+                ckpt: CheckpointStore::new(1 << spec.dim),
                 spec,
                 state: State::Queued,
                 next_phase: 0,
-                images: None,
                 pending_out_bytes: 0,
                 preempt_requested: false,
                 preemptions: 0,
@@ -481,28 +474,18 @@ impl Scheduler {
                     }
                     BoundaryKind::PhaseDone if job.preempt_requested => {
                         // Evict: fold this boundary's dirty rows into the
-                        // images; their stream-out is still owed and is
+                        // checkpoint; their stream-out is still owed and is
                         // charged at resume, on top of the full restore.
-                        let bytes = capture_delta(m, &sub, job.images.as_mut().unwrap());
-                        job.pending_out_bytes = bytes;
-                        m.registry()
-                            .scope(&job_scope(id))
-                            .counter("ckpt_bytes_out")
-                            .add(bytes);
+                        job.pending_out_bytes = checkpoint_boundary(m, id, job, &sub);
                         evict(job, m);
                         record_span(tracer, id, held_since, now);
                         alloc.release(&sub);
                     }
                     BoundaryKind::PhaseDone => {
                         // Boundary checkpoint: fold the dirty rows into
-                        // the images and charge the delta's stream-out as
-                        // a gate before the next phase may launch.
-                        let bytes = capture_delta(m, &sub, job.images.as_mut().unwrap());
-                        m.registry()
-                            .scope(&job_scope(id))
-                            .counter("ckpt_bytes_out")
-                            .add(bytes);
-                        let g = now + Dur::from_secs_f64(bytes as f64 / self.stream_rate);
+                        // the checkpoint and charge the delta's stream-out
+                        // as a gate before the next phase may launch.
+                        let g = stream_gate(now, checkpoint_boundary(m, id, job, &sub));
                         if let State::Running { gate, handles, .. } = &mut job.state {
                             *gate = g;
                             *handles = None;
@@ -510,7 +493,7 @@ impl Scheduler {
                     }
                     BoundaryKind::Launch if job.preempt_requested => {
                         // Evict at the gate: the boundary delta is already
-                        // folded into the images and its stream-out paid.
+                        // folded into the checkpoint and its stream-out paid.
                         evict(job, m);
                         record_span(tracer, id, held_since, now);
                         alloc.release(&sub);
@@ -569,7 +552,7 @@ impl Scheduler {
             //    and keep backfilled jobs out of it, so a wide job is
             //    never starved by a stream of small ones. A head earns
             //    its reservation only after waiting out the grace
-            //    period ([`Scheduler::reserve_after`]) — before that,
+            //    period ([`RESERVE_AFTER`]) — before that,
             //    jobs that fit backfill greedily around it, which is
             //    the whole point of the policy. Sticky while the same
             //    head waits (the reserved block only drains); re-sited
@@ -578,7 +561,7 @@ impl Scheduler {
                 match queued.first() {
                     Some(&head)
                         if !alloc.can_alloc(jobs[head].spec.dim)
-                            && now.since(jobs[head].queued_at) >= self.reserve_after =>
+                            && now.since(jobs[head].queued_at) >= RESERVE_AFTER =>
                     {
                         let stale = match &reservation {
                             Some((owner, r)) => *owner != head || alloc.has_condemned_in(r),
@@ -608,7 +591,8 @@ impl Scheduler {
                 } else {
                     reservation.as_ref().map(|(_, r)| r.clone())
                 };
-                let placed = self.try_place(m, &mut alloc, &mut jobs[id], id, now, region.as_ref());
+                let placed =
+                    Self::try_place(m, &mut alloc, &mut jobs[id], id, now, region.as_ref());
                 placed_any |= placed;
                 if placed {
                     // A placement that jumped an earlier-submitted job of
@@ -649,9 +633,8 @@ impl Scheduler {
             // cost) would freeze the clock. Tick a heartbeat timer across
             // the quantum to keep scheduler time flowing regardless.
             let h = m.handle();
-            let q = self.quantum;
-            m.launch_on(0, async move { h.sleep(q).await });
-            m.run_for(self.quantum);
+            m.launch_on(0, async move { h.sleep(QUANTUM).await });
+            m.run_for(QUANTUM);
         }
 
         // Batch summary.
@@ -712,7 +695,6 @@ impl Scheduler {
     /// `Running` with no phase launched yet (step 2 launches once the
     /// resume gate has passed).
     fn try_place(
-        &self,
         m: &mut Machine,
         alloc: &mut BuddyAllocator,
         job: &mut Job,
@@ -728,32 +710,24 @@ impl Scheduler {
         };
         job.wait += now.since(job.queued_at);
         job.boost = 0;
-        let gate = if let Some(images) = &job.images {
-            let full_in: u64 = {
-                m.restore_subcube(&sub, images)
-                    .unwrap_or_else(|e| panic!("restore of job {id} failed: {e}"));
-                images.iter().map(|im| im.len() as u64 * 4).sum()
-            };
-            // The restore repopulates every row; the baseline is clean.
-            for p in sub.iter() {
-                m.nodes[p as usize].mem_mut().clear_dirty();
-            }
+        let gate = if job.ckpt.has_committed() {
+            let full_in = m
+                .load_subcube(&job.ckpt, &sub)
+                .unwrap_or_else(|e| panic!("restore of job {id} failed: {e}"));
             let bytes = full_in + job.pending_out_bytes;
             job.pending_out_bytes = 0;
             m.registry()
                 .scope(&job_scope(id))
                 .counter("ckpt_bytes_in")
                 .add(full_in);
-            now + Dur::from_secs_f64(bytes as f64 / self.stream_rate)
+            stream_gate(now, bytes)
         } else {
             // First placement: initialise memory, take the baseline
             // boundary checkpoint (host-side, free — streaming cost
             // is charged at resume, never on the fresh path).
             job.spec.kernel.setup(m, &sub);
-            job.images = Some(m.subcube_images(&sub));
-            for p in sub.iter() {
-                m.nodes[p as usize].mem_mut().clear_dirty();
-            }
+            m.capture_subcube(&mut job.ckpt, &sub)
+                .unwrap_or_else(|e| panic!("baseline checkpoint of job {id} failed: {e}"));
             now
         };
         job.state = State::Running {
@@ -766,17 +740,17 @@ impl Scheduler {
     }
 }
 
-/// Fold the subcube's dirty rows into `images` (virtual node order) and
-/// clear the dirty bits; returns the delta's wire size in bytes.
-fn capture_delta(m: &Machine, sub: &Subcube, images: &mut [Vec<u32>]) -> u64 {
-    let mut bytes = 0u64;
-    for (v, p) in sub.iter().enumerate() {
-        let mut mem = m.nodes[p as usize].mem_mut();
-        let delta = mem.snapshot_delta();
-        bytes += delta.bytes() as u64;
-        delta.apply_to(&mut images[v]);
-        mem.clear_dirty();
-    }
+/// Fold the rows `job` dirtied on `sub` since its last boundary into its
+/// checkpoint and book the delta's wire size, which is returned, as
+/// `ckpt_bytes_out`.
+fn checkpoint_boundary(m: &Machine, id: usize, job: &mut Job, sub: &Subcube) -> u64 {
+    let bytes = m
+        .capture_subcube(&mut job.ckpt, sub)
+        .unwrap_or_else(|e| panic!("boundary checkpoint of job {id} failed: {e}"));
+    m.registry()
+        .scope(&job_scope(id))
+        .counter("ckpt_bytes_out")
+        .add(bytes);
     bytes
 }
 

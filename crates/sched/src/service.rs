@@ -35,8 +35,8 @@
 //!    arrivals may only be placed *outside* the reservation
 //!    ([`BuddyAllocator::alloc_outside`]), so small jobs soak up the
 //!    leftover nodes without ever postponing the head. The backfill
-//!    scan is bounded ([`ServiceCfg::backfill_scan`]) so admission work
-//!    per event stays O(1) under overload.
+//!    scan is bounded (64 queued jobs per pass) so admission work per
+//!    event stays O(1) under overload.
 //!
 //! Everything is deterministic: one seed pins the trace, and the event
 //! loop uses only ordered containers, so two runs of the same trace
@@ -61,19 +61,18 @@ pub struct ServiceCfg {
     pub aging_period: Dur,
     /// Cap on aging promotions per wait.
     pub max_boost: u32,
-    /// Queued jobs examined per backfill pass behind a blocked head.
-    pub backfill_scan: usize,
 }
 
+/// Queued jobs examined per backfill pass behind a blocked head.
+const BACKFILL_SCAN: usize = 64;
+
 impl ServiceCfg {
-    /// Defaults: 1 ms aging period, 4 levels of boost, 64-job backfill
-    /// scan window.
+    /// Defaults: 1 ms aging period, 4 levels of boost.
     pub fn new(dim: u32) -> ServiceCfg {
         ServiceCfg {
             dim,
             aging_period: Dur::ms(1),
             max_boost: 4,
-            backfill_scan: 64,
         }
     }
 
@@ -82,12 +81,6 @@ impl ServiceCfg {
         assert!(!period.is_zero(), "aging period must be positive");
         self.aging_period = period;
         self.max_boost = max_boost;
-        self
-    }
-
-    /// Set the backfill scan window.
-    pub fn backfill_scan(mut self, n: usize) -> ServiceCfg {
-        self.backfill_scan = n;
         self
     }
 }
@@ -374,7 +367,7 @@ impl ServiceScheduler {
                         if seq == head {
                             continue;
                         }
-                        if scanned >= self.cfg.backfill_scan {
+                        if scanned >= BACKFILL_SCAN {
                             break 'scan;
                         }
                         scanned += 1;

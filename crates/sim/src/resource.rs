@@ -74,11 +74,6 @@ impl Resource {
         self.state.borrow_mut().tracer = Some((tracer, id));
     }
 
-    /// The interned trace track this resource records on, if any.
-    pub fn trace_track(&self) -> Option<crate::trace::TrackId> {
-        self.state.borrow().tracer.as_ref().map(|(_, id)| *id)
-    }
-
     /// Reserve and hold the resource for `dur`: suspends the caller until
     /// the granted slot ends. Returns `(start, end)`.
     pub async fn use_for(&self, h: &SimHandle, dur: Dur) -> (Time, Time) {

@@ -6,6 +6,7 @@
 //! cargo run --release --example fault_drill
 //! ```
 
+use fps_t_series::machine::checkpoint::{CheckpointStore, SnapshotMode};
 use fps_t_series::machine::fault::{FaultEvent, FaultPlan};
 use fps_t_series::machine::supervisor::{Phase, Supervisor};
 use fps_t_series::machine::{Machine, MachineCfg};
@@ -78,7 +79,10 @@ fn main() {
     let d0 = {
         let mut m = Machine::build(cfg());
         seed(&mut m);
-        m.snapshot().unwrap().1
+        let mut store = CheckpointStore::new(m.nodes.len());
+        m.checkpoint(&mut store, SnapshotMode::Full)
+            .unwrap()
+            .duration
     };
     let work = ref_rep.total.saturating_sub(d0).as_secs_f64();
     let at = |f: f64| d0 + Dur::from_secs_f64(work * f);

@@ -60,8 +60,9 @@ fn crash_restore_rerun_equals_uninterrupted_run() {
     let mut m = Machine::build(MachineCfg::cube_small_mem(3, 8));
     setup(&mut m);
     run_phase(&mut m, 3);
-    let (images, snap_t) = m.snapshot().unwrap();
-    assert!(snap_t > Dur::ZERO);
+    let mut store = CheckpointStore::new(m.nodes.len());
+    let snap = m.checkpoint(&mut store, SnapshotMode::Full).unwrap();
+    assert!(snap.duration > Dur::ZERO);
     // Phase 2 starts, then node 5 takes a memory fault partway through.
     run_phase(&mut m, 2); // partial work that will be lost
     m.nodes[5].mem_mut().inject_bit_flip(500, 9).unwrap();
@@ -72,7 +73,7 @@ fn crash_restore_rerun_equals_uninterrupted_run() {
 
     // Reboot + restore + rerun phase 2 in full.
     let mut rebooted = Machine::build(MachineCfg::cube_small_mem(3, 8));
-    let restore_t = rebooted.restore(&images).unwrap();
+    let restore_t = rebooted.restore_from(&store).unwrap();
     assert!(restore_t > Dur::ZERO);
     run_phase(&mut rebooted, 5);
 
@@ -131,9 +132,10 @@ fn snapshot_overhead_accounts_in_simulated_time() {
     setup(&mut m);
     run_phase(&mut m, 3);
     let t1 = m.now();
-    let (_, snap_t) = m.snapshot().unwrap();
+    let mut store = CheckpointStore::new(m.nodes.len());
+    let snap = m.checkpoint(&mut store, SnapshotMode::Full).unwrap();
     let t2 = m.now();
-    assert_eq!(t2.since(t1), snap_t);
+    assert_eq!(t2.since(t1), snap.duration);
     run_phase(&mut m, 3);
     assert!(m.now() > t2);
 }

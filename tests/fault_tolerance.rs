@@ -2,6 +2,7 @@
 //! crashes a node mid-run, and the self-healing supervisor still delivers
 //! results bit-identical to a fault-free run — reproducibly.
 
+use fps_t_series::machine::checkpoint::{CheckpointStore, SnapshotMode};
 use fps_t_series::machine::fault::{FaultEvent, FaultPlan};
 use fps_t_series::machine::router::Router;
 use fps_t_series::machine::supervisor::{Phase, Supervisor, SupervisorReport};
@@ -102,29 +103,31 @@ fn results(m: &Machine) -> Vec<(f64, f64)> {
         .collect()
 }
 
-/// Job timeline without faults or supervisor: (baseline snapshot cost,
-/// compute-phase duration, exchange-phase duration). Pins fault times to
-/// the middle of specific phases.
-fn probe_times() -> (Dur, Dur, Dur) {
+/// Job timeline without faults or supervisor: the baseline snapshot cost
+/// and each phase's duration. Pins fault times to the middle of specific
+/// phases.
+fn probe_times() -> (Dur, [Dur; 3]) {
     let mut m = Machine::build(cfg());
     seed(&mut m);
-    let (_, d0) = m.snapshot().unwrap();
-    let ph = phases();
-    let t1 = m.now();
-    ph[0](&mut m);
-    assert!(m.run().quiescent);
-    let p0 = m.now().since(t1);
-    let t2 = m.now();
-    ph[1](&mut m);
-    assert!(m.run().quiescent, "exchange phase must quiesce fault-free");
-    let p1 = m.now().since(t2);
-    (d0, p0, p1)
+    let mut store = CheckpointStore::new(m.nodes.len());
+    let d0 = m
+        .checkpoint(&mut store, SnapshotMode::Full)
+        .unwrap()
+        .duration;
+    let mut durations = [Dur::ZERO; 3];
+    for (phase, d) in phases().iter().zip(&mut durations) {
+        let t = m.now();
+        phase(&mut m);
+        assert!(m.run().quiescent, "phases must quiesce fault-free");
+        *d = m.now().since(t);
+    }
+    (d0, durations)
 }
 
 /// The plan under test: one broken cable during the first compute phase,
 /// one node crash in the middle of the routed exchange.
 fn plan() -> FaultPlan {
-    let (d0, p0, p1) = probe_times();
+    let (d0, [p0, p1, _]) = probe_times();
     FaultPlan::new()
         .with(
             d0 + Dur::from_secs_f64(p0.as_secs_f64() / 2.0),
@@ -144,10 +147,14 @@ fn healed_run(plan: &FaultPlan) -> (Machine, SupervisorReport) {
 
 #[test]
 fn link_kill_plus_node_crash_heals_bit_identically() {
-    let (ref_m, _) = Supervisor::new(cfg())
+    let (ref_m, ref_rep) = Supervisor::new(cfg())
         .run_to_completion(seed, &phases(), &FaultPlan::new())
         .unwrap();
     let want = results(&ref_m);
+    // The probe measures the timeline the supervisor actually runs: the
+    // baseline checkpoint (ring commit included), then the phases.
+    let (d0, [p0, p1, p2]) = probe_times();
+    assert_eq!(ref_rep.total, d0 + p0 + p1 + p2);
     // Sanity on the reference itself: acc = id + 5 sweeps, inbox carries
     // the opposite node's greeting (100 + src) + src.
     for (i, (acc, inbox)) in want.iter().enumerate() {

@@ -8,6 +8,7 @@ use fps_t_series::kernels::{
     sort::distributed_sort,
     stencil::{distributed_jacobi, reference_jacobi},
 };
+use fps_t_series::machine::checkpoint::{CheckpointStore, SnapshotMode};
 use fps_t_series::machine::{collectives, Machine, MachineCfg};
 use fps_t_series::node::CombineOp;
 use ts_fpu::Sf64;
@@ -186,8 +187,9 @@ fn snapshot_is_about_15_seconds_with_full_memory() {
     // configuration." Full 1 MB nodes, one module: 8 MB over the 0.5 MB/s
     // system thread ≈ 16 s of simulated time.
     let mut m = Machine::build(MachineCfg::cube(3));
-    let (_, t) = m.snapshot().unwrap();
-    let secs = t.as_secs_f64();
+    let mut store = CheckpointStore::new(m.nodes.len());
+    let snap = m.checkpoint(&mut store, SnapshotMode::Full).unwrap();
+    let secs = snap.duration.as_secs_f64();
     assert!((14.0..19.0).contains(&secs), "snapshot took {secs} s");
 }
 
@@ -241,12 +243,13 @@ fn parity_fault_then_restore_recovers_a_computation() {
     m.run();
     drop(handles);
     // Checkpoint.
-    let (images, _) = m.snapshot().unwrap();
+    let mut store = CheckpointStore::new(m.nodes.len());
+    m.checkpoint(&mut store, SnapshotMode::Full).unwrap();
     // A fault corrupts node 6 behind parity's back.
     m.nodes[6].mem_mut().inject_bit_flip(40, 13).unwrap();
     assert!(m.nodes[6].mem().read_f64(40).is_err(), "parity must trip");
     // Restore and verify every node.
-    m.restore(&images).unwrap();
+    m.restore_from(&store).unwrap();
     for (i, node) in m.nodes.iter().enumerate() {
         assert_eq!(node.mem().read_f64(40).unwrap().to_host(), i as f64 * 3.5);
     }

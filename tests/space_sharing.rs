@@ -104,6 +104,16 @@ fn preemption_is_checkpointed_and_bit_identical() {
         m.registry().get_counter("job/0/preemptions"),
         Some(rep.jobs[0].preemptions as u64)
     );
+    // The checkpoint traffic the gates charged: five boundary deltas out
+    // (1032 B per node each), one resume of four 8 KB images back in.
+    assert_eq!(
+        m.registry().get_counter("job/0/ckpt_bytes_out"),
+        Some(20_640)
+    );
+    assert_eq!(
+        m.registry().get_counter("job/0/ckpt_bytes_in"),
+        Some(32_768)
+    );
     // ...and the job's Perfetto track shows one span per held interval.
     let spans = tracer
         .spans()

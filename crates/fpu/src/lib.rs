@@ -17,6 +17,9 @@
 //!   **flush-to-zero** semantics: subnormal inputs are treated as zeros and
 //!   results that would be subnormal are replaced by a same-signed zero.
 //!   This reproduces the T Series' documented deviation from IEEE-754.
+//!   `add`/`sub`/`mul` take the host's result where it provably carries
+//!   the same bits (normal operands, result clear of the underflow edge)
+//!   and the bit-level datapath everywhere else.
 //! * [`Sf32`] / [`Sf64`] — ergonomic wrappers with operator overloads.
 //! * [`pipeline`] — occupancy/latency models of the two pipelined units and
 //!   of *chained* vector forms (multiplier output feeding the adder), in

@@ -16,6 +16,23 @@
 //! Everything else follows IEEE-754: NaN propagation (quiet), signed zeros
 //! and infinities, `(+0) + (−0) = +0`, exact cancellation gives `+0` in
 //! round-to-nearest.
+//!
+//! ## The host fast path
+//!
+//! Host `+` and `×` are correctly rounded to nearest-even too, so they can
+//! differ from the datapath above only at subnormals, at the underflow edge
+//! and in NaN payloads. [`add`], [`sub`] and [`mul`] therefore first try
+//! [`host_add`] / [`host_mul`]: both operands normal (exponent field in
+//! `1..=EXP_MAX−1`) and the host result's exponent field in
+//! `2..=EXP_MAX−1` → the host bits are the answer. Everything else — zeros,
+//! subnormals in or out, Inf, NaN, overflow and the bottom binade — goes
+//! through the bit-level [`add_bits`] / [`mul_bits`], which are the only
+//! home of DAZ/FTZ and the canonical quiet NaN. The bottom binade is
+//! excluded because of one real disagreement: a product just below
+//! min-normal that the host rounds *up to* min-normal at subnormal
+//! precision is rounded at full precision here, stays below, and flushes
+//! (`min_normal_boundary`). The equivalence is held by test
+//! (`tests/prop_fpu.rs`), not by this argument.
 
 use std::cmp::Ordering;
 
@@ -40,6 +57,11 @@ pub trait Format: Copy + Default {
     const SIGN_BIT: u64 = 1 << (Self::TOTAL_BITS - 1);
     /// Canonical quiet NaN.
     const QNAN: u64 = (Self::EXP_MAX << Self::MANT_BITS) | (1 << (Self::MANT_BITS - 1));
+
+    /// `a + b` in the host's arithmetic of this width, bits in and out.
+    fn host_add_bits(a: u64, b: u64) -> u64;
+    /// `a × b` in the host's arithmetic of this width, bits in and out.
+    fn host_mul_bits(a: u64, b: u64) -> u64;
 }
 
 /// The binary64 format (the T Series' 64-bit mode: 53-bit significand,
@@ -51,6 +73,16 @@ pub struct B64;
 impl Format for B64 {
     const EXP_BITS: u32 = 11;
     const MANT_BITS: u32 = 52;
+
+    #[inline]
+    fn host_add_bits(a: u64, b: u64) -> u64 {
+        (f64::from_bits(a) + f64::from_bits(b)).to_bits()
+    }
+
+    #[inline]
+    fn host_mul_bits(a: u64, b: u64) -> u64 {
+        (f64::from_bits(a) * f64::from_bits(b)).to_bits()
+    }
 }
 
 /// The binary32 format (32-bit mode).
@@ -60,6 +92,16 @@ pub struct B32;
 impl Format for B32 {
     const EXP_BITS: u32 = 8;
     const MANT_BITS: u32 = 23;
+
+    #[inline]
+    fn host_add_bits(a: u64, b: u64) -> u64 {
+        (f32::from_bits(a as u32) + f32::from_bits(b as u32)).to_bits() as u64
+    }
+
+    #[inline]
+    fn host_mul_bits(a: u64, b: u64) -> u64 {
+        (f32::from_bits(a as u32) * f32::from_bits(b as u32)).to_bits() as u64
+    }
 }
 
 /// A classified, unpacked operand. Subnormals never appear: `unpack`
@@ -179,8 +221,9 @@ fn shr_sticky(v: u64, by: u32) -> u64 {
     }
 }
 
-/// Software addition: `a + b` in format `F`.
-pub fn add<F: Format>(a: u64, b: u64) -> u64 {
+/// Bit-level addition: `a + b` in format `F` through the unpack / align /
+/// round datapath, for every operand class.
+pub fn add_bits<F: Format>(a: u64, b: u64) -> u64 {
     use Class::*;
     match (unpack::<F>(a), unpack::<F>(b)) {
         (Nan, _) | (_, Nan) => F::QNAN,
@@ -258,13 +301,8 @@ fn add_norm<F: Format>(sa: bool, ea: i32, ma: u64, sb: bool, eb: i32, mb: u64) -
     }
 }
 
-/// Software subtraction: `a - b`.
-pub fn sub<F: Format>(a: u64, b: u64) -> u64 {
-    add::<F>(a, neg::<F>(b))
-}
-
-/// Software multiplication: `a * b`.
-pub fn mul<F: Format>(a: u64, b: u64) -> u64 {
+/// Bit-level multiplication: `a * b` in format `F`, for every operand class.
+pub fn mul_bits<F: Format>(a: u64, b: u64) -> u64 {
     use Class::*;
     match (unpack::<F>(a), unpack::<F>(b)) {
         (Nan, _) | (_, Nan) => F::QNAN,
@@ -316,6 +354,55 @@ pub fn mul<F: Format>(a: u64, b: u64) -> u64 {
             pack_norm::<F>(sign, exp + bump, mant)
         }
     }
+}
+
+/// Exponent field in `lo..=EXP_MAX−1`: finite, and for `lo = 1` normal.
+#[inline]
+fn exp_at_least<F: Format>(bits: u64, lo: u64) -> bool {
+    exp_of::<F>(bits).wrapping_sub(lo) < F::EXP_MAX - lo
+}
+
+/// The host's result for `op(a, b)` where it is known to equal the
+/// bit-level datapath's: both operands normal, result normal and at least
+/// one binade above the underflow threshold. `None` sends the caller to
+/// the bit-level core.
+#[inline]
+fn host_op<F: Format>(op: impl Fn(u64, u64) -> u64, a: u64, b: u64) -> Option<u64> {
+    if !(exp_at_least::<F>(a, 1) && exp_at_least::<F>(b, 1)) {
+        return None;
+    }
+    let r = op(a, b);
+    exp_at_least::<F>(r, 2).then_some(r)
+}
+
+/// `a + b` by the host, or `None` outside the guard (see the module docs).
+#[inline]
+pub fn host_add<F: Format>(a: u64, b: u64) -> Option<u64> {
+    host_op::<F>(F::host_add_bits, a, b)
+}
+
+/// `a × b` by the host, or `None` outside the guard (see the module docs).
+#[inline]
+pub fn host_mul<F: Format>(a: u64, b: u64) -> Option<u64> {
+    host_op::<F>(F::host_mul_bits, a, b)
+}
+
+/// Addition: `a + b` in format `F`.
+#[inline]
+pub fn add<F: Format>(a: u64, b: u64) -> u64 {
+    host_add::<F>(a, b).unwrap_or_else(|| add_bits::<F>(a, b))
+}
+
+/// Subtraction: `a - b`.
+#[inline]
+pub fn sub<F: Format>(a: u64, b: u64) -> u64 {
+    add::<F>(a, neg::<F>(b))
+}
+
+/// Multiplication: `a * b`.
+#[inline]
+pub fn mul<F: Format>(a: u64, b: u64) -> u64 {
+    host_mul::<F>(a, b).unwrap_or_else(|| mul_bits::<F>(a, b))
 }
 
 /// Sign flip (exact, applies to NaN/Inf/zero too, as hardware negate does).
@@ -615,6 +702,26 @@ mod tests {
         v.to_bits()
     }
 
+    // Every case below states what the bit-level datapath answers; the
+    // dispatching entry points of the same name must agree with it.
+    fn add<F: Format>(a: u64, b: u64) -> u64 {
+        let r = add_bits::<F>(a, b);
+        assert_eq!(super::add::<F>(a, b), r, "add {a:#x} {b:#x}");
+        r
+    }
+
+    fn sub<F: Format>(a: u64, b: u64) -> u64 {
+        let r = add_bits::<F>(a, neg::<F>(b));
+        assert_eq!(super::sub::<F>(a, b), r, "sub {a:#x} {b:#x}");
+        r
+    }
+
+    fn mul<F: Format>(a: u64, b: u64) -> u64 {
+        let r = mul_bits::<F>(a, b);
+        assert_eq!(super::mul::<F>(a, b), r, "mul {a:#x} {b:#x}");
+        r
+    }
+
     #[test]
     fn simple_sums() {
         for (a, b) in [
@@ -716,11 +823,16 @@ mod tests {
         assert_eq!(mul::<B64>(f(mn), f(1.0)), f(mn));
         // Halving flushes (result would be subnormal).
         assert_eq!(mul::<B64>(f(mn), f(0.5)), f(0.0));
-        // A product that rounds *up to* the boundary from below also
-        // flushes in this implementation: rounding happens at full
-        // precision first, and anything strictly below 2^-1022 dies.
         let just_above = mn * 1.0000000001;
         assert_eq!(mul::<B64>(f(just_above), f(1.0)), f(just_above));
+        // A product that rounds *up to* the boundary from below also
+        // flushes in this implementation: rounding happens at full
+        // precision first, and anything strictly below 2^-1022 dies. The
+        // host rounds this one at subnormal precision to min-normal — the
+        // one disagreement the fast path's result guard exists for.
+        let (a, b) = (0x2006b7f3c9e9c616, 0x1ff68960fa2abe6d);
+        assert_eq!(f64::from_bits(a) * f64::from_bits(b), mn);
+        assert_eq!(mul::<B64>(a, b), f(0.0));
         // Difference of two nearby normals that lands subnormal: flushes.
         let a = mn * 1.5;
         let b = mn * 1.0;

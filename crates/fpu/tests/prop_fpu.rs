@@ -5,10 +5,16 @@
 //! implementation must match the host **exactly, bit for bit**. Where
 //! subnormals appear we pin the documented FTZ semantics instead.
 //!
+//! `soft::add`/`sub`/`mul` hand most operands to the host, so every
+//! host-vs-software property here drives the bit-level core
+//! (`add_bits`/`mul_bits`) — otherwise it would compare the host with
+//! itself — and `dispatch_equals_bit_level_core_*` ties the dispatching
+//! entry points to that core on operands aimed at every edge of the guard.
+//!
 //! Random cases come from the workspace's seeded [`Rng`], so the suite runs
 //! offline and every failure replays.
 
-use ts_fpu::soft::{self, B32, B64};
+use ts_fpu::soft::{self, Format, B32, B64};
 use ts_fpu::{softdiv, Sf32, Sf64};
 use ts_sim::Rng;
 
@@ -69,12 +75,33 @@ fn safe_f32(rng: &mut Rng) -> f32 {
 
 const CASES: usize = 2000;
 
+/// The bit-level datapath behind the wrappers' operators.
+fn add64(a: f64, b: f64) -> u64 {
+    soft::add_bits::<B64>(a.to_bits(), b.to_bits())
+}
+
+fn sub64(a: f64, b: f64) -> u64 {
+    add64(a, -b)
+}
+
+fn mul64(a: f64, b: f64) -> u64 {
+    soft::mul_bits::<B64>(a.to_bits(), b.to_bits())
+}
+
+fn add32(a: f32, b: f32) -> u32 {
+    soft::add_bits::<B32>(a.to_bits() as u64, b.to_bits() as u64) as u32
+}
+
+fn mul32(a: f32, b: f32) -> u32 {
+    soft::mul_bits::<B32>(a.to_bits() as u64, b.to_bits() as u64) as u32
+}
+
 #[test]
 fn add64_matches_host() {
     let mut rng = Rng::new(0xf9a0_0001);
     for _ in 0..CASES {
         let (a, b) = (safe_f64(&mut rng), safe_f64(&mut rng));
-        let sw = (Sf64::from(a) + Sf64::from(b)).to_bits();
+        let sw = add64(a, b);
         let host = (a + b).to_bits();
         assert_eq!(sw, host, "{a} + {b}");
     }
@@ -85,7 +112,7 @@ fn sub64_matches_host() {
     let mut rng = Rng::new(0xf9a0_0002);
     for _ in 0..CASES {
         let (a, b) = (safe_f64(&mut rng), safe_f64(&mut rng));
-        let sw = (Sf64::from(a) - Sf64::from(b)).to_bits();
+        let sw = sub64(a, b);
         let host = (a - b).to_bits();
         assert_eq!(sw, host, "{a} - {b}");
     }
@@ -96,7 +123,7 @@ fn mul64_matches_host() {
     let mut rng = Rng::new(0xf9a0_0003);
     for _ in 0..CASES {
         let (a, b) = (safe_f64(&mut rng), safe_f64(&mut rng));
-        let sw = (Sf64::from(a) * Sf64::from(b)).to_bits();
+        let sw = mul64(a, b);
         let host = (a * b).to_bits();
         assert_eq!(sw, host, "{a} * {b}");
     }
@@ -107,7 +134,7 @@ fn add32_matches_host() {
     let mut rng = Rng::new(0xf9a0_0004);
     for _ in 0..CASES {
         let (a, b) = (safe_f32(&mut rng), safe_f32(&mut rng));
-        let sw = (Sf32::from(a) + Sf32::from(b)).to_bits();
+        let sw = add32(a, b);
         let host = (a + b).to_bits();
         assert_eq!(sw, host, "{a} + {b}");
     }
@@ -118,7 +145,7 @@ fn mul32_matches_host() {
     let mut rng = Rng::new(0xf9a0_0005);
     for _ in 0..CASES {
         let (a, b) = (safe_f32(&mut rng), safe_f32(&mut rng));
-        let sw = (Sf32::from(a) * Sf32::from(b)).to_bits();
+        let sw = mul32(a, b);
         let host = (a * b).to_bits();
         assert_eq!(sw, host, "{a} * {b}");
     }
@@ -135,7 +162,7 @@ fn add64_arbitrary_bits() {
     for _ in 0..CASES {
         let (abits, bbits) = (rng.next_u64(), rng.next_u64());
         let (a, b) = (f64::from_bits(abits), f64::from_bits(bbits));
-        let sw = f64::from_bits((Sf64::from(a) + Sf64::from(b)).to_bits());
+        let sw = f64::from_bits(add64(a, b));
         let host = ftz64(ftz64(a) + ftz64(b));
         if host.is_nan() {
             assert!(sw.is_nan());
@@ -155,7 +182,7 @@ fn mul64_arbitrary_bits() {
     for _ in 0..CASES {
         let (abits, bbits) = (rng.next_u64(), rng.next_u64());
         let (a, b) = (f64::from_bits(abits), f64::from_bits(bbits));
-        let sw = f64::from_bits((Sf64::from(a) * Sf64::from(b)).to_bits());
+        let sw = f64::from_bits(mul64(a, b));
         let host = ftz64(ftz64(a) * ftz64(b));
         if host.is_nan() {
             assert!(sw.is_nan());
@@ -173,7 +200,7 @@ fn mul32_arbitrary_bits() {
     for _ in 0..CASES {
         let (abits, bbits) = (rng.next_u32(), rng.next_u32());
         let (a, b) = (f32::from_bits(abits), f32::from_bits(bbits));
-        let sw = f32::from_bits((Sf32::from(a) * Sf32::from(b)).to_bits());
+        let sw = f32::from_bits(mul32(a, b));
         let host = ftz32(ftz32(a) * ftz32(b));
         if host.is_nan() {
             assert!(sw.is_nan());
@@ -205,9 +232,7 @@ fn addition_commutes() {
     let mut rng = Rng::new(0xf9a0_000a);
     for _ in 0..CASES {
         let (a, b) = (safe_f64(&mut rng), safe_f64(&mut rng));
-        let ab = Sf64::from(a) + Sf64::from(b);
-        let ba = Sf64::from(b) + Sf64::from(a);
-        assert_eq!(ab.to_bits(), ba.to_bits());
+        assert_eq!(add64(a, b), add64(b, a));
     }
 }
 
@@ -216,9 +241,7 @@ fn multiplication_commutes() {
     let mut rng = Rng::new(0xf9a0_000b);
     for _ in 0..CASES {
         let (a, b) = (safe_f64(&mut rng), safe_f64(&mut rng));
-        let ab = Sf64::from(a) * Sf64::from(b);
-        let ba = Sf64::from(b) * Sf64::from(a);
-        assert_eq!(ab.to_bits(), ba.to_bits());
+        assert_eq!(mul64(a, b), mul64(b, a));
     }
 }
 
@@ -228,9 +251,7 @@ fn negation_is_exact() {
     for _ in 0..CASES {
         let (a, b) = (safe_f64(&mut rng), safe_f64(&mut rng));
         // a − b == −(b − a) in RNE (sign-symmetric rounding).
-        let x = Sf64::from(a) - Sf64::from(b);
-        let y = -(Sf64::from(b) - Sf64::from(a));
-        assert_eq!(x.to_bits(), y.to_bits());
+        assert_eq!(sub64(a, b), soft::neg::<B64>(sub64(b, a)));
     }
 }
 
@@ -325,9 +346,106 @@ fn raw_add_never_panics() {
     let mut rng = Rng::new(0xf9a0_0014);
     for _ in 0..CASES {
         let (abits, bbits) = (rng.next_u64(), rng.next_u64());
-        let _ = soft::add::<B64>(abits, bbits);
-        let _ = soft::mul::<B64>(abits, bbits);
-        let _ = soft::add::<B32>(abits & 0xffff_ffff, bbits & 0xffff_ffff);
-        let _ = soft::mul::<B32>(abits & 0xffff_ffff, bbits & 0xffff_ffff);
+        let _ = soft::add_bits::<B64>(abits, bbits);
+        let _ = soft::mul_bits::<B64>(abits, bbits);
+        let _ = soft::add_bits::<B32>(abits & 0xffff_ffff, bbits & 0xffff_ffff);
+        let _ = soft::mul_bits::<B32>(abits & 0xffff_ffff, bbits & 0xffff_ffff);
     }
+}
+
+/// An operand aimed at the guard's edges: the exponent field sits at the
+/// bottom, the top, or where a product of two lands on the underflow
+/// threshold (two fields near BIAS/2 sum to ≈ 0), and the mantissa at the
+/// values where rounding carries.
+fn edge_operand<F: Format>(rng: &mut Rng) -> u64 {
+    let bias = F::BIAS as u64;
+    let exps = [
+        0,
+        1,
+        2,
+        3,
+        bias / 2,
+        bias / 2 + 1,
+        bias - 1,
+        bias,
+        bias + 1,
+        F::EXP_MAX - 2,
+        F::EXP_MAX - 1,
+        F::EXP_MAX,
+    ];
+    let ones = F::MANT_MASK;
+    let mants = [0, 1, ones, ones - 1, F::HIDDEN >> 1, rng.next_u64() & ones];
+    let sign = if rng.bool() { F::SIGN_BIT } else { 0 };
+    sign | (exps[rng.range(0, exps.len())] << F::MANT_BITS) | mants[rng.range(0, mants.len())]
+}
+
+/// `add`/`sub`/`mul` ≡ the bit-level core on `PAIRS` edge-directed pairs,
+/// with the host path really taken on at least `min_host_share` of the
+/// operations (both operands normal has probability (10/12)² ≈ 0.69; the
+/// result guard then drops sums that cancel and products off either end).
+fn dispatch_equals_bit_level_core<F: Format>(seed: u64, min_host_share: f64) {
+    const PAIRS: usize = 1 << 20;
+    let mut rng = Rng::new(seed);
+    let mut by_host = 0usize;
+    for _ in 0..PAIRS {
+        let (a, b) = (edge_operand::<F>(&mut rng), edge_operand::<F>(&mut rng));
+        let nb = soft::neg::<F>(b);
+        assert_eq!(
+            soft::add::<F>(a, b),
+            soft::add_bits::<F>(a, b),
+            "{a:#x} + {b:#x}"
+        );
+        assert_eq!(
+            soft::sub::<F>(a, b),
+            soft::add_bits::<F>(a, nb),
+            "{a:#x} - {b:#x}"
+        );
+        assert_eq!(
+            soft::mul::<F>(a, b),
+            soft::mul_bits::<F>(a, b),
+            "{a:#x} * {b:#x}"
+        );
+        by_host += usize::from(soft::host_add::<F>(a, b).is_some())
+            + usize::from(soft::host_add::<F>(a, nb).is_some())
+            + usize::from(soft::host_mul::<F>(a, b).is_some());
+    }
+    let share = by_host as f64 / (3 * PAIRS) as f64;
+    assert!(
+        share >= min_host_share,
+        "host path took {share:.3} of the operations"
+    );
+}
+
+#[test]
+fn dispatch_equals_bit_level_core_b64() {
+    dispatch_equals_bit_level_core::<B64>(0xf9a0_0015, 0.55);
+}
+
+#[test]
+fn dispatch_equals_bit_level_core_b32() {
+    dispatch_equals_bit_level_core::<B32>(0xf9a0_0016, 0.55);
+}
+
+/// The one disagreement, too narrow for random draws: a product in
+/// (min-normal − ½ulp, min-normal − ¼ulp) of the binade below. The host
+/// rounds it at subnormal precision up to min-normal; the datapath rounds
+/// at full precision, stays below and flushes. The result guard (exponent
+/// field ≥ 2) is what keeps `mul` on the datapath's side.
+#[test]
+fn product_rounding_up_to_min_normal_flushes() {
+    let (a, b) = (0x2006_b7f3_c9e9_c616u64, 0x1ff6_8960_fa2a_be6du64);
+    assert_eq!(f64::from_bits(a) * f64::from_bits(b), f64::MIN_POSITIVE);
+    assert_eq!(soft::mul_bits::<B64>(a, b), 0);
+    assert_eq!(soft::mul::<B64>(a, b), 0);
+    assert_eq!(soft::host_mul::<B64>(a, b), None);
+    assert_eq!((Sf64::from_bits(a) * Sf64::from_bits(b)).to_bits(), 0);
+
+    // Significand product in (2^47 − 2^23, 2^47 − 2^22), exponent fields
+    // summing to BIAS: one below min-normal.
+    let (a, b) = (0x2021_6642u32, 0x1fcb_0634u32);
+    assert_eq!(f32::from_bits(a) * f32::from_bits(b), f32::MIN_POSITIVE);
+    assert_eq!(soft::mul_bits::<B32>(a as u64, b as u64), 0);
+    assert_eq!(soft::mul::<B32>(a as u64, b as u64), 0);
+    assert_eq!(soft::host_mul::<B32>(a as u64, b as u64), None);
+    assert_eq!((Sf32::from_bits(a) * Sf32::from_bits(b)).to_bits(), 0);
 }

@@ -23,6 +23,8 @@
 //! is 10 hardware flops (complex add, sub and multiply), charged to the
 //! vector unit of the node that performs each part.
 
+use std::rc::Rc;
+
 use t_series_core::model::NetModel;
 use ts_cube::Hypercube;
 use ts_fpu::Sf64;
@@ -89,11 +91,31 @@ impl std::ops::Mul for Cpx {
     }
 }
 
-/// Twiddle factor e^(−iπ·k/span) (the machine would hold these in a
-/// precomputed table; the host computes them, the node stores `Sf64`s).
+/// Twiddle factor e^(−iπ·k/span) (the host computes them, the node stores
+/// `Sf64`s).
 fn twiddle(k: usize, span: usize) -> Cpx {
     let angle = -std::f64::consts::PI * k as f64 / span as f64;
     Cpx::new(angle.cos(), angle.sin())
+}
+
+/// The precomputed twiddle table the machine would hold: the `nl/2`
+/// factors of the first local stage. A later stage of span `s` reads it
+/// with stride `top/s`, and the entry is `twiddle(k, s)` bit for bit:
+/// scaling `k` and `s` by the same power of two is exact in the angle.
+/// One table serves every node of a run.
+pub struct Twiddles(Vec<Cpx>);
+
+impl Twiddles {
+    /// The table for `nl` local points.
+    pub fn new(nl: usize) -> Twiddles {
+        let top = nl / 2;
+        Twiddles((0..top).map(|k| twiddle(k, top)).collect())
+    }
+
+    /// The factors `twiddle(0..span, span)` of one local stage.
+    fn stage(&self, span: usize) -> impl Iterator<Item = Cpx> + '_ {
+        self.0.iter().step_by(self.0.len() / span).copied()
+    }
 }
 
 /// Hardware flops charged per butterfly (complex add + sub + mul).
@@ -182,17 +204,17 @@ async fn cross_stage(
 }
 
 /// The per-node DIF FFT program over `local` points (global index =
-/// `id · local.len() + j`). Returns this node's slice of the bit-reversed-
-/// order spectrum.
+/// `id · local.len() + j`), with the run's `Twiddles::new(local.len())`.
+/// Returns this node's slice of the bit-reversed-order spectrum.
 pub async fn fft_node(
     ctx: NodeCtx,
     cube: Hypercube,
     total: usize,
     mut local: Vec<Cpx>,
+    table: Rc<Twiddles>,
 ) -> Vec<Cpx> {
     let nl = local.len();
     assert!(nl.is_power_of_two() && total == nl << cube.dim() as usize);
-    let me = ctx.id() as usize;
     let mut span = total / 2;
     // Cross-node stages (span ≥ nl): one pipeline process per dimension,
     // fed piece by piece from `local` and drained back into it.
@@ -225,19 +247,16 @@ pub async fn fft_node(
         )
         .await;
     }
-    // Local stages.
+    // Local stages. A node's first global index is a multiple of `nl`, so
+    // the twiddle index (global index mod span) is the offset in the group.
     while span >= 1 {
-        let base = me * nl;
-        let mut start = 0;
-        while start < nl {
-            for off in 0..span {
-                let i = start + off;
-                let j = i + span;
-                let (a, b) = (local[i], local[j]);
-                local[i] = a + b;
-                local[j] = (a - b) * twiddle((base + i) % span.max(1), span);
+        for group in local.chunks_exact_mut(2 * span) {
+            let (lows, highs) = group.split_at_mut(span);
+            for ((lo, hi), w) in lows.iter_mut().zip(highs).zip(table.stage(span)) {
+                let (a, b) = (*lo, *hi);
+                *lo = a + b;
+                *hi = (a - b) * w;
             }
-            start += 2 * span;
         }
         ctx.charge_vec_flops(FLOPS_PER_BUTTERFLY * (nl as u64 / 2))
             .await;
@@ -273,6 +292,7 @@ pub fn distributed_fft(
     assert!(total.is_power_of_two() && total >= 2 * p);
     let nl = total / p;
     let mark = KernelStats::mark(machine);
+    let table = Rc::new(Twiddles::new(nl));
     let handles: Vec<_> = machine
         .nodes
         .iter()
@@ -283,7 +303,9 @@ pub fn distributed_fft(
                 .iter()
                 .map(|&(re, im)| Cpx::new(re, im))
                 .collect();
-            machine.handle().spawn(fft_node(ctx, cube, total, local))
+            machine
+                .handle()
+                .spawn(fft_node(ctx, cube, total, local, table.clone()))
         })
         .collect();
     let report = machine.run();
@@ -397,6 +419,21 @@ mod tests {
             "measured {pipeline}, model {model}"
         );
         assert!(model < net.p2p(nl * POINT_WORDS) * 2, "4 exchanges for < 2");
+    }
+
+    #[test]
+    fn table_entries_equal_the_computed_twiddles_at_every_span() {
+        let bits = |c: Cpx| (c.re.to_bits(), c.im.to_bits());
+        for nl in [2usize, 64, 1 << 14] {
+            let table = Twiddles::new(nl);
+            let mut span = nl / 2;
+            while span >= 1 {
+                let got: Vec<_> = table.stage(span).map(bits).collect();
+                let want: Vec<_> = (0..span).map(|k| bits(twiddle(k, span))).collect();
+                assert_eq!(got, want, "nl {nl}, span {span}");
+                span /= 2;
+            }
+        }
     }
 
     #[test]

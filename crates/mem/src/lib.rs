@@ -182,14 +182,17 @@ pub struct NodeMemory {
     dirty: Vec<u64>,
 }
 
+/// Bit `i` = parity of byte lane `i`, for all four lanes at once: an
+/// xor-fold leaves each byte's parity in its bit 0, and the multiply
+/// gathers bits 0, 8, 16, 24 into bits 24..=27 (the partial products land
+/// on distinct bits, none of them in 28..=31, so nothing carries).
 #[inline]
 fn parity_nibble(word: u32) -> u8 {
-    let mut p = 0u8;
-    for lane in 0..4 {
-        let byte = (word >> (8 * lane)) as u8;
-        p |= ((byte.count_ones() as u8) & 1) << lane;
-    }
-    p
+    let mut x = word;
+    x ^= x >> 4;
+    x ^= x >> 2;
+    x ^= x >> 1;
+    ((x & 0x0101_0101).wrapping_mul(0x0102_0408) >> 24) as u8
 }
 
 impl NodeMemory {
@@ -262,15 +265,21 @@ impl NodeMemory {
     pub fn read_row(&self, row: usize, out: &mut [u32; ROW_WORDS]) -> Result<(), MemError> {
         let base = row * ROW_WORDS;
         self.check(base + ROW_WORDS - 1)?;
-        for (i, slot) in out.iter_mut().enumerate() {
-            let addr = base + i;
-            let w = self.data[addr];
-            if parity_nibble(w) != self.parity[addr] {
-                let lane = (parity_nibble(w) ^ self.parity[addr]).trailing_zeros() as usize;
-                return Err(MemError::Parity { addr, lane });
+        let data = &self.data[base..base + ROW_WORDS];
+        let parity = &self.parity[base..base + ROW_WORDS];
+        // One pass accumulates every lane's disagreement; only a faulty
+        // row is scanned again, and the word port's check names its first
+        // bad word.
+        let bad = data
+            .iter()
+            .zip(parity)
+            .fold(0, |bad, (&w, &p)| bad | (parity_nibble(w) ^ p));
+        if bad != 0 {
+            for addr in base..base + ROW_WORDS {
+                self.read_word(addr)?;
             }
-            *slot = w;
         }
+        out.copy_from_slice(data);
         Ok(())
     }
 
@@ -278,9 +287,9 @@ impl NodeMemory {
     pub fn write_row(&mut self, row: usize, data: &[u32; ROW_WORDS]) -> Result<(), MemError> {
         let base = row * ROW_WORDS;
         self.check(base + ROW_WORDS - 1)?;
-        for (i, &w) in data.iter().enumerate() {
-            self.data[base + i] = w;
-            self.parity[base + i] = parity_nibble(w);
+        self.data[base..base + ROW_WORDS].copy_from_slice(data);
+        for (p, &w) in self.parity[base..base + ROW_WORDS].iter_mut().zip(data) {
+            *p = parity_nibble(w);
         }
         self.mark_row_dirty(row);
         Ok(())
@@ -602,6 +611,62 @@ mod tests {
         // Rewriting the word clears the fault.
         m.write_word(42, 7).unwrap();
         assert_eq!(m.read_word(42).unwrap(), 7);
+    }
+
+    #[test]
+    fn parity_nibble_equals_per_lane_popcount() {
+        fn by_lane(word: u32) -> u8 {
+            (0..4).fold(0, |p, lane| {
+                let byte = (word >> (8 * lane)) as u8;
+                p | ((byte.count_ones() as u8 & 1) << lane)
+            })
+        }
+        // Every pattern of each half-word, with the other half clear and set.
+        for half in 0..=0xffffu32 {
+            for word in [half, half << 16, half | 0xffff_0000, (half << 16) | 0xffff] {
+                assert_eq!(parity_nibble(word), by_lane(word), "{word:#010x}");
+            }
+        }
+        let mut rng = ts_sim::Rng::new(0x9a71_0001);
+        for _ in 0..1 << 20 {
+            let word = rng.next_u32();
+            assert_eq!(parity_nibble(word), by_lane(word), "{word:#010x}");
+        }
+    }
+
+    #[test]
+    fn row_read_reports_the_lowest_faulting_word() {
+        let mut m = NodeMemory::new(MemCfg::small(8));
+        let mut row = [0u32; ROW_WORDS];
+        for (i, w) in row.iter_mut().enumerate() {
+            *w = (i as u32).wrapping_mul(2654435761);
+        }
+        m.write_row(1, &row).unwrap();
+        // Two flips, the higher address injected first and in a lower lane.
+        m.inject_bit_flip(ROW_WORDS + 200, 3).unwrap();
+        m.inject_bit_flip(ROW_WORDS + 77, 21).unwrap();
+        let mut out = [7u32; ROW_WORDS];
+        assert_eq!(
+            m.read_row(1, &mut out),
+            Err(MemError::Parity {
+                addr: ROW_WORDS + 77,
+                lane: 2
+            })
+        );
+        assert_eq!(out, [7; ROW_WORDS], "a faulted read delivers nothing");
+        // Two flips in one word report the lower lane.
+        m.inject_bit_flip(ROW_WORDS + 77, 8).unwrap();
+        assert_eq!(
+            m.read_row(1, &mut out),
+            Err(MemError::Parity {
+                addr: ROW_WORDS + 77,
+                lane: 1
+            })
+        );
+        m.scrub(ROW_WORDS + 77).unwrap();
+        m.scrub(ROW_WORDS + 200).unwrap();
+        m.read_row(1, &mut out).unwrap();
+        assert_eq!(out[78], row[78]);
     }
 
     #[test]

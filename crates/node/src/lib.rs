@@ -872,7 +872,7 @@ impl NodeCtx {
     /// touching the row model). Used by the collectives.
     pub async fn combine_values(&self, op: CombineOp, acc: &mut [Sf64], other: &[Sf64]) {
         assert_eq!(acc.len(), other.len(), "combine_values length mismatch");
-        let n = acc.len();
+        let n = acc.len() as u64;
         for (a, &b) in acc.iter_mut().zip(other) {
             *a = match op {
                 CombineOp::Add => *a + b,
@@ -894,16 +894,8 @@ impl NodeCtx {
             };
         }
         // Charge the adder-path vector-form time (II = 1).
-        let form = VecForm::VAdd;
-        let depth = form.depth(ts_fpu::pipeline::Precision::Double);
-        let mut d = Dur::ns(525) + ROW_TIME;
-        if n > 0 {
-            d += Dur::CYCLE * (depth + n as u64 - 1);
-        }
-        d += ROW_TIME;
-        self.node.shared.meters.vec_flops.add(n as u64);
-        self.node.shared.meters.vec_busy.add(d);
-        self.node.shared.meters.vec_len.observe(n as u64);
+        let depth = VecForm::VAdd.depth(ts_fpu::pipeline::Precision::Double);
+        let d = self.vec_form_time(depth, n, n);
         let (_s, end) = self.node.shared.vec_res.reserve(self.now(), d);
         self.node.h.sleep_until(end).await;
     }

@@ -31,7 +31,7 @@
 #![deny(missing_docs)]
 
 use ts_fpu::pipeline::{Pipeline, Precision};
-use ts_fpu::soft::{self, B32, B64};
+use ts_fpu::soft::{self, Format, B32, B64};
 use ts_fpu::Sf64;
 use ts_mem::{Bank, MemError, NodeMemory, ROW_TIME, ROW_WORDS};
 use ts_sim::Dur;
@@ -375,186 +375,188 @@ impl VecUnit {
         n: usize,
         prec: Precision,
     ) -> Result<VecResult, MemError> {
-        let per_row = prec.elems_per_row();
-        let rows = n.div_ceil(per_row).max(1);
         let ii = self.initiation_interval(form, mem.bank_of_row(x_row), mem.bank_of_row(y_row));
         let timing = self.timing(form, n, ii, prec);
+        let (scalar, index) = match prec {
+            Precision::Double => stream::<B64>(mem, form, x_row, y_row, z_row, n)?,
+            Precision::Single => stream::<B32>(mem, form, x_row, y_row, z_row, n)?,
+        };
+        Ok(VecResult {
+            timing,
+            scalar,
+            index,
+        })
+    }
+}
 
-        // --- compute real values, row by row, like the stream would ---
-        let mut xr = VectorReg::new();
-        let mut yr = VectorReg::new();
-        let mut zr = VectorReg::new();
-        // Reduction accumulators.
-        let mut acc: Option<u64> = None;
-        let mut best_idx = 0usize;
+/// How elements of one precision sit in a vector register.
+trait Elem: Format {
+    /// Elements per 1024-byte row.
+    const PER_ROW: usize;
+    fn get(reg: &VectorReg, j: usize) -> u64;
+    fn set(reg: &mut VectorReg, j: usize, bits: u64);
+    /// A form's 64-bit scalar operand as the unit holds it at this precision.
+    fn scalar(s: Sf64) -> u64;
+}
 
-        for r in 0..rows {
-            let lo = r * per_row;
-            let hi = ((r + 1) * per_row).min(n);
-            if lo >= hi {
-                break;
+impl Elem for B64 {
+    const PER_ROW: usize = Precision::Double.elems_per_row();
+    #[inline]
+    fn get(reg: &VectorReg, j: usize) -> u64 {
+        reg.get64(j)
+    }
+    #[inline]
+    fn set(reg: &mut VectorReg, j: usize, bits: u64) {
+        reg.set64(j, bits)
+    }
+    #[inline]
+    fn scalar(s: Sf64) -> u64 {
+        s.to_bits()
+    }
+}
+
+impl Elem for B32 {
+    const PER_ROW: usize = Precision::Single.elems_per_row();
+    #[inline]
+    fn get(reg: &VectorReg, j: usize) -> u64 {
+        reg.get32(j) as u64
+    }
+    #[inline]
+    fn set(reg: &mut VectorReg, j: usize, bits: u64) {
+        reg.set32(j, bits as u32)
+    }
+    #[inline]
+    fn scalar(s: Sf64) -> u64 {
+        soft::f64_to_f32(s.to_bits())
+    }
+}
+
+/// `z[j] = f(x[j], y[j])` over the first `cnt` elements.
+#[inline]
+fn map2<F: Elem>(
+    xr: &VectorReg,
+    yr: &VectorReg,
+    zr: &mut VectorReg,
+    cnt: usize,
+    f: impl Fn(u64, u64) -> u64,
+) {
+    for j in 0..cnt {
+        F::set(zr, j, f(F::get(xr, j), F::get(yr, j)));
+    }
+}
+
+/// `z[j] = f(x[j])` over the first `cnt` elements.
+#[inline]
+fn map1<F: Elem>(xr: &VectorReg, zr: &mut VectorReg, cnt: usize, f: impl Fn(u64) -> u64) {
+    for j in 0..cnt {
+        F::set(zr, j, f(F::get(xr, j)));
+    }
+}
+
+/// Feed `vals` through the feedback path: the first value seeds the
+/// accumulator, every later one is combined into it.
+#[inline]
+fn feed(
+    acc: Option<u64>,
+    vals: impl Iterator<Item = u64>,
+    f: impl Fn(u64, u64) -> u64,
+) -> Option<u64> {
+    vals.fold(acc, |acc, v| {
+        Some(match acc {
+            None => v,
+            Some(a) => f(a, v),
+        })
+    })
+}
+
+/// Compute the real values of `form`, row by row like the stream would:
+/// the form is decoded once per row and each arm is one loop over the
+/// row's elements. Returns the scalar and index results, if the form has
+/// them.
+fn stream<F: Elem>(
+    mem: &mut NodeMemory,
+    form: VecForm,
+    x_row: usize,
+    y_row: usize,
+    z_row: usize,
+    n: usize,
+) -> Result<(Option<u64>, Option<usize>), MemError> {
+    use std::cmp::Ordering::{Greater, Less};
+    let mut xr = VectorReg::new();
+    let mut yr = VectorReg::new();
+    let mut zr = VectorReg::new();
+    // Reduction accumulators.
+    let mut acc: Option<u64> = None;
+    let mut best_idx = 0usize;
+
+    for r in 0..n.div_ceil(F::PER_ROW) {
+        let lo = r * F::PER_ROW;
+        let cnt = F::PER_ROW.min(n - lo);
+        xr.load(mem, x_row + r)?;
+        if form.two_operands() {
+            yr.load(mem, y_row + r)?;
+        }
+        let xs = || (0..cnt).map(|j| F::get(&xr, j));
+        match form {
+            VecForm::VAdd => map2::<F>(&xr, &yr, &mut zr, cnt, soft::add::<F>),
+            VecForm::VSub => map2::<F>(&xr, &yr, &mut zr, cnt, soft::sub::<F>),
+            VecForm::VMul => map2::<F>(&xr, &yr, &mut zr, cnt, soft::mul::<F>),
+            VecForm::Saxpy(a) => {
+                let a = F::scalar(a);
+                map2::<F>(&xr, &yr, &mut zr, cnt, |x, y| {
+                    soft::add::<F>(soft::mul::<F>(a, x), y)
+                });
             }
-            xr.load(mem, x_row + r)?;
-            if form.two_operands() {
-                yr.load(mem, y_row + r)?;
+            VecForm::VSMul(s) => {
+                let s = F::scalar(s);
+                map1::<F>(&xr, &mut zr, cnt, |x| soft::mul::<F>(s, x));
             }
-            for i in lo..hi {
-                let j = i - lo;
-                match prec {
-                    Precision::Double => {
-                        let x = xr.get64(j);
-                        let y = if form.two_operands() { yr.get64(j) } else { 0 };
-                        match form {
-                            VecForm::VAdd => zr.set64(j, soft::add::<B64>(x, y)),
-                            VecForm::VSub => zr.set64(j, soft::sub::<B64>(x, y)),
-                            VecForm::VMul => zr.set64(j, soft::mul::<B64>(x, y)),
-                            VecForm::Saxpy(a) => {
-                                let ax = soft::mul::<B64>(a.to_bits(), x);
-                                zr.set64(j, soft::add::<B64>(ax, y));
-                            }
-                            VecForm::VSMul(s) => zr.set64(j, soft::mul::<B64>(s.to_bits(), x)),
-                            VecForm::VSAdd(s) => zr.set64(j, soft::add::<B64>(s.to_bits(), x)),
-                            VecForm::Dot => {
-                                let p = soft::mul::<B64>(x, y);
-                                acc = Some(match acc {
-                                    None => p,
-                                    Some(a) => soft::add::<B64>(a, p),
-                                });
-                            }
-                            VecForm::Sum => {
-                                acc = Some(match acc {
-                                    None => x,
-                                    Some(a) => soft::add::<B64>(a, x),
-                                });
-                            }
-                            VecForm::Max | VecForm::Min => {
-                                acc = Some(match acc {
-                                    None => x,
-                                    Some(a) => {
-                                        let keep_x = match soft::cmp::<B64>(x, a) {
-                                            Some(std::cmp::Ordering::Greater) => {
-                                                matches!(form, VecForm::Max)
-                                            }
-                                            Some(std::cmp::Ordering::Less) => {
-                                                matches!(form, VecForm::Min)
-                                            }
-                                            _ => false,
-                                        };
-                                        if keep_x {
-                                            x
-                                        } else {
-                                            a
-                                        }
-                                    }
-                                });
-                            }
-                            VecForm::AbsMax => {
-                                let ax = soft::abs::<B64>(x);
-                                let better = match acc {
-                                    None => true,
-                                    Some(a) => matches!(
-                                        soft::cmp::<B64>(ax, a),
-                                        Some(std::cmp::Ordering::Greater)
-                                    ),
-                                };
-                                if better {
-                                    acc = Some(ax);
-                                    best_idx = i;
-                                }
-                            }
-                        }
+            VecForm::VSAdd(s) => {
+                let s = F::scalar(s);
+                map1::<F>(&xr, &mut zr, cnt, |x| soft::add::<F>(s, x));
+            }
+            VecForm::Dot => {
+                let products = xs().zip((0..cnt).map(|j| F::get(&yr, j)));
+                acc = feed(
+                    acc,
+                    products.map(|(x, y)| soft::mul::<F>(x, y)),
+                    soft::add::<F>,
+                );
+            }
+            VecForm::Sum => acc = feed(acc, xs(), soft::add::<F>),
+            VecForm::Max | VecForm::Min => {
+                let want = if form == VecForm::Max { Greater } else { Less };
+                acc = feed(acc, xs(), |a, x| {
+                    if soft::cmp::<F>(x, a) == Some(want) {
+                        x
+                    } else {
+                        a
                     }
-                    Precision::Single => {
-                        let x = xr.get32(j) as u64;
-                        let y = if form.two_operands() {
-                            yr.get32(j) as u64
-                        } else {
-                            0
-                        };
-                        match form {
-                            VecForm::VAdd => zr.set32(j, soft::add::<B32>(x, y) as u32),
-                            VecForm::VSub => zr.set32(j, soft::sub::<B32>(x, y) as u32),
-                            VecForm::VMul => zr.set32(j, soft::mul::<B32>(x, y) as u32),
-                            VecForm::Saxpy(a) => {
-                                let a32 = ts_fpu::soft::f64_to_f32(a.to_bits());
-                                let ax = soft::mul::<B32>(a32, x);
-                                zr.set32(j, soft::add::<B32>(ax, y) as u32);
-                            }
-                            VecForm::VSMul(s) => {
-                                let s32 = ts_fpu::soft::f64_to_f32(s.to_bits());
-                                zr.set32(j, soft::mul::<B32>(s32, x) as u32);
-                            }
-                            VecForm::VSAdd(s) => {
-                                let s32 = ts_fpu::soft::f64_to_f32(s.to_bits());
-                                zr.set32(j, soft::add::<B32>(s32, x) as u32);
-                            }
-                            VecForm::Dot => {
-                                let p = soft::mul::<B32>(x, y);
-                                acc = Some(match acc {
-                                    None => p,
-                                    Some(a) => soft::add::<B32>(a, p),
-                                });
-                            }
-                            VecForm::Sum => {
-                                acc = Some(match acc {
-                                    None => x,
-                                    Some(a) => soft::add::<B32>(a, x),
-                                });
-                            }
-                            VecForm::Max | VecForm::Min => {
-                                acc = Some(match acc {
-                                    None => x,
-                                    Some(a) => {
-                                        let keep_x = match soft::cmp::<B32>(x, a) {
-                                            Some(std::cmp::Ordering::Greater) => {
-                                                matches!(form, VecForm::Max)
-                                            }
-                                            Some(std::cmp::Ordering::Less) => {
-                                                matches!(form, VecForm::Min)
-                                            }
-                                            _ => false,
-                                        };
-                                        if keep_x {
-                                            x
-                                        } else {
-                                            a
-                                        }
-                                    }
-                                });
-                            }
-                            VecForm::AbsMax => {
-                                let ax = soft::abs::<B32>(x);
-                                let better = match acc {
-                                    None => true,
-                                    Some(a) => matches!(
-                                        soft::cmp::<B32>(ax, a),
-                                        Some(std::cmp::Ordering::Greater)
-                                    ),
-                                };
-                                if better {
-                                    acc = Some(ax);
-                                    best_idx = i;
-                                }
-                            }
-                        }
+                });
+            }
+            VecForm::AbsMax => {
+                for (j, x) in xs().enumerate() {
+                    let ax = soft::abs::<F>(x);
+                    if acc.is_none_or(|a| soft::cmp::<F>(ax, a) == Some(Greater)) {
+                        acc = Some(ax);
+                        best_idx = lo + j;
                     }
                 }
             }
-            if form.writes_vector() {
-                zr.store(mem, z_row + r)?;
-            }
         }
-
-        Ok(VecResult {
-            timing,
-            scalar: if form.writes_vector() {
-                None
-            } else {
-                acc.or(Some(0))
-            },
-            index: matches!(form, VecForm::AbsMax).then_some(best_idx),
-        })
+        if form.writes_vector() {
+            zr.store(mem, z_row + r)?;
+        }
     }
+
+    Ok(if form.writes_vector() {
+        (None, None)
+    } else {
+        (
+            acc.or(Some(0)),
+            matches!(form, VecForm::AbsMax).then_some(best_idx),
+        )
+    })
 }
 
 #[cfg(test)]
@@ -811,6 +813,150 @@ mod tests {
             f32::from_bits(mem.read_word(rows_a * ROW_WORDS + 1).unwrap()),
             1.5
         );
+    }
+
+    /// Element `i` of a row seeded with every class the guard of the host
+    /// fast path tells apart, then seeded normals and raw bit patterns.
+    fn awkward<F: Format>(rng: &mut ts_sim::Rng, i: usize) -> u64 {
+        let min_normal = 1 << F::MANT_BITS;
+        let inf = F::EXP_MAX << F::MANT_BITS;
+        let specials = [
+            0,
+            F::SIGN_BIT,
+            1,                          // smallest subnormal
+            F::SIGN_BIT | F::MANT_MASK, // largest subnormal, negative
+            inf,
+            F::SIGN_BIT | inf,
+            F::QNAN,
+            inf | 1, // a NaN that is not the canonical one
+            min_normal,
+            min_normal + 1,
+            F::SIGN_BIT | (min_normal - 1),
+            2 * min_normal,
+            2 * min_normal - 1,
+            inf - 1, // largest finite
+        ];
+        let mask = F::SIGN_BIT | (F::SIGN_BIT - 1);
+        match i % 3 {
+            0 => specials[rng.range(0, specials.len())],
+            1 => rng.next_u64() & mask,
+            // A normal within a few binades of one, so sums and products
+            // of neighbours mostly stay normal.
+            _ => {
+                let exp = (F::BIAS as u64 - 4 + rng.below(8)) << F::MANT_BITS;
+                (rng.next_u64() & (F::SIGN_BIT | F::MANT_MASK)) | exp
+            }
+        }
+    }
+
+    /// What `form` must leave behind, element by element through the
+    /// bit-level core: the result vector, the scalar and the index.
+    fn reference<F: Elem>(
+        form: VecForm,
+        x: &[u64],
+        y: &[u64],
+    ) -> (Vec<u64>, Option<u64>, Option<usize>) {
+        use soft::{add_bits as add, mul_bits as mul};
+        use std::cmp::Ordering::{Greater, Less};
+        let pairs = || x.iter().copied().zip(y.iter().copied());
+        let xs = || x.iter().copied();
+        let pick = |want| {
+            xs().reduce(|a, x| {
+                if soft::cmp::<F>(x, a) == Some(want) {
+                    x
+                } else {
+                    a
+                }
+            })
+        };
+        let z: Vec<u64> = match form {
+            VecForm::VAdd => pairs().map(|(x, y)| add::<F>(x, y)).collect(),
+            VecForm::VSub => pairs()
+                .map(|(x, y)| add::<F>(x, soft::neg::<F>(y)))
+                .collect(),
+            VecForm::VMul => pairs().map(|(x, y)| mul::<F>(x, y)).collect(),
+            VecForm::Saxpy(a) => pairs()
+                .map(|(x, y)| add::<F>(mul::<F>(F::scalar(a), x), y))
+                .collect(),
+            VecForm::VSMul(s) => xs().map(|x| mul::<F>(F::scalar(s), x)).collect(),
+            VecForm::VSAdd(s) => xs().map(|x| add::<F>(F::scalar(s), x)).collect(),
+            _ => Vec::new(),
+        };
+        let mut index = None;
+        let scalar = match form {
+            VecForm::Dot => pairs().map(|(x, y)| mul::<F>(x, y)).reduce(add::<F>),
+            VecForm::Sum => xs().reduce(add::<F>),
+            VecForm::Max => pick(Greater),
+            VecForm::Min => pick(Less),
+            VecForm::AbsMax => {
+                let mut best = (0, soft::abs::<F>(x[0]));
+                for (i, v) in xs().map(soft::abs::<F>).enumerate() {
+                    if soft::cmp::<F>(v, best.1) == Some(Greater) {
+                        best = (i, v);
+                    }
+                }
+                index = Some(best.0);
+                Some(best.1)
+            }
+            _ => None,
+        };
+        (z, scalar, index)
+    }
+
+    fn all_forms_match_the_bit_level_core<F: Elem>(prec: Precision, seed: u64) {
+        let mut rng = ts_sim::Rng::new(seed);
+        let s = Sf64::from_bits(awkward::<B64>(&mut rng, 2));
+        let forms = [
+            VecForm::VAdd,
+            VecForm::VSub,
+            VecForm::VMul,
+            VecForm::Saxpy(s),
+            VecForm::Saxpy(Sf64::from_bits(1)), // a subnormal scalar
+            VecForm::VSMul(s),
+            VecForm::VSAdd(s),
+            VecForm::Dot,
+            VecForm::Sum,
+            VecForm::Max,
+            VecForm::Min,
+            VecForm::AbsMax,
+        ];
+        // Two full rows and a partial third.
+        let n = 2 * F::PER_ROW + 37;
+        let (mut mem, xr, yr, zr) = setup(n);
+        let x: Vec<u64> = (0..n).map(|i| awkward::<F>(&mut rng, i)).collect();
+        let y: Vec<u64> = (0..n).map(|i| awkward::<F>(&mut rng, i + 1)).collect();
+        let mut put = VectorReg::new();
+        for (row, vals) in [(xr, &x), (yr, &y)] {
+            for (r, chunk) in vals.chunks(F::PER_ROW).enumerate() {
+                for (j, &v) in chunk.iter().enumerate() {
+                    F::set(&mut put, j, v);
+                }
+                put.store(&mut mem, row + r).unwrap();
+            }
+        }
+        let unit = VecUnit::new();
+        for form in forms {
+            let got = unit.exec(&mut mem, form, xr, yr, zr, n, prec).unwrap();
+            let (want_z, scalar, index) = reference::<F>(form, &x, &y);
+            assert_eq!(
+                (got.scalar, got.index),
+                (scalar, index),
+                "{form:?} {prec:?}"
+            );
+            let mut back = VectorReg::new();
+            for (i, &w) in want_z.iter().enumerate() {
+                if i % F::PER_ROW == 0 {
+                    back.load(&mem, zr + i / F::PER_ROW).unwrap();
+                }
+                assert_eq!(F::get(&back, i % F::PER_ROW), w, "{form:?} {prec:?} [{i}]");
+            }
+        }
+    }
+
+    #[test]
+    fn all_forms_match_the_bit_level_core_in_both_precisions() {
+        all_forms_match_the_bit_level_core::<B64>(Precision::Double, 0x7ec0_0001);
+        all_forms_match_the_bit_level_core::<B32>(Precision::Single, 0x7ec0_0002);
     }
 
     #[test]

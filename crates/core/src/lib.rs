@@ -49,7 +49,7 @@ use std::ops::Range;
 
 pub use ts_cube::Hypercube;
 use ts_cube::{NodeId, Subcube, SublinkBudget};
-use ts_link::{BoundaryOutbox, LinkChannel, Wire};
+use ts_link::{BoundaryOutbox, LinkChannel, LinkParams, Wire};
 use ts_node::{Node, NodeCfg, NodeCtx, NodeMeters};
 use ts_sim::{Dur, JoinHandle, MetricsRegistry, RunReport, Sim, SimHandle, Time};
 
@@ -68,8 +68,6 @@ pub struct MachineCfg {
     pub node: NodeCfg,
     /// Sublink allocation policy (validates the dimension).
     pub budget: SublinkBudget,
-    /// Disk write rate per system board, bytes/second.
-    pub disk_rate: f64,
 }
 
 impl MachineCfg {
@@ -79,7 +77,6 @@ impl MachineCfg {
             dim,
             node: NodeCfg::default(),
             budget: SublinkBudget::default(),
-            disk_rate: 1.0e6, // 1 MB/s Winchester-class disk
         }
     }
 
@@ -114,7 +111,7 @@ impl MachineCfg {
             memory_bytes: nodes * self.node.mem.bytes() as u64,
             disks: cube.modules() as u64,
             // 8 nodes × 3 intramodule dimensions × 0.5 MB/s each way.
-            intramodule_mb_per_s: 8.0 * 3.0 * self.node.link.effective_mb_per_s(),
+            intramodule_mb_per_s: 8.0 * 3.0 * LinkParams::default().effective_mb_per_s(),
             max_hops: self.dim,
         }
     }
@@ -275,10 +272,11 @@ pub(crate) fn wire(
         .collect();
 
     // Four link engines per node, each direction its own FIFO server.
+    let link = LinkParams::default();
     let engines = |name: &'static str| -> Vec<Vec<Wire>> {
         range
             .clone()
-            .map(|_| (0..4).map(|_| Wire::new(name, cfg.node.link)).collect())
+            .map(|_| (0..4).map(|_| Wire::new(name, link)).collect())
             .collect()
     };
     let wires_out = engines("link.out");
@@ -341,8 +339,8 @@ pub(crate) fn wire(
     let modules = range.start as usize / 8..(range.end as usize).div_ceil(8);
     let mut boards = Vec::with_capacity(modules.len());
     for m in modules {
-        let board_out = Wire::new("board.out", cfg.node.link);
-        let board_in = Wire::new("board.in", cfg.node.link);
+        let board_out = Wire::new("board.out", link);
+        let board_in = Wire::new("board.in", link);
         let mut to_node = Vec::new();
         let mut from_node = Vec::new();
         for id in (m * 8) as u32..((m + 1) * 8).min(range.end as usize) as u32 {
@@ -361,7 +359,7 @@ pub(crate) fn wire(
             from_node,
             board_out,
             board_in,
-            Disk::new(cfg.disk_rate),
+            Disk::new(system::DISK_RATE),
         ));
     }
     // Ring links between consecutive boards (independent of the cube); the
@@ -842,9 +840,9 @@ impl Machine {
                 .sum()
         };
         let worst = (0..self.boards.len()).map(module_bytes).max().unwrap_or(0);
-        let stream = worst as f64 / (self.cfg.node.link.effective_mb_per_s() * 1e6);
+        let stream = worst as f64 / (LinkParams::default().effective_mb_per_s() * 1e6);
         let commit = 1e-3 * self.boards.len() as f64
-            + system::COMMIT_RECORD_BYTES as f64 / self.cfg.disk_rate;
+            + system::COMMIT_RECORD_BYTES as f64 / system::DISK_RATE;
         Dur::from_secs_f64((stream + commit) * 1.5 + 1e-6)
     }
 }

@@ -43,6 +43,11 @@ pub const EOF_WORD: u32 = 0x0045_4F46;
 /// token comes around (the version flip that makes a snapshot durable).
 pub const COMMIT_RECORD_BYTES: usize = 64;
 
+/// Write/read rate of a module's system disk, bytes/second (a 1 MB/s
+/// Winchester-class drive). Checkpoint streaming is charged at this rate
+/// by the boards and by the job scheduler's resume gates.
+pub const DISK_RATE: f64 = 1.0e6;
+
 /// A rate-served disk with FIFO queueing.
 #[derive(Clone)]
 pub struct Disk {

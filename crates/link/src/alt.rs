@@ -1,0 +1,120 @@
+//! Occam `ALT` over several sublinks.
+
+use ts_sim::{select2, Either, Rendezvous, SimHandle};
+
+use crate::channel::Packet;
+use crate::{LinkChannel, LinkError, LinkStatus};
+
+/// Occam-style `ALT` over several sublinks: resolves to
+/// `(channel_index, payload)` for the first channel whose sender commits,
+/// completing the framed transfer on that channel's wire. Lowest index wins
+/// when several senders are already waiting (`PRI ALT`).
+pub async fn alt_recv(h: &SimHandle, chans: &[&LinkChannel]) -> (usize, Vec<u32>) {
+    let set = AltSet::new(chans);
+    set.recv(h).await
+}
+
+/// A prepared `ALT` over a fixed set of sublinks.
+///
+/// Building the set once — e.g. per router daemon, which `ALT`s over the
+/// same loopback-plus-dimensions list for every message it ever handles —
+/// hoists the channel-list and rendezvous-handle allocations out of the
+/// receive loop: each [`AltSet::recv`] borrows the prepared slices and
+/// allocates nothing for the branch set.
+pub struct AltSet {
+    chans: Vec<LinkChannel>,
+    rvs: Vec<Rendezvous<Packet>>,
+}
+
+impl AltSet {
+    /// Prepare an `ALT` over `chans` (branch priority = slice order).
+    pub fn new(chans: &[&LinkChannel]) -> AltSet {
+        assert!(
+            chans.iter().all(|c| c.inner.boundary.is_none()),
+            "ALT over a shard-boundary channel is unsupported"
+        );
+        AltSet {
+            chans: chans.iter().map(|&c| c.clone()).collect(),
+            rvs: chans.iter().map(|c| c.inner.rv.clone()).collect(),
+        }
+    }
+
+    /// Wait for the first branch whose sender commits; completes the framed
+    /// transfer on that branch's wire. Lowest index wins when several
+    /// senders are already parked (`PRI ALT`).
+    pub async fn recv(&self, h: &SimHandle) -> (usize, Vec<u32>) {
+        let (idx, pkt) = ts_sim::alt(&self.rvs).await;
+        (idx, self.chans[idx].complete_recv(h, pkt).await)
+    }
+
+    /// Failable [`AltSet::recv`]: resolves to [`LinkError::Down`] when
+    /// `watch` goes down first.
+    pub async fn recv_or_down(
+        &self,
+        h: &SimHandle,
+        watch: &LinkStatus,
+    ) -> Result<(usize, Vec<u32>), LinkError> {
+        if !watch.is_up() {
+            return Err(LinkError::Down);
+        }
+        match select2(ts_sim::alt(&self.rvs), watch.watch_down()).await {
+            Either::Left((idx, pkt)) => Ok((idx, self.chans[idx].complete_recv(h, pkt).await)),
+            Either::Right(()) => Err(LinkError::Down),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{LinkParams, Wire};
+    use ts_sim::{Dur, Sim};
+
+    #[test]
+    fn alt_recv_takes_first_sender() {
+        let mut sim = Sim::new();
+        let h = sim.handle();
+        let a = LinkChannel::new(Wire::new("a", LinkParams::default()));
+        let b = LinkChannel::new(Wire::new("b", LinkParams::default()));
+        let (a2, b2) = (a.clone(), b.clone());
+        let h2 = h.clone();
+        sim.spawn(async move {
+            h2.sleep(Dur::us(100)).await;
+            a2.send(&h2, vec![1, 1]).await;
+        });
+        let h3 = h.clone();
+        sim.spawn(async move {
+            b2.send(&h3, vec![2, 2, 2]).await; // arrives first
+        });
+        let jh = sim.spawn(async move {
+            let first = alt_recv(&h, &[&a, &b]).await;
+            let second = alt_recv(&h, &[&a, &b]).await;
+            (first, second)
+        });
+        assert!(sim.run().quiescent);
+        let ((i1, w1), (i2, w2)) = jh.try_take().unwrap();
+        assert_eq!((i1, w1.len()), (1, 3));
+        assert_eq!((i2, w2.len()), (0, 2));
+    }
+
+    #[test]
+    fn alt_recv_charges_wire_time() {
+        let mut sim = Sim::new();
+        let h = sim.handle();
+        let wire = Wire::new("w", LinkParams::default());
+        let ch = LinkChannel::new(wire.clone());
+        let tx = ch.clone();
+        let h2 = h.clone();
+        sim.spawn(async move { tx.send(&h2, vec![0u32; 8]).await });
+        let jh = sim.spawn(async move {
+            let (_, words) = alt_recv(&h, &[&ch]).await;
+            (words.len(), h.now())
+        });
+        assert!(sim.run().quiescent);
+        let (n, t) = jh.try_take().unwrap();
+        assert_eq!(n, 8);
+        // 5 µs startup + 32 bytes × 2 µs = 69 µs.
+        assert_eq!(t.as_ns(), 69_000);
+        assert_eq!(wire.busy_total(), Dur::us(64));
+    }
+}

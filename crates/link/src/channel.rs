@@ -1,0 +1,626 @@
+//! One sublink: the CSP channel whose transfer holds both link engines for
+//! the framed duration and charges the DMA startup.
+
+use std::cell::RefCell;
+use std::rc::Rc;
+
+use ts_sim::{
+    select2, Counter, Either, Histogram, OneShot, Rendezvous, SimHandle, Time, Tracer, TrackId,
+};
+
+use crate::boundary::BoundaryState;
+use crate::transport::TransportState;
+use crate::{LinkError, LinkStatus, Wire};
+
+pub(crate) struct Packet {
+    words: Vec<u32>,
+    /// Completion instant, reported back to the sender by the receiver.
+    done: OneShot<Time>,
+    /// When the sender committed the message (post-DMA-startup): the start
+    /// of the end-to-end latency the receiver observes.
+    sent_at: Time,
+}
+
+thread_local! {
+    /// Free list of completion one-shots: every `send` needs one, and by the
+    /// time the sender resumes the receiver has dropped its clone, so the
+    /// cell can be reset and reused instead of reallocated per message.
+    static DONE_POOL: RefCell<Vec<OneShot<Time>>> = const { RefCell::new(Vec::new()) };
+}
+
+pub(crate) fn take_done() -> OneShot<Time> {
+    DONE_POOL.with(|p| p.borrow_mut().pop()).unwrap_or_default()
+}
+
+fn put_done(done: OneShot<Time>) {
+    // Only recycle when the receiver's clone is truly gone; a cancelled
+    // transfer may still hold one, in which case the cell just drops.
+    if done.is_unique() {
+        done.reset();
+        DONE_POOL.with(|p| {
+            let mut p = p.borrow_mut();
+            if p.len() < 4096 {
+                p.push(done);
+            }
+        });
+    }
+}
+
+/// The tail of every send: park until the receiving side reports the
+/// transfer's end, resume the sender at that instant (CSP: the sender
+/// resumes when the transfer completes) and recycle the one-shot.
+pub(crate) async fn await_done(h: &SimHandle, done: OneShot<Time>) {
+    let end = done.recv().await;
+    h.sleep_until(end).await;
+    put_done(done);
+}
+
+/// Optional telemetry shared by every clone of one sublink: an end-to-end
+/// message-latency histogram and a trace flow arrow per delivered message.
+#[derive(Default)]
+struct LinkTelemetry {
+    latency_ns: Option<Histogram>,
+    flow: Option<(Tracer, TrackId, TrackId)>,
+}
+
+/// One direction's per-message counters: messages and payload bytes. The
+/// machine layer attaches the transmitting node's handles to a sublink's
+/// `sent` side and the receiving node's to its `recv` side; a sublink built
+/// bare keeps detached counters nobody reads.
+#[derive(Default)]
+struct Traffic {
+    msgs: Counter,
+    bytes: Counter,
+}
+
+impl Traffic {
+    #[inline]
+    fn book(&self, bytes: usize) {
+        self.msgs.inc();
+        self.bytes.add(bytes as u64);
+    }
+}
+
+/// Shared state of one sublink. Everything — both endpoints and every clone
+/// they hand out — refers to a single `ChanInner` behind one `Rc`, so
+/// cloning a channel on the hot path is one refcount bump, not a field-by-
+/// field clone of wires, counters and status flags.
+pub(crate) struct ChanInner {
+    pub(crate) rv: Rendezvous<Packet>,
+    pub(crate) tx_wire: Wire,
+    pub(crate) rx_wire: Wire,
+    /// Booked at the sender's commit, into the transmitting node's meters.
+    sent: Traffic,
+    /// Booked at delivery, into the receiving node's meters.
+    recv: Traffic,
+    pub(crate) status: LinkStatus,
+    telem: RefCell<LinkTelemetry>,
+    pub(crate) transport: RefCell<TransportState>,
+    /// Set when the far endpoint lives on another shard: `send`/`recv`
+    /// replay the rendezvous over [`crate::BoundaryEnvelope`]s instead of
+    /// `rv`.
+    pub(crate) boundary: Option<BoundaryState>,
+}
+
+/// One **sublink**: a unidirectional CSP channel multiplexed onto the
+/// sending node's output [`Wire`] and the receiving node's input wire.
+///
+/// `send`/`recv` rendezvous like an Occam channel; the transfer then holds
+/// **both** link engines for the framed duration, so concurrent sublinks on
+/// either engine divide its bandwidth. Clone freely; both ends hold the
+/// same channel.
+#[derive(Clone)]
+pub struct LinkChannel {
+    pub(crate) inner: Rc<ChanInner>,
+}
+
+impl LinkChannel {
+    /// Create a sublink whose two ends share one `wire` (unit tests and
+    /// simple point-to-point setups).
+    pub fn new(wire: Wire) -> LinkChannel {
+        LinkChannel::assemble(wire.clone(), wire, None)
+    }
+
+    /// Create a sublink between two distinct link engines: the sender's
+    /// output wire and the receiver's input wire.
+    pub fn new_pair(tx_wire: Wire, rx_wire: Wire) -> LinkChannel {
+        LinkChannel::assemble(tx_wire, rx_wire, None)
+    }
+
+    pub(crate) fn assemble(
+        tx_wire: Wire,
+        rx_wire: Wire,
+        boundary: Option<BoundaryState>,
+    ) -> LinkChannel {
+        LinkChannel {
+            inner: Rc::new(ChanInner {
+                rv: Rendezvous::new(),
+                tx_wire,
+                rx_wire,
+                sent: Traffic::default(),
+                recv: Traffic::default(),
+                status: LinkStatus::new(),
+                telem: RefCell::new(LinkTelemetry::default()),
+                transport: RefCell::new(TransportState::default()),
+                boundary,
+            }),
+        }
+    }
+
+    /// The sublink's state during the wiring phase, while this handle
+    /// still owns it: before the channel is cloned out to its endpoints.
+    fn wiring(&mut self) -> &mut ChanInner {
+        Rc::get_mut(&mut self.inner).expect("sublink wired after being cloned out")
+    }
+
+    /// Book every message this sublink sends into the transmitting node's
+    /// meters. Must run before the channel is cloned out to its endpoints.
+    pub fn set_sent_meters(&mut self, msgs: Counter, bytes: Counter) {
+        self.wiring().sent = Traffic { msgs, bytes };
+    }
+
+    /// Book every message this sublink delivers into the receiving node's
+    /// meters. Same wiring-phase rule as [`LinkChannel::set_sent_meters`].
+    pub fn set_recv_meters(&mut self, msgs: Counter, bytes: Counter) {
+        self.wiring().recv = Traffic { msgs, bytes };
+    }
+
+    /// Record every delivered message's end-to-end latency (sender commit →
+    /// receiver completion, in nanoseconds) into `hist`. The telemetry slot
+    /// is shared across clones, so enabling it on either end covers both.
+    pub fn set_latency_histogram(&self, hist: Histogram) {
+        self.inner.telem.borrow_mut().latency_ns = Some(hist);
+    }
+
+    /// Emit a trace flow arrow from track `from` to track `to` for every
+    /// delivered message. Shared across clones, like the histogram.
+    pub fn enable_flow_trace(&self, tracer: Tracer, from: TrackId, to: TrackId) {
+        self.inner.telem.borrow_mut().flow = Some((tracer, from, to));
+    }
+
+    /// Receive-side accounting shared by every delivery path: the receiving
+    /// node's counters, the optional latency histogram and the optional
+    /// flow arrow.
+    pub(crate) fn book_recv(&self, sent_at: Time, end: Time, bytes: usize) {
+        self.inner.recv.book(bytes);
+        let telem = self.inner.telem.borrow();
+        if let Some(hist) = &telem.latency_ns {
+            hist.observe(end.since(sent_at).as_ns());
+        }
+        if let Some((tracer, from, to)) = &telem.flow {
+            tracer.flow(*from, *to, sent_at, end);
+        }
+    }
+
+    /// The shared health flag of the physical link under this sublink.
+    pub fn status(&self) -> &LinkStatus {
+        &self.inner.status
+    }
+
+    /// Tie this sublink to an existing physical-link status. Call before the
+    /// channel is cloned out to its endpoints, e.g. so both direction
+    /// channels of one node-pair link share a single flag.
+    pub fn set_status(&mut self, status: LinkStatus) {
+        self.wiring().status = status;
+    }
+
+    /// True while the underlying physical link is alive.
+    pub fn is_up(&self) -> bool {
+        self.inner.status.is_up()
+    }
+
+    /// The receiving-side wire this sublink is multiplexed onto.
+    pub fn wire(&self) -> &Wire {
+        &self.inner.rx_wire
+    }
+
+    /// The head of every committed send: DMA engine setup on the sending
+    /// side, then the message is booked into the transmitting node's
+    /// meters.
+    pub(crate) async fn commit(&self, h: &SimHandle, bytes: usize) {
+        h.sleep(self.inner.tx_wire.params().dma_startup).await;
+        self.inner.sent.book(bytes);
+    }
+
+    /// Send `words` and suspend until the receiver has them (CSP semantics:
+    /// the sender resumes when the transfer completes).
+    pub async fn send(&self, h: &SimHandle, words: Vec<u32>) {
+        if self.inner.boundary.is_some() {
+            return self.boundary_send(h, words).await;
+        }
+        self.commit(h, words.len() * 4).await;
+        let done = take_done();
+        self.inner
+            .rv
+            .send(Packet {
+                words,
+                done: done.clone(),
+                sent_at: h.now(),
+            })
+            .await;
+        await_done(h, done).await;
+    }
+
+    /// Receive a message, suspending until a sender arrives and the framed
+    /// transfer completes. Returns the payload words.
+    pub async fn recv(&self, h: &SimHandle) -> Vec<u32> {
+        if self.inner.boundary.is_some() {
+            return self.boundary_recv(h).await;
+        }
+        let pkt = self.inner.rv.recv().await;
+        self.complete_recv(h, pkt).await
+    }
+
+    /// Finish a receive whose sender has committed `pkt`: run the framed
+    /// transfer on both engines, wait it out, book the delivery on the
+    /// receiving side and release the sender. Every receive path — plain,
+    /// failable, `ALT` — ends here.
+    pub(crate) async fn complete_recv(&self, h: &SimHandle, pkt: Packet) -> Vec<u32> {
+        let bytes = pkt.words.len() * 4;
+        let (_start, end) = self.transfer(h.now(), &pkt.words);
+        h.sleep_until(end).await;
+        self.book_recv(pkt.sent_at, end, bytes);
+        pkt.done.send(end);
+        pkt.words
+    }
+
+    /// Failable [`LinkChannel::send`]: identical timing on the success path,
+    /// but resolves to [`LinkError::Down`] — instead of blocking forever —
+    /// when the link is already dead or dies while the send is parked
+    /// waiting for its rendezvous partner. Once the receiver has committed,
+    /// the framed transfer is in flight and completes even if the link dies
+    /// underneath it.
+    pub async fn try_send(&self, h: &SimHandle, words: Vec<u32>) -> Result<(), LinkError> {
+        if self.inner.boundary.is_some() {
+            // Boundary links carry no fault state (cross-shard faults are
+            // unsupported); the plain protocol path always succeeds.
+            self.boundary_send(h, words).await;
+            return Ok(());
+        }
+        if !self.inner.status.is_up() {
+            ts_sim::pool::put_words(words);
+            return Err(LinkError::Down);
+        }
+        let bytes = words.len() * 4;
+        // DMA engine setup on the sending side.
+        h.sleep(self.inner.tx_wire.params().dma_startup).await;
+        if !self.inner.status.is_up() {
+            ts_sim::pool::put_words(words);
+            return Err(LinkError::Down);
+        }
+        let done = take_done();
+        let pkt = Packet {
+            words,
+            done: done.clone(),
+            sent_at: h.now(),
+        };
+        match select2(self.inner.rv.send(pkt), self.inner.status.watch_down()).await {
+            Either::Left(()) => {
+                self.inner.sent.book(bytes);
+                await_done(h, done).await;
+                Ok(())
+            }
+            Either::Right(()) => Err(LinkError::Down),
+        }
+    }
+
+    /// Failable [`LinkChannel::recv`]: resolves to [`LinkError::Down`] when
+    /// the link is already dead or dies before any sender commits. A sender
+    /// that committed first still hands its message over (the transfer was
+    /// already in flight when the link died).
+    pub async fn try_recv(&self, h: &SimHandle) -> Result<Vec<u32>, LinkError> {
+        if self.inner.boundary.is_some() {
+            return Ok(self.boundary_recv(h).await);
+        }
+        if !self.inner.status.is_up() {
+            return Err(LinkError::Down);
+        }
+        match select2(self.inner.rv.recv(), self.inner.status.watch_down()).await {
+            Either::Left(pkt) => Ok(self.complete_recv(h, pkt).await),
+            Either::Right(()) => Err(LinkError::Down),
+        }
+    }
+
+    /// True if a sender is currently blocked on this sublink (used by ALT).
+    pub fn sender_waiting(&self) -> bool {
+        self.inner.rv.sender_waiting()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::LinkParams;
+    use ts_sim::{Dur, Sim};
+
+    #[test]
+    fn single_transfer_timing() {
+        let mut sim = Sim::new();
+        let h = sim.handle();
+        let wire = Wire::new("w", LinkParams::default());
+        let ch = LinkChannel::new(wire);
+        let (tx, rx) = (ch.clone(), ch);
+        let h2 = h.clone();
+        sim.spawn(async move {
+            tx.send(&h2, vec![0xff; 2]).await; // one 64-bit word
+                                               // Sender resumes at startup (5 µs) + wire (16 µs) = 21 µs.
+            assert_eq!(h2.now().as_ns(), 21_000);
+        });
+        let jh = sim.spawn(async move { rx.recv(&h).await });
+        assert!(sim.run().quiescent);
+        assert_eq!(jh.try_take(), Some(vec![0xff, 0xff]));
+        assert_eq!(sim.now().as_ns(), 21_000);
+    }
+
+    #[test]
+    fn streaming_reaches_half_mb_per_s() {
+        // Many back-to-back messages: amortized rate approaches 0.5 MB/s
+        // minus the DMA startup share.
+        let mut sim = Sim::new();
+        let h = sim.handle();
+        let wire = Wire::new("w", LinkParams::default());
+        let ch = LinkChannel::new(wire.clone());
+        let (tx, rx) = (ch.clone(), ch);
+        let h2 = h.clone();
+        const MSGS: usize = 100;
+        const WORDS: usize = 256; // 1 KB messages
+        sim.spawn(async move {
+            for _ in 0..MSGS {
+                tx.send(&h2, vec![1u32; WORDS]).await;
+            }
+        });
+        sim.spawn(async move {
+            for _ in 0..MSGS {
+                rx.recv(&h).await;
+            }
+        });
+        let mut sim = sim;
+        assert!(sim.run().quiescent);
+        let bytes = (MSGS * WORDS * 4) as u64;
+        let rate = sim.now().since(Time::ZERO).throughput_bytes(bytes) / 1e6;
+        assert!(rate > 0.49 && rate <= 0.5, "rate = {rate} MB/s");
+        // The wire itself was busy for exactly bytes × 2 µs.
+        assert_eq!(wire.busy_total(), Dur::us(2) * bytes);
+    }
+
+    #[test]
+    fn two_sublinks_share_one_wire() {
+        // Two sublinks multiplexed on one wire: aggregate stays 0.5 MB/s,
+        // each sublink sees roughly half.
+        let mut sim = Sim::new();
+        let h = sim.handle();
+        let wire = Wire::new("w", LinkParams::default());
+        let mut finish = Vec::new();
+        for _ in 0..2 {
+            let ch = LinkChannel::new(wire.clone());
+            let (tx, rx) = (ch.clone(), ch);
+            let hs = h.clone();
+            let hr = h.clone();
+            sim.spawn(async move {
+                for _ in 0..50 {
+                    tx.send(&hs, vec![0u32; 256]).await;
+                }
+            });
+            finish.push(sim.spawn(async move {
+                for _ in 0..50 {
+                    rx.recv(&hr).await;
+                }
+                hr.now()
+            }));
+        }
+        assert!(sim.run().quiescent);
+        let bytes = 2u64 * 50 * 256 * 4;
+        let rate = sim.now().since(Time::ZERO).throughput_bytes(bytes) / 1e6;
+        assert!(rate > 0.49 && rate <= 0.5, "aggregate = {rate} MB/s");
+        // Both sublinks finished near the end (they interleaved, neither
+        // starved).
+        for jh in finish {
+            let t = jh.try_take().unwrap();
+            assert!(t.as_secs_f64() > sim.now().as_secs_f64() * 0.9);
+        }
+    }
+
+    #[test]
+    fn separate_wires_run_in_parallel() {
+        // Two sublinks on *different* wires: aggregate 1.0 MB/s.
+        let mut sim = Sim::new();
+        let h = sim.handle();
+        for name in ["w0", "w1"] {
+            let ch = LinkChannel::new(Wire::new(name, LinkParams::default()));
+            let (tx, rx) = (ch.clone(), ch);
+            let hs = h.clone();
+            let hr = h.clone();
+            sim.spawn(async move {
+                for _ in 0..50 {
+                    tx.send(&hs, vec![0u32; 256]).await;
+                }
+            });
+            sim.spawn(async move {
+                for _ in 0..50 {
+                    rx.recv(&hr).await;
+                }
+            });
+        }
+        assert!(sim.run().quiescent);
+        let bytes = 2u64 * 50 * 256 * 4;
+        let rate = sim.now().since(Time::ZERO).throughput_bytes(bytes) / 1e6;
+        assert!(rate > 0.98 && rate <= 1.0, "aggregate = {rate} MB/s");
+    }
+
+    #[test]
+    fn metrics_count_traffic() {
+        let mut sim = Sim::new();
+        let h = sim.handle();
+        let (msgs_sent, bytes_sent) = (Counter::new(), Counter::new());
+        let (msgs_recv, bytes_recv) = (Counter::new(), Counter::new());
+        let mut ch = LinkChannel::new(Wire::new("w", LinkParams::default()));
+        ch.set_sent_meters(msgs_sent.clone(), bytes_sent.clone());
+        ch.set_recv_meters(msgs_recv.clone(), bytes_recv.clone());
+        let (tx, rx) = (ch.clone(), ch);
+        let h2 = h.clone();
+        sim.spawn(async move { tx.send(&h2, vec![0; 4]).await });
+        sim.spawn(async move {
+            rx.recv(&h).await;
+        });
+        assert!(sim.run().quiescent);
+        assert_eq!(msgs_sent.get(), 1);
+        assert_eq!(bytes_sent.get(), 16);
+        assert_eq!(msgs_recv.get(), 1);
+        assert_eq!(bytes_recv.get(), 16);
+    }
+
+    #[test]
+    fn latency_histogram_observes_message_time() {
+        let mut sim = Sim::new();
+        let h = sim.handle();
+        let ch = LinkChannel::new(Wire::new("w", LinkParams::default()));
+        let hist = Histogram::new();
+        ch.set_latency_histogram(hist.clone());
+        let (tx, rx) = (ch.clone(), ch);
+        let h2 = h.clone();
+        sim.spawn(async move { tx.send(&h2, vec![0xff; 2]).await });
+        sim.spawn(async move {
+            rx.recv(&h).await;
+        });
+        assert!(sim.run().quiescent);
+        // One 64-bit word: 16 µs of wire time after the sender committed.
+        assert_eq!(hist.total(), 1);
+        assert!((hist.mean() - 16_000.0).abs() < 1e-9, "{}", hist.mean());
+    }
+
+    #[test]
+    fn flow_trace_links_sender_and_receiver_tracks() {
+        let mut sim = Sim::new();
+        let h = sim.handle();
+        let ch = LinkChannel::new(Wire::new("w", LinkParams::default()));
+        let tracer = Tracer::new();
+        let from = tracer.track("n0.l0");
+        let to = tracer.track("n1.l0");
+        ch.enable_flow_trace(tracer.clone(), from, to);
+        let (tx, rx) = (ch.clone(), ch);
+        let h2 = h.clone();
+        sim.spawn(async move { tx.send(&h2, vec![0; 2]).await });
+        sim.spawn(async move {
+            rx.recv(&h).await;
+        });
+        assert!(sim.run().quiescent);
+        let flows: Vec<_> = tracer
+            .events()
+            .into_iter()
+            .filter(|e| matches!(e, ts_sim::Event::Flow { .. }))
+            .collect();
+        assert_eq!(flows.len(), 1);
+        match flows[0] {
+            ts_sim::Event::Flow {
+                from: f,
+                to: t,
+                depart,
+                arrive,
+                ..
+            } => {
+                assert_eq!((f, t), (from, to));
+                assert!(arrive > depart);
+            }
+            _ => unreachable!(),
+        }
+    }
+
+    #[test]
+    fn send_on_downed_link_errors_without_hanging() {
+        let mut sim = Sim::new();
+        let h = sim.handle();
+        let ch = LinkChannel::new(Wire::new("w", LinkParams::default()));
+        ch.status().set_down();
+        let jh = sim.spawn(async move {
+            let r = ch.try_send(&h, vec![0; 2]).await;
+            (r, h.now())
+        });
+        assert!(sim.run().quiescent);
+        let (r, t) = jh.try_take().unwrap();
+        assert_eq!(r, Err(LinkError::Down));
+        // Refused before even charging DMA startup.
+        assert_eq!(t.as_ns(), 0);
+    }
+
+    #[test]
+    fn parked_send_aborts_when_link_dies() {
+        let mut sim = Sim::new();
+        let h = sim.handle();
+        let ch = LinkChannel::new(Wire::new("w", LinkParams::default()));
+        let status = ch.status().clone();
+        let h2 = h.clone();
+        sim.spawn(async move {
+            h2.sleep(Dur::us(100)).await;
+            status.set_down();
+        });
+        // No receiver ever arrives: without the failable path this send
+        // would park forever.
+        let jh = sim.spawn(async move {
+            let r = ch.try_send(&h, vec![0; 2]).await;
+            (r, h.now())
+        });
+        let report = sim.run();
+        assert!(report.quiescent, "sim must quiesce, not strand the sender");
+        let (r, t) = jh.try_take().unwrap();
+        assert_eq!(r, Err(LinkError::Down));
+        assert_eq!(t.as_ns(), 100_000);
+    }
+
+    #[test]
+    fn parked_recv_aborts_when_link_dies() {
+        let mut sim = Sim::new();
+        let h = sim.handle();
+        let ch = LinkChannel::new(Wire::new("w", LinkParams::default()));
+        let status = ch.status().clone();
+        let h2 = h.clone();
+        sim.spawn(async move {
+            h2.sleep(Dur::us(50)).await;
+            status.set_down();
+        });
+        let jh = sim.spawn(async move {
+            let r = ch.try_recv(&h).await;
+            (r.is_err(), h.now())
+        });
+        assert!(sim.run().quiescent);
+        let (errored, t) = jh.try_take().unwrap();
+        assert!(errored);
+        assert_eq!(t.as_ns(), 50_000);
+    }
+
+    #[test]
+    fn try_paths_keep_exact_timing_when_healthy() {
+        let mut sim = Sim::new();
+        let h = sim.handle();
+        let ch = LinkChannel::new(Wire::new("w", LinkParams::default()));
+        let (tx, rx) = (ch.clone(), ch);
+        let h2 = h.clone();
+        sim.spawn(async move {
+            tx.try_send(&h2, vec![0xff; 2]).await.unwrap();
+            // Same clock as the infallible path: 5 µs startup + 16 µs wire.
+            assert_eq!(h2.now().as_ns(), 21_000);
+        });
+        let jh = sim.spawn(async move {
+            let words = rx.try_recv(&h).await.unwrap();
+            (words.len(), h.now())
+        });
+        assert!(sim.run().quiescent);
+        let (n, t) = jh.try_take().unwrap();
+        assert_eq!(n, 2);
+        assert_eq!(t.as_ns(), 21_000);
+    }
+
+    #[test]
+    fn status_shared_across_clones_and_directions() {
+        let wa = Wire::new("a", LinkParams::default());
+        let wb = Wire::new("b", LinkParams::default());
+        let ab = LinkChannel::new_pair(wa.clone(), wb.clone());
+        let mut ba = LinkChannel::new_pair(wb, wa);
+        ba.set_status(ab.status().clone());
+        let ab2 = ab.clone();
+        ab.status().set_down();
+        assert!(!ab2.is_up());
+        assert!(!ba.is_up());
+        ab.status().set_up();
+        assert!(ba.is_up());
+    }
+}

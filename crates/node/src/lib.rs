@@ -40,13 +40,16 @@ use std::cell::{OnceCell, Ref, RefCell, RefMut};
 use std::rc::Rc;
 
 use ts_cp::{Cp, CpBus, CpError, CpEvent, StepOutcome};
+use ts_fpu::pipeline::Precision;
 use ts_fpu::Sf64;
 use ts_link::{LinkChannel, LinkError};
-use ts_mem::{MemCfg, MemError, NodeMemory, GATHER64_TIME, ROW_TIME, ROW_WORDS, WORD_TIME};
-use ts_sim::{
-    BusyTime, Counter, Dur, Histogram, MetricsRegistry, MetricsScope, Resource, SimHandle,
+use ts_mem::{
+    MemCfg, MemError, NodeMemory, GATHER32_TIME, GATHER64_TIME, ROW_TIME, ROW_WORDS, WORD_TIME,
 };
-use ts_vec::{VecForm, VecResult, VecUnit};
+use ts_sim::{
+    BusyTime, Counter, Dur, Histogram, MetricsRegistry, MetricsScope, Resource, SimHandle, Time,
+};
+use ts_vec::{VecForm, VecResult, VecTiming, VecUnit};
 
 /// Average control-processor instruction time (7.5 MIPS).
 pub const CP_INSTR_TIME: Dur = Dur::ps(133_333);
@@ -87,8 +90,6 @@ pub enum CombineOp {
 pub struct NodeCfg {
     /// Memory geometry (1 MB in the paper's machine).
     pub mem: MemCfg,
-    /// Link framing/rates.
-    pub link: ts_link::LinkParams,
     /// Force the single-bank ablation (experiment E9).
     pub single_bank: bool,
 }
@@ -96,12 +97,11 @@ pub struct NodeCfg {
 struct NodeState {
     mem: NodeMemory,
     vec_unit: VecUnit,
-    /// Channels to hypercube neighbours, indexed by dimension.
-    out_dims: Vec<LinkChannel>,
-    in_dims: Vec<LinkChannel>,
-    /// System-thread channels (to the module's system board).
-    sys_out: Option<LinkChannel>,
-    sys_in: Option<LinkChannel>,
+    /// `(out, in)` channels to each hypercube neighbour, indexed by
+    /// dimension.
+    dims: Vec<(LinkChannel, LinkChannel)>,
+    /// `(out, in)` system-thread channels (to the module's system board).
+    sys: Option<(LinkChannel, LinkChannel)>,
     /// Health flag, "up" while the node is alive. Set down by a fault plan
     /// (node crash); watchable, so daemons parked on the node's channels
     /// can be torn down. Every link of a crashed node is also marked down
@@ -317,10 +317,8 @@ impl Node {
                 state: RefCell::new(NodeState {
                     mem: NodeMemory::new(cfg.mem),
                     vec_unit,
-                    out_dims: Vec::new(),
-                    in_dims: Vec::new(),
-                    sys_out: None,
-                    sys_in: None,
+                    dims: Vec::new(),
+                    sys: None,
                     health: ts_link::LinkStatus::new(),
                 }),
                 cp_res: Resource::new("cp"),
@@ -335,33 +333,29 @@ impl Node {
     /// layer wires both endpoints).
     pub fn wire_dim(&self, dim: usize, out: LinkChannel, inp: LinkChannel) {
         let mut st = self.shared.state.borrow_mut();
-        if st.out_dims.len() <= dim {
-            let filler_wire = || ts_link::Wire::new("unwired", ts_link::LinkParams::default());
-            while st.out_dims.len() <= dim {
-                st.out_dims.push(LinkChannel::new(filler_wire()));
-                st.in_dims.push(LinkChannel::new(filler_wire()));
-            }
+        let filler = || {
+            LinkChannel::new(ts_link::Wire::new(
+                "unwired",
+                ts_link::LinkParams::default(),
+            ))
+        };
+        while st.dims.len() <= dim {
+            st.dims.push((filler(), filler()));
         }
-        st.out_dims[dim] = out;
-        st.in_dims[dim] = inp;
+        st.dims[dim] = (out, inp);
     }
 
     /// Attach the system-board channel pair.
     pub fn wire_system(&self, out: LinkChannel, inp: LinkChannel) {
-        let mut st = self.shared.state.borrow_mut();
-        st.sys_out = Some(out);
-        st.sys_in = Some(inp);
+        self.shared.state.borrow_mut().sys = Some((out, inp));
     }
 
     /// Kill the physical link on dimension `dim`: both direction channels
     /// are marked down, so failable traffic on either end errors instead of
     /// hanging.
     pub fn set_link_down(&self, dim: usize) {
-        let st = self.shared.state.borrow();
-        if let Some(out) = st.out_dims.get(dim) {
+        if let Some((out, inp)) = self.shared.state.borrow().dims.get(dim) {
             out.status().set_down();
-        }
-        if let Some(inp) = st.in_dims.get(dim) {
             inp.status().set_down();
         }
     }
@@ -369,11 +363,8 @@ impl Node {
     /// Repair the physical link on dimension `dim`: both direction channels
     /// are marked up again (the inverse of [`Node::set_link_down`]).
     pub fn set_link_up(&self, dim: usize) {
-        let st = self.shared.state.borrow();
-        if let Some(out) = st.out_dims.get(dim) {
+        if let Some((out, inp)) = self.shared.state.borrow().dims.get(dim) {
             out.status().set_up();
-        }
-        if let Some(inp) = st.in_dims.get(dim) {
             inp.status().set_up();
         }
     }
@@ -382,7 +373,7 @@ impl Node {
     /// the flit addressed by `flit_bit` arrives with a flipped payload bit,
     /// fails its CRC, and is retransmitted by go-back-N recovery.
     pub fn queue_wire_corrupt(&self, dim: usize, flit_bit: u64) {
-        if let Some(out) = self.shared.state.borrow().out_dims.get(dim) {
+        if let Some((out, _)) = self.shared.state.borrow().dims.get(dim) {
             out.inject_corrupt(flit_bit);
         }
     }
@@ -390,7 +381,7 @@ impl Node {
     /// Queue a transient flit loss on the next outbound message of `dim`:
     /// the receiver times out and the window is retransmitted.
     pub fn queue_flit_drop(&self, dim: usize) {
-        if let Some(out) = self.shared.state.borrow().out_dims.get(dim) {
+        if let Some((out, _)) = self.shared.state.borrow().dims.get(dim) {
             out.inject_drop();
         }
     }
@@ -401,8 +392,7 @@ impl Node {
     /// already condemned by retransmit-budget escalation stays down.
     pub fn flap_link(&self, dim: usize, down_for: Dur) {
         self.set_link_down(dim);
-        self.shared
-            .meters
+        self.meters()
             .link_flap_us
             .observe(down_for.as_ps() / 1_000_000);
         let node = self.clone();
@@ -417,10 +407,9 @@ impl Node {
     /// counts as down).
     pub fn link_up(&self, dim: usize) -> bool {
         let st = self.shared.state.borrow();
-        match (st.out_dims.get(dim), st.in_dims.get(dim)) {
-            (Some(out), Some(inp)) => out.is_up() && inp.is_up(),
-            _ => false,
-        }
+        st.dims
+            .get(dim)
+            .is_some_and(|(out, inp)| out.is_up() && inp.is_up())
     }
 
     /// Crash the node: marks the control processor dead and downs every
@@ -429,14 +418,9 @@ impl Node {
     pub fn crash(&self) {
         let st = self.shared.state.borrow();
         st.health.set_down();
-        for ch in st.out_dims.iter().chain(st.in_dims.iter()) {
-            ch.status().set_down();
-        }
-        if let Some(ch) = &st.sys_out {
-            ch.status().set_down();
-        }
-        if let Some(ch) = &st.sys_in {
-            ch.status().set_down();
+        for (out, inp) in st.dims.iter().chain(&st.sys) {
+            out.status().set_down();
+            inp.status().set_down();
         }
     }
 
@@ -468,7 +452,8 @@ impl Node {
     /// telemetry layer uses this to attach flow traces and latency
     /// histograms to each cube edge).
     pub fn out_channel(&self, dim: usize) -> Option<LinkChannel> {
-        self.shared.state.borrow().out_dims.get(dim).cloned()
+        let st = self.shared.state.borrow();
+        st.dims.get(dim).map(|(out, _)| out.clone())
     }
 
     /// Direct (zero-simulated-time) access to memory, for host-side setup
@@ -485,15 +470,14 @@ impl Node {
     /// Attach an execution tracer: the control processor, vector unit and
     /// word port record busy spans under `n<id>.cp` / `.vec` / `.port`.
     pub fn attach_tracer(&self, tracer: &ts_sim::Tracer) {
-        self.shared
-            .cp_res
-            .attach_tracer(tracer.clone(), format!("n{}.cp", self.id));
-        self.shared
-            .vec_res
-            .attach_tracer(tracer.clone(), format!("n{}.vec", self.id));
-        self.shared
-            .port_res
-            .attach_tracer(tracer.clone(), format!("n{}.port", self.id));
+        let sh = &self.shared;
+        for (res, unit) in [
+            (&sh.cp_res, "cp"),
+            (&sh.vec_res, "vec"),
+            (&sh.port_res, "port"),
+        ] {
+            res.attach_tracer(tracer.clone(), format!("n{}.{unit}", self.id));
+        }
     }
 }
 
@@ -589,32 +573,28 @@ impl NodeCtx {
     /// Run `n` average control-processor instructions (7.5 MIPS).
     pub async fn cp_compute(&self, n: u64) {
         let d = CP_INSTR_TIME * n;
-        self.node.shared.meters.cp_instrs.add(n);
-        self.node.shared.meters.cp_busy.add(d);
+        self.meters().cp_instrs.add(n);
+        self.meters().cp_busy.add(d);
         self.node.shared.cp_res.use_for(&self.node.h, d).await;
+    }
+
+    /// One word-port access by the control processor: 400 ns, arbitrated.
+    async fn cp_port_access(&self) {
+        let shared = &self.node.shared;
+        shared.cp_res.use_for(&self.node.h, WORD_TIME).await;
+        shared.port_res.reserve(self.now(), WORD_TIME);
+        shared.meters.port_cp.add(WORD_TIME);
     }
 
     /// One timed word-port read (CP path: 400 ns, arbitrated).
     pub async fn cp_read(&self, addr: usize) -> Result<u32, MemError> {
-        self.node
-            .shared
-            .cp_res
-            .use_for(&self.node.h, WORD_TIME)
-            .await;
-        self.node.shared.port_res.reserve(self.now(), WORD_TIME);
-        self.node.shared.meters.port_cp.add(WORD_TIME);
+        self.cp_port_access().await;
         self.node.shared.state.borrow().mem.read_word(addr)
     }
 
     /// One timed word-port write.
     pub async fn cp_write(&self, addr: usize, w: u32) -> Result<(), MemError> {
-        self.node
-            .shared
-            .cp_res
-            .use_for(&self.node.h, WORD_TIME)
-            .await;
-        self.node.shared.port_res.reserve(self.now(), WORD_TIME);
-        self.node.shared.meters.port_cp.add(WORD_TIME);
+        self.cp_port_access().await;
         self.node.shared.state.borrow_mut().mem.write_word(addr, w)
     }
 
@@ -623,55 +603,53 @@ impl NodeCtx {
     /// `src` are word addresses of element low-words; `dst` is the first
     /// destination word address.
     pub async fn gather64(&self, src: &[usize], dst: usize) -> Result<(), MemError> {
-        let d = GATHER64_TIME * src.len() as u64;
-        // The CP and the word port are both occupied by the loop.
-        self.node.shared.port_res.reserve(self.now(), d);
-        self.node.shared.meters.cp_gathered.add(src.len() as u64);
-        self.node.shared.meters.cp_busy.add(d);
-        self.node.shared.meters.port_cp.add(d);
-        {
-            let mut st = self.node.shared.state.borrow_mut();
-            for (i, &s) in src.iter().enumerate() {
-                let v = st.mem.read_u64(s)?;
-                st.mem.write_u64(dst + 2 * i, v)?;
-            }
-        }
-        self.node.shared.cp_res.use_for(&self.node.h, d).await;
-        Ok(())
+        let pairs = src.iter().enumerate().map(|(i, &s)| (s, dst + 2 * i));
+        let moved = &self.meters().cp_gathered;
+        self.cp_copy(pairs, true, moved).await
     }
 
     /// Gather scattered 32-bit elements (one read + one write each:
     /// 0.8 µs per element, §II).
     pub async fn gather32(&self, src: &[usize], dst: usize) -> Result<(), MemError> {
-        let d = ts_mem::GATHER32_TIME * src.len() as u64;
-        self.node.shared.port_res.reserve(self.now(), d);
-        self.node.shared.meters.cp_gathered.add(src.len() as u64);
-        self.node.shared.meters.cp_busy.add(d);
-        self.node.shared.meters.port_cp.add(d);
-        {
-            let mut st = self.node.shared.state.borrow_mut();
-            for (i, &s) in src.iter().enumerate() {
-                let v = st.mem.read_word(s)?;
-                st.mem.write_word(dst + i, v)?;
-            }
-        }
-        self.node.shared.cp_res.use_for(&self.node.h, d).await;
-        Ok(())
+        let pairs = src.iter().enumerate().map(|(i, &s)| (s, dst + i));
+        let moved = &self.meters().cp_gathered;
+        self.cp_copy(pairs, false, moved).await
     }
 
     /// Scatter contiguous 64-bit elements to scattered destinations
     /// (1.6 µs per element).
     pub async fn scatter64(&self, src: usize, dst: &[usize]) -> Result<(), MemError> {
-        let d = GATHER64_TIME * dst.len() as u64;
+        let pairs = dst.iter().enumerate().map(|(i, &t)| (src + 2 * i, t));
+        let moved = &self.meters().cp_scattered;
+        self.cp_copy(pairs, true, moved).await
+    }
+
+    /// The control processor's element-at-a-time copy loop behind every
+    /// gather and scatter: one element per `(source, destination)` word
+    /// address pair, 64-bit when `wide`, counted into `moved`.
+    async fn cp_copy(
+        &self,
+        pairs: impl ExactSizeIterator<Item = (usize, usize)>,
+        wide: bool,
+        moved: &Counter,
+    ) -> Result<(), MemError> {
+        let n = pairs.len() as u64;
+        let d = if wide { GATHER64_TIME } else { GATHER32_TIME } * n;
+        // The CP and the word port are both occupied by the loop.
         self.node.shared.port_res.reserve(self.now(), d);
-        self.node.shared.meters.cp_scattered.add(dst.len() as u64);
-        self.node.shared.meters.cp_busy.add(d);
-        self.node.shared.meters.port_cp.add(d);
+        moved.add(n);
+        self.meters().cp_busy.add(d);
+        self.meters().port_cp.add(d);
         {
             let mut st = self.node.shared.state.borrow_mut();
-            for (i, &t) in dst.iter().enumerate() {
-                let v = st.mem.read_u64(src + 2 * i)?;
-                st.mem.write_u64(t, v)?;
+            for (s, t) in pairs {
+                if wide {
+                    let v = st.mem.read_u64(s)?;
+                    st.mem.write_u64(t, v)?;
+                } else {
+                    let v = st.mem.read_word(s)?;
+                    st.mem.write_word(t, v)?;
+                }
             }
         }
         self.node.shared.cp_res.use_for(&self.node.h, d).await;
@@ -688,7 +666,7 @@ impl NodeCtx {
         rows: usize,
     ) -> Result<(), MemError> {
         let d = ROW_TIME * (2 * rows as u64);
-        self.node.shared.meters.rows_moved.add(rows as u64);
+        self.meters().rows_moved.add(rows as u64);
         {
             let mut st = self.node.shared.state.borrow_mut();
             let mut buf = [0u32; ROW_WORDS];
@@ -704,7 +682,7 @@ impl NodeCtx {
     /// Swap two row ranges (read both, write both: 1.6 µs per row pair).
     pub async fn row_swap(&self, a_row: usize, b_row: usize, rows: usize) -> Result<(), MemError> {
         let d = ROW_TIME * (4 * rows as u64);
-        self.node.shared.meters.rows_moved.add(2 * rows as u64);
+        self.meters().rows_moved.add(2 * rows as u64);
         {
             let mut st = self.node.shared.state.borrow_mut();
             let mut ba = [0u32; ROW_WORDS];
@@ -731,14 +709,8 @@ impl NodeCtx {
         z_row: usize,
         n: usize,
     ) -> Result<VecResult, MemError> {
-        let r = self.issue_vec(form, x_row, y_row, z_row, n)?;
-        let (_s, end) = self
-            .node
-            .shared
-            .vec_res
-            .reserve(self.now(), r.timing.duration);
-        self.node.h.sleep_until(end).await;
-        Ok(r)
+        self.run_vec(n, |u, mem| u.exec64(mem, form, x_row, y_row, z_row, n))
+            .await
     }
 
     /// Execute a 32-bit-mode vector form (256 elements per register row,
@@ -751,22 +723,8 @@ impl NodeCtx {
         z_row: usize,
         n: usize,
     ) -> Result<VecResult, MemError> {
-        let r = {
-            let mut st = self.node.shared.state.borrow_mut();
-            let NodeState { mem, vec_unit, .. } = &mut *st;
-            let r = vec_unit.exec32(mem, form, x_row, y_row, z_row, n)?;
-            self.node.shared.meters.vec_flops.add(r.timing.flops);
-            self.node.shared.meters.vec_busy.add(r.timing.duration);
-            self.node.shared.meters.vec_len.observe(n as u64);
-            r
-        };
-        let (_s, end) = self
-            .node
-            .shared
-            .vec_res
-            .reserve(self.now(), r.timing.duration);
-        self.node.h.sleep_until(end).await;
-        Ok(r)
+        self.run_vec(n, |u, mem| u.exec32(mem, form, x_row, y_row, z_row, n))
+            .await
     }
 
     /// Narrow `n` 64-bit elements to 32-bit through the adder's conversion
@@ -777,22 +735,8 @@ impl NodeCtx {
         z_row: usize,
         n: usize,
     ) -> Result<VecResult, MemError> {
-        let r = {
-            let mut st = self.node.shared.state.borrow_mut();
-            let NodeState { mem, vec_unit, .. } = &mut *st;
-            let r = vec_unit.convert64to32(mem, x_row, z_row, n)?;
-            self.node.shared.meters.vec_flops.add(r.timing.flops);
-            self.node.shared.meters.vec_busy.add(r.timing.duration);
-            self.node.shared.meters.vec_len.observe(n as u64);
-            r
-        };
-        let (_s, end) = self
-            .node
-            .shared
-            .vec_res
-            .reserve(self.now(), r.timing.duration);
-        self.node.h.sleep_until(end).await;
-        Ok(r)
+        self.run_vec(n, |u, mem| u.convert64to32(mem, x_row, z_row, n))
+            .await
     }
 
     /// Widen `n` 32-bit elements to 64-bit (exact).
@@ -802,22 +746,8 @@ impl NodeCtx {
         z_row: usize,
         n: usize,
     ) -> Result<VecResult, MemError> {
-        let r = {
-            let mut st = self.node.shared.state.borrow_mut();
-            let NodeState { mem, vec_unit, .. } = &mut *st;
-            let r = vec_unit.convert32to64(mem, x_row, z_row, n)?;
-            self.node.shared.meters.vec_flops.add(r.timing.flops);
-            self.node.shared.meters.vec_busy.add(r.timing.duration);
-            self.node.shared.meters.vec_len.observe(n as u64);
-            r
-        };
-        let (_s, end) = self
-            .node
-            .shared
-            .vec_res
-            .reserve(self.now(), r.timing.duration);
-        self.node.h.sleep_until(end).await;
-        Ok(r)
+        self.run_vec(n, |u, mem| u.convert32to64(mem, x_row, z_row, n))
+            .await
     }
 
     /// Issue a vector form and return immediately: the arithmetic unit runs
@@ -836,12 +766,7 @@ impl NodeCtx {
         z_row: usize,
         n: usize,
     ) -> Result<ts_sim::JoinHandle<VecResult>, MemError> {
-        let r = self.issue_vec(form, x_row, y_row, z_row, n)?;
-        let (_s, end) = self
-            .node
-            .shared
-            .vec_res
-            .reserve(self.now(), r.timing.duration);
+        let (r, end) = self.issue_vec(n, |u, mem| u.exec64(mem, form, x_row, y_row, z_row, n))?;
         let h = self.node.h.clone();
         Ok(self.node.h.spawn(async move {
             h.sleep_until(end).await;
@@ -849,30 +774,60 @@ impl NodeCtx {
         }))
     }
 
+    /// The one issue path of the vector unit: `op` runs a form of length
+    /// `n` on the node's unit and memory (element values land at issue),
+    /// then the form is booked and the unit occupied for its duration.
+    /// Returns the result and the instant of the completion interrupt.
     fn issue_vec(
         &self,
-        form: VecForm,
-        x_row: usize,
-        y_row: usize,
-        z_row: usize,
         n: usize,
+        op: impl FnOnce(&VecUnit, &mut NodeMemory) -> Result<VecResult, MemError>,
+    ) -> Result<(VecResult, Time), MemError> {
+        let r = {
+            let mut st = self.node.shared.state.borrow_mut();
+            let NodeState { mem, vec_unit, .. } = &mut *st;
+            op(vec_unit, mem)?
+        };
+        Ok((r, self.occupy_vec(r.timing, n)))
+    }
+
+    /// [`NodeCtx::issue_vec`], then wait for the completion interrupt.
+    async fn run_vec(
+        &self,
+        n: usize,
+        op: impl FnOnce(&VecUnit, &mut NodeMemory) -> Result<VecResult, MemError>,
     ) -> Result<VecResult, MemError> {
-        let mut st = self.node.shared.state.borrow_mut();
-        let NodeState { mem, vec_unit, .. } = &mut *st;
-        let r = vec_unit.exec64(mem, form, x_row, y_row, z_row, n)?;
-        self.node.shared.meters.vec_flops.add(r.timing.flops);
-        self.node.shared.meters.vec_busy.add(r.timing.duration);
-        self.node.shared.meters.vec_len.observe(n as u64);
+        let (r, end) = self.issue_vec(n, op)?;
+        self.node.h.sleep_until(end).await;
         Ok(r)
     }
 
-    /// Combine two value vectors elementwise through the vector unit
-    /// (message payloads live in registers/DMA buffers rather than aligned
-    /// rows, so this charges the same cross-bank vector-form timing without
-    /// touching the row model). Used by the collectives.
+    /// Book a form of length `n` into the meters and occupy the vector unit
+    /// for its duration; returns the completion instant.
+    fn occupy_vec(&self, timing: VecTiming, n: usize) -> Time {
+        let shared = &self.node.shared;
+        shared.meters.vec_flops.add(timing.flops);
+        shared.meters.vec_busy.add(timing.duration);
+        shared.meters.vec_len.observe(n as u64);
+        shared.vec_res.reserve(self.now(), timing.duration).1
+    }
+
+    /// Charge the unit for arithmetic done on message buffers and wait it
+    /// out. Payloads live in registers/DMA buffers rather than aligned
+    /// rows, so the row model is not touched: the time is the unit's own
+    /// [`VecUnit::timing`] of `form` over `n` 64-bit elements streaming
+    /// cross-bank (II = 1). `flops` overrides the form's count.
+    async fn charge_form(&self, form: VecForm, n: usize, flops: Option<u64>) {
+        let mut timing = VecUnit::timing(form, n, 1, Precision::Double);
+        timing.flops = flops.unwrap_or(timing.flops);
+        let end = self.occupy_vec(timing, n);
+        self.node.h.sleep_until(end).await;
+    }
+
+    /// Combine two value vectors elementwise through the vector unit,
+    /// charged as an adder-path vector form. Used by the collectives.
     pub async fn combine_values(&self, op: CombineOp, acc: &mut [Sf64], other: &[Sf64]) {
         assert_eq!(acc.len(), other.len(), "combine_values length mismatch");
-        let n = acc.len() as u64;
         for (a, &b) in acc.iter_mut().zip(other) {
             *a = match op {
                 CombineOp::Add => *a + b,
@@ -893,11 +848,7 @@ impl NodeCtx {
                 }
             };
         }
-        // Charge the adder-path vector-form time (II = 1).
-        let depth = VecForm::VAdd.depth(ts_fpu::pipeline::Precision::Double);
-        let d = self.vec_form_time(depth, n, n);
-        let (_s, end) = self.node.shared.vec_res.reserve(self.now(), d);
-        self.node.h.sleep_until(end).await;
+        self.charge_form(VecForm::VAdd, acc.len(), None).await;
     }
 
     /// SAXPY on message-buffer values: `y[i] += a·x[i]` through the chained
@@ -907,23 +858,18 @@ impl NodeCtx {
         for (yi, &xi) in y.iter_mut().zip(x) {
             *yi = a * xi + *yi;
         }
-        let n = x.len() as u64;
-        let d = self.vec_form_time(13, n, 2 * n);
-        let (_s, end) = self.node.shared.vec_res.reserve(self.now(), d);
-        self.node.h.sleep_until(end).await;
+        self.charge_form(VecForm::Saxpy(a), x.len(), None).await;
     }
 
-    /// Dot product on message-buffer values (2 flops per element).
+    /// Dot product on message-buffer values (2 flops per element, plus the
+    /// reduction's feedback drain).
     pub async fn dot_values(&self, x: &[Sf64], y: &[Sf64]) -> Sf64 {
         assert_eq!(x.len(), y.len(), "dot_values length mismatch");
         let mut acc = Sf64::ZERO;
         for (&xi, &yi) in x.iter().zip(y) {
             acc = acc + xi * yi;
         }
-        let n = x.len() as u64;
-        let d = self.vec_form_time(13, n, 2 * n) + Dur::CYCLE * 6; // feedback drain
-        let (_s, end) = self.node.shared.vec_res.reserve(self.now(), d);
-        self.node.h.sleep_until(end).await;
+        self.charge_form(VecForm::Dot, x.len(), None).await;
         acc
     }
 
@@ -935,85 +881,53 @@ impl NodeCtx {
         if flops == 0 {
             return;
         }
-        let cycles = flops.div_ceil(2);
-        let d = self.vec_form_time(13, cycles, flops);
-        let (_s, end) = self.node.shared.vec_res.reserve(self.now(), d);
-        self.node.h.sleep_until(end).await;
-    }
-
-    /// Timing of a vector form: issue + first row load + `depth` cycles +
-    /// `n−1` cycles + result-row drain; books `flops` into the metrics.
-    fn vec_form_time(&self, depth: u64, n: u64, flops: u64) -> Dur {
-        let mut d = Dur::ns(525) + ROW_TIME;
-        if n > 0 {
-            d += Dur::CYCLE * (depth + n - 1);
-        }
-        d += ROW_TIME;
-        self.node.shared.meters.vec_flops.add(flops);
-        self.node.shared.meters.vec_busy.add(d);
-        self.node.shared.meters.vec_len.observe(n);
-        d
+        let cycles = flops.div_ceil(2) as usize;
+        self.charge_form(VecForm::Saxpy(Sf64::ZERO), cycles, Some(flops))
+            .await;
     }
 
     // --- links --------------------------------------------------------------
 
-    fn out_chan(&self, dim: usize) -> LinkChannel {
+    /// The `(out, in)` sublink pair across (virtual) `dim`. Clone the end
+    /// you need and let the borrow go before awaiting on it.
+    fn dim_pair(&self, dim: usize) -> Ref<'_, (LinkChannel, LinkChannel)> {
         let dim = self.map_dim(dim);
-        self.node
-            .shared
-            .state
-            .borrow()
-            .out_dims
-            .get(dim)
-            .cloned()
-            .unwrap_or_else(|| panic!("node {}: dimension {dim} not wired", self.node.id))
-    }
-
-    fn in_chan(&self, dim: usize) -> LinkChannel {
-        let dim = self.map_dim(dim);
-        self.node
-            .shared
-            .state
-            .borrow()
-            .in_dims
-            .get(dim)
-            .cloned()
-            .unwrap_or_else(|| panic!("node {}: dimension {dim} not wired", self.node.id))
+        Ref::map(self.node.shared.state.borrow(), |st| {
+            st.dims
+                .get(dim)
+                .unwrap_or_else(|| panic!("node {}: dimension {dim} not wired", self.node.id))
+        })
     }
 
     /// The incoming sublink for dimension `dim` (router daemons `ALT` over
     /// these directly).
     pub fn in_channel(&self, dim: usize) -> LinkChannel {
-        self.in_chan(dim)
+        self.dim_pair(dim).1.clone()
     }
 
     /// Send words to the hypercube neighbour across `dim`.
     pub async fn send_dim(&self, dim: usize, words: Vec<u32>) {
-        let ch = self.out_chan(dim);
-        self.node
-            .shared
-            .meters
-            .link_words_sent
-            .add(words.len() as u64);
+        let ch = self.dim_pair(dim).0.clone();
+        self.meters().link_words_sent.add(words.len() as u64);
         ch.send(&self.node.h, words).await;
     }
 
     /// Receive words from the neighbour across `dim`.
     pub async fn recv_dim(&self, dim: usize) -> Vec<u32> {
-        let ch = self.in_chan(dim);
+        let ch = self.dim_pair(dim).1.clone();
         let w = ch.recv(&self.node.h).await;
-        self.node.shared.meters.link_words_recv.add(w.len() as u64);
+        self.meters().link_words_recv.add(w.len() as u64);
         w
     }
 
     /// Failable [`NodeCtx::send_dim`]: returns [`LinkError::Down`] instead
     /// of hanging when the link across `dim` is (or goes) dead.
     pub async fn try_send_dim(&self, dim: usize, words: Vec<u32>) -> Result<(), LinkError> {
-        let ch = self.out_chan(dim);
+        let ch = self.dim_pair(dim).0.clone();
         let n = words.len() as u64;
         let r = ch.try_send(&self.node.h, words).await;
         if r.is_ok() {
-            self.node.shared.meters.link_words_sent.add(n);
+            self.meters().link_words_sent.add(n);
         }
         r
     }
@@ -1031,10 +945,8 @@ impl NodeCtx {
     pub fn link_statuses(&self, dim: usize) -> Option<(ts_link::LinkStatus, ts_link::LinkStatus)> {
         let dim = self.map_dim(dim);
         let st = self.node.shared.state.borrow();
-        match (st.out_dims.get(dim), st.in_dims.get(dim)) {
-            (Some(o), Some(i)) => Some((o.status().clone(), i.status().clone())),
-            _ => None,
-        }
+        let pair = st.dims.get(dim)?;
+        Some((pair.0.status().clone(), pair.1.status().clone()))
     }
 
     /// True once this node has been crashed by a fault plan.
@@ -1049,14 +961,10 @@ impl NodeCtx {
 
     /// `ALT` over several incoming dimensions: first sender wins.
     pub async fn alt_dims(&self, dims: &[usize]) -> (usize, Vec<u32>) {
-        let chans: Vec<LinkChannel> = dims.iter().map(|&d| self.in_chan(d)).collect();
+        let chans: Vec<LinkChannel> = dims.iter().map(|&d| self.in_channel(d)).collect();
         let refs: Vec<&LinkChannel> = chans.iter().collect();
         let (idx, words) = ts_link::alt_recv(&self.node.h, &refs).await;
-        self.node
-            .shared
-            .meters
-            .link_words_recv
-            .add(words.len() as u64);
+        self.meters().link_words_recv.add(words.len() as u64);
         (dims[idx], words)
     }
 
@@ -1089,17 +997,18 @@ impl NodeCtx {
         vals
     }
 
+    /// The `(out, in)` system-thread sublinks to the module's board (same
+    /// borrow rule as [`NodeCtx::dim_pair`]).
+    fn sys_pair(&self) -> Ref<'_, (LinkChannel, LinkChannel)> {
+        Ref::map(self.node.shared.state.borrow(), |st| {
+            st.sys.as_ref().expect("system thread not wired")
+        })
+    }
+
     /// Send to the module's system board.
     pub async fn send_system(&self, words: Vec<u32>) {
-        let ch = self
-            .node
-            .shared
-            .state
-            .borrow()
-            .sys_out
-            .clone()
-            .expect("system thread not wired");
-        ch.send(&self.node.h, words).await;
+        let out = self.sys_pair().0.clone();
+        out.send(&self.node.h, words).await;
     }
 
     /// Failable [`NodeCtx::send_system`]: identical timing while healthy,
@@ -1107,28 +1016,14 @@ impl NodeCtx {
     /// (which downs its system link) before or during the send — even
     /// while parked waiting for the board's rendezvous.
     pub async fn try_send_system(&self, words: Vec<u32>) -> Result<(), ts_link::LinkError> {
-        let ch = self
-            .node
-            .shared
-            .state
-            .borrow()
-            .sys_out
-            .clone()
-            .expect("system thread not wired");
-        ch.try_send(&self.node.h, words).await
+        let out = self.sys_pair().0.clone();
+        out.try_send(&self.node.h, words).await
     }
 
     /// Receive from the module's system board.
     pub async fn recv_system(&self) -> Vec<u32> {
-        let ch = self
-            .node
-            .shared
-            .state
-            .borrow()
-            .sys_in
-            .clone()
-            .expect("system thread not wired");
-        ch.recv(&self.node.h).await
+        let inp = self.sys_pair().1.clone();
+        inp.recv(&self.node.h).await
     }
 
     // --- running real machine code ------------------------------------------
@@ -1158,7 +1053,7 @@ impl NodeCtx {
             // Charge the cycles executed since the last yield.
             let fresh = cp.elapsed() - charged;
             charged += fresh;
-            self.node.shared.meters.cp_busy.add(fresh);
+            self.meters().cp_busy.add(fresh);
             self.node.shared.cp_res.use_for(&self.node.h, fresh).await;
             match outcome {
                 StepOutcome::Halted => return Ok(cp),
@@ -1381,6 +1276,46 @@ mod tests {
         assert!(sim.run().quiescent);
         let (da, db, end) = jh.try_take().unwrap();
         assert_eq!(end.since(ts_sim::Time::ZERO), da + db, "one vector unit");
+    }
+
+    #[test]
+    fn message_buffer_arithmetic_costs_what_the_cross_bank_form_costs() {
+        // combine/saxpy/dot on message buffers charge the unit's own timing
+        // of the form they stand for: x in bank A (row 0), y in bank B (row
+        // 256), so the row form streams at II = 1 like the buffers do.
+        for n in [1usize, 8, 128, 300] {
+            let mut sim = Sim::new();
+            let ctx = Node::new(0, NodeCfg::default(), sim.handle()).ctx();
+            let jh = sim.spawn(async move {
+                let a = Sf64::from(2.0);
+                let x = vec![Sf64::from(1.5); n];
+                let mut y = vec![Sf64::from(0.5); n];
+                let mut took = Vec::new();
+                let mut lap = ctx.now();
+                let mut mark = |ctx: &NodeCtx| {
+                    took.push(ctx.now().since(lap));
+                    lap = ctx.now();
+                };
+                ctx.combine_values(CombineOp::Add, &mut y, &x).await;
+                mark(&ctx);
+                ctx.vec(VecForm::VAdd, 0, 256, 300, n).await.unwrap();
+                mark(&ctx);
+                ctx.saxpy_values(a, &x, &mut y).await;
+                mark(&ctx);
+                ctx.vec(VecForm::Saxpy(a), 0, 256, 300, n).await.unwrap();
+                mark(&ctx);
+                ctx.dot_values(&x, &y).await;
+                mark(&ctx);
+                ctx.vec(VecForm::Dot, 0, 256, 300, n).await.unwrap();
+                mark(&ctx);
+                took
+            });
+            assert!(sim.run().quiescent);
+            let took = jh.try_take().unwrap();
+            assert_eq!(took[0], took[1], "combine_values(Add) vs VAdd, n = {n}");
+            assert_eq!(took[2], took[3], "saxpy_values vs Saxpy, n = {n}");
+            assert_eq!(took[4], took[5], "dot_values vs Dot, n = {n}");
+        }
     }
 
     #[test]

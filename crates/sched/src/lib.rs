@@ -273,12 +273,6 @@ pub struct Scheduler {
 /// observed at most this much simulated time after they occur.
 const QUANTUM: Dur = Dur::us(50);
 
-/// Bytes/second charged for streaming checkpoint traffic (the module disk
-/// rate): each boundary's dirty-row delta is charged as a gate when
-/// captured, and a resume charges the evicted job's pending delta plus the
-/// full image back in before its next phase may launch.
-const STREAM_RATE: f64 = 1.0e6;
-
 /// How long the head of the queue must wait before it earns a backfill
 /// reservation. Below the threshold later jobs backfill greedily (maximum
 /// utilization for batches that drain on their own); past it the head's
@@ -286,9 +280,12 @@ const STREAM_RATE: f64 = 1.0e6;
 /// wide one.
 const RESERVE_AFTER: Dur = Dur::ms(1);
 
-/// The gate a job waits out while `bytes` of checkpoint traffic stream.
+/// The gate a job waits out while `bytes` of checkpoint traffic stream at
+/// the module disk rate: each boundary's dirty-row delta is charged as a
+/// gate when captured, and a resume charges the evicted job's pending delta
+/// plus the full image back in before its next phase may launch.
 fn stream_gate(now: Time, bytes: u64) -> Time {
-    now + Dur::from_secs_f64(bytes as f64 / STREAM_RATE)
+    now + Dur::from_secs_f64(bytes as f64 / t_series_core::system::DISK_RATE)
 }
 
 impl Scheduler {

@@ -47,7 +47,7 @@ use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
 
 use t_series_core::Machine;
 use ts_cube::Subcube;
-use ts_sim::{Dur, Histogram, MetricsRegistry};
+use ts_sim::{Dur, Histogram};
 use ts_workload::{Trace, WorkKind};
 
 use crate::{BatchReport, BuddyAllocator, JobKernel, JobSpec, Policy, Scheduler};
@@ -161,24 +161,6 @@ impl ServiceReport {
             );
         }
         s
-    }
-
-    /// Record the report under `service/...` in a metrics registry.
-    pub fn record(&self, reg: &MetricsRegistry) {
-        let scope = reg.scope("service");
-        scope.counter("jobs").add(self.jobs);
-        scope
-            .counter("makespan_us")
-            .add(self.makespan.as_ns() / 1_000);
-        scope
-            .counter("p50_wait_us")
-            .add(self.p50_wait.as_ns() / 1_000);
-        scope
-            .counter("p99_wait_us")
-            .add(self.p99_wait.as_ns() / 1_000);
-        scope.counter("promotions").add(self.aging_promotions);
-        scope.counter("edf_reorders").add(self.edf_reorders);
-        scope.counter("missed_deadlines").add(self.missed_deadlines);
     }
 }
 

@@ -175,33 +175,18 @@ pub struct VecResult {
     pub index: Option<usize>,
 }
 
-/// Configuration of the vector unit.
-#[derive(Clone, Copy, Debug)]
-pub struct VecUnitParams {
-    /// Fixed issue overhead: the control processor writing the operand
-    /// descriptors and form opcode to the arithmetic controller. The paper
-    /// gives no number; one word-port access (400 ns) plus one cycle is
-    /// used and stated in DESIGN.md.
-    pub issue_overhead: Dur,
-    /// Force a single-bank machine (the E9 ablation): both operand streams
-    /// share one bank regardless of row placement, II = 2.
-    pub force_single_bank: bool,
-}
-
-impl Default for VecUnitParams {
-    fn default() -> Self {
-        VecUnitParams {
-            issue_overhead: Dur::ns(525),
-            force_single_bank: false,
-        }
-    }
-}
+/// Fixed issue overhead of a vector form: the control processor writing
+/// the operand descriptors and form opcode to the arithmetic controller.
+/// The paper gives no number; one word-port access (400 ns) plus one cycle
+/// is used and stated in DESIGN.md.
+pub const ISSUE_OVERHEAD: Dur = Dur::ns(525);
 
 /// The vector arithmetic unit of one node.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct VecUnit {
-    /// Unit parameters.
-    pub params: VecUnitParams,
+    /// The E9 ablation: both operand streams share one bank regardless of
+    /// row placement, II = 2.
+    single_bank: bool,
 }
 
 impl VecUnit {
@@ -212,12 +197,7 @@ impl VecUnit {
 
     /// The ablation unit: memory behaves as a single bank.
     pub fn single_bank() -> VecUnit {
-        VecUnit {
-            params: VecUnitParams {
-                force_single_bank: true,
-                ..Default::default()
-            },
-        }
+        VecUnit { single_bank: true }
     }
 
     /// Execute `form` over `n` elements in 64-bit mode.
@@ -256,16 +236,19 @@ impl VecUnit {
         if !form.two_operands() {
             return 1;
         }
-        if self.params.force_single_bank || bx == by {
+        if self.single_bank || bx == by {
             2
         } else {
             1
         }
     }
 
-    fn timing(&self, form: VecForm, n: usize, ii: u64, prec: Precision) -> VecTiming {
+    /// Cycle-exact timing of `form` over `n` elements at initiation
+    /// interval `ii`: issue overhead, first row load(s), pipeline depth plus
+    /// `(n−1)·ii` cycles, and the result-row store or reduction drain.
+    pub fn timing(form: VecForm, n: usize, ii: u64, prec: Precision) -> VecTiming {
         let cycle = Dur::CYCLE;
-        let mut d = self.params.issue_overhead;
+        let mut d = ISSUE_OVERHEAD;
         // Row I/O: the two first operand rows load in parallel when they sit
         // in different banks (one ROW_TIME), serially otherwise; subsequent
         // rows stream behind the pipeline. The final result row (or scalar
@@ -302,7 +285,7 @@ impl VecUnit {
         z_row: usize,
         n: usize,
     ) -> Result<VecResult, MemError> {
-        let timing = self.timing(VecForm::VSAdd(Sf64::ZERO), n, 1, Precision::Double);
+        let timing = Self::timing(VecForm::VSAdd(Sf64::ZERO), n, 1, Precision::Double);
         let mut xr = VectorReg::new();
         for r in 0..n.div_ceil(128).max(1) {
             let lo = r * 128;
@@ -338,7 +321,7 @@ impl VecUnit {
         z_row: usize,
         n: usize,
     ) -> Result<VecResult, MemError> {
-        let timing = self.timing(VecForm::VSAdd(Sf64::ZERO), n, 1, Precision::Double);
+        let timing = Self::timing(VecForm::VSAdd(Sf64::ZERO), n, 1, Precision::Double);
         let mut xr = VectorReg::new();
         let mut zr = VectorReg::new();
         for r in 0..n.div_ceil(256).max(1) {
@@ -376,7 +359,7 @@ impl VecUnit {
         prec: Precision,
     ) -> Result<VecResult, MemError> {
         let ii = self.initiation_interval(form, mem.bank_of_row(x_row), mem.bank_of_row(y_row));
-        let timing = self.timing(form, n, ii, prec);
+        let timing = Self::timing(form, n, ii, prec);
         let (scalar, index) = match prec {
             Precision::Double => stream::<B64>(mem, form, x_row, y_row, z_row, n)?,
             Precision::Single => stream::<B32>(mem, form, x_row, y_row, z_row, n)?,

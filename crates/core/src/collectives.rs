@@ -22,16 +22,10 @@ use ts_node::{occam, CombineOp, NodeCtx};
 use ts_sim::{select2, Dur, Either, SimHandle, Time};
 
 /// Book one completed collective into the node's per-op latency histogram
-/// (`node/{id}/collective/{op}_us` in the machine registry). Registration
-/// is a map lookup — fine off the hot path, where a collective costs
-/// microseconds of simulated link time anyway.
-fn book_latency(ctx: &NodeCtx, op: &str, started: Time) {
+/// (`node/{id}/collective/{op}_us` in the machine registry).
+fn book_latency(ctx: &NodeCtx, op: &'static str, started: Time) {
     let us = ctx.now().since(started).as_ns() / 1_000;
-    ctx.meters()
-        .scope()
-        .scope("collective")
-        .histogram(&format!("{op}_us"))
-        .observe(us);
+    ctx.meters().collective_us(op).observe(us);
 }
 
 /// A collective (or any awaited operation) missed its deadline on every

@@ -522,9 +522,17 @@ impl Machine {
         FaultInjector { m: self }
     }
 
-    /// Run at most `d` further virtual time.
+    /// Run at most `d` further virtual time. With nothing left to run the
+    /// clock stops at the last event, short of `d`: a caller that slices
+    /// time follows up with [`Machine::advance_to`].
     pub fn run_for(&mut self, d: Dur) -> RunReport {
         self.sim.run_for(d)
+    }
+
+    /// Move an idle clock forward to `at` without running anything (no-op
+    /// if it is already there or past).
+    pub fn advance_to(&mut self, at: Time) {
+        self.sim.advance_to(at);
     }
 
     /// The machine-wide metrics registry — the one store every count lives

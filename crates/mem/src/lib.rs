@@ -180,6 +180,13 @@ pub struct NodeMemory {
     /// One bit per row: set on any write touching the row, cleared only by
     /// [`NodeMemory::clear_dirty`] (i.e. by a committed checkpoint).
     dirty: Vec<u64>,
+    /// Every word address whose data may disagree with its stored parity,
+    /// each at most once. Only [`NodeMemory::inject_bit_flip`] changes data
+    /// without its parity (every other mutator writes both, and `data` is
+    /// private), so the patrol read checks these words instead of the whole
+    /// store. A repaired word stays listed — it just checks clean — until a
+    /// full scrub empties the list.
+    suspects: Vec<usize>,
 }
 
 /// Bit `i` = parity of byte lane `i`, for all four lanes at once: an
@@ -204,6 +211,7 @@ impl NodeMemory {
             data: vec![0; cfg.words()],
             parity: vec![0; cfg.words()],
             dirty: vec![0; cfg.rows().div_ceil(64)],
+            suspects: Vec::new(),
         }
     }
 
@@ -324,6 +332,9 @@ impl NodeMemory {
     pub fn inject_bit_flip(&mut self, addr: usize, bit: u32) -> Result<(), MemError> {
         self.check(addr)?;
         self.data[addr] ^= 1 << (bit % 32);
+        if !self.suspects.contains(&addr) {
+            self.suspects.push(addr);
+        }
         self.mark_row_dirty(addr / ROW_WORDS);
         Ok(())
     }
@@ -349,13 +360,34 @@ impl NodeMemory {
                 fixed += 1;
             }
         }
+        self.suspects.clear();
         fixed
     }
 
     /// Count words whose stored parity disagrees with their data, without
     /// repairing anything. The health monitor's patrol read: a non-zero
-    /// count means a latent fault is waiting to fail the next access.
+    /// count means a latent fault is waiting to fail the next access. Costs
+    /// one check per word a fault was ever injected into since the last
+    /// full scrub, not one per word of memory.
     pub fn parity_errors(&self) -> usize {
+        let bad = self
+            .suspects
+            .iter()
+            .filter(|&&a| self.parity[a] != parity_nibble(self.data[a]))
+            .count();
+        #[cfg(debug_assertions)]
+        assert_eq!(
+            bad,
+            self.scan_parity_errors(),
+            "a parity fault off the list"
+        );
+        bad
+    }
+
+    /// The patrol read done the long way, over every word: the oracle the
+    /// suspect list is checked against.
+    #[cfg(any(test, debug_assertions))]
+    fn scan_parity_errors(&self) -> usize {
         self.data
             .iter()
             .zip(&self.parity)
@@ -683,6 +715,70 @@ mod tests {
         m.restore(&snap);
         for i in 0..m.cfg().words() {
             assert_eq!(m.read_word(i).unwrap(), i as u32 ^ 0x5a5a);
+        }
+    }
+
+    /// The suspect list is exact: after every step of a seeded random mix of
+    /// every mutator, the patrol count equals a scan of the whole store, and
+    /// both read ports fail at exactly the words the scan finds.
+    #[test]
+    fn patrol_count_equals_a_full_scan_under_random_mutation() {
+        fn bad_words(m: &NodeMemory) -> Vec<usize> {
+            (0..m.cfg.words())
+                .filter(|&a| m.parity[a] != parity_nibble(m.data[a]))
+                .collect()
+        }
+        for seed in [1u64, 0x1986, 0xfeed_f00d] {
+            let mut rng = ts_sim::Rng::new(seed);
+            let mut m = NodeMemory::new(MemCfg::small(8));
+            let words = m.cfg().words();
+            let rows = m.cfg().rows();
+            let image = m.snapshot();
+            let mut last_flip = (0usize, 0u32);
+            for step in 0..2_000 {
+                // Addresses from a small window so that writes, scrubs and
+                // repeat flips keep landing on already-faulted words.
+                let addr = rng.range(0, 3) * ROW_WORDS + rng.range(0, 24);
+                match rng.below(16) {
+                    0..=3 => m.write_word(addr, rng.next_u32()).unwrap(),
+                    4 => m
+                        .write_row(addr / ROW_WORDS, &[rng.next_u32(); ROW_WORDS])
+                        .unwrap(),
+                    5 => m.write_f64(addr, ts_fpu::Sf64::from(step as f64)).unwrap(),
+                    6..=10 => {
+                        last_flip = (addr, rng.below(64) as u32);
+                        m.inject_bit_flip(last_flip.0, last_flip.1).unwrap();
+                    }
+                    // The same bit again: the data is whole, the word clean.
+                    11 => m.inject_bit_flip(last_flip.0, last_flip.1).unwrap(),
+                    12..=13 => m.scrub(addr).unwrap(),
+                    14 if rng.below(8) == 0 => {
+                        let bad = bad_words(&m).len();
+                        assert_eq!(m.scrub_all(), bad);
+                    }
+                    15 if rng.below(8) == 0 => m.restore(&image),
+                    _ => m.inject_bit_flip(rng.range(0, words), 31).unwrap(),
+                }
+                let bad = bad_words(&m);
+                assert_eq!(m.parity_errors(), bad.len(), "seed {seed} step {step}");
+                assert_eq!(m.scan_parity_errors(), bad.len());
+                for a in 0..4 * ROW_WORDS {
+                    assert_eq!(m.read_word(a).is_err(), bad.contains(&a), "word {a}");
+                }
+                let mut out = [0u32; ROW_WORDS];
+                for r in 0..rows {
+                    let first = bad.iter().find(|&&a| a / ROW_WORDS == r);
+                    match m.read_row(r, &mut out) {
+                        Ok(()) => assert_eq!(first, None, "row {r} read clean"),
+                        Err(MemError::Parity { addr, .. }) => assert_eq!(Some(&addr), first),
+                        Err(e) => panic!("row {r}: {e}"),
+                    }
+                }
+            }
+            let mut listed = m.suspects.clone();
+            listed.sort_unstable();
+            listed.dedup();
+            assert_eq!(listed.len(), m.suspects.len(), "a word listed twice");
         }
     }
 

@@ -119,6 +119,9 @@ struct NodeState {
 pub struct NodeMeters {
     scope: MetricsScope,
     cold: OnceCell<ColdMeters>,
+    /// Latency histograms of the collectives run on this node so far, by
+    /// op name (see [`NodeMeters::collective_us`]).
+    collective_us: RefCell<Vec<(&'static str, Histogram)>>,
     /// Control-processor busy time (`node/{id}/cp/busy`).
     pub cp_busy: BusyTime,
     /// Control-processor instructions executed (`node/{id}/cp/instrs`).
@@ -189,6 +192,7 @@ impl NodeMeters {
             link_flap_us: scope.histogram("link/flap_us"),
             scope,
             cold: OnceCell::new(),
+            collective_us: RefCell::new(Vec::new()),
         }
     }
 
@@ -203,6 +207,21 @@ impl NodeMeters {
     /// went wrong on never pays for them.
     pub fn cold(&self) -> &ColdMeters {
         self.cold.get_or_init(|| ColdMeters::new(&self.scope))
+    }
+
+    /// The node's latency histogram, in µs, for the collective `op`
+    /// (`node/{id}/collective/{op}_us`). Like the cold counters it registers
+    /// at the op's first use here; every later call finds the handle in a
+    /// list with one entry per collective the node has run — no path is
+    /// formatted, no registry map is searched.
+    pub fn collective_us(&self, op: &'static str) -> Histogram {
+        let mut known = self.collective_us.borrow_mut();
+        if let Some((_, h)) = known.iter().find(|(name, _)| *name == op) {
+            return h.clone();
+        }
+        let h = self.scope.histogram(&format!("collective/{op}_us"));
+        known.push((op, h.clone()));
+        h
     }
 
     /// The node's cold counters if any was ever bumped (readers use this so

@@ -189,6 +189,17 @@ impl BuddyAllocator {
     /// holding the region goes back on the free lists and the other
     /// half is carved down to size. With no region this is
     /// [`BuddyAllocator::alloc`].
+    ///
+    /// **Monotone in `d`:** both passes look for a free block of order at
+    /// least `d` (pass 2: at least `d + 1`), so a failure for `d` is a
+    /// failure for every `d' ≥ d` — and, since a failure with no region
+    /// means no free block of order `≥ d` exists at all, for every region
+    /// too. It stays a failure until a [`BuddyAllocator::release`] or
+    /// [`BuddyAllocator::condemn`]: an allocation only splits blocks, it
+    /// never makes a larger free one (a pass-2 split that could serve a
+    /// smaller request starts from a block of order `≤ d` and frees halves
+    /// below it). Placement loops lean on this to stop asking once a
+    /// dimension has failed.
     pub fn alloc_outside(&mut self, d: u32, region: Option<&Subcube>) -> Option<Subcube> {
         let Some(r) = region else {
             return self.alloc(d);
@@ -478,6 +489,72 @@ mod tests {
         for seed in [3u64, 0xFEED] {
             assert_eq!(run(seed), run(seed), "same seed must replay identically");
         }
+    }
+
+    /// The fact the placement loops' cut-off leans on: over seeded random
+    /// allocator states (allocations, releases, condemned nodes) and random
+    /// regions, a failed `alloc_outside(d, R)` fails for every wider
+    /// request (a failure with no region, under every region too) and keeps
+    /// failing after any further successful allocations, restricted or
+    /// not.
+    #[test]
+    fn alloc_outside_failure_is_monotone_and_sticky() {
+        const DIM: u32 = 5;
+        let fails = |a: &BuddyAllocator, d: u32, r: Option<&Subcube>| {
+            a.clone().alloc_outside(d, r).is_none()
+        };
+        let mut failures_seen = 0;
+        for seed in 0..48u64 {
+            let mut rng = Rng::new(0xb0dd_1e00 + seed);
+            let mut a = BuddyAllocator::new(DIM);
+            let mut live: Vec<Subcube> = Vec::new();
+            for _ in 0..rng.range(4, 40) {
+                match rng.below(8) {
+                    0..=4 => live.extend(a.alloc(rng.below(4) as u32)),
+                    5..=6 if !live.is_empty() => {
+                        let s = live.swap_remove(rng.range(0, live.len()));
+                        a.release(&s);
+                    }
+                    7 if !live.is_empty() => {
+                        let s = live.swap_remove(rng.range(0, live.len()));
+                        let bad = s.base() + rng.below(1 << s.dim()) as NodeId;
+                        a.condemn(&s, &[bad]);
+                    }
+                    _ => {}
+                }
+            }
+            for _ in 0..12 {
+                let rd = rng.below(DIM as u64) as u32;
+                let region = Subcube::aligned((rng.below(1 << (DIM - rd)) as NodeId) << rd, rd);
+                for r in [None, Some(&region)] {
+                    let Some(d) = (0..=DIM).find(|&d| fails(&a, d, r)) else {
+                        continue;
+                    };
+                    failures_seen += 1;
+                    for wider in d..=DIM + 1 {
+                        assert!(fails(&a, wider, r), "seed {seed}: {d} fails, {wider} fits");
+                        assert!(r.is_some() || fails(&a, wider, Some(&region)));
+                    }
+                    // Drain what still fits, narrower requests first and
+                    // last: the failure must outlive every success.
+                    let mut b = a.clone();
+                    loop {
+                        let pick = rng.below(d as u64 + 1) as u32;
+                        let got = (pick..d).chain(0..pick).find_map(|n| {
+                            b.alloc_outside(n, [None, r, Some(&region)][rng.range(0, 3)])
+                        });
+                        assert!(fails(&b, d, r), "seed {seed}: a split made room for {d}");
+                        if got.is_none() {
+                            break;
+                        }
+                    }
+                }
+            }
+        }
+        assert!(
+            failures_seen > 500,
+            "the states must actually refuse requests"
+        );
     }
 
     #[test]

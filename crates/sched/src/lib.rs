@@ -56,11 +56,12 @@ pub use job::{JobKernel, JobSpec};
 pub use service::{ServiceCfg, ServiceReport, ServiceScheduler};
 
 use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 use t_series_core::checkpoint::CheckpointStore;
 use t_series_core::{Machine, MachineCfg};
-use ts_cube::Subcube;
-use ts_sim::{Dur, JoinHandle, Time, Tracer};
+use ts_cube::{NodeId, Subcube};
+use ts_sim::{Counter, Dur, JoinHandle, Time, Tracer, TrackId};
 
 /// Queue discipline for jobs that are waiting for a subcube.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -247,6 +248,30 @@ struct Job {
     boost: u32,
     done_at: Option<Time>,
     result: Vec<u64>,
+    meters: JobMeters,
+}
+
+/// The `job/{id}/...` counters a job can bump more than once, and its
+/// Perfetto track. Each registers the first time it is used — the registry
+/// lists only what happened to a job — and is a held handle from then on:
+/// a boundary costs a `Cell` store, not a formatted path and a map lookup.
+#[derive(Default)]
+struct JobMeters {
+    preemptions: Option<Counter>,
+    reallocations: Option<Counter>,
+    ckpt_bytes_in: Option<Counter>,
+    ckpt_bytes_out: Option<Counter>,
+    track: Option<TrackId>,
+}
+
+/// Register (or look up) the counter `job/{id}/{name}`.
+fn job_counter(m: &Machine, id: usize, name: &str) -> Counter {
+    m.registry().counter(&format!("job/{id}/{name}"))
+}
+
+/// Add `n` to `job/{id}/{name}`, held in `slot` from its first use on.
+fn bump(slot: &mut Option<Counter>, m: &Machine, id: usize, name: &str, n: u64) {
+    slot.get_or_insert_with(|| job_counter(m, id, name)).add(n);
 }
 
 /// A job's effective priority: spec priority plus its aging boost.
@@ -260,6 +285,90 @@ fn deadline_key(job: &Job) -> u64 {
     job.spec
         .deadline
         .map_or(u64::MAX, |d| (job.spec.submit_at + d).as_ps())
+}
+
+/// What the wait queue sorts by, most urgent first: effective priority
+/// descending (spec priority plus aging boost), then earliest absolute
+/// deadline (EDF among equals; best-effort jobs last), then submission
+/// order.
+type QueueKey = (Reverse<u32>, u64, usize);
+
+fn queue_key(id: usize, job: &Job) -> QueueKey {
+    (Reverse(eff_priority(job)), deadline_key(job), id)
+}
+
+/// The jobs that have arrived and are waiting for a subcube, kept in
+/// placement order, plus the instant each next earns an aging step — so a
+/// tick touches the jobs whose standing changed, not every job.
+struct WaitQueue {
+    /// `(period, max boost)`; `None` when waiting earns nothing.
+    aging: Option<(Dur, u32)>,
+    /// Sorted; a job's key changes only when aging promotes it.
+    order: Vec<QueueKey>,
+    /// Min-heap of `(instant the next aging step is due, job id, start of
+    /// the wait interval earning it)`. An entry whose interval has ended
+    /// (the job was placed since) is dropped when it comes due.
+    due: BinaryHeap<Reverse<(Time, usize, Time)>>,
+}
+
+impl WaitQueue {
+    /// Enter `job`, whose wait starts at its `queued_at` with no boost.
+    fn push(&mut self, id: usize, job: &Job) {
+        debug_assert!(job.boost == 0 && matches!(job.state, State::Queued));
+        let key = queue_key(id, job);
+        let at = self.order.binary_search(&key).unwrap_err();
+        self.order.insert(at, key);
+        if let Some((period, _)) = self.aging {
+            self.due
+                .push(Reverse((job.queued_at + period, id, job.queued_at)));
+        }
+    }
+
+    /// Re-enter `job`, evicted or condemned off its subcube at `now`: a
+    /// fresh wait, and whatever asked it to yield has been served.
+    fn requeue(&mut self, id: usize, job: &mut Job, now: Time) {
+        job.preempt_requested = false;
+        job.queued_at = now;
+        job.boost = 0;
+        self.push(id, job);
+    }
+
+    /// Age the waiting jobs: one priority level per period spent queued,
+    /// capped, so urgent streams cannot starve batch. Returns the levels
+    /// granted at this tick.
+    fn age(&mut self, now: Time, jobs: &mut [Job]) -> u32 {
+        let Some((period, max_boost)) = self.aging else {
+            return 0;
+        };
+        let mut granted = 0;
+        while let Some(&Reverse((due, id, since))) = self.due.peek() {
+            if due > now {
+                break;
+            }
+            self.due.pop();
+            let job = &mut jobs[id];
+            if !matches!(job.state, State::Queued) || job.queued_at != since {
+                continue;
+            }
+            let at = self
+                .order
+                .binary_search(&queue_key(id, job))
+                .expect("a waiting job is in the queue");
+            self.order.remove(at);
+            let steps = (now.since(job.queued_at).as_ps() / period.as_ps()) as u32;
+            let boost = steps.min(max_boost);
+            granted += boost - job.boost;
+            job.boost = boost;
+            let key = queue_key(id, job);
+            let at = self.order.binary_search(&key).unwrap_err();
+            self.order.insert(at, key);
+            if boost < max_boost {
+                let next = job.queued_at + period * (boost as u64 + 1);
+                self.due.push(Reverse((next, id, since)));
+            }
+        }
+        granted
+    }
 }
 
 /// The space-sharing runtime. Construct with [`Scheduler::new`],
@@ -344,8 +453,22 @@ impl Scheduler {
                 boost: 0,
                 done_at: None,
                 result: Vec::new(),
+                meters: JobMeters::default(),
             })
             .collect();
+        // Job ids by arrival; the first `arrived` of them have arrived.
+        let mut arrivals: Vec<usize> = (0..jobs.len()).collect();
+        arrivals.sort_by_key(|&id| (jobs[id].queued_at, id));
+        let mut arrived = 0;
+        let mut waiting = WaitQueue {
+            aging: self.aging.filter(|&(_, max_boost)| max_boost > 0),
+            order: Vec::new(),
+            due: BinaryHeap::new(),
+        };
+        // Ids of the jobs holding a subcube, ascending: at most one per
+        // node, and the only jobs the patrol and the boundary step visit.
+        let mut running: Vec<usize> = Vec::new();
+        let mut done = 0;
         let mut aging_promotions = 0u32;
         let mut edf_reorders = 0u32;
         // Backfill reservation: (head job id, the aligned block it is
@@ -355,103 +478,100 @@ impl Scheduler {
         loop {
             let now = m.now();
 
+            while let Some(&id) = arrivals.get(arrived) {
+                if jobs[id].queued_at > now {
+                    break;
+                }
+                arrived += 1;
+                waiting.push(id, &jobs[id]);
+            }
+
             // 1. Fault patrol: a crashed node or latent parity error
             //    inside a partition condemns exactly the failed nodes
             //    (the buddy allocator splits the block and frees the
             //    healthy buddies); the job re-queues for a fresh subcube
             //    and boundary replay.
-            for (id, job) in jobs.iter_mut().enumerate() {
-                let sick_sub = match &job.state {
-                    State::Running { sub, handles, .. } => {
-                        let failed: Vec<_> = sub
-                            .iter()
-                            .filter(|&p| {
-                                let n = &m.nodes[p as usize];
-                                n.is_crashed() || n.mem().parity_errors() > 0
-                            })
-                            .collect();
-                        if failed.is_empty() {
-                            None
-                        } else {
-                            // Retire the failed nodes, plus any node whose
-                            // phase task is still parked: its channels are
-                            // not quiescent, and a stale receiver could
-                            // steal a successor job's messages. Nodes whose
-                            // task already completed are healthy buddies —
-                            // the allocator splits the block and returns
-                            // them to the free lists.
-                            let mut retire = failed;
-                            if let Some(hs) = handles {
-                                for (v, p) in sub.iter().enumerate() {
-                                    if !hs[v].is_finished() && !retire.contains(&p) {
-                                        retire.push(p);
-                                    }
-                                }
-                            }
-                            Some((sub.clone(), retire))
+            running.retain(|&id| {
+                let job = &mut jobs[id];
+                let State::Running { sub, .. } = &job.state else {
+                    unreachable!("the running set holds running jobs");
+                };
+                let sick = |p: NodeId| {
+                    let n = &m.nodes[p as usize];
+                    n.is_crashed() || n.mem().parity_errors() > 0
+                };
+                if !sub.iter().any(sick) {
+                    return true;
+                }
+                let State::Running {
+                    sub,
+                    held_since,
+                    handles,
+                    ..
+                } = std::mem::replace(&mut job.state, State::Queued)
+                else {
+                    unreachable!();
+                };
+                // Retire the failed nodes, plus any node whose phase task
+                // is still parked: its channels are not quiescent, and a
+                // stale receiver could steal a successor job's messages.
+                // Nodes whose task already completed are healthy buddies —
+                // the allocator splits the block and returns them to the
+                // free lists.
+                let mut retire: Vec<NodeId> = sub.iter().filter(|&p| sick(p)).collect();
+                if let Some(hs) = &handles {
+                    for (v, p) in sub.iter().enumerate() {
+                        if !hs[v].is_finished() && !retire.contains(&p) {
+                            retire.push(p);
                         }
                     }
-                    _ => None,
-                };
-                if let Some((sub, retire)) = sick_sub {
-                    alloc.condemn(&sub, &retire);
-                    if let State::Running { held_since, .. } = job.state {
-                        job.run += now.since(held_since);
-                        record_span(tracer, id, held_since, now);
-                    }
-                    job.reallocations += 1;
-                    m.registry()
-                        .scope(&job_scope(id))
-                        .counter("reallocations")
-                        .inc();
-                    job.preempt_requested = false;
-                    job.queued_at = now;
-                    job.boost = 0;
-                    // In-flight tasks of the lost phase stay parked on
-                    // the retired nodes — harmless, never reused. The
-                    // eviction-time delta (if any) died with the subcube:
-                    // replay restarts from the last committed boundary.
-                    job.pending_out_bytes = 0;
-                    job.state = State::Queued;
                 }
-            }
+                alloc.condemn(&sub, &retire);
+                job.run += now.since(held_since);
+                record_span(tracer, id, job, held_since, now);
+                job.reallocations += 1;
+                bump(&mut job.meters.reallocations, m, id, "reallocations", 1);
+                // In-flight tasks of the lost phase stay parked on the
+                // retired nodes — harmless, never reused. The
+                // eviction-time delta (if any) died with the subcube:
+                // replay restarts from the last committed boundary.
+                job.pending_out_bytes = 0;
+                waiting.requeue(id, job, now);
+                false
+            });
 
             // 2. Advance running jobs at phase boundaries.
-            for (id, job) in jobs.iter_mut().enumerate() {
-                let boundary = match &mut job.state {
-                    State::Running { gate, handles, .. } if now >= *gate => match handles {
-                        None => Some(BoundaryKind::Launch),
-                        Some(hs) => {
-                            if hs.iter().all(|h| h.is_finished()) {
-                                job.next_phase += 1;
-                                Some(BoundaryKind::PhaseDone)
-                            } else {
-                                None
-                            }
-                        }
-                    },
-                    _ => None,
+            running.retain(|&id| {
+                let job = &mut jobs[id];
+                let State::Running { gate, handles, .. } = &job.state else {
+                    unreachable!("the running set holds running jobs");
                 };
-                let Some(kind) = boundary else {
-                    continue;
+                if now < *gate {
+                    return true;
+                }
+                let kind = match handles {
+                    None => BoundaryKind::Launch,
+                    Some(hs) if hs.iter().all(|h| h.is_finished()) => BoundaryKind::PhaseDone,
+                    Some(_) => return true,
                 };
-                let (sub, held_since) = match &job.state {
-                    State::Running {
-                        sub, held_since, ..
-                    } => (sub.clone(), *held_since),
-                    _ => unreachable!(),
+                // Most boundaries end the holding; the two that do not
+                // put the partition back.
+                let State::Running {
+                    sub,
+                    gate,
+                    held_since,
+                    ..
+                } = std::mem::replace(&mut job.state, State::Queued)
+                else {
+                    unreachable!();
                 };
+                if matches!(kind, BoundaryKind::PhaseDone) {
+                    job.next_phase += 1;
+                }
                 let evict = |job: &mut Job, m: &Machine| {
                     job.run += now.since(held_since);
                     job.preemptions += 1;
-                    m.registry()
-                        .scope(&job_scope(id))
-                        .counter("preemptions")
-                        .inc();
-                    job.preempt_requested = false;
-                    job.queued_at = now;
-                    job.boost = 0;
-                    job.state = State::Queued;
+                    bump(&mut job.meters.preemptions, m, id, "preemptions", 1);
                 };
                 match kind {
                     BoundaryKind::PhaseDone if job.next_phase >= job.spec.kernel.phases() => {
@@ -460,14 +580,13 @@ impl Scheduler {
                         job.run += now.since(held_since);
                         job.done_at = Some(now);
                         job.state = State::Done;
-                        record_span(tracer, id, held_since, now);
+                        done += 1;
+                        record_span(tracer, id, job, held_since, now);
                         alloc.release(&sub);
-                        let scope = m.registry().scope(&job_scope(id));
-                        scope.counter("wait_us").add(job.wait.as_ns() / 1_000);
-                        scope.counter("run_us").add(job.run.as_ns() / 1_000);
-                        scope
-                            .counter("flops")
-                            .add(job.spec.kernel.flops(job.spec.dim));
+                        job_counter(m, id, "wait_us").add(job.wait.as_ns() / 1_000);
+                        job_counter(m, id, "run_us").add(job.run.as_ns() / 1_000);
+                        job_counter(m, id, "flops").add(job.spec.kernel.flops(job.spec.dim));
+                        false
                     }
                     BoundaryKind::PhaseDone if job.preempt_requested => {
                         // Evict: fold this boundary's dirty rows into the
@@ -475,49 +594,57 @@ impl Scheduler {
                         // charged at resume, on top of the full restore.
                         job.pending_out_bytes = checkpoint_boundary(m, id, job, &sub);
                         evict(job, m);
-                        record_span(tracer, id, held_since, now);
+                        record_span(tracer, id, job, held_since, now);
                         alloc.release(&sub);
+                        waiting.requeue(id, job, now);
+                        false
                     }
                     BoundaryKind::PhaseDone => {
                         // Boundary checkpoint: fold the dirty rows into
                         // the checkpoint and charge the delta's stream-out
                         // as a gate before the next phase may launch.
-                        let g = stream_gate(now, checkpoint_boundary(m, id, job, &sub));
-                        if let State::Running { gate, handles, .. } = &mut job.state {
-                            *gate = g;
-                            *handles = None;
-                        }
+                        let gate = stream_gate(now, checkpoint_boundary(m, id, job, &sub));
+                        job.state = State::Running {
+                            sub,
+                            gate,
+                            held_since,
+                            handles: None,
+                        };
+                        true
                     }
                     BoundaryKind::Launch if job.preempt_requested => {
                         // Evict at the gate: the boundary delta is already
                         // folded into the checkpoint and its stream-out paid.
                         evict(job, m);
-                        record_span(tracer, id, held_since, now);
+                        record_span(tracer, id, job, held_since, now);
                         alloc.release(&sub);
+                        waiting.requeue(id, job, now);
+                        false
                     }
                     BoundaryKind::Launch => {
                         let hs = job.spec.kernel.launch_phase(m, &sub, job.next_phase);
-                        if let State::Running { handles, .. } = &mut job.state {
-                            *handles = Some(hs);
-                        }
+                        job.state = State::Running {
+                            sub,
+                            gate,
+                            held_since,
+                            handles: Some(hs),
+                        };
+                        true
                     }
                 }
-            }
+            });
 
-            // 3. Age waiting jobs: one priority level per period spent
-            //    queued, capped, so urgent streams cannot starve batch.
-            if let Some((period, max_boost)) = self.aging {
-                for job in jobs.iter_mut() {
-                    if matches!(job.state, State::Queued) && now >= job.queued_at {
-                        let steps = (now.since(job.queued_at).as_ps() / period.as_ps()) as u32;
-                        let b = steps.min(max_boost);
-                        if b > job.boost {
-                            aging_promotions += b - job.boost;
-                            job.boost = b;
-                        }
-                    }
-                }
-            }
+            // 3. Age waiting jobs.
+            aging_promotions += waiting.age(now, &mut jobs);
+            #[cfg(debug_assertions)]
+            assert!(
+                waiting
+                    .order
+                    .iter()
+                    .map(|k| k.2)
+                    .eq(queued_order(&jobs, now)),
+                "the wait queue left placement order"
+            );
 
             // 4. Priority preemption: if the most urgent waiting job
             //    cannot be placed, ask the least important running job
@@ -527,15 +654,15 @@ impl Scheduler {
             //    rights over its own class, else equal-priority jobs
             //    under scarcity preempt each other in an endless
             //    evict/resume cycle.
-            let queued = queued_order(&jobs, now);
-            if let Some(&cand) = queued.first() {
+            let head = waiting.order.first().map(|k| k.2);
+            if let Some(cand) = head {
                 if !alloc.can_alloc(jobs[cand].spec.dim) {
                     let cand_pri = jobs[cand].spec.priority;
-                    let victim = (0..jobs.len())
+                    let victim = running
+                        .iter()
+                        .copied()
                         .filter(|&id| {
-                            matches!(jobs[id].state, State::Running { .. })
-                                && jobs[id].spec.priority < cand_pri
-                                && !jobs[id].preempt_requested
+                            jobs[id].spec.priority < cand_pri && !jobs[id].preempt_requested
                         })
                         .min_by_key(|&id| (jobs[id].spec.priority, Reverse(id)));
                     if let Some(v) = victim {
@@ -555,8 +682,8 @@ impl Scheduler {
             //    head waits (the reserved block only drains); re-sited
             //    if a condemned node poisons it.
             if self.policy == Policy::FcfsBackfill {
-                match queued.first() {
-                    Some(&head)
+                match head {
+                    Some(head)
                         if !alloc.can_alloc(jobs[head].spec.dim)
                             && now.since(jobs[head].queued_at) >= RESERVE_AFTER =>
                     {
@@ -576,47 +703,67 @@ impl Scheduler {
 
             // 6. Placement in queue order; Fcfs stops at the first job
             //    that does not fit, backfill keeps scanning but avoids
-            //    the head's reserved block.
+            //    the head's reserved block. Nothing is released during
+            //    the scan, so once a dimension fails to fit every job at
+            //    least as wide fails too (see `alloc_outside`) and costs
+            //    one compare — and once a single node fails, or none was
+            //    free to begin with, the scan is over. Jobs that stay are
+            //    compacted in place.
             let mut placed_any = false;
-            let effs: Vec<(u32, usize)> = queued
-                .iter()
-                .map(|&id| (eff_priority(&jobs[id]), id))
-                .collect();
-            for (qi, &id) in queued.iter().enumerate() {
-                let region = if qi == 0 {
+            let mut too_wide = if alloc.can_alloc(0) { u32::MAX } else { 0 };
+            let (mut qi, mut kept) = (0, 0);
+            while qi < waiting.order.len() && too_wide > 0 {
+                let key = waiting.order[qi];
+                let id = key.2;
+                let dim = jobs[id].spec.dim;
+                let region = match &reservation {
+                    Some((_, r)) if qi > 0 => Some(r),
+                    _ => None,
+                };
+                let sub = if dim >= too_wide {
+                    debug_assert!(alloc.clone().alloc_outside(dim, region).is_none());
                     None
                 } else {
-                    reservation.as_ref().map(|(_, r)| r.clone())
+                    alloc.alloc_outside(dim, region)
                 };
-                let placed =
-                    Self::try_place(m, &mut alloc, &mut jobs[id], id, now, region.as_ref());
-                placed_any |= placed;
-                if placed {
-                    // A placement that jumped an earlier-submitted job of
-                    // equal effective priority is an EDF reorder.
-                    let (my_eff, _) = effs[qi];
-                    if effs[qi + 1..].iter().any(|&(e, o)| e == my_eff && o < id) {
-                        edf_reorders += 1;
+                qi += 1;
+                let Some(sub) = sub else {
+                    too_wide = too_wide.min(dim);
+                    waiting.order[kept] = key;
+                    kept += 1;
+                    if self.policy == Policy::Fcfs {
+                        break;
                     }
+                    continue;
+                };
+                placed_any = true;
+                // A placement that jumped an earlier-submitted job of
+                // equal effective priority is an EDF reorder.
+                let jumped = waiting.order[qi..]
+                    .iter()
+                    .take_while(|k| k.0 == key.0)
+                    .any(|k| k.2 < id);
+                if jumped {
+                    edf_reorders += 1;
                 }
-                if !placed && self.policy == Policy::Fcfs {
-                    break;
-                }
+                Self::place(m, &mut jobs[id], id, now, sub);
+                let at = running.binary_search(&id).unwrap_err();
+                running.insert(at, id);
+            }
+            if kept < qi {
+                // What the scan did not reach stays queued.
+                let unreached = qi..waiting.order.len();
+                waiting.order.copy_within(unreached.clone(), kept);
+                waiting.order.truncate(kept + unreached.len());
             }
 
-            if jobs.iter().all(|j| matches!(j.state, State::Done)) {
+            if done == jobs.len() {
                 break;
             }
 
             // Stall guard: nothing running, nothing placeable, nothing
             // still to arrive — condemnations have eaten the machine.
-            let any_running = jobs
-                .iter()
-                .any(|j| matches!(j.state, State::Running { .. }));
-            let any_future = jobs
-                .iter()
-                .any(|j| matches!(j.state, State::Queued) && now < j.queued_at);
-            if !any_running && !any_future && !placed_any {
+            if running.is_empty() && arrived == jobs.len() && !placed_any {
                 let stuck: Vec<&str> = jobs
                     .iter()
                     .filter(|j| matches!(j.state, State::Queued))
@@ -627,11 +774,10 @@ impl Scheduler {
 
             // The executor advances time only along timers, so a machine
             // whose every job is gated (e.g. all waiting out a resume
-            // cost) would freeze the clock. Tick a heartbeat timer across
-            // the quantum to keep scheduler time flowing regardless.
-            let h = m.handle();
-            m.launch_on(0, async move { h.sleep(QUANTUM).await });
+            // cost) would leave the clock short of the quantum: move it
+            // the rest of the way so scheduler time flows regardless.
             m.run_for(QUANTUM);
+            m.advance_to(now + QUANTUM);
         }
 
         // Batch summary.
@@ -646,8 +792,9 @@ impl Scheduler {
             .map(|j| j.run.as_secs_f64() * (1u64 << j.spec.dim) as f64)
             .sum();
         let capacity = makespan.as_secs_f64() * (1u64 << machine_dim) as f64;
+        let njobs = jobs.len();
         let outcomes: Vec<JobOutcome> = jobs
-            .iter()
+            .into_iter()
             .enumerate()
             .map(|(id, j)| {
                 let turnaround = j
@@ -656,7 +803,6 @@ impl Scheduler {
                     .since(t0 + j.spec.submit_at);
                 JobOutcome {
                     id: id as u32,
-                    name: j.spec.name.clone(),
                     dim: j.spec.dim,
                     priority: j.spec.priority,
                     wait: j.wait,
@@ -668,13 +814,14 @@ impl Scheduler {
                         / j.run.as_secs_f64().max(f64::MIN_POSITIVE)
                         / 1e6,
                     missed_deadline: j.spec.deadline.is_some_and(|d| turnaround > d),
-                    result: j.result.clone(),
+                    name: j.spec.name,
+                    result: j.result,
                 }
             })
             .collect();
         BatchReport {
             makespan,
-            mean_wait: Dur::ps(total_wait / jobs.len().max(1) as u64),
+            mean_wait: Dur::ps(total_wait / njobs.max(1) as u64),
             utilization: if capacity > 0.0 {
                 node_time / capacity
             } else {
@@ -688,23 +835,10 @@ impl Scheduler {
         }
     }
 
-    /// Try to give `job` a subcube. On success the job transitions to
-    /// `Running` with no phase launched yet (step 2 launches once the
-    /// resume gate has passed).
-    fn try_place(
-        m: &mut Machine,
-        alloc: &mut BuddyAllocator,
-        job: &mut Job,
-        id: usize,
-        now: Time,
-        region: Option<&Subcube>,
-    ) -> bool {
-        if now < job.queued_at {
-            return false; // not yet arrived
-        }
-        let Some(sub) = alloc.alloc_outside(job.spec.dim, region) else {
-            return false;
-        };
+    /// Give `job` the subcube `sub`: the job transitions to `Running` with
+    /// no phase launched yet (step 2 launches once the resume gate has
+    /// passed).
+    fn place(m: &mut Machine, job: &mut Job, id: usize, now: Time, sub: Subcube) {
         job.wait += now.since(job.queued_at);
         job.boost = 0;
         let gate = if job.ckpt.has_committed() {
@@ -713,10 +847,13 @@ impl Scheduler {
                 .unwrap_or_else(|e| panic!("restore of job {id} failed: {e}"));
             let bytes = full_in + job.pending_out_bytes;
             job.pending_out_bytes = 0;
-            m.registry()
-                .scope(&job_scope(id))
-                .counter("ckpt_bytes_in")
-                .add(full_in);
+            bump(
+                &mut job.meters.ckpt_bytes_in,
+                m,
+                id,
+                "ckpt_bytes_in",
+                full_in,
+            );
             stream_gate(now, bytes)
         } else {
             // First placement: initialise memory, take the baseline
@@ -733,7 +870,6 @@ impl Scheduler {
             held_since: now,
             handles: None,
         };
-        true
     }
 }
 
@@ -744,40 +880,35 @@ fn checkpoint_boundary(m: &Machine, id: usize, job: &mut Job, sub: &Subcube) -> 
     let bytes = m
         .capture_subcube(&mut job.ckpt, sub)
         .unwrap_or_else(|e| panic!("boundary checkpoint of job {id} failed: {e}"));
-    m.registry()
-        .scope(&job_scope(id))
-        .counter("ckpt_bytes_out")
-        .add(bytes);
+    bump(
+        &mut job.meters.ckpt_bytes_out,
+        m,
+        id,
+        "ckpt_bytes_out",
+        bytes,
+    );
     bytes
 }
 
-/// Metrics path prefix for one job.
-fn job_scope(id: usize) -> String {
-    format!("job/{id}")
-}
-
-/// One Perfetto span on the job's track for a held interval.
-fn record_span(tracer: Option<&Tracer>, id: usize, start: Time, end: Time) {
+/// One Perfetto span on the job's `job/{id}` track for a held interval.
+fn record_span(tracer: Option<&Tracer>, id: usize, job: &mut Job, start: Time, end: Time) {
     if let Some(t) = tracer {
-        t.record(&job_scope(id), start, end);
+        let track = *job
+            .meters
+            .track
+            .get_or_insert_with(|| t.track(&format!("job/{id}")));
+        t.record_span(track, start, end);
     }
 }
 
-/// Waiting jobs eligible now, most urgent first: effective priority
-/// descending (spec priority plus aging boost), then earliest absolute
-/// deadline (EDF among equals; best-effort jobs last), then submission
-/// order.
+/// The wait queue's order built the long way — filter every job, sort —
+/// as the oracle [`WaitQueue::order`] is checked against each tick.
+#[cfg(debug_assertions)]
 fn queued_order(jobs: &[Job], now: Time) -> Vec<usize> {
     let mut q: Vec<usize> = (0..jobs.len())
         .filter(|&id| matches!(jobs[id].state, State::Queued) && now >= jobs[id].queued_at)
         .collect();
-    q.sort_by_key(|&id| {
-        (
-            Reverse(eff_priority(&jobs[id])),
-            deadline_key(&jobs[id]),
-            id,
-        )
-    });
+    q.sort_by_key(|&id| queue_key(id, &jobs[id]));
     q
 }
 

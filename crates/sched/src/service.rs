@@ -35,8 +35,12 @@
 //!    arrivals may only be placed *outside* the reservation
 //!    ([`BuddyAllocator::alloc_outside`]), so small jobs soak up the
 //!    leftover nodes without ever postponing the head. The backfill
-//!    scan is bounded (64 queued jobs per pass) so admission work per
-//!    event stays O(1) under overload.
+//!    scan looks at no more than 64 queued jobs per instant, and asks the
+//!    allocator only about those narrower than everything that has
+//!    already failed to fit at that instant (a failed dimension fails for
+//!    every wider one until something is released): at most one failing
+//!    free-list walk per dimension plus one walk per job placed, the
+//!    rest a compare each.
 //!
 //! Everything is deterministic: one seed pins the trace, and the event
 //! loop uses only ordered containers, so two runs of the same trace
@@ -340,22 +344,33 @@ impl ServiceScheduler {
             }
 
             // Backfill behind a blocked head: bounded scan of the rest
-            // of the queue, placing only outside the reservation.
-            if let Some((head, region)) = reservation.clone() {
+            // of the queue, placing only outside the reservation. Nothing
+            // is released during the scan and the head's own dimension
+            // has just failed to fit, so a job at least as wide as the
+            // narrowest failure so far cannot fit either (see
+            // `BuddyAllocator::alloc_outside`) and is passed over without
+            // walking the free lists.
+            if let Some((head, region)) = &reservation {
                 let mut picked: Vec<(u32, u32, u64, Subcube)> = Vec::new();
                 let mut scanned = 0usize;
+                let mut too_wide = arrivals[*head as usize].dim;
                 'scan: for (&eff, b) in buckets.iter().rev() {
                     for &(dl, seq) in b.by_dl.iter() {
-                        if seq == head {
+                        if seq == *head {
                             continue;
                         }
-                        if scanned >= BACKFILL_SCAN {
+                        if scanned >= BACKFILL_SCAN || too_wide == 0 {
                             break 'scan;
                         }
                         scanned += 1;
-                        let a = &arrivals[seq as usize];
-                        if let Some(sub) = alloc.alloc_outside(a.dim, Some(&region)) {
-                            picked.push((seq, eff, dl, sub));
+                        let dim = arrivals[seq as usize].dim;
+                        if dim >= too_wide {
+                            debug_assert!(alloc.clone().alloc_outside(dim, Some(region)).is_none());
+                            continue;
+                        }
+                        match alloc.alloc_outside(dim, Some(region)) {
+                            Some(sub) => picked.push((seq, eff, dl, sub)),
+                            None => too_wide = dim,
                         }
                     }
                 }

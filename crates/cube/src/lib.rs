@@ -165,7 +165,7 @@ impl Hypercube {
 /// `dims[k]`. A program written against virtual ids and dimensions (every
 /// collective and kernel in this workspace) therefore runs unmodified
 /// inside any subcube.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub struct Subcube {
     base: NodeId,
     dims: Vec<u32>,

@@ -13,7 +13,7 @@
 //! bit-identical whether it runs at base 0 of a dedicated d-cube or on
 //! any aligned d-subcube of a shared machine.
 
-use t_series_core::{collectives, Machine};
+use t_series_core::{collectives, Machine, MachineCfg};
 use ts_cube::{Hypercube, Subcube};
 use ts_fpu::Sf64;
 use ts_mem::ROW_WORDS;
@@ -230,5 +230,36 @@ impl JobSpec {
     pub fn deadline(mut self, d: Dur) -> JobSpec {
         self.deadline = Some(d);
         self
+    }
+}
+
+/// A job's dedicated-machine reference run (see [`run_standalone`]).
+#[derive(Debug, Clone)]
+pub struct StandaloneRun {
+    /// Result bits, virtual node order.
+    pub result: Vec<u64>,
+    /// Simulated duration of the phases.
+    pub elapsed: Dur,
+}
+
+/// Run `spec` alone on a dedicated cube of exactly its dimension — the
+/// reference against which space-shared runs must be bit-identical.
+pub fn run_standalone(cfg: MachineCfg, spec: &JobSpec) -> StandaloneRun {
+    assert_eq!(
+        cfg.dim, spec.dim,
+        "dedicated machine must match the job's dim"
+    );
+    let mut m = Machine::build(cfg);
+    let sub = Subcube::aligned(0, spec.dim);
+    spec.kernel.setup(&m, &sub);
+    let t0 = m.now();
+    for p in 0..spec.kernel.phases() {
+        let handles = spec.kernel.launch_phase(&mut m, &sub, p);
+        assert!(m.run().quiescent, "standalone phase {p} stalled");
+        debug_assert!(handles.iter().all(|h| h.is_finished()));
+    }
+    StandaloneRun {
+        result: spec.kernel.result(&m, &sub),
+        elapsed: m.now().since(t0),
     }
 }

@@ -13,48 +13,31 @@
 //!   discrete-event simulation of admission alone. Every arrival is
 //!   treated as an opaque reservation that holds an aligned subcube for
 //!   exactly its service demand, so millions of jobs stream through in
-//!   seconds while exercising the *real* [`BuddyAllocator`] and the
+//!   seconds while exercising the *real* [`crate::BuddyAllocator`] and the
 //!   full admission policy. No `Machine` is built.
 //! * [`ServiceScheduler::run_on_machine`] — the **fidelity path**: the
 //!   same trace converted to [`JobSpec`]s (synthetic holds become
 //!   [`JobKernel::Sleep`]; kernel arrivals run real SAXPY/all-reduce
-//!   gangs) and driven through [`Scheduler::run_batch`] on a live
-//!   simulated machine, with the same aging and EDF policy.
+//!   gangs) and driven through [`Scheduler::run_batch`]'s tick loop on a
+//!   live simulated machine.
 //!
-//! The admission policy, in order:
+//! Both drive the one admission policy of `admission.rs`, and both reserve
+//! for a blocked head at once: an open stream never drains on its own.
 //!
-//! 1. **Effective priority** = class priority + aging boost. A waiting
-//!    job gains one level per [`ServiceCfg::aging_period`] in the queue
-//!    (capped at [`ServiceCfg::max_boost`]), so a stream of urgent
-//!    arrivals cannot starve best-effort batch work.
-//! 2. **EDF among equals**: within one effective priority level, the
-//!    earliest absolute deadline goes first; best-effort jobs (no
-//!    deadline) go last, in arrival order.
-//! 3. **Reserved-head backfill**: when the head job does not fit, the
-//!    free-most aligned block of its size is reserved for it and later
-//!    arrivals may only be placed *outside* the reservation
-//!    ([`BuddyAllocator::alloc_outside`]), so small jobs soak up the
-//!    leftover nodes without ever postponing the head. The backfill
-//!    scan looks at no more than 64 queued jobs per instant, and asks the
-//!    allocator only about those narrower than everything that has
-//!    already failed to fit at that instant (a failed dimension fails for
-//!    every wider one until something is released): at most one failing
-//!    free-list walk per dimension plus one walk per job placed, the
-//!    rest a compare each.
-//!
-//! Everything is deterministic: one seed pins the trace, and the event
-//! loop uses only ordered containers, so two runs of the same trace
+//! Everything is deterministic: one seed pins the trace, and the queue
+//! and clock use only ordered containers, so two runs of the same trace
 //! render byte-identical [`ServiceReport`]s.
 
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
+use std::collections::BinaryHeap;
 
 use t_series_core::Machine;
 use ts_cube::Subcube;
-use ts_sim::{Dur, Histogram};
-use ts_workload::{Trace, WorkKind};
+use ts_sim::{Dur, Histogram, Time};
+use ts_workload::{Arrival, Trace, WorkKind};
 
-use crate::{BatchReport, BuddyAllocator, JobKernel, JobSpec, Policy, Scheduler};
+use crate::admission::Admission;
+use crate::{BatchReport, JobKernel, JobSpec, Policy, Scheduler};
 
 /// Admission-policy knobs for [`ServiceScheduler`].
 #[derive(Debug, Clone)]
@@ -66,9 +49,6 @@ pub struct ServiceCfg {
     /// Cap on aging promotions per wait.
     pub max_boost: u32,
 }
-
-/// Queued jobs examined per backfill pass behind a blocked head.
-const BACKFILL_SCAN: usize = 64;
 
 impl ServiceCfg {
     /// Defaults: 1 ms aging period, 4 levels of boost.
@@ -168,32 +148,6 @@ impl ServiceReport {
     }
 }
 
-/// Event tags; at one timestamp, completions are processed before
-/// promotions so freed nodes are visible to every placement decision
-/// made at that instant.
-const EV_COMPLETE: u8 = 0;
-const EV_PROMOTE: u8 = 1;
-
-/// Per-effective-priority wait queue: EDF order for picking, arrival
-/// order for detecting when a deadline jumped the FIFO.
-#[derive(Default)]
-struct Bucket {
-    /// `(absolute deadline ps, seq)` — pick order.
-    by_dl: BTreeSet<(u64, u32)>,
-    /// `seq` — FIFO order, for EDF-reorder detection.
-    by_seq: BTreeSet<u32>,
-}
-
-/// One admitted job's mutable state on the capacity path.
-struct Slot {
-    /// Aging boost earned so far.
-    boost: u32,
-    /// Still waiting?
-    queued: bool,
-    /// Subcube held while running (for release at completion).
-    sub: Option<Subcube>,
-}
-
 /// The admission front-end. Construct with [`ServiceScheduler::new`].
 pub struct ServiceScheduler {
     cfg: ServiceCfg,
@@ -214,190 +168,57 @@ impl ServiceScheduler {
             trace.max_dim() <= dim,
             "trace contains a job wider than the {dim}-cube fleet"
         );
-        let n = trace.len();
         let arrivals = &trace.arrivals;
-        let mut alloc = BuddyAllocator::new(dim);
-        // Min-heap of (time ps, tag, seq).
-        let mut events: BinaryHeap<Reverse<(u64, u8, u32)>> = BinaryHeap::new();
-        let mut buckets: BTreeMap<u32, Bucket> = BTreeMap::new();
-        let mut slots: Vec<Slot> = Vec::with_capacity(n);
-        // Reservation for a blocked head: (head seq, its block).
-        let mut reservation: Option<(u32, Subcube)> = None;
-
-        let mut stats = StreamStats::new(trace);
+        let mut adm = Admission::new(
+            Policy::FcfsBackfill,
+            Some((self.cfg.aging_period, self.cfg.max_boost)),
+            Dur::ZERO,
+            dim,
+            arrivals.len(),
+        );
+        // The clock: the next arrival, the completions due — a min-heap of
+        // `(instant, seq, the subcube that comes back)`, at most one per
+        // node — and the core's next aging step.
         let mut next_arrival = 0usize;
-        let aging_on = self.cfg.max_boost > 0;
+        let mut running: BinaryHeap<Reverse<(Time, usize, Subcube)>> = BinaryHeap::new();
+        let mut stats = StreamStats::new(trace);
 
-        while next_arrival < n || !events.is_empty() {
-            // The next instant anything happens.
-            let ta = arrivals
-                .get(next_arrival)
-                .map(|a| a.at.as_ps())
-                .unwrap_or(u64::MAX);
-            let te = events.peek().map(|Reverse(e)| e.0).unwrap_or(u64::MAX);
-            let now = ta.min(te);
+        let never = Time(u64::MAX);
+        let arrives = |i: usize| arrivals.get(i).map_or(never, |a| Time::ZERO + a.at);
+        while next_arrival < arrivals.len() || !running.is_empty() {
+            let ends = running.peek().map_or(never, |Reverse(e)| e.0);
+            let ages = adm.next_aging().unwrap_or(never);
+            let now = arrives(next_arrival).min(ends).min(ages);
 
-            // Admit every arrival at this instant.
-            while next_arrival < n && arrivals[next_arrival].at.as_ps() == now {
-                let seq = next_arrival as u32;
+            while arrives(next_arrival) == now {
                 let a = &arrivals[next_arrival];
-                slots.push(Slot {
-                    boost: 0,
-                    queued: true,
-                    sub: None,
-                });
-                let dl = a.deadline.map_or(u64::MAX, |d| (a.at + d).as_ps());
-                let b = buckets.entry(a.priority).or_default();
-                b.by_dl.insert((dl, seq));
-                b.by_seq.insert(seq);
-                if aging_on {
-                    events.push(Reverse((
-                        now + self.cfg.aging_period.as_ps(),
-                        EV_PROMOTE,
-                        seq,
-                    )));
-                }
+                adm.enqueue(next_arrival, now, a.priority, a.deadline, a.dim);
                 next_arrival += 1;
             }
-
-            // Process every event at this instant (completions first).
-            while let Some(&Reverse((t, tag, seq))) = events.peek() {
-                if t != now {
-                    break;
-                }
-                events.pop();
-                let a = &arrivals[seq as usize];
-                match tag {
-                    EV_COMPLETE => {
-                        let sub = slots[seq as usize]
-                            .sub
-                            .take()
-                            .expect("completing job holds");
-                        alloc.release(&sub);
-                        stats.complete(seq, now, a);
-                    }
-                    _ => {
-                        // Promotion: still waiting → one level up.
-                        let slot = &mut slots[seq as usize];
-                        if slot.queued {
-                            let old = a.priority + slot.boost;
-                            let dl = a.deadline.map_or(u64::MAX, |d| (a.at + d).as_ps());
-                            let b = buckets.get_mut(&old).expect("queued job has a bucket");
-                            b.by_dl.remove(&(dl, seq));
-                            b.by_seq.remove(&seq);
-                            if b.by_dl.is_empty() {
-                                buckets.remove(&old);
-                            }
-                            slot.boost += 1;
-                            stats.promotions += 1;
-                            let b = buckets.entry(old + 1).or_default();
-                            b.by_dl.insert((dl, seq));
-                            b.by_seq.insert(seq);
-                            if slot.boost < self.cfg.max_boost {
-                                events.push(Reverse((
-                                    t + self.cfg.aging_period.as_ps(),
-                                    EV_PROMOTE,
-                                    seq,
-                                )));
-                            }
-                        }
-                    }
-                }
+            // Completions before aging and placement, so freed nodes are
+            // visible to every decision made at this instant.
+            while running.peek().is_some_and(|Reverse(e)| e.0 == now) {
+                let Reverse((_, seq, sub)) = running.pop().expect("just peeked");
+                adm.release(&sub);
+                stats.complete(now.0, &arrivals[seq]);
             }
-
-            // Placement. First the head (highest bucket, EDF order),
-            // repeatedly while it fits.
-            loop {
-                let Some((&eff, b)) = buckets.iter().next_back() else {
-                    reservation = None;
-                    break;
-                };
-                let &(_, seq) = b.by_dl.iter().next().expect("bucket is never empty");
-                let fifo = *b.by_seq.iter().next().expect("bucket is never empty");
-                let a = &arrivals[seq as usize];
-                let Some(sub) = alloc.alloc(a.dim) else {
-                    // Blocked head: reserve the block it should drain
-                    // into, sticky while the same head waits.
-                    if reservation.as_ref().map(|&(o, _)| o) != Some(seq) {
-                        reservation = alloc.best_reservation(a.dim).map(|r| (seq, r));
-                    }
-                    break;
-                };
-                if seq != fifo {
-                    stats.edf_reorders += 1;
-                }
-                remove_queued(
-                    &mut buckets,
-                    eff,
-                    a.deadline.map_or(u64::MAX, |d| (a.at + d).as_ps()),
-                    seq,
-                );
-                start(
-                    &mut slots[seq as usize],
-                    sub,
-                    seq,
-                    now,
-                    a,
-                    &mut stats,
-                    &mut events,
-                );
-            }
-
-            // Backfill behind a blocked head: bounded scan of the rest
-            // of the queue, placing only outside the reservation. Nothing
-            // is released during the scan and the head's own dimension
-            // has just failed to fit, so a job at least as wide as the
-            // narrowest failure so far cannot fit either (see
-            // `BuddyAllocator::alloc_outside`) and is passed over without
-            // walking the free lists.
-            if let Some((head, region)) = &reservation {
-                let mut picked: Vec<(u32, u32, u64, Subcube)> = Vec::new();
-                let mut scanned = 0usize;
-                let mut too_wide = arrivals[*head as usize].dim;
-                'scan: for (&eff, b) in buckets.iter().rev() {
-                    for &(dl, seq) in b.by_dl.iter() {
-                        if seq == *head {
-                            continue;
-                        }
-                        if scanned >= BACKFILL_SCAN || too_wide == 0 {
-                            break 'scan;
-                        }
-                        scanned += 1;
-                        let dim = arrivals[seq as usize].dim;
-                        if dim >= too_wide {
-                            debug_assert!(alloc.clone().alloc_outside(dim, Some(region)).is_none());
-                            continue;
-                        }
-                        match alloc.alloc_outside(dim, Some(region)) {
-                            Some(sub) => picked.push((seq, eff, dl, sub)),
-                            None => too_wide = dim,
-                        }
-                    }
-                }
-                for (seq, eff, dl, sub) in picked {
-                    remove_queued(&mut buckets, eff, dl, seq);
-                    let a = &arrivals[seq as usize];
-                    start(
-                        &mut slots[seq as usize],
-                        sub,
-                        seq,
-                        now,
-                        a,
-                        &mut stats,
-                        &mut events,
-                    );
-                }
-            }
+            adm.age(now);
+            adm.place(now, |seq, sub, waited| {
+                let a = &arrivals[seq];
+                stats.place(a, waited, a.service);
+                running.push(Reverse((now + a.service.max(Dur::ps(1)), seq, sub)));
+            });
         }
 
-        stats.finish(dim, trace)
+        stats.finish(dim, trace, adm.promotions, adm.edf_reorders)
     }
 
     /// Serve `trace` on the fidelity path: every arrival becomes a
     /// [`JobSpec`] (synthetic holds run [`JobKernel::Sleep`], kernel
-    /// arrivals run real gangs) driven through [`Scheduler::run_batch`]
-    /// on `m` under backfill + the same aging policy. Returns the raw
-    /// batch report alongside the service view of it.
+    /// arrivals run real gangs) driven through [`Scheduler::run_batch`]'s
+    /// tick loop on `m` under the same policy as [`ServiceScheduler::run`],
+    /// reservation grace included. Returns the raw batch report alongside
+    /// the service view of it.
     pub fn run_on_machine(&self, m: &mut Machine, trace: &Trace) -> (BatchReport, ServiceReport) {
         let specs: Vec<JobSpec> = trace
             .arrivals
@@ -419,41 +240,19 @@ impl ServiceScheduler {
             })
             .collect();
         let dim = m.cube.dim();
-        let rep = Scheduler::new(Policy::FcfsBackfill)
-            .aging(self.cfg.aging_period, self.cfg.max_boost)
-            .run_batch(m, specs, None);
+        let live = Scheduler {
+            policy: Policy::FcfsBackfill,
+            aging: Some((self.cfg.aging_period, self.cfg.max_boost)),
+            grace: Dur::ZERO,
+        };
+        let rep = live.run_batch(m, specs, None);
         let svc = service_view(dim, trace, &rep);
         (rep, svc)
     }
 }
 
-/// Remove a queued job from its bucket, dropping the bucket when empty.
-fn remove_queued(buckets: &mut BTreeMap<u32, Bucket>, eff: u32, dl: u64, seq: u32) {
-    let b = buckets.get_mut(&eff).expect("queued job has a bucket");
-    b.by_dl.remove(&(dl, seq));
-    b.by_seq.remove(&seq);
-    if b.by_dl.is_empty() {
-        buckets.remove(&eff);
-    }
-}
-
-/// Transition a job to running: record its wait, schedule completion.
-fn start(
-    slot: &mut Slot,
-    sub: Subcube,
-    seq: u32,
-    now: u64,
-    a: &ts_workload::Arrival,
-    stats: &mut StreamStats,
-    events: &mut BinaryHeap<Reverse<(u64, u8, u32)>>,
-) {
-    slot.queued = false;
-    slot.sub = Some(sub);
-    stats.place(seq, now, a);
-    events.push(Reverse((now + a.service.as_ps().max(1), EV_COMPLETE, seq)));
-}
-
 /// Streaming accumulation of the service metrics.
+#[derive(Default)]
 struct StreamStats {
     wait_us: Histogram,
     slowdown_milli: Histogram,
@@ -465,45 +264,37 @@ struct StreamStats {
     busy_node_ps: u128,
     completed: u64,
     last_completion_ps: u64,
-    promotions: u64,
-    edf_reorders: u64,
     missed: u64,
 }
 
 impl StreamStats {
     fn new(trace: &Trace) -> StreamStats {
         StreamStats {
-            wait_us: Histogram::new(),
-            slowdown_milli: Histogram::new(),
             class_wait_us: trace.classes.iter().map(|_| Histogram::new()).collect(),
             class_jobs: vec![0; trace.classes.len()],
             class_missed: vec![0; trace.classes.len()],
-            sum_wait_ps: 0,
-            sum_slowdown: 0.0,
-            busy_node_ps: 0,
-            completed: 0,
-            last_completion_ps: 0,
-            promotions: 0,
-            edf_reorders: 0,
-            missed: 0,
+            ..StreamStats::default()
         }
     }
 
-    fn place(&mut self, _seq: u32, now: u64, a: &ts_workload::Arrival) {
-        let wait_ps = now - a.at.as_ps();
+    /// A job started after `wait` in the queue and holds its subcube for
+    /// `service`: its declared demand on a timer clock, its measured run on
+    /// a live machine.
+    fn place(&mut self, a: &Arrival, wait: Dur, service: Dur) {
+        let wait_ps = wait.as_ps();
         let wait_us = wait_ps / 1_000_000;
         self.wait_us.observe(wait_us);
         self.class_wait_us[a.class as usize].observe(wait_us);
         self.class_jobs[a.class as usize] += 1;
         self.sum_wait_ps += wait_ps as u128;
-        let service = a.service.as_ps().max(1);
+        let service = service.as_ps().max(1);
         let slowdown_milli = ((wait_ps as u128 + service as u128) * 1000 / service as u128) as u64;
         self.slowdown_milli.observe(slowdown_milli);
         self.sum_slowdown += slowdown_milli as f64 / 1e3;
         self.busy_node_ps += (service as u128) << a.dim;
     }
 
-    fn complete(&mut self, _seq: u32, now: u64, a: &ts_workload::Arrival) {
+    fn complete(&mut self, now: u64, a: &Arrival) {
         self.completed += 1;
         self.last_completion_ps = self.last_completion_ps.max(now);
         if a.deadline.is_some_and(|d| now > (a.at + d).as_ps()) {
@@ -512,7 +303,8 @@ impl StreamStats {
         }
     }
 
-    fn finish(self, dim: u32, trace: &Trace) -> ServiceReport {
+    /// The report, with the admission core's two counts.
+    fn finish(self, dim: u32, trace: &Trace, promotions: u64, reorders: u64) -> ServiceReport {
         let makespan_ps = self.last_completion_ps;
         let makespan_s = makespan_ps as f64 / 1e12;
         let n = self.completed.max(1);
@@ -549,36 +341,24 @@ impl StreamStats {
             } else {
                 0.0
             },
-            aging_promotions: self.promotions,
-            edf_reorders: self.edf_reorders,
+            aging_promotions: promotions,
+            edf_reorders: reorders,
             missed_deadlines: self.missed,
             classes,
         }
     }
 }
 
-/// Build the service view of a machine-path batch report.
+/// Build the service view of a machine-path batch report: every wait,
+/// run and completion as the machine measured it.
 fn service_view(dim: u32, trace: &Trace, rep: &BatchReport) -> ServiceReport {
     let mut stats = StreamStats::new(trace);
     for (j, a) in rep.jobs.iter().zip(trace.arrivals.iter()) {
-        let place_ps = a.at.as_ps() + j.wait.as_ps();
-        stats.place(j.id, place_ps, a);
-        let done_ps = a.at.as_ps() + j.turnaround.as_ps();
-        stats.complete(j.id, done_ps, a);
+        stats.place(a, j.wait, j.run);
+        stats.complete((a.at + j.turnaround).as_ps(), a);
     }
-    stats.promotions = rep.aging_promotions as u64;
-    stats.edf_reorders = rep.edf_reorders as u64;
-    // The batch path's busy time is measured (includes gates), not the
-    // nominal service demand; recompute utilization from the report.
-    let mut svc = stats.finish(dim, trace);
-    svc.utilization = rep.utilization;
-    svc.makespan = rep.makespan;
-    svc.jobs_per_sec = if rep.makespan.as_secs_f64() > 0.0 {
-        rep.jobs.len() as f64 / rep.makespan.as_secs_f64()
-    } else {
-        0.0
-    };
-    svc
+    let (promotions, reorders) = (rep.aging_promotions, rep.edf_reorders);
+    stats.finish(dim, trace, promotions as u64, reorders as u64)
 }
 
 #[cfg(test)]
@@ -688,21 +468,26 @@ mod tests {
                 });
             }
         }
-        let rep = ServiceScheduler::new(ServiceCfg::new(3)).run(&trace);
-        assert_eq!(rep.jobs, 501);
-        // The stream oversubscribes the fleet (load > 1), so stream
-        // waits grow without bound — but the wide job's wait is bounded
-        // by the drain of its reserved block, not by the stream length.
-        let (_, n, wide_wait, _, _) = rep.classes[wide as usize].clone();
-        assert_eq!(n, 1);
-        assert!(
-            wide_wait < Dur::ms(1),
-            "wide job waited {wide_wait:?}: reservation failed to protect it"
-        );
-        let (_, _, stream_p50, _, _) = rep.classes[stream as usize].clone();
-        assert!(
-            stream_p50 > wide_wait,
-            "overloaded stream should wait longer than the reserved head"
-        );
+        // Both roads reserve for a blocked head at once (a batch's 1 ms
+        // grace would alone keep the wide job waiting longer than this).
+        let svc = ServiceScheduler::new(ServiceCfg::new(3));
+        let mut m = Machine::build(t_series_core::MachineCfg::cube_small_mem(3, 8));
+        for rep in [svc.run(&trace), svc.run_on_machine(&mut m, &trace).1] {
+            assert_eq!(rep.jobs, 501);
+            // The stream oversubscribes the fleet (load > 1), so stream
+            // waits grow without bound — but the wide job's wait is bounded
+            // by the drain of its reserved block, not by the stream length.
+            let (_, n, wide_wait, _, _) = rep.classes[wide as usize].clone();
+            assert_eq!(n, 1);
+            assert!(
+                wide_wait < Dur::ms(1),
+                "wide job waited {wide_wait:?}: reservation failed to protect it"
+            );
+            let (_, _, stream_p50, _, _) = rep.classes[stream as usize].clone();
+            assert!(
+                stream_p50 > wide_wait,
+                "overloaded stream should wait longer than the reserved head"
+            );
+        }
     }
 }

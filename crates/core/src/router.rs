@@ -34,6 +34,7 @@
 //! a hop was being sent) and `router/dropped` under its node's registry
 //! scope ([`ts_node::ColdMeters`], registered on first bump).
 
+use std::pin::pin;
 use std::rc::Rc;
 
 use ts_cube::Hypercube;
@@ -253,14 +254,13 @@ async fn daemon(
 ) -> u64 {
     let me = ctx.id();
     let mut forwarded = 0u64;
-    let health = ctx.health();
-    // Distribution of hop counts over messages delivered *here*
-    // (`node/{id}/router/hops` in the machine registry).
-    let hops_hist = ctx.meters().scope().histogram("router/hops");
+    let mut crashed = ctx.health().watch_down();
+    // Distribution of hop counts over messages delivered *here*.
+    let hops_hist = ctx.meters().router_hops();
     // Prepared once: the ALT branch set (loopback first, for priority, then
     // each cube dimension) and the routing table. Every message the daemon
     // ever handles reuses both — nothing is rebuilt per iteration.
-    let alt = {
+    let mut alt = {
         let chans: Vec<LinkChannel> = std::iter::once(inject.clone())
             .chain((0..cube.dim() as usize).map(|d| ctx.in_channel(d)))
             .collect();
@@ -271,7 +271,7 @@ async fn daemon(
     loop {
         // ALT over the prepared branch set, racing the node's health flag:
         // a crash tears the daemon down.
-        let frame = match alt.recv_or_down(ctx.handle(), &health).await {
+        let frame = match alt.recv_or_down(ctx.handle(), &mut crashed).await {
             Ok((_idx, f)) => f,
             Err(_) => return forwarded, // node crashed
         };
@@ -366,7 +366,7 @@ async fn forward_frame(ctx: NodeCtx, table: Rc<RouteTable>, mut frame: Vec<u32>)
         let mut hop = ts_sim::pool::take_words(frame.len());
         hop.extend_from_slice(&frame);
         hop[5] += 1;
-        let send = Box::pin(ctx.try_send_dim(d, hop));
+        let send = pin!(ctx.try_send_dim(d, hop));
         match ts_sim::select2(send, ctx.handle().sleep(FORWARD_DEADLINE)).await {
             ts_sim::Either::Left(Ok(())) => {
                 ts_sim::pool::put_words(frame);

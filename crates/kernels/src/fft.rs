@@ -98,18 +98,23 @@ fn twiddle(k: usize, span: usize) -> Cpx {
     Cpx::new(angle.cos(), angle.sin())
 }
 
-/// The precomputed twiddle table the machine would hold: the `nl/2`
-/// factors of the first local stage. A later stage of span `s` reads it
-/// with stride `top/s`, and the entry is `twiddle(k, s)` bit for bit:
-/// scaling `k` and `s` by the same power of two is exact in the angle.
-/// One table serves every node of a run.
+/// The precomputed twiddle table the machine would hold: the `total/2`
+/// factors of the first stage. A later stage of span `s` — cross-node or
+/// local — reads it with stride `top/s`, and the entry is `twiddle(k, s)`
+/// bit for bit: scaling `k` and `s` by the same power of two is exact in
+/// the angle. One table serves every node of a run.
 pub struct Twiddles(Vec<Cpx>);
 
 impl Twiddles {
-    /// The table for `nl` local points.
-    pub fn new(nl: usize) -> Twiddles {
-        let top = nl / 2;
+    /// The table for a transform of `total` points.
+    pub fn new(total: usize) -> Twiddles {
+        let top = total / 2;
         Twiddles((0..top).map(|k| twiddle(k, top)).collect())
+    }
+
+    /// `twiddle(k, span)`.
+    fn at(&self, k: usize, span: usize) -> Cpx {
+        self.0[k * (self.0.len() / span)]
     }
 
     /// The factors `twiddle(0..span, span)` of one local stage.
@@ -161,6 +166,7 @@ async fn cross_stage(
     nl: usize,
     span: usize,
     pieces: usize,
+    table: Rc<Twiddles>,
     input: Rendezvous<Vec<Cpx>>,
     output: Rendezvous<Vec<Cpx>>,
 ) {
@@ -190,7 +196,7 @@ async fn cross_stage(
             if low_side {
                 *mine = *mine + theirs;
             } else {
-                *mine = (theirs - *mine) * twiddle(g_low % span, span);
+                *mine = (theirs - *mine) * table.at(g_low % span, span);
                 g_low += 1;
             }
         }
@@ -204,7 +210,7 @@ async fn cross_stage(
 }
 
 /// The per-node DIF FFT program over `local` points (global index =
-/// `id · local.len() + j`), with the run's `Twiddles::new(local.len())`.
+/// `id · local.len() + j`), with the run's `Twiddles::new(total)`.
 /// Returns this node's slice of the bit-reversed-order spectrum.
 pub async fn fft_node(
     ctx: NodeCtx,
@@ -225,7 +231,15 @@ pub async fn fft_node(
         let mut drain = feed.clone();
         while span >= nl {
             let next = Rendezvous::new();
-            let stage = cross_stage(ctx.clone(), nl, span, pieces, drain, next.clone());
+            let stage = cross_stage(
+                ctx.clone(),
+                nl,
+                span,
+                pieces,
+                table.clone(),
+                drain,
+                next.clone(),
+            );
             ctx.handle().spawn(stage);
             drain = next;
             span /= 2;
@@ -249,6 +263,9 @@ pub async fn fft_node(
     }
     // Local stages. A node's first global index is a multiple of `nl`, so
     // the twiddle index (global index mod span) is the offset in the group.
+    // Nothing else uses the vector unit now and the stages need no other
+    // unit, so their forms are chained behind one completion interrupt.
+    let mut done = ctx.now();
     while span >= 1 {
         for group in local.chunks_exact_mut(2 * span) {
             let (lows, highs) = group.split_at_mut(span);
@@ -258,10 +275,10 @@ pub async fn fft_node(
                 *hi = (a - b) * w;
             }
         }
-        ctx.charge_vec_flops(FLOPS_PER_BUTTERFLY * (nl as u64 / 2))
-            .await;
+        done = ctx.issue_vec_flops(FLOPS_PER_BUTTERFLY * (nl as u64 / 2));
         span /= 2;
     }
+    ctx.wait(done).await;
     local
 }
 
@@ -292,22 +309,26 @@ pub fn distributed_fft(
     assert!(total.is_power_of_two() && total >= 2 * p);
     let nl = total / p;
     let mark = KernelStats::mark(machine);
-    let table = Rc::new(Twiddles::new(nl));
-    let handles: Vec<_> = machine
-        .nodes
-        .iter()
-        .map(|node| {
-            let ctx = node.ctx();
-            let lo = node.id as usize * nl;
-            let local: Vec<Cpx> = input[lo..lo + nl]
-                .iter()
-                .map(|&(re, im)| Cpx::new(re, im))
-                .collect();
-            machine
-                .handle()
-                .spawn(fft_node(ctx, cube, total, local, table.clone()))
-        })
-        .collect();
+    // The node programs share the run's table and are its only holders, so
+    // it is freed with the last of them, before the spectrum is assembled.
+    let handles: Vec<_> = {
+        let table = Rc::new(Twiddles::new(total));
+        machine
+            .nodes
+            .iter()
+            .map(|node| {
+                let ctx = node.ctx();
+                let lo = node.id as usize * nl;
+                let local: Vec<Cpx> = input[lo..lo + nl]
+                    .iter()
+                    .map(|&(re, im)| Cpx::new(re, im))
+                    .collect();
+                machine
+                    .handle()
+                    .spawn(fft_node(ctx, cube, total, local, table.clone()))
+            })
+            .collect()
+    };
     let report = machine.run();
     assert!(report.quiescent, "FFT deadlocked");
     let mut flat = Vec::with_capacity(total);
@@ -424,13 +445,17 @@ mod tests {
     #[test]
     fn table_entries_equal_the_computed_twiddles_at_every_span() {
         let bits = |c: Cpx| (c.re.to_bits(), c.im.to_bits());
-        for nl in [2usize, 64, 1 << 14] {
-            let table = Twiddles::new(nl);
-            let mut span = nl / 2;
+        // Every span of a `total`-point transform, the cross-node ones
+        // (span ≥ nl on a cube) included: both read the one table.
+        for total in [2usize, 64, 1 << 14, 1 << 18] {
+            let table = Twiddles::new(total);
+            let mut span = total / 2;
             while span >= 1 {
                 let got: Vec<_> = table.stage(span).map(bits).collect();
                 let want: Vec<_> = (0..span).map(|k| bits(twiddle(k, span))).collect();
-                assert_eq!(got, want, "nl {nl}, span {span}");
+                assert_eq!(got, want, "total {total}, span {span}");
+                let at: Vec<_> = (0..span).map(|k| bits(table.at(k, span))).collect();
+                assert_eq!(at, want, "total {total}, span {span} (indexed)");
                 span /= 2;
             }
         }

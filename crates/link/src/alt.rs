@@ -1,29 +1,28 @@
 //! Occam `ALT` over several sublinks.
 
-use ts_sim::{select2, Either, Rendezvous, SimHandle};
+use ts_sim::{select2, Alt, Either, SimHandle};
 
 use crate::channel::Packet;
-use crate::{LinkChannel, LinkError, LinkStatus};
+use crate::{DownWatch, LinkChannel, LinkError};
 
 /// Occam-style `ALT` over several sublinks: resolves to
 /// `(channel_index, payload)` for the first channel whose sender commits,
 /// completing the framed transfer on that channel's wire. Lowest index wins
 /// when several senders are already waiting (`PRI ALT`).
 pub async fn alt_recv(h: &SimHandle, chans: &[&LinkChannel]) -> (usize, Vec<u32>) {
-    let set = AltSet::new(chans);
-    set.recv(h).await
+    AltSet::new(chans).recv(h).await
 }
 
 /// A prepared `ALT` over a fixed set of sublinks.
 ///
-/// Building the set once — e.g. per router daemon, which `ALT`s over the
-/// same loopback-plus-dimensions list for every message it ever handles —
-/// hoists the channel-list and rendezvous-handle allocations out of the
-/// receive loop: each [`AltSet::recv`] borrows the prepared slices and
-/// allocates nothing for the branch set.
+/// Build the set once — e.g. per router daemon, which `ALT`s over the same
+/// loopback-plus-dimensions list for every message it ever handles. The set
+/// owns its branch cells and claim flag ([`ts_sim::Alt`]), so a receive
+/// re-arms them and allocates nothing, and the branches that did not fire
+/// are left holding this set's one cell, not a cancelled one per message.
 pub struct AltSet {
     chans: Vec<LinkChannel>,
-    rvs: Vec<Rendezvous<Packet>>,
+    alt: Alt<Packet>,
 }
 
 impl AltSet {
@@ -35,29 +34,30 @@ impl AltSet {
         );
         AltSet {
             chans: chans.iter().map(|&c| c.clone()).collect(),
-            rvs: chans.iter().map(|c| c.inner.rv.clone()).collect(),
+            alt: Alt::new(chans.iter().map(|c| c.inner.rv.clone()).collect()),
         }
     }
 
     /// Wait for the first branch whose sender commits; completes the framed
     /// transfer on that branch's wire. Lowest index wins when several
     /// senders are already parked (`PRI ALT`).
-    pub async fn recv(&self, h: &SimHandle) -> (usize, Vec<u32>) {
-        let (idx, pkt) = ts_sim::alt(&self.rvs).await;
+    pub async fn recv(&mut self, h: &SimHandle) -> (usize, Vec<u32>) {
+        let (idx, pkt) = self.alt.recv().await;
         (idx, self.chans[idx].complete_recv(h, pkt).await)
     }
 
     /// Failable [`AltSet::recv`]: resolves to [`LinkError::Down`] when
-    /// `watch` goes down first.
+    /// `down` fires first. The watch is the caller's, so a daemon parks one
+    /// waker on its health flag for all the messages it handles.
     pub async fn recv_or_down(
-        &self,
+        &mut self,
         h: &SimHandle,
-        watch: &LinkStatus,
+        down: &mut DownWatch,
     ) -> Result<(usize, Vec<u32>), LinkError> {
-        if !watch.is_up() {
+        if !down.is_up() {
             return Err(LinkError::Down);
         }
-        match select2(ts_sim::alt(&self.rvs), watch.watch_down()).await {
+        match select2(self.alt.recv(), down).await {
             Either::Left((idx, pkt)) => Ok((idx, self.chans[idx].complete_recv(h, pkt).await)),
             Either::Right(()) => Err(LinkError::Down),
         }
@@ -95,6 +95,40 @@ mod tests {
         let ((i1, w1), (i2, w2)) = jh.try_take().unwrap();
         assert_eq!((i1, w1.len()), (1, 3));
         assert_eq!((i2, w2.len()), (0, 2));
+    }
+
+    #[test]
+    fn idle_branches_hold_one_cell_however_many_messages_pass() {
+        // A daemon-shaped loop: 10 000 messages, all on branch 3 of six.
+        // A per-message ALT left one cancelled cell in each idle branch per
+        // message (50 000 by the end); the prepared set leaves its own one.
+        let mut sim = Sim::new();
+        let h = sim.handle();
+        let chans: Vec<LinkChannel> = (0..6)
+            .map(|_| LinkChannel::new(Wire::new("w", LinkParams::default())))
+            .collect();
+        let tx = chans[3].clone();
+        let h2 = h.clone();
+        sim.spawn(async move {
+            for i in 0..10_000u32 {
+                tx.send(&h2, vec![i]).await;
+            }
+        });
+        let status = crate::LinkStatus::new();
+        let jh = sim.spawn(async move {
+            let mut set = AltSet::new(&chans.iter().collect::<Vec<_>>());
+            let mut down = status.watch_down();
+            let mut worst = 0;
+            for i in 0..10_000u32 {
+                let got = set.recv_or_down(&h, &mut down).await;
+                assert_eq!(got, Ok((3, vec![i])));
+                let idle = chans.iter().filter(|c| !c.inner.rv.sender_waiting());
+                worst = worst.max(idle.map(|c| c.inner.rv.parked_receivers()).max().unwrap());
+            }
+            worst
+        });
+        assert!(sim.run().quiescent);
+        assert_eq!(jh.try_take(), Some(1));
     }
 
     #[test]

@@ -33,6 +33,9 @@ struct StatusInner {
     /// revives it (a flap repair must not resurrect a condemned cable).
     condemned: bool,
     watchers: Vec<Waker>,
+    /// Bumped each time `watchers` is drained, so a [`DownWatch`] can tell
+    /// whether the waker it parked is still in the list.
+    epoch: u64,
 }
 
 /// Shared health flag of one **physical link**. Both direction channels of a
@@ -57,6 +60,7 @@ impl LinkStatus {
                 up: true,
                 condemned: false,
                 watchers: Vec::new(),
+                epoch: 0,
             })),
         }
     }
@@ -96,6 +100,7 @@ impl LinkStatus {
             let mut st = self.inner.borrow_mut();
             st.up = false;
             st.condemned |= condemn;
+            st.epoch += 1;
             std::mem::take(&mut st.watchers)
         };
         for w in watchers {
@@ -114,24 +119,49 @@ impl LinkStatus {
     pub fn watch_down(&self) -> DownWatch {
         DownWatch {
             status: self.clone(),
+            parked: None,
         }
     }
 }
 
-/// Future returned by [`LinkStatus::watch_down`].
+/// Future returned by [`LinkStatus::watch_down`]. It may be polled again
+/// after a race it lost (by `&mut`): a daemon keeps one watch for its
+/// lifetime, and the watch parks one waker per outage, not one per poll.
 pub struct DownWatch {
     status: LinkStatus,
+    /// `(epoch, index)` of this watch's waker in the status's list.
+    parked: Option<(u64, usize)>,
+}
+
+impl DownWatch {
+    /// True while the watched link is alive.
+    pub fn is_up(&self) -> bool {
+        self.status.is_up()
+    }
 }
 
 impl Future for DownWatch {
     type Output = ();
 
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
-        let mut st = self.status.inner.borrow_mut();
+        let this = self.get_mut();
+        let mut st = this.status.inner.borrow_mut();
         if !st.up {
             return Poll::Ready(());
         }
-        st.watchers.push(cx.waker().clone());
+        match this.parked {
+            // The list is only appended to within an epoch, so the index
+            // still names this watch's waker.
+            Some((epoch, at)) if epoch == st.epoch => {
+                if !st.watchers[at].will_wake(cx.waker()) {
+                    st.watchers[at] = cx.waker().clone();
+                }
+            }
+            _ => {
+                this.parked = Some((st.epoch, st.watchers.len()));
+                st.watchers.push(cx.waker().clone());
+            }
+        }
         Poll::Pending
     }
 }

@@ -13,6 +13,10 @@
 //! * [`NodeCtx::vec`] / [`NodeCtx::vec_async`] — vector forms through the
 //!   micro-sequencer (the async variant runs concurrently with the control
 //!   processor, which is how the paper overlaps gather with arithmetic);
+//!   every form also splits into a synchronous *issue* returning its
+//!   completion instant and one [`NodeCtx::wait`], so a run of forms can be
+//!   chained behind a single completion interrupt (see the model note on
+//!   [`NodeCtx::issue_vec`]);
 //! * [`NodeCtx::gather64`] / [`NodeCtx::scatter64`] — the control
 //!   processor's element-at-a-time word-port loops (1.6 µs per 64-bit
 //!   element);
@@ -122,6 +126,7 @@ pub struct NodeMeters {
     /// Latency histograms of the collectives run on this node so far, by
     /// op name (see [`NodeMeters::collective_us`]).
     collective_us: RefCell<Vec<(&'static str, Histogram)>>,
+    router_hops: OnceCell<Histogram>,
     /// Control-processor busy time (`node/{id}/cp/busy`).
     pub cp_busy: BusyTime,
     /// Control-processor instructions executed (`node/{id}/cp/instrs`).
@@ -193,13 +198,23 @@ impl NodeMeters {
             scope,
             cold: OnceCell::new(),
             collective_us: RefCell::new(Vec::new()),
+            router_hops: OnceCell::new(),
         }
     }
 
-    /// The node's `node/{id}` scope, for registering further unit metrics
-    /// (router hop histograms, collective latencies).
+    /// The node's `node/{id}` scope, for registering further unit metrics.
     pub fn scope(&self) -> &MetricsScope {
         &self.scope
+    }
+
+    /// Hop counts of the routed messages delivered to this node
+    /// (`node/{id}/router/hops`). Registers the first time a router daemon
+    /// asks for it — a machine that never routes registers nothing — and
+    /// every later daemon of the node gets the same handle back without
+    /// formatting a path or searching the registry.
+    pub fn router_hops(&self) -> &Histogram {
+        self.router_hops
+            .get_or_init(|| self.scope.histogram("router/hops"))
     }
 
     /// The node's cold counters, for bumping one. They register under the
@@ -728,7 +743,7 @@ impl NodeCtx {
         z_row: usize,
         n: usize,
     ) -> Result<VecResult, MemError> {
-        self.run_vec(n, |u, mem| u.exec64(mem, form, x_row, y_row, z_row, n))
+        self.complete(self.issue_vec(form, x_row, y_row, z_row, n))
             .await
     }
 
@@ -742,8 +757,66 @@ impl NodeCtx {
         z_row: usize,
         n: usize,
     ) -> Result<VecResult, MemError> {
-        self.run_vec(n, |u, mem| u.exec32(mem, form, x_row, y_row, z_row, n))
+        self.complete(self.issue_vec32(form, x_row, y_row, z_row, n))
             .await
+    }
+
+    /// Issue a 64-bit vector form without waiting: returns its result and
+    /// the instant of its completion interrupt, to be handed to
+    /// [`NodeCtx::wait`].
+    ///
+    /// Model note — chains. Element values are computed (and visible in
+    /// memory) at issue, the form's meters and trace span are booked at
+    /// issue, and the unit is occupied from `max(now, busy-until)`: a form
+    /// issued behind another queues behind it. So a *chain* — several
+    /// issues back to back, then one `wait` on the last instant — ends on
+    /// the same picosecond, with the same values, meters and spans, as
+    /// awaiting each form in turn, **provided nothing else is issued to the
+    /// vector unit in between** (another process of the node would then
+    /// queue behind the whole chain instead of slipping in after the form
+    /// in flight) and the program needs no other unit between two forms:
+    /// a control-processor charge made between two awaited forms starts
+    /// when the first completes, which a chain would start early. The chain
+    /// costs the simulator one timer event instead of one per form. A
+    /// program that reads an output region before waiting sees results
+    /// early; well-formed programs wait first.
+    pub fn issue_vec(
+        &self,
+        form: VecForm,
+        x_row: usize,
+        y_row: usize,
+        z_row: usize,
+        n: usize,
+    ) -> Result<(VecResult, Time), MemError> {
+        self.issue_with(n, |u, mem| u.exec64(mem, form, x_row, y_row, z_row, n))
+    }
+
+    /// [`NodeCtx::issue_vec`] in 32-bit mode.
+    pub fn issue_vec32(
+        &self,
+        form: VecForm,
+        x_row: usize,
+        y_row: usize,
+        z_row: usize,
+        n: usize,
+    ) -> Result<(VecResult, Time), MemError> {
+        self.issue_with(n, |u, mem| u.exec32(mem, form, x_row, y_row, z_row, n))
+    }
+
+    /// Sleep to the completion interrupt of an issued form (or of the last
+    /// form of a chain). Returns at once if the instant has passed.
+    pub async fn wait(&self, done: Time) {
+        self.node.h.sleep_until(done).await;
+    }
+
+    /// Wait out a row form that was just issued.
+    async fn complete(
+        &self,
+        issued: Result<(VecResult, Time), MemError>,
+    ) -> Result<VecResult, MemError> {
+        let (r, done) = issued?;
+        self.wait(done).await;
+        Ok(r)
     }
 
     /// Narrow `n` 64-bit elements to 32-bit through the adder's conversion
@@ -754,7 +827,7 @@ impl NodeCtx {
         z_row: usize,
         n: usize,
     ) -> Result<VecResult, MemError> {
-        self.run_vec(n, |u, mem| u.convert64to32(mem, x_row, z_row, n))
+        self.complete(self.issue_with(n, |u, mem| u.convert64to32(mem, x_row, z_row, n)))
             .await
     }
 
@@ -765,18 +838,15 @@ impl NodeCtx {
         z_row: usize,
         n: usize,
     ) -> Result<VecResult, MemError> {
-        self.run_vec(n, |u, mem| u.convert32to64(mem, x_row, z_row, n))
+        self.complete(self.issue_with(n, |u, mem| u.convert32to64(mem, x_row, z_row, n)))
             .await
     }
 
     /// Issue a vector form and return immediately: the arithmetic unit runs
     /// concurrently with the control processor ("The complete arithmetic
     /// unit operates in parallel with the node control processor"). Await
-    /// the returned handle for the completion interrupt.
-    ///
-    /// Model note: element values are computed (and visible in memory) at
-    /// issue; a program that reads the output region before awaiting
-    /// completion sees results early. Well-formed programs await first.
+    /// the returned handle for the completion interrupt (the model note on
+    /// [`NodeCtx::issue_vec`] applies).
     pub fn vec_async(
         &self,
         form: VecForm,
@@ -785,7 +855,7 @@ impl NodeCtx {
         z_row: usize,
         n: usize,
     ) -> Result<ts_sim::JoinHandle<VecResult>, MemError> {
-        let (r, end) = self.issue_vec(n, |u, mem| u.exec64(mem, form, x_row, y_row, z_row, n))?;
+        let (r, end) = self.issue_vec(form, x_row, y_row, z_row, n)?;
         let h = self.node.h.clone();
         Ok(self.node.h.spawn(async move {
             h.sleep_until(end).await;
@@ -797,7 +867,7 @@ impl NodeCtx {
     /// `n` on the node's unit and memory (element values land at issue),
     /// then the form is booked and the unit occupied for its duration.
     /// Returns the result and the instant of the completion interrupt.
-    fn issue_vec(
+    fn issue_with(
         &self,
         n: usize,
         op: impl FnOnce(&VecUnit, &mut NodeMemory) -> Result<VecResult, MemError>,
@@ -810,17 +880,6 @@ impl NodeCtx {
         Ok((r, self.occupy_vec(r.timing, n)))
     }
 
-    /// [`NodeCtx::issue_vec`], then wait for the completion interrupt.
-    async fn run_vec(
-        &self,
-        n: usize,
-        op: impl FnOnce(&VecUnit, &mut NodeMemory) -> Result<VecResult, MemError>,
-    ) -> Result<VecResult, MemError> {
-        let (r, end) = self.issue_vec(n, op)?;
-        self.node.h.sleep_until(end).await;
-        Ok(r)
-    }
-
     /// Book a form of length `n` into the meters and occupy the vector unit
     /// for its duration; returns the completion instant.
     fn occupy_vec(&self, timing: VecTiming, n: usize) -> Time {
@@ -831,21 +890,28 @@ impl NodeCtx {
         shared.vec_res.reserve(self.now(), timing.duration).1
     }
 
-    /// Charge the unit for arithmetic done on message buffers and wait it
-    /// out. Payloads live in registers/DMA buffers rather than aligned
-    /// rows, so the row model is not touched: the time is the unit's own
-    /// [`VecUnit::timing`] of `form` over `n` 64-bit elements streaming
-    /// cross-bank (II = 1). `flops` overrides the form's count.
-    async fn charge_form(&self, form: VecForm, n: usize, flops: Option<u64>) {
+    /// Occupy the unit for arithmetic done on message buffers. Payloads
+    /// live in registers/DMA buffers rather than aligned rows, so the row
+    /// model is not touched: the time is the unit's own [`VecUnit::timing`]
+    /// of `form` over `n` 64-bit elements streaming cross-bank (II = 1).
+    /// `flops` overrides the form's count.
+    fn issue_form(&self, form: VecForm, n: usize, flops: Option<u64>) -> Time {
         let mut timing = VecUnit::timing(form, n, 1, Precision::Double);
         timing.flops = flops.unwrap_or(timing.flops);
-        let end = self.occupy_vec(timing, n);
-        self.node.h.sleep_until(end).await;
+        self.occupy_vec(timing, n)
     }
 
     /// Combine two value vectors elementwise through the vector unit,
     /// charged as an adder-path vector form. Used by the collectives.
     pub async fn combine_values(&self, op: CombineOp, acc: &mut [Sf64], other: &[Sf64]) {
+        let done = self.issue_combine_values(op, acc, other);
+        self.wait(done).await;
+    }
+
+    /// [`NodeCtx::combine_values`] without the wait (see
+    /// [`NodeCtx::issue_vec`] for what a chain of issues means).
+    #[must_use = "an issued form completes only once its instant is waited for"]
+    pub fn issue_combine_values(&self, op: CombineOp, acc: &mut [Sf64], other: &[Sf64]) -> Time {
         assert_eq!(acc.len(), other.len(), "combine_values length mismatch");
         for (a, &b) in acc.iter_mut().zip(other) {
             *a = match op {
@@ -867,29 +933,43 @@ impl NodeCtx {
                 }
             };
         }
-        self.charge_form(VecForm::VAdd, acc.len(), None).await;
+        self.issue_form(VecForm::VAdd, acc.len(), None)
     }
 
     /// SAXPY on message-buffer values: `y[i] += a·x[i]` through the chained
     /// multiplier→adder pipe (2 flops per element, II = 1).
     pub async fn saxpy_values(&self, a: Sf64, x: &[Sf64], y: &mut [Sf64]) {
+        let done = self.issue_saxpy_values(a, x, y);
+        self.wait(done).await;
+    }
+
+    /// [`NodeCtx::saxpy_values`] without the wait.
+    #[must_use = "an issued form completes only once its instant is waited for"]
+    pub fn issue_saxpy_values(&self, a: Sf64, x: &[Sf64], y: &mut [Sf64]) -> Time {
         assert_eq!(x.len(), y.len(), "saxpy_values length mismatch");
         for (yi, &xi) in y.iter_mut().zip(x) {
             *yi = a * xi + *yi;
         }
-        self.charge_form(VecForm::Saxpy(a), x.len(), None).await;
+        self.issue_form(VecForm::Saxpy(a), x.len(), None)
     }
 
     /// Dot product on message-buffer values (2 flops per element, plus the
     /// reduction's feedback drain).
     pub async fn dot_values(&self, x: &[Sf64], y: &[Sf64]) -> Sf64 {
+        let (dot, done) = self.issue_dot_values(x, y);
+        self.wait(done).await;
+        dot
+    }
+
+    /// [`NodeCtx::dot_values`] without the wait.
+    #[must_use = "an issued form completes only once its instant is waited for"]
+    pub fn issue_dot_values(&self, x: &[Sf64], y: &[Sf64]) -> (Sf64, Time) {
         assert_eq!(x.len(), y.len(), "dot_values length mismatch");
         let mut acc = Sf64::ZERO;
         for (&xi, &yi) in x.iter().zip(y) {
             acc = acc + xi * yi;
         }
-        self.charge_form(VecForm::Dot, x.len(), None).await;
-        acc
+        (acc, self.issue_form(VecForm::Dot, x.len(), None))
     }
 
     /// Charge the vector unit for `flops` floating-point operations issued
@@ -897,12 +977,20 @@ impl NodeCtx {
     /// modeling the individual operands (used by kernels whose inner loops
     /// are algorithmically regular, e.g. FFT butterflies).
     pub async fn charge_vec_flops(&self, flops: u64) {
+        let done = self.issue_vec_flops(flops);
+        self.wait(done).await;
+    }
+
+    /// [`NodeCtx::charge_vec_flops`] without the wait. Zero flops issue
+    /// nothing and are complete now — earlier than the forms before them
+    /// in a chain, which waits on the latest instant it was given.
+    #[must_use = "an issued form completes only once its instant is waited for"]
+    pub fn issue_vec_flops(&self, flops: u64) -> Time {
         if flops == 0 {
-            return;
+            return self.now();
         }
         let cycles = flops.div_ceil(2) as usize;
-        self.charge_form(VecForm::Saxpy(Sf64::ZERO), cycles, Some(flops))
-            .await;
+        self.issue_form(VecForm::Saxpy(Sf64::ZERO), cycles, Some(flops))
     }
 
     // --- links --------------------------------------------------------------

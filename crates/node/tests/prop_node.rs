@@ -162,3 +162,275 @@ fn link_payload_integrity() {
         }
     }
 }
+
+// --- chained vector forms ---------------------------------------------------
+
+use ts_node::{CombineOp, NodeCtx};
+use ts_sim::{Dur, Span, Time, Tracer};
+
+/// One vector-unit operation of a scripted program.
+#[derive(Clone, Copy, Debug)]
+enum VecOp {
+    /// A row form, 64-bit or 32-bit mode: x in bank A, y in bank B.
+    Row {
+        form: VecForm,
+        wide: bool,
+        n: usize,
+    },
+    Saxpy(usize),
+    Dot(usize),
+    Combine(CombineOp, usize),
+    Flops(u64),
+}
+
+/// Everything a vector program leaves behind that chaining must not move.
+#[derive(Debug, PartialEq)]
+struct Outcome {
+    end: Time,
+    /// Scalar/index results and value-form outputs, in program order.
+    results: Vec<u64>,
+    memory: Vec<u32>,
+    busy: Dur,
+    flops: u64,
+    len_histogram: Vec<u64>,
+    spans: Vec<Span>,
+}
+
+const X_ROW: usize = 0;
+const Y_ROW: usize = 4;
+const Z_ROW: usize = 8;
+
+fn value(i: usize, salt: u64) -> Sf64 {
+    Sf64::from(((i as u64 * 37 + salt * 11) % 1009) as f64 * 0.125 - 60.0)
+}
+
+/// The two operand vectors of a value form at program step `salt`.
+fn operands(n: usize, salt: u64) -> (Vec<Sf64>, Vec<Sf64>) {
+    let vector = |salt| (0..n).map(|i| value(i, salt)).collect();
+    (vector(salt), vector(salt + 1))
+}
+
+/// Issue `op` on `ctx`; its results go to `out`. Returns the completion
+/// instant (the awaited runner waits on it at once, the chained one keeps
+/// only the last).
+fn issue(ctx: &NodeCtx, op: VecOp, step: usize, out: &mut Vec<u64>) -> Time {
+    let salt = step as u64;
+    match op {
+        VecOp::Row { form, wide, n } => {
+            let (r, done) = if wide {
+                ctx.issue_vec(form, X_ROW, Y_ROW, Z_ROW, n).unwrap()
+            } else {
+                ctx.issue_vec32(form, X_ROW, Y_ROW, Z_ROW, n).unwrap()
+            };
+            out.extend([r.scalar.unwrap_or(0), r.index.unwrap_or(0) as u64]);
+            done
+        }
+        VecOp::Saxpy(n) => {
+            let (x, mut y) = operands(n, salt);
+            let done = ctx.issue_saxpy_values(value(n, salt), &x, &mut y);
+            out.extend(y.iter().map(|v| v.to_bits()));
+            done
+        }
+        VecOp::Dot(n) => {
+            let (x, y) = operands(n, salt);
+            let (dot, done) = ctx.issue_dot_values(&x, &y);
+            out.push(dot.to_bits());
+            done
+        }
+        VecOp::Combine(cop, n) => {
+            let (mut acc, other) = operands(n, salt);
+            let done = ctx.issue_combine_values(cop, &mut acc, &other);
+            out.extend(acc.iter().map(|v| v.to_bits()));
+            done
+        }
+        VecOp::Flops(flops) => ctx.issue_vec_flops(flops),
+    }
+}
+
+/// The same operation through the awaited front door (`vec`, `vec32`,
+/// `saxpy_values`, …), so the test also pins `async = wait(issue(..))`.
+async fn awaited(ctx: &NodeCtx, op: VecOp, step: usize, out: &mut Vec<u64>) {
+    let salt = step as u64;
+    match op {
+        VecOp::Row { form, wide, n } => {
+            let r = if wide {
+                ctx.vec(form, X_ROW, Y_ROW, Z_ROW, n).await.unwrap()
+            } else {
+                ctx.vec32(form, X_ROW, Y_ROW, Z_ROW, n).await.unwrap()
+            };
+            out.extend([r.scalar.unwrap_or(0), r.index.unwrap_or(0) as u64]);
+        }
+        VecOp::Saxpy(n) => {
+            let (x, mut y) = operands(n, salt);
+            ctx.saxpy_values(value(n, salt), &x, &mut y).await;
+            out.extend(y.iter().map(|v| v.to_bits()));
+        }
+        VecOp::Dot(n) => {
+            let (x, y) = operands(n, salt);
+            out.push(ctx.dot_values(&x, &y).await.to_bits());
+        }
+        VecOp::Combine(cop, n) => {
+            let (mut acc, other) = operands(n, salt);
+            ctx.combine_values(cop, &mut acc, &other).await;
+            out.extend(acc.iter().map(|v| v.to_bits()));
+        }
+        VecOp::Flops(flops) => ctx.charge_vec_flops(flops).await,
+    }
+}
+
+/// Let every other runnable task run once, at the current instant.
+async fn yield_now() {
+    let mut yielded = false;
+    std::future::poll_fn(|cx| {
+        if std::mem::replace(&mut yielded, true) {
+            return std::task::Poll::Ready(());
+        }
+        cx.waker().wake_by_ref();
+        std::task::Poll::Pending
+    })
+    .await
+}
+
+/// Run `program` on a fresh traced node, awaiting every form (`chain` off)
+/// or issuing them back to back behind one wait (`chain` on). With
+/// `intruder`, a second process issues that operation to the vector unit
+/// after the program's first (non-empty) form: the program's remaining
+/// forms must queue behind it either way.
+fn run_program(program: &[VecOp], chain: bool, intruder: Option<VecOp>) -> Outcome {
+    let mut sim = Sim::new();
+    let node = small_node(&sim);
+    let tracer = Tracer::new();
+    node.attach_tracer(&tracer);
+    {
+        let mut mem = node.mem_mut();
+        for i in 0..128 {
+            mem.write_f64(X_ROW * ts_mem::ROW_WORDS + 2 * i, value(i, 3))
+                .unwrap();
+            mem.write_f64(Y_ROW * ts_mem::ROW_WORDS + 2 * i, value(i, 5))
+                .unwrap();
+        }
+    }
+    let ctx = node.ctx();
+    let program = program.to_vec();
+    let main = sim.spawn(async move {
+        let mut out = Vec::new();
+        let mut done = ctx.now();
+        let mut yielded = false;
+        for (step, &op) in program.iter().enumerate() {
+            if chain {
+                // The latest instant: an empty form is complete at once.
+                done = done.max(issue(&ctx, op, step, &mut out));
+            } else {
+                awaited(&ctx, op, step, &mut out).await;
+            }
+            if chain && !yielded && done > ctx.now() {
+                // Where the awaited program first sleeps and the intruder
+                // gets to run.
+                yielded = true;
+                yield_now().await;
+            }
+        }
+        ctx.wait(done).await;
+        out
+    });
+    let ctx = node.ctx();
+    let second = sim.spawn(async move {
+        let mut out = Vec::new();
+        if let Some(op) = intruder {
+            awaited(&ctx, op, 99, &mut out).await;
+        }
+        out
+    });
+    assert!(sim.run().quiescent);
+    let mut results = main.try_take().unwrap();
+    results.extend(second.try_take().unwrap());
+    let mem = node.mem();
+    let meters = node.meters();
+    Outcome {
+        end: sim.now(),
+        results,
+        memory: (0..mem.cfg().words())
+            .map(|a| mem.read_word(a).unwrap())
+            .collect(),
+        busy: meters.vec_busy.get(),
+        flops: meters.vec_flops.get(),
+        len_histogram: meters.vec_len.counts(),
+        spans: tracer.spans(),
+    }
+}
+
+/// A chain of issues behind one wait ≡ one await per form: completion
+/// instant, values, `vec/busy`, `vec/flops`, the `vec/len` histogram and
+/// the traced spans — for each of the eleven row forms in both modes, the
+/// four value forms, seeded mixes of them, and with a second process
+/// holding the vector unit between two issues.
+#[test]
+fn a_chain_of_forms_equals_one_await_per_form() {
+    let s = Sf64::from(1.5);
+    let forms = [
+        VecForm::VAdd,
+        VecForm::VSub,
+        VecForm::VMul,
+        VecForm::Saxpy(s),
+        VecForm::VSMul(s),
+        VecForm::VSAdd(s),
+        VecForm::Dot,
+        VecForm::Sum,
+        VecForm::Max,
+        VecForm::Min,
+        VecForm::AbsMax,
+    ];
+    let mut alphabet: Vec<VecOp> = Vec::new();
+    for form in forms {
+        for wide in [true, false] {
+            alphabet.push(VecOp::Row { form, wide, n: 0 });
+        }
+    }
+    alphabet.extend([VecOp::Saxpy(0), VecOp::Dot(0), VecOp::Flops(0)]);
+    alphabet.extend(
+        [
+            CombineOp::Add,
+            CombineOp::Mul,
+            CombineOp::Max,
+            CombineOp::Min,
+        ]
+        .map(|cop| VecOp::Combine(cop, 0)),
+    );
+    let sized = |op: VecOp, n: usize| match op {
+        VecOp::Row { form, wide, .. } => VecOp::Row { form, wide, n },
+        VecOp::Saxpy(_) => VecOp::Saxpy(n),
+        VecOp::Dot(_) => VecOp::Dot(n),
+        VecOp::Combine(cop, _) => VecOp::Combine(cop, n),
+        // Zero flops issue nothing; keep that case in play.
+        VecOp::Flops(_) => VecOp::Flops(if n.is_multiple_of(7) { 0 } else { 3 * n as u64 }),
+    };
+
+    // Every form with itself, three deep.
+    for &op in &alphabet {
+        let program = [sized(op, 100), sized(op, 1), sized(op, 77)];
+        let want = run_program(&program, false, None);
+        assert_eq!(run_program(&program, true, None), want, "{op:?}");
+        assert_eq!(
+            want.len_histogram.iter().sum::<u64>(),
+            want.spans.len() as u64
+        );
+    }
+    // Seeded mixes, alone and with an intruder on the unit.
+    let mut rng = Rng::new(0x40de_0005);
+    for case in 0..48 {
+        let draw = |rng: &mut Rng| {
+            let op = alphabet[rng.below(alphabet.len() as u64) as usize];
+            sized(op, rng.range(1, 129))
+        };
+        let program: Vec<VecOp> = (0..rng.range(2, 12)).map(|_| draw(&mut rng)).collect();
+        let intruder = (case % 2 == 1).then(|| draw(&mut rng));
+        let want = run_program(&program, false, intruder);
+        let got = run_program(&program, true, intruder);
+        assert_eq!(got, want, "case {case}: {program:?} / {intruder:?}");
+        // The unit ran back to back from T+0: the last span ends the run.
+        assert_eq!(
+            want.spans.last().map(|s| s.end),
+            Some(want.end).filter(|_| want.busy > Dur::ZERO)
+        );
+    }
+}

@@ -12,11 +12,13 @@
 //! [`OneShot`] carries a single completion value, typically "your DMA
 //! finished at time t".
 //!
-//! [`alt`] implements Occam's `ALT`: wait for the first of several input
+//! [`Alt`] implements Occam's `ALT`: wait for the first of several input
 //! channels to have a ready sender. When several are ready the lowest index
 //! wins (Occam's `PRI ALT`), keeping programs deterministic. All of an ALT's
 //! parked receive cells share one *claim flag*, so exactly one sender can
-//! commit to the ALT — the others stay blocked, as CSP requires.
+//! commit to the ALT — the others stay blocked, as CSP requires. The set
+//! owns its cells and flag for its lifetime: a daemon that `ALT`s over the
+//! same channels forever re-arms them each round instead of rebuilding them.
 
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
@@ -133,12 +135,17 @@ impl<T> Future for OneShotRecv<T> {
 /// `claim` is shared among all cells of one `ALT` (each plain `recv` has its
 /// own): a sender may deposit only after winning the claim, which guarantees
 /// at most one branch of an `ALT` fires. A set claim with no deposited value
-/// means the receive was cancelled; senders skip such cells.
+/// means the receive was cancelled (or the `ALT` is between rounds); senders
+/// skip such cells.
 struct RecvCell<T> {
     value: Option<T>,
     branch: usize,
     claim: Rc<Cell<bool>>,
     waker: Option<Waker>,
+    /// True while the cell sits in its channel's `receivers` queue. An
+    /// [`Alt`]'s cells outlive a round, so re-arming must know which of
+    /// them a sender has popped in the meantime.
+    parked: bool,
 }
 
 /// A parked sender's cell. `claim` marks cancellation (dropped send future).
@@ -245,7 +252,14 @@ impl<T> Rendezvous<T> {
 
     /// Park a receive cell (used by both plain recv and ALT).
     fn park_receiver(&self, cell: Rc<RefCell<RecvCell<T>>>) {
+        cell.borrow_mut().parked = true;
         self.state.borrow_mut().receivers.push_back(cell);
+    }
+
+    /// Receive cells currently queued on this channel, live or cancelled
+    /// (cancelled ones linger until a sender next arrives and skips them).
+    pub fn parked_receivers(&self) -> usize {
+        self.state.borrow().receivers.len()
     }
 }
 
@@ -260,7 +274,6 @@ pub struct SendFut<T> {
 // regardless of `T` (a `T` is only ever stored boxed behind Rc cells).
 impl<T> Unpin for SendFut<T> {}
 impl<T> Unpin for RecvFut<T> {}
-impl<T> Unpin for AltFut<'_, T> {}
 
 impl<T> Future for SendFut<T> {
     type Output = ();
@@ -283,8 +296,9 @@ impl<T> Future for SendFut<T> {
         // Deposit into the first receive cell whose claim we can win.
         while let Some(rc) = st.receivers.pop_front() {
             let mut r = rc.borrow_mut();
+            r.parked = false;
             if r.claim.get() {
-                continue; // cancelled receive, or an ALT that already fired
+                continue; // cancelled receive, or an ALT that is not armed
             }
             r.claim.set(true);
             r.value = Some(v);
@@ -415,6 +429,7 @@ impl<T> Future for RecvFut<T> {
                 branch: 0,
                 claim: Rc::new(Cell::new(false)),
                 waker: Some(cx.waker().clone()),
+                parked: false,
             })),
         };
         ch.park_receiver(cell.clone());
@@ -441,31 +456,80 @@ impl<T> Drop for RecvFut<T> {
 // ALT
 // ---------------------------------------------------------------------------
 
-/// Occam-style `ALT` over the *input* ends of several channels: resolves to
-/// `(branch_index, value)` for the first channel on which a sender commits.
-/// If several senders are already waiting, the lowest branch index wins
-/// (Occam's `PRI ALT`).
+/// A prepared Occam `ALT` over the *input* ends of a fixed set of channels.
+/// Each [`Alt::recv`] round resolves to `(branch_index, value)` for the
+/// first channel on which a sender commits; if several senders are already
+/// waiting, the lowest branch index wins (Occam's `PRI ALT`).
 ///
-/// The branch set is borrowed, not copied: a daemon that `ALT`s over the
-/// same channels forever builds the slice once and pays nothing per
-/// iteration for the channel list.
-pub fn alt<'a, T>(chans: &'a [Rendezvous<T>]) -> AltFut<'a, T> {
-    AltFut {
-        chans,
-        cells: Vec::new(),
-        claim: Rc::new(Cell::new(false)),
-        registered: false,
+/// The set owns one receive cell per branch and the claim flag they share
+/// for its whole lifetime. A round *arms* the flag and parks only the cells
+/// a sender has popped since they were last parked; the cells of branches
+/// that did not fire stay queued where they are, skipped like a cancelled
+/// receive while the flag is down and live again at the next round. So a
+/// round allocates nothing, an idle branch never holds more than this one
+/// cell, and dropping the set takes its cells out of the queues. (A cell
+/// that stays queued keeps its place ahead of receivers that park on the
+/// same channel later.)
+pub struct Alt<T> {
+    chans: Vec<Rendezvous<T>>,
+    cells: Vec<Rc<RefCell<RecvCell<T>>>>,
+    /// False only while a round is armed and no sender has committed.
+    claim: Rc<Cell<bool>>,
+}
+
+impl<T> Alt<T> {
+    /// Prepare an `ALT` over `chans` (branch priority = slice order).
+    pub fn new(chans: Vec<Rendezvous<T>>) -> Alt<T> {
+        let claim = Rc::new(Cell::new(true));
+        let cells = (0..chans.len())
+            .map(|branch| {
+                Rc::new(RefCell::new(RecvCell {
+                    value: None,
+                    branch,
+                    claim: claim.clone(),
+                    waker: None,
+                    parked: false,
+                }))
+            })
+            .collect();
+        Alt {
+            chans,
+            cells,
+            claim,
+        }
+    }
+
+    /// One round: wait for the first branch whose sender commits. Dropping
+    /// the future unresolved cancels the round.
+    pub fn recv(&mut self) -> AltFut<'_, T> {
+        AltFut {
+            alt: self,
+            armed: false,
+        }
     }
 }
 
-/// Future returned by [`alt`].
+impl<T> Drop for Alt<T> {
+    fn drop(&mut self) {
+        for (ch, cell) in self.chans.iter().zip(&self.cells) {
+            if cell.borrow().parked {
+                let mut st = ch.state.borrow_mut();
+                st.receivers.retain(|c| !Rc::ptr_eq(c, cell));
+            }
+        }
+    }
+}
+
+/// One-shot `ALT`: a single [`Alt::recv`] round over `chans`.
+pub async fn alt<T>(chans: &[Rendezvous<T>]) -> (usize, T) {
+    Alt::new(chans.to_vec()).recv().await
+}
+
+/// Future returned by [`Alt::recv`].
 pub struct AltFut<'a, T> {
-    chans: &'a [Rendezvous<T>],
-    cells: Vec<Rc<RefCell<RecvCell<T>>>>,
-    /// One claim flag shared by every parked branch cell: the first sender to
-    /// win it commits; the rest keep blocking.
-    claim: Rc<Cell<bool>>,
-    registered: bool,
+    alt: &'a mut Alt<T>,
+    /// This round has armed the claim flag and not yet taken a value.
+    armed: bool,
 }
 
 impl<T> Future for AltFut<'_, T> {
@@ -473,47 +537,51 @@ impl<T> Future for AltFut<'_, T> {
 
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<(usize, T)> {
         let this = self.get_mut();
-        if this.registered {
+        let alt = &*this.alt;
+        if this.armed {
             // A sender may have deposited into one of our cells.
-            for cell in &this.cells {
+            for cell in &alt.cells {
                 let mut c = cell.borrow_mut();
                 if let Some(v) = c.value.take() {
+                    this.armed = false;
                     return Poll::Ready((c.branch, v));
                 }
             }
-            for cell in &this.cells {
-                cell.borrow_mut().waker = Some(cx.waker().clone());
+        } else {
+            // Fast path: an already-parked sender on the lowest-index branch.
+            for (i, ch) in alt.chans.iter().enumerate() {
+                if let Some(v) = ch.try_take() {
+                    return Poll::Ready((i, v));
+                }
             }
-            return Poll::Pending;
+            alt.claim.set(false);
+            this.armed = true;
         }
-        // Fast path: an already-parked sender on the lowest-index branch.
-        for (i, ch) in this.chans.iter().enumerate() {
-            if let Some(v) = ch.try_take() {
-                this.claim.set(true); // mark fired (nothing parked yet)
-                return Poll::Ready((i, v));
+        // Every branch must be queued on its channel and wake this task.
+        for (ch, cell) in alt.chans.iter().zip(&alt.cells) {
+            let mut c = cell.borrow_mut();
+            if !c.waker.as_ref().is_some_and(|w| w.will_wake(cx.waker())) {
+                c.waker = Some(cx.waker().clone());
+            }
+            if !c.parked {
+                drop(c);
+                ch.park_receiver(cell.clone());
             }
         }
-        // Park one cell per branch, all sharing the claim flag.
-        for (i, ch) in this.chans.iter().enumerate() {
-            let cell = Rc::new(RefCell::new(RecvCell {
-                value: None,
-                branch: i,
-                claim: this.claim.clone(),
-                waker: Some(cx.waker().clone()),
-            }));
-            ch.park_receiver(cell.clone());
-            this.cells.push(cell);
-        }
-        this.registered = true;
         Poll::Pending
     }
 }
 
 impl<T> Drop for AltFut<'_, T> {
     fn drop(&mut self) {
-        // Cancel every branch that did not fire. If a branch fired but the
-        // value was not polled out, it is dropped (sender already resumed).
-        self.claim.set(true);
+        if self.armed {
+            // Cancel the round. If a branch fired but the value was not
+            // polled out, it is dropped (the sender has already resumed).
+            self.alt.claim.set(true);
+            for cell in &self.alt.cells {
+                cell.borrow_mut().value = None;
+            }
+        }
     }
 }
 
@@ -898,6 +966,86 @@ mod tests {
         assert_eq!(r.live_tasks, 1);
         assert!(b.sender_waiting());
         assert!(!a.sender_waiting());
+    }
+
+    #[test]
+    fn alt_rearms_its_own_cells_round_after_round() {
+        // 1 000 rounds, every message on branch 1 of three. The set parks
+        // one cell per branch once; idle branches never collect more, and
+        // dropping the set takes even those out.
+        let mut sim = Sim::new();
+        let chans: Vec<Rendezvous<u32>> = (0..3).map(|_| Rendezvous::new()).collect();
+        let (tx, idle_a, idle_b) = (chans[1].clone(), chans[0].clone(), chans[2].clone());
+        let h = sim.handle();
+        let jh = sim.spawn(async move {
+            let mut set = Alt::new(chans);
+            let mut sum = 0u64;
+            for round in 0..1000u32 {
+                let (branch, v) = set.recv().await;
+                assert_eq!((branch, v), (1, round));
+                sum += v as u64;
+                assert!(idle_a.parked_receivers() <= 1 && idle_b.parked_receivers() <= 1);
+            }
+            drop(set);
+            assert_eq!(idle_a.parked_receivers() + idle_b.parked_receivers(), 0);
+            sum
+        });
+        sim.spawn(async move {
+            for i in 0..1000u32 {
+                // Alternate which side arrives first.
+                if i % 2 == 0 {
+                    h.sleep(Dur::ns(3)).await;
+                }
+                tx.send(i).await;
+            }
+        });
+        assert!(sim.run().quiescent);
+        assert_eq!(jh.try_take(), Some(999 * 1000 / 2));
+    }
+
+    #[test]
+    fn alt_between_rounds_takes_nothing_and_an_abandoned_round_is_cancelled() {
+        let mut sim = Sim::new();
+        let a: Rendezvous<u32> = Rendezvous::new();
+        let b: Rendezvous<u32> = Rendezvous::new();
+        let (a2, b2) = (a.clone(), b.clone());
+        let h = sim.handle();
+        let jh = sim.spawn(async move {
+            let mut set = Alt::new(vec![a2, b2]);
+            let first = set.recv().await;
+            // Not armed: the sender on `b` (t = 20) must stay blocked even
+            // though the set's cell is still queued there.
+            h.sleep(Dur::ns(50)).await;
+            // A round that times out is cancelled, not left armed.
+            let timed_out = select2(set.recv(), h.sleep(Dur::ns(5))).await;
+            let second = match timed_out {
+                Either::Left(got) => got,
+                Either::Right(()) => unreachable!("the parked sender wins at once"),
+            };
+            let third = select2(set.recv(), h.sleep(Dur::ns(5))).await;
+            (
+                first,
+                second,
+                matches!(third, Either::Right(())),
+                h.now().as_ns(),
+            )
+        });
+        let h = sim.handle();
+        sim.spawn(async move {
+            h.sleep(Dur::ns(10)).await;
+            a.send(1).await;
+            h.sleep(Dur::ns(10)).await;
+            b.send(2).await; // t = 20: parks until the second round at 60
+            assert_eq!(h.now().as_ns(), 60);
+            h.sleep(Dur::ns(100)).await;
+            // t = 160: the third round was abandoned at 65; nobody listens.
+            assert!(matches!(
+                select2(b.send(3), h.sleep(Dur::ns(5))).await,
+                Either::Right(())
+            ));
+        });
+        assert!(sim.run().quiescent);
+        assert_eq!(jh.try_take(), Some(((0, 1), (1, 2), true, 65)));
     }
 
     #[test]

@@ -1,11 +1,11 @@
 //! The deterministic single-threaded async executor.
 //!
 //! Tasks are ordinary `'static` futures. The executor keeps a FIFO ready
-//! queue and a timer heap ordered by `(instant, registration sequence)`;
-//! because only one task runs at a time and tasks advance virtual time only
-//! through [`SimHandle::sleep`]-family primitives, execution order is a pure
-//! function of the program — the foundation of the workspace's determinism
-//! guarantee (see crate docs).
+//! queue and a timer queue that fires in `(instant, registration sequence)`
+//! order; because only one task runs at a time and tasks advance virtual
+//! time only through [`SimHandle::sleep`]-family primitives, execution order
+//! is a pure function of the program — the foundation of the workspace's
+//! determinism guarantee (see crate docs).
 //!
 //! ## Hot-loop design (see DESIGN.md §5f)
 //!
@@ -16,15 +16,24 @@
 //! generation it was created under, and the executor drops wakes whose
 //! generation no longer matches (exactly as harmless as the old
 //! never-reuse-a-slot scheme, but the task table stays small at 4096-node
-//! scale instead of growing by every spawned task). Timers due at the same
-//! instant are drained from the heap in one batch; each is still woken and
-//! fully serviced in `(instant, seq)` order, so the observable event order
-//! is bit-identical to popping them one at a time.
+//! scale instead of growing by every spawned task).
+//!
+//! The machine is homogeneous — a thousand lockstep nodes sleep to the same
+//! picosecond — so pending timers are kept **by instant** ([`TimerQueue`]):
+//! a min-heap holds each distinct pending instant once, and each instant
+//! owns its waker slots in registration order. Registering into an instant
+//! that is already pending is a push, a lockstep batch costs one heap pop,
+//! and the batch is still woken and fully serviced one entry at a time, so
+//! the observable event order is bit-identical to a heap of
+//! `(instant, seq)` entries popped singly. Debug and test builds keep that
+//! heap beside the queue and assert the two agree on every entry.
 
 use std::cell::RefCell;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::hash_map::Entry;
+use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::future::Future;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::mem::ManuallyDrop;
 use std::pin::Pin;
 use std::rc::Rc;
@@ -86,10 +95,171 @@ struct Task {
     waker: Waker,
 }
 
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-struct TimerKey {
-    at: Time,
+/// Hasher for [`Time`] keys: one multiply. The keys are simulated instants
+/// (never outside input), and the default SipHash on every registration and
+/// retirement costs a short-run workload (`service_live`) 4–6 % of its wall
+/// time.
+#[derive(Default)]
+struct InstantHasher(u64);
+
+impl Hasher for InstantHasher {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("Time hashes as a single u64");
+    }
+
+    fn write_u64(&mut self, ps: u64) {
+        self.0 = ps.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+
+    fn finish(&self) -> u64 {
+        // Instants are multiples of a cycle time, so their low bits repeat;
+        // fold the product's well-mixed high half onto the table index bits.
+        self.0 ^ (self.0 >> 32)
+    }
+}
+
+/// End of a bucket's chain of waker slots.
+const NIL: usize = usize::MAX;
+
+/// The waker slots registered for one pending instant, as a chain through
+/// [`TimerQueue::next`] in registration order.
+#[derive(Clone, Copy)]
+struct Bucket {
+    first: usize,
+    last: usize,
+    len: usize,
+}
+
+/// Pending timers grouped by instant: a min-heap of the *distinct* pending
+/// instants and, per instant, its waker slots in registration order — which
+/// is sequence order, so entries leave in `(instant, seq)` order with no
+/// sequence number stored. A waker slot is pending in at most one instant,
+/// so the per-instant lists are chains through one slot-indexed array and a
+/// lone far-future timer (a deadline guard that is cancelled a moment
+/// later) costs no allocation of its own. Cancellation is the executor's
+/// business (an emptied waker slot); the queue only orders entries.
+#[derive(Default)]
+struct TimerQueue {
+    /// `(instant, bucket index)` for every pending instant, earliest first.
+    instants: BinaryHeap<Reverse<(Time, usize)>>,
+    /// Bucket index of every instant in `instants`.
+    bucket_of: HashMap<Time, usize, BuildHasherDefault<InstantHasher>>,
+    /// Buckets of the pending instants (never empty while pending); retired
+    /// ones are reused through `free`.
+    buckets: Vec<Bucket>,
+    free: Vec<usize>,
+    /// `next[slot]`: the slot registered after `slot` for the same instant.
+    next: Vec<usize>,
+    /// Entries over all pending instants.
+    len: usize,
+    /// The reference order: one `(instant, seq, slot)` entry per timer.
+    #[cfg(any(test, debug_assertions))]
+    shadow: BinaryHeap<Reverse<(Time, u64, usize)>>,
+    #[cfg(any(test, debug_assertions))]
     seq: u64,
+}
+
+impl TimerQueue {
+    fn push(&mut self, at: Time, slot: usize) {
+        if self.next.len() <= slot {
+            self.next.resize(slot + 1, NIL);
+        }
+        self.next[slot] = NIL;
+        match self.bucket_of.entry(at) {
+            Entry::Occupied(e) => {
+                let bucket = &mut self.buckets[*e.get()];
+                self.next[bucket.last] = slot;
+                bucket.last = slot;
+                bucket.len += 1;
+            }
+            Entry::Vacant(e) => {
+                let only = Bucket {
+                    first: slot,
+                    last: slot,
+                    len: 1,
+                };
+                let bucket = match self.free.pop() {
+                    Some(b) => {
+                        self.buckets[b] = only;
+                        b
+                    }
+                    None => {
+                        self.buckets.push(only);
+                        self.buckets.len() - 1
+                    }
+                };
+                self.instants.push(Reverse((at, bucket)));
+                e.insert(bucket);
+            }
+        }
+        self.len += 1;
+        #[cfg(any(test, debug_assertions))]
+        {
+            self.seq += 1;
+            self.shadow.push(Reverse((at, self.seq, slot)));
+            assert_eq!(self.len, self.shadow.len());
+        }
+    }
+
+    /// The earliest entry: its instant and waker slot.
+    fn front(&self) -> Option<(Time, usize)> {
+        let &Reverse((at, bucket)) = self.instants.peek()?;
+        Some((at, self.buckets[bucket].first))
+    }
+
+    /// Discard the entry [`TimerQueue::front`] returned.
+    fn pop_front(&mut self) {
+        let &Reverse((_at, b)) = self.instants.peek().expect("pop_front on an empty queue");
+        let bucket = &mut self.buckets[b];
+        #[cfg(any(test, debug_assertions))]
+        {
+            let Reverse((at, _, slot)) = self.shadow.pop().expect("reference heap ran dry");
+            assert_eq!((_at, bucket.first), (at, slot), "front entry out of order");
+        }
+        bucket.first = self.next[bucket.first];
+        bucket.len -= 1;
+        self.len -= 1;
+        if bucket.len == 0 {
+            self.retire_front();
+        }
+    }
+
+    /// Retire the earliest instant and hand over its entries: returns the
+    /// first waker slot of the chain, the rest follow by [`TimerQueue::after`]
+    /// (valid until the slot is registered again).
+    fn take_front(&mut self) -> usize {
+        let &Reverse((_at, b)) = self.instants.peek().expect("take_front on an empty queue");
+        let bucket = self.buckets[b];
+        self.len -= bucket.len;
+        #[cfg(any(test, debug_assertions))]
+        {
+            let mut slot = Some(bucket.first);
+            for _ in 0..bucket.len {
+                let Reverse((at, _, s)) = self.shadow.pop().expect("reference heap ran dry");
+                assert_eq!((_at, slot), (at, Some(s)), "batch entry out of order");
+                slot = self.after(s);
+            }
+            let next = self.shadow.peek().map(|&Reverse((at, ..))| at);
+            assert!(
+                slot.is_none() && next != Some(_at),
+                "batch and instant differ"
+            );
+            assert_eq!(self.len, self.shadow.len());
+        }
+        self.retire_front();
+        bucket.first
+    }
+
+    /// The entry registered after `slot` for the same instant.
+    fn after(&self, slot: usize) -> Option<usize> {
+        Some(self.next[slot]).filter(|&next| next != NIL)
+    }
+
+    fn retire_front(&mut self) {
+        let Reverse((at, bucket)) = self.instants.pop().expect("no instant to retire");
+        self.bucket_of.remove(&at);
+        self.free.push(bucket);
+    }
 }
 
 struct Inner {
@@ -100,12 +270,12 @@ struct Inner {
     task_gens: Vec<u64>,
     task_free: Vec<usize>,
     live: usize,
-    timers: BinaryHeap<Reverse<(TimerKey, usize)>>, // (key, waker-slot)
+    timers: TimerQueue,
+    /// Waker per timer slot; `None` once fired or cancelled.
     timer_wakers: Vec<Option<Waker>>,
     /// Generation per slot: guards cancellation against slot reuse.
     timer_gens: Vec<u64>,
     timer_free: Vec<usize>,
-    seq: u64,
     ready: ReadyQueue,
     events: u64,
     /// Profiling: task polls (wakes serviced), tasks ever spawned, and the
@@ -129,11 +299,23 @@ impl Inner {
                 self.timer_wakers.len() - 1
             }
         };
-        self.seq += 1;
-        self.timers
-            .push(Reverse((TimerKey { at, seq: self.seq }, slot)));
-        self.max_timers = self.max_timers.max(self.timers.len());
+        self.timers.push(at, slot);
+        self.max_timers = self.max_timers.max(self.timers.len);
         (slot, self.timer_gens[slot])
+    }
+
+    /// The instant of the earliest *live* timer. Cancelled entries ahead of
+    /// it are discarded on the way without touching the clock, so an instant
+    /// whose timers were all cancelled is never proposed or advanced to.
+    fn next_live_timer(&mut self) -> Option<Time> {
+        while let Some((at, slot)) = self.timers.front() {
+            if self.timer_wakers[slot].is_some() {
+                return Some(at);
+            }
+            self.timers.pop_front();
+            self.timer_free.push(slot);
+        }
+        None
     }
 }
 
@@ -165,11 +347,12 @@ pub struct ExecProfile {
     pub timer_events: u64,
     /// Tasks spawned over the executor's lifetime.
     pub spawned: u64,
-    /// High-water mark of the pending-timer heap.
+    /// High-water mark of pending timer entries (cancelled ones count until
+    /// the queue reaches them).
     pub max_timers: usize,
 }
 
-/// The discrete-event simulator: owns tasks, the clock and the timer heap.
+/// The discrete-event simulator: owns tasks, the clock and the timer queue.
 pub struct Sim {
     inner: Rc<RefCell<Inner>>,
     /// Direct handle on the ready queue so the run loop's pops skip the
@@ -194,11 +377,10 @@ impl Sim {
                 task_gens: Vec::new(),
                 task_free: Vec::new(),
                 live: 0,
-                timers: BinaryHeap::new(),
+                timers: TimerQueue::default(),
                 timer_wakers: Vec::new(),
                 timer_gens: Vec::new(),
                 timer_free: Vec::new(),
-                seq: 0,
                 ready: ready.clone(),
                 events: 0,
                 polls: 0,
@@ -266,26 +448,13 @@ impl Sim {
         if !self.ready.borrow().is_empty() {
             return Some(self.now());
         }
-        let mut inner = self.inner.borrow_mut();
-        loop {
-            match inner.timers.peek() {
-                Some(&Reverse((key, slot))) => {
-                    if inner.timer_wakers[slot].is_none() {
-                        inner.timers.pop();
-                        inner.timer_free.push(slot);
-                        continue;
-                    }
-                    return Some(key.at);
-                }
-                None => return None,
-            }
-        }
+        self.inner.borrow_mut().next_live_timer()
     }
 
     /// Move the clock forward to `at` without running anything (no-op if the
     /// clock is already there or past). Used by the parallel backend to keep
     /// idle shards in lockstep with the global instant: `run_until` alone
-    /// leaves the clock untouched when the timer heap is empty.
+    /// leaves the clock untouched when no timer is pending.
     pub fn advance_to(&mut self, at: Time) {
         let mut inner = self.inner.borrow_mut();
         inner.now = inner.now.max(at);
@@ -308,58 +477,32 @@ impl Sim {
     }
 
     fn run_bounded(&mut self, deadline: Option<Time>) -> RunReport {
-        // Reused batch buffer of waker slots due at the current instant.
-        let mut due: Vec<usize> = Vec::new();
         loop {
             // Drain every runnable task before touching the clock.
             self.drain_ready();
-            // Advance to the next *live* timer expiry, discarding cancelled
-            // entries without touching the clock, then pull the whole batch
-            // of entries due at that instant in one heap pass.
-            let have_batch = {
+            // Advance to the next *live* timer expiry and take the whole
+            // instant's entries in one heap pop.
+            let mut due = {
                 let mut inner = self.inner.borrow_mut();
-                loop {
-                    match inner.timers.peek() {
-                        Some(&Reverse((key, slot))) => {
-                            if inner.timer_wakers[slot].is_none() {
-                                // Cancelled: discard silently.
-                                inner.timers.pop();
-                                inner.timer_free.push(slot);
-                                continue;
-                            }
-                            if let Some(dl) = deadline {
-                                if key.at > dl {
-                                    inner.now = dl.max(inner.now);
-                                    break false;
-                                }
-                            }
-                            debug_assert!(key.at >= inner.now, "timer in the past");
-                            inner.now = key.at;
-                            // Collect every entry due at this instant in heap
-                            // (= seq) order. Wakers are taken one by one at
-                            // process time below, so a wake early in the
-                            // batch can still cancel a later timer at the
-                            // same instant — exactly as if each entry were
-                            // popped individually.
-                            while let Some(&Reverse((k, s))) = inner.timers.peek() {
-                                if k.at != key.at {
-                                    break;
-                                }
-                                inner.timers.pop();
-                                due.push(s);
-                            }
-                            break true;
-                        }
-                        None => break false,
-                    }
+                let Some(at) = inner.next_live_timer() else {
+                    break;
+                };
+                if let Some(dl) = deadline.filter(|&dl| at > dl) {
+                    inner.now = dl.max(inner.now);
+                    break;
                 }
+                debug_assert!(at >= inner.now, "timer in the past");
+                inner.now = at;
+                Some(inner.timers.take_front())
             };
-            if !have_batch {
-                break;
-            }
-            for &slot in &due {
+            // Wakers are taken one by one at process time, so a wake early
+            // in the batch can still cancel a later timer at the same
+            // instant — exactly as if each entry were popped individually.
+            while let Some(slot) = due {
                 let fired = {
                     let mut inner = self.inner.borrow_mut();
+                    // Read the link before the slot is free to be reused.
+                    due = inner.timers.after(slot);
                     inner.timer_free.push(slot);
                     let w = inner.timer_wakers[slot].take();
                     if w.is_some() {
@@ -372,7 +515,6 @@ impl Sim {
                     self.drain_ready();
                 }
             }
-            due.clear();
         }
         let inner = self.inner.borrow();
         RunReport {
@@ -785,6 +927,111 @@ mod tests {
         assert_eq!(sim.now(), Time::ZERO + Dur::us(9));
         sim.advance_to(Time::ZERO + Dur::us(7));
         assert_eq!(sim.now(), Time::ZERO + Dur::us(9));
+    }
+
+    /// Register `s`'s timer (one poll) without waiting for it.
+    async fn park_once(s: &mut Sleep) {
+        std::future::poll_fn(|cx| {
+            let _ = Pin::new(&mut *s).poll(cx);
+            Poll::Ready(())
+        })
+        .await
+    }
+
+    #[test]
+    fn an_instant_whose_timers_were_all_cancelled_does_not_advance_the_clock() {
+        let mut sim = Sim::new();
+        let h = sim.handle();
+        sim.spawn(async move {
+            // Three timers at 5 µs, all abandoned; one live one at 10 µs.
+            for _ in 0..3 {
+                let mut s = h.sleep(Dur::us(5));
+                park_once(&mut s).await;
+            }
+            h.sleep(Dur::us(10)).await;
+        });
+        // A deadline between the dead instant and the live one stops the
+        // clock on the deadline, with nothing fired.
+        let r = sim.run_until(Time::ZERO + Dur::us(7));
+        assert_eq!((r.final_time, r.events), (Time::ZERO + Dur::us(7), 0));
+        assert_eq!(sim.next_event_time(), Some(Time::ZERO + Dur::us(10)));
+        let r = sim.run();
+        assert_eq!((r.final_time, r.events), (Time::ZERO + Dur::us(10), 1));
+        assert_eq!(sim.profile().max_timers, 4);
+
+        // Nothing but cancelled timers: the clock never moves.
+        let mut sim = Sim::new();
+        let h = sim.handle();
+        sim.spawn(async move {
+            let mut s = h.sleep(Dur::us(5));
+            park_once(&mut s).await;
+        });
+        let r = sim.run();
+        assert!(r.quiescent);
+        assert_eq!((r.final_time, r.events), (Time::ZERO, 0));
+        assert_eq!(sim.next_event_time(), None);
+    }
+
+    #[test]
+    fn timer_queue_drains_in_instant_then_registration_order() {
+        // Seeded pushes (few distinct instants, so buckets fill), front
+        // trims and whole-instant batches. Under `cfg(test)` the queue
+        // checks every entry that leaves against its reference heap; here
+        // the drained sequence is checked against a sort as well.
+        let mut rng = crate::Rng::new(0x7153_0001);
+        for _ in 0..64 {
+            let mut q = TimerQueue::default();
+            let mut pushed = Vec::new();
+            let mut drained = Vec::new();
+            let mut floor = 0u64;
+            let take = |q: &mut TimerQueue, drained: &mut Vec<(Time, usize)>| {
+                let (at, _) = q.front().expect("something pending");
+                let mut slot = Some(q.take_front());
+                while let Some(s) = slot {
+                    drained.push((at, s));
+                    slot = q.after(s);
+                }
+                at
+            };
+            for slot in 0..rng.range(1, 200) {
+                let at = Time::ZERO + Dur::ns(floor + rng.below(6));
+                q.push(at, slot);
+                pushed.push((at, slot));
+                match rng.below(8) {
+                    0 => {
+                        let front = q.front().expect("just pushed");
+                        q.pop_front();
+                        drained.push(front);
+                    }
+                    1 => {
+                        // Like the executor's clock: nothing earlier than a
+                        // fired instant is registered afterwards.
+                        floor = take(&mut q, &mut drained).as_ns() + 1;
+                    }
+                    _ => {}
+                }
+                assert_eq!(q.len, pushed.len() - drained.len());
+            }
+            while q.front().is_some() {
+                take(&mut q, &mut drained);
+            }
+            assert_eq!(q.len, 0);
+            assert!(q.bucket_of.is_empty() && q.free.len() == q.buckets.len());
+            // Each drain step took the minimum of what was pending, so with
+            // pushes never undercutting a fired instant every entry leaves
+            // once and, per instant, in push order.
+            let mut want = pushed.clone();
+            want.sort();
+            let mut got = drained.clone();
+            got.sort();
+            assert_eq!(got, want);
+            for w in drained.windows(2) {
+                assert!(
+                    w[0].0 != w[1].0 || w[0].1 < w[1].1,
+                    "same-instant entries left out of registration order: {w:?}"
+                );
+            }
+        }
     }
 
     #[test]

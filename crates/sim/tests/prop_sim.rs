@@ -152,3 +152,202 @@ fn bounded_runs_compose() {
         assert_eq!(s1.now(), s2.now());
     }
 }
+
+/// One step of a scripted task (all delays in ns, ≥ 1).
+#[derive(Clone, Copy, Debug)]
+enum Step {
+    /// Sleep and log the wake.
+    Sleep(u64),
+    /// `select2` of two sleeps: the earlier (the first on a tie) wins and
+    /// the loser's timer is cancelled.
+    Race(u64, u64),
+    /// Register a timer and abandon it.
+    Abandon(u64),
+}
+
+/// What the tasks of one script tell the test: every timer they hold, keyed
+/// `(instant, registration order)`, and every wake in the order it ran.
+#[derive(Default)]
+struct Ledger {
+    seq: u64,
+    live: std::collections::BTreeSet<(Time, u64)>,
+    wakes: Vec<(Time, u64)>,
+}
+
+impl Ledger {
+    /// A task is about to register a timer for `at`.
+    fn register(&mut self, at: Time) -> (Time, u64) {
+        self.seq += 1;
+        self.live.insert((at, self.seq));
+        (at, self.seq)
+    }
+}
+
+/// Seeded scripts of sleeps, same-instant bursts, `select2` timeouts and
+/// abandoned sleeps, driven by `run_until`/`run_for` deadlines that fall
+/// before, on and past the pending instants, with a `next_event_time` probe
+/// at every stop. The per-instant timer queue must behave as one heap of
+/// `(instant, seq)` entries: wakes in exactly that order and at their own
+/// instant, one event and one poll per wake, cancelled timers never firing
+/// or holding the clock, the deadline honoured, the probe exact. (A debug
+/// build also checks every queue entry against the reference heap the
+/// executor keeps under `cfg(any(test, debug_assertions))`, which is what
+/// pins `max_timers`.)
+#[test]
+fn scripted_timers_fire_in_instant_then_registration_order() {
+    use std::future::Future;
+    use std::pin::Pin;
+    use std::task::Poll;
+    use ts_sim::{select2, Either};
+
+    let mut rng = Rng::new(0x51b0_0005);
+    for case in 0..96 {
+        // A small delay alphabet makes same-instant bursts and ties common.
+        let delays: Vec<u64> = (0..rng.range(2, 6)).map(|_| 1 + rng.below(40)).collect();
+        let pick = |rng: &mut Rng| delays[rng.below(delays.len() as u64) as usize];
+        let scripts: Vec<Vec<Step>> = (0..rng.range(1, 10))
+            .map(|_| {
+                (0..rng.range(1, 9))
+                    .map(|_| match rng.below(6) {
+                        0 => Step::Race(pick(&mut rng), pick(&mut rng)),
+                        1 => Step::Abandon(pick(&mut rng)),
+                        _ => Step::Sleep(pick(&mut rng)),
+                    })
+                    .collect()
+            })
+            .collect();
+
+        let run = |stops: &[(bool, u64)]| {
+            let mut sim = Sim::new();
+            let ledger = Rc::new(RefCell::new(Ledger::default()));
+            for script in &scripts {
+                let (h, script, ledger) = (sim.handle(), script.clone(), ledger.clone());
+                sim.spawn(async move {
+                    let at = |d: u64| h.now() + Dur::ns(d);
+                    for step in script {
+                        match step {
+                            Step::Sleep(d) => {
+                                let key = ledger.borrow_mut().register(at(d));
+                                h.sleep(Dur::ns(d)).await;
+                                assert_eq!(h.now(), key.0, "woke off its instant");
+                                let mut l = ledger.borrow_mut();
+                                l.live.remove(&key);
+                                l.wakes.push(key);
+                            }
+                            Step::Race(a, b) => {
+                                let (ka, kb) = {
+                                    let mut l = ledger.borrow_mut();
+                                    (l.register(at(a)), l.register(at(b)))
+                                };
+                                let won = select2(h.sleep(Dur::ns(a)), h.sleep(Dur::ns(b))).await;
+                                let winner = if a <= b { ka } else { kb };
+                                assert_eq!(won == Either::Left(()), a <= b, "wrong branch won");
+                                assert_eq!(h.now(), winner.0, "woke off its instant");
+                                let mut l = ledger.borrow_mut();
+                                l.live.remove(&ka);
+                                l.live.remove(&kb);
+                                l.wakes.push(winner);
+                            }
+                            Step::Abandon(d) => {
+                                ledger.borrow_mut().seq += 1;
+                                let mut s = h.sleep(Dur::ns(d));
+                                std::future::poll_fn(|cx| {
+                                    let _ = Pin::new(&mut s).poll(cx);
+                                    Poll::Ready(())
+                                })
+                                .await;
+                            }
+                        }
+                    }
+                });
+            }
+            // Bounded runs first, then to quiescence.
+            for &(relative, ns) in stops {
+                let before = sim.now();
+                let deadline = if relative {
+                    before + Dur::ns(ns)
+                } else {
+                    Time::ZERO + Dur::ns(ns)
+                };
+                let r = if relative {
+                    sim.run_for(Dur::ns(ns))
+                } else {
+                    sim.run_until(deadline)
+                };
+                let l = ledger.borrow();
+                let next = l.live.first().map(|&(at, _)| at);
+                assert_eq!(sim.next_event_time(), next, "case {case}: probe");
+                assert!(
+                    next.is_none_or(|at| at > deadline),
+                    "case {case}: left a due timer"
+                );
+                let last_wake = l.wakes.last().map_or(Time::ZERO, |&(at, _)| at);
+                let want = if next.is_some() {
+                    deadline.max(before)
+                } else {
+                    last_wake.max(before)
+                };
+                assert_eq!(
+                    (sim.now(), r.final_time),
+                    (want, want),
+                    "case {case}: clock"
+                );
+                assert_eq!(r.events, l.wakes.len() as u64, "case {case}: events");
+            }
+            let r = sim.run();
+            assert!(r.quiescent, "case {case}");
+            assert_eq!(sim.next_event_time(), None);
+            let l = ledger.borrow();
+            assert!(l.live.is_empty());
+            let p = sim.profile();
+            // One event per wake; one poll per task start and per wake.
+            assert_eq!(p.timer_events, l.wakes.len() as u64, "case {case}");
+            assert_eq!(p.polls, p.spawned + p.timer_events, "case {case}");
+            assert!(p.max_timers as u64 <= l.seq, "case {case}");
+            for w in l.wakes.windows(2) {
+                assert!(
+                    w[0] < w[1],
+                    "case {case}: wakes out of (instant, seq) order: {w:?}"
+                );
+            }
+            let last_wake = l.wakes.last().map_or(Time::ZERO, |&(at, _)| at);
+            assert!(r.final_time >= last_wake);
+            (l.wakes.clone(), r.final_time, p)
+        };
+
+        let free = run(&[]);
+        // Deadlines on, between and past the instants the free run woke at.
+        let mut stops = Vec::new();
+        let mut floor = 0;
+        for _ in 0..rng.range(1, 8) {
+            let horizon = free.1.as_ns() + 5;
+            let abs = match rng.below(3) {
+                0 if !free.0.is_empty() => {
+                    free.0[rng.below(free.0.len() as u64) as usize].0.as_ns()
+                }
+                _ => rng.below(horizon + 1),
+            };
+            if rng.below(2) == 0 {
+                stops.push((true, rng.below(30)));
+            } else {
+                floor = abs.max(floor);
+                stops.push((false, floor));
+            }
+        }
+        let bounded = run(&stops);
+        // Stopping and resuming moves nothing but the final clock, which a
+        // deadline past the last wake may have carried forward.
+        assert_eq!(bounded.0, free.0, "case {case}: wake order");
+        assert_eq!(
+            (bounded.2.timer_events, bounded.2.polls, bounded.2.spawned),
+            (free.2.timer_events, free.2.polls, free.2.spawned),
+            "case {case}: profile"
+        );
+        assert_eq!(
+            bounded.2.max_timers, free.2.max_timers,
+            "case {case}: max_timers"
+        );
+        assert!(bounded.1 >= free.1);
+        assert_eq!(run(&stops), bounded, "case {case}: not deterministic");
+    }
+}

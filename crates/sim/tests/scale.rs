@@ -232,3 +232,56 @@ fn meter_updates_do_not_allocate() {
     );
     assert_eq!(reg.get_counter("scale/alloc_free"), Some(10_000));
 }
+
+/// A steady-state routed hop allocates nothing below the router: the
+/// daemon's prepared `ALT` re-arms the cells it owns, its health watch
+/// parks one waker for the daemon's lifetime, the completion one-shot and
+/// the frame come from pools. (The daemon's own per-hop work — spawning the
+/// forwarder — is `core::router`'s and is not exercised here.)
+#[test]
+fn a_steady_state_alt_receive_does_not_allocate() {
+    use ts_link::{AltSet, LinkChannel, LinkParams, LinkStatus, Wire};
+    use ts_sim::{pool, Sim};
+
+    const WARM_UP: u32 = 64;
+    const MEASURED: u32 = 2_000;
+    let mut sim = Sim::new();
+    let h = sim.handle();
+    // Loopback plus five dimensions, like a dim-5 router daemon.
+    let chans: Vec<LinkChannel> = (0..6)
+        .map(|_| LinkChannel::new(Wire::new("hop", LinkParams::default())))
+        .collect();
+    let senders = [chans[0].clone(), chans[4].clone()];
+    let h_tx = h.clone();
+    sim.spawn(async move {
+        for i in 0..WARM_UP + MEASURED {
+            let mut frame = pool::take_words(8);
+            frame.extend([i; 8]);
+            senders[i as usize % 2].send(&h_tx, frame).await;
+        }
+    });
+    let health = LinkStatus::new();
+    let measured = sim.spawn(async move {
+        let mut set = AltSet::new(&chans.iter().collect::<Vec<_>>());
+        let mut crashed = health.watch_down();
+        let mut before = 0;
+        for i in 0..WARM_UP + MEASURED {
+            if i == WARM_UP {
+                before = ALLOCS.with(Cell::get);
+            }
+            let (_, frame) = set
+                .recv_or_down(&h, &mut crashed)
+                .await
+                .expect("healthy node");
+            assert_eq!(frame, [i; 8]);
+            pool::put_words(frame);
+        }
+        ALLOCS.with(Cell::get) - before
+    });
+    assert!(sim.run().quiescent);
+    assert_eq!(
+        measured.try_take(),
+        Some(0),
+        "allocations in {MEASURED} steady-state ALT receives"
+    );
+}

@@ -6,6 +6,10 @@
 //!   the commit *before* the schedules were overlapped (PR 12, `190ffa5`);
 //! * **simulated time**: deterministic ceilings, so the overlap cannot
 //!   silently regress to the one-link-at-a-time schedule;
+//! * **simulator events** of the Cannon runs, exactly: the GEMM chains its
+//!   b² SAXPYs behind one completion interrupt per block step, and a
+//!   schedule that went back to sleeping after every form would compute the
+//!   same bits in the same simulated time at several times the events;
 //! * **overlap itself**: on a Cannon node the vector unit's busy time plus
 //!   its incoming wires' busy time exceeds the elapsed time, which a
 //!   schedule that does one thing at a time cannot produce.
@@ -72,12 +76,22 @@ fn check(kernel: &str, case: Case, digest: u64, elapsed: Dur) {
     );
 }
 
+/// Timer events of each [`MATMUL`] run (with one completion sleep per SAXPY
+/// they were 64, 536, 4 352 and 65 792: b² per block step on top of these).
+const MATMUL_EVENTS: [u64; 4] = [1, 32, 320, 320];
+
 #[test]
 fn cannon_output_is_pinned_and_time_is_bounded() {
-    for case in MATMUL {
+    for (case, events) in MATMUL.into_iter().zip(MATMUL_EVENTS) {
         let mut m = Machine::build(MachineCfg::cube(case.0));
         let (_, _, c, stats) = distributed_matmul(&mut m, case.1, 1986);
         check("matmul", case, fnv(c), stats.elapsed);
+        let got = m.profile().timer_events;
+        assert_eq!(
+            got, events,
+            "matmul dim {} size {}: simulator events moved",
+            case.0, case.1
+        );
     }
 }
 

@@ -9,8 +9,9 @@ use ts_cube::embed::{FftEmbedding, MeshEmbedding, RingEmbedding};
 use ts_cube::{Hypercube, SublinkBudget};
 use ts_fpu::Sf64;
 use ts_kernels::{fft, lu, matmul, sort, stencil};
+use ts_mem::NodeMemory;
 use ts_sim::Dur;
-use ts_vec::VecForm;
+use ts_vec::{VecForm, VecUnit};
 
 use crate::{header, row};
 
@@ -330,18 +331,16 @@ pub fn e5_balance_ratios() -> (f64, f64) {
             let t0 = ctx.now();
             let mut vec_busy = Dur::ZERO;
             for _ in 0..4 {
-                let mut pending = Vec::new();
+                let mut done = ctx.now();
                 for i in 0..k {
-                    pending.push(
-                        ctx.vec_async(VecForm::Saxpy(Sf64::from(1.0)), i % 4, rows_a, rows_a, N)
-                            .unwrap(),
-                    );
+                    let form = VecForm::Saxpy(Sf64::from(1.0));
+                    let (r, end) = ctx.issue_vec(form, i % 4, rows_a, rows_a, N).unwrap();
+                    vec_busy += r.timing.duration;
+                    done = end;
                 }
                 let srcs: Vec<usize> = (0..N).map(|i| 8192 + 4 * i).collect();
                 ctx.gather64(&srcs, 1024).await.unwrap();
-                for p in pending {
-                    vec_busy += p.await.timing.duration;
-                }
+                ctx.wait(done).await;
             }
             (ctx.now().since(t0) / 4, vec_busy / 4)
         });
@@ -534,19 +533,14 @@ pub fn e8_checkpointing() -> (f64, f64) {
 /// E9 — the dual-bank ablation. Returns the single/dual slowdown ratio.
 pub fn e9_dual_bank() -> f64 {
     header("E9: dual-bank memory vs single bank (§II)");
-    let run = |single: bool, form: VecForm| -> f64 {
-        let mut cfg = MachineCfg::cube(0);
-        cfg.node.single_bank = single;
-        let mut m = Machine::build(cfg);
-        let ctx = m.ctx(0);
-        let jh = m.launch_on(0, async move {
-            let rows_a = ctx.mem().cfg().rows_a();
-            let r = ctx.vec(form, 0, rows_a, rows_a + 512, 8192).await.unwrap();
-            (r.timing.flops, r.timing.duration)
-        });
-        m.run();
-        let (flops, d) = jh.try_take().unwrap();
-        flops as f64 / d.as_secs_f64() / 1e6
+    // One node's memory and a vector unit: the form's timing is the unit's
+    // alone, so no machine is needed around it.
+    let run = |unit: VecUnit, form: VecForm| -> f64 {
+        let mut mem = NodeMemory::new(MachineCfg::cube(0).node.mem);
+        let rows_a = mem.cfg().rows_a();
+        let r = unit.exec64(&mut mem, form, 0, rows_a, rows_a + 512, 8192);
+        let t = r.unwrap().timing;
+        t.flops as f64 / t.duration.as_secs_f64() / 1e6
     };
     let mut ratio_sum = 0.0;
     for (name, form, peak) in [
@@ -554,8 +548,8 @@ pub fn e9_dual_bank() -> f64 {
         ("VMul", VecForm::VMul, 8.0),
         ("SAXPY", VecForm::Saxpy(Sf64::from(2.0)), 16.0),
     ] {
-        let dual = run(false, form);
-        let single = run(true, form);
+        let dual = run(VecUnit::new(), form);
+        let single = run(VecUnit::single_bank(), form);
         ratio_sum += dual / single;
         row(
             &format!("{name} (MFLOPS): dual / single bank"),
@@ -594,11 +588,12 @@ pub fn e10_comm_comp_balance() -> f64 {
             let mut busy = Dur::ZERO;
             for _ in 0..4 {
                 let n = ops_per_word * W;
-                let pending = c0
-                    .vec_async(VecForm::VAdd, 0, rows_a, rows_a + 256, n)
+                let (r, done) = c0
+                    .issue_vec(VecForm::VAdd, 0, rows_a, rows_a + 256, n)
                     .unwrap();
                 c0.send_f64s(0, &vec![Sf64::ZERO; W]).await;
-                busy += pending.await.timing.duration;
+                c0.wait(done).await;
+                busy += r.timing.duration;
             }
             (c0.now().since(t0) / 4, busy / 4)
         });

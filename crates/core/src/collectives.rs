@@ -344,6 +344,7 @@ pub async fn barrier(ctx: &NodeCtx, cube: Hypercube) {
 
 #[cfg(test)]
 mod tests {
+    use crate::fault::FaultEvent;
     use crate::{Machine, MachineCfg};
 
     use super::*;
@@ -627,7 +628,7 @@ mod tests {
         // time.
         let mut m = small(1);
         let cube = m.cube;
-        m.faults().crash(1);
+        FaultEvent::NodeCrash { node: 1 }.apply(&m);
         let ctx = m.ctx(0);
         let jh = m.launch_on(0, async move {
             let r = with_deadline(&ctx, Dur::us(5_000), 3, || {

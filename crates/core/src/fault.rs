@@ -131,11 +131,22 @@ impl FaultEvent {
         self.apply_to(&m.nodes[self.node() as usize]);
     }
 
+    /// Arm this fault on `m` as a background task that sleeps to `at`, then
+    /// injects it: the one timed path, behind [`FaultPlan::schedule`] and
+    /// the supervisor's faults inside a snapshot window.
+    pub(crate) fn arm(self, m: &Machine, at: Time) {
+        let node = m.nodes[self.node() as usize].clone();
+        let h = m.handle();
+        h.clone().spawn(async move {
+            h.sleep_until(at).await;
+            self.apply_to(&node);
+        });
+    }
+
     /// Inject through the target's node handle and book the event under the
     /// node's `fault/...` counters. The single place a node fault lands:
-    /// [`crate::FaultInjector`], the timed tasks [`FaultPlan::schedule`]
-    /// spawns (which cannot borrow the machine), the supervisor's
-    /// checkpoint-window pre-scheduling and the parallel backend's shards
+    /// [`FaultEvent::apply`], the timed tasks [`FaultEvent::arm`] spawns
+    /// (which cannot borrow the machine) and the parallel backend's shards
     /// all come through here.
     pub(crate) fn apply_to(&self, n: &Node) {
         let cold = n.meters().cold();
@@ -362,38 +373,40 @@ impl FaultPlan {
                 .and_then(|d| d.parse().ok())
                 .ok_or_else(|| err("bad time (want `<int>ps`)"))?;
             let kind = tok.next().ok_or_else(|| err("missing fault kind"))?;
-            // Field helper: next token must carry the given prefix.
+            // Field helpers: next token must carry the given prefix, and
+            // its number must fit the field's type.
             let mut field = |prefix: &'static str| -> Result<u64, PlanParseError> {
                 tok.next()
                     .and_then(|t| t.strip_prefix(prefix))
                     .and_then(|d| d.trim_end_matches("ps").parse().ok())
                     .ok_or_else(|| err("bad field"))
             };
+            let narrow = |v: u64| u32::try_from(v).map_err(|_| err("bad field"));
             let event = match kind {
                 "link_down" => FaultEvent::LinkDown {
-                    node: field("n")? as NodeId,
-                    dim: field("d")? as u32,
+                    node: narrow(field("n")?)?,
+                    dim: narrow(field("d")?)?,
                 },
                 "node_crash" => FaultEvent::NodeCrash {
-                    node: field("n")? as NodeId,
+                    node: narrow(field("n")?)?,
                 },
                 "mem_flip" => FaultEvent::MemFlip {
-                    node: field("n")? as NodeId,
-                    addr: field("a")? as usize,
-                    bit: field("b")? as u32,
+                    node: narrow(field("n")?)?,
+                    addr: usize::try_from(field("a")?).map_err(|_| err("bad field"))?,
+                    bit: narrow(field("b")?)?,
                 },
                 "wire_corrupt" => FaultEvent::WireCorrupt {
-                    node: field("n")? as NodeId,
-                    dim: field("d")? as u32,
+                    node: narrow(field("n")?)?,
+                    dim: narrow(field("d")?)?,
                     flit_bit: field("bit")?,
                 },
                 "flit_drop" => FaultEvent::FlitDrop {
-                    node: field("n")? as NodeId,
-                    dim: field("d")? as u32,
+                    node: narrow(field("n")?)?,
+                    dim: narrow(field("d")?)?,
                 },
                 "link_flap" => FaultEvent::LinkFlap {
-                    node: field("n")? as NodeId,
-                    dim: field("d")? as u32,
+                    node: narrow(field("n")?)?,
+                    dim: narrow(field("d")?)?,
                     down_for: Dur::ps(field("down")?),
                 },
                 _ => return Err(err("unknown fault kind")),
@@ -457,14 +470,8 @@ impl FaultPlan {
     /// driven by a single [`Machine::run`]; the supervisor instead applies
     /// plans synchronously so it can account job time across reboots.
     pub fn schedule(&self, m: &Machine) {
-        let h = m.handle();
-        for f in self.faults.iter().copied() {
-            let node = m.nodes[f.event.node() as usize].clone();
-            let hh = h.clone();
-            h.spawn(async move {
-                hh.sleep_until(Time::ZERO + f.at).await;
-                f.event.apply_to(&node);
-            });
+        for f in &self.faults {
+            f.event.arm(m, Time::ZERO + f.at);
         }
     }
 }
@@ -615,6 +622,96 @@ mod tests {
         assert!(
             "7ps mem_flip n0 a1".parse::<FaultPlan>().is_err(),
             "missing field"
+        );
+    }
+
+    #[test]
+    fn oversize_numbers_are_rejected_not_truncated() {
+        for line in [
+            "5ps node_crash n4294967297",
+            "5ps link_down n0 d4294967296",
+            "5ps mem_flip n0 a1 b4294967297",
+            "5ps flit_drop n18446744073709551616 d0",
+        ] {
+            let err = line.parse::<FaultPlan>().unwrap_err();
+            assert_eq!((err.line, err.what), (1, "bad field"), "{line}");
+        }
+        let widest: FaultPlan = "5ps node_crash n4294967295".parse().unwrap();
+        assert_eq!(
+            widest.iter().next().unwrap().event,
+            FaultEvent::NodeCrash { node: u32::MAX }
+        );
+    }
+
+    /// One to three edits of plan `text`: a byte turned into a random
+    /// printable character, a token dropped or duplicated, or a token's
+    /// number replaced by one too large for its field (or for `u64`).
+    fn mutate(rng: &mut Rng, text: &str) -> String {
+        let mut lines: Vec<Vec<String>> = text
+            .lines()
+            .map(|l| l.split(' ').map(String::from).collect())
+            .collect();
+        for _ in 0..rng.range(1, 4) {
+            let n = lines.len();
+            let line = &mut lines[rng.range(0, n)];
+            if line.is_empty() {
+                continue;
+            }
+            let at = rng.range(0, line.len());
+            match rng.below(4) {
+                0 => {
+                    let mut bytes = std::mem::take(&mut line[at]).into_bytes();
+                    if !bytes.is_empty() {
+                        let i = rng.range(0, bytes.len());
+                        bytes[i] = b' ' + rng.below(95) as u8;
+                    }
+                    line[at] = String::from_utf8(bytes).expect("printable ASCII");
+                }
+                1 => {
+                    line.remove(at);
+                }
+                2 => {
+                    let dup = line[at].clone();
+                    line.insert(at, dup);
+                }
+                _ => {
+                    let tok = &line[at];
+                    let digit = |c: &char| c.is_ascii_digit();
+                    let prefix: String = tok.chars().take_while(|c| !digit(c)).collect();
+                    let suffix: String = tok
+                        .chars()
+                        .skip_while(|c| !digit(c))
+                        .skip_while(digit)
+                        .collect();
+                    let huge = ["4294967296", "4294967297", "18446744073709551616"];
+                    line[at] = format!("{prefix}{}{suffix}", huge[rng.below(3) as usize]);
+                }
+            }
+        }
+        let lines: Vec<String> = lines.iter().map(|l| l.join(" ")).collect();
+        lines.join("\n")
+    }
+
+    #[test]
+    fn mutated_plan_text_errs_or_round_trips() {
+        let mut rng = Rng::new(0xFA17_7E57);
+        let (mut rejected, mut parsed) = (0, 0);
+        for seed in 0..64 {
+            let text = FaultPlan::generate(seed, 4, 1024, 8, Dur::secs(1)).to_string();
+            for _ in 0..32 {
+                let mutant = mutate(&mut rng, &text);
+                let Ok(plan) = FaultPlan::parse(&mutant) else {
+                    rejected += 1;
+                    continue;
+                };
+                parsed += 1;
+                let again = FaultPlan::parse(&plan.to_string()).expect("a plan's own text parses");
+                assert_eq!(again.faults, plan.faults, "mutant:\n{mutant}");
+            }
+        }
+        assert!(
+            rejected > 0 && parsed > 0,
+            "{rejected} rejected, {parsed} parsed"
         );
     }
 

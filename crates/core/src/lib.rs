@@ -516,8 +516,8 @@ impl Machine {
 
     // --- fault injection ----------------------------------------------------
 
-    /// The machine's fault-injection facade: every way of breaking (or
-    /// repairing) hardware, in one place.
+    /// The machine's fault-injection facade: link repair and probe, disk
+    /// and ring faults. Node faults are [`fault::FaultEvent`]s.
     pub fn faults(&self) -> FaultInjector<'_> {
         FaultInjector { m: self }
     }
@@ -932,28 +932,19 @@ fn load_image(node: &Node, image: &[u32]) {
     }
 }
 
-/// Fault-injection facade returned by [`Machine::faults`]: breaks (and
-/// repairs) hardware, booking each event into the fault metrics — node
-/// faults under the node's `fault/...`, disk and ring faults (which belong
-/// to a module, not a node) under `machine/fault/...`.
+/// Fault-injection facade returned by [`Machine::faults`]: what breaks or
+/// repairs hardware without being a node fault. A node fault is a
+/// [`fault::FaultEvent`], injected with [`fault::FaultEvent::apply`] and
+/// booked under the node's `fault/...`; here are its link repair and probe,
+/// and the disk and ring faults (which belong to a module, not a node),
+/// booked under `machine/fault/...`.
 pub struct FaultInjector<'m> {
     m: &'m Machine,
 }
 
 impl FaultInjector<'_> {
-    fn inject(&self, event: fault::FaultEvent) {
-        event.apply_to(&self.m.nodes[event.node() as usize]);
-    }
-
-    /// Kill the physical link carrying cube dimension `dim` at `node`.
-    /// Both directions go down (the neighbour sees it too); failable
-    /// traffic on the edge then errors instead of hanging.
-    pub fn link_down(&self, node: NodeId, dim: u32) {
-        self.inject(fault::FaultEvent::LinkDown { node, dim });
-    }
-
     /// Repair the physical link carrying cube dimension `dim` at `node`
-    /// (the inverse of [`FaultInjector::link_down`]): both directions come
+    /// (the inverse of [`fault::FaultEvent::LinkDown`]): both directions come
     /// back up.
     pub fn link_up(&self, node: NodeId, dim: u32) {
         let n = &self.m.nodes[node as usize];
@@ -961,49 +952,9 @@ impl FaultInjector<'_> {
         n.meters().cold().fault_link_repair.inc();
     }
 
-    /// Crash `node`: its control processor is dead and every wired link
-    /// (cube and system thread) is marked down.
-    pub fn crash(&self, node: NodeId) {
-        self.inject(fault::FaultEvent::NodeCrash { node });
-    }
-
-    /// Flip `bit` of the word at `addr` in `node`'s memory without fixing
-    /// parity — the next read reports a parity error.
-    pub fn mem_flip(&self, node: NodeId, addr: usize, bit: u32) {
-        self.inject(fault::FaultEvent::MemFlip { node, addr, bit });
-    }
-
     /// True while the physical link on `(node, dim)` is alive.
     pub fn is_link_up(&self, node: NodeId, dim: u32) -> bool {
         self.m.nodes[node as usize].link_up(dim as usize)
-    }
-
-    /// Queue a transient bit corruption on `node`'s next outbound message
-    /// on `dim`: the hit flit fails its CRC-16 at the receiver and is
-    /// recovered by go-back-N retransmission.
-    pub fn wire_corrupt(&self, node: NodeId, dim: u32, flit_bit: u64) {
-        self.inject(fault::FaultEvent::WireCorrupt {
-            node,
-            dim,
-            flit_bit,
-        });
-    }
-
-    /// Queue a transient flit loss on `node`'s next outbound message on
-    /// `dim`: the receiver times out and the window is retransmitted.
-    pub fn flit_drop(&self, node: NodeId, dim: u32) {
-        self.inject(fault::FaultEvent::FlitDrop { node, dim });
-    }
-
-    /// Flap the link on `(node, dim)`: down now, self-healing after
-    /// `down_for` of sim time (unless retransmit escalation has condemned
-    /// it in the meantime — a condemned link stays down).
-    pub fn link_flap(&self, node: NodeId, dim: u32, down_for: ts_sim::Dur) {
-        self.inject(fault::FaultEvent::LinkFlap {
-            node,
-            dim,
-            down_for,
-        });
     }
 
     /// Fault `module`'s disk controller: transfers in flight (and any
@@ -1041,6 +992,7 @@ impl FaultInjector<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::FaultEvent;
 
     #[test]
     fn specs_match_paper_table() {
@@ -1193,7 +1145,7 @@ mod tests {
         let m = Machine::build(MachineCfg::cube_small_mem(2, 8));
         let f = m.faults();
         assert!(f.is_link_up(0, 1));
-        f.link_down(0, 1);
+        FaultEvent::LinkDown { node: 0, dim: 1 }.apply(&m);
         assert!(!f.is_link_up(0, 1), "link down at one end downs the edge");
         assert!(!f.is_link_up(2, 1), "the neighbour sees the failure too");
         f.link_up(0, 1);
@@ -1206,11 +1158,16 @@ mod tests {
     #[test]
     fn facade_injects_crashes_and_mem_flips_with_metrics() {
         let m = Machine::build(MachineCfg::cube_small_mem(2, 8));
-        m.faults().link_down(0, 1);
+        FaultEvent::LinkDown { node: 0, dim: 1 }.apply(&m);
         assert!(!m.faults().is_link_up(0, 1));
-        m.faults().crash(3);
+        FaultEvent::NodeCrash { node: 3 }.apply(&m);
         assert!(m.nodes[3].is_crashed());
-        m.faults().mem_flip(1, 7, 4);
+        FaultEvent::MemFlip {
+            node: 1,
+            addr: 7,
+            bit: 4,
+        }
+        .apply(&m);
         assert_eq!(m.registry().sum_counters("fault/link_down"), 1);
         assert_eq!(m.registry().sum_counters("fault/node_crash"), 1);
         assert_eq!(m.registry().sum_counters("fault/mem_flip"), 1);
@@ -1254,7 +1211,7 @@ mod tests {
             }
         }
 
-        m.faults().crash(5);
+        FaultEvent::NodeCrash { node: 5 }.apply(&m);
         let down = Err(MachineError::NodeDown { node: 5 });
         assert_eq!(
             m.checkpoint(&mut store, SnapshotMode::Full).map(|_| ()),
@@ -1393,9 +1350,19 @@ mod tests {
         let mut m = Machine::build(MachineCfg::cube_small_mem(3, 8));
         let mut store = CheckpointStore::new(8);
         m.checkpoint(&mut store, SnapshotMode::Full).unwrap();
-        m.faults().mem_flip(2, 40, 3);
+        FaultEvent::MemFlip {
+            node: 2,
+            addr: 40,
+            bit: 3,
+        }
+        .apply(&m);
         m.restore_from(&store).unwrap();
-        m.faults().mem_flip(6, 7, 1);
+        FaultEvent::MemFlip {
+            node: 6,
+            addr: 7,
+            bit: 1,
+        }
+        .apply(&m);
         m.load_subcube(&store, &Subcube::aligned(0, 3)).unwrap();
         for id in [2, 6] {
             let path = format!("node/{id}/fault/scrubbed_words");

@@ -50,8 +50,8 @@
 //! fault injection and `ALT` guards on a boundary link are rejected (the
 //! link layer asserts), and the system-board ring is left open at shard
 //! boundaries, so ring checkpoint traffic is unsupported when `shards > 1`.
-//! Fault plans passed to [`run_parallel_faulted`] must target intra-shard
-//! dimensions; the backend asserts this up front.
+//! Faults passed to [`run_parallel_faulted`] must be wire corruptions or
+//! flit drops on intra-shard dimensions; the backend asserts this up front.
 
 use std::future::Future;
 use std::panic::AssertUnwindSafe;
@@ -104,68 +104,6 @@ pub struct ShardRound {
     pub events: u64,
     /// Boundary envelopes this shard emitted during the round.
     pub envelopes: u64,
-}
-
-/// A transient fault scheduled before a parallel run starts.
-///
-/// Only intra-shard dimensions may be targeted (`dim < dim_total -
-/// log2(shards)`); the run asserts this. The sequential backend applies
-/// the same plan through [`crate::FaultInjector`], with identical
-/// accounting — the equivalence property test leans on that.
-#[derive(Clone, Copy, Debug)]
-pub enum PlannedFault {
-    /// Flip `flit_bit` in `node`'s next outbound flit on `dim` (CRC catches
-    /// it; the transport retransmits).
-    WireCorrupt {
-        /// Faulted node.
-        node: u32,
-        /// Cube dimension of the outbound link.
-        dim: u32,
-        /// Bit to flip in the flit.
-        flit_bit: u64,
-    },
-    /// Drop `node`'s next outbound flit on `dim` (receiver times out; the
-    /// window is retransmitted).
-    FlitDrop {
-        /// Faulted node.
-        node: u32,
-        /// Cube dimension of the outbound link.
-        dim: u32,
-    },
-}
-
-impl PlannedFault {
-    /// The same fault as a [`FaultEvent`], which knows how to inject and
-    /// book itself on either backend.
-    fn event(&self) -> FaultEvent {
-        match *self {
-            PlannedFault::WireCorrupt {
-                node,
-                dim,
-                flit_bit,
-            } => FaultEvent::WireCorrupt {
-                node,
-                dim,
-                flit_bit,
-            },
-            PlannedFault::FlitDrop { node, dim } => FaultEvent::FlitDrop { node, dim },
-        }
-    }
-
-    fn node(&self) -> u32 {
-        self.event().node()
-    }
-
-    fn dim(&self) -> u32 {
-        match *self {
-            PlannedFault::WireCorrupt { dim, .. } | PlannedFault::FlitDrop { dim, .. } => dim,
-        }
-    }
-
-    /// Apply to a sequential [`Machine`] (for equivalence testing).
-    pub fn apply_to(&self, m: &Machine) {
-        self.event().apply(m);
-    }
 }
 
 /// The outcome of a parallel run.
@@ -237,11 +175,17 @@ where
     run_parallel_faulted(cfg, pcfg, &[], program)
 }
 
-/// [`run_parallel`] with a transient-fault plan applied before launch.
+/// [`run_parallel`] with transient faults applied before launch.
+///
+/// Only [`FaultEvent::WireCorrupt`] and [`FaultEvent::FlitDrop`] on an
+/// intra-shard dimension (`dim < cfg.dim - log2(shards)`) can be planned;
+/// the run rejects any other fault before a thread spawns. The sequential
+/// backend applies the same events with identical accounting — the
+/// equivalence property test leans on that.
 pub fn run_parallel_faulted<F, Fut, R>(
     cfg: MachineCfg,
     pcfg: &ParallelCfg,
-    faults: &[PlannedFault],
+    faults: &[FaultEvent],
     program: F,
 ) -> ParallelRun<R>
 where
@@ -254,30 +198,18 @@ where
         "shard count must be a power of two, got {}",
         pcfg.shards
     );
-    if pcfg.shards == 1 {
-        return run_sequential(cfg, faults, program);
-    }
     // Validate everything before any thread spawns: a panic inside a shard
     // aborts the whole process (see the barrier note below).
-    assert!(
-        cfg.budget.supports(cfg.dim),
-        "sublink budget supports at most a {}-cube",
-        cfg.budget.max_dim()
-    );
     let shard_bits = pcfg.shards.trailing_zeros();
-    assert!(
-        cfg.dim >= shard_bits + 3,
-        "each shard must keep a whole 8-node module: a {}-cube supports at most {} shards",
-        cfg.dim,
-        1u32 << (cfg.dim.saturating_sub(3)),
-    );
-    let local_bits = cfg.dim - shard_bits;
-    let n = pcfg.shards as usize;
+    let local_bits = cfg.dim.saturating_sub(shard_bits);
     for f in faults {
+        let dim = match *f {
+            FaultEvent::WireCorrupt { dim, .. } | FaultEvent::FlitDrop { dim, .. } => dim,
+            _ => panic!("{f:?} is unsupported in parallel runs: plan WireCorrupt or FlitDrop only"),
+        };
         assert!(
-            f.dim() < local_bits,
-            "transient fault on a cross-shard dimension ({}) is unsupported in parallel runs",
-            f.dim()
+            dim < local_bits,
+            "transient fault on a cross-shard dimension ({dim}) is unsupported in parallel runs"
         );
         assert!(
             f.node() >> cfg.dim == 0,
@@ -286,6 +218,21 @@ where
             cfg.dim
         );
     }
+    if pcfg.shards == 1 {
+        return run_sequential(cfg, faults, program);
+    }
+    assert!(
+        cfg.budget.supports(cfg.dim),
+        "sublink budget supports at most a {}-cube",
+        cfg.budget.max_dim()
+    );
+    assert!(
+        cfg.dim >= shard_bits + 3,
+        "each shard must keep a whole 8-node module: a {}-cube supports at most {} shards",
+        cfg.dim,
+        1u32 << (cfg.dim.saturating_sub(3)),
+    );
+    let n = pcfg.shards as usize;
 
     let coord = Coord {
         barrier: Barrier::new(n),
@@ -360,7 +307,7 @@ where
 }
 
 /// The `shards == 1` degenerate case: the plain sequential backend.
-fn run_sequential<F, Fut, R>(cfg: MachineCfg, faults: &[PlannedFault], program: F) -> ParallelRun<R>
+fn run_sequential<F, Fut, R>(cfg: MachineCfg, faults: &[FaultEvent], program: F) -> ParallelRun<R>
 where
     F: Fn(NodeCtx) -> Fut,
     Fut: Future<Output = R> + 'static,
@@ -368,7 +315,7 @@ where
 {
     let mut m = Machine::build(cfg);
     for f in faults {
-        f.apply_to(&m);
+        f.apply(&m);
     }
     let handles = m.launch(program);
     let rep = m.run();
@@ -392,7 +339,7 @@ fn shard_body<F, Fut, R>(
     me: usize,
     local_bits: u32,
     coord: &Coord,
-    faults: &[PlannedFault],
+    faults: &[FaultEvent],
     record_rounds: bool,
     epoch: Instant,
     program: F,
@@ -417,8 +364,7 @@ where
         if (f.node() >> local_bits) as usize != me {
             continue;
         }
-        debug_assert!(f.dim() < local_bits, "plan validated by the coordinator");
-        f.event().apply_to(&nodes[(f.node() - lo) as usize]);
+        f.apply_to(&nodes[(f.node() - lo) as usize]);
     }
 
     let mut handles = Vec::with_capacity(nodes.len());

@@ -390,6 +390,7 @@ async fn forward_frame(ctx: NodeCtx, table: Rc<RouteTable>, mut frame: Vec<u32>)
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::FaultEvent;
     use crate::MachineCfg;
 
     #[test]
@@ -448,7 +449,7 @@ mod tests {
         // it in 3 hops by correcting a higher dimension first; a 0→1
         // message needs a +2-hop detour. Both must be delivered.
         let mut m = Machine::build(MachineCfg::cube_small_mem(3, 8));
-        m.faults().link_down(0, 0);
+        FaultEvent::LinkDown { node: 0, dim: 0 }.apply(&m);
         let router = Router::start(&m);
         let h0 = router.handle(0);
         let h1 = router.handle(1);
@@ -476,7 +477,7 @@ mod tests {
     fn message_to_crashed_node_dropped_without_hanging() {
         let mut m = Machine::build(MachineCfg::cube_small_mem(3, 8));
         let router = Router::start(&m);
-        m.faults().crash(7);
+        FaultEvent::NodeCrash { node: 7 }.apply(&m);
         let h0 = router.handle(0);
         let h7 = router.handle(7);
         let done = m.handle().spawn(async move {

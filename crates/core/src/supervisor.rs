@@ -317,14 +317,7 @@ impl Supervisor {
                     let mut armed = false;
                     for (i, tf) in plan.iter().enumerate() {
                         if !fired[i] && tf.at <= jnow + eta {
-                            let node = m.nodes[tf.event.node() as usize].clone();
-                            let event = tf.event;
-                            let delay = tf.at.saturating_sub(jnow);
-                            let h = m.handle();
-                            h.clone().spawn(async move {
-                                h.sleep(delay).await;
-                                event.apply_to(&node);
-                            });
+                            tf.event.arm(&m, m.now() + tf.at.saturating_sub(jnow));
                             fired[i] = true;
                             armed = true;
                             report.faults.push(format!("t={} {}", tf.at, tf.event));
@@ -586,7 +579,7 @@ mod tests {
         // The transport absorbs the corrupt + drop queued on 0 -> 1; nine
         // more drops on 4 -> 6 exhaust the budget and condemn that link.
         for _ in 0..=ts_link::RETRANSMIT_BUDGET {
-            m.faults().flit_drop(4, 1);
+            FaultEvent::FlitDrop { node: 4, dim: 1 }.apply(&m);
         }
         for (from, dim) in [(0u32, 0usize), (4, 1)] {
             let (tx, rx) = (m.ctx(from), m.ctx(from ^ (1 << dim)));

@@ -488,7 +488,7 @@ impl SystemBoard {
         // Reports are small; take them from the node channels via ALT.
         let chans: Vec<LinkChannel> = self.state.borrow().from_node.clone();
         let refs: Vec<&LinkChannel> = chans.iter().collect();
-        let (_idx, words) = ts_link::alt_recv(&self.h, &refs).await;
+        let (_idx, words) = ts_link::AltSet::new(&refs).recv(&self.h).await;
         words
     }
 }

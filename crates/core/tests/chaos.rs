@@ -207,11 +207,8 @@ fn exhausted_retransmit_budget_escalates_to_permanent_link_down() {
     // One more drop than the budget allows, all against node 0's dim-0
     // transmit queue: the next message drains them all, overruns the
     // budget, and the transport condemns the link.
-    {
-        let f = m.faults();
-        for _ in 0..9 {
-            f.flit_drop(0, 0);
-        }
+    for _ in 0..9 {
+        FaultEvent::FlitDrop { node: 0, dim: 0 }.apply(&m);
     }
     let ctx0 = m.ctx(0);
     let ctx1 = m.ctx(1);

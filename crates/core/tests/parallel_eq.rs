@@ -6,7 +6,8 @@
 //! `utilization_report()` — counters, histograms, and every
 //! floating-point digit of the rendered text.
 
-use t_series_core::parallel::{run_parallel_faulted, ParallelCfg, PlannedFault};
+use t_series_core::fault::FaultEvent;
+use t_series_core::parallel::{run_parallel_faulted, ParallelCfg};
 use t_series_core::{collectives, Hypercube, Machine, MachineCfg};
 use ts_fpu::Sf64;
 use ts_node::CombineOp;
@@ -14,20 +15,20 @@ use ts_sim::Rng;
 
 /// Draw a fault plan confined to intra-shard dimensions (the parallel
 /// backend's supported envelope; the sequential run applies the same plan).
-fn draw_faults(rng: &mut Rng, dim: u32, shards: u32, n: usize) -> Vec<PlannedFault> {
+fn draw_faults(rng: &mut Rng, dim: u32, shards: u32, n: usize) -> Vec<FaultEvent> {
     let local_bits = dim - shards.trailing_zeros();
     (0..n)
         .map(|_| {
             let node = rng.below(1u64 << dim) as u32;
             let d = rng.below(local_bits as u64) as u32;
             if rng.below(2) == 0 {
-                PlannedFault::WireCorrupt {
+                FaultEvent::WireCorrupt {
                     node,
                     dim: d,
                     flit_bit: rng.below(32),
                 }
             } else {
-                PlannedFault::FlitDrop { node, dim: d }
+                FaultEvent::FlitDrop { node, dim: d }
             }
         })
         .collect()
@@ -50,7 +51,7 @@ fn check_equivalence(seed: u64, dim: u32, shards: u32, nfaults: usize) {
 
     let mut m = Machine::build(MachineCfg::cube_small_mem(dim, 8));
     for f in &faults {
-        f.apply_to(&m);
+        f.apply(&m);
     }
     let handles = m.launch(program);
     assert!(m.run().quiescent, "sequential run stalled (seed {seed})");
@@ -124,7 +125,23 @@ fn cross_shard_fault_is_rejected() {
         MachineCfg::cube_small_mem(5, 8),
         &ParallelCfg::new(4),
         // dim 4 is a cross-shard dimension when a 5-cube is split 4 ways.
-        &[PlannedFault::FlitDrop { node: 31, dim: 4 }],
+        &[FaultEvent::FlitDrop { node: 31, dim: 4 }],
+        move |ctx| async move {
+            collectives::allreduce(&ctx, cube, CombineOp::Add, vec![Sf64::from(1.0)]).await
+        },
+    );
+}
+
+#[test]
+#[should_panic(expected = "LinkDown")]
+fn a_fault_kind_the_shards_cannot_plan_is_rejected() {
+    let cube = Hypercube::new(4);
+    let _ = run_parallel_faulted(
+        MachineCfg::cube_small_mem(4, 8),
+        &ParallelCfg::new(2),
+        // An intra-shard edge, but a persistent link fault: only wire
+        // corruptions and flit drops can be planned ahead of a sharded run.
+        &[FaultEvent::LinkDown { node: 0, dim: 0 }],
         move |ctx| async move {
             collectives::allreduce(&ctx, cube, CombineOp::Add, vec![Sf64::from(1.0)]).await
         },

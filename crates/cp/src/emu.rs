@@ -423,9 +423,12 @@ impl Cp {
     }
 }
 
-/// Load assembled code into a bus at byte address `base` (word aligned).
+/// Load assembled code into a bus at byte address `base`. A base that is
+/// not word aligned is a [`CpError::Bus`] at that address.
 pub fn load_code(bus: &mut dyn CpBus, base: u32, code: &[u8]) -> Result<(), CpError> {
-    assert_eq!(base % 4, 0, "code must be word aligned");
+    if !base.is_multiple_of(4) {
+        return Err(CpError::Bus { addr: base });
+    }
     for (i, chunk) in code.chunks(4).enumerate() {
         let mut w = 0u32;
         for (lane, &b) in chunk.iter().enumerate() {
@@ -435,10 +438,6 @@ pub fn load_code(bus: &mut dyn CpBus, base: u32, code: &[u8]) -> Result<(), CpEr
     }
     Ok(())
 }
-
-/// Marker trait alias kept for API compatibility in the facade crate.
-pub trait VecBus: CpBus {}
-impl<T: CpBus + ?Sized> VecBus for T {}
 
 #[cfg(test)]
 mod tests {

@@ -38,5 +38,5 @@ pub mod programs;
 
 pub use asm::{assemble, AsmError};
 pub use disasm::{disassemble, listing};
-pub use emu::{Cp, CpBus, CpError, CpEvent, StepOutcome, VecBus};
+pub use emu::{Cp, CpBus, CpError, CpEvent, StepOutcome};
 pub use isa::{Direct, Op, CP_CYCLE};

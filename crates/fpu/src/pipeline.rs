@@ -66,11 +66,6 @@ impl Pipeline {
         }
     }
 
-    /// Latency of one scalar operation, in cycles.
-    pub const fn scalar_cycles(self) -> u64 {
-        self.stages as u64
-    }
-
     /// Cycles to stream an `n`-element vector through this unit:
     /// fill the pipe, then one result per cycle.
     pub const fn vector_cycles(self, n: u64) -> u64 {

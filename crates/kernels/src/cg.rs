@@ -18,7 +18,7 @@ use ts_cube::{embed::MeshEmbedding, Hypercube};
 use ts_fpu::Sf64;
 use ts_node::{CombineOp, NodeCtx};
 
-use crate::{pack, unpack, KernelStats};
+use crate::{pack, run_spmd, unpack, KernelStats};
 
 /// Apply the five-point Laplacian `q = A·p` on one tile with fresh halos.
 struct TileGeometry {
@@ -176,33 +176,23 @@ pub fn distributed_cg(
         .map(|_| crate::rand_f64(&mut st))
         .collect();
 
-    let mark = KernelStats::mark(machine);
-    let handles: Vec<_> = machine
-        .nodes
-        .iter()
-        .map(|node| {
-            let coords = mesh.coords_of(node.id);
-            let (cx, cy) = (coords[0] as usize, coords[1] as usize);
-            let mut tile = vec![0.0; g * g];
-            for y in 0..g {
-                for x in 0..g {
-                    tile[y * g + x] = b[(cy * g + y) * side_x + cx * g + x];
-                }
+    let (tiles, stats) = run_spmd(machine, "CG", |ctx| {
+        let coords = mesh.coords_of(ctx.id());
+        let (cx, cy) = (coords[0] as usize, coords[1] as usize);
+        let mut tile = vec![0.0; g * g];
+        for y in 0..g {
+            for x in 0..g {
+                tile[y * g + x] = b[(cy * g + y) * side_x + cx * g + x];
             }
-            machine
-                .handle()
-                .spawn(cg_node(node.ctx(), cube, g, tile, tol, 10_000))
-        })
-        .collect();
-    let report = machine.run();
-    assert!(report.quiescent, "CG deadlocked");
+        }
+        cg_node(ctx, cube, g, tile, tol, 10_000)
+    });
 
     let mut x = vec![0.0; b.len()];
     let mut iters = 0;
-    for (node, jh) in machine.nodes.iter().zip(handles) {
-        let (tile, it) = jh.try_take().expect("cg incomplete");
+    for (id, (tile, it)) in tiles.into_iter().enumerate() {
         iters = it;
-        let coords = mesh.coords_of(node.id);
+        let coords = mesh.coords_of(id as u32);
         let (cx, cy) = (coords[0] as usize, coords[1] as usize);
         for y in 0..g {
             for xx in 0..g {
@@ -210,7 +200,6 @@ pub fn distributed_cg(
             }
         }
     }
-    let stats = KernelStats::since(machine, mark);
     (b, x, iters, stats)
 }
 

@@ -32,7 +32,7 @@ use ts_mem::ROW_WORDS;
 use ts_node::{occam, NodeCtx};
 use ts_sim::Rendezvous;
 
-use crate::KernelStats;
+use crate::{run_spmd, KernelStats};
 
 /// A complex value in the machine's 64-bit arithmetic.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -308,41 +308,21 @@ pub fn distributed_fft(
     let total = input.len();
     assert!(total.is_power_of_two() && total >= 2 * p);
     let nl = total / p;
-    let mark = KernelStats::mark(machine);
-    // The node programs share the run's table and are its only holders, so
-    // it is freed with the last of them, before the spectrum is assembled.
-    let handles: Vec<_> = {
-        let table = Rc::new(Twiddles::new(total));
-        machine
-            .nodes
+    // The launch closure owns the run's table and is dropped before the
+    // run, so the node programs are its only holders and it is freed with
+    // the last of them, before the spectrum is assembled.
+    let table = Rc::new(Twiddles::new(total));
+    let (spectra, stats) = run_spmd(machine, "FFT", move |ctx| {
+        let lo = ctx.id() as usize * nl;
+        let local: Vec<Cpx> = input[lo..lo + nl]
             .iter()
-            .map(|node| {
-                let ctx = node.ctx();
-                let lo = node.id as usize * nl;
-                let local: Vec<Cpx> = input[lo..lo + nl]
-                    .iter()
-                    .map(|&(re, im)| Cpx::new(re, im))
-                    .collect();
-                machine
-                    .handle()
-                    .spawn(fft_node(ctx, cube, total, local, table.clone()))
-            })
-            .collect()
-    };
-    let report = machine.run();
-    assert!(report.quiescent, "FFT deadlocked");
+            .map(|&(re, im)| Cpx::new(re, im))
+            .collect();
+        fft_node(ctx, cube, total, local, table.clone())
+    });
     let mut flat = Vec::with_capacity(total);
-    for jh in handles {
-        flat.extend(
-            jh.try_take()
-                .expect("fft incomplete")
-                .into_iter()
-                .map(Cpx::to_host),
-        );
-    }
-    let natural = bit_reverse_permute(&flat);
-    let stats = KernelStats::since(machine, mark);
-    (natural, stats)
+    flat.extend(spectra.into_iter().flatten().map(Cpx::to_host));
+    (bit_reverse_permute(&flat), stats)
 }
 
 /// Naive host DFT for verification.

@@ -50,7 +50,10 @@ pub mod spmv;
 pub mod stencil;
 pub mod transpose;
 
+use std::future::Future;
+
 use t_series_core::Machine;
+use ts_node::NodeCtx;
 use ts_sim::{Dur, Time};
 
 /// What a kernel run achieved, derived from machine metrics.
@@ -119,6 +122,29 @@ impl KernelStats {
             },
         }
     }
+}
+
+/// The SPMD runner behind every `distributed_*` driver: launch `program`
+/// on every node in node order, run the machine to quiescence and collect
+/// each node's output (in node order) with the run's [`KernelStats`].
+fn run_spmd<F, Fut>(
+    machine: &mut Machine,
+    kernel: &str,
+    program: F,
+) -> (Vec<Fut::Output>, KernelStats)
+where
+    F: FnMut(NodeCtx) -> Fut,
+    Fut: Future + 'static,
+    Fut::Output: 'static,
+{
+    let mark = KernelStats::mark(machine);
+    let handles = machine.launch(program);
+    assert!(machine.run().quiescent, "{kernel} deadlocked");
+    let outputs = handles
+        .into_iter()
+        .map(|h| h.try_take().expect("quiescent, so finished"))
+        .collect();
+    (outputs, KernelStats::since(machine, mark))
 }
 
 /// Message encoding of `f64` values: two words each, low half first.

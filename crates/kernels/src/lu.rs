@@ -26,7 +26,7 @@ use ts_mem::ROW_WORDS;
 use ts_node::NodeCtx;
 use ts_vec::VecForm;
 
-use crate::{rand_f64, KernelStats};
+use crate::{rand_f64, run_spmd, KernelStats};
 
 /// Where a node keeps things in its memory: scratch rows in bank A
 /// (so SAXPY streams cross-bank), matrix rows from the start of bank B.
@@ -259,21 +259,9 @@ pub fn distributed_solve(
     let mut st = seed ^ 0xb0b;
     let b: Vec<f64> = (0..n).map(|_| rand_f64(&mut st)).collect();
     let cube = machine.cube;
-    let handles: Vec<_> = machine
-        .nodes
-        .iter()
-        .map(|node| {
-            machine
-                .handle()
-                .spawn(solve_node(node.ctx(), cube, n, perm.clone(), b.clone()))
-        })
-        .collect();
-    let report = machine.run();
-    assert!(report.quiescent, "solve deadlocked");
-    let xs: Vec<Vec<f64>> = handles
-        .into_iter()
-        .map(|h| h.try_take().expect("solve incomplete"))
-        .collect();
+    let (xs, _) = run_spmd(machine, "solve", |ctx| {
+        solve_node(ctx, cube, n, perm.clone(), b.clone())
+    });
     for x in &xs[1..] {
         assert_eq!(x, &xs[0], "nodes disagree on the solution");
     }
@@ -317,19 +305,7 @@ pub fn distributed_lu(
         }
     }
 
-    let mark = KernelStats::mark(machine);
-    let handles: Vec<_> = machine
-        .nodes
-        .iter()
-        .map(|node| machine.handle().spawn(lu_node(node.ctx(), cube, n)))
-        .collect();
-    let report = machine.run();
-    assert!(report.quiescent, "LU deadlocked");
-
-    let perms: Vec<Vec<usize>> = handles
-        .into_iter()
-        .map(|h| h.try_take().expect("lu incomplete"))
-        .collect();
+    let (perms, stats) = run_spmd(machine, "LU", |ctx| lu_node(ctx, cube, n));
     for p2 in &perms[1..] {
         assert_eq!(p2, &perms[0], "nodes disagree on the pivot permutation");
     }
@@ -345,7 +321,6 @@ pub fn distributed_lu(
             lu[g * n + j] = mem.read_f64(base + 2 * j).unwrap().to_host();
         }
     }
-    let stats = KernelStats::since(machine, mark);
     (a, perms[0].clone(), lu, stats)
 }
 

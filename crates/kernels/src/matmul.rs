@@ -27,7 +27,7 @@ use ts_fpu::Sf64;
 use ts_node::NodeCtx;
 use ts_sim::Rendezvous;
 
-use crate::{rand_f64, KernelStats};
+use crate::{rand_f64, run_spmd, KernelStats};
 
 /// A block shared between the GEMM reading it and the link engine sending it.
 type Block = Rc<Vec<Sf64>>;
@@ -193,28 +193,18 @@ pub fn distributed_matmul(
     };
     let mesh = MeshEmbedding::new(cube, &[cube.dim() / 2, cube.dim() / 2]);
 
-    let mark = KernelStats::mark(machine);
-    let handles: Vec<_> = machine
-        .nodes
-        .iter()
-        .map(|node| {
-            let ctx = node.ctx();
-            let coords = mesh.coords_of(node.id);
-            let (bc, br) = (coords[0] as usize, coords[1] as usize);
-            let ab = block_of(&a, br, bc);
-            let bb = block_of(&b, br, bc);
-            let h = machine.handle();
-            h.spawn(cannon_node(ctx, cube, bsize, ab, bb))
-        })
-        .collect();
-    let report = machine.run();
-    assert!(report.quiescent, "Cannon deadlocked");
+    let (blocks, stats) = run_spmd(machine, "Cannon", |ctx| {
+        let coords = mesh.coords_of(ctx.id());
+        let (bc, br) = (coords[0] as usize, coords[1] as usize);
+        let ab = block_of(&a, br, bc);
+        let bb = block_of(&b, br, bc);
+        cannon_node(ctx, cube, bsize, ab, bb)
+    });
 
     // Reassemble C.
     let mut c = vec![0.0f64; n * n];
-    for (node, jh) in machine.nodes.iter().zip(handles) {
-        let cb = jh.try_take().expect("node program incomplete");
-        let coords = mesh.coords_of(node.id);
+    for (id, cb) in blocks.into_iter().enumerate() {
+        let coords = mesh.coords_of(id as u32);
         let (bc, br) = (coords[0] as usize, coords[1] as usize);
         for i in 0..bsize {
             for j in 0..bsize {
@@ -222,7 +212,6 @@ pub fn distributed_matmul(
             }
         }
     }
-    let stats = KernelStats::since(machine, mark);
     (a, b, c, stats)
 }
 

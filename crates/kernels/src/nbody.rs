@@ -18,7 +18,7 @@ use ts_cube::{embed::RingEmbedding, Hypercube};
 use ts_fpu::softdiv;
 use ts_node::{occam, NodeCtx};
 
-use crate::{rand_f64, KernelStats};
+use crate::{rand_f64, run_spmd, KernelStats};
 
 /// A point mass.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -143,25 +143,11 @@ pub fn distributed_nbody(
         })
         .collect();
 
-    let mark = KernelStats::mark(machine);
-    let handles: Vec<_> = machine
-        .nodes
-        .iter()
-        .map(|node| {
-            let lo = node.id as usize * nl;
-            machine
-                .handle()
-                .spawn(nbody_node(node.ctx(), cube, bodies[lo..lo + nl].to_vec()))
-        })
-        .collect();
-    let report = machine.run();
-    assert!(report.quiescent, "n-body deadlocked");
-    let mut forces = Vec::with_capacity(total);
-    for jh in handles {
-        forces.extend(jh.try_take().expect("n-body incomplete"));
-    }
-    let stats = KernelStats::since(machine, mark);
-    (bodies, forces, stats)
+    let (forces, stats) = run_spmd(machine, "n-body", |ctx| {
+        let lo = ctx.id() as usize * nl;
+        nbody_node(ctx, cube, bodies[lo..lo + nl].to_vec())
+    });
+    (bodies, forces.concat(), stats)
 }
 
 /// Host reference: direct all-pairs summation.

@@ -14,7 +14,7 @@
 use ts_cube::Hypercube;
 use ts_node::{occam, NodeCtx};
 
-use crate::{pack, rand_f64, unpack, KernelStats};
+use crate::{pack, rand_f64, run_spmd, unpack, KernelStats};
 
 /// Merge two sorted slices and keep the lower (or upper) half.
 fn compare_split(mine: &[f64], theirs: &[f64], keep_low: bool) -> Vec<f64> {
@@ -84,25 +84,11 @@ pub fn distributed_sort(
     let nl = total / p;
     let mut st = seed;
     let keys: Vec<f64> = (0..total).map(|_| rand_f64(&mut st) * 1e6).collect();
-    let mark = KernelStats::mark(machine);
-    let handles: Vec<_> = machine
-        .nodes
-        .iter()
-        .map(|node| {
-            let lo = node.id as usize * nl;
-            machine
-                .handle()
-                .spawn(bitonic_node(node.ctx(), cube, keys[lo..lo + nl].to_vec()))
-        })
-        .collect();
-    let report = machine.run();
-    assert!(report.quiescent, "bitonic sort deadlocked");
-    let mut out = Vec::with_capacity(total);
-    for jh in handles {
-        out.extend(jh.try_take().expect("sort incomplete"));
-    }
-    let stats = KernelStats::since(machine, mark);
-    (out, stats)
+    let (runs, stats) = run_spmd(machine, "bitonic sort", |ctx| {
+        let lo = ctx.id() as usize * nl;
+        bitonic_node(ctx, cube, keys[lo..lo + nl].to_vec())
+    });
+    (runs.concat(), stats)
 }
 
 #[cfg(test)]

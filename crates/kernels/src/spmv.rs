@@ -25,7 +25,7 @@ use ts_mem::ROW_WORDS;
 use ts_node::NodeCtx;
 use ts_vec::VecForm;
 
-use crate::{rand_f64, splitmix, KernelStats};
+use crate::{rand_f64, run_spmd, splitmix, KernelStats};
 
 /// A compressed-row sparse matrix (host-side container).
 #[derive(Clone, Debug)]
@@ -131,7 +131,8 @@ pub async fn spmv_node(
     let my_rows = me * rows_per..(me + 1) * rows_per;
 
     let mut y = vec![0.0f64; rows_per];
-    let mut pending: Option<(usize, ts_sim::JoinHandle<ts_vec::VecResult>)> = None;
+    // Completion instant of the dot in flight (overlapped schedule).
+    let mut in_flight = ctx.now();
     for (slot, i) in my_rows.clone().enumerate() {
         let lo = a.row_ptr[i];
         let hi = a.row_ptr[i + 1];
@@ -155,21 +156,16 @@ pub async fn spmv_node(
             SpmvSchedule::Overlapped => {
                 // Retire the previous row's dot, then issue this one and
                 // return to gathering.
-                if let Some((prev_slot, jh)) = pending.take() {
-                    let r = jh.await;
-                    y[prev_slot] = f64::from_bits(r.scalar.unwrap());
-                }
-                let jh = ctx
-                    .vec_async(VecForm::Dot, scratch, layout.values_row(slot), 0, nnz)
+                ctx.wait(in_flight).await;
+                let (r, done) = ctx
+                    .issue_vec(VecForm::Dot, scratch, layout.values_row(slot), 0, nnz)
                     .unwrap();
-                pending = Some((slot, jh));
+                y[slot] = f64::from_bits(r.scalar.unwrap());
+                in_flight = done;
             }
         }
     }
-    if let Some((prev_slot, jh)) = pending.take() {
-        let r = jh.await;
-        y[prev_slot] = f64::from_bits(r.scalar.unwrap());
-    }
+    ctx.wait(in_flight).await;
     y
 }
 
@@ -209,24 +205,10 @@ pub fn distributed_spmv(
     }
 
     let shared = std::rc::Rc::new(a.clone());
-    let mark = KernelStats::mark(machine);
-    let handles: Vec<_> = machine
-        .nodes
-        .iter()
-        .map(|node| {
-            machine
-                .handle()
-                .spawn(spmv_node(node.ctx(), cube, shared.clone(), schedule))
-        })
-        .collect();
-    let report = machine.run();
-    assert!(report.quiescent, "spmv deadlocked");
-    let mut y = Vec::with_capacity(a.n);
-    for jh in handles {
-        y.extend(jh.try_take().expect("spmv incomplete"));
-    }
-    let stats = KernelStats::since(machine, mark);
-    (x, y, stats)
+    let (ys, stats) = run_spmd(machine, "spmv", |ctx| {
+        spmv_node(ctx, cube, shared.clone(), schedule)
+    });
+    (x, ys.concat(), stats)
 }
 
 #[cfg(test)]

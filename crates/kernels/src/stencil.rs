@@ -11,7 +11,7 @@
 use ts_cube::{embed::MeshEmbedding, Hypercube};
 use ts_node::NodeCtx;
 
-use crate::{pack, unpack, KernelStats};
+use crate::{pack, run_spmd, unpack, KernelStats};
 
 /// The per-node Jacobi program: `tile` is g×g row-major; runs `sweeps`
 /// iterations and returns the final tile.
@@ -114,31 +114,21 @@ pub fn distributed_jacobi(
     let side_x = sx * g;
     assert_eq!(init.len(), side_x * sy * g);
 
-    let mark = KernelStats::mark(machine);
-    let handles: Vec<_> = machine
-        .nodes
-        .iter()
-        .map(|node| {
-            let coords = mesh.coords_of(node.id);
-            let (cx, cy) = (coords[0] as usize, coords[1] as usize);
-            let mut tile = vec![0.0; g * g];
-            for y in 0..g {
-                for x in 0..g {
-                    tile[y * g + x] = init[(cy * g + y) * side_x + cx * g + x];
-                }
+    let (tiles, stats) = run_spmd(machine, "Jacobi", |ctx| {
+        let coords = mesh.coords_of(ctx.id());
+        let (cx, cy) = (coords[0] as usize, coords[1] as usize);
+        let mut tile = vec![0.0; g * g];
+        for y in 0..g {
+            for x in 0..g {
+                tile[y * g + x] = init[(cy * g + y) * side_x + cx * g + x];
             }
-            machine
-                .handle()
-                .spawn(jacobi_node(node.ctx(), cube, g, tile, sweeps))
-        })
-        .collect();
-    let report = machine.run();
-    assert!(report.quiescent, "Jacobi deadlocked");
+        }
+        jacobi_node(ctx, cube, g, tile, sweeps)
+    });
 
     let mut out = vec![0.0; init.len()];
-    for (node, jh) in machine.nodes.iter().zip(handles) {
-        let tile = jh.try_take().expect("jacobi incomplete");
-        let coords = mesh.coords_of(node.id);
+    for (id, tile) in tiles.into_iter().enumerate() {
+        let coords = mesh.coords_of(id as u32);
         let (cx, cy) = (coords[0] as usize, coords[1] as usize);
         for y in 0..g {
             for x in 0..g {
@@ -146,7 +136,6 @@ pub fn distributed_jacobi(
             }
         }
     }
-    let stats = KernelStats::since(machine, mark);
     (out, stats)
 }
 

@@ -17,7 +17,7 @@
 use ts_cube::Hypercube;
 use ts_node::{occam, NodeCtx};
 
-use crate::{rand_f64, KernelStats};
+use crate::{rand_f64, run_spmd, KernelStats};
 
 fn pack_blocks(blocks: &[(u32, Vec<f64>)]) -> Vec<u32> {
     let mut words = Vec::new();
@@ -64,36 +64,25 @@ pub fn distributed_transpose(
     let mut st = seed;
     let a: Vec<f64> = (0..n * n).map(|_| rand_f64(&mut st)).collect();
 
-    let mark = KernelStats::mark(machine);
-    let handles: Vec<_> = machine
-        .nodes
-        .iter()
-        .map(|node| {
-            let i = node.id as usize;
-            // blocks[j] = block (i, j), b×b row-major.
-            let blocks: Vec<Vec<f64>> = (0..p)
-                .map(|j| {
-                    let mut blk = Vec::with_capacity(bsize * bsize);
-                    for r in 0..bsize {
-                        for c in 0..bsize {
-                            blk.push(a[(i * bsize + r) * n + j * bsize + c]);
-                        }
+    let (rows, stats) = run_spmd(machine, "transpose", |ctx| {
+        let i = ctx.id() as usize;
+        // blocks[j] = block (i, j), b×b row-major.
+        let blocks: Vec<Vec<f64>> = (0..p)
+            .map(|j| {
+                let mut blk = Vec::with_capacity(bsize * bsize);
+                for r in 0..bsize {
+                    for c in 0..bsize {
+                        blk.push(a[(i * bsize + r) * n + j * bsize + c]);
                     }
-                    blk
-                })
-                .collect();
-            machine
-                .handle()
-                .spawn(transpose_rows(node.ctx(), cube, bsize, blocks))
-        })
-        .collect();
-    let report = machine.run();
-    assert!(report.quiescent, "transpose deadlocked");
+                }
+                blk
+            })
+            .collect();
+        transpose_rows(ctx, cube, bsize, blocks)
+    });
 
     let mut at = vec![0.0; n * n];
-    for (node, jh) in machine.nodes.iter().zip(handles) {
-        let i = node.id as usize;
-        let row_blocks = jh.try_take().expect("transpose incomplete");
+    for (i, row_blocks) in rows.into_iter().enumerate() {
         for (j, blk) in row_blocks.into_iter().enumerate() {
             for r in 0..bsize {
                 for c in 0..bsize {
@@ -102,7 +91,6 @@ pub fn distributed_transpose(
             }
         }
     }
-    let stats = KernelStats::since(machine, mark);
     (a, at, stats)
 }
 

@@ -5,21 +5,16 @@ use ts_sim::{select2, Alt, Either, SimHandle};
 use crate::channel::Packet;
 use crate::{DownWatch, LinkChannel, LinkError};
 
-/// Occam-style `ALT` over several sublinks: resolves to
-/// `(channel_index, payload)` for the first channel whose sender commits,
-/// completing the framed transfer on that channel's wire. Lowest index wins
-/// when several senders are already waiting (`PRI ALT`).
-pub async fn alt_recv(h: &SimHandle, chans: &[&LinkChannel]) -> (usize, Vec<u32>) {
-    AltSet::new(chans).recv(h).await
-}
-
-/// A prepared `ALT` over a fixed set of sublinks.
+/// Occam-style `ALT` over a fixed set of sublinks: each receive resolves
+/// to `(channel_index, payload)` for the first channel whose sender
+/// commits, completing the framed transfer on that channel's wire.
 ///
-/// Build the set once — e.g. per router daemon, which `ALT`s over the same
-/// loopback-plus-dimensions list for every message it ever handles. The set
-/// owns its branch cells and claim flag ([`ts_sim::Alt`]), so a receive
-/// re-arms them and allocates nothing, and the branches that did not fire
-/// are left holding this set's one cell, not a cancelled one per message.
+/// A one-shot `ALT` is `AltSet::new(chans).recv(h)`. A daemon builds the
+/// set once — the router `ALT`s over the same loopback-plus-dimensions list
+/// for every message it ever handles. The set owns its branch cells and
+/// claim flag ([`ts_sim::Alt`]), so a receive re-arms them and allocates
+/// nothing, and the branches that did not fire are left holding this set's
+/// one cell, not a cancelled one per message.
 pub struct AltSet {
     chans: Vec<LinkChannel>,
     alt: Alt<Packet>,
@@ -71,7 +66,7 @@ mod tests {
     use ts_sim::{Dur, Sim};
 
     #[test]
-    fn alt_recv_takes_first_sender() {
+    fn alt_set_takes_first_sender() {
         let mut sim = Sim::new();
         let h = sim.handle();
         let a = LinkChannel::new(Wire::new("a", LinkParams::default()));
@@ -87,8 +82,9 @@ mod tests {
             b2.send(&h3, vec![2, 2, 2]).await; // arrives first
         });
         let jh = sim.spawn(async move {
-            let first = alt_recv(&h, &[&a, &b]).await;
-            let second = alt_recv(&h, &[&a, &b]).await;
+            let mut set = AltSet::new(&[&a, &b]);
+            let first = set.recv(&h).await;
+            let second = set.recv(&h).await;
             (first, second)
         });
         assert!(sim.run().quiescent);
@@ -132,7 +128,7 @@ mod tests {
     }
 
     #[test]
-    fn alt_recv_charges_wire_time() {
+    fn alt_set_charges_wire_time() {
         let mut sim = Sim::new();
         let h = sim.handle();
         let wire = Wire::new("w", LinkParams::default());
@@ -141,7 +137,7 @@ mod tests {
         let h2 = h.clone();
         sim.spawn(async move { tx.send(&h2, vec![0u32; 8]).await });
         let jh = sim.spawn(async move {
-            let (_, words) = alt_recv(&h, &[&ch]).await;
+            let (_, words) = AltSet::new(&[&ch]).recv(&h).await;
             (words.len(), h.now())
         });
         assert!(sim.run().quiescent);

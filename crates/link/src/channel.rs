@@ -320,11 +320,6 @@ impl LinkChannel {
             Either::Right(()) => Err(LinkError::Down),
         }
     }
-
-    /// True if a sender is currently blocked on this sublink (used by ALT).
-    pub fn sender_waiting(&self) -> bool {
-        self.inner.rv.sender_waiting()
-    }
 }
 
 #[cfg(test)]

@@ -37,7 +37,7 @@
 //! * `channel` — [`LinkChannel`]: `send`/`recv` and their failable forms.
 //! * `boundary` — [`BoundaryEnvelope`]: a sublink cut by a shard boundary
 //!   (parallel backend), replayed as three plain-data legs.
-//! * `alt` — [`alt_recv`] / [`AltSet`]: Occam `ALT` over sublinks.
+//! * `alt` — [`AltSet`]: Occam `ALT` over sublinks.
 
 #![deny(missing_docs)]
 
@@ -50,7 +50,7 @@ mod status;
 mod transport;
 mod wire;
 
-pub use alt::{alt_recv, AltSet};
+pub use alt::AltSet;
 pub use boundary::{BoundaryEnvelope, BoundaryLeg, BoundaryOutbox};
 pub use channel::LinkChannel;
 pub use frame::{crc16, Flit};

@@ -10,12 +10,12 @@
 //! simulator's stand-in for an Occam process. Every method that touches
 //! hardware advances the node's virtual clock by the architected cost:
 //!
-//! * [`NodeCtx::vec`] / [`NodeCtx::vec_async`] — vector forms through the
-//!   micro-sequencer (the async variant runs concurrently with the control
-//!   processor, which is how the paper overlaps gather with arithmetic);
-//!   every form also splits into a synchronous *issue* returning its
-//!   completion instant and one [`NodeCtx::wait`], so a run of forms can be
-//!   chained behind a single completion interrupt (see the model note on
+//! * [`NodeCtx::vec`] — vector forms through the micro-sequencer; every
+//!   form also splits into a synchronous *issue* returning its completion
+//!   instant and one [`NodeCtx::wait`]. Between the two the unit runs
+//!   concurrently with the control processor, which is how the paper
+//!   overlaps gather with arithmetic, and a run of forms can be chained
+//!   behind a single completion interrupt (see the model note on
 //!   [`NodeCtx::issue_vec`]);
 //! * [`NodeCtx::gather64`] / [`NodeCtx::scatter64`] — the control
 //!   processor's element-at-a-time word-port loops (1.6 µs per 64-bit
@@ -94,8 +94,6 @@ pub enum CombineOp {
 pub struct NodeCfg {
     /// Memory geometry (1 MB in the paper's machine).
     pub mem: MemCfg,
-    /// Force the single-bank ablation (experiment E9).
-    pub single_bank: bool,
 }
 
 struct NodeState {
@@ -338,11 +336,6 @@ impl Node {
     /// Build a node whose unit meters register under `node/{id}/...` in a
     /// shared machine-wide registry.
     pub fn with_registry(id: u32, cfg: NodeCfg, h: SimHandle, registry: &MetricsRegistry) -> Node {
-        let vec_unit = if cfg.single_bank {
-            VecUnit::single_bank()
-        } else {
-            VecUnit::new()
-        };
         let meters = NodeMeters::new(registry.scope(&format!("node/{id}")));
         Node {
             id,
@@ -350,7 +343,7 @@ impl Node {
             shared: Rc::new(NodeShared {
                 state: RefCell::new(NodeState {
                     mem: NodeMemory::new(cfg.mem),
-                    vec_unit,
+                    vec_unit: VecUnit::new(),
                     dims: Vec::new(),
                     sys: None,
                     health: ts_link::LinkStatus::new(),
@@ -612,24 +605,14 @@ impl NodeCtx {
         self.node.shared.cp_res.use_for(&self.node.h, d).await;
     }
 
-    /// One word-port access by the control processor: 400 ns, arbitrated.
-    async fn cp_port_access(&self) {
+    /// One timed word-port read by the control processor: 400 ns,
+    /// arbitrated.
+    pub async fn cp_read(&self, addr: usize) -> Result<u32, MemError> {
         let shared = &self.node.shared;
         shared.cp_res.use_for(&self.node.h, WORD_TIME).await;
         shared.port_res.reserve(self.now(), WORD_TIME);
         shared.meters.port_cp.add(WORD_TIME);
-    }
-
-    /// One timed word-port read (CP path: 400 ns, arbitrated).
-    pub async fn cp_read(&self, addr: usize) -> Result<u32, MemError> {
-        self.cp_port_access().await;
-        self.node.shared.state.borrow().mem.read_word(addr)
-    }
-
-    /// One timed word-port write.
-    pub async fn cp_write(&self, addr: usize, w: u32) -> Result<(), MemError> {
-        self.cp_port_access().await;
-        self.node.shared.state.borrow_mut().mem.write_word(addr, w)
+        shared.state.borrow().mem.read_word(addr)
     }
 
     /// Gather scattered 64-bit elements into a contiguous destination: the
@@ -763,7 +746,9 @@ impl NodeCtx {
 
     /// Issue a 64-bit vector form without waiting: returns its result and
     /// the instant of its completion interrupt, to be handed to
-    /// [`NodeCtx::wait`].
+    /// [`NodeCtx::wait`]. Until then the program may use the control
+    /// processor ("The complete arithmetic unit operates in parallel with
+    /// the node control processor").
     ///
     /// Model note — chains. Element values are computed (and visible in
     /// memory) at issue, the form's meters and trace span are booked at
@@ -840,27 +825,6 @@ impl NodeCtx {
     ) -> Result<VecResult, MemError> {
         self.complete(self.issue_with(n, |u, mem| u.convert32to64(mem, x_row, z_row, n)))
             .await
-    }
-
-    /// Issue a vector form and return immediately: the arithmetic unit runs
-    /// concurrently with the control processor ("The complete arithmetic
-    /// unit operates in parallel with the node control processor"). Await
-    /// the returned handle for the completion interrupt (the model note on
-    /// [`NodeCtx::issue_vec`] applies).
-    pub fn vec_async(
-        &self,
-        form: VecForm,
-        x_row: usize,
-        y_row: usize,
-        z_row: usize,
-        n: usize,
-    ) -> Result<ts_sim::JoinHandle<VecResult>, MemError> {
-        let (r, end) = self.issue_vec(form, x_row, y_row, z_row, n)?;
-        let h = self.node.h.clone();
-        Ok(self.node.h.spawn(async move {
-            h.sleep_until(end).await;
-            r
-        }))
     }
 
     /// The one issue path of the vector unit: `op` runs a form of length
@@ -1070,7 +1034,7 @@ impl NodeCtx {
     pub async fn alt_dims(&self, dims: &[usize]) -> (usize, Vec<u32>) {
         let chans: Vec<LinkChannel> = dims.iter().map(|&d| self.in_channel(d)).collect();
         let refs: Vec<&LinkChannel> = chans.iter().collect();
-        let (idx, words) = ts_link::alt_recv(&self.node.h, &refs).await;
+        let (idx, words) = ts_link::AltSet::new(&refs).recv(&self.node.h).await;
         self.meters().link_words_recv.add(words.len() as u64);
         (dims[idx], words)
     }
@@ -1164,9 +1128,7 @@ impl NodeCtx {
             self.node.shared.cp_res.use_for(&self.node.h, fresh).await;
             match outcome {
                 StepOutcome::Halted => return Ok(cp),
-                StepOutcome::Yielded(ev) => {
-                    self.service_event(ev).await.map_err(CpRunError::Mem)?
-                }
+                StepOutcome::Yielded(ev) => self.service_event(ev).await?,
             }
         }
     }
@@ -1184,14 +1146,15 @@ impl NodeCtx {
         Ok((cp, prog.vars))
     }
 
-    async fn service_event(&self, ev: CpEvent) -> Result<(), MemError> {
+    async fn service_event(&self, ev: CpEvent) -> Result<(), CpRunError> {
         match ev {
             CpEvent::Out { chan, ptr, words } => {
                 let payload = {
                     let st = self.node.shared.state.borrow();
                     (0..words)
                         .map(|i| st.mem.read_word((ptr + i) as usize))
-                        .collect::<Result<Vec<u32>, MemError>>()?
+                        .collect::<Result<Vec<u32>, MemError>>()
+                        .map_err(CpRunError::Mem)?
                 };
                 self.send_dim(chan as usize, payload).await;
             }
@@ -1199,31 +1162,37 @@ impl NodeCtx {
                 let got = self.recv_dim(chan as usize).await;
                 let mut st = self.node.shared.state.borrow_mut();
                 for (i, w) in got.into_iter().take(words as usize).enumerate() {
-                    st.mem.write_word(ptr as usize + i, w)?;
+                    st.mem
+                        .write_word(ptr as usize + i, w)
+                        .map_err(CpRunError::Mem)?;
                 }
             }
             CpEvent::VecIssue { descriptor, n } => {
-                let (form, x, y, z) = {
+                let d = descriptor as usize;
+                let mut desc = [0u32; 4];
+                {
                     let st = self.node.shared.state.borrow();
-                    let f = st.mem.read_word(descriptor as usize)?;
-                    let x = st.mem.read_word(descriptor as usize + 1)? as usize;
-                    let y = st.mem.read_word(descriptor as usize + 2)? as usize;
-                    let z = st.mem.read_word(descriptor as usize + 3)? as usize;
-                    let form = match f {
-                        0 => VecForm::VAdd,
-                        1 => VecForm::VSub,
-                        2 => VecForm::VMul,
-                        3 => VecForm::Dot,
-                        4 => VecForm::Sum,
-                        _ => VecForm::VAdd,
-                    };
-                    (form, x, y, z)
+                    for (k, w) in desc.iter_mut().enumerate() {
+                        *w = st.mem.read_word(d + k).map_err(CpRunError::Mem)?;
+                    }
+                }
+                let form = match desc[0] {
+                    0 => VecForm::VAdd,
+                    1 => VecForm::VSub,
+                    2 => VecForm::VMul,
+                    3 => VecForm::Dot,
+                    4 => VecForm::Sum,
+                    code => return Err(CpRunError::Cp(CpError::IllegalOp { code })),
                 };
-                let r = self.vec(form, x, y, z, n as usize).await?;
+                let [x, y, z] = [desc[1], desc[2], desc[3]].map(|w| w as usize);
+                let r = self
+                    .vec(form, x, y, z, n as usize)
+                    .await
+                    .map_err(CpRunError::Mem)?;
                 // Scalar results land in the descriptor's 5th word slot.
                 if let Some(s) = r.scalar {
                     let mut st = self.node.shared.state.borrow_mut();
-                    st.mem.write_u64(descriptor as usize + 4, s)?;
+                    st.mem.write_u64(d + 4, s).map_err(CpRunError::Mem)?;
                 }
             }
         }
@@ -1350,13 +1319,13 @@ mod tests {
         let ctx = node.ctx();
         let jh = sim.spawn(async move {
             // Issue a long vector op, then gather while it runs.
-            let pending = ctx
-                .vec_async(VecForm::Saxpy(Sf64::from(2.0)), 0, 256, 512, 1024)
+            let (r, done) = ctx
+                .issue_vec(VecForm::Saxpy(Sf64::from(2.0)), 0, 256, 512, 1024)
                 .unwrap();
             let src: Vec<usize> = (0..32).map(|i| 3000 + 4 * i).collect();
             ctx.gather64(&src, 2000).await.unwrap();
             let gather_done = ctx.now();
-            let r = pending.await;
+            ctx.wait(done).await;
             (gather_done, ctx.now(), r.timing.duration)
         });
         assert!(sim.run().quiescent);
@@ -1374,10 +1343,9 @@ mod tests {
         let node = Node::new(0, NodeCfg::default(), sim.handle());
         let ctx = node.ctx();
         let jh = sim.spawn(async move {
-            let a = ctx.vec_async(VecForm::VAdd, 0, 256, 512, 128).unwrap();
-            let b = ctx.vec_async(VecForm::VMul, 1, 257, 513, 128).unwrap();
-            let ra = a.await;
-            let rb = b.await;
+            let (ra, _) = ctx.issue_vec(VecForm::VAdd, 0, 256, 512, 128).unwrap();
+            let (rb, done) = ctx.issue_vec(VecForm::VMul, 1, 257, 513, 128).unwrap();
+            ctx.wait(done).await;
             (ra.timing.duration, rb.timing.duration, ctx.now())
         });
         assert!(sim.run().quiescent);
@@ -1623,5 +1591,37 @@ mod tests {
             12.0
         );
         assert_eq!(node.meters().vec_flops.get(), 4);
+    }
+
+    #[test]
+    fn cp_program_rejects_an_unknown_vector_form() {
+        let mut sim = Sim::new();
+        let node = Node::new(0, NodeCfg::default(), sim.handle());
+        // Descriptor at word 600 names form 9, which no form answers to.
+        for (k, w) in [9, 0, 256, 257].into_iter().enumerate() {
+            node.mem_mut().write_word(600 + k, w).unwrap();
+        }
+        let code = ts_cp::assemble("ldc 600\nldc 4\nvecop\nhalt\n").unwrap();
+        let ctx = node.ctx();
+        let jh = sim.spawn(async move { ctx.run_cp_program(&code, 4096, 300).await });
+        assert!(sim.run().quiescent);
+        assert!(matches!(
+            jh.try_take(),
+            Some(Err(CpRunError::Cp(CpError::IllegalOp { code: 9 })))
+        ));
+        assert_eq!(node.meters().vec_flops.get(), 0);
+    }
+
+    #[test]
+    fn cp_program_at_a_misaligned_base_is_a_bus_error() {
+        let mut sim = Sim::new();
+        let ctx = Node::new(0, NodeCfg::default(), sim.handle()).ctx();
+        let code = ts_cp::assemble("halt\n").unwrap();
+        let jh = sim.spawn(async move { ctx.run_cp_program(&code, 2402, 256).await });
+        assert!(sim.run().quiescent);
+        assert!(matches!(
+            jh.try_take(),
+            Some(Err(CpRunError::Cp(CpError::Bus { addr: 2402 })))
+        ));
     }
 }

@@ -14,7 +14,7 @@
 //!   concurrently on the node and resume when *all* complete (fork–join,
 //!   like Occam's PAR);
 //! * **ALT** — [`NodeCtx::alt_dims`](crate::NodeCtx::alt_dims) over link
-//!   channels, or [`ts_sim::alt`] over soft channels within a node.
+//!   channels, or [`ts_sim::Alt`] over soft channels within a node.
 //!
 //! Soft (intra-node) channels are plain [`ts_sim::Rendezvous`] values; they
 //! synchronize processes on the same node without hardware cost, the way

@@ -10,7 +10,6 @@ use ts_vec::VecForm;
 fn small_node(sim: &Sim) -> Node {
     let cfg = NodeCfg {
         mem: ts_mem::MemCfg::small(16),
-        ..NodeCfg::default()
     };
     Node::new(0, cfg, sim.handle())
 }
@@ -103,7 +102,7 @@ fn random_programs_are_deterministic() {
                             ctx.vec(VecForm::VMul, 0, 4, 5, 64).await.unwrap();
                         }
                         1 => {
-                            pending.push(ctx.vec_async(VecForm::VAdd, 1, 5, 6, 128).unwrap());
+                            pending.push(ctx.issue_vec(VecForm::VAdd, 1, 5, 6, 128).unwrap().1);
                         }
                         2 => {
                             let srcs: Vec<usize> = (0..16).map(|i| 2048 + 4 * i).collect();
@@ -112,8 +111,8 @@ fn random_programs_are_deterministic() {
                         _ => ctx.cp_compute(100).await,
                     }
                 }
-                for p in pending {
-                    p.await;
+                for done in pending {
+                    ctx.wait(done).await;
                 }
             });
             assert!(sim.run().quiescent);
@@ -139,7 +138,6 @@ fn link_payload_integrity() {
             1,
             NodeCfg {
                 mem: ts_mem::MemCfg::small(16),
-                ..NodeCfg::default()
             },
             sim.handle(),
         );

@@ -520,11 +520,6 @@ impl<T> Drop for Alt<T> {
     }
 }
 
-/// One-shot `ALT`: a single [`Alt::recv`] round over `chans`.
-pub async fn alt<T>(chans: &[Rendezvous<T>]) -> (usize, T) {
-    Alt::new(chans.to_vec()).recv().await
-}
-
 /// Future returned by [`Alt::recv`].
 pub struct AltFut<'a, T> {
     alt: &'a mut Alt<T>,
@@ -861,10 +856,7 @@ mod tests {
         let b: Rendezvous<u32> = Rendezvous::new();
         let (a2, b2) = (a.clone(), b.clone());
         let h = sim.handle();
-        let jh = sim.spawn(async move {
-            let set = [a2, b2];
-            alt(&set).await
-        });
+        let jh = sim.spawn(async move { Alt::new(vec![a2, b2]).recv().await });
         sim.spawn(async move {
             h.sleep(Dur::ns(20)).await;
             b.send(42).await;
@@ -891,9 +883,9 @@ mod tests {
         });
         let jh = sim.spawn(async move {
             h.sleep(Dur::ns(10)).await; // let both senders park
-            let set = [a2, b2];
-            let first = alt(&set).await;
-            let second = alt(&set).await; // unblocks the loser too
+            let mut set = Alt::new(vec![a2, b2]);
+            let first = set.recv().await;
+            let second = set.recv().await; // unblocks the loser too
             (first, second)
         });
         let r = sim.run();
@@ -920,8 +912,7 @@ mod tests {
         let h = sim.handle();
         let jh = sim.spawn(async move {
             h.sleep(Dur::ns(1)).await;
-            let set = [a2, b2];
-            alt(&set).await
+            Alt::new(vec![a2, b2]).recv().await
         });
         let r = sim.run();
         assert_eq!(jh.try_take(), Some((0, 10)));
@@ -938,10 +929,7 @@ mod tests {
         let a: Rendezvous<u32> = Rendezvous::new();
         let b: Rendezvous<u32> = Rendezvous::new();
         let (a2, b2) = (a.clone(), b.clone());
-        let jh = sim.spawn(async move {
-            let set = [a2, b2];
-            alt(&set).await
-        });
+        let jh = sim.spawn(async move { Alt::new(vec![a2, b2]).recv().await });
         let h = sim.handle();
         sim.spawn({
             let a = a.clone();

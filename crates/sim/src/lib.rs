@@ -54,7 +54,7 @@ pub mod rng;
 pub mod time;
 pub mod trace;
 
-pub use channel::{alt, select2, Alt, Either, Mailbox, OneShot, Rendezvous};
+pub use channel::{select2, Alt, Either, Mailbox, OneShot, Rendezvous};
 pub use executor::{ExecProfile, JoinHandle, RunReport, Sim, SimHandle};
 pub use metrics::{
     natural_cmp, BusyTime, Counter, Histogram, MetricValue, MetricsRegistry, MetricsScope,

@@ -24,18 +24,14 @@ fn run_rounds(k: usize) -> (String, f64) {
         let rows_a = ctx.mem().cfg().rows_a();
         for _ in 0..3 {
             // Issue k vector forms, gather the next vector meanwhile.
-            let mut pending = Vec::new();
+            let mut done = ctx.now();
             for i in 0..k {
-                pending.push(
-                    ctx.vec_async(VecForm::Saxpy(Sf64::from(1.0)), i % 4, rows_a, rows_a, 128)
-                        .unwrap(),
-                );
+                let form = VecForm::Saxpy(Sf64::from(1.0));
+                done = ctx.issue_vec(form, i % 4, rows_a, rows_a, 128).unwrap().1;
             }
             let srcs: Vec<usize> = (0..128).map(|i| 8192 + 4 * i).collect();
             ctx.gather64(&srcs, 1024).await.unwrap();
-            for p in pending {
-                p.await;
-            }
+            ctx.wait(done).await;
         }
     });
     assert!(machine.run().quiescent);
@@ -60,33 +56,23 @@ fn traced_two_node_run(path: &std::path::Path) {
     let tx = machine.ctx(0);
     machine.launch_on(0, async move {
         for _ in 0..3 {
-            let pending = (0..4)
-                .map(|i| {
-                    tx.vec_async(VecForm::Saxpy(Sf64::from(1.0)), i % 4, rows_a, rows_a, 128)
-                        .unwrap()
-                })
-                .collect::<Vec<_>>();
+            let mut done = tx.now();
+            for i in 0..4 {
+                let form = VecForm::Saxpy(Sf64::from(1.0));
+                done = tx.issue_vec(form, i % 4, rows_a, rows_a, 128).unwrap().1;
+            }
             let srcs: Vec<usize> = (0..64).map(|i| 8192 + 4 * i).collect();
             tx.gather64(&srcs, 1024).await.unwrap();
             tx.send_dim(0, vec![1u32; 256]).await;
-            for p in pending {
-                p.await;
-            }
+            tx.wait(done).await;
         }
     });
     let rx = machine.ctx(1);
     machine.launch_on(1, async move {
         for _ in 0..3 {
             let words = rx.recv_dim(0).await;
-            rx.vec_async(
-                VecForm::Saxpy(Sf64::from(0.5)),
-                0,
-                rows_a,
-                rows_a,
-                words.len(),
-            )
-            .unwrap()
-            .await;
+            let form = VecForm::Saxpy(Sf64::from(0.5));
+            rx.vec(form, 0, rows_a, rows_a, words.len()).await.unwrap();
         }
     });
     assert!(machine.run().quiescent);

@@ -141,25 +141,18 @@ fn overlap_rule_thirteen_ops_hides_gather() {
             let rows_a = ctx.mem().cfg().rows_a();
             for round in 0..8 {
                 // Issue k vector ops on the current vector...
-                let mut pending = Vec::new();
+                let mut done = ctx.now();
                 for i in 0..k {
-                    pending.push(
-                        ctx.vec_async(
-                            ts_vec::VecForm::Saxpy(Sf64::from(1.0)),
-                            (round + i) % 4,
-                            rows_a,
-                            rows_a,
-                            N,
-                        )
-                        .unwrap(),
-                    );
+                    let form = ts_vec::VecForm::Saxpy(Sf64::from(1.0));
+                    done = ctx
+                        .issue_vec(form, (round + i) % 4, rows_a, rows_a, N)
+                        .unwrap()
+                        .1;
                 }
                 // ...while gathering the next one.
                 let srcs: Vec<usize> = (0..N).map(|i| 8192 + 4 * i).collect();
                 ctx.gather64(&srcs, 1024).await.unwrap();
-                for p in pending {
-                    p.await;
-                }
+                ctx.wait(done).await;
             }
             ctx.now()
         });

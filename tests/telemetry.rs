@@ -212,28 +212,28 @@ fn traced_workload() -> Tracer {
     let tx = m.ctx(0);
     m.launch_on(0, async move {
         for round in 0..3u32 {
-            let pending = tx
-                .vec_async(VecForm::Saxpy(Sf64::from(2.0)), 0, rows_a, rows_a, 128)
+            let (_, done) = tx
+                .issue_vec(VecForm::Saxpy(Sf64::from(2.0)), 0, rows_a, rows_a, 128)
                 .unwrap();
             let srcs: Vec<usize> = (0..32).map(|i| 8192 + 4 * i).collect();
             tx.gather64(&srcs, 1024).await.unwrap();
             tx.send_dim(0, vec![round; 64]).await;
-            pending.await;
+            tx.wait(done).await;
         }
     });
     let rx = m.ctx(1);
     m.launch_on(1, async move {
         for _ in 0..3 {
             let words = rx.recv_dim(0).await;
-            rx.vec_async(
+            rx.vec(
                 VecForm::Saxpy(Sf64::from(0.5)),
                 0,
                 rows_a,
                 rows_a,
                 words.len(),
             )
-            .unwrap()
-            .await;
+            .await
+            .unwrap();
         }
     });
     assert!(m.run().quiescent);

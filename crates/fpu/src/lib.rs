@@ -20,6 +20,9 @@
 //!   `add`/`sub`/`mul` take the host's result where it provably carries
 //!   the same bits (normal operands, result clear of the underflow edge)
 //!   and the bit-level datapath everywhere else.
+//! * [`soft::row`] — the same arithmetic a row at a time: one guard pass
+//!   per block of lanes, a native loop, and the element path only for the
+//!   lanes the guard rejects. Every vector form and kernel row uses it.
 //! * [`Sf32`] / [`Sf64`] — ergonomic wrappers with operator overloads.
 //! * [`pipeline`] — occupancy/latency models of the two pipelined units and
 //!   of *chained* vector forms (multiplier output feeding the adder), in
@@ -33,6 +36,7 @@
 //! The crate is dependency-free and panic-free on all inputs.
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod pipeline;
 pub mod soft;

@@ -32,9 +32,12 @@
 //! min-normal that the host rounds *up to* min-normal at subnormal
 //! precision is rounded at full precision here, stays below, and flushes
 //! (`min_normal_boundary`). The equivalence is held by test
-//! (`tests/prop_fpu.rs`), not by this argument.
+//! (`tests/prop_fpu.rs`), not by this argument. [`row`] applies the same
+//! guard to whole rows, one pass per block instead of one per element.
 
 use std::cmp::Ordering;
+
+pub mod row;
 
 /// Compile-time description of a binary interchange format.
 pub trait Format: Copy + Default {

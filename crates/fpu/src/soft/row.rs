@@ -1,0 +1,660 @@
+//! Arithmetic by the row: one guard per row or block, a native loop, and
+//! the element path only for the lanes the guard rejects.
+//!
+//! [`super::add`] and [`super::mul`] guard each element on its own. The row
+//! ops here pay that setup once per block of 16 lanes instead: one
+//! branch-free pass computes every lane's host result together with its
+//! guard, the block is written if every lane is admitted, and otherwise
+//! only the rejected lanes are recomputed by the element path
+//! (`Sf64`/`Sf32` operators → [`super::add`] / [`super::mul`] →
+//! [`super::add_bits`] / [`super::mul_bits`]). The native loop uses plain
+//! `*` and `+`, never a fused multiply-add, so a chained SAXPY keeps its
+//! two roundings.
+//!
+//! Per op the guard is the element path's own: operands normal, result
+//! [`clear`]. A guard may be *narrower* — fewer checks, computed once per
+//! row or block — as long as every lane inside it provably passes the full
+//! guard at every op; then each admitted lane carries the element path's
+//! bits, and row ≡ element path bit for bit by construction. [`gemm`] uses
+//! one such narrowing, a band on its operands (see there).
+
+use std::ops::{Add, Mul, Sub};
+
+use super::{Format, Sf32, Sf64, B32, B64};
+
+/// Lanes a row op classifies and writes at once. A block's inputs stay
+/// intact until it is written, so a rejected lane can be recomputed from
+/// them even when the op runs in place.
+const BLOCK: usize = 16;
+
+/// One lane of a row: a T Series float of one width, with the element
+/// path as its operators and the host's unguarded arithmetic beside it.
+pub trait Lane:
+    Copy + Default + Add<Output = Self> + Sub<Output = Self> + Mul<Output = Self>
+{
+    /// The lane's format.
+    type F: Format;
+    /// Raw bits, zero-extended.
+    fn bits(self) -> u64;
+    /// The lane with the low bits of `bits`.
+    fn of_bits(bits: u64) -> Self;
+    /// The host's `self + o`, unguarded.
+    fn host_add(self, o: Self) -> Self;
+    /// The host's `self − o`, unguarded.
+    fn host_sub(self, o: Self) -> Self;
+    /// The host's `self × o`, unguarded.
+    fn host_mul(self, o: Self) -> Self;
+    /// `|self| ≥ lo`, for `lo` the bits of a positive finite value; false
+    /// for NaN. A host float compare, so the guards built on it vectorise
+    /// with the arithmetic.
+    fn abs_at_least(self, lo: u64) -> bool;
+    /// `|self| ≤ hi`, likewise.
+    fn abs_at_most(self, hi: u64) -> bool;
+}
+
+macro_rules! lane {
+    ($name:ty, $fmt:ty) => {
+        impl Lane for $name {
+            type F = $fmt;
+            #[inline(always)]
+            fn bits(self) -> u64 {
+                self.to_bits() as u64
+            }
+            #[inline(always)]
+            fn of_bits(bits: u64) -> Self {
+                Self::from_bits(bits as _)
+            }
+            #[inline(always)]
+            fn host_add(self, o: Self) -> Self {
+                Self::from_host(self.to_host() + o.to_host())
+            }
+            #[inline(always)]
+            fn host_sub(self, o: Self) -> Self {
+                Self::from_host(self.to_host() - o.to_host())
+            }
+            #[inline(always)]
+            fn host_mul(self, o: Self) -> Self {
+                Self::from_host(self.to_host() * o.to_host())
+            }
+            #[inline(always)]
+            fn abs_at_least(self, lo: u64) -> bool {
+                self.to_host().abs() >= Self::from_bits(lo as _).to_host()
+            }
+            #[inline(always)]
+            fn abs_at_most(self, hi: u64) -> bool {
+                self.to_host().abs() <= Self::from_bits(hi as _).to_host()
+            }
+        }
+    };
+}
+
+lane!(Sf64, B64);
+lane!(Sf32, B32);
+
+/// The largest finite value's bits.
+const fn max_finite<F: Format>() -> u64 {
+    (F::EXP_MAX << F::MANT_BITS) - 1
+}
+
+/// `|x| ≥ min-normal`: not zero, subnormal or NaN. On an operand whose
+/// op's result is checked [`clear`] (or feeds, through further ops, a
+/// result that is) this *is* the guard's "operand normal": an Inf operand
+/// makes every result it reaches Inf or NaN, which `clear` rejects. Every
+/// operand check below is of that kind.
+#[inline(always)]
+pub fn normal_operand<L: Lane>(x: L) -> bool {
+    x.abs_at_least(1 << L::F::MANT_BITS)
+}
+
+/// `|x| ≥ 2·min-normal`: not zero, subnormal, NaN or in the bottom binade.
+/// The lower half of [`clear`], enough for an intermediate result that
+/// feeds a result checked `clear`, by the same argument.
+#[inline(always)]
+pub fn above_bottom<L: Lane>(x: L) -> bool {
+    x.abs_at_least(2 << L::F::MANT_BITS)
+}
+
+/// Normal and above the bottom binade (exponent field in `2..EXP_MAX−1`):
+/// a result the host may give.
+#[inline(always)]
+pub fn clear<L: Lane>(x: L) -> bool {
+    above_bottom(x) & x.abs_at_most(max_finite::<L::F>())
+}
+
+/// Half-width of the band: `H = (BIAS − 2) / 2`, 510 in 64-bit mode and 62
+/// in 32-bit mode.
+const fn band_half<F: Format>() -> u64 {
+    (F::BIAS as u64 - 2) / 2
+}
+
+/// `2^−H ≤ |x| < 2^H` (see [`band_half`]). The product of two values in
+/// the band lies in `[2^−2H, 2^2H]` after rounding, and `BIAS − 2H ≥ 2`
+/// and `BIAS + 2H ≤ EXP_MAX − 1`: it is clear and finite, so a product of
+/// band values always passes the multiply guard.
+#[inline(always)]
+fn in_band<L: Lane>(x: L) -> bool {
+    let h = band_half::<L::F>();
+    let bias = L::F::BIAS as u64;
+    x.abs_at_least((bias - h) << L::F::MANT_BITS)
+        & x.abs_at_most(((bias + h) << L::F::MANT_BITS) - 1)
+}
+
+/// `z[j] = op(z[j], x[j])` for every lane: `host` gives the lane's native
+/// result and whether its guard admits it, `elem` the element path.
+#[inline(always)]
+fn zip_with<L: Lane>(
+    z: &mut [L],
+    x: &[L],
+    host: impl Fn(L, L) -> (L, bool),
+    elem: impl Fn(L, L) -> L,
+) {
+    assert_eq!(z.len(), x.len(), "row length mismatch");
+    let lane = |z: &mut L, x: L| {
+        *z = match host(*z, x) {
+            (r, true) => r,
+            _ => elem(*z, x),
+        }
+    };
+    let mut zs = z.chunks_exact_mut(BLOCK);
+    let mut xs = x.chunks_exact(BLOCK);
+    for (zb, xb) in (&mut zs).zip(&mut xs) {
+        // Whole blocks have a length the compiler knows: the pass unrolls
+        // and vectorises. (A lane mask vectorises the guards more reliably
+        // than a running `bool`.)
+        let zb: &mut [L; BLOCK] = zb.try_into().expect("a whole block");
+        let xb: &[L; BLOCK] = xb.try_into().expect("a whole block");
+        let mut out = [L::default(); BLOCK];
+        let mut rejected = 0u64;
+        for k in 0..BLOCK {
+            let admitted;
+            (out[k], admitted) = host(zb[k], xb[k]);
+            rejected |= u64::from(!admitted) << k;
+        }
+        if rejected == 0 {
+            *zb = out;
+        } else {
+            zb.iter_mut().zip(xb).for_each(|(z, &x)| lane(z, x));
+        }
+    }
+    let tail = zs.into_remainder().iter_mut().zip(xs.remainder());
+    tail.for_each(|(z, &x)| lane(z, x));
+}
+
+/// `a + b` by the host, and whether the element path's guard admits it.
+#[inline(always)]
+fn guarded_add<L: Lane>(a: L, b: L) -> (L, bool) {
+    let r = a.host_add(b);
+    (r, normal_operand(a) & normal_operand(b) & clear(r))
+}
+
+/// `a × b` by the host, and whether the element path's guard admits it.
+#[inline(always)]
+fn guarded_mul<L: Lane>(a: L, b: L) -> (L, bool) {
+    let r = a.host_mul(b);
+    (r, normal_operand(a) & normal_operand(b) & clear(r))
+}
+
+/// `a·x + y` by the host (two roundings), and whether both ops are
+/// admitted. The product feeds the checked sum, so it needs only
+/// [`above_bottom`], and is then a normal operand.
+#[inline(always)]
+fn guarded_saxpy<L: Lane>(a: L, x: L, y: L) -> (L, bool) {
+    let p = a.host_mul(x);
+    let r = p.host_add(y);
+    let operands = normal_operand(a) & normal_operand(x) & normal_operand(y);
+    (r, operands & above_bottom(p) & clear(r))
+}
+
+/// `z[j] += x[j]`.
+pub fn add<L: Lane>(z: &mut [L], x: &[L]) {
+    zip_with(z, x, guarded_add, |z, x| z + x);
+}
+
+/// `z[j] −= x[j]`. Subtraction is addition of the negation, whose
+/// operand is normal exactly when `x[j]` is.
+pub fn sub<L: Lane>(z: &mut [L], x: &[L]) {
+    zip_with(
+        z,
+        x,
+        |z, x| {
+            let r = z.host_sub(x);
+            (r, normal_operand(z) & normal_operand(x) & clear(r))
+        },
+        |z, x| z - x,
+    );
+}
+
+/// `z[j] ×= x[j]`.
+pub fn mul<L: Lane>(z: &mut [L], x: &[L]) {
+    zip_with(z, x, guarded_mul, |z, x| z * x);
+}
+
+/// `y[j] = a·x[j] + y[j]`, the chained SAXPY.
+pub fn saxpy<L: Lane>(a: L, x: &[L], y: &mut [L]) {
+    zip_with(y, x, |y, x| guarded_saxpy(a, x, y), |y, x| a * x + y);
+}
+
+/// `z[j] = s·x[j]`.
+pub fn scale<L: Lane>(s: L, x: &[L], z: &mut [L]) {
+    zip_with(z, x, |_, x| guarded_mul(s, x), |_, x| s * x);
+}
+
+/// `z[j] = s + x[j]`.
+pub fn offset<L: Lane>(s: L, x: &[L], z: &mut [L]) {
+    zip_with(z, x, |_, x| guarded_add(s, x), |_, x| s + x);
+}
+
+/// Feed `vals` through the adder's feedback path in order: the first value
+/// seeds an empty accumulator, every later one is added into it.
+fn feed<L: Lane>(acc: Option<L>, vals: &[L]) -> Option<L> {
+    let (mut acc, rest) = match (acc, vals.split_first()) {
+        (Some(a), _) => (a, vals),
+        (None, Some((&v, rest))) => (v, rest),
+        (None, None) => return None,
+    };
+    for &v in rest {
+        acc = match guarded_add(acc, v) {
+            (r, true) => r,
+            _ => acc + v,
+        };
+    }
+    Some(acc)
+}
+
+/// `Σ x[j]·y[j]` fed into `acc` in order (the vector unit's Dot: the first
+/// product seeds an empty accumulator). The products are a row op; the
+/// sum is a feedback loop and guards each step.
+pub fn dot<L: Lane>(mut acc: Option<L>, x: &[L], y: &[L]) -> Option<L> {
+    assert_eq!(x.len(), y.len(), "row length mismatch");
+    for (xb, yb) in x.chunks(BLOCK).zip(y.chunks(BLOCK)) {
+        let mut p = [L::default(); BLOCK];
+        let p = &mut p[..xb.len()];
+        p.copy_from_slice(xb);
+        mul(p, yb);
+        acc = feed(acc, p);
+    }
+    acc
+}
+
+/// `Σ x[j]` fed into `acc` in order (the vector unit's Sum).
+pub fn sum<L: Lane>(acc: Option<L>, x: &[L]) -> Option<L> {
+    feed(acc, x)
+}
+
+/// `c += a·b` on `n × n` row-major blocks, as the `n²` SAXPYs
+/// `C[i,:] += A[i,k]·B[k,:]` in `(i, k)` order: every element of `C` sees
+/// the same sequence of roundings as under `n²` calls of [`saxpy`].
+///
+/// The blocks are classified once. When every |a| and |b| lies in the
+/// band `[2^−H, 2^H)`, `H = (BIAS − 2)/2`, every product is normal, clear
+/// and finite, so a lane's guard narrows to "accumulator normal, result
+/// clear"; otherwise each row takes [`saxpy`]'s full guard.
+pub fn gemm<L: Lane>(n: usize, a: &[L], b: &[L], c: &mut [L]) {
+    assert!(a.len() == n * n && b.len() == n * n && c.len() == n * n);
+    if n == 0 {
+        return;
+    }
+    let banded = a.iter().chain(b).fold(true, |ok, &v| ok & in_band(v));
+    for (ai, ci) in a.chunks_exact(n).zip(c.chunks_exact_mut(n)) {
+        for (&aik, bk) in ai.iter().zip(b.chunks_exact(n)) {
+            if banded {
+                zip_with(
+                    ci,
+                    bk,
+                    |c, b| {
+                        let r = aik.host_mul(b).host_add(c);
+                        (r, normal_operand(c) & clear(r))
+                    },
+                    |c, b| aik * b + c,
+                );
+            } else {
+                saxpy(aik, bk, ci);
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ts_sim::Rng;
+
+    /// `2^−H` and `2^H`, the band's edges.
+    fn band_edges<F: Format>() -> (u64, u64) {
+        let h = band_half::<F>();
+        (
+            (F::BIAS as u64 - h) << F::MANT_BITS,
+            (F::BIAS as u64 + h) << F::MANT_BITS,
+        )
+    }
+
+    /// Values the guards reject or sit next to, both signs: zeros,
+    /// subnormals, the bottom binade and one ulp either side of each edge a
+    /// guard uses (normal, clear, finite, the band).
+    fn planted<F: Format>() -> Vec<u64> {
+        let mn = 1u64 << F::MANT_BITS;
+        let inf = F::EXP_MAX << F::MANT_BITS;
+        let (lo, hi) = band_edges::<F>();
+        let pos = [
+            0,
+            1,
+            mn - 1,
+            mn,
+            mn + 1,
+            2 * mn - 1,
+            2 * mn,
+            inf - 1,
+            inf,
+            F::QNAN,
+            inf | 1,
+            lo - 1,
+            lo,
+            hi - 1,
+            hi,
+        ];
+        pos.iter().flat_map(|&b| [b, b | F::SIGN_BIT]).collect()
+    }
+
+    /// A normal within a few binades of one: admitted by every guard, and
+    /// sums and products of neighbours stay so.
+    fn ordinary<F: Format>(rng: &mut Rng) -> u64 {
+        let exp = (F::BIAS as u64 - 4 + rng.below(8)) << F::MANT_BITS;
+        (rng.next_u64() & (F::SIGN_BIT | F::MANT_MASK)) | exp
+    }
+
+    fn bits<L: Lane>(v: &[L]) -> Vec<u64> {
+        v.iter().map(|l| l.bits()).collect()
+    }
+
+    /// Every row op on `(x, y)` with scalar `s` against the element path,
+    /// lane by lane and bit for bit.
+    fn row_ops_match_the_element_path<L: Lane>(x: &[L], y: &[L], s: L) {
+        let each = |f: &dyn Fn(L, L) -> L| -> Vec<u64> {
+            x.iter().zip(y).map(|(&x, &y)| f(x, y).bits()).collect()
+        };
+        let ctx = || format!("x {:x?}\ny {:x?}\ns {:#x}", bits(x), bits(y), s.bits());
+        let in_place = |op: fn(&mut [L], &[L]), init: &[L], other: &[L]| {
+            let mut z = init.to_vec();
+            op(&mut z, other);
+            bits(&z)
+        };
+        assert_eq!(in_place(add, x, y), each(&|x, y| x + y), "add {}", ctx());
+        assert_eq!(in_place(sub, x, y), each(&|x, y| x - y), "sub {}", ctx());
+        assert_eq!(in_place(mul, x, y), each(&|x, y| x * y), "mul {}", ctx());
+        let mut z = y.to_vec();
+        saxpy(s, x, &mut z);
+        assert_eq!(bits(&z), each(&|x, y| s * x + y), "saxpy {}", ctx());
+        scale(s, x, &mut z);
+        assert_eq!(bits(&z), each(&|x, _| s * x), "scale {}", ctx());
+        offset(s, x, &mut z);
+        assert_eq!(bits(&z), each(&|x, _| s + x), "offset {}", ctx());
+        let products = || x.iter().zip(y).map(|(&x, &y)| x * y);
+        let want = products().reduce(|a, p| a + p).map(Lane::bits);
+        assert_eq!(dot(None, x, y).map(Lane::bits), want, "dot {}", ctx());
+        let want = products().fold(s, |a, p| a + p).bits();
+        assert_eq!(
+            dot(Some(s), x, y).map(Lane::bits),
+            Some(want),
+            "dot+s {}",
+            ctx()
+        );
+        let want = x.iter().copied().reduce(|a, v| a + v).map(Lane::bits);
+        assert_eq!(sum(None, x).map(Lane::bits), want, "sum {}", ctx());
+    }
+
+    /// Rows of every length up to `max`, each with one planted lane at
+    /// every position — in `x` on odd `len + pos`, in `y` on even — the
+    /// planted values taken in turn.
+    fn planted_rows<L: Lane>(max: usize, seed: u64) {
+        let mut rng = Rng::new(seed);
+        let plant = planted::<L::F>();
+        let mut turn = 0;
+        for len in 1..=max {
+            let mut x: Vec<L> = (0..len)
+                .map(|_| L::of_bits(ordinary::<L::F>(&mut rng)))
+                .collect();
+            let mut y: Vec<L> = (0..len)
+                .map(|_| L::of_bits(ordinary::<L::F>(&mut rng)))
+                .collect();
+            let s = L::of_bits(ordinary::<L::F>(&mut rng));
+            for pos in 0..len {
+                let row = if (len + pos) % 2 == 1 { &mut x } else { &mut y };
+                let keep = row[pos];
+                row[pos] = L::of_bits(plant[turn % plant.len()]);
+                turn += 1;
+                row_ops_match_the_element_path(&x, &y, s);
+                let row = if (len + pos) % 2 == 1 { &mut x } else { &mut y };
+                row[pos] = keep;
+            }
+        }
+        // An out-of-guard scalar rejects every lane of a scalar form.
+        for (i, &p) in plant.iter().enumerate() {
+            let len = 1 + i % BLOCK + BLOCK;
+            let x: Vec<L> = (0..len)
+                .map(|_| L::of_bits(ordinary::<L::F>(&mut rng)))
+                .collect();
+            let y: Vec<L> = (0..len)
+                .map(|_| L::of_bits(ordinary::<L::F>(&mut rng)))
+                .collect();
+            row_ops_match_the_element_path(&x, &y, L::of_bits(p));
+        }
+    }
+
+    #[test]
+    fn row_ops_equal_the_element_path_with_a_lane_planted_everywhere_64() {
+        planted_rows::<Sf64>(128, 0x70_0064);
+    }
+
+    #[test]
+    fn row_ops_equal_the_element_path_with_a_lane_planted_everywhere_32() {
+        planted_rows::<Sf32>(256, 0x70_0032);
+    }
+
+    /// Two values whose sum or difference cancels: `v` clear of the bottom
+    /// binade and `v` one ulp off, of either sign, cancel below
+    /// min-normal; `+Inf` and `±Inf` cancel to NaN. Only a result check can
+    /// reject such a lane.
+    fn cancelling<F: Format>(i: usize) -> (u64, [u64; 3]) {
+        let inf = F::EXP_MAX << F::MANT_BITS;
+        if i % 4 == 3 {
+            return (inf, [inf, inf ^ F::SIGN_BIT, inf ^ F::SIGN_BIT]);
+        }
+        let v = [
+            2 << F::MANT_BITS,
+            (2 << F::MANT_BITS) + 1,
+            3 << F::MANT_BITS,
+        ][i % 4];
+        (v, [v ^ 1, v ^ 1 ^ F::SIGN_BIT, (v + 1) ^ F::SIGN_BIT])
+    }
+
+    #[test]
+    fn row_ops_reject_lanes_that_cancel_below_min_normal() {
+        fn rows<L: Lane>(seed: u64) {
+            let mut rng = Rng::new(seed);
+            for len in 1..=2 * BLOCK + 1 {
+                for pos in 0..len {
+                    let mut row = || -> Vec<L> {
+                        (0..len)
+                            .map(|_| L::of_bits(ordinary::<L::F>(&mut rng)))
+                            .collect()
+                    };
+                    let (mut x, mut y) = (row(), row());
+                    let (v, partners) = cancelling::<L::F>(len + pos);
+                    x[pos] = L::of_bits(v);
+                    for w in partners {
+                        y[pos] = L::of_bits(w);
+                        row_ops_match_the_element_path(&x, &y, L::of_bits(w));
+                    }
+                }
+            }
+        }
+        rows::<Sf64>(0x7c_0064);
+        rows::<Sf32>(0x7c_0032);
+    }
+
+    /// Operands and products near the floor — `x` in the lowest binades,
+    /// or a scalar of 4·min-normal against ordinary `x` — where a subnormal
+    /// or zero planted beside them is no longer negligible; and a scalar
+    /// near the top, whose host product with a planted subnormal is normal.
+    #[test]
+    fn row_ops_with_products_near_the_floor() {
+        fn rows<L: Lane>(seed: u64) {
+            let mut rng = Rng::new(seed);
+            let plant = planted::<L::F>();
+            let s = L::of_bits(3 << L::F::MANT_BITS);
+            let top = L::of_bits((2 * L::F::BIAS as u64 - 2) << L::F::MANT_BITS);
+            let floor = |rng: &mut Rng| {
+                let exp = (1 + rng.below(8)) << L::F::MANT_BITS;
+                L::of_bits((rng.next_u64() & (L::F::SIGN_BIT | L::F::MANT_MASK)) | exp)
+            };
+            for len in 1..=2 * BLOCK + 1 {
+                for pos in 0..len {
+                    let x: Vec<L> = (0..len)
+                        .map(|_| L::of_bits(ordinary::<L::F>(&mut rng)))
+                        .collect();
+                    let low: Vec<L> = (0..len).map(|_| floor(&mut rng)).collect();
+                    let mut y = low.clone();
+                    for &p in &plant {
+                        y[pos] = L::of_bits(p);
+                        row_ops_match_the_element_path(&x, &y, s);
+                        row_ops_match_the_element_path(&y, &x, s);
+                        row_ops_match_the_element_path(&y, &low, top);
+                        row_ops_match_the_element_path(&low, &y, s);
+                    }
+                }
+            }
+        }
+        rows::<Sf64>(0x7f_0064);
+        rows::<Sf32>(0x7f_0032);
+    }
+
+    /// The pairs whose host product rounds up to min-normal while the
+    /// datapath flushes it: in a product lane and as SAXPY/scale scalar.
+    #[test]
+    fn row_ops_flush_the_min_normal_pairs() {
+        fn pair<L: Lane>(a: u64, b: u64) {
+            assert!(clear(L::of_bits(a)) && clear(L::of_bits(b)));
+            for len in 1..=2 * BLOCK + 1 {
+                for pos in 0..len {
+                    let mut x = vec![L::of_bits(a); len];
+                    let mut y = vec![L::of_bits(b); len];
+                    x[pos] = L::of_bits(b);
+                    y[pos] = L::of_bits(a);
+                    row_ops_match_the_element_path(&x, &y, L::of_bits(a));
+                    let mut z = x.clone();
+                    mul(&mut z, &y);
+                    assert_eq!(z[pos].bits(), 0, "flushed");
+                }
+            }
+        }
+        pair::<Sf64>(0x2006b7f3c9e9c616, 0x1ff68960fa2abe6d);
+        pair::<Sf32>(0x20216642, 0x1fcb0634);
+    }
+
+    #[test]
+    fn band_edges_are_one_ulp_apart() {
+        fn edges<L: Lane>() {
+            let (lo, hi) = band_edges::<L::F>();
+            let sign = L::F::SIGN_BIT;
+            assert!(in_band(L::of_bits(lo)) && !in_band(L::of_bits(lo - 1)));
+            assert!(in_band(L::of_bits(hi - 1)) && !in_band(L::of_bits(hi)));
+            assert!(in_band(L::of_bits(lo | sign)) && !in_band(L::of_bits(hi | sign)));
+            // The extreme band products are clear and finite.
+            for (x, y) in [(lo, lo), (hi - 1, hi - 1), (lo | sign, hi - 1)] {
+                assert!(
+                    clear(L::of_bits(x).host_mul(L::of_bits(y))),
+                    "{x:#x} × {y:#x}"
+                );
+            }
+        }
+        edges::<Sf64>();
+        edges::<Sf32>();
+    }
+
+    /// [`gemm`] against `n²` element-path SAXPYs in `(i, k)` order.
+    fn gemm_matches_saxpys<L: Lane>(n: usize, a: &[L], b: &[L], c: &[L]) {
+        let mut want = c.to_vec();
+        for i in 0..n {
+            for k in 0..n {
+                for j in 0..n {
+                    want[i * n + j] = a[i * n + k] * b[k * n + j] + want[i * n + j];
+                }
+            }
+        }
+        let mut got = c.to_vec();
+        gemm(n, a, b, &mut got);
+        assert_eq!(bits(&got), bits(&want), "n {n}");
+    }
+
+    /// One value planted in A, in B and in C at every position of blocks up
+    /// to 9 × 9 (the band's edges among them, so the block path flips), and
+    /// accumulators aimed at the bottom binade under the narrowed guard.
+    fn planted_blocks<L: Lane>(seed: u64) {
+        let mut rng = Rng::new(seed);
+        let plant = planted::<L::F>();
+        let mut turn = 0;
+        for n in 1..=9 {
+            let mut m: [Vec<L>; 3] = std::array::from_fn(|_| {
+                (0..n * n)
+                    .map(|_| L::of_bits(ordinary::<L::F>(&mut rng)))
+                    .collect()
+            });
+            for which in 0..3 {
+                for pos in 0..n * n {
+                    let keep = m[which][pos];
+                    m[which][pos] = L::of_bits(plant[turn % plant.len()]);
+                    turn += 1;
+                    gemm_matches_saxpys(n, &m[0], &m[1], &m[2]);
+                    m[which][pos] = keep;
+                }
+            }
+        }
+        // In band, with products near the band's floor: each C[i,j] is the
+        // negated first product it receives plus min-normal ½, 1, 2 or 4
+        // times (the first sum cancels under, into or just above the bottom
+        // binade), or a subnormal the datapath reads as zero and the host
+        // does not.
+        let (lo, _) = band_edges::<L::F>();
+        let mn = 1u64 << L::F::MANT_BITS;
+        for n in [1, 3, BLOCK + 1] {
+            let a: Vec<L> = (0..n * n).map(|i| L::of_bits(lo + i as u64)).collect();
+            let b: Vec<L> = (0..n * n).map(|i| L::of_bits(lo + 3 * i as u64)).collect();
+            let c: Vec<L> = (0..n * n)
+                .map(|ij| {
+                    let first = a[ij / n * n] * b[ij % n];
+                    let above = [mn >> 1, mn, mn << 1, mn << 2][ij % 4];
+                    let near =
+                        L::of_bits(first.bits() ^ L::F::SIGN_BIT).host_add(L::of_bits(above));
+                    match ij % 5 {
+                        3 => L::of_bits(mn - 1),
+                        4 => L::of_bits((mn / 2) | L::F::SIGN_BIT),
+                        _ => near,
+                    }
+                })
+                .collect();
+            gemm_matches_saxpys(n, &a, &b, &c);
+        }
+        // Out of band: products the datapath flushes and the host does not
+        // (the min-normal pair; the largest subnormal times 2) beside an
+        // accumulator of 4·min-normal. Only the band check sends these
+        // blocks to the full guard.
+        let pair = if L::F::MANT_BITS == 52 {
+            (0x2006b7f3c9e9c616, 0x1ff68960fa2abe6d)
+        } else {
+            (0x20216642, 0x1fcb0634)
+        };
+        let two = (L::F::BIAS as u64 + 1) << L::F::MANT_BITS;
+        for (x, y) in [pair, (mn - 1, two), (two, mn - 1)] {
+            for n in [1, 2, BLOCK + 1] {
+                let block = |v: u64| vec![L::of_bits(v); n * n];
+                gemm_matches_saxpys(n, &block(x), &block(y), &block(3 << L::F::MANT_BITS));
+            }
+        }
+    }
+
+    #[test]
+    fn row_gemm_equals_saxpys_with_a_value_planted_in_a_b_and_c() {
+        planted_blocks::<Sf64>(0x6e_0064);
+        planted_blocks::<Sf32>(0x6e_0032);
+    }
+}

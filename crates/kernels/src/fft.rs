@@ -27,6 +27,7 @@ use std::rc::Rc;
 
 use t_series_core::model::NetModel;
 use ts_cube::Hypercube;
+use ts_fpu::soft::row::{above_bottom, clear, normal_operand, Lane};
 use ts_fpu::Sf64;
 use ts_mem::ROW_WORDS;
 use ts_node::{occam, NodeCtx};
@@ -91,6 +92,70 @@ impl std::ops::Mul for Cpx {
     }
 }
 
+impl Cpx {
+    /// `self + o` by the host, and whether the element path's guard admits
+    /// both of its ops (operands normal, results clear).
+    #[inline(always)]
+    fn host_add(self, o: Cpx) -> (Cpx, bool) {
+        let r = Cpx {
+            re: self.re.host_add(o.re),
+            im: self.im.host_add(o.im),
+        };
+        (r, self.operands(o) & clear(r.re) & clear(r.im))
+    }
+
+    /// `(self − o)·w` by the host, and whether the guard admits all eight of
+    /// its ops. The differences and products feed the two checked results,
+    /// so each needs only the lower half of `clear`.
+    #[inline(always)]
+    fn host_diff_mul(self, o: Cpx, w: Cpx) -> (Cpx, bool) {
+        let (dr, di) = (self.re.host_sub(o.re), self.im.host_sub(o.im));
+        let (rr, ii) = (dr.host_mul(w.re), di.host_mul(w.im));
+        let (ri, ir) = (dr.host_mul(w.im), di.host_mul(w.re));
+        let r = Cpx {
+            re: rr.host_sub(ii),
+            im: ri.host_add(ir),
+        };
+        let twiddle = normal_operand(w.re) & normal_operand(w.im);
+        let steps = [dr, di, rr, ii, ri, ir]
+            .into_iter()
+            .fold(true, |ok, s| ok & above_bottom(s));
+        (
+            r,
+            self.operands(o) & twiddle & steps & clear(r.re) & clear(r.im),
+        )
+    }
+
+    /// Both parts of both operands normal (see [`normal_operand`]).
+    #[inline(always)]
+    fn operands(self, o: Cpx) -> bool {
+        normal_operand(self.re)
+            & normal_operand(self.im)
+            & normal_operand(o.re)
+            & normal_operand(o.im)
+    }
+}
+
+/// `a + b`: the host's, unless the guard rejects the lane.
+#[inline(always)]
+fn sum(a: Cpx, b: Cpx) -> Cpx {
+    match a.host_add(b) {
+        (r, true) => r,
+        _ => a + b,
+    }
+}
+
+/// `(a − b)·w`: the host's, unless the guard rejects the lane. The k = 0
+/// twiddle `1 − 0i` has a zero part, so its lane of every group is
+/// rejected — alone: the rest of the row keeps the host path.
+#[inline(always)]
+fn twiddled(a: Cpx, b: Cpx, w: Cpx) -> Cpx {
+    match a.host_diff_mul(b, w) {
+        (r, true) => r,
+        _ => (a - b) * w,
+    }
+}
+
 /// Twiddle factor e^(−iπ·k/span) (the host computes them, the node stores
 /// `Sf64`s).
 fn twiddle(k: usize, span: usize) -> Cpx {
@@ -112,14 +177,11 @@ impl Twiddles {
         Twiddles((0..top).map(|k| twiddle(k, top)).collect())
     }
 
-    /// `twiddle(k, span)`.
-    fn at(&self, k: usize, span: usize) -> Cpx {
-        self.0[k * (self.0.len() / span)]
-    }
-
-    /// The factors `twiddle(0..span, span)` of one local stage.
-    fn stage(&self, span: usize) -> impl Iterator<Item = Cpx> + '_ {
-        self.0.iter().step_by(self.0.len() / span).copied()
+    /// The factors `twiddle(k0..span, span)`, in order: one strided run of
+    /// the table.
+    fn run(&self, k0: usize, span: usize) -> impl Iterator<Item = Cpx> + '_ {
+        let stride = self.0.len() / span;
+        self.0[k0 * stride..].iter().step_by(stride).copied()
     }
 }
 
@@ -175,8 +237,10 @@ async fn cross_stage(
     let bit = span / nl;
     let pdim = bit.trailing_zeros() as usize;
     let low_side = me & bit == 0;
-    // Twiddle index: the low global index mod span.
-    let mut g_low = (me & !bit) * nl;
+    // Twiddle index: the low global index mod span. This node's low indices
+    // are consecutive from a multiple of `nl` and, as `nl ≤ span`, never
+    // wrap: the stage reads one strided run of the table, starting here.
+    let mut twiddles = table.run((me & (bit - 1)) * nl, span);
     // The partner's wire buffer carries my next piece out: no allocation
     // in steady state.
     let mut wire = Vec::new();
@@ -192,12 +256,12 @@ async fn cross_stage(
             async move { rx.recv_dim(pdim).await },
         )
         .await;
-        for (mine, theirs) in piece.iter_mut().zip(unpack(&words)) {
-            if low_side {
-                *mine = *mine + theirs;
-            } else {
-                *mine = (theirs - *mine) * table.at(g_low % span, span);
-                g_low += 1;
+        let pairs = piece.iter_mut().zip(unpack(&words));
+        if low_side {
+            pairs.for_each(|(mine, theirs)| *mine = sum(*mine, theirs));
+        } else {
+            for ((mine, theirs), w) in pairs.zip(&mut twiddles) {
+                *mine = twiddled(theirs, *mine, w);
             }
         }
         wire = words;
@@ -269,10 +333,10 @@ pub async fn fft_node(
     while span >= 1 {
         for group in local.chunks_exact_mut(2 * span) {
             let (lows, highs) = group.split_at_mut(span);
-            for ((lo, hi), w) in lows.iter_mut().zip(highs).zip(table.stage(span)) {
+            for ((lo, hi), w) in lows.iter_mut().zip(highs).zip(table.run(0, span)) {
                 let (a, b) = (*lo, *hi);
-                *lo = a + b;
-                *hi = (a - b) * w;
+                *lo = sum(a, b);
+                *hi = twiddled(a, b, w);
             }
         }
         done = ctx.issue_vec_flops(FLOPS_PER_BUTTERFLY * (nl as u64 / 2));
@@ -431,13 +495,144 @@ mod tests {
             let table = Twiddles::new(total);
             let mut span = total / 2;
             while span >= 1 {
-                let got: Vec<_> = table.stage(span).map(bits).collect();
+                let got: Vec<_> = table.run(0, span).map(bits).collect();
                 let want: Vec<_> = (0..span).map(|k| bits(twiddle(k, span))).collect();
                 assert_eq!(got, want, "total {total}, span {span}");
-                let at: Vec<_> = (0..span).map(|k| bits(table.at(k, span))).collect();
+                let at: Vec<_> = (0..span)
+                    .map(|k| bits(table.run(k, span).next().unwrap()))
+                    .collect();
                 assert_eq!(at, want, "total {total}, span {span} (indexed)");
                 span /= 2;
             }
+        }
+    }
+
+    #[test]
+    fn butterfly_row_equals_the_element_path_with_a_part_planted_everywhere() {
+        // Groups of every span of a 512-point table: the k = 0 twiddle
+        // 1 − 0i leads each, and on span 1 it is the only one. One awkward
+        // part is planted at every position of the lows and the highs.
+        let planted: [u64; 12] = [
+            0,
+            1 << 63,
+            1,
+            0x000f_ffff_ffff_ffff,
+            0x0010_0000_0000_0000,
+            0x001f_ffff_ffff_ffff,
+            0x0020_0000_0000_0000,
+            0x7fef_ffff_ffff_ffff,
+            0x7ff0_0000_0000_0000,
+            0xfff0_0000_0000_0000,
+            0x7ff8_0000_0000_0000,
+            0x2006_b7f3_c9e9_c616,
+        ];
+        let bits = |c: Cpx| (c.re.to_bits(), c.im.to_bits());
+        let table = Twiddles::new(512);
+        let mut st = 0xFF7u64;
+        let mut turn = 0;
+        let mut span = 256;
+        while span >= 1 {
+            let ws: Vec<Cpx> = table.run(0, span).collect();
+            for pos in 0..4 * span {
+                let mut g: Vec<Cpx> = (0..2 * span)
+                    .map(|_| Cpx::new(rand_f64(&mut st), rand_f64(&mut st)))
+                    .collect();
+                let part = &mut g[pos / 2];
+                let p = Sf64::from_bits(planted[turn % planted.len()]);
+                turn += 1;
+                if pos % 2 == 0 {
+                    part.re = p;
+                } else {
+                    part.im = p;
+                }
+                let (lows, highs) = g.split_at(span);
+                for ((&a, &b), &w) in lows.iter().zip(highs).zip(&ws) {
+                    let ctx = || format!("span {span}, pos {pos}: {a:?} {b:?} {w:?}");
+                    assert_eq!(bits(sum(a, b)), bits(a + b), "{}", ctx());
+                    assert_eq!(bits(twiddled(a, b, w)), bits((a - b) * w), "{}", ctx());
+                    assert_eq!(bits(twiddled(b, a, w)), bits((b - a) * w), "{}", ctx());
+                }
+            }
+            span /= 2;
+        }
+        // Parts clear of the bottom binade whose sum or difference cancels
+        // below min-normal: only the checks on the results reject these.
+        let mn2 = 0x0020_0000_0000_0000u64;
+        for (v, w) in [(mn2, mn2 + 1), (mn2, (mn2 + 1) | 1 << 63)] {
+            for (k, &tw) in table.run(0, 8).collect::<Vec<_>>().iter().enumerate() {
+                let other = Sf64::from(rand_f64(&mut st));
+                let (v, w) = (Sf64::from_bits(v), Sf64::from_bits(w));
+                let (a, b) = if k % 2 == 0 {
+                    (Cpx { re: v, im: other }, Cpx { re: w, im: other })
+                } else {
+                    (Cpx { re: other, im: v }, Cpx { re: other, im: w })
+                };
+                assert_eq!(bits(sum(a, b)), bits(a + b), "{a:?} + {b:?}");
+                assert_eq!(bits(twiddled(a, b, tw)), bits((a - b) * tw), "{a:?} {b:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn butterfly_row_equals_the_element_path_on_parts_of_every_magnitude() {
+        // Seeded parts of any exponent — weighted to both ends of the range
+        // and to the specials — twiddles no table holds, and partners a few
+        // ulps off so that sums and differences cancel: each check of the
+        // butterfly's guard is the only one to reject some of these lanes.
+        let mut rng = ts_sim::Rng::new(0xB7F);
+        let part = |rng: &mut ts_sim::Rng| -> Sf64 {
+            let exp = match rng.below(6) {
+                0 => rng.below(48),
+                1 => 2047 - rng.below(48),
+                2 => [0, 1, 2, 2046, 2047][rng.range(0, 5)],
+                _ => 1023 - 48 + rng.below(96),
+            };
+            Sf64::from_bits((rng.next_u64() & (1 << 63 | ((1 << 52) - 1))) | exp << 52)
+        };
+        let bits = |c: Cpx| (c.re.to_bits(), c.im.to_bits());
+        // Clear products that cancel below min-normal in the twiddled
+        // result's real or imaginary part (x and x one ulp up, times u).
+        let (x, x1) = (2f64.powi(-990), 2f64.powi(-990) * (1.0 + f64::EPSILON));
+        let u = 2f64.powi(-10);
+        for (a, w) in [
+            (Cpx::new(1.0 + u, 1.0 - u), Cpx::new(x, x1)),
+            (Cpx::new(1.0 + u, 1.0 + u), Cpx::new(x1, x)),
+        ] {
+            let b = Cpx::new(1.0, 1.0);
+            assert_eq!(bits(twiddled(a, b, w)), bits((a - b) * w), "{a:?} {w:?}");
+        }
+        // A product the host rounds up to min-normal and the datapath
+        // flushes (`soft`'s min-normal pair), inside a lane whose every
+        // other step and both results are clear: only the product's own
+        // check rejects it.
+        let (pa, pb) = (0x2006_b7f3_c9e9_c616u64, 0x1ff6_8960_fa2a_be6d);
+        let (a, b, w) = (
+            Cpx::new(2.0 * f64::from_bits(pa), 2f64.powi(-506)),
+            Cpx::new(f64::from_bits(pa), 2f64.powi(-507)),
+            Cpx::new(f64::from_bits(pb), -4.0 * f64::from_bits(pb)),
+        );
+        assert_eq!(
+            bits(twiddled(a, b, w)),
+            bits((a - b) * w),
+            "{a:?} {b:?} {w:?}"
+        );
+        for _ in 0..200_000 {
+            let mut c = || Cpx {
+                re: part(&mut rng),
+                im: part(&mut rng),
+            };
+            let (a, mut b, w) = (c(), c(), c());
+            if rng.bool() {
+                let sign = rng.below(2) << 63;
+                b.re = Sf64::from_bits(a.re.to_bits().wrapping_add(rng.below(4)));
+                b.im = Sf64::from_bits((a.im.to_bits() ^ sign).wrapping_add(rng.below(4)));
+            }
+            assert_eq!(bits(sum(a, b)), bits(a + b), "{a:?} + {b:?}");
+            assert_eq!(
+                bits(twiddled(a, b, w)),
+                bits((a - b) * w),
+                "{a:?} {b:?} {w:?}"
+            );
         }
     }
 

@@ -39,6 +39,7 @@
 //! tabulated.
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod cg;
 pub mod fft;

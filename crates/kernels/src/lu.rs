@@ -169,7 +169,10 @@ pub async fn lu_node(ctx: NodeCtx, cube: Hypercube, n: usize) -> Vec<usize> {
             let aik = ctx.mem().read_f64(row * ROW_WORDS + 2 * k).unwrap();
             // Multiplier f = a[i][k] · (1 / pivot).
             let f = aik * pivot_recip;
-            ctx.charge_vec_flops(1).await;
+            // The multiplier's flop and the SAXPY are two vector forms with
+            // no other unit between them: a chain. The SAXPY queues behind
+            // the flop, so awaiting the SAXPY awaits both.
+            let _ = ctx.issue_vec_flops(1);
             // A[i, k+1..] −= f · pivot_row  (full-row chained SAXPY).
             ctx.vec(VecForm::Saxpy(-f), layout.pivot_row, row, row, n)
                 .await

@@ -107,21 +107,13 @@ async fn mover(
 }
 
 /// Local GEMM: `c += a · b` on b×b row-major blocks, as b² chained SAXPY
-/// vector forms (`C[i,:] += A[i,k] · B[k,:]`). The forms are issued back to
-/// back and the GEMM sleeps to the last one's completion interrupt: it is
-/// the node's only user of the vector unit and touches no other unit in
-/// between, so no instant inside the chain is observable (see
-/// [`NodeCtx::issue_vec`]).
+/// vector forms (`C[i,:] += A[i,k] · B[k,:]`) in one block form. The forms
+/// are issued back to back and the GEMM sleeps to the last one's
+/// completion interrupt: it is the node's only user of the vector unit and
+/// touches no other unit in between, so no instant inside the chain is
+/// observable (see [`NodeCtx::issue_vec`]).
 async fn local_gemm(ctx: &NodeCtx, bsize: usize, a: &[Sf64], b: &[Sf64], c: &mut [Sf64]) {
-    let mut done = ctx.now();
-    for i in 0..bsize {
-        for k in 0..bsize {
-            let aik = a[i * bsize + k];
-            let brow = &b[k * bsize..(k + 1) * bsize];
-            let crow = &mut c[i * bsize..(i + 1) * bsize];
-            done = ctx.issue_saxpy_values(aik, brow, crow);
-        }
-    }
+    let done = ctx.issue_gemm_values(bsize, a, b, c);
     ctx.wait(done).await;
 }
 

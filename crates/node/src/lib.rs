@@ -37,6 +37,7 @@
 //! language the paper describes.
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod occam;
 
@@ -45,6 +46,7 @@ use std::rc::Rc;
 
 use ts_cp::{Cp, CpBus, CpError, CpEvent, StepOutcome};
 use ts_fpu::pipeline::Precision;
+use ts_fpu::soft::row;
 use ts_fpu::Sf64;
 use ts_link::{LinkChannel, LinkError};
 use ts_mem::{
@@ -877,25 +879,18 @@ impl NodeCtx {
     #[must_use = "an issued form completes only once its instant is waited for"]
     pub fn issue_combine_values(&self, op: CombineOp, acc: &mut [Sf64], other: &[Sf64]) -> Time {
         assert_eq!(acc.len(), other.len(), "combine_values length mismatch");
-        for (a, &b) in acc.iter_mut().zip(other) {
-            *a = match op {
-                CombineOp::Add => *a + b,
-                CombineOp::Mul => *a * b,
-                CombineOp::Max => {
-                    if matches!(a.compare(b), Some(std::cmp::Ordering::Less)) {
-                        b
-                    } else {
-                        *a
+        match op {
+            CombineOp::Add => row::add(acc, other),
+            CombineOp::Mul => row::mul(acc, other),
+            CombineOp::Max | CombineOp::Min => {
+                use std::cmp::Ordering::{Greater, Less};
+                let replace_when = if op == CombineOp::Max { Less } else { Greater };
+                for (a, &b) in acc.iter_mut().zip(other) {
+                    if a.compare(b) == Some(replace_when) {
+                        *a = b;
                     }
                 }
-                CombineOp::Min => {
-                    if matches!(a.compare(b), Some(std::cmp::Ordering::Greater)) {
-                        b
-                    } else {
-                        *a
-                    }
-                }
-            };
+            }
         }
         self.issue_form(VecForm::VAdd, acc.len(), None)
     }
@@ -911,14 +906,30 @@ impl NodeCtx {
     #[must_use = "an issued form completes only once its instant is waited for"]
     pub fn issue_saxpy_values(&self, a: Sf64, x: &[Sf64], y: &mut [Sf64]) -> Time {
         assert_eq!(x.len(), y.len(), "saxpy_values length mismatch");
-        for (yi, &xi) in y.iter_mut().zip(x) {
-            *yi = a * xi + *yi;
-        }
+        row::saxpy(a, x, y);
         self.issue_form(VecForm::Saxpy(a), x.len(), None)
     }
 
+    /// Local GEMM on message-buffer values: `c += a·b` on `n × n`
+    /// row-major blocks, as the `n²` chained SAXPY forms
+    /// `C[i,:] += A[i,k]·B[k,:]` issued back to back in `(i, k)` order —
+    /// the same values, meters, spans and completion instant as `n²` calls
+    /// of [`NodeCtx::issue_saxpy_values`], for one classification of the
+    /// blocks ([`row::gemm`]). Returns the last form's instant.
+    #[must_use = "an issued form completes only once its instant is waited for"]
+    pub fn issue_gemm_values(&self, n: usize, a: &[Sf64], b: &[Sf64], c: &mut [Sf64]) -> Time {
+        row::gemm(n, a, b, c);
+        let timing = VecUnit::timing(VecForm::Saxpy(Sf64::ZERO), n, 1, Precision::Double);
+        let mut done = self.now();
+        for _ in 0..n * n {
+            done = self.occupy_vec(timing, n);
+        }
+        done
+    }
+
     /// Dot product on message-buffer values (2 flops per element, plus the
-    /// reduction's feedback drain).
+    /// reduction's feedback drain). Seeded like [`VecForm::Dot`]: the first
+    /// product starts the sum, and an empty product is `+0`.
     pub async fn dot_values(&self, x: &[Sf64], y: &[Sf64]) -> Sf64 {
         let (dot, done) = self.issue_dot_values(x, y);
         self.wait(done).await;
@@ -929,11 +940,8 @@ impl NodeCtx {
     #[must_use = "an issued form completes only once its instant is waited for"]
     pub fn issue_dot_values(&self, x: &[Sf64], y: &[Sf64]) -> (Sf64, Time) {
         assert_eq!(x.len(), y.len(), "dot_values length mismatch");
-        let mut acc = Sf64::ZERO;
-        for (&xi, &yi) in x.iter().zip(y) {
-            acc = acc + xi * yi;
-        }
-        (acc, self.issue_form(VecForm::Dot, x.len(), None))
+        let dot = row::dot(None, x, y).unwrap_or(Sf64::ZERO);
+        (dot, self.issue_form(VecForm::Dot, x.len(), None))
     }
 
     /// Charge the vector unit for `flops` floating-point operations issued
@@ -1390,6 +1398,175 @@ mod tests {
             assert_eq!(took[0], took[1], "combine_values(Add) vs VAdd, n = {n}");
             assert_eq!(took[2], took[3], "saxpy_values vs Saxpy, n = {n}");
             assert_eq!(took[4], took[5], "dot_values vs Dot, n = {n}");
+        }
+    }
+
+    /// Values no guard admits, or next to an edge one uses.
+    const PLANTED: [u64; 12] = [
+        0,
+        1 << 63,               // −0
+        1,                     // smallest subnormal
+        0x000f_ffff_ffff_ffff, // largest subnormal
+        0x0010_0000_0000_0000, // min-normal
+        0x001f_ffff_ffff_ffff, // top of the bottom binade
+        0x7ff0_0000_0000_0000, // +Inf
+        0xfff0_0000_0000_0000, // −Inf
+        0x7ff8_0000_0000_0000, // NaN
+        0x2006_b7f3_c9e9_c616, // × the next: the host rounds up to
+        0x1ff6_8960_fa2a_be6d, // min-normal, the datapath flushes
+        0x200f_ffff_ffff_ffff, // one ulp under the GEMM band
+    ];
+
+    fn bits(v: &[Sf64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn value_forms_equal_the_element_path_and_the_memory_forms_row_for_row() {
+        let mut sim = Sim::new();
+        let ctx = Node::new(0, NodeCfg::default(), sim.handle()).ctx();
+        let jh = sim.spawn(async move {
+            let mut rng = ts_sim::Rng::new(0x7a1);
+            let mut turn = 0;
+            for len in 1..=128usize {
+                let mut x: Vec<Sf64> = (0..len).map(|_| Sf64::from(rng.f64() - 0.5)).collect();
+                let mut y: Vec<Sf64> = (0..len).map(|_| Sf64::from(rng.f64() + 0.5)).collect();
+                let a = Sf64::from(rng.f64() * 4.0 - 2.0);
+                for pos in 0..len {
+                    let v = if (len + pos) % 2 == 1 { &mut x } else { &mut y };
+                    let keep = std::mem::replace(&mut v[pos], Sf64::from_bits(PLANTED[turn % 12]));
+                    turn += 1;
+                    {
+                        let mut mem = ctx.mem_mut();
+                        for (j, (&xj, &yj)) in x.iter().zip(&y).enumerate() {
+                            mem.write_f64(2 * j, xj).unwrap();
+                            mem.write_f64(256 * ROW_WORDS + 2 * j, yj).unwrap();
+                        }
+                    }
+                    let row_of = |ctx: &NodeCtx| {
+                        let mem = ctx.mem();
+                        (0..len)
+                            .map(|j| mem.read_f64(300 * ROW_WORDS + 2 * j).unwrap().to_bits())
+                            .collect::<Vec<_>>()
+                    };
+                    let each = |f: &dyn Fn(Sf64, Sf64) -> Sf64| -> Vec<u64> {
+                        x.iter().zip(&y).map(|(&x, &y)| f(x, y).to_bits()).collect()
+                    };
+                    let what = format!("len {len}, pos {pos}");
+                    for (op, form, f) in [
+                        (
+                            CombineOp::Add,
+                            VecForm::VAdd,
+                            &(|x, y| x + y) as &dyn Fn(_, _) -> _,
+                        ),
+                        (CombineOp::Mul, VecForm::VMul, &|x, y| x * y),
+                    ] {
+                        let mut acc = x.clone();
+                        ctx.combine_values(op, &mut acc, &y).await;
+                        ctx.vec(form, 0, 256, 300, len).await.unwrap();
+                        assert_eq!(bits(&acc), each(f), "{op:?} {what}");
+                        assert_eq!(row_of(&ctx), each(f), "{form:?} {what}");
+                    }
+                    let mut z = y.clone();
+                    ctx.saxpy_values(a, &x, &mut z).await;
+                    ctx.vec(VecForm::Saxpy(a), 0, 256, 300, len).await.unwrap();
+                    assert_eq!(bits(&z), each(&|x, y| a * x + y), "saxpy {what}");
+                    assert_eq!(row_of(&ctx), each(&|x, y| a * x + y), "Saxpy {what}");
+                    let want = x.iter().zip(&y).map(|(&x, &y)| x * y).reduce(|s, p| s + p);
+                    let dot = ctx.dot_values(&x, &y).await;
+                    let form = ctx.vec(VecForm::Dot, 0, 256, 300, len).await.unwrap();
+                    assert_eq!(Some(dot.to_bits()), want.map(Sf64::to_bits), "dot {what}");
+                    assert_eq!(form.scalar, want.map(Sf64::to_bits), "Dot {what}");
+                    let v = if (len + pos) % 2 == 1 { &mut x } else { &mut y };
+                    v[pos] = keep;
+                }
+            }
+        });
+        sim.run();
+        jh.try_take().expect("the oracle ran to the end");
+    }
+
+    #[test]
+    fn dot_seeding_is_the_same_for_value_and_memory_forms() {
+        // The first product seeds the sum: −1 · 0 = −0 stays −0, where
+        // seeding with +0 would give +0 + −0 = +0.
+        let mut sim = Sim::new();
+        let ctx = Node::new(0, NodeCfg::default(), sim.handle()).ctx();
+        let jh = sim.spawn(async move {
+            let (x, y) = ([Sf64::from(-1.0)], [Sf64::from(0.0)]);
+            ctx.mem_mut().write_f64(0, x[0]).unwrap();
+            ctx.mem_mut().write_f64(256 * ROW_WORDS, y[0]).unwrap();
+            let value = ctx.dot_values(&x, &y).await.to_bits();
+            let memory = ctx.vec(VecForm::Dot, 0, 256, 300, 1).await.unwrap();
+            let empty = ctx.dot_values(&[], &[]).await.to_bits();
+            (value, memory.scalar, empty)
+        });
+        sim.run();
+        let neg_zero = (-0.0f64).to_bits();
+        assert_eq!(jh.try_take().unwrap(), (neg_zero, Some(neg_zero), 0));
+    }
+
+    #[test]
+    fn gemm_block_form_equals_its_saxpys_in_values_meters_and_instants() {
+        /// Run one node's GEMM of `c += a·b`, as the block form or as `n²`
+        /// SAXPY value forms; its C, completion instant and vector meters.
+        fn run(
+            n: usize,
+            a: &[Sf64],
+            b: &[Sf64],
+            c: &[Sf64],
+            block: bool,
+        ) -> impl PartialEq + std::fmt::Debug {
+            let mut sim = Sim::new();
+            let node = Node::new(0, NodeCfg::default(), sim.handle());
+            let ctx = node.ctx();
+            let (a, b, mut c) = (a.to_vec(), b.to_vec(), c.to_vec());
+            let jh = sim.spawn(async move {
+                ctx.cp_compute(3).await; // start off the zero instant
+                let done = if block {
+                    ctx.issue_gemm_values(n, &a, &b, &mut c)
+                } else {
+                    let mut done = ctx.now();
+                    for i in 0..n {
+                        for k in 0..n {
+                            let row = &mut c[i * n..(i + 1) * n];
+                            done =
+                                ctx.issue_saxpy_values(a[i * n + k], &b[k * n..(k + 1) * n], row);
+                        }
+                    }
+                    done
+                };
+                ctx.wait(done).await;
+                (bits(&c), done, ctx.now())
+            });
+            sim.run();
+            let m = node.meters();
+            let meters = (m.vec_flops.get(), m.vec_busy.get(), m.vec_len.total());
+            (jh.try_take().unwrap(), meters)
+        }
+        let mut rng = ts_sim::Rng::new(0x6e);
+        for n in [1usize, 2, 5, 16, 17] {
+            let mut m: [Vec<Sf64>; 3] = std::array::from_fn(|_| {
+                (0..n * n)
+                    .map(|_| Sf64::from(rng.f64() * 2.0 - 1.0))
+                    .collect()
+            });
+            assert_eq!(
+                run(n, &m[0], &m[1], &m[2], true),
+                run(n, &m[0], &m[1], &m[2], false),
+                "n {n}"
+            );
+            for (which, &p) in PLANTED.iter().enumerate() {
+                let pos = rng.below((n * n) as u64) as usize;
+                let keep = std::mem::replace(&mut m[which % 3][pos], Sf64::from_bits(p));
+                assert_eq!(
+                    run(n, &m[0], &m[1], &m[2], true),
+                    run(n, &m[0], &m[1], &m[2], false),
+                    "n {n}, {p:#x} planted in {} at {pos}",
+                    ["A", "B", "C"][which % 3]
+                );
+                m[which % 3][pos] = keep;
+            }
         }
     }
 

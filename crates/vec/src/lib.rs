@@ -29,10 +29,12 @@
 //! rather than a memory row.
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 use ts_fpu::pipeline::{Pipeline, Precision};
+use ts_fpu::soft::row::{self, Lane};
 use ts_fpu::soft::{self, Format, B32, B64};
-use ts_fpu::Sf64;
+use ts_fpu::{Sf32, Sf64};
 use ts_mem::{Bank, MemError, NodeMemory, ROW_TIME, ROW_WORDS};
 use ts_sim::Dur;
 
@@ -205,6 +207,13 @@ impl VecUnit {
     /// Vectors start at the given *rows* and may span consecutive rows
     /// (`n` may exceed 128). For two-operand forms the initiation interval
     /// is decided by the banks of the two operand base rows.
+    ///
+    /// Result rows are stored whole from one result register. On a form
+    /// whose last row is partial, the elements of that row past `n` are
+    /// therefore overwritten: with zeros on a one-row form, and with the
+    /// previous row's results at the same positions on a multi-row form.
+    /// Element values go through [`ts_fpu::soft::row`]: bit for bit the
+    /// element-by-element `ts_fpu::soft` arithmetic.
     pub fn exec64(
         &self,
         mem: &mut NodeMemory,
@@ -376,86 +385,70 @@ impl VecUnit {
 trait Elem: Format {
     /// Elements per 1024-byte row.
     const PER_ROW: usize;
-    fn get(reg: &VectorReg, j: usize) -> u64;
-    fn set(reg: &mut VectorReg, j: usize, bits: u64);
+    /// The element as a row lane.
+    type Lane: Lane;
+    /// Read the first `out.len()` elements of `reg`.
+    fn read(reg: &VectorReg, out: &mut [Self::Lane]);
+    /// Write `vals` over the first `vals.len()` elements of `reg`; the rest
+    /// of the register keeps what it held.
+    fn write(reg: &mut VectorReg, vals: &[Self::Lane]);
     /// A form's 64-bit scalar operand as the unit holds it at this precision.
-    fn scalar(s: Sf64) -> u64;
+    fn scalar(s: Sf64) -> Self::Lane;
 }
 
 impl Elem for B64 {
     const PER_ROW: usize = Precision::Double.elems_per_row();
+    type Lane = Sf64;
     #[inline]
-    fn get(reg: &VectorReg, j: usize) -> u64 {
-        reg.get64(j)
+    fn read(reg: &VectorReg, out: &mut [Sf64]) {
+        for (o, w) in out.iter_mut().zip(reg.words.chunks_exact(2)) {
+            *o = Sf64::from_bits(w[0] as u64 | ((w[1] as u64) << 32));
+        }
     }
     #[inline]
-    fn set(reg: &mut VectorReg, j: usize, bits: u64) {
-        reg.set64(j, bits)
+    fn write(reg: &mut VectorReg, vals: &[Sf64]) {
+        for (w, v) in reg.words.chunks_exact_mut(2).zip(vals) {
+            let bits = v.to_bits();
+            w[0] = bits as u32;
+            w[1] = (bits >> 32) as u32;
+        }
     }
     #[inline]
-    fn scalar(s: Sf64) -> u64 {
-        s.to_bits()
+    fn scalar(s: Sf64) -> Sf64 {
+        s
     }
 }
 
 impl Elem for B32 {
     const PER_ROW: usize = Precision::Single.elems_per_row();
+    type Lane = Sf32;
     #[inline]
-    fn get(reg: &VectorReg, j: usize) -> u64 {
-        reg.get32(j) as u64
+    fn read(reg: &VectorReg, out: &mut [Sf32]) {
+        for (o, &w) in out.iter_mut().zip(&reg.words) {
+            *o = Sf32::from_bits(w);
+        }
     }
     #[inline]
-    fn set(reg: &mut VectorReg, j: usize, bits: u64) {
-        reg.set32(j, bits as u32)
+    fn write(reg: &mut VectorReg, vals: &[Sf32]) {
+        for (w, v) in reg.words.iter_mut().zip(vals) {
+            *w = v.to_bits();
+        }
     }
     #[inline]
-    fn scalar(s: Sf64) -> u64 {
-        soft::f64_to_f32(s.to_bits())
+    fn scalar(s: Sf64) -> Sf32 {
+        s.to_sf32()
     }
-}
-
-/// `z[j] = f(x[j], y[j])` over the first `cnt` elements.
-#[inline]
-fn map2<F: Elem>(
-    xr: &VectorReg,
-    yr: &VectorReg,
-    zr: &mut VectorReg,
-    cnt: usize,
-    f: impl Fn(u64, u64) -> u64,
-) {
-    for j in 0..cnt {
-        F::set(zr, j, f(F::get(xr, j), F::get(yr, j)));
-    }
-}
-
-/// `z[j] = f(x[j])` over the first `cnt` elements.
-#[inline]
-fn map1<F: Elem>(xr: &VectorReg, zr: &mut VectorReg, cnt: usize, f: impl Fn(u64) -> u64) {
-    for j in 0..cnt {
-        F::set(zr, j, f(F::get(xr, j)));
-    }
-}
-
-/// Feed `vals` through the feedback path: the first value seeds the
-/// accumulator, every later one is combined into it.
-#[inline]
-fn feed(
-    acc: Option<u64>,
-    vals: impl Iterator<Item = u64>,
-    f: impl Fn(u64, u64) -> u64,
-) -> Option<u64> {
-    vals.fold(acc, |acc, v| {
-        Some(match acc {
-            None => v,
-            Some(a) => f(a, v),
-        })
-    })
 }
 
 /// Compute the real values of `form`, row by row like the stream would:
-/// the form is decoded once per row and each arm is one loop over the
-/// row's elements. Returns the scalar and index results, if the form has
-/// them.
+/// the form is decoded once per row and each arm is one row op of
+/// [`ts_fpu::soft::row`] (or, for the comparison forms, one loop). Returns
+/// the scalar and index results, if the form has them.
+///
+/// The result register is written lane `0..cnt` per row and stored
+/// whole, so past a partial last row it still holds what the form's
+/// previous row left there, or zeros on a one-row form (see
+/// [`VecUnit::exec64`]).
 fn stream<F: Elem>(
     mem: &mut NodeMemory,
     form: VecForm,
@@ -468,66 +461,63 @@ fn stream<F: Elem>(
     let mut xr = VectorReg::new();
     let mut yr = VectorReg::new();
     let mut zr = VectorReg::new();
+    let mut lanes = [[F::Lane::default(); ROW_WORDS]; 3];
     // Reduction accumulators.
-    let mut acc: Option<u64> = None;
+    let mut acc: Option<F::Lane> = None;
     let mut best_idx = 0usize;
+    let cmp = |a: F::Lane, b: F::Lane| soft::cmp::<F>(a.bits(), b.bits());
 
     for r in 0..n.div_ceil(F::PER_ROW) {
         let lo = r * F::PER_ROW;
         let cnt = F::PER_ROW.min(n - lo);
+        let [x, y, z] = lanes.each_mut().map(|l| &mut l[..cnt]);
         xr.load(mem, x_row + r)?;
+        F::read(&xr, x);
         if form.two_operands() {
             yr.load(mem, y_row + r)?;
+            F::read(&yr, y);
         }
-        let xs = || (0..cnt).map(|j| F::get(&xr, j));
         match form {
-            VecForm::VAdd => map2::<F>(&xr, &yr, &mut zr, cnt, soft::add::<F>),
-            VecForm::VSub => map2::<F>(&xr, &yr, &mut zr, cnt, soft::sub::<F>),
-            VecForm::VMul => map2::<F>(&xr, &yr, &mut zr, cnt, soft::mul::<F>),
+            VecForm::VAdd => {
+                z.copy_from_slice(x);
+                row::add(z, y);
+            }
+            VecForm::VSub => {
+                z.copy_from_slice(x);
+                row::sub(z, y);
+            }
+            VecForm::VMul => {
+                z.copy_from_slice(x);
+                row::mul(z, y);
+            }
             VecForm::Saxpy(a) => {
-                let a = F::scalar(a);
-                map2::<F>(&xr, &yr, &mut zr, cnt, |x, y| {
-                    soft::add::<F>(soft::mul::<F>(a, x), y)
-                });
+                z.copy_from_slice(y);
+                row::saxpy(F::scalar(a), x, z);
             }
-            VecForm::VSMul(s) => {
-                let s = F::scalar(s);
-                map1::<F>(&xr, &mut zr, cnt, |x| soft::mul::<F>(s, x));
-            }
-            VecForm::VSAdd(s) => {
-                let s = F::scalar(s);
-                map1::<F>(&xr, &mut zr, cnt, |x| soft::add::<F>(s, x));
-            }
-            VecForm::Dot => {
-                let products = xs().zip((0..cnt).map(|j| F::get(&yr, j)));
-                acc = feed(
-                    acc,
-                    products.map(|(x, y)| soft::mul::<F>(x, y)),
-                    soft::add::<F>,
-                );
-            }
-            VecForm::Sum => acc = feed(acc, xs(), soft::add::<F>),
+            VecForm::VSMul(s) => row::scale(F::scalar(s), x, z),
+            VecForm::VSAdd(s) => row::offset(F::scalar(s), x, z),
+            VecForm::Dot => acc = row::dot(acc, x, y),
+            VecForm::Sum => acc = row::sum(acc, x),
             VecForm::Max | VecForm::Min => {
                 let want = if form == VecForm::Max { Greater } else { Less };
-                acc = feed(acc, xs(), |a, x| {
-                    if soft::cmp::<F>(x, a) == Some(want) {
-                        x
-                    } else {
-                        a
+                for &v in x.iter() {
+                    if acc.is_none_or(|a| cmp(v, a) == Some(want)) {
+                        acc = Some(v);
                     }
-                });
+                }
             }
             VecForm::AbsMax => {
-                for (j, x) in xs().enumerate() {
-                    let ax = soft::abs::<F>(x);
-                    if acc.is_none_or(|a| soft::cmp::<F>(ax, a) == Some(Greater)) {
-                        acc = Some(ax);
+                for (j, &v) in x.iter().enumerate() {
+                    let av = F::Lane::of_bits(soft::abs::<F>(v.bits()));
+                    if acc.is_none_or(|a| cmp(av, a) == Some(Greater)) {
+                        acc = Some(av);
                         best_idx = lo + j;
                     }
                 }
             }
         }
         if form.writes_vector() {
+            F::write(&mut zr, z);
             zr.store(mem, z_row + r)?;
         }
     }
@@ -536,7 +526,7 @@ fn stream<F: Elem>(
         (None, None)
     } else {
         (
-            acc.or(Some(0)),
+            Some(acc.map_or(0, Lane::bits)),
             matches!(form, VecForm::AbsMax).then_some(best_idx),
         )
     })
@@ -859,10 +849,10 @@ mod tests {
                 .collect(),
             VecForm::VMul => pairs().map(|(x, y)| mul::<F>(x, y)).collect(),
             VecForm::Saxpy(a) => pairs()
-                .map(|(x, y)| add::<F>(mul::<F>(F::scalar(a), x), y))
+                .map(|(x, y)| add::<F>(mul::<F>(F::scalar(a).bits(), x), y))
                 .collect(),
-            VecForm::VSMul(s) => xs().map(|x| mul::<F>(F::scalar(s), x)).collect(),
-            VecForm::VSAdd(s) => xs().map(|x| add::<F>(F::scalar(s), x)).collect(),
+            VecForm::VSMul(s) => xs().map(|x| mul::<F>(F::scalar(s).bits(), x)).collect(),
+            VecForm::VSAdd(s) => xs().map(|x| add::<F>(F::scalar(s).bits(), x)).collect(),
             _ => Vec::new(),
         };
         let mut index = None;
@@ -886,15 +876,13 @@ mod tests {
         (z, scalar, index)
     }
 
-    fn all_forms_match_the_bit_level_core<F: Elem>(prec: Precision, seed: u64) {
-        let mut rng = ts_sim::Rng::new(seed);
-        let s = Sf64::from_bits(awkward::<B64>(&mut rng, 2));
-        let forms = [
+    /// Every form the unit has, with scalar `s` where the form takes one.
+    fn forms(s: Sf64) -> [VecForm; 11] {
+        [
             VecForm::VAdd,
             VecForm::VSub,
             VecForm::VMul,
             VecForm::Saxpy(s),
-            VecForm::Saxpy(Sf64::from_bits(1)), // a subnormal scalar
             VecForm::VSMul(s),
             VecForm::VSAdd(s),
             VecForm::Dot,
@@ -902,44 +890,129 @@ mod tests {
             VecForm::Max,
             VecForm::Min,
             VecForm::AbsMax,
-        ];
+        ]
+    }
+
+    /// Store `vals` from `row` on, `PER_ROW` elements a row.
+    fn put<F: Elem>(mem: &mut NodeMemory, row: usize, vals: &[u64]) {
+        let mut reg = VectorReg::new();
+        for (r, chunk) in vals.chunks(F::PER_ROW).enumerate() {
+            let lanes: Vec<F::Lane> = chunk.iter().map(|&b| F::Lane::of_bits(b)).collect();
+            F::write(&mut reg, &lanes);
+            reg.store(mem, row + r).unwrap();
+        }
+    }
+
+    /// The memory rows a form with results `z` leaves behind: the result
+    /// register is written lanes `0..cnt` a row and stored whole, so a
+    /// partial last row keeps the previous row's tail — zeros on a one-row
+    /// form.
+    fn rows_left<F: Elem>(z: &[u64]) -> Vec<[u32; ROW_WORDS]> {
+        let mut reg = VectorReg::new();
+        z.chunks(F::PER_ROW)
+            .map(|chunk| {
+                let lanes: Vec<F::Lane> = chunk.iter().map(|&b| F::Lane::of_bits(b)).collect();
+                F::write(&mut reg, &lanes);
+                reg.words
+            })
+            .collect()
+    }
+
+    /// Run `form` on `x`, `y` (already in memory at the setup rows) and
+    /// check the scalar, the index and every result row whole, tail
+    /// included, against [`reference`].
+    fn check_form<F: Elem>(mem: &mut NodeMemory, form: VecForm, x: &[u64], y: &[u64]) {
+        let prec = if F::PER_ROW == 128 {
+            Precision::Double
+        } else {
+            Precision::Single
+        };
+        let (_, xr, yr, zr) = setup(0);
+        let got = VecUnit::new()
+            .exec(mem, form, xr, yr, zr, x.len(), prec)
+            .unwrap();
+        let (want_z, scalar, index) = reference::<F>(form, x, y);
+        let ctx = || format!("{form:?} {prec:?} n {}\nx {x:x?}\ny {y:x?}", x.len());
+        assert_eq!((got.scalar, got.index), (scalar, index), "{}", ctx());
+        let mut row = [0u32; ROW_WORDS];
+        for (r, want) in rows_left::<F>(&want_z).iter().enumerate() {
+            mem.read_row(zr + r, &mut row).unwrap();
+            assert_eq!(&row, want, "row {r} of {}", ctx());
+        }
+    }
+
+    fn all_forms_match_the_bit_level_core<F: Elem>(seed: u64) {
+        let mut rng = ts_sim::Rng::new(seed);
+        let s = Sf64::from_bits(awkward::<B64>(&mut rng, 2));
         // Two full rows and a partial third.
         let n = 2 * F::PER_ROW + 37;
-        let (mut mem, xr, yr, zr) = setup(n);
+        let (mut mem, xr, yr, _) = setup(n);
         let x: Vec<u64> = (0..n).map(|i| awkward::<F>(&mut rng, i)).collect();
         let y: Vec<u64> = (0..n).map(|i| awkward::<F>(&mut rng, i + 1)).collect();
-        let mut put = VectorReg::new();
-        for (row, vals) in [(xr, &x), (yr, &y)] {
-            for (r, chunk) in vals.chunks(F::PER_ROW).enumerate() {
-                for (j, &v) in chunk.iter().enumerate() {
-                    F::set(&mut put, j, v);
-                }
-                put.store(&mut mem, row + r).unwrap();
-            }
-        }
-        let unit = VecUnit::new();
-        for form in forms {
-            let got = unit.exec(&mut mem, form, xr, yr, zr, n, prec).unwrap();
-            let (want_z, scalar, index) = reference::<F>(form, &x, &y);
-            assert_eq!(
-                (got.scalar, got.index),
-                (scalar, index),
-                "{form:?} {prec:?}"
-            );
-            let mut back = VectorReg::new();
-            for (i, &w) in want_z.iter().enumerate() {
-                if i % F::PER_ROW == 0 {
-                    back.load(&mem, zr + i / F::PER_ROW).unwrap();
-                }
-                assert_eq!(F::get(&back, i % F::PER_ROW), w, "{form:?} {prec:?} [{i}]");
-            }
+        put::<F>(&mut mem, xr, &x);
+        put::<F>(&mut mem, yr, &y);
+        let subnormal = Sf64::from_bits(1);
+        for form in forms(s).into_iter().chain(forms(subnormal)) {
+            check_form::<F>(&mut mem, form, &x, &y);
         }
     }
 
     #[test]
     fn all_forms_match_the_bit_level_core_in_both_precisions() {
-        all_forms_match_the_bit_level_core::<B64>(Precision::Double, 0x7ec0_0001);
-        all_forms_match_the_bit_level_core::<B32>(Precision::Single, 0x7ec0_0002);
+        all_forms_match_the_bit_level_core::<B64>(0x7ec0_0001);
+        all_forms_match_the_bit_level_core::<B32>(0x7ec0_0002);
+    }
+
+    /// One-row forms of every length, with one awkward lane planted at
+    /// every position (in `x` on odd `len + pos`, in `y` on even): each
+    /// row's native block path must give way to the element path for
+    /// exactly that lane.
+    fn row_path_with_a_lane_planted_everywhere<F: Elem>(seed: u64) {
+        let mut rng = ts_sim::Rng::new(seed);
+        let (mut mem, xr, yr, _) = setup(F::PER_ROW);
+        let mut turn = 0;
+        for len in 1..=F::PER_ROW {
+            let mut x: Vec<u64> = (0..len).map(|_| awkward::<F>(&mut rng, 2)).collect();
+            let mut y: Vec<u64> = (0..len).map(|_| awkward::<F>(&mut rng, 2)).collect();
+            let s = Sf64::from_bits(awkward::<B64>(&mut rng, 2));
+            for pos in 0..len {
+                let v = if (len + pos) % 2 == 1 { &mut x } else { &mut y };
+                let keep = std::mem::replace(&mut v[pos], awkward::<F>(&mut rng, 0));
+                put::<F>(&mut mem, xr, &x);
+                put::<F>(&mut mem, yr, &y);
+                check_form::<F>(&mut mem, forms(s)[turn % 11], &x, &y);
+                turn += 1;
+                let v = if (len + pos) % 2 == 1 { &mut x } else { &mut y };
+                v[pos] = keep;
+            }
+        }
+    }
+
+    #[test]
+    fn row_path_equals_the_bit_level_core_with_a_lane_planted_everywhere() {
+        row_path_with_a_lane_planted_everywhere::<B64>(0x7ec0_0003);
+        row_path_with_a_lane_planted_everywhere::<B32>(0x7ec0_0004);
+    }
+
+    /// The partial-row tail, pinned: a one-row form stores zeros past `n`,
+    /// a multi-row form the previous row's results.
+    #[test]
+    fn partial_row_tail_holds_zeros_or_the_previous_rows_results() {
+        let (mut mem, x, y, z) = setup(0);
+        fill64(&mut mem, x, &[1.0; 128]);
+        fill64(&mut mem, x + 1, &[2.0; 128]);
+        fill64(&mut mem, y, &[10.0; 128]);
+        fill64(&mut mem, y + 1, &[20.0; 128]);
+        fill64(&mut mem, z, &[-5.0; 128]);
+        let u = VecUnit::new();
+        u.exec64(&mut mem, VecForm::VAdd, x, y, z, 3).unwrap();
+        let mut want = vec![11.0; 3];
+        want.resize(128, 0.0);
+        assert_eq!(read64(&mem, z, 128), want, "one row: zeros past n");
+        u.exec64(&mut mem, VecForm::VAdd, x, y, z, 128 + 3).unwrap();
+        let mut want = vec![22.0; 3];
+        want.resize(128, 11.0);
+        assert_eq!(read64(&mem, z + 1, 128), want, "second row: row 0's tail");
     }
 
     #[test]

@@ -48,17 +48,6 @@ impl SharedBusMachine {
     pub fn achieved_mflops(&self) -> f64 {
         self.processors as f64 * self.peak_mflops_per_proc * self.efficiency()
     }
-
-    /// M/M/1-style queueing delay multiplier on memory latency:
-    /// `1 / (1 − ρ)` for ρ < 1, unbounded (`f64::INFINITY`) at saturation.
-    pub fn latency_multiplier(&self) -> f64 {
-        let rho = self.offered_load();
-        if rho >= 1.0 {
-            f64::INFINITY
-        } else {
-            1.0 / (1.0 - rho)
-        }
-    }
 }
 
 /// Interconnect cost counts.
@@ -79,11 +68,6 @@ impl CrossbarCost {
         let n = self.p.trailing_zeros() as u64;
         debug_assert!(self.p.is_power_of_two());
         self.p * n / 2
-    }
-
-    /// Hardware ratio crossbar/hypercube — the "rapid growth" factor.
-    pub fn cost_ratio(&self) -> f64 {
-        self.crossbar_switches() as f64 / self.hypercube_links() as f64
     }
 }
 
@@ -124,17 +108,6 @@ mod tests {
     }
 
     #[test]
-    fn latency_blows_up_at_saturation() {
-        let light = SharedBusMachine {
-            demand_bytes_per_s: 1.0e6,
-            ..bus(8)
-        };
-        assert!(light.latency_multiplier() < 1.1);
-        let heavy = bus(8);
-        assert!(heavy.latency_multiplier().is_infinite());
-    }
-
-    #[test]
     fn crossbar_grows_quadratically() {
         let small = CrossbarCost { p: 16 };
         let big = CrossbarCost { p: 4096 };
@@ -142,7 +115,5 @@ mod tests {
         assert_eq!(small.hypercube_links(), 32);
         assert_eq!(big.crossbar_switches(), 16_777_216);
         assert_eq!(big.hypercube_links(), 24_576);
-        // The gap widens from 8× to nearly 700× at the paper's maximum size.
-        assert!(big.cost_ratio() / small.cost_ratio() > 80.0);
     }
 }

@@ -10,8 +10,11 @@
 //! * **dimension exchange** for symmetric operations — all-reduce,
 //!   all-gather and barriers exchange across dimension 0, 1, …, n−1 in
 //!   turn, with both directions of each bidirectional link in flight at
-//!   once (an Occam `PAR` of send and receive — sequential sends would
-//!   rendezvous-deadlock, which the tests verify does not happen).
+//!   once: every step is one [`NodeCtx::exchange`] (or
+//!   [`NodeCtx::exchange_f64s`]), the node's single Occam `PAR` of a send
+//!   and a receive — sequential sends would rendezvous-deadlock, which the
+//!   tests verify does not happen. The send borrows the node's running
+//!   values, so a step copies nothing before it puts them on the wire.
 //!
 //! All functions are SPMD: every node of the cube must call them in the
 //! same order, passing its own [`NodeCtx`].
@@ -52,12 +55,12 @@ impl std::error::Error for DeadlineExpired {}
 /// instead of blocking forever. Books `collective/retries` /
 /// `collective/deadline_expired` under `ctx`'s node scope.
 ///
-/// Caveat: operations that *spawn* helper tasks (the dimension-exchange
-/// collectives run their send/recv pair under an Occam `PAR`) leave those
-/// helpers parked after a timeout — they hold no resources and are swept
-/// away when the supervisor reboots the machine, but they keep the run
-/// from reporting quiescent. Rooted collectives (broadcast/reduce) and
-/// plain sends cancel cleanly.
+/// Caveat: operations that *spawn* helper tasks ([`broadcast_striped`]
+/// runs its stripes under a replicated `PAR`, [`occam::par_all`]) leave
+/// those helpers parked after a timeout — they hold no resources and are
+/// swept away when the supervisor reboots the machine, but they keep the
+/// run from reporting quiescent. The rooted trees, the dimension exchanges
+/// (joined in place) and plain sends cancel cleanly.
 pub async fn with_deadline<F, Fut, T>(
     ctx: &NodeCtx,
     dur: Dur,
@@ -226,20 +229,7 @@ pub async fn allreduce(
     let t0 = ctx.now();
     let mut acc = mine;
     for d in 0..cube.dim() as usize {
-        let h = ctx.handle().clone();
-        let send_ctx = ctx.clone();
-        let mut out = ts_node::take_values(acc.len());
-        out.extend_from_slice(&acc);
-        let recv_ctx = ctx.clone();
-        let (_, theirs) = occam::par2(
-            &h,
-            async move {
-                send_ctx.send_f64s(d, &out).await;
-                ts_node::recycle_values(out);
-            },
-            async move { recv_ctx.recv_f64s(d).await },
-        )
-        .await;
+        let theirs = ctx.exchange_f64s(d, &acc, d).await;
         ctx.combine_values(op, &mut acc, &theirs).await;
         ts_node::recycle_values(theirs);
     }
@@ -261,15 +251,7 @@ pub async fn allgather(ctx: &NodeCtx, cube: Hypercube, mine: Vec<u32>) -> Vec<(u
             flat.push(words.len() as u32);
             flat.extend_from_slice(words);
         }
-        let h = ctx.handle().clone();
-        let send_ctx = ctx.clone();
-        let recv_ctx = ctx.clone();
-        let (_, theirs) = occam::par2(
-            &h,
-            async move { send_ctx.send_dim(d, flat).await },
-            async move { recv_ctx.recv_dim(d).await },
-        )
-        .await;
+        let theirs = ctx.exchange(d, flat, d).await;
         let mut i = 0;
         while i < theirs.len() {
             let id = theirs[i];
@@ -293,20 +275,7 @@ pub async fn scan(ctx: &NodeCtx, cube: Hypercube, op: CombineOp, mine: Vec<Sf64>
     let mut prefix = mine.clone();
     let mut total = mine;
     for d in 0..cube.dim() as usize {
-        let h = ctx.handle().clone();
-        let send_ctx = ctx.clone();
-        let mut out = ts_node::take_values(total.len());
-        out.extend_from_slice(&total);
-        let recv_ctx = ctx.clone();
-        let (_, theirs) = occam::par2(
-            &h,
-            async move {
-                send_ctx.send_f64s(d, &out).await;
-                ts_node::recycle_values(out);
-            },
-            async move { recv_ctx.recv_f64s(d).await },
-        )
-        .await;
+        let theirs = ctx.exchange_f64s(d, &total, d).await;
         ctx.combine_values(op, &mut total, &theirs).await;
         if me & (1 << d) != 0 {
             // Partner has a lower id: its subcube precedes ours.
@@ -323,21 +292,9 @@ pub async fn scan(ctx: &NodeCtx, cube: Hypercube, op: CombineOp, mine: Vec<Sf64>
 pub async fn barrier(ctx: &NodeCtx, cube: Hypercube) {
     let t0 = ctx.now();
     for d in 0..cube.dim() as usize {
-        let h = ctx.handle().clone();
-        let send_ctx = ctx.clone();
-        let recv_ctx = ctx.clone();
-        occam::par2(
-            &h,
-            async move {
-                let mut tick = ts_sim::pool::take_words(1);
-                tick.push(0);
-                send_ctx.send_dim(d, tick).await;
-            },
-            async move {
-                ts_sim::pool::put_words(recv_ctx.recv_dim(d).await);
-            },
-        )
-        .await;
+        let mut tick = ts_sim::pool::take_words(1);
+        tick.push(0);
+        ts_sim::pool::put_words(ctx.exchange(d, tick, d).await);
     }
     book_latency(ctx, "barrier", t0);
 }
@@ -504,6 +461,54 @@ mod tests {
         for h in handles {
             assert_eq!(h.try_take().unwrap()[0].to_host(), 0.0);
         }
+    }
+
+    #[test]
+    fn exchange_equals_the_par2_spelling() {
+        // Every node of a 3-cube swaps across each dimension, then shifts
+        // round the Gray-code ring (out to its successor, in from its
+        // predecessor: two different dimensions), once in words and once
+        // in floats — spelled as `exchange` or as an `occam::par2` of the
+        // two transfers. Values, instants, link meters, polls and the
+        // order of every traced span and flow agree.
+        fn run(par2: bool) -> impl PartialEq + std::fmt::Debug {
+            let mut m = small(3);
+            let tracer = m.enable_tracing();
+            let ring = ts_cube::embed::RingEmbedding::new(m.cube);
+            let handles = m.launch(move |ctx| async move {
+                let me = ctx.id();
+                let dim_to = |nb: u32| (me ^ nb).trailing_zeros() as usize;
+                let shift = (dim_to(ring.next(me)), dim_to(ring.prev(me)));
+                assert_ne!(shift.0, shift.1);
+                let mut seen = Vec::new();
+                for (out, inp) in [(0, 0), (1, 1), (2, 2), shift] {
+                    let words = vec![me; 1 + out];
+                    let vals = vec![Sf64::from(me as f64 + 0.5); 3 - out];
+                    let (w, v) = if par2 {
+                        let (tx, rx) = (ctx.clone(), ctx.clone());
+                        let send = async move { tx.send_dim(out, words).await };
+                        let recv = async move { rx.recv_dim(inp).await };
+                        let (_, w) = occam::par2(ctx.handle(), send, recv).await;
+                        let (tx, rx) = (ctx.clone(), ctx.clone());
+                        let send = async move { tx.send_f64s(out, &vals).await };
+                        let recv = async move { rx.recv_f64s(inp).await };
+                        (w, occam::par2(ctx.handle(), send, recv).await.1)
+                    } else {
+                        let w = ctx.exchange(out, words, inp).await;
+                        (w, ctx.exchange_f64s(out, &vals, inp).await)
+                    };
+                    let v: Vec<u64> = v.iter().map(|x| x.to_bits()).collect();
+                    seen.push((w, v, ctx.now()));
+                }
+                seen
+            });
+            assert!(m.run().quiescent);
+            let seen: Vec<_> = handles.into_iter().map(|h| h.try_take()).collect();
+            let mut links = m.registry().snapshot();
+            links.retain(|(path, _)| path.contains("/link/"));
+            (seen, links, m.profile().polls, tracer.events())
+        }
+        assert_eq!(run(false), run(true));
     }
 
     #[test]

@@ -91,58 +91,6 @@ enum Item {
     Operation(Op),
 }
 
-fn direct_of(m: &str) -> Option<Direct> {
-    Some(match m {
-        "j" => Direct::J,
-        "ldlp" => Direct::Ldlp,
-        "pfix" => Direct::Pfix,
-        "ldnl" => Direct::Ldnl,
-        "ldc" => Direct::Ldc,
-        "ldnlp" => Direct::Ldnlp,
-        "nfix" => Direct::Nfix,
-        "ldl" => Direct::Ldl,
-        "adc" => Direct::Adc,
-        "call" => Direct::Call,
-        "cj" => Direct::Cj,
-        "ajw" => Direct::Ajw,
-        "eqc" => Direct::Eqc,
-        "stl" => Direct::Stl,
-        "stnl" => Direct::Stnl,
-        _ => return None,
-    })
-}
-
-fn op_of(m: &str) -> Option<Op> {
-    Some(match m {
-        "rev" => Op::Rev,
-        "add" => Op::Add,
-        "sub" => Op::Sub,
-        "mul" => Op::Mul,
-        "div" => Op::Div,
-        "rem" => Op::Rem,
-        "and" => Op::And,
-        "or" => Op::Or,
-        "xor" => Op::Xor,
-        "not" => Op::Not,
-        "shl" => Op::Shl,
-        "shr" => Op::Shr,
-        "gt" => Op::Gt,
-        "diff" => Op::Diff,
-        "sum" => Op::Sum,
-        "dup" => Op::Dup,
-        "pop" => Op::Pop,
-        "wsub" => Op::Wsub,
-        "mint" => Op::Mint,
-        "ret" => Op::Ret,
-        "lend" => Op::Lend,
-        "in" => Op::In,
-        "out" => Op::Out,
-        "vecop" => Op::VecOp,
-        "halt" => Op::Halt,
-        _ => return None,
-    })
-}
-
 /// Encode a direct function with operand `k` (prefix chains as needed).
 pub fn encode_direct(d: Direct, k: i64, out: &mut Vec<u8>) {
     fn prefix(k: i64, out: &mut Vec<u8>) {
@@ -230,7 +178,8 @@ pub fn assemble(src: &str) -> Result<Vec<u8>, AsmError> {
                 text: rest.into(),
             });
         }
-        if let Some(d) = direct_of(&mnemonic) {
+        // `opr` is spelled by its operation's name, never by itself.
+        if let Some(d) = Direct::from_mnemonic(&mnemonic).filter(|&d| d != Direct::Opr) {
             let operand = match arg {
                 None => {
                     return Err(AsmError::BadOperand {
@@ -244,7 +193,7 @@ pub fn assemble(src: &str) -> Result<Vec<u8>, AsmError> {
                 },
             };
             items.push(Item::DirectFn { d, operand, line });
-        } else if let Some(op) = op_of(&mnemonic) {
+        } else if let Some(op) = Op::from_mnemonic(&mnemonic) {
             if arg.is_some() {
                 return Err(AsmError::BadOperand {
                     line,

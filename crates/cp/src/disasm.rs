@@ -32,57 +32,8 @@ pub enum Insn {
 impl std::fmt::Display for Insn {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            Insn::DirectFn(d, operand) => {
-                let name = match d {
-                    Direct::J => "j",
-                    Direct::Ldlp => "ldlp",
-                    Direct::Pfix => "pfix",
-                    Direct::Ldnl => "ldnl",
-                    Direct::Ldc => "ldc",
-                    Direct::Ldnlp => "ldnlp",
-                    Direct::Nfix => "nfix",
-                    Direct::Ldl => "ldl",
-                    Direct::Adc => "adc",
-                    Direct::Call => "call",
-                    Direct::Cj => "cj",
-                    Direct::Ajw => "ajw",
-                    Direct::Eqc => "eqc",
-                    Direct::Stl => "stl",
-                    Direct::Stnl => "stnl",
-                    Direct::Opr => "opr",
-                };
-                write!(f, "{name} {operand}")
-            }
-            Insn::Operation(op) => {
-                let name = match op {
-                    Op::Rev => "rev",
-                    Op::Add => "add",
-                    Op::Sub => "sub",
-                    Op::Mul => "mul",
-                    Op::Div => "div",
-                    Op::Rem => "rem",
-                    Op::And => "and",
-                    Op::Or => "or",
-                    Op::Xor => "xor",
-                    Op::Not => "not",
-                    Op::Shl => "shl",
-                    Op::Shr => "shr",
-                    Op::Gt => "gt",
-                    Op::Diff => "diff",
-                    Op::Sum => "sum",
-                    Op::Dup => "dup",
-                    Op::Pop => "pop",
-                    Op::Wsub => "wsub",
-                    Op::Mint => "mint",
-                    Op::Ret => "ret",
-                    Op::Lend => "lend",
-                    Op::In => "in",
-                    Op::Out => "out",
-                    Op::VecOp => "vecop",
-                    Op::Halt => "halt",
-                };
-                write!(f, "{name}")
-            }
+            Insn::DirectFn(d, operand) => write!(f, "{} {operand}", d.mnemonic()),
+            Insn::Operation(op) => write!(f, "{}", op.mnemonic()),
             Insn::UnknownOp(code) => write!(f, "opr {code:#x} ; unknown"),
         }
     }

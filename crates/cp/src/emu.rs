@@ -158,11 +158,6 @@ impl Cp {
         }
     }
 
-    /// Has `halt` been executed?
-    pub fn is_halted(&self) -> bool {
-        self.halted
-    }
-
     #[inline]
     fn push(&mut self, v: u32) {
         self.c = self.b;
@@ -463,7 +458,6 @@ mod tests {
         );
         assert_eq!(cp.run(&mut mem, 1000).unwrap(), StepOutcome::Halted);
         assert_eq!(mem[256], 50);
-        assert!(cp.is_halted());
     }
 
     #[test]

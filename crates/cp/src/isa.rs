@@ -52,26 +52,40 @@ pub enum Direct {
 }
 
 impl Direct {
+    /// Every direct function with its mnemonic, indexed by nibble: the one
+    /// table the decoder, the assembler and the disassembler read.
+    const TABLE: [(Direct, &'static str); 16] = [
+        (Direct::J, "j"),
+        (Direct::Ldlp, "ldlp"),
+        (Direct::Pfix, "pfix"),
+        (Direct::Ldnl, "ldnl"),
+        (Direct::Ldc, "ldc"),
+        (Direct::Ldnlp, "ldnlp"),
+        (Direct::Nfix, "nfix"),
+        (Direct::Ldl, "ldl"),
+        (Direct::Adc, "adc"),
+        (Direct::Call, "call"),
+        (Direct::Cj, "cj"),
+        (Direct::Ajw, "ajw"),
+        (Direct::Eqc, "eqc"),
+        (Direct::Stl, "stl"),
+        (Direct::Stnl, "stnl"),
+        (Direct::Opr, "opr"),
+    ];
+
     /// Decode the function nibble.
     pub fn from_nibble(n: u8) -> Direct {
-        match n & 0xf {
-            0x0 => Direct::J,
-            0x1 => Direct::Ldlp,
-            0x2 => Direct::Pfix,
-            0x3 => Direct::Ldnl,
-            0x4 => Direct::Ldc,
-            0x5 => Direct::Ldnlp,
-            0x6 => Direct::Nfix,
-            0x7 => Direct::Ldl,
-            0x8 => Direct::Adc,
-            0x9 => Direct::Call,
-            0xa => Direct::Cj,
-            0xb => Direct::Ajw,
-            0xc => Direct::Eqc,
-            0xd => Direct::Stl,
-            0xe => Direct::Stnl,
-            _ => Direct::Opr,
-        }
+        Direct::TABLE[usize::from(n & 0xf)].0
+    }
+
+    /// The assembler mnemonic.
+    pub(crate) fn mnemonic(self) -> &'static str {
+        Direct::TABLE[self as usize].1
+    }
+
+    /// The direct function named `m`, if any.
+    pub(crate) fn from_mnemonic(m: &str) -> Option<Direct> {
+        Direct::TABLE.iter().find(|e| e.1 == m).map(|e| e.0)
     }
 }
 
@@ -136,37 +150,50 @@ pub enum Op {
 }
 
 impl Op {
+    /// Every operation with its mnemonic, indexed by operation number: the
+    /// one table the decoder, the assembler and the disassembler read.
+    const TABLE: [(Op, &'static str); 25] = [
+        (Op::Rev, "rev"),
+        (Op::Add, "add"),
+        (Op::Sub, "sub"),
+        (Op::Mul, "mul"),
+        (Op::Div, "div"),
+        (Op::Rem, "rem"),
+        (Op::And, "and"),
+        (Op::Or, "or"),
+        (Op::Xor, "xor"),
+        (Op::Not, "not"),
+        (Op::Shl, "shl"),
+        (Op::Shr, "shr"),
+        (Op::Gt, "gt"),
+        (Op::Diff, "diff"),
+        (Op::Sum, "sum"),
+        (Op::Dup, "dup"),
+        (Op::Pop, "pop"),
+        (Op::Wsub, "wsub"),
+        (Op::Mint, "mint"),
+        (Op::Ret, "ret"),
+        (Op::Lend, "lend"),
+        (Op::In, "in"),
+        (Op::Out, "out"),
+        (Op::VecOp, "vecop"),
+        (Op::Halt, "halt"),
+    ];
+
     /// Decode an operation number.
     pub fn from_u32(v: u32) -> Option<Op> {
-        use Op::*;
-        Some(match v {
-            0x00 => Rev,
-            0x01 => Add,
-            0x02 => Sub,
-            0x03 => Mul,
-            0x04 => Div,
-            0x05 => Rem,
-            0x06 => And,
-            0x07 => Or,
-            0x08 => Xor,
-            0x09 => Not,
-            0x0a => Shl,
-            0x0b => Shr,
-            0x0c => Gt,
-            0x0d => Diff,
-            0x0e => Sum,
-            0x0f => Dup,
-            0x10 => Pop,
-            0x11 => Wsub,
-            0x12 => Mint,
-            0x13 => Ret,
-            0x14 => Lend,
-            0x15 => In,
-            0x16 => Out,
-            0x17 => VecOp,
-            0x18 => Halt,
-            _ => return None,
-        })
+        let i = usize::try_from(v).ok()?;
+        Op::TABLE.get(i).map(|e| e.0)
+    }
+
+    /// The assembler mnemonic.
+    pub(crate) fn mnemonic(self) -> &'static str {
+        Op::TABLE[self as usize].1
+    }
+
+    /// The operation named `m`, if any.
+    pub(crate) fn from_mnemonic(m: &str) -> Option<Op> {
+        Op::TABLE.iter().find(|e| e.1 == m).map(|e| e.0)
     }
 
     /// Processor cycles consumed by the operation (beyond the 1-cycle
@@ -204,19 +231,30 @@ mod tests {
     use super::*;
 
     #[test]
-    fn nibble_roundtrip() {
+    fn opcode_tables_round_trip() {
+        // Code → variant → mnemonic → variant → code, for every entry.
         for n in 0..16u8 {
-            assert_eq!(Direct::from_nibble(n) as u8, n);
+            let d = Direct::from_nibble(n);
+            assert_eq!(d as u8, n);
+            assert_eq!(Direct::from_mnemonic(d.mnemonic()), Some(d));
         }
-    }
-
-    #[test]
-    fn op_roundtrip() {
-        for v in 0..=0x18u32 {
+        for v in 0..Op::TABLE.len() as u32 {
             let op = Op::from_u32(v).unwrap();
             assert_eq!(op as u32, v);
+            assert_eq!(Op::from_mnemonic(op.mnemonic()), Some(op));
         }
+        assert_eq!(Op::from_u32(Op::TABLE.len() as u32), None);
         assert_eq!(Op::from_u32(0x99), None);
+        assert_eq!(Op::from_u32(u32::MAX), None);
+        // No mnemonic names two instructions.
+        let mut names: Vec<&str> = Direct::TABLE.iter().map(|e| e.1).collect();
+        names.extend(Op::TABLE.iter().map(|e| e.1));
+        let all = names.len();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), all);
+        assert_eq!(Direct::from_mnemonic("frobnicate"), None);
+        assert_eq!(Op::from_mnemonic("LDC"), None);
     }
 
     #[test]

@@ -63,26 +63,6 @@ pub fn sum_words(src: u32, n: u32) -> String {
     )
 }
 
-/// Find the maximum of `n` signed words at `src`, result in slot 3.
-pub fn max_words(src: u32, n: u32) -> String {
-    format!(
-        "; max of {n} signed words at {src} -> wsp[3]\n\
-         ldc {src}\nstl 0\n\
-         ldc {n}\nstl 1\n\
-         mint\nstl 3\n\
-         loop:\n\
-         ldl 0\nldnl 0\nstl 4\n\
-         ldl 4\nldl 3\ngt\n\
-         cj skip\n\
-         ldl 4\nstl 3\n\
-         skip:\n\
-         ldl 0\nadc 1\nstl 0\n\
-         ldl 1\nadc -1\nstl 1\n\
-         ldl 1\neqc 0\ncj loop\n\
-         halt\n"
-    )
-}
-
 /// The element-at-a-time **gather loop** of §II: move `n` 64-bit elements
 /// whose low-word addresses sit in a pointer table at `table` into a
 /// contiguous area at `dst`. Four off-chip word accesses per element —
@@ -156,17 +136,6 @@ mod tests {
     }
 
     #[test]
-    fn max_matches_reference() {
-        let mut mem = vec![0u32; 8192];
-        let vals: Vec<i32> = vec![-7, 3, 100, -200, 55, 99, 12];
-        for (i, &v) in vals.iter().enumerate() {
-            mem[5000 + i] = v as u32;
-        }
-        run(&max_words(5000, vals.len() as u32), &mut mem);
-        assert_eq!(mem[256 + 3] as i32, 100);
-    }
-
-    #[test]
     fn gather_moves_elements_and_costs_four_accesses() {
         let mut mem = vec![0u32; 16384];
         // Scatter 16 64-bit elements at stride 8, pointer table at 6000.
@@ -200,7 +169,6 @@ mod tests {
             memcpy(0, 1, 1),
             memset(0, 0, 1),
             sum_words(0, 1),
-            max_words(0, 1),
             gather64(0, 1, 1),
         ] {
             assert!(assemble(&src).is_ok(), "failed to assemble:\n{src}");

@@ -69,11 +69,6 @@ impl Hypercube {
         node ^ (1 << d)
     }
 
-    /// All neighbours of `node`, in dimension order.
-    pub fn neighbors(self, node: NodeId) -> impl Iterator<Item = NodeId> {
-        (0..self.dim).map(move |d| node ^ (1 << d))
-    }
-
     /// Hamming distance — the minimum hop count between two nodes.
     pub fn distance(self, a: NodeId, b: NodeId) -> u32 {
         (a ^ b).count_ones()
@@ -378,7 +373,7 @@ mod tests {
     fn neighbors_differ_in_one_bit() {
         let c = Hypercube::new(4);
         for node in c.iter() {
-            let ns: Vec<_> = c.neighbors(node).collect();
+            let ns: Vec<_> = (0..c.dim()).map(|d| c.neighbor(node, d)).collect();
             assert_eq!(ns.len(), 4);
             for n in ns {
                 assert_eq!(c.distance(node, n), 1);

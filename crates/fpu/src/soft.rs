@@ -21,23 +21,26 @@
 //!
 //! Host `+` and `×` are correctly rounded to nearest-even too, so they can
 //! differ from the datapath above only at subnormals, at the underflow edge
-//! and in NaN payloads. [`add`], [`sub`] and [`mul`] therefore first try
-//! [`host_add`] / [`host_mul`]: both operands normal (exponent field in
-//! `1..=EXP_MAX−1`) and the host result's exponent field in
-//! `2..=EXP_MAX−1` → the host bits are the answer. Everything else — zeros,
-//! subnormals in or out, Inf, NaN, overflow and the bottom binade — goes
-//! through the bit-level [`add_bits`] / [`mul_bits`], which are the only
-//! home of DAZ/FTZ and the canonical quiet NaN. The bottom binade is
-//! excluded because of one real disagreement: a product just below
-//! min-normal that the host rounds *up to* min-normal at subnormal
-//! precision is rounded at full precision here, stays below, and flushes
-//! (`min_normal_boundary`). The equivalence is held by test
-//! (`tests/prop_fpu.rs`), not by this argument. [`row`] applies the same
-//! guard to whole rows, one pass per block instead of one per element.
+//! and in NaN payloads. The guard that decides when the host's bits are the
+//! answer lives in one place, [`row`]: both operands normal and the host
+//! result normal, finite and above the bottom binade. Everything else —
+//! zeros, subnormals in or out, Inf, NaN, overflow and the bottom binade —
+//! goes through the bit-level [`add_bits`] / [`mul_bits`], which are the
+//! only home of DAZ/FTZ and the canonical quiet NaN. [`add`], [`sub`] and
+//! [`mul`], and with them the `Sf64`/`Sf32` operators, are the row ops'
+//! one-lane case; a row op pays the guard once per block of lanes. The
+//! bottom binade is excluded because of one real disagreement: a product
+//! just below min-normal that the host rounds *up to* min-normal at
+//! subnormal precision is rounded at full precision here, stays below, and
+//! flushes (`min_normal_boundary`). The equivalence is held by test, not by
+//! this argument: the oracles (`tests/prop_fpu.rs` and the `row` tests)
+//! compare every path against [`add_bits`] / [`mul_bits`].
 
 use std::cmp::Ordering;
 
 pub mod row;
+
+use row::Lane;
 
 /// Compile-time description of a binary interchange format.
 pub trait Format: Copy + Default {
@@ -61,10 +64,8 @@ pub trait Format: Copy + Default {
     /// Canonical quiet NaN.
     const QNAN: u64 = (Self::EXP_MAX << Self::MANT_BITS) | (1 << (Self::MANT_BITS - 1));
 
-    /// `a + b` in the host's arithmetic of this width, bits in and out.
-    fn host_add_bits(a: u64, b: u64) -> u64;
-    /// `a × b` in the host's arithmetic of this width, bits in and out.
-    fn host_mul_bits(a: u64, b: u64) -> u64;
+    /// The format's lane type: the wrapper whose host float has this width.
+    type Lane: row::Lane<F = Self>;
 }
 
 /// The binary64 format (the T Series' 64-bit mode: 53-bit significand,
@@ -76,16 +77,7 @@ pub struct B64;
 impl Format for B64 {
     const EXP_BITS: u32 = 11;
     const MANT_BITS: u32 = 52;
-
-    #[inline]
-    fn host_add_bits(a: u64, b: u64) -> u64 {
-        (f64::from_bits(a) + f64::from_bits(b)).to_bits()
-    }
-
-    #[inline]
-    fn host_mul_bits(a: u64, b: u64) -> u64 {
-        (f64::from_bits(a) * f64::from_bits(b)).to_bits()
-    }
+    type Lane = Sf64;
 }
 
 /// The binary32 format (32-bit mode).
@@ -95,16 +87,7 @@ pub struct B32;
 impl Format for B32 {
     const EXP_BITS: u32 = 8;
     const MANT_BITS: u32 = 23;
-
-    #[inline]
-    fn host_add_bits(a: u64, b: u64) -> u64 {
-        (f32::from_bits(a as u32) + f32::from_bits(b as u32)).to_bits() as u64
-    }
-
-    #[inline]
-    fn host_mul_bits(a: u64, b: u64) -> u64 {
-        (f32::from_bits(a as u32) * f32::from_bits(b as u32)).to_bits() as u64
-    }
+    type Lane = Sf32;
 }
 
 /// A classified, unpacked operand. Subnormals never appear: `unpack`
@@ -359,41 +342,10 @@ pub fn mul_bits<F: Format>(a: u64, b: u64) -> u64 {
     }
 }
 
-/// Exponent field in `lo..=EXP_MAX−1`: finite, and for `lo = 1` normal.
-#[inline]
-fn exp_at_least<F: Format>(bits: u64, lo: u64) -> bool {
-    exp_of::<F>(bits).wrapping_sub(lo) < F::EXP_MAX - lo
-}
-
-/// The host's result for `op(a, b)` where it is known to equal the
-/// bit-level datapath's: both operands normal, result normal and at least
-/// one binade above the underflow threshold. `None` sends the caller to
-/// the bit-level core.
-#[inline]
-fn host_op<F: Format>(op: impl Fn(u64, u64) -> u64, a: u64, b: u64) -> Option<u64> {
-    if !(exp_at_least::<F>(a, 1) && exp_at_least::<F>(b, 1)) {
-        return None;
-    }
-    let r = op(a, b);
-    exp_at_least::<F>(r, 2).then_some(r)
-}
-
-/// `a + b` by the host, or `None` outside the guard (see the module docs).
-#[inline]
-pub fn host_add<F: Format>(a: u64, b: u64) -> Option<u64> {
-    host_op::<F>(F::host_add_bits, a, b)
-}
-
-/// `a × b` by the host, or `None` outside the guard (see the module docs).
-#[inline]
-pub fn host_mul<F: Format>(a: u64, b: u64) -> Option<u64> {
-    host_op::<F>(F::host_mul_bits, a, b)
-}
-
-/// Addition: `a + b` in format `F`.
+/// Addition: `a + b` in format `F`, as [`row`]'s one-lane case.
 #[inline]
 pub fn add<F: Format>(a: u64, b: u64) -> u64 {
-    host_add::<F>(a, b).unwrap_or_else(|| add_bits::<F>(a, b))
+    row::add_lane(F::Lane::of_bits(a), F::Lane::of_bits(b)).bits()
 }
 
 /// Subtraction: `a - b`.
@@ -402,10 +354,10 @@ pub fn sub<F: Format>(a: u64, b: u64) -> u64 {
     add::<F>(a, neg::<F>(b))
 }
 
-/// Multiplication: `a * b`.
+/// Multiplication: `a * b`, as [`row`]'s one-lane case.
 #[inline]
 pub fn mul<F: Format>(a: u64, b: u64) -> u64 {
-    host_mul::<F>(a, b).unwrap_or_else(|| mul_bits::<F>(a, b))
+    row::mul_lane(F::Lane::of_bits(a), F::Lane::of_bits(b)).bits()
 }
 
 /// Sign flip (exact, applies to NaN/Inf/zero too, as hardware negate does).

@@ -1,26 +1,29 @@
 //! Arithmetic by the row: one guard per row or block, a native loop, and
 //! the element path only for the lanes the guard rejects.
 //!
-//! [`super::add`] and [`super::mul`] guard each element on its own. The row
-//! ops here pay that setup once per block of 16 lanes instead: one
-//! branch-free pass computes every lane's host result together with its
-//! guard, the block is written if every lane is admitted, and otherwise
-//! only the rejected lanes are recomputed by the element path
-//! (`Sf64`/`Sf32` operators → [`super::add`] / [`super::mul`] →
-//! [`super::add_bits`] / [`super::mul_bits`]). The native loop uses plain
-//! `*` and `+`, never a fused multiply-add, so a chained SAXPY keeps its
-//! two roundings.
+//! This module is the only code that decides when the host's arithmetic
+//! may stand in for the bit-level datapath. Per op the guard is: operands
+//! normal, result `clear`. The element path — [`super::add`] /
+//! [`super::mul`], and so the `Sf64`/`Sf32` operators — is its one-lane
+//! case (`add_lane`, `mul_lane`), falling back to [`super::add_bits`] /
+//! [`super::mul_bits`]. The row ops pay the guard once per block of 16
+//! lanes instead: one branch-free pass computes every lane's host result
+//! together with its guard, the block is written if every lane is
+//! admitted, and otherwise only the rejected lanes are recomputed by the
+//! element path. The native loop uses plain `*` and `+`, never a fused
+//! multiply-add, so a chained SAXPY keeps its two roundings.
 //!
-//! Per op the guard is the element path's own: operands normal, result
-//! [`clear`]. A guard may be *narrower* — fewer checks, computed once per
-//! row or block — as long as every lane inside it provably passes the full
-//! guard at every op; then each admitted lane carries the element path's
-//! bits, and row ≡ element path bit for bit by construction. [`gemm`] uses
-//! one such narrowing, a band on its operands (see there).
+//! A guard may be *narrower* — fewer checks, computed once per row or
+//! block, or fused over several ops — as long as every lane inside it
+//! provably passes the per-op guard at every op; then each admitted lane
+//! carries the bit-level core's bits. [`gemm`] uses one such narrowing, a
+//! band on its operands, and the FFT butterflies ([`complex_sum`],
+//! [`complex_diff_mul`]) another. The oracles (the tests below and
+//! `tests/prop_fpu.rs`) compare every op against the bit-level core.
 
 use std::ops::{Add, Mul, Sub};
 
-use super::{Format, Sf32, Sf64, B32, B64};
+use super::{add_bits, mul_bits, Format, Sf32, Sf64, B32, B64};
 
 /// Lanes a row op classifies and writes at once. A block's inputs stay
 /// intact until it is written, so a rejected lane can be recomputed from
@@ -102,7 +105,7 @@ const fn max_finite<F: Format>() -> u64 {
 /// makes every result it reaches Inf or NaN, which `clear` rejects. Every
 /// operand check below is of that kind.
 #[inline(always)]
-pub fn normal_operand<L: Lane>(x: L) -> bool {
+fn normal_operand<L: Lane>(x: L) -> bool {
     x.abs_at_least(1 << L::F::MANT_BITS)
 }
 
@@ -110,14 +113,14 @@ pub fn normal_operand<L: Lane>(x: L) -> bool {
 /// The lower half of [`clear`], enough for an intermediate result that
 /// feeds a result checked `clear`, by the same argument.
 #[inline(always)]
-pub fn above_bottom<L: Lane>(x: L) -> bool {
+fn above_bottom<L: Lane>(x: L) -> bool {
     x.abs_at_least(2 << L::F::MANT_BITS)
 }
 
 /// Normal and above the bottom binade (exponent field in `2..EXP_MAX−1`):
 /// a result the host may give.
 #[inline(always)]
-pub fn clear<L: Lane>(x: L) -> bool {
+fn clear<L: Lane>(x: L) -> bool {
     above_bottom(x) & x.abs_at_most(max_finite::<L::F>())
 }
 
@@ -192,6 +195,25 @@ fn guarded_add<L: Lane>(a: L, b: L) -> (L, bool) {
 fn guarded_mul<L: Lane>(a: L, b: L) -> (L, bool) {
     let r = a.host_mul(b);
     (r, normal_operand(a) & normal_operand(b) & clear(r))
+}
+
+/// `a + b` for one lane: the host's if the guard admits it, otherwise the
+/// bit-level core's. This is [`super::add`].
+#[inline(always)]
+pub(super) fn add_lane<L: Lane>(a: L, b: L) -> L {
+    match guarded_add(a, b) {
+        (r, true) => r,
+        _ => L::of_bits(add_bits::<L::F>(a.bits(), b.bits())),
+    }
+}
+
+/// `a × b` for one lane, likewise. This is [`super::mul`].
+#[inline(always)]
+pub(super) fn mul_lane<L: Lane>(a: L, b: L) -> L {
+    match guarded_mul(a, b) {
+        (r, true) => r,
+        _ => L::of_bits(mul_bits::<L::F>(a.bits(), b.bits())),
+    }
 }
 
 /// `a·x + y` by the host (two roundings), and whether both ops are
@@ -314,6 +336,48 @@ pub fn gemm<L: Lane>(n: usize, a: &[L], b: &[L], c: &mut [L]) {
     }
 }
 
+/// Both parts of both complex operands normal.
+#[inline(always)]
+fn complex_operands<L: Lane>(a: (L, L), b: (L, L)) -> bool {
+    normal_operand(a.0) & normal_operand(a.1) & normal_operand(b.0) & normal_operand(b.1)
+}
+
+/// The sum `a + b` of complex `(re, im)` values, the low half of a radix-2
+/// butterfly: the host's, unless the guard rejects one of its two ops.
+#[inline(always)]
+pub fn complex_sum<L: Lane>(a: (L, L), b: (L, L)) -> (L, L) {
+    let r = (a.0.host_add(b.0), a.1.host_add(b.1));
+    if complex_operands(a, b) & clear(r.0) & clear(r.1) {
+        r
+    } else {
+        (a.0 + b.0, a.1 + b.1)
+    }
+}
+
+/// The twiddled difference `(a − b)·w` of complex `(re, im)` values, the
+/// high half of a radix-2 butterfly: the host's, unless the guard rejects
+/// one of its eight ops. The differences and products feed the two checked
+/// results, so each needs only `above_bottom`. The k = 0 twiddle `1 − 0i`
+/// has a zero part, so its lane of every group is rejected — alone: the
+/// rest of a row keeps the host path.
+#[inline(always)]
+pub fn complex_diff_mul<L: Lane>(a: (L, L), b: (L, L), w: (L, L)) -> (L, L) {
+    let (dr, di) = (a.0.host_sub(b.0), a.1.host_sub(b.1));
+    let (rr, ii) = (dr.host_mul(w.0), di.host_mul(w.1));
+    let (ri, ir) = (dr.host_mul(w.1), di.host_mul(w.0));
+    let r = (rr.host_sub(ii), ri.host_add(ir));
+    let twiddle = normal_operand(w.0) & normal_operand(w.1);
+    let steps = [dr, di, rr, ii, ri, ir]
+        .into_iter()
+        .fold(true, |ok, s| ok & above_bottom(s));
+    if complex_operands(a, b) & twiddle & steps & clear(r.0) & clear(r.1) {
+        r
+    } else {
+        let (dr, di) = (a.0 - b.0, a.1 - b.1);
+        (dr * w.0 - di * w.1, dr * w.1 + di * w.0)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -366,9 +430,23 @@ mod tests {
         v.iter().map(|l| l.bits()).collect()
     }
 
-    /// Every row op on `(x, y)` with scalar `s` against the element path,
-    /// lane by lane and bit for bit.
-    fn row_ops_match_the_element_path<L: Lane>(x: &[L], y: &[L], s: L) {
+    /// `a + b` through the bit-level core: the spec every op here answers
+    /// to (the element path is this module's own one-lane case).
+    fn bit_add<L: Lane>(a: L, b: L) -> L {
+        L::of_bits(add_bits::<L::F>(a.bits(), b.bits()))
+    }
+
+    fn bit_sub<L: Lane>(a: L, b: L) -> L {
+        bit_add(a, L::of_bits(b.bits() ^ L::F::SIGN_BIT))
+    }
+
+    fn bit_mul<L: Lane>(a: L, b: L) -> L {
+        L::of_bits(mul_bits::<L::F>(a.bits(), b.bits()))
+    }
+
+    /// The one-lane ops and every row op on `(x, y)` with scalar `s`
+    /// against the bit-level core, lane by lane and bit for bit.
+    fn row_ops_match_the_bit_level_core<L: Lane>(x: &[L], y: &[L], s: L) {
         let each = |f: &dyn Fn(L, L) -> L| -> Vec<u64> {
             x.iter().zip(y).map(|(&x, &y)| f(x, y).bits()).collect()
         };
@@ -378,27 +456,31 @@ mod tests {
             op(&mut z, other);
             bits(&z)
         };
-        assert_eq!(in_place(add, x, y), each(&|x, y| x + y), "add {}", ctx());
-        assert_eq!(in_place(sub, x, y), each(&|x, y| x - y), "sub {}", ctx());
-        assert_eq!(in_place(mul, x, y), each(&|x, y| x * y), "mul {}", ctx());
+        assert_eq!(each(&|x, y| x + y), each(&bit_add), "x + y {}", ctx());
+        assert_eq!(each(&|x, y| x - y), each(&bit_sub), "x - y {}", ctx());
+        assert_eq!(each(&|x, y| x * y), each(&bit_mul), "x * y {}", ctx());
+        assert_eq!(in_place(add, x, y), each(&bit_add), "add {}", ctx());
+        assert_eq!(in_place(sub, x, y), each(&bit_sub), "sub {}", ctx());
+        assert_eq!(in_place(mul, x, y), each(&bit_mul), "mul {}", ctx());
         let mut z = y.to_vec();
         saxpy(s, x, &mut z);
-        assert_eq!(bits(&z), each(&|x, y| s * x + y), "saxpy {}", ctx());
+        let want = each(&|x, y| bit_add(bit_mul(s, x), y));
+        assert_eq!(bits(&z), want, "saxpy {}", ctx());
         scale(s, x, &mut z);
-        assert_eq!(bits(&z), each(&|x, _| s * x), "scale {}", ctx());
+        assert_eq!(bits(&z), each(&|x, _| bit_mul(s, x)), "scale {}", ctx());
         offset(s, x, &mut z);
-        assert_eq!(bits(&z), each(&|x, _| s + x), "offset {}", ctx());
-        let products = || x.iter().zip(y).map(|(&x, &y)| x * y);
-        let want = products().reduce(|a, p| a + p).map(Lane::bits);
+        assert_eq!(bits(&z), each(&|x, _| bit_add(s, x)), "offset {}", ctx());
+        let products = || x.iter().zip(y).map(|(&x, &y)| bit_mul(x, y));
+        let want = products().reduce(bit_add).map(Lane::bits);
         assert_eq!(dot(None, x, y).map(Lane::bits), want, "dot {}", ctx());
-        let want = products().fold(s, |a, p| a + p).bits();
+        let want = products().fold(s, bit_add).bits();
         assert_eq!(
             dot(Some(s), x, y).map(Lane::bits),
             Some(want),
             "dot+s {}",
             ctx()
         );
-        let want = x.iter().copied().reduce(|a, v| a + v).map(Lane::bits);
+        let want = x.iter().copied().reduce(bit_add).map(Lane::bits);
         assert_eq!(sum(None, x).map(Lane::bits), want, "sum {}", ctx());
     }
 
@@ -422,7 +504,7 @@ mod tests {
                 let keep = row[pos];
                 row[pos] = L::of_bits(plant[turn % plant.len()]);
                 turn += 1;
-                row_ops_match_the_element_path(&x, &y, s);
+                row_ops_match_the_bit_level_core(&x, &y, s);
                 let row = if (len + pos) % 2 == 1 { &mut x } else { &mut y };
                 row[pos] = keep;
             }
@@ -436,17 +518,17 @@ mod tests {
             let y: Vec<L> = (0..len)
                 .map(|_| L::of_bits(ordinary::<L::F>(&mut rng)))
                 .collect();
-            row_ops_match_the_element_path(&x, &y, L::of_bits(p));
+            row_ops_match_the_bit_level_core(&x, &y, L::of_bits(p));
         }
     }
 
     #[test]
-    fn row_ops_equal_the_element_path_with_a_lane_planted_everywhere_64() {
+    fn row_ops_equal_the_bit_level_core_with_a_lane_planted_everywhere_64() {
         planted_rows::<Sf64>(128, 0x70_0064);
     }
 
     #[test]
-    fn row_ops_equal_the_element_path_with_a_lane_planted_everywhere_32() {
+    fn row_ops_equal_the_bit_level_core_with_a_lane_planted_everywhere_32() {
         planted_rows::<Sf32>(256, 0x70_0032);
     }
 
@@ -483,7 +565,7 @@ mod tests {
                     x[pos] = L::of_bits(v);
                     for w in partners {
                         y[pos] = L::of_bits(w);
-                        row_ops_match_the_element_path(&x, &y, L::of_bits(w));
+                        row_ops_match_the_bit_level_core(&x, &y, L::of_bits(w));
                     }
                 }
             }
@@ -516,10 +598,10 @@ mod tests {
                     let mut y = low.clone();
                     for &p in &plant {
                         y[pos] = L::of_bits(p);
-                        row_ops_match_the_element_path(&x, &y, s);
-                        row_ops_match_the_element_path(&y, &x, s);
-                        row_ops_match_the_element_path(&y, &low, top);
-                        row_ops_match_the_element_path(&low, &y, s);
+                        row_ops_match_the_bit_level_core(&x, &y, s);
+                        row_ops_match_the_bit_level_core(&y, &x, s);
+                        row_ops_match_the_bit_level_core(&y, &low, top);
+                        row_ops_match_the_bit_level_core(&low, &y, s);
                     }
                 }
             }
@@ -540,7 +622,7 @@ mod tests {
                     let mut y = vec![L::of_bits(b); len];
                     x[pos] = L::of_bits(b);
                     y[pos] = L::of_bits(a);
-                    row_ops_match_the_element_path(&x, &y, L::of_bits(a));
+                    row_ops_match_the_bit_level_core(&x, &y, L::of_bits(a));
                     let mut z = x.clone();
                     mul(&mut z, &y);
                     assert_eq!(z[pos].bits(), 0, "flushed");
@@ -571,13 +653,13 @@ mod tests {
         edges::<Sf32>();
     }
 
-    /// [`gemm`] against `n²` element-path SAXPYs in `(i, k)` order.
+    /// [`gemm`] against `n²` bit-level SAXPYs in `(i, k)` order.
     fn gemm_matches_saxpys<L: Lane>(n: usize, a: &[L], b: &[L], c: &[L]) {
         let mut want = c.to_vec();
         for i in 0..n {
             for k in 0..n {
                 for j in 0..n {
-                    want[i * n + j] = a[i * n + k] * b[k * n + j] + want[i * n + j];
+                    want[i * n + j] = bit_add(bit_mul(a[i * n + k], b[k * n + j]), want[i * n + j]);
                 }
             }
         }
@@ -656,5 +738,130 @@ mod tests {
     fn row_gemm_equals_saxpys_with_a_value_planted_in_a_b_and_c() {
         planted_blocks::<Sf64>(0x6e_0064);
         planted_blocks::<Sf32>(0x6e_0032);
+    }
+
+    type C = (Sf64, Sf64);
+
+    /// The radix-2 DIF twiddle `e^(−iπ·k/span)`, as the FFT's table holds it.
+    fn twiddle(k: usize, span: usize) -> C {
+        let angle = -std::f64::consts::PI * k as f64 / span as f64;
+        (Sf64::from(angle.cos()), Sf64::from(angle.sin()))
+    }
+
+    /// Both butterfly halves on `(a, b, w)`, and `(b, a, w)`'s difference,
+    /// against the bit-level core.
+    fn butterfly_matches_the_bit_level_core(a: C, b: C, w: C) {
+        let bits = |c: C| (c.0.to_bits(), c.1.to_bits());
+        let diff_mul = |a: C, b: C| {
+            let (dr, di) = (bit_sub(a.0, b.0), bit_sub(a.1, b.1));
+            (
+                bit_sub(bit_mul(dr, w.0), bit_mul(di, w.1)),
+                bit_add(bit_mul(dr, w.1), bit_mul(di, w.0)),
+            )
+        };
+        let ctx = || format!("{a:?} {b:?} {w:?}");
+        let want = (bit_add(a.0, b.0), bit_add(a.1, b.1));
+        assert_eq!(bits(complex_sum(a, b)), bits(want), "{}", ctx());
+        let got = complex_diff_mul(a, b, w);
+        assert_eq!(bits(got), bits(diff_mul(a, b)), "{}", ctx());
+        let got = complex_diff_mul(b, a, w);
+        assert_eq!(bits(got), bits(diff_mul(b, a)), "{}", ctx());
+    }
+
+    #[test]
+    fn butterflies_equal_the_bit_level_core_with_a_part_planted_everywhere() {
+        // Groups of every span of a 512-point transform: the k = 0 twiddle
+        // 1 − 0i leads each, and on span 1 it is the only one. One awkward
+        // part is planted at every position of the lows and the highs.
+        let plant = planted::<B64>();
+        let mut rng = Rng::new(0xFF7);
+        let mut turn = 0;
+        let mut span = 256;
+        while span >= 1 {
+            let ws: Vec<C> = (0..span).map(|k| twiddle(k, span)).collect();
+            for pos in 0..4 * span {
+                let mut part = || Sf64::from(rng.f64() * 2.0 - 1.0);
+                let mut g: Vec<C> = (0..2 * span).map(|_| (part(), part())).collect();
+                let p = Sf64::from_bits(plant[turn % plant.len()]);
+                turn += 1;
+                if pos % 2 == 0 {
+                    g[pos / 2].0 = p;
+                } else {
+                    g[pos / 2].1 = p;
+                }
+                let (lows, highs) = g.split_at(span);
+                for ((&a, &b), &w) in lows.iter().zip(highs).zip(&ws) {
+                    butterfly_matches_the_bit_level_core(a, b, w);
+                }
+            }
+            span /= 2;
+        }
+        // Parts clear of the bottom binade whose sum or difference cancels
+        // below min-normal: only the checks on the results reject these.
+        let mn2 = 0x0020_0000_0000_0000u64;
+        for (v, w) in [(mn2, mn2 + 1), (mn2, (mn2 + 1) | 1 << 63)] {
+            for k in 0..8 {
+                let other = Sf64::from(rng.f64() * 2.0 - 1.0);
+                let (v, w) = (Sf64::from_bits(v), Sf64::from_bits(w));
+                let (a, b) = if k % 2 == 0 {
+                    ((v, other), (w, other))
+                } else {
+                    ((other, v), (other, w))
+                };
+                butterfly_matches_the_bit_level_core(a, b, twiddle(k, 8));
+            }
+        }
+    }
+
+    #[test]
+    fn butterflies_equal_the_bit_level_core_on_parts_of_every_magnitude() {
+        // Seeded parts of any exponent — weighted to both ends of the range
+        // and to the specials — twiddles no table holds, and partners a few
+        // ulps off so that sums and differences cancel: each check of the
+        // butterfly's guard is the only one to reject some of these lanes.
+        let mut rng = Rng::new(0xB7F);
+        let part = |rng: &mut Rng| -> Sf64 {
+            let exp = match rng.below(6) {
+                0 => rng.below(48),
+                1 => 2047 - rng.below(48),
+                2 => [0, 1, 2, 2046, 2047][rng.range(0, 5)],
+                _ => 1023 - 48 + rng.below(96),
+            };
+            Sf64::from_bits((rng.next_u64() & (1 << 63 | ((1 << 52) - 1))) | exp << 52)
+        };
+        let c = |re: f64, im: f64| (Sf64::from(re), Sf64::from(im));
+        // Clear products that cancel below min-normal in the twiddled
+        // result's real or imaginary part (x and x one ulp up, times u).
+        let (x, x1) = (2f64.powi(-990), 2f64.powi(-990) * (1.0 + f64::EPSILON));
+        let u = 2f64.powi(-10);
+        for (a, w) in [
+            (c(1.0 + u, 1.0 - u), c(x, x1)),
+            (c(1.0 + u, 1.0 + u), c(x1, x)),
+        ] {
+            butterfly_matches_the_bit_level_core(a, c(1.0, 1.0), w);
+        }
+        // A product the host rounds up to min-normal and the datapath
+        // flushes (the min-normal pair), inside a lane whose every other
+        // step and both results are clear: only the product's own check
+        // rejects it.
+        let (pa, pb) = (
+            f64::from_bits(0x2006_b7f3_c9e9_c616),
+            f64::from_bits(0x1ff6_8960_fa2a_be6d),
+        );
+        butterfly_matches_the_bit_level_core(
+            c(2.0 * pa, 2f64.powi(-506)),
+            c(pa, 2f64.powi(-507)),
+            c(pb, -4.0 * pb),
+        );
+        for _ in 0..200_000 {
+            let mut c = || (part(&mut rng), part(&mut rng));
+            let (a, mut b, w) = (c(), c(), c());
+            if rng.bool() {
+                let sign = rng.below(2) << 63;
+                b.0 = Sf64::from_bits(a.0.to_bits().wrapping_add(rng.below(4)));
+                b.1 = Sf64::from_bits((a.1.to_bits() ^ sign).wrapping_add(rng.below(4)));
+            }
+            butterfly_matches_the_bit_level_core(a, b, w);
+        }
     }
 }

@@ -18,97 +18,8 @@ use ts_cube::{embed::MeshEmbedding, Hypercube};
 use ts_fpu::Sf64;
 use ts_node::{CombineOp, NodeCtx};
 
-use crate::{pack, run_spmd, unpack, KernelStats};
-
-/// Apply the five-point Laplacian `q = A·p` on one tile with fresh halos.
-struct TileGeometry {
-    g: usize,
-    west: Option<usize>,
-    east: Option<usize>,
-    north: Option<usize>,
-    south: Option<usize>,
-}
-
-impl TileGeometry {
-    fn new(ctx: &NodeCtx, cube: Hypercube, g: usize) -> TileGeometry {
-        let half = cube.dim() / 2;
-        let mesh = MeshEmbedding::new(cube, &[half, cube.dim() - half]);
-        let me = ctx.id();
-        let coords = mesh.coords_of(me);
-        let neighbor = |axis: usize, forward: bool| -> Option<usize> {
-            mesh.step(&coords, axis, forward)
-                .map(|nc| (me ^ mesh.node_at(&nc)).trailing_zeros() as usize)
-        };
-        TileGeometry {
-            g,
-            west: neighbor(0, false),
-            east: neighbor(0, true),
-            north: neighbor(1, false),
-            south: neighbor(1, true),
-        }
-    }
-
-    /// Halo-exchange `p`, then `q[i] = 4p[i] − (N+S+E+W)`.
-    async fn apply(&self, ctx: &NodeCtx, p: &[f64]) -> Vec<f64> {
-        let g = self.g;
-        let col = |x: usize| -> Vec<f64> { (0..g).map(|y| p[y * g + x]).collect() };
-        let row = |y: usize| -> Vec<f64> { p[y * g..(y + 1) * g].to_vec() };
-        let h = ctx.handle().clone();
-        let mut sends = Vec::new();
-        for (dim, strip) in [
-            (self.west, col(0)),
-            (self.east, col(g - 1)),
-            (self.north, row(0)),
-            (self.south, row(g - 1)),
-        ] {
-            if let Some(d) = dim {
-                let c = ctx.clone();
-                let words = pack(&strip);
-                sends.push(h.spawn(async move { c.send_dim(d, words).await }));
-            }
-        }
-        let mut halos: [Option<Vec<f64>>; 4] = [None, None, None, None];
-        let mut recvs = Vec::new();
-        for (slot, dim) in [self.west, self.east, self.north, self.south]
-            .into_iter()
-            .enumerate()
-        {
-            if let Some(d) = dim {
-                let c = ctx.clone();
-                recvs.push((slot, h.spawn(async move { c.recv_dim(d).await })));
-            }
-        }
-        for (slot, jh) in recvs {
-            halos[slot] = Some(unpack(&jh.await));
-        }
-        for s in sends {
-            s.await;
-        }
-        let [w_h, e_h, n_h, s_h] = halos;
-        let at = |x: isize, y: isize| -> f64 {
-            if x < 0 {
-                w_h.as_ref().map_or(0.0, |h| h[y as usize])
-            } else if x >= g as isize {
-                e_h.as_ref().map_or(0.0, |h| h[y as usize])
-            } else if y < 0 {
-                n_h.as_ref().map_or(0.0, |h| h[x as usize])
-            } else if y >= g as isize {
-                s_h.as_ref().map_or(0.0, |h| h[x as usize])
-            } else {
-                p[y as usize * g + x as usize]
-            }
-        };
-        let mut q = vec![0.0; g * g];
-        for y in 0..g as isize {
-            for x in 0..g as isize {
-                q[y as usize * g + x as usize] = 4.0 * p[y as usize * g + x as usize]
-                    - (at(x - 1, y) + at(x + 1, y) + at(x, y - 1) + at(x, y + 1));
-            }
-        }
-        ctx.charge_vec_flops(5 * (g * g) as u64).await;
-        q
-    }
-}
+use crate::stencil::Tile;
+use crate::{run_spmd, KernelStats};
 
 /// Global dot product: local dot via the vector pipe, then a scalar
 /// all-reduce over the cube.
@@ -130,7 +41,7 @@ pub async fn cg_node(
     tol: f64,
     max_iters: usize,
 ) -> (Vec<f64>, usize) {
-    let geo = TileGeometry::new(&ctx, cube, g);
+    let geo = Tile::new(&ctx, cube, g);
     let n_local = g * g;
     let mut x = vec![0.0; n_local];
     let mut r = b.clone();
@@ -138,7 +49,9 @@ pub async fn cg_node(
     let mut rs = global_dot(&ctx, cube, &r, &r).await;
     let mut iters = 0;
     while iters < max_iters && rs.sqrt() > tol {
-        let q = geo.apply(&ctx, &p).await;
+        // q = A·p, the five-point Laplacian: 4p − (N + S + E + W).
+        let q = geo.five_point(&ctx, &p, |c, sum| 4.0 * c - sum).await;
+        ctx.charge_vec_flops(5 * n_local as u64).await;
         let pq = global_dot(&ctx, cube, &p, &q).await;
         let alpha = rs / pq;
         for i in 0..n_local {

@@ -27,7 +27,7 @@ use std::rc::Rc;
 
 use t_series_core::model::NetModel;
 use ts_cube::Hypercube;
-use ts_fpu::soft::row::{above_bottom, clear, normal_operand, Lane};
+use ts_fpu::soft::row;
 use ts_fpu::Sf64;
 use ts_mem::ROW_WORDS;
 use ts_node::{occam, NodeCtx};
@@ -59,101 +59,18 @@ impl Cpx {
     }
 }
 
-impl std::ops::Add for Cpx {
-    type Output = Cpx;
-    /// Complex addition (2 flops).
-    fn add(self, o: Cpx) -> Cpx {
-        Cpx {
-            re: self.re + o.re,
-            im: self.im + o.im,
-        }
-    }
-}
-
-impl std::ops::Sub for Cpx {
-    type Output = Cpx;
-    /// Complex subtraction (2 flops).
-    fn sub(self, o: Cpx) -> Cpx {
-        Cpx {
-            re: self.re - o.re,
-            im: self.im - o.im,
-        }
-    }
-}
-
-impl std::ops::Mul for Cpx {
-    type Output = Cpx;
-    /// Complex multiplication (6 flops).
-    fn mul(self, o: Cpx) -> Cpx {
-        Cpx {
-            re: self.re * o.re - self.im * o.im,
-            im: self.re * o.im + self.im * o.re,
-        }
-    }
-}
-
-impl Cpx {
-    /// `self + o` by the host, and whether the element path's guard admits
-    /// both of its ops (operands normal, results clear).
-    #[inline(always)]
-    fn host_add(self, o: Cpx) -> (Cpx, bool) {
-        let r = Cpx {
-            re: self.re.host_add(o.re),
-            im: self.im.host_add(o.im),
-        };
-        (r, self.operands(o) & clear(r.re) & clear(r.im))
-    }
-
-    /// `(self − o)·w` by the host, and whether the guard admits all eight of
-    /// its ops. The differences and products feed the two checked results,
-    /// so each needs only the lower half of `clear`.
-    #[inline(always)]
-    fn host_diff_mul(self, o: Cpx, w: Cpx) -> (Cpx, bool) {
-        let (dr, di) = (self.re.host_sub(o.re), self.im.host_sub(o.im));
-        let (rr, ii) = (dr.host_mul(w.re), di.host_mul(w.im));
-        let (ri, ir) = (dr.host_mul(w.im), di.host_mul(w.re));
-        let r = Cpx {
-            re: rr.host_sub(ii),
-            im: ri.host_add(ir),
-        };
-        let twiddle = normal_operand(w.re) & normal_operand(w.im);
-        let steps = [dr, di, rr, ii, ri, ir]
-            .into_iter()
-            .fold(true, |ok, s| ok & above_bottom(s));
-        (
-            r,
-            self.operands(o) & twiddle & steps & clear(r.re) & clear(r.im),
-        )
-    }
-
-    /// Both parts of both operands normal (see [`normal_operand`]).
-    #[inline(always)]
-    fn operands(self, o: Cpx) -> bool {
-        normal_operand(self.re)
-            & normal_operand(self.im)
-            & normal_operand(o.re)
-            & normal_operand(o.im)
-    }
-}
-
-/// `a + b`: the host's, unless the guard rejects the lane.
+/// `a + b`, the low half of a butterfly ([`row::complex_sum`]).
 #[inline(always)]
 fn sum(a: Cpx, b: Cpx) -> Cpx {
-    match a.host_add(b) {
-        (r, true) => r,
-        _ => a + b,
-    }
+    let (re, im) = row::complex_sum((a.re, a.im), (b.re, b.im));
+    Cpx { re, im }
 }
 
-/// `(a − b)·w`: the host's, unless the guard rejects the lane. The k = 0
-/// twiddle `1 − 0i` has a zero part, so its lane of every group is
-/// rejected — alone: the rest of the row keeps the host path.
+/// `(a − b)·w`, the high half of a butterfly ([`row::complex_diff_mul`]).
 #[inline(always)]
 fn twiddled(a: Cpx, b: Cpx, w: Cpx) -> Cpx {
-    match a.host_diff_mul(b, w) {
-        (r, true) => r,
-        _ => (a - b) * w,
-    }
+    let (re, im) = row::complex_diff_mul((a.re, a.im), (b.re, b.im), (w.re, w.im));
+    Cpx { re, im }
 }
 
 /// Twiddle factor e^(−iπ·k/span) (the host computes them, the node stores
@@ -188,16 +105,16 @@ impl Twiddles {
 /// Hardware flops charged per butterfly (complex add + sub + mul).
 pub const FLOPS_PER_BUTTERFLY: u64 = 10;
 
-/// Overwrite `words` with the wire form of `data`.
-fn pack(data: &[Cpx], words: &mut Vec<u32>) {
-    words.clear();
-    words.reserve(data.len() * POINT_WORDS);
+/// The wire form of `data`, in a word-pool buffer.
+fn pack(data: &[Cpx]) -> Vec<u32> {
+    let mut words = ts_sim::pool::take_words(data.len() * POINT_WORDS);
     for c in data {
         for bits in [c.re.to_bits(), c.im.to_bits()] {
             words.push(bits as u32);
             words.push((bits >> 32) as u32);
         }
     }
+    words
 }
 
 fn unpack(words: &[u32]) -> impl Iterator<Item = Cpx> + '_ {
@@ -241,21 +158,9 @@ async fn cross_stage(
     // are consecutive from a multiple of `nl` and, as `nl ≤ span`, never
     // wrap: the stage reads one strided run of the table, starting here.
     let mut twiddles = table.run((me & (bit - 1)) * nl, span);
-    // The partner's wire buffer carries my next piece out: no allocation
-    // in steady state.
-    let mut wire = Vec::new();
     for _ in 0..pieces {
         let mut piece = input.recv().await;
-        let tx = ctx.clone();
-        let rx = ctx.clone();
-        pack(&piece, &mut wire);
-        let outgoing = std::mem::take(&mut wire);
-        let (_, words) = occam::par2(
-            ctx.handle(),
-            async move { tx.send_dim(pdim, outgoing).await },
-            async move { rx.recv_dim(pdim).await },
-        )
-        .await;
+        let words = ctx.exchange(pdim, pack(&piece), pdim).await;
         let pairs = piece.iter_mut().zip(unpack(&words));
         if low_side {
             pairs.for_each(|(mine, theirs)| *mine = sum(*mine, theirs));
@@ -264,7 +169,7 @@ async fn cross_stage(
                 *mine = twiddled(theirs, *mine, w);
             }
         }
-        wire = words;
+        ts_sim::pool::put_words(words);
         // The low node adds (2 flops a point), the high node subtracts and
         // multiplies by the twiddle (8).
         let flops = if low_side { 2 } else { FLOPS_PER_BUTTERFLY - 2 };
@@ -504,135 +409,6 @@ mod tests {
                 assert_eq!(at, want, "total {total}, span {span} (indexed)");
                 span /= 2;
             }
-        }
-    }
-
-    #[test]
-    fn butterfly_row_equals_the_element_path_with_a_part_planted_everywhere() {
-        // Groups of every span of a 512-point table: the k = 0 twiddle
-        // 1 − 0i leads each, and on span 1 it is the only one. One awkward
-        // part is planted at every position of the lows and the highs.
-        let planted: [u64; 12] = [
-            0,
-            1 << 63,
-            1,
-            0x000f_ffff_ffff_ffff,
-            0x0010_0000_0000_0000,
-            0x001f_ffff_ffff_ffff,
-            0x0020_0000_0000_0000,
-            0x7fef_ffff_ffff_ffff,
-            0x7ff0_0000_0000_0000,
-            0xfff0_0000_0000_0000,
-            0x7ff8_0000_0000_0000,
-            0x2006_b7f3_c9e9_c616,
-        ];
-        let bits = |c: Cpx| (c.re.to_bits(), c.im.to_bits());
-        let table = Twiddles::new(512);
-        let mut st = 0xFF7u64;
-        let mut turn = 0;
-        let mut span = 256;
-        while span >= 1 {
-            let ws: Vec<Cpx> = table.run(0, span).collect();
-            for pos in 0..4 * span {
-                let mut g: Vec<Cpx> = (0..2 * span)
-                    .map(|_| Cpx::new(rand_f64(&mut st), rand_f64(&mut st)))
-                    .collect();
-                let part = &mut g[pos / 2];
-                let p = Sf64::from_bits(planted[turn % planted.len()]);
-                turn += 1;
-                if pos % 2 == 0 {
-                    part.re = p;
-                } else {
-                    part.im = p;
-                }
-                let (lows, highs) = g.split_at(span);
-                for ((&a, &b), &w) in lows.iter().zip(highs).zip(&ws) {
-                    let ctx = || format!("span {span}, pos {pos}: {a:?} {b:?} {w:?}");
-                    assert_eq!(bits(sum(a, b)), bits(a + b), "{}", ctx());
-                    assert_eq!(bits(twiddled(a, b, w)), bits((a - b) * w), "{}", ctx());
-                    assert_eq!(bits(twiddled(b, a, w)), bits((b - a) * w), "{}", ctx());
-                }
-            }
-            span /= 2;
-        }
-        // Parts clear of the bottom binade whose sum or difference cancels
-        // below min-normal: only the checks on the results reject these.
-        let mn2 = 0x0020_0000_0000_0000u64;
-        for (v, w) in [(mn2, mn2 + 1), (mn2, (mn2 + 1) | 1 << 63)] {
-            for (k, &tw) in table.run(0, 8).collect::<Vec<_>>().iter().enumerate() {
-                let other = Sf64::from(rand_f64(&mut st));
-                let (v, w) = (Sf64::from_bits(v), Sf64::from_bits(w));
-                let (a, b) = if k % 2 == 0 {
-                    (Cpx { re: v, im: other }, Cpx { re: w, im: other })
-                } else {
-                    (Cpx { re: other, im: v }, Cpx { re: other, im: w })
-                };
-                assert_eq!(bits(sum(a, b)), bits(a + b), "{a:?} + {b:?}");
-                assert_eq!(bits(twiddled(a, b, tw)), bits((a - b) * tw), "{a:?} {b:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn butterfly_row_equals_the_element_path_on_parts_of_every_magnitude() {
-        // Seeded parts of any exponent — weighted to both ends of the range
-        // and to the specials — twiddles no table holds, and partners a few
-        // ulps off so that sums and differences cancel: each check of the
-        // butterfly's guard is the only one to reject some of these lanes.
-        let mut rng = ts_sim::Rng::new(0xB7F);
-        let part = |rng: &mut ts_sim::Rng| -> Sf64 {
-            let exp = match rng.below(6) {
-                0 => rng.below(48),
-                1 => 2047 - rng.below(48),
-                2 => [0, 1, 2, 2046, 2047][rng.range(0, 5)],
-                _ => 1023 - 48 + rng.below(96),
-            };
-            Sf64::from_bits((rng.next_u64() & (1 << 63 | ((1 << 52) - 1))) | exp << 52)
-        };
-        let bits = |c: Cpx| (c.re.to_bits(), c.im.to_bits());
-        // Clear products that cancel below min-normal in the twiddled
-        // result's real or imaginary part (x and x one ulp up, times u).
-        let (x, x1) = (2f64.powi(-990), 2f64.powi(-990) * (1.0 + f64::EPSILON));
-        let u = 2f64.powi(-10);
-        for (a, w) in [
-            (Cpx::new(1.0 + u, 1.0 - u), Cpx::new(x, x1)),
-            (Cpx::new(1.0 + u, 1.0 + u), Cpx::new(x1, x)),
-        ] {
-            let b = Cpx::new(1.0, 1.0);
-            assert_eq!(bits(twiddled(a, b, w)), bits((a - b) * w), "{a:?} {w:?}");
-        }
-        // A product the host rounds up to min-normal and the datapath
-        // flushes (`soft`'s min-normal pair), inside a lane whose every
-        // other step and both results are clear: only the product's own
-        // check rejects it.
-        let (pa, pb) = (0x2006_b7f3_c9e9_c616u64, 0x1ff6_8960_fa2a_be6d);
-        let (a, b, w) = (
-            Cpx::new(2.0 * f64::from_bits(pa), 2f64.powi(-506)),
-            Cpx::new(f64::from_bits(pa), 2f64.powi(-507)),
-            Cpx::new(f64::from_bits(pb), -4.0 * f64::from_bits(pb)),
-        );
-        assert_eq!(
-            bits(twiddled(a, b, w)),
-            bits((a - b) * w),
-            "{a:?} {b:?} {w:?}"
-        );
-        for _ in 0..200_000 {
-            let mut c = || Cpx {
-                re: part(&mut rng),
-                im: part(&mut rng),
-            };
-            let (a, mut b, w) = (c(), c(), c());
-            if rng.bool() {
-                let sign = rng.below(2) << 63;
-                b.re = Sf64::from_bits(a.re.to_bits().wrapping_add(rng.below(4)));
-                b.im = Sf64::from_bits((a.im.to_bits() ^ sign).wrapping_add(rng.below(4)));
-            }
-            assert_eq!(bits(sum(a, b)), bits(a + b), "{a:?} + {b:?}");
-            assert_eq!(
-                bits(twiddled(a, b, w)),
-                bits((a - b) * w),
-                "{a:?} {b:?} {w:?}"
-            );
         }
     }
 

@@ -17,10 +17,7 @@
 //! (double buffering). A step costs `max(gemm, shift)`, not
 //! `gemm + 2·shift`.
 
-use std::future::{poll_fn, Future};
-use std::pin::pin;
 use std::rc::Rc;
-use std::task::Poll;
 
 use ts_cube::{embed::MeshEmbedding, Hypercube};
 use ts_fpu::Sf64;
@@ -52,29 +49,7 @@ fn axis_dims(mesh: &MeshEmbedding, me: u32, coords: &[u32], axis: usize) -> [usi
 /// "left"/"up"), receive the neighbour's from the other side.
 async fn shift(ctx: &NodeCtx, [back, fwd]: [usize; 2], forward: bool, block: Block) -> Block {
     let (send_dim, recv_dim) = if forward { (fwd, back) } else { (back, fwd) };
-    // An Occam `PAR` of the two transfers, joined in place. `occam::par2`
-    // takes `'static` processes and stores each twice (argument, then
-    // pinned), which made a mover's future 1.9 KB instead of 1.0 KB — per
-    // node, per axis: on 64 nodes with 4×4 blocks that cost 6 % host time
-    // and 0.2 MB.
-    let incoming = {
-        let mut send = pin!(ctx.send_f64s(send_dim, &block));
-        let mut recv = pin!(ctx.recv_f64s(recv_dim));
-        let (mut sent, mut incoming) = (false, None);
-        poll_fn(|cx| {
-            sent = sent || send.as_mut().poll(cx).is_ready();
-            if incoming.is_none() {
-                if let Poll::Ready(vals) = recv.as_mut().poll(cx) {
-                    incoming = Some(vals);
-                }
-            }
-            match incoming.take_if(|_| sent) {
-                Some(vals) => Poll::Ready(vals),
-                None => Poll::Pending,
-            }
-        })
-        .await
-    };
+    let incoming = ctx.exchange_f64s(send_dim, &block, recv_dim).await;
     recycle(block);
     Rc::new(incoming)
 }

@@ -16,7 +16,7 @@
 
 use ts_cube::{embed::RingEmbedding, Hypercube};
 use ts_fpu::softdiv;
-use ts_node::{occam, NodeCtx};
+use ts_node::NodeCtx;
 
 use crate::{rand_f64, run_spmd, KernelStats};
 
@@ -105,16 +105,7 @@ pub async fn nbody_node(ctx: NodeCtx, cube: Hypercube, residents: Vec<Body>) -> 
     // Circulate the visitor buffer p−1 steps around the ring.
     let mut visitors = residents.clone();
     for _ in 1..cube.nodes() {
-        let h = ctx.handle().clone();
-        let tx = ctx.clone();
-        let rx = ctx.clone();
-        let outgoing = pack(&visitors);
-        let (_, incoming) = occam::par2(
-            &h,
-            async move { tx.send_dim(send_dim, outgoing).await },
-            async move { rx.recv_dim(recv_dim).await },
-        )
-        .await;
+        let incoming = ctx.exchange(send_dim, pack(&visitors), recv_dim).await;
         visitors = unpack(&incoming);
         accumulate(&residents, &visitors, &mut forces);
         ctx.charge_vec_flops(FLOPS_PER_PAIR * (nl * visitors.len()) as u64)

@@ -12,7 +12,7 @@
 //! block exchanges are real link traffic.
 
 use ts_cube::Hypercube;
-use ts_node::{occam, NodeCtx};
+use ts_node::NodeCtx;
 
 use crate::{pack, rand_f64, run_spmd, unpack, KernelStats};
 
@@ -54,16 +54,7 @@ pub async fn bitonic_node(ctx: NodeCtx, cube: Hypercube, mut local: Vec<f64>) ->
             // Ascending region if bit (phase+1) of id is 0.
             let ascending = me & (1 << (phase + 1)) == 0 || phase + 1 == cube.dim();
             let keep_low = (me & partner_bit == 0) == ascending;
-            let h = ctx.handle().clone();
-            let tx = ctx.clone();
-            let rx = ctx.clone();
-            let out = pack(&local);
-            let (_, theirs) = occam::par2(
-                &h,
-                async move { tx.send_dim(j as usize, out).await },
-                async move { rx.recv_dim(j as usize).await },
-            )
-            .await;
+            let theirs = ctx.exchange(j as usize, pack(&local), j as usize).await;
             local = compare_split(&local, &unpack(&theirs), keep_low);
             ctx.cp_compute(4 * 2 * nl as u64).await; // merge pass
         }

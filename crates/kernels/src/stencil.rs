@@ -13,43 +13,56 @@ use ts_node::NodeCtx;
 
 use crate::{pack, run_spmd, unpack, KernelStats};
 
-/// The per-node Jacobi program: `tile` is g×g row-major; runs `sweeps`
-/// iterations and returns the final tile.
-pub async fn jacobi_node(
-    ctx: NodeCtx,
-    cube: Hypercube,
+/// A node's g×g tile of the 2-D mesh the grid kernels (Jacobi here, and
+/// CG) distribute, with the cube dimension to each of its up to four mesh
+/// neighbours — mesh faces have none; the global boundary is held at zero.
+pub(crate) struct Tile {
     g: usize,
-    mut tile: Vec<f64>,
-    sweeps: usize,
-) -> Vec<f64> {
-    let half = cube.dim() / 2;
-    let mesh = MeshEmbedding::new(cube, &[half, cube.dim() - half]);
-    let me = ctx.id();
-    let coords = mesh.coords_of(me);
-    // Neighbour cube-dimension per (axis, forward).
-    let neighbor = |axis: usize, forward: bool| -> Option<usize> {
-        mesh.step(&coords, axis, forward)
-            .map(|nc| (me ^ mesh.node_at(&nc)).trailing_zeros() as usize)
-    };
-    let west = neighbor(0, false);
-    let east = neighbor(0, true);
-    let north = neighbor(1, false);
-    let south = neighbor(1, true);
+    /// West, east, north, south.
+    dims: [Option<usize>; 4],
+}
 
-    for _ in 0..sweeps {
-        // Extract halo strips.
-        let col = |x: usize| -> Vec<f64> { (0..g).map(|y| tile[y * g + x]).collect() };
-        let row = |y: usize| -> Vec<f64> { tile[y * g..(y + 1) * g].to_vec() };
-        // Exchange all four directions in PAR (deadlock-free: every edge
-        // has a send and a receive posted simultaneously).
+impl Tile {
+    pub(crate) fn new(ctx: &NodeCtx, cube: Hypercube, g: usize) -> Tile {
+        let half = cube.dim() / 2;
+        let mesh = MeshEmbedding::new(cube, &[half, cube.dim() - half]);
+        let me = ctx.id();
+        let coords = mesh.coords_of(me);
+        let neighbor = |axis: usize, forward: bool| -> Option<usize> {
+            mesh.step(&coords, axis, forward)
+                .map(|nc| (me ^ mesh.node_at(&nc)).trailing_zeros() as usize)
+        };
+        Tile {
+            g,
+            dims: [
+                neighbor(0, false),
+                neighbor(0, true),
+                neighbor(1, false),
+                neighbor(1, true),
+            ],
+        }
+    }
+
+    /// The five-point stencil on fresh halos: exchange `p`'s edge strips
+    /// with every neighbour, then `out[i] = f(p[i], W + E + N + S)`.
+    pub(crate) async fn five_point(
+        &self,
+        ctx: &NodeCtx,
+        p: &[f64],
+        f: impl Fn(f64, f64) -> f64,
+    ) -> Vec<f64> {
+        let g = self.g;
+        let col = |x: usize| -> Vec<f64> { (0..g).map(|y| p[y * g + x]).collect() };
+        let row = |y: usize| -> Vec<f64> { p[y * g..(y + 1) * g].to_vec() };
+        // All four directions in PAR (deadlock-free: every edge has a send
+        // and a receive posted at once).
         let h = ctx.handle().clone();
         let mut sends = Vec::new();
-        for (dim, strip) in [
-            (west, col(0)),
-            (east, col(g - 1)),
-            (north, row(0)),
-            (south, row(g - 1)),
-        ] {
+        for (dim, strip) in self
+            .dims
+            .into_iter()
+            .zip([col(0), col(g - 1), row(0), row(g - 1)])
+        {
             if let Some(d) = dim {
                 let c = ctx.clone();
                 let words = pack(&strip);
@@ -58,7 +71,7 @@ pub async fn jacobi_node(
         }
         let mut halos: [Option<Vec<f64>>; 4] = [None, None, None, None];
         let mut recvs = Vec::new();
-        for (slot, dim) in [west, east, north, south].into_iter().enumerate() {
+        for (slot, dim) in self.dims.into_iter().enumerate() {
             if let Some(d) = dim {
                 let c = ctx.clone();
                 recvs.push((slot, h.spawn(async move { c.recv_dim(d).await })));
@@ -70,30 +83,44 @@ pub async fn jacobi_node(
         for s in sends {
             s.await;
         }
-        let [w_halo, e_halo, n_halo, s_halo] = halos;
-
-        // Relax.
+        let [w_h, e_h, n_h, s_h] = halos;
         let at = |x: isize, y: isize| -> f64 {
             if x < 0 {
-                w_halo.as_ref().map_or(0.0, |h| h[y as usize])
+                w_h.as_ref().map_or(0.0, |h| h[y as usize])
             } else if x >= g as isize {
-                e_halo.as_ref().map_or(0.0, |h| h[y as usize])
+                e_h.as_ref().map_or(0.0, |h| h[y as usize])
             } else if y < 0 {
-                n_halo.as_ref().map_or(0.0, |h| h[x as usize])
+                n_h.as_ref().map_or(0.0, |h| h[x as usize])
             } else if y >= g as isize {
-                s_halo.as_ref().map_or(0.0, |h| h[x as usize])
+                s_h.as_ref().map_or(0.0, |h| h[x as usize])
             } else {
-                tile[y as usize * g + x as usize]
+                p[y as usize * g + x as usize]
             }
         };
-        let mut next = vec![0.0f64; g * g];
+        let mut out = vec![0.0; g * g];
         for y in 0..g as isize {
             for x in 0..g as isize {
-                next[y as usize * g + x as usize] =
-                    0.25 * (at(x - 1, y) + at(x + 1, y) + at(x, y - 1) + at(x, y + 1));
+                let sum = at(x - 1, y) + at(x + 1, y) + at(x, y - 1) + at(x, y + 1);
+                let i = y as usize * g + x as usize;
+                out[i] = f(p[i], sum);
             }
         }
-        tile = next;
+        out
+    }
+}
+
+/// The per-node Jacobi program: `tile` is g×g row-major; runs `sweeps`
+/// iterations and returns the final tile.
+pub async fn jacobi_node(
+    ctx: NodeCtx,
+    cube: Hypercube,
+    g: usize,
+    mut tile: Vec<f64>,
+    sweeps: usize,
+) -> Vec<f64> {
+    let geo = Tile::new(&ctx, cube, g);
+    for _ in 0..sweeps {
+        tile = geo.five_point(&ctx, &tile, |_, sum| 0.25 * sum).await;
         ctx.charge_vec_flops(4 * (g * g) as u64).await;
     }
     tile

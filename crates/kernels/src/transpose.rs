@@ -15,7 +15,7 @@
 //! movement when the stride allows it).
 
 use ts_cube::Hypercube;
-use ts_node::{occam, NodeCtx};
+use ts_node::NodeCtx;
 
 use crate::{rand_f64, run_spmd, KernelStats};
 
@@ -120,16 +120,7 @@ pub async fn transpose_rows(
             .into_iter()
             .map(|(owner, row, data)| (owner | (row << 16), data))
             .collect();
-        let h = ctx.handle().clone();
-        let tx = ctx.clone();
-        let rx = ctx.clone();
-        let payload = pack_blocks(&tagged);
-        let (_, incoming) = occam::par2(
-            &h,
-            async move { tx.send_dim(d, payload).await },
-            async move { rx.recv_dim(d).await },
-        )
-        .await;
+        let incoming = ctx.exchange(d, pack_blocks(&tagged), d).await;
         holding = keep;
         for (tag, data) in unpack_blocks(&incoming) {
             holding.push((tag & 0xffff, tag >> 16, data));

@@ -54,12 +54,6 @@ impl LinkParams {
     pub fn effective_mb_per_s(&self) -> f64 {
         self.byte_time().throughput_bytes(1) / 1e6
     }
-
-    /// Aggregate bandwidth of all four links (paper: "over 4 MB/s" counting
-    /// both directions of each bidirectional link).
-    pub fn node_aggregate_mb_per_s(&self) -> f64 {
-        self.effective_mb_per_s() * 4.0 * 2.0
-    }
 }
 
 #[cfg(test)]
@@ -74,8 +68,6 @@ mod tests {
         assert!((p.effective_mb_per_s() - 0.5).abs() < 1e-12);
         // A 64-bit word costs 16 µs on the wire — the paper's ratio basis.
         assert_eq!(p.wire_time(8), Dur::us(16));
-        // Four bidirectional links: > 4 MB/s aggregate.
-        assert!(p.node_aggregate_mb_per_s() >= 4.0);
         // Raw line rate is 10 Mb/s but framing eats 9/20 of it.
         let raw_mb = p.bit_rate as f64 / 8.0 / 1e6;
         assert!(p.effective_mb_per_s() < raw_mb / 2.0);

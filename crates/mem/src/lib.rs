@@ -229,11 +229,6 @@ impl NodeMemory {
         }
     }
 
-    /// Which bank a word address belongs to.
-    pub fn bank_of_word(&self, addr: usize) -> Bank {
-        self.bank_of_row(addr / ROW_WORDS)
-    }
-
     #[inline]
     fn check(&self, addr: usize) -> Result<(), MemError> {
         if addr < self.cfg.words() {
@@ -532,13 +527,6 @@ impl RowDelta {
     }
 }
 
-/// Cost of moving `rows` whole rows through the row port (physical data
-/// movement at 2560 MB/s — the paper's alternative to pointer chasing).
-pub fn row_move_cost(rows: u64) -> Dur {
-    // A move is one read plus one write of the row port.
-    ROW_TIME * (2 * rows)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -600,9 +588,6 @@ mod tests {
         assert_eq!(m.bank_of_row(255), Bank::A);
         assert_eq!(m.bank_of_row(256), Bank::B);
         assert_eq!(m.bank_of_row(300), Bank::B);
-        // Word addressing agrees.
-        assert_eq!(m.bank_of_word(255 * ROW_WORDS), Bank::A);
-        assert_eq!(m.bank_of_word(256 * ROW_WORDS), Bank::B);
     }
 
     #[test]
@@ -780,16 +765,6 @@ mod tests {
             listed.dedup();
             assert_eq!(listed.len(), m.suspects.len(), "a word listed twice");
         }
-    }
-
-    #[test]
-    fn row_move_is_2560_mbps_each_way() {
-        // Moving 1024 rows (1 MB) costs 1024 × 2 × 400 ns ≈ 0.82 ms,
-        // i.e. 2560 MB/s of read plus 2560 MB/s of write.
-        let d = row_move_cost(1);
-        assert_eq!(d, Dur::ns(800));
-        let mb_per_s = d.throughput_bytes(1024) / 1e6;
-        assert!((mb_per_s - 1280.0).abs() < 1e-9); // read+write halves it
     }
 
     #[test]

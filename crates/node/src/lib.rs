@@ -23,7 +23,8 @@
 //! * [`NodeCtx::row_move`] — physical row moves at 2560 MB/s (the paper's
 //!   alternative to pointer chasing for pivoting and sorting);
 //! * [`NodeCtx::send_dim`] / [`NodeCtx::recv_dim`] / [`NodeCtx::alt_dims`]
-//!   — hypercube channels (sublinks wired by `t-series-core`);
+//!   — hypercube channels (sublinks wired by `t-series-core`), and
+//!   [`NodeCtx::exchange`], the one send-while-receiving `PAR`;
 //! * [`NodeCtx::cp_compute`] — scalar control work at 7.5 MIPS;
 //! * [`NodeCtx::run_cp_program`] — execute real `ts-cp` machine code
 //!   against this node's memory, with channel and vector instructions
@@ -42,7 +43,10 @@
 pub mod occam;
 
 use std::cell::{OnceCell, Ref, RefCell, RefMut};
+use std::future::{poll_fn, Future};
+use std::pin::pin;
 use std::rc::Rc;
+use std::task::Poll;
 
 use ts_cp::{Cp, CpBus, CpError, CpEvent, StepOutcome};
 use ts_fpu::pipeline::Precision;
@@ -1052,28 +1056,47 @@ impl NodeCtx {
     /// The wire buffer comes from the word pool; the receiver's
     /// [`NodeCtx::recv_f64s`] returns it there once unpacked.
     pub async fn send_f64s(&self, dim: usize, vals: &[Sf64]) {
-        let mut words = ts_sim::pool::take_words(vals.len() * 2);
-        for v in vals {
-            let b = v.to_bits();
-            words.push(b as u32);
-            words.push((b >> 32) as u32);
-        }
-        self.send_dim(dim, words).await;
+        self.send_dim(dim, pack_f64s(vals)).await;
     }
 
     /// Receive a slice of 64-bit floats from `dim`. The result buffer comes
     /// from the value pool — hand it back with [`recycle_values`] when done
     /// to keep the collective hot path allocation-free.
     pub async fn recv_f64s(&self, dim: usize) -> Vec<Sf64> {
-        let words = self.recv_dim(dim).await;
-        let mut vals = take_values(words.len() / 2);
-        vals.extend(
-            words
-                .chunks_exact(2)
-                .map(|c| Sf64::from_bits(c[0] as u64 | ((c[1] as u64) << 32))),
-        );
-        ts_sim::pool::put_words(words);
-        vals
+        unpack_f64s(self.recv_dim(dim).await)
+    }
+
+    /// Send `words` across `out_dim` while receiving from `in_dim`, and
+    /// return what arrived: an Occam `PAR` of the two transfers. The same
+    /// dimension both ways swaps with the cube partner (sequential transfers
+    /// would rendezvous-deadlock); two dimensions make a ring shift.
+    ///
+    /// The pair is joined in place, the send polled first on every wake —
+    /// the polls and instants of [`occam::par2`] over the two transfers,
+    /// without its `'static` processes, which store each future twice.
+    pub async fn exchange(&self, out_dim: usize, words: Vec<u32>, in_dim: usize) -> Vec<u32> {
+        let mut send = pin!(self.send_dim(out_dim, words));
+        let mut recv = pin!(self.recv_dim(in_dim));
+        let (mut sent, mut got) = (false, None);
+        poll_fn(|cx| {
+            sent = sent || send.as_mut().poll(cx).is_ready();
+            if got.is_none() {
+                if let Poll::Ready(words) = recv.as_mut().poll(cx) {
+                    got = Some(words);
+                }
+            }
+            match got.take_if(|_| sent) {
+                Some(words) => Poll::Ready(words),
+                None => Poll::Pending,
+            }
+        })
+        .await
+    }
+
+    /// [`NodeCtx::exchange`] of 64-bit floats, packed and unpacked as by
+    /// [`NodeCtx::send_f64s`] and [`NodeCtx::recv_f64s`].
+    pub async fn exchange_f64s(&self, out_dim: usize, vals: &[Sf64], in_dim: usize) -> Vec<Sf64> {
+        unpack_f64s(self.exchange(out_dim, pack_f64s(vals), in_dim).await)
     }
 
     /// The `(out, in)` system-thread sublinks to the module's board (same
@@ -1206,6 +1229,30 @@ impl NodeCtx {
         }
         Ok(())
     }
+}
+
+/// The wire form of `vals` (low word first), in a word-pool buffer.
+fn pack_f64s(vals: &[Sf64]) -> Vec<u32> {
+    let mut words = ts_sim::pool::take_words(vals.len() * 2);
+    for v in vals {
+        let b = v.to_bits();
+        words.push(b as u32);
+        words.push((b >> 32) as u32);
+    }
+    words
+}
+
+/// The values `words` carry, in a value-pool buffer; `words` goes back to
+/// its pool.
+fn unpack_f64s(words: Vec<u32>) -> Vec<Sf64> {
+    let mut vals = take_values(words.len() / 2);
+    vals.extend(
+        words
+            .chunks_exact(2)
+            .map(|c| Sf64::from_bits(c[0] as u64 | ((c[1] as u64) << 32))),
+    );
+    ts_sim::pool::put_words(words);
+    vals
 }
 
 /// Errors from running machine code on a node.

@@ -55,12 +55,6 @@ impl Time {
             .checked_sub(earlier.0)
             .expect("Time::since: earlier instant is later"))
     }
-
-    /// Saturating difference: zero if `earlier` is later than `self`.
-    #[inline]
-    pub fn saturating_since(self, earlier: Time) -> Dur {
-        Dur(self.0.saturating_sub(earlier.0))
-    }
 }
 
 impl Dur {
@@ -296,7 +290,6 @@ mod tests {
         let t = Time::ZERO + Dur::us(3) + Dur::ns(5);
         assert_eq!(t.as_ps(), 3_005_000);
         assert_eq!(t.since(Time::ZERO + Dur::us(3)), Dur::ns(5));
-        assert_eq!((Time::ZERO + Dur::us(1)).saturating_since(t), Dur::ZERO);
     }
 
     #[test]

@@ -385,8 +385,6 @@ impl VecUnit {
 trait Elem: Format {
     /// Elements per 1024-byte row.
     const PER_ROW: usize;
-    /// The element as a row lane.
-    type Lane: Lane;
     /// Read the first `out.len()` elements of `reg`.
     fn read(reg: &VectorReg, out: &mut [Self::Lane]);
     /// Write `vals` over the first `vals.len()` elements of `reg`; the rest
@@ -398,7 +396,6 @@ trait Elem: Format {
 
 impl Elem for B64 {
     const PER_ROW: usize = Precision::Double.elems_per_row();
-    type Lane = Sf64;
     #[inline]
     fn read(reg: &VectorReg, out: &mut [Sf64]) {
         for (o, w) in out.iter_mut().zip(reg.words.chunks_exact(2)) {
@@ -421,7 +418,6 @@ impl Elem for B64 {
 
 impl Elem for B32 {
     const PER_ROW: usize = Precision::Single.elems_per_row();
-    type Lane = Sf32;
     #[inline]
     fn read(reg: &VectorReg, out: &mut [Sf32]) {
         for (o, &w) in out.iter_mut().zip(&reg.words) {

@@ -200,6 +200,10 @@ impl Trace {
             let first = tok.next().ok_or_else(|| err("empty line"))?;
             if first == "class" {
                 let name = tok.next().ok_or_else(|| err("missing class name"))?;
+                // A class index is a `u8`.
+                if trace.classes.len() == 256 && !trace.classes.iter().any(|c| c == name) {
+                    return Err(err("too many classes"));
+                }
                 trace.class(name);
                 if tok.next().is_some() {
                     return Err(err("trailing tokens after class name"));
@@ -362,6 +366,23 @@ mod tests {
         ] {
             assert!(Trace::parse(bad).is_err(), "should reject ({why}): {bad}");
         }
+    }
+
+    #[test]
+    fn a_257th_class_is_a_parse_error() {
+        let mut text: String = (0..256).map(|i| format!("class c{i}\n")).collect();
+        // Re-declaring a known class at the limit is still fine.
+        text.push_str("class c7\n");
+        assert_eq!(Trace::parse(&text).expect("256 classes").classes.len(), 256);
+        text.push_str("class c256\n");
+        assert_eq!(
+            Trace::parse(&text),
+            Err(TraceParseError {
+                line: 258,
+                what: "too many classes",
+                text: "class c256".into(),
+            })
+        );
     }
 
     #[test]

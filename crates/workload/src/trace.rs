@@ -22,7 +22,8 @@
 //! demand: synthetic jobs hold their subcube for exactly that long, and
 //! kernel jobs use it as the runtime *estimate* the backfill reservation
 //! plans around. `dl=` is the completion deadline relative to arrival
-//! (`-` for best-effort).
+//! (`-` for best-effort). `at + s` and `at + dl` must fall before the
+//! clock's last picosecond (`u64::MAX` ps, ~213 days).
 
 use std::fmt;
 
@@ -246,6 +247,12 @@ impl Trace {
             if tok.next().is_some() {
                 return Err(err("trailing tokens"));
             }
+            // Past `u64::MAX` ps the clock overflows; at it, a deadline
+            // reads as none.
+            let horizon = u64::MAX - at_ps;
+            if svc >= horizon || deadline.is_some_and(|d| d.as_ps() >= horizon) {
+                return Err(err("past the picosecond horizon"));
+            }
             let class = trace
                 .classes
                 .iter()
@@ -383,6 +390,30 @@ mod tests {
                 text: "class c256".into(),
             })
         );
+    }
+
+    /// A job must end, and meet its deadline, before the clock's last
+    /// picosecond: past it the service's clock overflows, and at it the
+    /// deadline reads as none.
+    #[test]
+    fn ends_past_the_picosecond_horizon_are_parse_errors() {
+        for line in [
+            "1ps job d=0 p=0 c=a k=synthetic s=1ps dl=18446744073709551615ps",
+            "1ps job d=0 p=0 c=a k=synthetic s=18446744073709551615ps dl=-",
+            "0ps job d=0 p=0 c=a k=synthetic s=1ps dl=18446744073709551615ps",
+        ] {
+            assert_eq!(
+                Trace::parse(&format!("class a\n{line}")),
+                Err(TraceParseError {
+                    line: 2,
+                    what: "past the picosecond horizon",
+                    text: line.into(),
+                })
+            );
+        }
+        let last =
+            "0ps job d=0 p=0 c=a k=synthetic s=18446744073709551614ps dl=18446744073709551614ps";
+        assert!(Trace::parse(&format!("class a\n{last}")).is_ok());
     }
 
     #[test]

@@ -57,6 +57,13 @@ impl NetModel {
         self.p2p(2 * m_f64) * n as u64
     }
 
+    /// Dimension-exchange max-loc of one `(f64, index)` pair (3 words: the
+    /// value's two halves and the index) on an `n`-cube, every node ending
+    /// with the winner — LU's pivot vote: `n · (o + 3w)`.
+    pub fn max_loc(&self, n: u32) -> Dur {
+        self.p2p(3) * n as u64
+    }
+
     /// Striped binomial broadcast ([`collectives::broadcast_striped`](crate::collectives::broadcast_striped)):
     /// the `m` words travel as `n` stripes, stripe `q` down the tree whose
     /// dimension order is rotated by `q`, so every round moves one stripe

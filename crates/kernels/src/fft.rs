@@ -2,26 +2,37 @@
 //!
 //! Figure 3 lists "FFT butterfly connections of radix 2" among the cube's
 //! embeddings: at stage s the butterfly pairs points whose indices differ
-//! in bit s — under the identity placement that is exactly one cube edge
+//! in bit s — exactly one cube edge when that bit addresses the node
 //! (`ts_cube::embed::FftEmbedding` proves dilation 1).
 //!
-//! With N points over p = 2ⁿ nodes (N/p consecutive points per node, N/p a
-//! power of two), a decimation-in-frequency FFT runs its first n stages
-//! **across nodes** — each node exchanges its block with the partner
-//! across one cube dimension and keeps its half of every butterfly — and
-//! the remaining log₂(N/p) stages locally. Output lands in bit-reversed
-//! order, as DIF always does; [`bit_reverse_permute`] restores natural
-//! order host-side.
+//! With N points over p = 2ⁿ nodes, points are placed **cyclically**: node
+//! q holds the points g ≡ q (mod p), point g in slot g / p. A
+//! decimation-in-frequency FFT runs its spans from N/2 down; a span ≥ p
+//! pairs two slots of one node, so the first log₂(N/p) stages are local,
+//! and the last n (spans p/2 … 1) pair the same slot on two nodes across
+//! one cube dimension. Output lands in bit-reversed order, as DIF always
+//! does; the driver restores natural order host-side.
 //!
-//! The cross-node stages are independent per local index, and each rides
-//! its own cube dimension, i.e. its own physical link. So they run as an
-//! Occam **pipeline**: one stage process per dimension, joined by soft
-//! channels, with the block cut into row-sized pieces — in steady state
-//! all n links carry a piece at once and the n exchanges cost about one.
+//! A cross-node butterfly needs one of its operands to cross, not both. The
+//! low node keeps the first half of a piece and sends the second, the high
+//! node the reverse; each computes whole butterflies on the half it keeps,
+//! with the one twiddle all its butterflies share at that span S,
+//! `twiddle(q mod S, S)`, and writes the sums into the first half and the
+//! twiddled differences into the second. Afterwards a node's node bit S and
+//! the piece's half bit are swapped; the driver undoes the swaps
+//! (`dif_index`) next to the bit reversal.
+//!
+//! The cross-node stages are independent per slot, and each rides its own
+//! cube dimension, i.e. its own physical link. So they run as an Occam
+//! **pipeline**: one stage process per dimension, joined by soft channels,
+//! with the block cut into row-sized pieces — in steady state all n links
+//! carry half a piece at once and the n exchanges cost about one.
 //!
 //! Arithmetic is complex `Sf64` (the machine's 64-bit mode); a butterfly
 //! is 10 hardware flops (complex add, sub and multiply), charged to the
-//! vector unit of the node that performs each part.
+//! vector unit of the node that computes it. Every butterfly sees the
+//! operands and the twiddle it would see on one node, in the same order,
+//! so the spectrum is bit-identical at every machine size.
 
 use std::rc::Rc;
 
@@ -94,11 +105,16 @@ impl Twiddles {
         Twiddles((0..top).map(|k| twiddle(k, top)).collect())
     }
 
-    /// The factors `twiddle(k0..span, span)`, in order: one strided run of
-    /// the table.
-    fn run(&self, k0: usize, span: usize) -> impl Iterator<Item = Cpx> + '_ {
+    /// The factor `twiddle(k, span)`.
+    fn at(&self, k: usize, span: usize) -> Cpx {
+        self.0[k * (self.0.len() / span)]
+    }
+
+    /// The factors `twiddle(k0 + i·step, span)` for i = 0, 1, …, in order:
+    /// one strided run of the table.
+    fn run(&self, k0: usize, step: usize, span: usize) -> impl Iterator<Item = Cpx> + '_ {
         let stride = self.0.len() / span;
-        self.0[k0 * stride..].iter().step_by(stride).copied()
+        self.0[k0 * stride..].iter().step_by(step * stride).copied()
     }
 }
 
@@ -137,50 +153,49 @@ fn piece_points(ctx: &NodeCtx, stages: u32, nl: usize) -> usize {
     (rows * ROW_WORDS / POINT_WORDS).min(nl)
 }
 
-/// One cross-node butterfly stage as a pipeline process: exchange each
-/// piece arriving on `input` with the partner across the stage's cube
-/// dimension, keep this node's half of every butterfly, pass the piece on.
+/// One cross-node butterfly stage of span `span` (< p) as a pipeline
+/// process: for each piece arriving on `input`, send the partner across the
+/// stage's cube dimension the half it keeps, compute whole butterflies on
+/// the half this node keeps (the low node the first, the high node the
+/// second) with the stage's one twiddle `w`, and pass the piece on, sums in
+/// its first half and twiddled differences in its second.
 async fn cross_stage(
     ctx: NodeCtx,
-    nl: usize,
     span: usize,
     pieces: usize,
-    table: Rc<Twiddles>,
+    w: Cpx,
     input: Rendezvous<Vec<Cpx>>,
     output: Rendezvous<Vec<Cpx>>,
 ) {
-    let me = ctx.id() as usize;
-    // The node-address bit this stage pairs across.
-    let bit = span / nl;
-    let pdim = bit.trailing_zeros() as usize;
-    let low_side = me & bit == 0;
-    // Twiddle index: the low global index mod span. This node's low indices
-    // are consecutive from a multiple of `nl` and, as `nl ≤ span`, never
-    // wrap: the stage reads one strided run of the table, starting here.
-    let mut twiddles = table.run((me & (bit - 1)) * nl, span);
+    let pdim = span.trailing_zeros() as usize;
+    let low_side = ctx.id() as usize & span == 0;
     for _ in 0..pieces {
         let mut piece = input.recv().await;
-        let words = ctx.exchange(pdim, pack(&piece), pdim).await;
-        let pairs = piece.iter_mut().zip(unpack(&words));
-        if low_side {
-            pairs.for_each(|(mine, theirs)| *mine = sum(*mine, theirs));
-        } else {
-            for ((mine, theirs), w) in pairs.zip(&mut twiddles) {
-                *mine = twiddled(theirs, *mine, w);
-            }
+        let half = piece.len() / 2;
+        let give = if low_side { half..2 * half } else { 0..half };
+        let words = ctx.exchange(pdim, pack(&piece[give]), pdim).await;
+        let (lows, highs) = piece.split_at_mut(half);
+        for ((lo, hi), theirs) in lows.iter_mut().zip(highs).zip(unpack(&words)) {
+            // The butterfly's first operand is the low node's point.
+            let (a, b) = if low_side {
+                (*lo, theirs)
+            } else {
+                (theirs, *hi)
+            };
+            *lo = sum(a, b);
+            *hi = twiddled(a, b, w);
         }
         ts_sim::pool::put_words(words);
-        // The low node adds (2 flops a point), the high node subtracts and
-        // multiplies by the twiddle (8).
-        let flops = if low_side { 2 } else { FLOPS_PER_BUTTERFLY - 2 };
-        ctx.charge_vec_flops(flops * piece.len() as u64).await;
+        ctx.charge_vec_flops(FLOPS_PER_BUTTERFLY * half as u64)
+            .await;
         output.send(piece).await;
     }
 }
 
-/// The per-node DIF FFT program over `local` points (global index =
-/// `id · local.len() + j`), with the run's `Twiddles::new(total)`.
-/// Returns this node's slice of the bit-reversed-order spectrum.
+/// The per-node DIF FFT program over `local` points (point g of the
+/// transform in slot g / p of node g mod p), with the run's
+/// `Twiddles::new(total)`. Returns this node's share of the bit-reversed
+/// spectrum, slot by slot as `dif_index` places it.
 pub async fn fft_node(
     ctx: NodeCtx,
     cube: Hypercube,
@@ -188,57 +203,21 @@ pub async fn fft_node(
     mut local: Vec<Cpx>,
     table: Rc<Twiddles>,
 ) -> Vec<Cpx> {
+    let p = cube.nodes() as usize;
+    let q = ctx.id() as usize;
     let nl = local.len();
-    assert!(nl.is_power_of_two() && total == nl << cube.dim() as usize);
-    let mut span = total / 2;
-    // Cross-node stages (span ≥ nl): one pipeline process per dimension,
-    // fed piece by piece from `local` and drained back into it.
-    if cube.dim() > 0 {
-        let piece = piece_points(&ctx, cube.dim(), nl);
-        let pieces = nl / piece;
-        let feed = Rendezvous::new();
-        let mut drain = feed.clone();
-        while span >= nl {
-            let next = Rendezvous::new();
-            let stage = cross_stage(
-                ctx.clone(),
-                nl,
-                span,
-                pieces,
-                table.clone(),
-                drain,
-                next.clone(),
-            );
-            ctx.handle().spawn(stage);
-            drain = next;
-            span /= 2;
-        }
-        (_, local) = occam::par2(
-            ctx.handle(),
-            async move {
-                for piece in local.chunks(piece) {
-                    feed.send(piece.to_vec()).await;
-                }
-            },
-            async move {
-                let mut out = Vec::with_capacity(nl);
-                for _ in 0..pieces {
-                    out.extend(drain.recv().await);
-                }
-                out
-            },
-        )
-        .await;
-    }
-    // Local stages. A node's first global index is a multiple of `nl`, so
-    // the twiddle index (global index mod span) is the offset in the group.
+    assert!(nl.is_power_of_two() && total == nl * p);
+    // Local stages (span ≥ p): a butterfly pairs slots `span / p` apart, and
+    // slot j's twiddle index (global index mod span) is (j mod span/p)·p + q.
     // Nothing else uses the vector unit now and the stages need no other
     // unit, so their forms are chained behind one completion interrupt.
+    let mut span = total / 2;
     let mut done = ctx.now();
-    while span >= 1 {
-        for group in local.chunks_exact_mut(2 * span) {
-            let (lows, highs) = group.split_at_mut(span);
-            for ((lo, hi), w) in lows.iter_mut().zip(highs).zip(table.run(0, span)) {
+    while span >= p {
+        let gap = span / p;
+        for group in local.chunks_exact_mut(2 * gap) {
+            let (lows, highs) = group.split_at_mut(gap);
+            for ((lo, hi), w) in lows.iter_mut().zip(highs).zip(table.run(q, p, span)) {
                 let (a, b) = (*lo, *hi);
                 *lo = sum(a, b);
                 *hi = twiddled(a, b, w);
@@ -248,7 +227,41 @@ pub async fn fft_node(
         span /= 2;
     }
     ctx.wait(done).await;
-    local
+    if p == 1 {
+        return local;
+    }
+    // Cross-node stages (span < p): one pipeline process per dimension, fed
+    // piece by piece from `local` and drained into the result. A node's
+    // butterflies at span S all take the twiddle of index q mod S.
+    let piece = piece_points(&ctx, cube.dim(), nl);
+    let pieces = nl / piece;
+    let feed = Rendezvous::new();
+    let mut drain = feed.clone();
+    while span >= 1 {
+        let next = Rendezvous::new();
+        let w = table.at(q % span, span);
+        let stage = cross_stage(ctx.clone(), span, pieces, w, drain, next.clone());
+        ctx.handle().spawn(stage);
+        drain = next;
+        span /= 2;
+    }
+    let (_, out) = occam::par2(
+        ctx.handle(),
+        async move {
+            for piece in local.chunks(piece) {
+                feed.send(piece.to_vec()).await;
+            }
+        },
+        async move {
+            let mut out = Vec::with_capacity(nl);
+            for _ in 0..pieces {
+                out.extend(drain.recv().await);
+            }
+            out
+        },
+    )
+    .await;
+    out
 }
 
 /// Reverse the lowest `bits` bits of `v`.
@@ -256,14 +269,22 @@ pub fn bit_reverse(v: usize, bits: u32) -> usize {
     (v.reverse_bits() >> (usize::BITS - bits)) & ((1 << bits) - 1)
 }
 
-/// Reorder a bit-reversed spectrum into natural order (host side).
-pub fn bit_reverse_permute<T: Copy>(data: &[T]) -> Vec<T> {
-    let bits = data.len().trailing_zeros();
-    let mut out = data.to_vec();
-    for (i, &v) in data.iter().enumerate() {
-        out[bit_reverse(i, bits)] = v;
+/// The DIF-order position of the point node `node` returns in `slot`, on
+/// `p` nodes with pipeline pieces of `2·half` points. Points start cyclic
+/// (position `slot·p + node`) and each cross stage of span s leaves node
+/// bit s and the piece's half bit swapped; undo the swaps, last stage
+/// (span 1) first.
+fn dif_index(p: usize, half: usize, node: usize, slot: usize) -> usize {
+    let (mut q, mut j) = (node, slot);
+    let mut s = 1;
+    while s < p {
+        if (q & s == 0) != (j & half == 0) {
+            q ^= s;
+            j ^= half;
+        }
+        s *= 2;
     }
-    out
+    j * p + q
 }
 
 /// Host driver: FFT of `input` (length N = 2^k · p) on the machine;
@@ -277,21 +298,41 @@ pub fn distributed_fft(
     let total = input.len();
     assert!(total.is_power_of_two() && total >= 2 * p);
     let nl = total / p;
+    let half = if p > 1 {
+        piece_points(&machine.ctx(0), cube.dim(), nl) / 2
+    } else {
+        0
+    };
     // The launch closure owns the run's table and is dropped before the
     // run, so the node programs are its only holders and it is freed with
     // the last of them, before the spectrum is assembled.
     let table = Rc::new(Twiddles::new(total));
     let (spectra, stats) = run_spmd(machine, "FFT", move |ctx| {
-        let lo = ctx.id() as usize * nl;
-        let local: Vec<Cpx> = input[lo..lo + nl]
+        let q = ctx.id() as usize;
+        let local: Vec<Cpx> = input[q..]
             .iter()
+            .step_by(p)
             .map(|&(re, im)| Cpx::new(re, im))
             .collect();
         fft_node(ctx, cube, total, local, table.clone())
     });
-    let mut flat = Vec::with_capacity(total);
-    flat.extend(spectra.into_iter().flatten().map(Cpx::to_host));
-    (bit_reverse_permute(&flat), stats)
+    debug_assert!(
+        {
+            let mut hit = vec![false; total];
+            (0..p).all(|q| {
+                (0..nl).all(|j| !std::mem::replace(&mut hit[dif_index(p, half, q, j)], true))
+            })
+        },
+        "(node, slot) → DIF index is not a bijection (p {p}, half {half})"
+    );
+    let bits = total.trailing_zeros();
+    let mut spectrum = vec![(0.0, 0.0); total];
+    for (node, points) in spectra.into_iter().enumerate() {
+        for (slot, c) in points.into_iter().enumerate() {
+            spectrum[bit_reverse(dif_index(p, half, node, slot), bits)] = c.to_host();
+        }
+    }
+    (spectrum, stats)
 }
 
 /// Naive host DFT for verification.
@@ -318,11 +359,15 @@ mod tests {
     use crate::rand_f64;
     use t_series_core::{Machine, MachineCfg};
 
-    fn check(dim: u32, total: usize) -> KernelStats {
-        let mut st = 7u64;
-        let input: Vec<(f64, f64)> = (0..total)
+    fn random_input(total: usize, seed: u64) -> Vec<(f64, f64)> {
+        let mut st = seed;
+        (0..total)
             .map(|_| (rand_f64(&mut st), rand_f64(&mut st)))
-            .collect();
+            .collect()
+    }
+
+    fn check(dim: u32, total: usize) -> KernelStats {
+        let input = random_input(total, 7);
         let mut m = Machine::build(MachineCfg::cube_small_mem(dim, 8));
         let (got, stats) = distributed_fft(&mut m, &input);
         let want = reference_dft(&input);
@@ -349,15 +394,16 @@ mod tests {
     #[test]
     fn fft_on_a_cube_3d() {
         let stats = check(3, 64);
-        // n stages cross-node: each node sends its block once per stage.
-        // 8 nodes × 3 stages × 8 points × 16 bytes.
-        assert_eq!(stats.bytes_sent, 8 * 3 * 8 * 16);
+        // n stages cross-node: each node sends half its block once per
+        // stage — the half its partner keeps.
+        // 8 nodes × 3 stages × 4 points × 16 bytes.
+        assert_eq!(stats.bytes_sent, 8 * 3 * 4 * 16);
     }
 
     #[test]
     fn transform_totals_five_n_log_n_flops() {
-        // N/2 butterflies of 10 flops per stage, log₂N stages — with each
-        // half of a cross-node butterfly charged where it is computed.
+        // N/2 butterflies of 10 flops per stage, log₂N stages — each
+        // cross-node butterfly charged once, on the node that computes it.
         for (dim, total) in [(0u32, 64usize), (2, 256), (3, 64), (4, 1 << 12)] {
             let stats = stats_of(dim, total);
             let want = 5 * total as u64 * total.trailing_zeros() as u64;
@@ -373,40 +419,83 @@ mod tests {
 
     #[test]
     fn cross_node_stages_cost_one_pipelined_exchange() {
-        // 2¹⁴ points on 16 nodes: 4096 words a node, 16 row-sized pieces
-        // through 4 stages. What the run adds to the local stages (a
-        // one-node FFT of the same block) is the pipeline; the model leaves
-        // out the butterflies, ≈ 2 % of a piece's wire time.
+        // 2¹⁴ points on 16 nodes: 1024 points a node, 16 row-sized pieces
+        // through 4 stages, each sending half a piece (128 words). What the
+        // run adds to the local stages (a one-node FFT of the same block)
+        // is the pipeline; the model leaves out the butterflies, ≈ 2 % of a
+        // half-piece's wire time.
         let net = NetModel::default();
         let (dim, total) = (4u32, 1usize << 14);
         let nl = total >> dim;
         let pipeline = stats_of(dim, total).elapsed - stats_of(0, nl).elapsed;
         let pieces = nl * POINT_WORDS / ROW_WORDS;
-        let model = net.pipelined_exchange(dim, nl * POINT_WORDS, pieces);
+        let words = nl * POINT_WORDS / 2;
+        let model = net.pipelined_exchange(dim, words, pieces);
         let (p, m) = (pipeline.as_secs_f64(), model.as_secs_f64());
         assert!(
             (p - m).abs() <= 0.10 * m,
             "measured {pipeline}, model {model}"
         );
-        assert!(model < net.p2p(nl * POINT_WORDS) * 2, "4 exchanges for < 2");
+        assert!(model < net.p2p(words) * 2, "4 exchanges for < 2");
+    }
+
+    #[test]
+    fn placement_on_any_cube_is_one_node_bit_for_bit() {
+        // The oracle for the cyclic placement, the half exchange and the
+        // host-side unswap: every butterfly sees the operands and twiddle
+        // it sees on one node, so every output bit is the one-node run's.
+        // N from 2p (two points a node, fewer than nodes) to 2¹².
+        let bits = |v: &[(f64, f64)]| -> Vec<(u64, u64)> {
+            v.iter()
+                .map(|&(re, im)| (re.to_bits(), im.to_bits()))
+                .collect()
+        };
+        for log_total in 2..=12u32 {
+            let total = 1usize << log_total;
+            let input = random_input(total, log_total as u64);
+            let one = bits(
+                &distributed_fft(
+                    &mut Machine::build(MachineCfg::cube_small_mem(0, 8)),
+                    &input,
+                )
+                .0,
+            );
+            for dim in 1..=4u32.min(log_total - 1) {
+                let mut m = Machine::build(MachineCfg::cube_small_mem(dim, 8));
+                let (got, stats) = distributed_fft(&mut m, &input);
+                assert_eq!(bits(&got), one, "dim {dim}, N {total}");
+                // Each stage moves half of every node's block, one way each.
+                let want = (total / 2 * POINT_WORDS * 4 * dim as usize) as u64;
+                assert_eq!(stats.bytes_sent, want, "dim {dim}, N {total}");
+            }
+        }
     }
 
     #[test]
     fn table_entries_equal_the_computed_twiddles_at_every_span() {
         let bits = |c: Cpx| (c.re.to_bits(), c.im.to_bits());
         // Every span of a `total`-point transform, the cross-node ones
-        // (span ≥ nl on a cube) included: both read the one table.
+        // (span < p on a cube) included: both read the one table.
         for total in [2usize, 64, 1 << 14, 1 << 18] {
             let table = Twiddles::new(total);
             let mut span = total / 2;
             while span >= 1 {
-                let got: Vec<_> = table.run(0, span).map(bits).collect();
+                let got: Vec<_> = table.run(0, 1, span).map(bits).collect();
                 let want: Vec<_> = (0..span).map(|k| bits(twiddle(k, span))).collect();
                 assert_eq!(got, want, "total {total}, span {span}");
-                let at: Vec<_> = (0..span)
-                    .map(|k| bits(table.run(k, span).next().unwrap()))
-                    .collect();
+                let at: Vec<_> = (0..span).map(|k| bits(table.at(k, span))).collect();
                 assert_eq!(at, want, "total {total}, span {span} (indexed)");
+                // A local stage's run on node q of p: k = q, q + p, q + 2p, …
+                for (q, p) in [(0usize, 1usize), (1, 2), (3, 4), (5, 16)] {
+                    if p <= span {
+                        let got: Vec<_> = table.run(q, p, span).take(span / p).map(bits).collect();
+                        let want: Vec<_> = (q..span)
+                            .step_by(p)
+                            .map(|k| bits(twiddle(k, span)))
+                            .collect();
+                        assert_eq!(got, want, "total {total}, span {span}, q {q} of {p}");
+                    }
+                }
                 span /= 2;
             }
         }
@@ -419,8 +508,6 @@ mod tests {
                 assert_eq!(bit_reverse(bit_reverse(v, bits), bits), v);
             }
         }
-        let data: Vec<usize> = (0..16).collect();
-        assert_eq!(bit_reverse_permute(&bit_reverse_permute(&data)), data);
     }
 
     #[test]

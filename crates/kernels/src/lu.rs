@@ -5,15 +5,17 @@
 //! * column access is strided, so the pivot-search column is **gathered**
 //!   by the control processor at 1.6 µs/element (the paper's number);
 //! * the local pivot candidate comes from the `AbsMax` **vector form**;
-//! * the global pivot is agreed by an all-gather (the cube collective);
+//! * the global pivot is agreed by a **max-loc vote**, a dimension exchange
+//!   of 3 words per link (the candidate's |v| and its row);
 //! * the trailing columns of the pivot row are **broadcast** in stripes
 //!   down rotated binomial trees, one stripe per link
 //!   (`collectives::broadcast_striped`);
 //! * the division by the pivot has no divider to use, so it runs the
 //!   Newton–Raphson **software reciprocal** (`ts_fpu::softdiv`);
-//! * elimination is one chained **SAXPY vector form per row**
+//! * elimination is one **SAXPY vector form per row**
 //!   (`A[i,:] −= f · pivot_row`), streaming bank A (scratch) against
-//!   bank B (matrix) at the full dual-bank rate.
+//!   bank B (matrix) at the full dual-bank rate, issued by the control
+//!   processor, which stores the multipliers while the forms run.
 //!
 //! Rows are distributed cyclically (global row g on node g mod p) and
 //! pivoting is implicit (a shared permutation): no row ever moves, within
@@ -68,8 +70,8 @@ pub async fn lu_node(ctx: NodeCtx, cube: Hypercube, n: usize) -> Vec<usize> {
     for k in 0..n {
         // --- local pivot candidate: gather column k of my free rows, then
         // AbsMax over the gathered vector ----------------------------------
-        let (local_val, local_row) = if free.is_empty() {
-            (0.0f64, usize::MAX)
+        let candidate = if free.is_empty() {
+            (0.0f64, NO_ROW)
         } else {
             let srcs: Vec<usize> = free
                 .iter()
@@ -92,26 +94,11 @@ pub async fn lu_node(ctx: NodeCtx, cube: Hypercube, n: usize) -> Vec<usize> {
                 .await
                 .unwrap();
             let idx = r.index.unwrap();
-            (f64::from_bits(r.scalar.unwrap()), free[idx])
+            (f64::from_bits(r.scalar.unwrap()), free[idx] as u32)
         };
 
-        // --- agree on the global pivot (all-gather of candidates) ---------
-        let mine = vec![
-            local_val.to_bits() as u32,
-            (local_val.to_bits() >> 32) as u32,
-            local_row as u32,
-        ];
-        let all = t_series_core::collectives::allgather(&ctx, cube, mine).await;
-        let (mut best_val, mut best_row) = (-1.0f64, usize::MAX);
-        for (_, words) in &all {
-            let v = f64::from_bits(words[0] as u64 | ((words[1] as u64) << 32));
-            let r = words[2] as usize;
-            if r != usize::MAX as u32 as usize && (v > best_val || (v == best_val && r < best_row))
-            {
-                best_val = v;
-                best_row = r;
-            }
-        }
+        // --- agree on the global pivot (max-loc by dimension exchange) ----
+        let best_row = pivot_vote(&ctx, cube, candidate).await.1 as usize;
         perm.push(best_row);
         let owner = (best_row % p) as u32;
 
@@ -163,26 +150,63 @@ pub async fn lu_node(ctx: NodeCtx, cube: Hypercube, n: usize) -> Vec<usize> {
         ctx.cp_compute(n as u64).await;
 
         // --- eliminate every free local row -------------------------------
-        for &g in &free.clone() {
-            let l = g / p;
-            let row = layout.matrix_base + l;
+        // Per row the control processor issues the multiplier's flop and the
+        // SAXPY, stores the multiplier and carries on while the vector unit
+        // runs them ("the complete arithmetic unit operates in parallel with
+        // the node control processor"): the next row's forms queue behind
+        // this row's, and the step waits once, for the last SAXPY.
+        let mut done = ctx.now();
+        for &g in &free {
+            let row = layout.matrix_base + g / p;
             let aik = ctx.mem().read_f64(row * ROW_WORDS + 2 * k).unwrap();
             // Multiplier f = a[i][k] · (1 / pivot).
             let f = aik * pivot_recip;
-            // The multiplier's flop and the SAXPY are two vector forms with
-            // no other unit between them: a chain. The SAXPY queues behind
-            // the flop, so awaiting the SAXPY awaits both.
             let _ = ctx.issue_vec_flops(1);
             // A[i, k+1..] −= f · pivot_row  (full-row chained SAXPY).
-            ctx.vec(VecForm::Saxpy(-f), layout.pivot_row, row, row, n)
-                .await
+            (_, done) = ctx
+                .issue_vec(VecForm::Saxpy(-f), layout.pivot_row, row, row, n)
                 .unwrap();
             // Store the multiplier where the zero just appeared (L factor).
             ctx.mem_mut().write_f64(row * ROW_WORDS + 2 * k, f).unwrap();
             ctx.cp_compute(4).await;
         }
+        ctx.wait(done).await;
     }
     perm
+}
+
+/// The row a node with no free rows offers to the pivot vote, with |v| = 0.
+const NO_ROW: u32 = u32::MAX;
+
+/// Does pivot candidate `a` beat `b`? The larger |v| wins, then the lower
+/// row — the order a one-node `AbsMax` scan decides by. |v| is never
+/// negative or NaN and rows are distinct, so this is a total order on one
+/// step's candidates (both ends of an exchange keep the same one), and the
+/// no-candidate offer `(0, NO_ROW)` comes last in it.
+fn beats((v, row): (f64, u32), (best_v, best_row): (f64, u32)) -> bool {
+    v > best_v || (v == best_v && row < best_row)
+}
+
+/// Agree on the global pivot: a dimension-exchange max-loc of this node's
+/// candidate `(|v|, row)`, 3 words per dimension (the value's two halves
+/// and the row), `n·(o + 3w)` on an n-cube ([`NetModel::max_loc`]). Every
+/// node returns the winner under [`beats`].
+///
+/// [`NetModel::max_loc`]: t_series_core::model::NetModel::max_loc
+async fn pivot_vote(ctx: &NodeCtx, cube: Hypercube, mut best: (f64, u32)) -> (f64, u32) {
+    for d in 0..cube.dim() as usize {
+        let bits = best.0.to_bits();
+        let mine = vec![bits as u32, (bits >> 32) as u32, best.1];
+        let theirs = ctx.exchange(d, mine, d).await;
+        let other = (
+            f64::from_bits(theirs[0] as u64 | ((theirs[1] as u64) << 32)),
+            theirs[2],
+        );
+        if beats(other, best) {
+            best = other;
+        }
+    }
+    best
 }
 
 /// The per-node triangular-solve program (`Ly = Pb`, then `Ux = y`),
@@ -289,11 +313,22 @@ pub fn distributed_lu(
     n: usize,
     seed: u64,
 ) -> (Vec<f64>, Vec<usize>, Vec<f64>, KernelStats) {
+    let mut st = seed;
+    let a: Vec<f64> = (0..n * n).map(|_| rand_f64(&mut st) + 0.1).collect();
+    let (perm, lu, stats) = factor(machine, n, &a);
+    (a, perm, lu, stats)
+}
+
+/// Factor the row-major `n×n` matrix `a` on `machine`; returns `(perm,
+/// combined LU rows, stats)`.
+fn factor(
+    machine: &mut t_series_core::Machine,
+    n: usize,
+    a: &[f64],
+) -> (Vec<usize>, Vec<f64>, KernelStats) {
     let cube = machine.cube;
     let p = cube.nodes() as usize;
     assert!(n <= 128, "one matrix row per 128-element memory row");
-    let mut st = seed;
-    let a: Vec<f64> = (0..n * n).map(|_| rand_f64(&mut st) + 0.1).collect();
 
     // Load rows into node memories (cyclic by global row).
     for g in 0..n {
@@ -308,7 +343,7 @@ pub fn distributed_lu(
         }
     }
 
-    let (perms, stats) = run_spmd(machine, "LU", |ctx| lu_node(ctx, cube, n));
+    let (mut perms, stats) = run_spmd(machine, "LU", |ctx| lu_node(ctx, cube, n));
     for p2 in &perms[1..] {
         assert_eq!(p2, &perms[0], "nodes disagree on the pivot permutation");
     }
@@ -324,7 +359,7 @@ pub fn distributed_lu(
             lu[g * n + j] = mem.read_f64(base + 2 * j).unwrap().to_host();
         }
     }
-    (a, perms[0].clone(), lu, stats)
+    (perms.swap_remove(0), lu, stats)
 }
 
 /// Verify `P·A = L·U`: reconstruct A from the factored rows and the
@@ -375,7 +410,9 @@ pub fn reconstruction_error(n: usize, a: &[f64], perm: &[usize], lu: &[f64]) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use t_series_core::model::NetModel;
     use t_series_core::{Machine, MachineCfg};
+    use ts_sim::Time;
 
     fn check(dim: u32, n: usize) -> KernelStats {
         let mut m = Machine::build(MachineCfg::cube(dim));
@@ -442,23 +479,86 @@ mod tests {
             0.0, 1.0, 2.0, 1.0, //
             0.0, 0.0, 1.0, 3.0,
         ];
-        let node = &m.nodes[0];
-        let layout = LuLayout::new(node.mem().cfg().rows_a());
-        for g in 0..n {
-            let mut mem = node.mem_mut();
-            for j in 0..n {
-                mem.write_f64(
-                    (layout.matrix_base + g) * ROW_WORDS + 2 * j,
-                    Sf64::from(special[g * n + j]),
-                )
-                .unwrap();
+        let (perm, _, _) = factor(&mut m, n, &special);
+        assert_ne!(perm[0], 0, "the tiny leading element must not be the pivot");
+    }
+
+    /// An integer-valued matrix of 2×2 diagonal blocks `[2 1; −2 1]` with
+    /// integers right of them: at step 2i rows 2i and 2i + 1 — on two nodes
+    /// of any cube — tie at |v| = 2, every other free row offers 0, and the
+    /// lower row must win.
+    fn tied(n: usize) -> Vec<f64> {
+        let mut a = vec![0.0; n * n];
+        for i in 0..n / 2 {
+            let (r, s) = (2 * i * n, (2 * i + 1) * n);
+            a[r + 2 * i..r + 2 * i + 2].copy_from_slice(&[2.0, 1.0]);
+            a[s + 2 * i..s + 2 * i + 2].copy_from_slice(&[-2.0, 1.0]);
+            for j in 2 * i + 2..n {
+                a[r + j] = ((i + j) % 5) as f64 - 2.0;
+                a[s + j] = ((3 * i + j) % 7) as f64 - 3.0;
             }
         }
-        let cube = m.cube;
-        let ctx = m.nodes[0].ctx();
-        let jh = m.launch_on(0, lu_node(ctx, cube, n));
-        assert!(m.run().quiescent);
-        let perm = jh.try_take().unwrap();
-        assert_ne!(perm[0], 0, "the tiny leading element must not be the pivot");
+        a
+    }
+
+    #[test]
+    fn placement_on_any_cube_is_one_node_bit_for_bit() {
+        // Rows sit on node g mod p and the pivot is agreed by vote; every
+        // pivot choice and every SAXPY is the one-node run's, so the
+        // permutation and every bit of the factors are too.
+        let run = |dim: u32, n: usize, a: &[f64]| {
+            let (perm, lu, _) = factor(&mut Machine::build(MachineCfg::cube(dim)), n, a);
+            (perm, lu.iter().map(|v| v.to_bits()).collect::<Vec<_>>())
+        };
+        let mut cases: Vec<(usize, Vec<f64>)> = [16usize, 32, 64]
+            .into_iter()
+            .map(|n| {
+                let mut st = n as u64;
+                (n, (0..n * n).map(|_| rand_f64(&mut st) + 0.1).collect())
+            })
+            .collect();
+        cases.push((16, tied(16)));
+        for (n, a) in &cases {
+            let one = run(0, *n, a);
+            for dim in [2u32, 4] {
+                assert_eq!(run(dim, *n, a), one, "dim {dim}, n {n}");
+            }
+        }
+        // The tie rule itself, independently of the one-node run.
+        let (perm, lu, _) = factor(&mut Machine::build(MachineCfg::cube(2)), 16, &tied(16));
+        assert_eq!(perm, (0..16).collect::<Vec<_>>(), "lower row wins a tie");
+        assert!(reconstruction_error(16, &tied(16), &perm, &lu) < 1e-12);
+    }
+
+    #[test]
+    fn pivot_vote_costs_the_max_loc_model() {
+        // The vote alone, on every cube to a cabinet: each node offers a
+        // candidate (ties, and a node with none, included), every node
+        // ends with the one `beats` ranks first, in n·(o + 3w).
+        let net = NetModel::default();
+        for dim in 1..=4u32 {
+            let mut m = Machine::build(MachineCfg::cube_small_mem(dim, 8));
+            let cube = m.cube;
+            let offer = |id: u32| match id {
+                0 => (0.0, NO_ROW),
+                _ => ((id % 3) as f64, 100 - id),
+            };
+            let handles =
+                m.launch(move |ctx| async move { pivot_vote(&ctx, cube, offer(ctx.id())).await });
+            assert!(m.run().quiescent);
+            let want = (0..cube.nodes())
+                .map(offer)
+                .reduce(|best, c| if beats(c, best) { c } else { best })
+                .unwrap();
+            for h in handles {
+                assert_eq!(h.try_take().unwrap(), want, "dim {dim}");
+            }
+            let (got, model) = (m.now().since(Time::ZERO), net.max_loc(dim));
+            let (g, w) = (got.as_secs_f64(), model.as_secs_f64());
+            assert!(
+                (g - w).abs() <= 0.05 * w,
+                "dim {dim}: vote {got}, model {model}"
+            );
+        }
     }
 }

@@ -3,7 +3,9 @@
 //! unit busy at once — but not their arithmetic. This file pins:
 //!
 //! * **outputs**: FNV digests of C, the spectrum and the LU rows, taken at
-//!   the commit *before* the schedules were overlapped (PR 12, `190ffa5`);
+//!   the commit *before* the schedules were overlapped (`190ffa5`), and
+//!   unmoved since by every schedule change (the FFT's cyclic placement and
+//!   half exchange, LU's pivot vote);
 //! * **simulated time**: deterministic ceilings, so the overlap cannot
 //!   silently regress to the one-link-at-a-time schedule;
 //! * **simulator events** of the Cannon runs, exactly: the GEMM chains its
@@ -36,10 +38,14 @@ fn fft_input(points: usize) -> Vec<(f64, f64)> {
 }
 
 /// `(dim, size, digest at the parent commit, simulated-time ceiling)`. The
-/// ceilings sit a few percent above what the overlapped schedules take; the
+/// ceilings sit within 5 % above what the overlapped schedules take; the
 /// sequential ones took 224.6 ms, 136.9 ms and 1151 ms on the last row of
-/// each table (and exactly as long as now on the one-node rows, which have
-/// nothing to overlap).
+/// each table. The FFT rows cross each link with half a block (one operand
+/// of every butterfly, not both: 43.9 ms at 2¹⁴ points with the whole
+/// block), and LU agrees on a pivot with a 3-word max-loc vote and lets the
+/// control processor store multipliers under the SAXPYs (235.4 ms at
+/// n = 128 with an all-gather vote and a wait per row; 1.370 ms on one
+/// node, where only the wait per row applied).
 type Case = (u32, usize, u64, Dur);
 
 const MATMUL: [Case; 4] = [
@@ -51,16 +57,16 @@ const MATMUL: [Case; 4] = [
 
 const FFT: [Case; 4] = [
     (0, 64, 0x6211dd68d732bde0, Dur::us(140)),
-    (2, 256, 0xc5bceab057184184, Dur::us(4_320)),
-    (4, 1024, 0x8ac909e5526ca33f, Dur::us(8_500)),
-    (4, 1 << 14, 0x4f6f6cbc9325d55c, Dur::us(46_000)),
+    (2, 256, 0xc5bceab057184184, Dur::us(2_350)),
+    (4, 1024, 0x8ac909e5526ca33f, Dur::us(4_550)),
+    (4, 1 << 14, 0x4f6f6cbc9325d55c, Dur::us(25_000)),
 ];
 
 const LU: [Case; 4] = [
-    (0, 16, 0xa94c207878fe7883, Dur::us(1_400)),
-    (2, 32, 0x88cdbf76201bf065, Dur::us(15_500)),
-    (4, 64, 0x03667c5d4d604d36, Dur::us(82_000)),
-    (4, 128, 0xe7c040a474133ab1, Dur::us(245_000)),
+    (0, 16, 0xa94c207878fe7883, Dur::us(1_370)),
+    (2, 32, 0x88cdbf76201bf065, Dur::us(13_200)),
+    (4, 64, 0x03667c5d4d604d36, Dur::us(48_500)),
+    (4, 128, 0xe7c040a474133ab1, Dur::us(179_000)),
 ];
 
 fn check(kernel: &str, case: Case, digest: u64, elapsed: Dur) {

@@ -11,6 +11,7 @@
 //! (8 µs at 0.5 MB/s), `n` = cube dimension, `m` = message words.
 
 use ts_link::LinkParams;
+use ts_mem::ROW_WORDS;
 use ts_sim::Dur;
 
 /// The model's machine constants (derived from [`LinkParams`]).
@@ -91,13 +92,24 @@ impl NetModel {
         (ideal.sqrt().ceil() as usize).clamp(1, m.max(1))
     }
 
+    /// One block of `m` words moved `k` positions round a ring of `s`, split
+    /// as [`ring_split`] cuts it: the short way's `short` store-and-forward
+    /// hops carry `m − share`, the long way's `s − short` hops carry
+    /// `share`, both at once — `max(short·p2p(m − share), (s−short)·p2p(share))`.
+    pub fn torus_move(&self, s: u32, k: u32, m: usize) -> Dur {
+        let (short, share) = ring_split(s, k, m);
+        let long = if share == 0 { 0 } else { s - short };
+        (self.p2p(m - share) * short as u64).max(self.p2p(share) * long as u64)
+    }
+
     /// Overlapped Cannon on an `s × s` torus with `m`-word blocks: the skew
-    /// (at most `s/2` hops, both matrices at once), then `s − 1` steps of
-    /// `max(gemm, shift)` — both shifts fly while the GEMM runs — and the
-    /// last GEMM: `⌊s/2⌋·p2p(m) + (s−1)·max(gemm, p2p(m)) + gemm`.
+    /// (both matrices at once; the slowest ring sets it), then `s − 1`
+    /// steps of `max(gemm, move(1))` — both moves fly while the GEMM runs —
+    /// and the last GEMM, with `move` = [`NetModel::torus_move`]:
+    /// `max over k of move(k) + (s−1)·max(gemm, move(1)) + gemm`.
     pub fn cannon(&self, s: u32, m: usize, gemm: Dur) -> Dur {
-        let shift = self.p2p(m);
-        shift * (s / 2) as u64 + shift.max(gemm) * (s as u64 - 1) + gemm
+        let skew = (0..s).fold(Dur::ZERO, |a, k| a.max(self.torus_move(s, k, m)));
+        skew + self.torus_move(s, 1, m).max(gemm) * (s as u64 - 1) + gemm
     }
 
     /// E-cube routed message over `h` hops, store-and-forward:
@@ -112,6 +124,23 @@ impl NetModel {
     pub fn all_to_all(&self, n: u32, local_words: usize) -> Dur {
         self.p2p(local_words / 2) * n as u64
     }
+}
+
+/// How a block of `m` words moved `k` positions round a ring of `s` divides
+/// between the ring's two ways: `(short, share)`, the short way's hop count
+/// `min(k, s − k)` and the words the long way (`s − short` hops) carries.
+/// The share is `m·short/s`, so both directions of the ring carry the same
+/// load, rounded down to whole memory rows (the unit the link DMA
+/// streams); it is zero — one path, the short way — for a ring of two,
+/// where both ways are one link, or when it would be under one row.
+pub fn ring_split(s: u32, k: u32, m: usize) -> (u32, usize) {
+    let short = k.min(s - k);
+    let share = if s <= 2 {
+        0
+    } else {
+        m * short as usize / s as usize / ROW_WORDS * ROW_WORDS
+    };
+    (short, share)
 }
 
 #[cfg(test)]

@@ -1231,8 +1231,10 @@ impl NodeCtx {
     }
 }
 
-/// The wire form of `vals` (low word first), in a word-pool buffer.
-fn pack_f64s(vals: &[Sf64]) -> Vec<u32> {
+/// The wire form of `vals` (low word first), in a word-pool buffer — what
+/// [`NodeCtx::send_f64s`] sends. A kernel that relays a message unopened
+/// packs it once with this and unpacks it once with [`unpack_f64s_into`].
+pub fn pack_f64s(vals: &[Sf64]) -> Vec<u32> {
     let mut words = ts_sim::pool::take_words(vals.len() * 2);
     for v in vals {
         let b = v.to_bits();
@@ -1242,16 +1244,22 @@ fn pack_f64s(vals: &[Sf64]) -> Vec<u32> {
     words
 }
 
-/// The values `words` carry, in a value-pool buffer; `words` goes back to
-/// its pool.
-fn unpack_f64s(words: Vec<u32>) -> Vec<Sf64> {
-    let mut vals = take_values(words.len() / 2);
+/// Append the values `words` carry to `vals`; `words` goes back to its
+/// pool.
+pub fn unpack_f64s_into(vals: &mut Vec<Sf64>, words: Vec<u32>) {
     vals.extend(
         words
             .chunks_exact(2)
             .map(|c| Sf64::from_bits(c[0] as u64 | ((c[1] as u64) << 32))),
     );
     ts_sim::pool::put_words(words);
+}
+
+/// The values `words` carry, in a value-pool buffer; `words` goes back to
+/// its pool.
+fn unpack_f64s(words: Vec<u32>) -> Vec<Sf64> {
+    let mut vals = take_values(words.len() / 2);
+    unpack_f64s_into(&mut vals, words);
     vals
 }
 

@@ -4,8 +4,9 @@
 //!
 //! * **outputs**: FNV digests of C, the spectrum and the LU rows, taken at
 //!   the commit *before* the schedules were overlapped (`190ffa5`), and
-//!   unmoved since by every schedule change (the FFT's cyclic placement and
-//!   half exchange, LU's pivot vote);
+//!   unmoved since by every schedule change (the FFT's cyclic placement,
+//!   half exchange and in-piece stages, LU's pivot vote, Cannon's split
+//!   moves);
 //! * **simulated time**: deterministic ceilings, so the overlap cannot
 //!   silently regress to the one-link-at-a-time schedule;
 //! * **simulator events** of the Cannon runs, exactly: the GEMM chains its
@@ -14,7 +15,8 @@
 //!   same bits in the same simulated time at several times the events;
 //! * **overlap itself**: on a Cannon node the vector unit's busy time plus
 //!   its incoming wires' busy time exceeds the elapsed time, which a
-//!   schedule that does one thing at a time cannot produce.
+//!   schedule that does one thing at a time cannot produce, and every
+//!   link carries traffic both ways.
 
 use fps_t_series::kernels::{fft::distributed_fft, lu::distributed_lu, matmul::distributed_matmul};
 use fps_t_series::machine::{Machine, MachineCfg};
@@ -40,9 +42,11 @@ fn fft_input(points: usize) -> Vec<(f64, f64)> {
 /// `(dim, size, digest at the parent commit, simulated-time ceiling)`. The
 /// ceilings sit within 5 % above what the overlapped schedules take; the
 /// sequential ones took 224.6 ms, 136.9 ms and 1151 ms on the last row of
-/// each table. The FFT rows cross each link with half a block (one operand
-/// of every butterfly, not both: 43.9 ms at 2¹⁴ points with the whole
-/// block), and LU agrees on a pivot with a 3-word max-loc vote and lets the
+/// each table. Cannon splits every move between the two ways round its
+/// ring (88.9 ms at n = 128 moving one way). The FFT rows cross each link
+/// with half a block (one operand of every butterfly, not both: 43.9 ms at
+/// 2¹⁴ points with the whole block) and run the in-piece local stages under
+/// the pipeline (23.9 ms at 2¹⁴ points with every local stage first), and LU agrees on a pivot with a 3-word max-loc vote and lets the
 /// control processor store multipliers under the SAXPYs (235.4 ms at
 /// n = 128 with an all-gather vote and a wait per row; 1.370 ms on one
 /// node, where only the wait per row applied).
@@ -52,14 +56,14 @@ const MATMUL: [Case; 4] = [
     (0, 8, 0x044f21f450531a61, Dur::us(250)),
     (2, 16, 0x8a69de326dd77700, Dur::us(2_400)),
     (4, 32, 0xa58efba468da0095, Dur::us(5_600)),
-    (4, 128, 0x5162e951f1f550cc, Dur::us(92_000)),
+    (4, 128, 0x5162e951f1f550cc, Dur::us(63_300)),
 ];
 
 const FFT: [Case; 4] = [
     (0, 64, 0x6211dd68d732bde0, Dur::us(140)),
     (2, 256, 0xc5bceab057184184, Dur::us(2_350)),
     (4, 1024, 0x8ac909e5526ca33f, Dur::us(4_550)),
-    (4, 1 << 14, 0x4f6f6cbc9325d55c, Dur::us(25_000)),
+    (4, 1 << 14, 0x4f6f6cbc9325d55c, Dur::us(23_250)),
 ];
 
 const LU: [Case; 4] = [
@@ -84,7 +88,7 @@ fn check(kernel: &str, case: Case, digest: u64, elapsed: Dur) {
 
 /// Timer events of each [`MATMUL`] run (with one completion sleep per SAXPY
 /// they were 64, 536, 4 352 and 65 792: b² per block step on top of these).
-const MATMUL_EVENTS: [u64; 4] = [1, 32, 320, 320];
+const MATMUL_EVENTS: [u64; 4] = [1, 32, 320, 1024];
 
 #[test]
 fn cannon_output_is_pinned_and_time_is_bounded() {
@@ -140,7 +144,20 @@ fn cannon_overlaps_both_shifts_with_the_gemm() {
             node.id,
             stats.elapsed
         );
-        // Both torus axes carried traffic, on different physical links.
-        assert!(wires.iter().filter(|w| **w > Dur::ZERO).count() >= 2);
+        // Every move splits between the two ways round its ring, so all
+        // four links carried traffic in both directions.
+        assert!(
+            wires.iter().all(|w| *w > Dur::ZERO),
+            "node {}: an in-wire idle",
+            node.id
+        );
+        for d in 0..4 {
+            let out = node.out_channel(d).expect("wired");
+            assert!(
+                out.wire().busy_total() > Dur::ZERO,
+                "node {}: out-wire {d} idle",
+                node.id
+            );
+        }
     }
 }

@@ -1,5 +1,7 @@
-//! The fifteen experiments of DESIGN.md: every figure and quantitative
+//! The sixteen experiments of DESIGN.md: every figure and quantitative
 //! claim in the paper, regenerated from the simulator.
+
+use std::future::Future;
 
 use t_series_core::baseline::{CrossbarCost, SharedBusMachine};
 use t_series_core::checkpoint::{simulate_run, young_interval, CheckpointStore, SnapshotMode};
@@ -8,12 +10,85 @@ use t_series_core::{collectives, Machine, MachineCfg};
 use ts_cube::embed::{FftEmbedding, MeshEmbedding, RingEmbedding};
 use ts_cube::{Hypercube, SublinkBudget};
 use ts_fpu::Sf64;
-use ts_kernels::{fft, lu, matmul, sort, stencil};
+use ts_kernels::{fft, lu, matmul, sort, stencil, KernelStats};
 use ts_mem::NodeMemory;
+use ts_node::NodeCtx;
 use ts_sim::Dur;
 use ts_vec::{VecForm, VecUnit};
 
 use crate::{header, row};
+
+/// Every experiment in DESIGN.md's order: (name, what it reproduces, run).
+/// `repro` dispatches on the name and prints the rest as its usage text.
+pub const EXPERIMENTS: [(&str, &str, fn()); 16] = [
+    ("e1", "control processor (Fig. 1)", || {
+        e1_control_processor();
+    }),
+    ("e2", "bandwidth hierarchy (Fig. 2)", || {
+        e2_bandwidths();
+    }),
+    ("e3", "peak arithmetic", || {
+        e3_peak_arithmetic();
+    }),
+    ("e4", "gather/scatter", || {
+        e4_gather_scatter();
+    }),
+    ("e5", "1:13:130 balance ratios", || {
+        e5_balance_ratios();
+    }),
+    ("e6", "cube embeddings (Fig. 3)", || {
+        e6_embeddings();
+    }),
+    ("e7", "configuration scaling", || {
+        e7_scaling_table();
+    }),
+    ("e8", "snapshots & checkpointing", || {
+        e8_checkpointing();
+    }),
+    ("e9", "dual-bank ablation", || {
+        e9_dual_bank();
+    }),
+    ("e10", "ops/word balance crossover", || {
+        e10_comm_comp_balance();
+    }),
+    ("e11", "kernel scaling", || {
+        e11_kernel_scaling();
+    }),
+    ("e12", "link framing & DMA", || {
+        e12_link_framing();
+    }),
+    ("e13", "shared bus vs cube", || {
+        e13_shared_vs_cube();
+    }),
+    ("e14", "system ring vs broadcast", || {
+        e14_system_ring();
+    }),
+    ("e15", "physical row moves", || {
+        e15_row_moves();
+    }),
+    ("e16", "chaining ablation", || {
+        e16_chaining_ablation();
+    }),
+];
+
+/// Run every experiment in order (the `repro all` entry point).
+pub fn run_all() {
+    for (_, _, run) in EXPERIMENTS {
+        run();
+    }
+}
+
+/// Run `program` alone on a one-node machine and return what it returns.
+fn on_one_node<F, Fut>(program: F) -> Fut::Output
+where
+    F: FnOnce(NodeCtx) -> Fut,
+    Fut: Future + 'static,
+{
+    let mut m = Machine::build(MachineCfg::cube(0));
+    let jh = m.launch_on(0, program(m.ctx(0)));
+    m.run();
+    jh.try_take().expect("the node's program finishes")
+}
 
 /// E1 — §II *Control* / Figure 1: the control processor's character,
 /// measured by running real stack-machine code. Returns measured MIPS.
@@ -25,14 +100,10 @@ pub fn e1_control_processor() -> f64 {
          loop:\nldl 0\nldl 1\nadd\nstl 0\nldl 1\nadc -1\nstl 1\nldl 1\neqc 0\ncj loop\nhalt\n",
     )
     .unwrap();
-    let mut m = Machine::build(MachineCfg::cube(0));
-    let ctx = m.ctx(0);
-    let jh = m.launch_on(0, async move {
+    let (mips, instrs, t) = on_one_node(|ctx| async move {
         let cp = ctx.run_cp_program(&code, 4096, 256).await.unwrap();
         (cp.mips(), cp.instructions, ctx.now())
     });
-    m.run();
-    let (mips, instrs, t) = jh.try_take().unwrap();
     row("instruction rate (MIPS)", "7.5", &format!("{mips:.2}"));
     row("instructions executed", "-", &instrs.to_string());
     row("elapsed", "-", &format!("{t}"));
@@ -72,20 +143,14 @@ pub fn e2_bandwidths() -> (f64, f64, f64, f64) {
     );
 
     // CP <-> RAM through the word port.
-    let cp_mbps = {
-        let mut m = Machine::build(MachineCfg::cube(0));
-        let ctx = m.ctx(0);
-        let jh = m.launch_on(0, async move {
-            let t0 = ctx.now();
-            for i in 0..1000usize {
-                ctx.cp_read(i).await.unwrap();
-            }
-            ctx.now().since(t0)
-        });
-        m.run();
-        let d = jh.try_take().unwrap();
-        d.throughput_bytes(4000) / 1e6
-    };
+    let cp_d = on_one_node(|ctx| async move {
+        let t0 = ctx.now();
+        for i in 0..1000usize {
+            ctx.cp_read(i).await.unwrap();
+        }
+        ctx.now().since(t0)
+    });
+    let cp_mbps = cp_d.throughput_bytes(4000) / 1e6;
     row(
         "control processor <-> RAM (MB/s)",
         "10",
@@ -93,19 +158,13 @@ pub fn e2_bandwidths() -> (f64, f64, f64, f64) {
     );
 
     // Memory row <-> vector register.
-    let row_mbps = {
-        let mut m = Machine::build(MachineCfg::cube(0));
-        let ctx = m.ctx(0);
-        let jh = m.launch_on(0, async move {
-            let t0 = ctx.now();
-            ctx.row_move(0, 512, 64).await.unwrap(); // 64 rows, read+write
-            ctx.now().since(t0)
-        });
-        m.run();
-        let d = jh.try_take().unwrap();
-        // read+write: each direction moves 64 KiB at the row-port rate.
-        2.0 * d.throughput_bytes(64 * 1024) / 1e6
-    };
+    let row_d = on_one_node(|ctx| async move {
+        let t0 = ctx.now();
+        ctx.row_move(0, 512, 64).await.unwrap(); // 64 rows, read+write
+        ctx.now().since(t0)
+    });
+    // read+write: each direction moves 64 KiB at the row-port rate.
+    let row_mbps = 2.0 * row_d.throughput_bytes(64 * 1024) / 1e6;
     row(
         "memory <-> vector register (MB/s)",
         "2560",
@@ -113,21 +172,15 @@ pub fn e2_bandwidths() -> (f64, f64, f64, f64) {
     );
 
     // Vector registers -> arithmetic: 3 streams during a long SAXPY.
-    let vecreg_mbps = {
-        let mut m = Machine::build(MachineCfg::cube(0));
-        let ctx = m.ctx(0);
-        let jh = m.launch_on(0, async move {
-            let rows_a = ctx.mem().cfg().rows_a();
-            let r = ctx
-                .vec(VecForm::Saxpy(Sf64::from(1.0)), 0, rows_a, rows_a, 4096)
-                .await
-                .unwrap();
-            r.timing.duration
-        });
-        m.run();
-        let d = jh.try_take().unwrap();
-        d.throughput_bytes(3 * 8 * 4096) / 1e6
-    };
+    let vecreg_d = on_one_node(|ctx| async move {
+        let rows_a = ctx.mem().cfg().rows_a();
+        let r = ctx
+            .vec(VecForm::Saxpy(Sf64::from(1.0)), 0, rows_a, rows_a, 4096)
+            .await
+            .unwrap();
+        r.timing.duration
+    });
+    let vecreg_mbps = vecreg_d.throughput_bytes(3 * 8 * 4096) / 1e6;
     row(
         "vector registers <-> arithmetic (MB/s)",
         "192",
@@ -197,15 +250,11 @@ pub fn e2_bandwidths() -> (f64, f64, f64, f64) {
 pub fn e3_peak_arithmetic() -> (f64, f64) {
     header("E3: peak arithmetic (§II)");
     let run = |form: VecForm, n: usize| -> f64 {
-        let mut m = Machine::build(MachineCfg::cube(0));
-        let ctx = m.ctx(0);
-        let jh = m.launch_on(0, async move {
+        let (flops, d) = on_one_node(|ctx| async move {
             let rows_a = ctx.mem().cfg().rows_a();
             let r = ctx.vec(form, 0, rows_a, rows_a + 512, n).await.unwrap();
             (r.timing.flops, r.timing.duration)
         });
-        m.run();
-        let (flops, d) = jh.try_take().unwrap();
         flops as f64 / d.as_secs_f64() / 1e6
     };
     let saxpy = run(VecForm::Saxpy(Sf64::from(2.0)), 16_000);
@@ -239,9 +288,7 @@ pub fn e3_peak_arithmetic() -> (f64, f64) {
 /// E4 — §II gather/scatter costs. Returns (t64, t32) in µs/element.
 pub fn e4_gather_scatter() -> (f64, f64) {
     header("E4: gather/scatter through the word port (§II)");
-    let mut m = Machine::build(MachineCfg::cube(0));
-    let ctx = m.ctx(0);
-    let jh = m.launch_on(0, async move {
+    let (t64, t32, tsc) = on_one_node(|ctx| async move {
         let srcs64: Vec<usize> = (0..500).map(|i| 4096 + 4 * i).collect();
         let t0 = ctx.now();
         ctx.gather64(&srcs64, 1024).await.unwrap();
@@ -256,8 +303,6 @@ pub fn e4_gather_scatter() -> (f64, f64) {
         let tsc = ctx.now().since(t2).as_us_f64() / 500.0;
         (t64, t32, tsc)
     });
-    m.run();
-    let (t64, t32, tsc) = jh.try_take().unwrap();
     row("64-bit element (µs)", "1.6", &format!("{t64:.2}"));
     row("32-bit element (µs)", "0.8", &format!("{t32:.2}"));
     row("64-bit scatter (µs)", "1.6", &format!("{tsc:.2}"));
@@ -323,9 +368,7 @@ pub fn e5_balance_ratios() -> (f64, f64) {
         "k", "round time", "vec busy", "hidden?"
     );
     for k in [1usize, 4, 8, 13, 20, 26] {
-        let mut m = Machine::build(MachineCfg::cube(0));
-        let ctx = m.ctx(0);
-        let jh = m.launch_on(0, async move {
+        let (round, busy) = on_one_node(|ctx| async move {
             const N: usize = 128;
             let rows_a = ctx.mem().cfg().rows_a();
             let t0 = ctx.now();
@@ -344,8 +387,6 @@ pub fn e5_balance_ratios() -> (f64, f64) {
             }
             (ctx.now().since(t0) / 4, vec_busy / 4)
         });
-        m.run();
-        let (round, busy) = jh.try_take().unwrap();
         let hidden = busy.as_secs_f64() / round.as_secs_f64() > 0.95;
         println!(
             "  {k:>4} {:>14} {:>14} {:>10}",
@@ -498,9 +539,7 @@ pub fn e8_checkpointing() -> (f64, f64) {
         "interval", "avg runtime", "overhead"
     );
     let mut best = (0u64, f64::INFINITY);
-    let minutes = vec![1u64, 2, 5, 10, 20, 40, 80];
-    // Monte-Carlo points are independent: fan the sweep across host threads.
-    let averages = crate::parallel_sweep(minutes.clone(), 4, |&mins| {
+    for mins in [1u64, 2, 5, 10, 20, 40, 80] {
         let interval = Dur::secs(mins * 60);
         let mut total = 0.0;
         for seed in 0..30 {
@@ -508,9 +547,7 @@ pub fn e8_checkpointing() -> (f64, f64) {
                 .total
                 .as_secs_f64();
         }
-        total / 30.0
-    });
-    for (mins, avg) in minutes.into_iter().zip(averages) {
+        let avg = total / 30.0;
         if avg < best.1 {
             best = (mins, avg);
         }
@@ -631,6 +668,29 @@ pub fn e11_kernel_scaling() -> Vec<(&'static str, u32, f64, f64)> {
         "kernel", "nodes", "problem", "elapsed", "MFLOPS", "bytes sent", "verified"
     );
     let mut out = Vec::new();
+    // Print one row and record it under the kernel's name, without a
+    // `(schedule)` suffix. An unrated kernel prints `-` and records 0.
+    let mut report = |label: &'static str,
+                      nodes: u32,
+                      problem: String,
+                      stats: KernelStats,
+                      ok: bool,
+                      rated: bool| {
+        let mflops = rated.then_some(stats.mflops);
+        println!(
+            "  {:<10} {:>6} {:>9} {:>12} {:>9} {:>12} {:>10}",
+            label,
+            nodes,
+            problem,
+            stats.elapsed.to_string(),
+            mflops.map_or("-".into(), |f| format!("{f:.2}")),
+            stats.bytes_sent,
+            if ok { "yes" } else { "NO" }
+        );
+        let name = label.split_once('(').map_or(label, |(name, _)| name);
+        let mflops = mflops.unwrap_or(0.0);
+        out.push((name, nodes, stats.elapsed.as_secs_f64(), mflops));
+    };
     // Matmul: fixed N across machine sizes (strong scaling).
     for dim in [0u32, 2, 4] {
         let mut m = Machine::build(MachineCfg::cube(dim));
@@ -641,22 +701,7 @@ pub fn e11_kernel_scaling() -> Vec<(&'static str, u32, f64, f64)> {
             .iter()
             .zip(&want)
             .all(|(g, w)| (g - w).abs() <= 1e-12 * w.abs().max(1.0));
-        println!(
-            "  {:<10} {:>6} {:>9} {:>12} {:>9.2} {:>12} {:>10}",
-            "matmul",
-            1 << dim,
-            format!("{n}x{n}"),
-            format!("{}", stats.elapsed),
-            stats.mflops,
-            stats.bytes_sent,
-            if ok { "yes" } else { "NO" }
-        );
-        out.push((
-            "matmul",
-            1 << dim,
-            stats.elapsed.as_secs_f64(),
-            stats.mflops,
-        ));
+        report("matmul", 1 << dim, format!("{n}x{n}"), stats, ok, true);
     }
     // FFT: N grows with the machine (weak-ish scaling).
     for dim in [0u32, 2, 4] {
@@ -672,17 +717,7 @@ pub fn e11_kernel_scaling() -> Vec<(&'static str, u32, f64, f64)> {
             .iter()
             .zip(&want)
             .all(|(&(gr, gi), &(wr, wi))| (gr - wr).abs() < 1e-8 && (gi - wi).abs() < 1e-8);
-        println!(
-            "  {:<10} {:>6} {:>9} {:>12} {:>9.2} {:>12} {:>10}",
-            "fft",
-            1 << dim,
-            n,
-            format!("{}", stats.elapsed),
-            stats.mflops,
-            stats.bytes_sent,
-            if ok { "yes" } else { "NO" }
-        );
-        out.push(("fft", 1 << dim, stats.elapsed.as_secs_f64(), stats.mflops));
+        report("fft", 1 << dim, n.to_string(), stats, ok, true);
     }
     // LU: fixed N = 64.
     for dim in [0u32, 2] {
@@ -690,17 +725,7 @@ pub fn e11_kernel_scaling() -> Vec<(&'static str, u32, f64, f64)> {
         let n = 64;
         let (a, perm, lumat, stats) = lu::distributed_lu(&mut m, n, 4);
         let ok = lu::reconstruction_error(n, &a, &perm, &lumat) < 1e-9;
-        println!(
-            "  {:<10} {:>6} {:>9} {:>12} {:>9.2} {:>12} {:>10}",
-            "lu",
-            1 << dim,
-            format!("{n}x{n}"),
-            format!("{}", stats.elapsed),
-            stats.mflops,
-            stats.bytes_sent,
-            if ok { "yes" } else { "NO" }
-        );
-        out.push(("lu", 1 << dim, stats.elapsed.as_secs_f64(), stats.mflops));
+        report("lu", 1 << dim, format!("{n}x{n}"), stats, ok, true);
     }
     // Bitonic sort: keys grow with the machine.
     for dim in [0u32, 3] {
@@ -708,17 +733,7 @@ pub fn e11_kernel_scaling() -> Vec<(&'static str, u32, f64, f64)> {
         let n = 128 << dim;
         let (sorted, stats) = sort::distributed_sort(&mut m, n, 17);
         let ok = sorted.windows(2).all(|w| w[0] <= w[1]);
-        println!(
-            "  {:<10} {:>6} {:>9} {:>12} {:>9.2} {:>12} {:>10}",
-            "sort",
-            1 << dim,
-            n,
-            format!("{}", stats.elapsed),
-            stats.mflops,
-            stats.bytes_sent,
-            if ok { "yes" } else { "NO" }
-        );
-        out.push(("sort", 1 << dim, stats.elapsed.as_secs_f64(), stats.mflops));
+        report("sort", 1 << dim, n.to_string(), stats, ok, true);
     }
     // Jacobi: per-node tile fixed (weak scaling).
     for dim in [0u32, 2, 4] {
@@ -733,22 +748,8 @@ pub fn e11_kernel_scaling() -> Vec<(&'static str, u32, f64, f64)> {
         let (got, stats) = stencil::distributed_jacobi(&mut m, g, 5, &init);
         let want = stencil::reference_jacobi(sx * g, sy * g, 5, &init);
         let ok = got.iter().zip(&want).all(|(a, b)| (a - b).abs() < 1e-12);
-        println!(
-            "  {:<10} {:>6} {:>9} {:>12} {:>9.2} {:>12} {:>10}",
-            "jacobi",
-            1 << dim,
-            format!("{}x{}", sx * g, sy * g),
-            format!("{}", stats.elapsed),
-            stats.mflops,
-            stats.bytes_sent,
-            if ok { "yes" } else { "NO" }
-        );
-        out.push((
-            "jacobi",
-            1 << dim,
-            stats.elapsed.as_secs_f64(),
-            stats.mflops,
-        ));
+        let problem = format!("{}x{}", sx * g, sy * g);
+        report("jacobi", 1 << dim, problem, stats, ok, true);
     }
     // CG: per-node tile fixed.
     for dim in [0u32, 2] {
@@ -757,18 +758,8 @@ pub fn e11_kernel_scaling() -> Vec<(&'static str, u32, f64, f64)> {
         let (b, x, iters, stats) = ts_kernels::cg::distributed_cg(&mut m, g, 1e-10, 21);
         let half = dim / 2;
         let (sx, sy) = (1usize << half, 1usize << (dim - half));
-        let res = ts_kernels::cg::cg_residual(sx * g, sy * g, &x, &b);
-        println!(
-            "  {:<10} {:>6} {:>9} {:>12} {:>9.2} {:>12} {:>10}",
-            "cg",
-            1 << dim,
-            format!("{} it", iters),
-            format!("{}", stats.elapsed),
-            stats.mflops,
-            stats.bytes_sent,
-            if res < 1e-8 { "yes" } else { "NO" }
-        );
-        out.push(("cg", 1 << dim, stats.elapsed.as_secs_f64(), stats.mflops));
+        let ok = ts_kernels::cg::cg_residual(sx * g, sy * g, &x, &b) < 1e-8;
+        report("cg", 1 << dim, format!("{iters} it"), stats, ok, true);
     }
     // N-body: ring pipeline, arithmetic-heavy.
     for dim in [0u32, 3] {
@@ -780,61 +771,25 @@ pub fn e11_kernel_scaling() -> Vec<(&'static str, u32, f64, f64)> {
             .iter()
             .zip(&want)
             .all(|((gx, gy), (wx, wy))| (gx - wx).abs() < 1e-9 && (gy - wy).abs() < 1e-9);
-        println!(
-            "  {:<10} {:>6} {:>9} {:>12} {:>9.2} {:>12} {:>10}",
-            "nbody",
-            1 << dim,
-            nb,
-            format!("{}", stats.elapsed),
-            stats.mflops,
-            stats.bytes_sent,
-            if ok { "yes" } else { "NO" }
-        );
-        out.push(("nbody", 1 << dim, stats.elapsed.as_secs_f64(), stats.mflops));
+        report("nbody", 1 << dim, nb.to_string(), stats, ok, true);
     }
     // Sparse mat-vec: the gather-bound regime, both schedules.
-    for schedule in [
-        ts_kernels::spmv::SpmvSchedule::Sequential,
-        ts_kernels::spmv::SpmvSchedule::Overlapped,
-    ] {
+    use ts_kernels::spmv::SpmvSchedule::{Overlapped, Sequential};
+    for (label, schedule) in [("spmv(seq)", Sequential), ("spmv(ovl)", Overlapped)] {
         let a = ts_kernels::spmv::Crs::random(64, 12, 9);
         let mut m = Machine::build(MachineCfg::cube(2));
         let (x, y, stats) = ts_kernels::spmv::distributed_spmv(&mut m, &a, schedule, 6);
         let want = a.apply(&x);
         let ok = y.iter().zip(&want).all(|(g, w)| (g - w).abs() < 1e-10);
-        println!(
-            "  {:<10} {:>6} {:>9} {:>12} {:>9.2} {:>12} {:>10}",
-            if matches!(schedule, ts_kernels::spmv::SpmvSchedule::Sequential) {
-                "spmv(seq)"
-            } else {
-                "spmv(ovl)"
-            },
-            4,
-            "64, 12nz",
-            format!("{}", stats.elapsed),
-            stats.mflops,
-            stats.bytes_sent,
-            if ok { "yes" } else { "NO" }
-        );
-        out.push(("spmv", 4, stats.elapsed.as_secs_f64(), stats.mflops));
+        report(label, 4, "64, 12nz".into(), stats, ok, true);
     }
-    // Transpose: all-to-all personalized exchange.
+    // Transpose: all-to-all personalized exchange, no arithmetic to rate.
     for dim in [1u32, 3] {
         let mut m = Machine::build(MachineCfg::cube_small_mem(dim, 8));
         let n = 8 << dim;
         let (a, at, stats) = ts_kernels::transpose::distributed_transpose(&mut m, n, 31);
         let ok = at == ts_kernels::transpose::reference_transpose(n, &a);
-        println!(
-            "  {:<10} {:>6} {:>9} {:>12} {:>9} {:>12} {:>10}",
-            "transpose",
-            1 << dim,
-            format!("{n}x{n}"),
-            format!("{}", stats.elapsed),
-            "-",
-            stats.bytes_sent,
-            if ok { "yes" } else { "NO" }
-        );
-        out.push(("transpose", 1 << dim, stats.elapsed.as_secs_f64(), 0.0));
+        report("transpose", 1 << dim, format!("{n}x{n}"), stats, ok, false);
     }
     println!("  (small problems are link-bound, exactly as the 1:130 rule predicts;");
     println!("   per-node efficiency recovers as ops-per-transferred-word approach 130 — see E10)");
@@ -1004,29 +959,7 @@ pub fn e14_system_ring() -> (f64, f64) {
     );
     let mut last = (0.0, 0.0);
     for dim in [4u32, 5, 6] {
-        let payload_words = 4096usize;
-        // Ring: store-and-forward through the system boards.
-        let ring_t = {
-            let mut m = Machine::build(MachineCfg::cube_small_mem(dim, 8));
-            let boards = m.boards.clone();
-            let h = m.handle();
-            h.spawn(async move {
-                ring_distribute(&boards, vec![0u32; payload_words]).await;
-            });
-            assert!(m.run().quiescent);
-            m.now().as_secs_f64()
-        };
-        // Cube: binomial broadcast of the same payload.
-        let cube_t = {
-            let mut m = Machine::build(MachineCfg::cube_small_mem(dim, 8));
-            let cube = m.cube;
-            m.launch(move |ctx| async move {
-                let data = (ctx.id() == 0).then(|| vec![0u32; payload_words]);
-                collectives::broadcast(&ctx, cube, 0, data).await;
-            });
-            assert!(m.run().quiescent);
-            m.now().as_secs_f64()
-        };
+        let (ring_t, cube_t) = ring_and_cube(dim, 4096);
         println!(
             "  {:>8} {:>8} {:>13.1}ms {:>13.1}ms",
             dim,
@@ -1037,35 +970,13 @@ pub fn e14_system_ring() -> (f64, f64) {
         last = (ring_t, cube_t);
     }
     println!("  (the chunked ring pipelines; the tree pays log2(p) full-payload hops)");
-    println!(
-        "
-  small control message (8 bytes):"
-    );
+    println!("\n  small control message (8 bytes):");
     println!(
         "  {:>8} {:>8} {:>14} {:>14}",
         "dim", "modules", "ring (farthest)", "cube broadcast"
     );
     for dim in [4u32, 5, 6] {
-        let ring_t = {
-            let mut m = Machine::build(MachineCfg::cube_small_mem(dim, 8));
-            let boards = m.boards.clone();
-            let h = m.handle();
-            h.spawn(async move {
-                ring_distribute(&boards, vec![0u32; 2]).await;
-            });
-            assert!(m.run().quiescent);
-            m.now().as_secs_f64()
-        };
-        let cube_t = {
-            let mut m = Machine::build(MachineCfg::cube_small_mem(dim, 8));
-            let cube = m.cube;
-            m.launch(move |ctx| async move {
-                let data = (ctx.id() == 0).then(|| vec![0u32; 2]);
-                collectives::broadcast(&ctx, cube, 0, data).await;
-            });
-            assert!(m.run().quiescent);
-            m.now().as_secs_f64()
-        };
+        let (ring_t, cube_t) = ring_and_cube(dim, 2);
         println!(
             "  {:>8} {:>8} {:>13.1}us {:>13.1}us",
             dim,
@@ -1078,13 +989,32 @@ pub fn e14_system_ring() -> (f64, f64) {
     last
 }
 
+/// Seconds to send `words` from node 0 to every node of a `dim`-cube, two
+/// ways: store-and-forward through the system boards' ring, and a binomial
+/// broadcast over the cube.
+fn ring_and_cube(dim: u32, words: usize) -> (f64, f64) {
+    let mut m = Machine::build(MachineCfg::cube_small_mem(dim, 8));
+    let boards = m.boards.clone();
+    m.handle().spawn(async move {
+        ring_distribute(&boards, vec![0u32; words]).await;
+    });
+    assert!(m.run().quiescent);
+    let ring_t = m.now().as_secs_f64();
+    let mut m = Machine::build(MachineCfg::cube_small_mem(dim, 8));
+    let cube = m.cube;
+    m.launch(move |ctx| async move {
+        let data = (ctx.id() == 0).then(|| vec![0u32; words]);
+        collectives::broadcast(&ctx, cube, 0, data).await;
+    });
+    assert!(m.run().quiescent);
+    (ring_t, m.now().as_secs_f64())
+}
+
 /// E15 — physical row moves vs element-wise movement (§II's pivoting and
 /// sorting argument). Returns the speedup factor.
 pub fn e15_row_moves() -> f64 {
     header("E15: physical row moves vs element-wise gather (§II)");
-    let mut m = Machine::build(MachineCfg::cube(0));
-    let ctx = m.ctx(0);
-    let jh = m.launch_on(0, async move {
+    let (by_rows, by_words) = on_one_node(|ctx| async move {
         // Swap two 128-element rows via the row port...
         let t0 = ctx.now();
         ctx.row_swap(300, 700, 1).await.unwrap();
@@ -1099,8 +1029,6 @@ pub fn e15_row_moves() -> f64 {
         let by_words = ctx.now().since(t1);
         (by_rows, by_words)
     });
-    m.run();
-    let (by_rows, by_words) = jh.try_take().unwrap();
     row(
         "swap two 1 KB rows via row port",
         "1.6 µs",
@@ -1130,38 +1058,26 @@ pub fn e16_chaining_ablation() -> f64 {
     header("E16: chained vector forms vs separate forms (§II ablation)");
     const N: usize = 8192;
     // Chained: one SAXPY.
-    let chained = {
-        let mut m = Machine::build(MachineCfg::cube(0));
-        let ctx = m.ctx(0);
-        let jh = m.launch_on(0, async move {
-            let rows_a = ctx.mem().cfg().rows_a();
-            let t0 = ctx.now();
-            ctx.vec(VecForm::Saxpy(Sf64::from(2.0)), 0, rows_a, rows_a + 256, N)
-                .await
-                .unwrap();
-            ctx.now().since(t0)
-        });
-        m.run();
-        jh.try_take().unwrap()
-    };
+    let chained = on_one_node(|ctx| async move {
+        let rows_a = ctx.mem().cfg().rows_a();
+        let t0 = ctx.now();
+        ctx.vec(VecForm::Saxpy(Sf64::from(2.0)), 0, rows_a, rows_a + 256, N)
+            .await
+            .unwrap();
+        ctx.now().since(t0)
+    });
     // Unchained: VSMul into a temporary, then VAdd.
-    let unchained = {
-        let mut m = Machine::build(MachineCfg::cube(0));
-        let ctx = m.ctx(0);
-        let jh = m.launch_on(0, async move {
-            let rows_a = ctx.mem().cfg().rows_a();
-            let t0 = ctx.now();
-            ctx.vec(VecForm::VSMul(Sf64::from(2.0)), 0, 0, 128, N)
-                .await
-                .unwrap();
-            ctx.vec(VecForm::VAdd, 128, rows_a, rows_a + 256, N)
-                .await
-                .unwrap();
-            ctx.now().since(t0)
-        });
-        m.run();
-        jh.try_take().unwrap()
-    };
+    let unchained = on_one_node(|ctx| async move {
+        let rows_a = ctx.mem().cfg().rows_a();
+        let t0 = ctx.now();
+        ctx.vec(VecForm::VSMul(Sf64::from(2.0)), 0, 0, 128, N)
+            .await
+            .unwrap();
+        ctx.vec(VecForm::VAdd, 128, rows_a, rows_a + 256, N)
+            .await
+            .unwrap();
+        ctx.now().since(t0)
+    });
     let mf = |d: Dur| 2.0 * N as f64 / d.as_secs_f64() / 1e6;
     row(
         "chained SAXPY (MFLOPS)",
@@ -1179,22 +1095,27 @@ pub fn e16_chaining_ablation() -> f64 {
     speedup
 }
 
-/// Run every experiment in order (the `repro all` entry point).
-pub fn run_all() {
-    e1_control_processor();
-    e2_bandwidths();
-    e3_peak_arithmetic();
-    e4_gather_scatter();
-    e5_balance_ratios();
-    e6_embeddings();
-    e7_scaling_table();
-    e8_checkpointing();
-    e9_dual_bank();
-    e10_comm_comp_balance();
-    e11_kernel_scaling();
-    e12_link_framing();
-    e13_shared_vs_cube();
-    e14_system_ring();
-    e15_row_moves();
-    e16_chaining_ablation();
+#[cfg(test)]
+mod tests {
+    use super::EXPERIMENTS;
+
+    #[test]
+    fn experiments_follow_the_design_index() {
+        let want: Vec<String> = (1..=16).map(|i| format!("e{i}")).collect();
+        let names: Vec<&str> = EXPERIMENTS.iter().map(|(name, ..)| *name).collect();
+        assert_eq!(names, want);
+        // DESIGN.md names E1–E15 in its index and E16 among the extensions.
+        let design: Vec<String> = include_str!("../../../DESIGN.md")
+            .lines()
+            .filter_map(|l| l.strip_prefix("| E"))
+            .map(|l| {
+                l.chars()
+                    .take_while(char::is_ascii_digit)
+                    .collect::<String>()
+            })
+            .filter(|n| !n.is_empty())
+            .map(|n| format!("e{n}"))
+            .collect();
+        assert_eq!(design, want);
+    }
 }

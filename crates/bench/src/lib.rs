@@ -11,10 +11,8 @@
 #![deny(missing_docs)]
 
 pub mod experiments;
-pub mod sweep;
 
 pub use experiments::*;
-pub use sweep::parallel_sweep;
 
 /// Pretty-print a paper-vs-measured row.
 pub fn row(label: &str, paper: &str, measured: &str) {

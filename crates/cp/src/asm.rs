@@ -210,19 +210,11 @@ pub fn assemble(src: &str) -> Result<Vec<u8>, AsmError> {
     }
 
     // Size fixpoint: start by assuming every instruction is 1 byte.
-    let n = items.len();
-    let mut sizes = vec![1usize; n];
+    let mut sizes = vec![1usize; items.len()];
     loop {
-        // Item start offsets under current size assumption.
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut off = 0usize;
-        for &s in &sizes {
-            offsets.push(off);
-            off += s;
-        }
-        offsets.push(off); // one past the end (labels at EOF)
+        let offsets = offsets(&sizes);
         let mut changed = false;
-        for (i, item) in items.items_iter() {
+        for (i, item) in items.iter().enumerate() {
             let need = match item {
                 Item::Operation(op) => {
                     let mut tmp = Vec::new();
@@ -245,15 +237,9 @@ pub fn assemble(src: &str) -> Result<Vec<u8>, AsmError> {
     }
 
     // Emit.
-    let mut offsets = Vec::with_capacity(n + 1);
-    let mut off = 0usize;
-    for &s in &sizes {
-        offsets.push(off);
-        off += s;
-    }
-    offsets.push(off);
-    let mut out = Vec::with_capacity(off);
-    for (i, item) in items.items_iter() {
+    let offsets = offsets(&sizes);
+    let mut out = Vec::with_capacity(offsets[items.len()]);
+    for (i, item) in items.iter().enumerate() {
         match item {
             Item::Operation(op) => encode_op(*op, &mut out),
             Item::DirectFn { d, operand, line } => {
@@ -290,16 +276,17 @@ fn operand_value(
     }
 }
 
-/// Tiny helper so the fixpoint loop can enumerate with indices without
-/// borrowing issues.
-trait ItemsIter {
-    fn items_iter(&self) -> std::iter::Enumerate<std::slice::Iter<'_, Item>>;
-}
-
-impl ItemsIter for Vec<Item> {
-    fn items_iter(&self) -> std::iter::Enumerate<std::slice::Iter<'_, Item>> {
-        self.iter().enumerate()
+/// Start offset of every item under `sizes`, plus one past the end (where a
+/// label at the end of the source points).
+fn offsets(sizes: &[usize]) -> Vec<usize> {
+    let mut out = Vec::with_capacity(sizes.len() + 1);
+    let mut off = 0;
+    for s in sizes {
+        out.push(off);
+        off += s;
     }
+    out.push(off);
+    out
 }
 
 #[cfg(test)]

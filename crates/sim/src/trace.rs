@@ -128,14 +128,6 @@ impl Tracer {
         id
     }
 
-    /// Name of an interned track.
-    ///
-    /// # Panics
-    /// If `id` did not come from this tracer.
-    pub fn track_name(&self, id: TrackId) -> String {
-        self.inner.borrow().tracks[id.0 as usize].clone()
-    }
-
     /// All interned track names, in interning order (index = `TrackId`).
     pub fn tracks(&self) -> Vec<String> {
         self.inner.borrow().tracks.clone()
@@ -147,16 +139,6 @@ impl Tracer {
             .borrow_mut()
             .events
             .push(Event::Span { track, start, end });
-    }
-
-    /// Record a busy interval on a track named by string.
-    ///
-    /// Interns the track on first use (one allocation per *track*, not per
-    /// span). Prefer [`Tracer::track`] + [`Tracer::record_span`] on hot
-    /// paths to skip the name lookup entirely.
-    pub fn record(&self, track: &str, start: Time, end: Time) {
-        let id = self.track(track);
-        self.record_span(id, start, end);
     }
 
     /// Record a point-in-time marker.
@@ -291,12 +273,16 @@ mod tests {
         Time::ZERO + Dur::us(us)
     }
 
+    fn span(tr: &Tracer, track: &str, start: Time, end: Time) {
+        tr.record_span(tr.track(track), start, end);
+    }
+
     #[test]
     fn records_and_sums() {
         let tr = Tracer::new();
-        tr.record("a", t(0), t(10));
-        tr.record("a", t(20), t(30));
-        tr.record("b", t(5), t(15));
+        span(&tr, "a", t(0), t(10));
+        span(&tr, "a", t(20), t(30));
+        span(&tr, "b", t(5), t(15));
         let busy = tr.busy_by_track();
         assert_eq!(
             busy,
@@ -313,16 +299,16 @@ mod tests {
         let c = tr.track("n0.cp");
         assert_eq!(a, b);
         assert_ne!(a, c);
-        assert_eq!(tr.track_name(a), "n0.vec");
+        assert_eq!(tr.tracks()[a.0 as usize], "n0.vec");
         assert_eq!(tr.tracks().len(), 2);
     }
 
     #[test]
     fn busy_by_track_sorts_numerically_not_lexicographically() {
         let tr = Tracer::new();
-        tr.record("n10.vec", t(0), t(1));
-        tr.record("n2.vec", t(0), t(1));
-        tr.record("n2.cp", t(0), t(1));
+        span(&tr, "n10.vec", t(0), t(1));
+        span(&tr, "n2.vec", t(0), t(1));
+        span(&tr, "n2.cp", t(0), t(1));
         let order: Vec<String> = tr.busy_by_track().into_iter().map(|(n, _)| n).collect();
         assert_eq!(order, vec!["n2.cp", "n2.vec", "n10.vec"]);
     }
@@ -379,8 +365,8 @@ mod tests {
     #[test]
     fn gantt_marks_busy_buckets() {
         let tr = Tracer::new();
-        tr.record("vec", t(0), t(50));
-        tr.record("cp", t(50), t(100));
+        span(&tr, "vec", t(0), t(50));
+        span(&tr, "cp", t(50), t(100));
         let g = tr.gantt(t(100), 10);
         let lines: Vec<&str> = g.lines().collect();
         assert_eq!(lines.len(), 3);
@@ -393,8 +379,8 @@ mod tests {
     #[test]
     fn overlapping_spans_merge_visually() {
         let tr = Tracer::new();
-        tr.record("x", t(0), t(60));
-        tr.record("x", t(40), t(100));
+        span(&tr, "x", t(0), t(60));
+        span(&tr, "x", t(40), t(100));
         let g = tr.gantt(t(100), 10);
         let x = g.lines().find(|l| l.starts_with('x')).unwrap();
         assert!(x.contains("##########"), "{x}");

@@ -5,8 +5,9 @@
 //! * **binomial trees** (via [`Hypercube::binomial_children`]) for rooted
 //!   operations — broadcast and reduce complete in n = log₂ p steps, the
 //!   O(log n) long-range cost the paper advertises; [`broadcast_striped`]
-//!   runs n rotated trees at once, one stripe of the payload down each, so
-//!   all n links of a node carry traffic in every step;
+//!   streams n stripes of the payload, piece by piece, down the n
+//!   edge-disjoint spanning binomial trees ([`Hypercube::esbt_parent`]) at
+//!   once, so every link carries one stripe;
 //! * **dimension exchange** for symmetric operations — all-reduce,
 //!   all-gather and barriers exchange across dimension 0, 1, …, n−1 in
 //!   turn, with both directions of each bidirectional link in flight at
@@ -19,10 +20,19 @@
 //! All functions are SPMD: every node of the cube must call them in the
 //! same order, passing its own [`NodeCtx`].
 
+use std::cell::RefCell;
+use std::future::{poll_fn, Future};
+use std::ops::Range;
+use std::pin::{pin, Pin};
+use std::rc::Rc;
+use std::task::Poll;
+
 use ts_cube::Hypercube;
 use ts_fpu::Sf64;
 use ts_node::{occam, CombineOp, NodeCtx};
 use ts_sim::{select2, Dur, Either, SimHandle, Time};
+
+use crate::model::NetModel;
 
 /// Book one completed collective into the node's per-op latency histogram
 /// (`node/{id}/collective/{op}_us` in the machine registry).
@@ -56,8 +66,9 @@ impl std::error::Error for DeadlineExpired {}
 /// `collective/deadline_expired` under `ctx`'s node scope.
 ///
 /// Caveat: operations that *spawn* helper tasks ([`broadcast_striped`]
-/// runs its stripes under a replicated `PAR`, [`occam::par_all`]) leave
-/// those helpers parked after a timeout — they hold no resources and are
+/// runs one process per tree under a replicated `PAR`,
+/// [`occam::par_all`]) leave those helpers parked after a timeout — they
+/// hold no resources and are
 /// swept away when the supervisor reboots the machine, but they keep the
 /// run from reporting quiescent. The rooted trees, the dimension exchanges
 /// (joined in place) and plain sends cancel cleanly.
@@ -116,75 +127,140 @@ pub async fn broadcast(
     buf
 }
 
-/// Broadcast that keeps every link of the cube busy: the payload is cut
-/// into `n` stripes and stripe `q` travels the binomial tree whose
-/// dimension order is rotated by `q` — in round `r` it crosses dimension
-/// `(q + r) mod n`, so the stripes of a round ride `n` different links (an
-/// Occam `PAR`). `n` rounds of `1/n` of the payload: ≈ `n·o + m·w` against
-/// [`broadcast`]'s `n·(o + m·w)`. Same contract as [`broadcast`].
+/// Broadcast that keeps every link of the cube busy: the `len` words are
+/// cut into `n` stripes, and stripe `t` streams down tree `t` of the n
+/// edge-disjoint spanning binomial trees ([`Hypercube::esbt_parent`]) in
+/// [`NetModel::broadcast_pieces`] pieces. Every node runs one process per
+/// tree (a replicated `PAR`); a process's step receives the next piece from
+/// its parent while it forwards the last one to its children. No directed
+/// link carries two trees, so the n pipelines flow side by side:
+/// `(P + n)·(o + ⌈m/(nP)⌉·w)` ([`NetModel::broadcast_striped`]) against
+/// [`broadcast`]'s `n·(o + m·w)`. Every node passes the payload's `len`
+/// (the collective is SPMD); otherwise the contract of [`broadcast`].
 pub async fn broadcast_striped(
     ctx: &NodeCtx,
     cube: Hypercube,
     root: u32,
+    len: usize,
     data: Option<Vec<u32>>,
 ) -> Vec<u32> {
     let t0 = ctx.now();
-    let n = cube.dim() as usize;
-    let rel = ctx.id() ^ root;
-    let mut stripes: Vec<Option<Vec<u32>>> = vec![None; n];
-    if rel == 0 {
+    let (me, n) = (ctx.id(), cube.dim());
+    let mut buf = if me == root {
         let buf = data.expect("root must provide the broadcast payload");
-        if n == 0 {
-            return buf;
-        }
-        for (q, stripe) in stripes.iter_mut().enumerate() {
-            *stripe = Some(buf[q * buf.len() / n..(q + 1) * buf.len() / n].to_vec());
-        }
-    }
-    // Stripe q reaches me in the round that crosses the last (in its
-    // rotated order) of the address bits separating me from the root.
-    let arrives: Vec<Option<usize>> = (0..n)
-        .map(|q| {
-            (0..n)
-                .filter(|b| rel >> b & 1 == 1)
-                .map(|b| (b + n - q) % n)
-                .max()
-        })
-        .collect();
-    for r in 0..n {
-        let ops = (0..n).filter_map(|q| {
-            let dim = (q + r) % n;
-            match arrives[q] {
-                Some(a) if a > r => None,
-                Some(a) if a == r => Some(stripe_hop(ctx.clone(), q, dim, None)),
-                _ => Some(stripe_hop(ctx.clone(), q, dim, stripes[q].clone())),
-            }
-        });
-        for (q, got) in occam::par_all(ctx.handle(), ops.collect()).await {
-            if got.is_some() {
-                stripes[q] = got;
-            }
-        }
+        assert_eq!(buf.len(), len, "the payload is `len` words");
+        buf
+    } else {
+        vec![0; len]
+    };
+    if n > 0 {
+        let net = NetModel::from_params(ctx.in_channel(0).wire().params());
+        let pieces = net.broadcast_pieces(n, len);
+        let shared = Rc::new(RefCell::new(buf));
+        let dim = |node: u32| (me ^ node).trailing_zeros() as usize;
+        let trees = (0..n)
+            .map(|t| {
+                let stripe = t as usize * len / n as usize..(t + 1) as usize * len / n as usize;
+                stream_stripe(
+                    ctx.clone(),
+                    cube.esbt_parent(t, root, me).map(dim),
+                    cube.esbt_children(t, root, me)
+                        .into_iter()
+                        .map(dim)
+                        .collect(),
+                    cut(stripe, pieces),
+                    shared.clone(),
+                )
+            })
+            .collect();
+        occam::par_all(ctx.handle(), trees).await;
+        buf = Rc::unwrap_or_clone(shared).into_inner();
     }
     book_latency(ctx, "broadcast_striped", t0);
-    stripes.into_iter().flatten().flatten().collect()
+    buf
 }
 
-/// One stripe crossing one dimension: send `have` if this node holds the
-/// stripe, otherwise receive it. Returns the stripe index with any arrival.
-async fn stripe_hop(
+/// The non-empty pieces of `stripe` cut `count` ways, as evenly as whole
+/// words allow.
+fn cut(stripe: Range<usize>, count: usize) -> impl Iterator<Item = Range<usize>> {
+    let (lo, len) = (stripe.start, stripe.len());
+    (0..count)
+        .map(move |i| lo + i * len / count..lo + (i + 1) * len / count)
+        .filter(|piece| !piece.is_empty())
+}
+
+/// This node's part in one tree: take each of the stripe's `pieces` of
+/// `buf` from across `from` (the root has no parent: it holds them) and
+/// forward it across every dimension in `to`. Each step is one `PAR`,
+/// joined in place, of the next piece's receive and the last one's sends.
+async fn stream_stripe(
     ctx: NodeCtx,
-    q: usize,
-    dim: usize,
-    have: Option<Vec<u32>>,
-) -> (usize, Option<Vec<u32>>) {
-    match have {
-        Some(words) => {
-            ctx.send_dim(dim, words).await;
-            (q, None)
+    from: Option<usize>,
+    to: Vec<usize>,
+    pieces: impl Iterator<Item = Range<usize>>,
+    buf: Rc<RefCell<Vec<u32>>>,
+) {
+    // One send slot per child, refilled every step.
+    let mut sends: Vec<Pin<Box<Option<_>>>> = to.iter().map(|_| Box::pin(None)).collect();
+    let mut ready: Option<Vec<u32>> = None;
+    for piece in pieces.map(Some).chain([None]) {
+        let recv = match (from, &piece) {
+            (Some(d), Some(_)) => Some(ctx.recv_dim(d)),
+            // The root forwards each piece in the step it reads it.
+            (None, Some(r)) => {
+                ready = Some(pooled_copy(&buf.borrow()[r.clone()]));
+                None
+            }
+            _ => None,
+        };
+        if let Some(words) = ready.take() {
+            let (&last, rest) = to.split_last().expect("only a node with children forwards");
+            for (slot, &d) in sends.iter_mut().zip(rest) {
+                slot.set(Some(ctx.send_dim(d, pooled_copy(&words))));
+            }
+            sends[rest.len()].set(Some(ctx.send_dim(last, words)));
         }
-        None => (q, Some(ctx.recv_dim(dim).await)),
+        let mut recv = pin!(recv);
+        let mut got = None;
+        poll_fn(|cx| {
+            let mut busy = false;
+            for send in &mut sends {
+                if send
+                    .as_mut()
+                    .as_pin_mut()
+                    .is_some_and(|f| f.poll(cx).is_ready())
+                {
+                    send.set(None);
+                }
+                busy |= send.is_some();
+            }
+            if let Some(Poll::Ready(words)) = recv.as_mut().as_pin_mut().map(|f| f.poll(cx)) {
+                got = Some(words);
+                recv.set(None);
+            }
+            if busy || recv.is_some() {
+                Poll::Pending
+            } else {
+                Poll::Ready(())
+            }
+        })
+        .await;
+        if let (Some(words), Some(r)) = (got, piece) {
+            buf.borrow_mut()[r].copy_from_slice(&words);
+            if to.is_empty() {
+                ts_sim::pool::put_words(words);
+            } else {
+                ready = Some(words);
+            }
+        }
     }
+}
+
+/// A copy of `words` in a buffer from the word pool.
+fn pooled_copy(words: &[u32]) -> Vec<u32> {
+    let mut copy = ts_sim::pool::take_words(words.len());
+    copy.extend_from_slice(words);
+    copy
 }
 
 /// Reduce element-wise (`op`) onto `root`; returns `Some(result)` there and
@@ -328,10 +404,24 @@ mod tests {
 
     #[test]
     fn striped_broadcast_delivers_what_broadcast_delivers() {
-        // Every root, dims 0–5, lengths around the stripe count and beyond.
+        // Every root, dims 0–5, lengths around the stripe count, around one
+        // word a piece (n·P at a long row) and beyond.
+        let net = crate::model::NetModel::default();
         for dim in 0..=5u32 {
             let d = dim as usize;
-            for len in [0, 1, d.saturating_sub(1), d, 2 * d + 3, 256, 301] {
+            let np = d * net.broadcast_pieces(dim, 301);
+            let lens = [
+                0,
+                1,
+                d.saturating_sub(1),
+                d,
+                np.saturating_sub(1),
+                np,
+                np + 1,
+                256,
+                301,
+            ];
+            for len in lens {
                 let payload: Vec<u32> = (0..len as u32)
                     .map(|i| i.wrapping_mul(2654435761))
                     .collect();
@@ -341,7 +431,8 @@ mod tests {
                     let handles = m.launch(|ctx| {
                         let mine = (ctx.id() == root).then(|| payload.clone());
                         async move {
-                            let striped = broadcast_striped(&ctx, cube, root, mine.clone()).await;
+                            let striped =
+                                broadcast_striped(&ctx, cube, root, len, mine.clone()).await;
                             (striped, broadcast(&ctx, cube, root, mine).await)
                         }
                     });
@@ -368,10 +459,9 @@ mod tests {
                 let phys = 4 | (vid & 1) << 1 | (vid >> 1) << 3;
                 let ctx = m.ctx(phys).subcube_view(vid, vec![1, 3]);
                 let data = (vid == 2).then(|| payload.clone());
-                m.launch_on(
-                    phys,
-                    async move { broadcast_striped(&ctx, sub, 2, data).await },
-                )
+                m.launch_on(phys, async move {
+                    broadcast_striped(&ctx, sub, 2, 77, data).await
+                })
             })
             .collect();
         assert!(m.run().quiescent);
@@ -583,27 +673,51 @@ mod tests {
     }
 
     #[test]
+    fn striped_broadcast_sends_each_word_once_per_node() {
+        // Pipelining adds messages, not words: every node but the root
+        // hears each word once, m·(2ⁿ − 1) words on the links in all.
+        for dim in 1..=5u32 {
+            for len in [7usize, 256, 301] {
+                let mut m = small(dim);
+                let cube = m.cube;
+                let root = (1 << dim) - 1;
+                m.launch(move |ctx| async move {
+                    let data = (ctx.id() == root).then(|| vec![1; len]);
+                    broadcast_striped(&ctx, cube, root, len, data).await;
+                });
+                assert!(m.run().quiescent);
+                let words = m.registry().sum_counters("link/words_sent");
+                assert_eq!(words, len as u64 * ((1 << dim) - 1), "dim {dim} len {len}");
+            }
+        }
+    }
+
+    #[test]
     fn every_node_books_one_latency_sample_per_collective() {
-        let mut m = small(2);
-        let cube = m.cube;
-        m.launch(move |ctx| async move {
-            let payload = (ctx.id() == 0).then(|| vec![7u32; 64]);
-            broadcast(&ctx, cube, 0, payload).await;
-            let mine = vec![Sf64::from(ctx.id() as f64)];
-            allreduce(&ctx, cube, CombineOp::Add, mine).await;
-            barrier(&ctx, cube).await;
-        });
-        assert!(m.run().quiescent);
-        for id in 0..4 {
-            for op in ["broadcast", "allreduce", "barrier"] {
-                let h = m
-                    .registry()
-                    .scope(&format!("node/{id}"))
-                    .scope("collective")
-                    .histogram(&format!("{op}_us"));
-                assert_eq!(h.total(), 1, "node {id} {op}");
-                assert!(h.mean() > 0.0, "node {id} {op}");
-                assert!(h.quantile_bound(0.99) as f64 >= h.mean(), "node {id} {op}");
+        for dim in [0u32, 2] {
+            let mut m = small(dim);
+            let cube = m.cube;
+            m.launch(move |ctx| async move {
+                let payload = (ctx.id() == 0).then(|| vec![7u32; 64]);
+                broadcast(&ctx, cube, 0, payload.clone()).await;
+                broadcast_striped(&ctx, cube, 0, 64, payload).await;
+                let mine = vec![Sf64::from(ctx.id() as f64)];
+                allreduce(&ctx, cube, CombineOp::Add, mine).await;
+                barrier(&ctx, cube).await;
+            });
+            assert!(m.run().quiescent);
+            for id in 0..cube.nodes() {
+                for op in ["broadcast", "broadcast_striped", "allreduce", "barrier"] {
+                    let h = m
+                        .registry()
+                        .scope(&format!("node/{id}"))
+                        .scope("collective")
+                        .histogram(&format!("{op}_us"));
+                    assert_eq!(h.total(), 1, "dim {dim} node {id} {op}");
+                    // On a 0-cube every collective takes no time at all.
+                    assert_eq!(h.mean() > 0.0, dim > 0, "dim {dim} node {id} {op}");
+                    assert!(h.quantile_bound(0.99) as f64 >= h.mean(), "node {id} {op}");
+                }
             }
         }
     }

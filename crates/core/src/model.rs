@@ -65,14 +65,39 @@ impl NetModel {
         self.p2p(3) * n as u64
     }
 
-    /// Striped binomial broadcast ([`collectives::broadcast_striped`](crate::collectives::broadcast_striped)):
-    /// the `m` words travel as `n` stripes, stripe `q` down the tree whose
-    /// dimension order is rotated by `q`, so every round moves one stripe
-    /// per link — `n · (o + ⌈m/n⌉·w)`, i.e. ≈ `n·o + m·w`. Exact while every
-    /// dimension has a link to itself (n ≤ 4, one cabinet); beyond that
-    /// dimensions `d` and `d + 4` share one and the form is a lower bound.
+    /// Pipelined broadcast down the n edge-disjoint spanning binomial trees
+    /// ([`collectives::broadcast_striped`](crate::collectives::broadcast_striped)):
+    /// stripe t of the `m` words (⌈m/n⌉ at most) streams down tree t in `P`
+    /// pieces ([`NetModel::broadcast_pieces`]). No link carries two trees,
+    /// so the n pipelines run side by side, one piece a step; the last
+    /// piece leaves the root at step `P` and is n + 1 hops deep —
+    /// `(P + n)·(o + ⌈m/(nP)⌉·w)`, and `P·(o + ⌈m/P⌉·w)` on a 1-cube,
+    /// whose one tree is one hop deep. Exact while every dimension has a
+    /// link to itself (n ≤ 4, one cabinet); beyond that dimensions `d` and
+    /// `d + 4` share one and the form is a lower bound.
     pub fn broadcast_striped(&self, n: u32, m: usize) -> Dur {
-        self.p2p(m.div_ceil(n.max(1) as usize)) * n as u64
+        self.striped_at(n, m, self.broadcast_pieces(n, m))
+    }
+
+    /// Pieces per stripe of [`NetModel::broadcast_striped`]: the `P` in
+    /// `1..=2n` its closed form is least at, the fewest on a tie. At
+    /// `P = 2n` the pipeline's fill, n steps, is a third of it, and every
+    /// further piece a stripe is n·(2ⁿ − 1) more messages.
+    pub fn broadcast_pieces(&self, n: u32, m: usize) -> usize {
+        (1..=2 * n.max(1) as usize)
+            .min_by_key(|&pieces| self.striped_at(n, m, pieces))
+            .expect("at least one piece")
+    }
+
+    /// [`NetModel::broadcast_striped`] at `pieces` pieces per stripe.
+    fn striped_at(&self, n: u32, m: usize, pieces: usize) -> Dur {
+        // Hops after the first: a tree is n + 1 deep, 1 on a 1-cube.
+        let hops = match n {
+            0 => return Dur::ZERO,
+            1 => 0,
+            _ => n as u64,
+        };
+        self.p2p(m.div_ceil(n as usize * pieces)) * (pieces as u64 + hops)
     }
 
     /// `n` successive dimension exchanges of `m` words run as a pipeline of
@@ -187,21 +212,29 @@ mod tests {
     #[test]
     fn striped_broadcast_matches_model() {
         let net = NetModel::default();
-        for (dim, words, root) in [(1u32, 7usize, 1u32), (2, 64, 0), (3, 250, 5), (4, 256, 9)] {
-            let mut m = Machine::build(MachineCfg::cube_small_mem(dim, 8));
-            let cube = m.cube;
-            m.launch(move |ctx| async move {
-                let data = (ctx.id() == root).then(|| vec![0u32; words]);
-                collectives::broadcast_striped(&ctx, cube, root, data).await;
-            });
-            assert!(m.run().quiescent);
-            let measured = m.now().since(ts_sim::Time::ZERO);
-            let predicted = net.broadcast_striped(dim, words);
-            assert!(
-                within(measured, predicted, 0.05),
-                "striped broadcast dim {dim}, {words}w: measured {measured}, model {predicted}"
-            );
+        for dim in 1..=4u32 {
+            for words in [7usize, 64, 250, 256] {
+                for root in [1, (1u32 << dim) - 1] {
+                    let mut m = Machine::build(MachineCfg::cube_small_mem(dim, 8));
+                    let cube = m.cube;
+                    m.launch(move |ctx| async move {
+                        let data = (ctx.id() == root).then(|| vec![0u32; words]);
+                        collectives::broadcast_striped(&ctx, cube, root, words, data).await;
+                    });
+                    assert!(m.run().quiescent);
+                    let measured = m.now().since(ts_sim::Time::ZERO);
+                    let predicted = net.broadcast_striped(dim, words);
+                    assert!(
+                        within(measured, predicted, 0.05),
+                        "striped broadcast dim {dim}, {words}w, root {root}: \
+                         measured {measured}, model {predicted}"
+                    );
+                }
+            }
         }
+        // A long row streams in 2n pieces a stripe; a word a stripe in one.
+        assert_eq!(net.broadcast_pieces(4, 256), 8);
+        assert_eq!(net.broadcast_pieces(4, 4), 1);
     }
 
     #[test]
@@ -213,7 +246,7 @@ mod tests {
         let cube = m.cube;
         m.launch(move |ctx| async move {
             let data = (ctx.id() == 0).then(|| vec![0u32; 320]);
-            collectives::broadcast_striped(&ctx, cube, 0, data).await;
+            collectives::broadcast_striped(&ctx, cube, 0, 320, data).await;
         });
         assert!(m.run().quiescent);
         let measured = m.now().since(ts_sim::Time::ZERO);

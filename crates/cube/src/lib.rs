@@ -122,6 +122,77 @@ impl Hypercube {
         (0..limit).map(|d| node ^ (1 << d)).collect()
     }
 
+    /// Parent of `node` in tree `tree` (`0..n`) of the n **edge-disjoint
+    /// spanning binomial trees** rooted at `root` (Johnsson & Ho, "Optimum
+    /// broadcasting and personalized communication in hypercubes", 1989);
+    /// `None` for the root. With `rel = node ^ root` and `e_t = 1 << tree`:
+    ///
+    /// * the root's one child is `e_t`, across dimension `tree`;
+    /// * the half with bit `tree` set is the binomial tree of `e_t` in
+    ///   dimension order `tree+1, …, tree−1`: a node's parent clears its
+    ///   last set bit in that cyclic order;
+    /// * every other node hears the tree across dimension `tree`, from its
+    ///   neighbour in that half.
+    ///
+    /// Tree t reaches `rel` across t when bit t is clear, and otherwise
+    /// across the set bit before t in cyclic order (t itself at `e_t`): a
+    /// permutation of the n dimensions. So a node hears the n trees across n
+    /// different dimensions and no directed link carries two of them. Each
+    /// tree is n + 1 deep (1 on a 1-cube).
+    pub fn esbt_parent(self, tree: u32, root: NodeId, node: NodeId) -> Option<NodeId> {
+        debug_assert!(tree < self.dim && node < self.nodes() && root < self.nodes());
+        let rel = node ^ root;
+        let e_t = 1 << tree;
+        if rel == 0 {
+            return None;
+        }
+        if rel & e_t == 0 {
+            return Some(node ^ e_t);
+        }
+        Some(match self.esbt_last(tree, rel) {
+            Some(d) => node ^ (1 << d),
+            None => root,
+        })
+    }
+
+    /// Children of `node` in tree `tree` of the edge-disjoint spanning
+    /// binomial trees rooted at `root` ([`Hypercube::esbt_parent`]): the
+    /// biggest subtree first, the neighbour across dimension `tree` last.
+    pub fn esbt_children(self, tree: u32, root: NodeId, node: NodeId) -> Vec<NodeId> {
+        debug_assert!(tree < self.dim && node < self.nodes() && root < self.nodes());
+        let rel = node ^ root;
+        let e_t = 1 << tree;
+        if rel == 0 {
+            return vec![node ^ e_t];
+        }
+        if rel & e_t == 0 {
+            return Vec::new();
+        }
+        // Dimension tree+1+k sits at position k of the cyclic order. The
+        // binomial children set each position after the last one set (every
+        // position, at e_t); every other node of the half also forwards
+        // across dimension `tree`.
+        let n = self.dim;
+        let last = self.esbt_last(tree, rel);
+        let first = last.map_or(0, |d| (d + n - tree - 1) % n + 1);
+        let mut children: Vec<NodeId> = (first..n - 1)
+            .map(|k| node ^ (1 << ((tree + 1 + k) % n)))
+            .collect();
+        if last.is_some() {
+            children.push(node ^ e_t);
+        }
+        children
+    }
+
+    /// The last dimension other than `tree` set in `rel`, in the cyclic
+    /// order `tree+1, …, tree−1`.
+    fn esbt_last(self, tree: u32, rel: NodeId) -> Option<u32> {
+        let n = self.dim;
+        (1..n)
+            .map(|k| (tree + n - k) % n)
+            .find(|&d| rel & (1 << d) != 0)
+    }
+
     /// The module a node belongs to: the T Series packages 8 nodes
     /// (a 3-subcube spanning the three lowest dimensions) per module (§III).
     pub fn module_of(self, node: NodeId) -> u32 {
@@ -477,6 +548,53 @@ mod tests {
             max_depth = max_depth.max(d);
         }
         assert_eq!(max_depth, 7);
+    }
+
+    #[test]
+    fn edge_disjoint_trees_span_and_share_no_link() {
+        // Every tree on cubes to dimension 7, at three roots: it spans the
+        // cube n + 1 deep (1 on a 1-cube), its children match its parents,
+        // and a node hears the n trees across n different dimensions, so
+        // no directed link carries two trees.
+        for dim in 1..=7u32 {
+            let c = Hypercube::new(dim);
+            let n = dim as usize;
+            for root in [0, c.nodes() - 1, 0x5b % c.nodes()] {
+                let mut heard = vec![false; c.nodes() as usize * n];
+                for tree in 0..dim {
+                    let (mut edges, mut depth) = (0, 0);
+                    for node in c.iter() {
+                        let children = c.esbt_children(tree, root, node);
+                        edges += children.len();
+                        for &child in &children {
+                            assert_eq!(c.esbt_parent(tree, root, child), Some(node));
+                        }
+                        let Some(parent) = c.esbt_parent(tree, root, node) else {
+                            assert_eq!(node, root);
+                            continue;
+                        };
+                        assert_eq!(c.distance(node, parent), 1, "tree edges are cube edges");
+                        let d = (node ^ parent).trailing_zeros() as usize;
+                        let slot = &mut heard[node as usize * n + d];
+                        assert!(
+                            !*slot,
+                            "dim {dim} root {root}: {node} hears two trees on {d}"
+                        );
+                        *slot = true;
+                        let (mut cur, mut hops) = (node, 0);
+                        while cur != root {
+                            cur = c.esbt_parent(tree, root, cur).unwrap();
+                            hops += 1;
+                            assert!(hops <= dim + 1, "dim {dim} tree {tree}: too deep");
+                        }
+                        depth = depth.max(hops);
+                    }
+                    assert_eq!(edges, c.nodes() as usize - 1, "dim {dim} tree {tree}");
+                    let want = if dim == 1 { 1 } else { dim + 1 };
+                    assert_eq!(depth, want, "dim {dim} tree {tree}");
+                }
+            }
+        }
     }
 
     #[test]

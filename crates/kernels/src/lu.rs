@@ -7,9 +7,9 @@
 //! * the local pivot candidate comes from the `AbsMax` **vector form**;
 //! * the global pivot is agreed by a **max-loc vote**, a dimension exchange
 //!   of 3 words per link (the candidate's |v| and its row);
-//! * the trailing columns of the pivot row are **broadcast** in stripes
-//!   down rotated binomial trees, one stripe per link
-//!   (`collectives::broadcast_striped`);
+//! * the trailing columns of the pivot row are **broadcast** down the n
+//!   edge-disjoint spanning binomial trees, one stripe per tree, each
+//!   stripe streamed in pieces (`collectives::broadcast_striped`);
 //! * the division by the pivot has no divider to use, so it runs the
 //!   Newton–Raphson **software reciprocal** (`ts_fpu::softdiv`);
 //! * elimination is one **SAXPY vector form per row**
@@ -116,8 +116,14 @@ pub async fn lu_node(ctx: NodeCtx, cube: Hypercube, n: usize) -> Vec<usize> {
         } else {
             None
         };
-        let pivot =
-            t_series_core::collectives::broadcast_striped(&ctx, cube, owner, pivot_words).await;
+        let pivot = t_series_core::collectives::broadcast_striped(
+            &ctx,
+            cube,
+            owner,
+            2 * (n - k),
+            pivot_words,
+        )
+        .await;
         // pivot_f[j − k] is column j of the pivot row.
         let pivot_f: Vec<Sf64> = pivot
             .chunks_exact(2)

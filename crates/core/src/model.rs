@@ -117,24 +117,28 @@ impl NetModel {
         (ideal.sqrt().ceil() as usize).clamp(1, m.max(1))
     }
 
-    /// One block of `m` words moved `k` positions round a ring of `s`, split
-    /// as [`ring_split`] cuts it: the short way's `short` store-and-forward
-    /// hops carry `m − share`, the long way's `s − short` hops carry
-    /// `share`, both at once — `max(short·p2p(m − share), (s−short)·p2p(share))`.
-    pub fn torus_move(&self, s: u32, k: u32, m: usize) -> Dur {
-        let (short, share) = ring_split(s, k, m);
-        let long = if share == 0 { 0 } else { s - short };
-        (self.p2p(m - share) * short as u64).max(self.p2p(share) * long as u64)
+    /// One `b × b` Cannon block moved `k` positions round a ring of `s`,
+    /// as [`panels`] one-row panels split as [`ring_split`] cuts them: each
+    /// panel crosses its way's hops store-and-forward and the panels of one
+    /// way follow each other, the short way's `short` hops carrying
+    /// `P − L` panels and the long way's `s − short` hops `L`, both at once
+    /// — `max(short·(P−L), (s−short)·L) · p2p(2b²/P)`.
+    pub fn torus_move(&self, s: u32, k: u32, b: usize) -> Dur {
+        let p = panels(b);
+        let (short, long) = ring_split(s, k, p);
+        let rounds = (short as usize * (p - long)).max((s - short) as usize * long);
+        self.p2p(2 * b * b / p) * rounds as u64
     }
 
-    /// Overlapped Cannon on an `s × s` torus with `m`-word blocks: the skew
-    /// (both matrices at once; the slowest ring sets it), then `s − 1`
-    /// steps of `max(gemm, move(1))` — both moves fly while the GEMM runs —
-    /// and the last GEMM, with `move` = [`NetModel::torus_move`]:
-    /// `max over k of move(k) + (s−1)·max(gemm, move(1)) + gemm`.
-    pub fn cannon(&self, s: u32, m: usize, gemm: Dur) -> Dur {
-        let skew = (0..s).fold(Dur::ZERO, |a, k| a.max(self.torus_move(s, k, m)));
-        skew + self.torus_move(s, 1, m).max(gemm) * (s as u64 - 1) + gemm
+    /// Cannon on an `s × s` torus with `b × b` blocks that stream
+    /// ([`NetModel::torus_move`]) while the GEMM multiplies each panel as it
+    /// lands: the skew (both matrices at once; the slowest ring sets it),
+    /// then `s − 1` steps of `max(gemm, move(1))` — both moves fly while
+    /// the GEMM runs — and the last panel's share of the last GEMM:
+    /// `max over k of move(k) + (s−1)·max(gemm, move(1)) + gemm/P`.
+    pub fn cannon(&self, s: u32, b: usize, gemm: Dur) -> Dur {
+        let skew = (0..s).fold(Dur::ZERO, |a, k| a.max(self.torus_move(s, k, b)));
+        skew + self.torus_move(s, 1, b).max(gemm) * (s as u64 - 1) + gemm / panels(b) as u64
     }
 
     /// E-cube routed message over `h` hops, store-and-forward:
@@ -151,21 +155,34 @@ impl NetModel {
     }
 }
 
-/// How a block of `m` words moved `k` positions round a ring of `s` divides
-/// between the ring's two ways: `(short, share)`, the short way's hop count
-/// `min(k, s − k)` and the words the long way (`s − short` hops) carries.
-/// The share is `m·short/s`, so both directions of the ring carry the same
-/// load, rounded down to whole memory rows (the unit the link DMA
-/// streams); it is zero — one path, the short way — for a ring of two,
-/// where both ways are one link, or when it would be under one row.
-pub fn ring_split(s: u32, k: u32, m: usize) -> (u32, usize) {
+/// k-slices per panel of a `b × b` Cannon block. A k-slice — a column of
+/// A or a row of B — is `b` values, `2b` words; a panel is as many whole
+/// slices as fill one memory row (the unit the link DMA streams), or one
+/// slice when a slice is longer. So a block under one row is one panel.
+pub fn panel_slices(b: usize) -> usize {
+    (ROW_WORDS / (2 * b).max(1)).clamp(1, b.max(1))
+}
+
+/// Panels a `b × b` Cannon block moves as (the last one ragged when
+/// [`panel_slices`] does not divide `b`).
+pub fn panels(b: usize) -> usize {
+    b.div_ceil(panel_slices(b))
+}
+
+/// How `p` panels of a block moved `k` positions round a ring of `s` divide
+/// between the ring's two ways: `(short, long)`, the short way's hop count
+/// `min(k, s − k)` and the panels the long way (`s − short` hops) carries.
+/// That is `p·short/s` rounded down, so both directions of the ring carry
+/// the same load; it is zero — one path, the short way — for a ring of
+/// two, where both ways are one link, or when it would be under one panel.
+pub fn ring_split(s: u32, k: u32, p: usize) -> (u32, usize) {
     let short = k.min(s - k);
-    let share = if s <= 2 {
+    let long = if s <= 2 {
         0
     } else {
-        m * short as usize / s as usize / ROW_WORDS * ROW_WORDS
+        p * short as usize / s as usize
     };
-    (short, share)
+    (short, long)
 }
 
 #[cfg(test)]

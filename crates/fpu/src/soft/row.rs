@@ -21,7 +21,7 @@
 //! [`complex_diff_mul`]) another. The oracles (the tests below and
 //! `tests/prop_fpu.rs`) compare every op against the bit-level core.
 
-use std::ops::{Add, Mul, Sub};
+use std::ops::{Add, Mul, Range, Sub};
 
 use super::{add_bits, mul_bits, Format, Sf32, Sf64, B32, B64};
 
@@ -303,22 +303,29 @@ pub fn sum<L: Lane>(acc: Option<L>, x: &[L]) -> Option<L> {
     feed(acc, x)
 }
 
-/// `c += a·b` on `n × n` row-major blocks, as the `n²` SAXPYs
-/// `C[i,:] += A[i,k]·B[k,:]` in `(i, k)` order: every element of `C` sees
-/// the same sequence of roundings as under `n²` calls of [`saxpy`].
+/// `c += a·b` over the k-range `ks` on `n × n` row-major blocks, as the
+/// SAXPYs `C[i,:] += A[i,k]·B[k,:]` for k in `ks`, in `(i, k)` order: every
+/// element of `C` sees the same sequence of roundings as under calls of
+/// [`saxpy`]. So `0..n` is the whole product, and consecutive ranges in
+/// k-order compose to it bit for bit.
 ///
-/// The blocks are classified once. When every |a| and |b| lies in the
-/// band `[2^−H, 2^H)`, `H = (BIAS − 2)/2`, every product is normal, clear
-/// and finite, so a lane's guard narrows to "accumulator normal, result
-/// clear"; otherwise each row takes [`saxpy`]'s full guard.
-pub fn gemm<L: Lane>(n: usize, a: &[L], b: &[L], c: &mut [L]) {
-    assert!(a.len() == n * n && b.len() == n * n && c.len() == n * n);
-    if n == 0 {
+/// The range's operands — columns `ks` of A, rows `ks` of B — are
+/// classified once. When every |a| and |b| lies in the band `[2^−H, 2^H)`,
+/// `H = (BIAS − 2)/2`, every product is normal, clear and finite, so a
+/// lane's guard narrows to "accumulator normal, result clear"; otherwise
+/// each row takes [`saxpy`]'s full guard.
+pub fn gemm<L: Lane>(n: usize, ks: Range<usize>, a: &[L], b: &[L], c: &mut [L]) {
+    assert!(a.len() == n * n && b.len() == n * n && c.len() == n * n && ks.end <= n);
+    if ks.is_empty() {
         return;
     }
-    let banded = a.iter().chain(b).fold(true, |ok, &v| ok & in_band(v));
+    let b = &b[ks.start * n..ks.end * n];
+    let band = |ok, run: &[L]| run.iter().fold(ok, |ok, &v| ok & in_band(v));
+    let banded = a
+        .chunks_exact(n)
+        .fold(band(true, b), |ok, ai| band(ok, &ai[ks.clone()]));
     for (ai, ci) in a.chunks_exact(n).zip(c.chunks_exact_mut(n)) {
-        for (&aik, bk) in ai.iter().zip(b.chunks_exact(n)) {
+        for (&aik, bk) in ai[ks.clone()].iter().zip(b.chunks_exact(n)) {
             if banded {
                 zip_with(
                     ci,
@@ -653,7 +660,8 @@ mod tests {
         edges::<Sf32>();
     }
 
-    /// [`gemm`] against `n²` bit-level SAXPYs in `(i, k)` order.
+    /// [`gemm`], whole and in k-ranges, against `n²` bit-level SAXPYs in
+    /// `(i, k)` order.
     fn gemm_matches_saxpys<L: Lane>(n: usize, a: &[L], b: &[L], c: &[L]) {
         let mut want = c.to_vec();
         for i in 0..n {
@@ -664,8 +672,17 @@ mod tests {
             }
         }
         let mut got = c.to_vec();
-        gemm(n, a, b, &mut got);
+        gemm(n, 0..n, a, b, &mut got);
         assert_eq!(bits(&got), bits(&want), "n {n}");
+        // The same product in k-ranges, each classified on its own: one
+        // planted value sends only its own range to the full guard.
+        for step in [1, 2, 3] {
+            let mut got = c.to_vec();
+            for k0 in (0..n).step_by(step) {
+                gemm(n, k0..(k0 + step).min(n), a, b, &mut got);
+            }
+            assert_eq!(bits(&got), bits(&want), "n {n}, k-ranges of {step}");
+        }
     }
 
     /// One value planted in A, in B and in C at every position of blocks up

@@ -26,10 +26,12 @@
 //! cube dimension, i.e. its own physical link. So they run as an Occam
 //! **pipeline**: one stage process per dimension, joined by soft channels,
 //! with the block cut into row-sized pieces — in steady state all n links
-//! carry half a piece at once and the n exchanges cost about one. Only the
-//! local stages whose butterflies pair slots of two pieces run before the
-//! first piece leaves; the rest pair slots inside one piece, so the feed
-//! runs them piece by piece, under the earlier pieces' wire time.
+//! carry half a piece at once and the n exchanges cost about one. The feed
+//! releases the pieces depth-first, as DIF recurses: before piece i leaves
+//! it runs each local stage on the block piece i opens, so the first piece
+//! waits for about nl butterflies (two stages' worth), not for every stage
+//! that pairs slots of two pieces, and the rest of the local work runs
+//! under the earlier pieces' wire time.
 //!
 //! Arithmetic is complex `Sf64` (the machine's 64-bit mode); a butterfly
 //! is 10 hardware flops (complex add, sub and multiply), charged to the
@@ -156,13 +158,12 @@ fn piece_points(ctx: &NodeCtx, stages: u32, nl: usize) -> usize {
     (rows * ROW_WORDS / POINT_WORDS).min(nl)
 }
 
-/// One local butterfly stage of span `span` (≥ p) on `slots`, a whole
-/// number of its butterfly groups: a butterfly pairs slots `span / p`
+/// The butterflies of one local stage of span `span` (≥ p) on `slots`, a
+/// whole number of its butterfly groups: a butterfly pairs slots `span / p`
 /// apart, and slot j's twiddle index (global index mod span) is
-/// (j mod span/p)·p + q. Issues the stage's vector form and returns the
-/// instant of its completion interrupt.
-fn local_stage(ctx: &NodeCtx, table: &Twiddles, p: usize, span: usize, slots: &mut [Cpx]) -> Time {
-    let (q, gap) = (ctx.id() as usize, span / p);
+/// (j mod span/p)·p + q.
+fn butterflies(q: usize, table: &Twiddles, p: usize, span: usize, slots: &mut [Cpx]) {
+    let gap = span / p;
     for group in slots.chunks_exact_mut(2 * gap) {
         let (lows, highs) = group.split_at_mut(gap);
         for ((lo, hi), w) in lows.iter_mut().zip(highs).zip(table.run(q, p, span)) {
@@ -171,6 +172,12 @@ fn local_stage(ctx: &NodeCtx, table: &Twiddles, p: usize, span: usize, slots: &m
             *hi = twiddled(a, b, w);
         }
     }
+}
+
+/// [`butterflies`] as the stage's vector form: returns the instant of its
+/// completion interrupt.
+fn local_stage(ctx: &NodeCtx, table: &Twiddles, p: usize, span: usize, slots: &mut [Cpx]) -> Time {
+    butterflies(ctx.id() as usize, table, p, span, slots);
     ctx.issue_vec_flops(FLOPS_PER_BUTTERFLY * (slots.len() as u64 / 2))
 }
 
@@ -228,31 +235,23 @@ pub async fn fft_node(
     let q = ctx.id() as usize;
     let nl = local.len();
     assert!(nl.is_power_of_two() && total == nl * p);
-    // Local stages (span ≥ p) whose butterflies pair slots of two pipeline
-    // pieces run up front — on one node, all of them. Nothing else uses the
-    // vector unit now and the stages need no other unit, so their forms are
-    // chained behind one completion interrupt.
-    let piece = if p == 1 {
-        1
-    } else {
-        piece_points(&ctx, cube.dim(), nl)
-    };
-    let mut span = total / 2;
-    let mut done = ctx.now();
-    while span >= p * piece {
-        done = local_stage(&ctx, &table, p, span, &mut local);
-        span /= 2;
-    }
-    ctx.wait(done).await;
     if p == 1 {
+        // Every stage is local. Nothing else uses the vector unit and the
+        // stages need no other unit, so their forms are chained behind one
+        // completion interrupt.
+        let (mut span, mut done) = (total / 2, ctx.now());
+        while span >= 1 {
+            done = local_stage(&ctx, &table, p, span, &mut local);
+            span /= 2;
+        }
+        ctx.wait(done).await;
         return local;
     }
-    // The remaining local stages pair slots inside one piece: the feed runs
-    // them on each piece, then sends it into the cross-node stages (span <
-    // p), one pipeline process per dimension, and the drain collects the
-    // result. So they run under the earlier pieces' wire time. A node's
+    // The feed runs the local stages (span ≥ p) and sends the block piece
+    // by piece into the cross-node stages (span < p), one pipeline process
+    // per dimension, and the drain collects the result. A node's
     // butterflies at cross span S all take the twiddle of index q mod S.
-    let in_piece = span;
+    let piece = piece_points(&ctx, cube.dim(), nl);
     let pieces = nl / piece;
     let feed = Rendezvous::new();
     let mut drain = feed.clone();
@@ -265,21 +264,45 @@ pub async fn fft_node(
         drain = next;
         span /= 2;
     }
+    // The feed releases the pieces depth-first, as DIF recurses: a stage
+    // whose butterflies pair slots of two pieces (gap ≥ piece) is charged
+    // on the block of 2·gap slots that a piece opens (its start a multiple
+    // of 2·gap), largest gap first, before that piece leaves; the stages of
+    // smaller gap run on the piece itself. The first piece waits for about
+    // nl butterflies, and the rest run under the earlier pieces' wire time.
+    // The host does the cross-piece stages' arithmetic here, a whole stage
+    // at a time, so each node's block streams through its cache once per
+    // stage rather than once per block: no slot is read before the chain
+    // that charges its butterflies completes, so values and instants are
+    // those of computing each block as its form issues.
+    let mut span = total / 2;
+    while span >= p * piece {
+        butterflies(q, &table, p, span, &mut local);
+        span /= 2;
+    }
     let feeder = ctx.clone();
     let (_, out) = occam::par2(
         ctx.handle(),
         async move {
-            for piece in local.chunks_exact_mut(piece) {
-                // One chain: the control processor queues the piece's
-                // forms at once; a cross stage's form issued meanwhile
-                // queues behind them.
-                let (mut span, mut done) = (in_piece, feeder.now());
+            for start in (0..nl).step_by(piece) {
+                // One chain: the control processor queues the forms at
+                // once; a cross stage's form issued meanwhile queues
+                // behind them.
+                let (mut span, mut done) = (total / 2, feeder.now());
+                while span >= p * piece {
+                    let block = 2 * span / p;
+                    if start % block == 0 {
+                        done = feeder.issue_vec_flops(FLOPS_PER_BUTTERFLY * (block as u64 / 2));
+                    }
+                    span /= 2;
+                }
+                let slots = &mut local[start..start + piece];
                 while span >= p {
-                    done = local_stage(&feeder, &table, p, span, piece);
+                    done = local_stage(&feeder, &table, p, span, slots);
                     span /= 2;
                 }
                 feeder.wait(done).await;
-                feed.send(piece.to_vec()).await;
+                feed.send(slots.to_vec()).await;
             }
         },
         async move {
@@ -451,21 +474,24 @@ mod tests {
     fn cross_node_stages_cost_one_pipelined_exchange() {
         // 2¹⁴ points on 16 nodes: 1024 points a node, 16 row-sized pieces
         // of 64 points through 4 stages, each sending half a piece (128
-        // words). Of the 10 local stages only the 4 that pair slots of two
-        // pieces run first; what the run adds to them is the pipeline, with
-        // the 6 in-piece stages under its wire time. The model leaves out
-        // the butterflies, ≈ 2 % of a half-piece's wire time, and the first
-        // piece's in-piece stages, which nothing hides.
+        // words). The first piece leaves once the 4 local stages that pair
+        // slots of two pieces have run on the blocks it opens — 512 + 256 +
+        // 128 + 64 butterflies, about nl — and what the run adds to that is
+        // the pipeline, with the rest of the local work under its wire
+        // time. The model leaves out the butterflies, ≈ 2 % of a
+        // half-piece's wire time, and the first piece's in-piece stages,
+        // which nothing hides.
         let net = NetModel::default();
         let (dim, total) = (4u32, 1usize << 14);
         let nl = total >> dim;
-        let pieces = nl * POINT_WORDS / ROW_WORDS;
-        let up_front = (pieces as u32).trailing_zeros();
+        let piece = ROW_WORDS / POINT_WORDS;
+        let pieces = nl / piece;
         let mut one = Machine::build(MachineCfg::cube_small_mem(0, 8));
         one.launch(move |ctx| async move {
-            for _ in 0..up_front {
-                let flops = FLOPS_PER_BUTTERFLY * nl as u64 / 2;
-                ctx.charge_vec_flops(flops).await;
+            let mut gap = nl / 2;
+            while gap >= piece {
+                ctx.charge_vec_flops(FLOPS_PER_BUTTERFLY * gap as u64).await;
+                gap /= 2;
             }
         });
         assert!(one.run().quiescent);

@@ -17,29 +17,136 @@
 //! `max(gemm, move)`, not `gemm + 2·move`.
 //!
 //! Every link is bidirectional, and a move one way round a ring leaves the
-//! other direction idle. So a move of `k` positions sends the block's head
-//! the short way and its tail the long way round at once, cut so both
+//! other direction idle. So a move of `k` positions sends part of the block
+//! the short way and the rest the long way round at once, cut so both
 //! directions carry the same load ([`ring_split`]): on a ring of 4 a shift
 //! costs `max(p2p(3m/4), 3·p2p(m/4))` and the 2-position skew
 //! `2·p2p(m/2)`, against `p2p(m)` and `2·p2p(m)` one way.
+//!
+//! A block moves as **panels** ([`panel_slices`]): whole k-slices —
+//! columns of A, rows of B — one memory row of words each, the unit the
+//! link DMA streams. The long way carries evenly spaced panels, so the
+//! panels of both ways land in k-order at an even rate, and the GEMM
+//! multiplies each panel as it lands: the last GEMM ends a panel's share of
+//! a GEMM after the last move, not a whole GEMM. Each C element still sums
+//! its k in order, so the output is bit-identical to whole-block GEMMs.
 
+use std::cell::{Cell, RefCell};
+use std::future::poll_fn;
+use std::ops::Range;
 use std::rc::Rc;
+use std::task::{Poll, Waker};
 
-use t_series_core::model::ring_split;
+use t_series_core::model::{panel_slices, panels, ring_split};
 use ts_cube::{embed::MeshEmbedding, Hypercube};
 use ts_fpu::Sf64;
-use ts_node::{occam, pack_f64s, unpack_f64s_into, NodeCtx};
-use ts_sim::Rendezvous;
+use ts_node::{f64s_of, occam, pack_f64s_into, NodeCtx};
+use ts_sim::{Rendezvous, Time};
 
 use crate::{rand_f64, run_spmd, KernelStats};
 
-/// A block shared between the GEMM reading it and the link engine sending it.
-type Block = Rc<Vec<Sf64>>;
+/// A `b × b` row-major block of A or B on one node, landing panel by
+/// panel: the mover writes each landed panel's values in place and wakes
+/// the GEMM, which reads panel `i` once `landed[i]` is set. Its values
+/// live in a value-pool buffer and go back to the pool with the block.
+struct Block {
+    b: usize,
+    /// A's panels are columns, B's rows.
+    columns: bool,
+    values: RefCell<Vec<Sf64>>,
+    landed: Vec<Cell<bool>>,
+    /// The GEMM, while it waits for a panel.
+    waiting: Cell<Option<Waker>>,
+}
 
-/// Return a block to the value pool once its last reader lets go.
-fn recycle(block: Block) {
-    if let Ok(v) = Rc::try_unwrap(block) {
-        ts_node::recycle_values(v);
+impl Block {
+    /// A block of `values` whose panels have all `landed`, or none.
+    fn new(b: usize, columns: bool, values: Vec<Sf64>, landed: bool) -> Block {
+        Block {
+            b,
+            columns,
+            values: RefCell::new(values),
+            landed: (0..panels(b)).map(|_| Cell::new(landed)).collect(),
+            waiting: Cell::new(None),
+        }
+    }
+
+    /// A block of the same shape with nothing landed yet.
+    fn empty(&self) -> Block {
+        let mut values = ts_node::take_values(self.b * self.b);
+        values.resize(self.b * self.b, Sf64::ZERO);
+        Block::new(self.b, self.columns, values, false)
+    }
+
+    /// Make the block a landing place again: no panel has landed.
+    fn clear(&self) {
+        self.landed.iter().for_each(|l| l.set(false));
+    }
+
+    /// The k-range of panel `i`.
+    fn ks(&self, i: usize) -> Range<usize> {
+        let q = panel_slices(self.b);
+        i * q..((i + 1) * q).min(self.b)
+    }
+
+    /// The row-major runs of panel `i`: one for rows of B, or for columns
+    /// of A that span whole rows; otherwise one per row.
+    fn runs(&self, i: usize) -> impl Iterator<Item = Range<usize>> {
+        let (b, ks) = (self.b, self.ks(i));
+        let (first, len, count) = if !self.columns || ks.len() == b {
+            (ks.start * b, ks.len() * b, 1)
+        } else {
+            (ks.start, ks.len(), b)
+        };
+        (0..count).map(move |r| first + r * b..first + r * b + len)
+    }
+
+    /// Panel `i`'s wire form, packed from slices of the block into one
+    /// word-pool buffer.
+    fn pack(&self, i: usize) -> Vec<u32> {
+        let values = self.values.borrow();
+        let mut words = ts_sim::pool::take_words(2 * self.b * self.ks(i).len());
+        for run in self.runs(i) {
+            pack_f64s_into(&mut words, &values[run]);
+        }
+        words
+    }
+
+    /// Write panel `i` from its wire form and wake the GEMM; `words` goes
+    /// back to its pool.
+    fn land(&self, i: usize, words: Vec<u32>) {
+        {
+            let mut values = self.values.borrow_mut();
+            let mut from = f64s_of(&words);
+            for run in self.runs(i) {
+                for (to, v) in values[run].iter_mut().zip(&mut from) {
+                    *to = v;
+                }
+            }
+        }
+        ts_sim::pool::put_words(words);
+        self.landed[i].set(true);
+        if let Some(gemm) = self.waiting.take() {
+            gemm.wake();
+        }
+    }
+
+    /// Sleep until panel `i` has landed.
+    async fn panel(&self, i: usize) {
+        poll_fn(|cx| {
+            if self.landed[i].get() {
+                return Poll::Ready(());
+            }
+            self.waiting.set(Some(cx.waker().clone()));
+            Poll::Pending
+        })
+        .await
+    }
+}
+
+impl Drop for Block {
+    fn drop(&mut self) {
+        ts_node::recycle_values(std::mem::take(self.values.get_mut()));
     }
 }
 
@@ -52,34 +159,43 @@ fn axis_dims(mesh: &MeshEmbedding, me: u32, coords: &[u32], axis: usize) -> [usi
     })
 }
 
-/// Carry a packed message `hops` positions round the ring, sending across
-/// `send` and receiving across `recv` on every hop: each node relays the
-/// words it received, unopened, and ends with the message that started
-/// `hops` positions upstream.
-async fn relay(ctx: NodeCtx, [send, recv]: [usize; 2], hops: u32, mut words: Vec<u32>) -> Vec<u32> {
-    for _ in 0..hops {
-        words = ctx.exchange(send, words, recv).await;
+/// One way round a ring: carry the `panels` of `block`, one after another,
+/// `hops` positions across `[send, recv]`, and land each in `incoming`.
+/// Every node relays the words it received, unopened, so a node lands the
+/// panel that started `hops` positions upstream.
+async fn way(
+    ctx: NodeCtx,
+    [send, recv]: [usize; 2],
+    hops: u32,
+    panels: impl Iterator<Item = usize>,
+    block: Rc<Block>,
+    incoming: Rc<Block>,
+) {
+    for i in panels {
+        let mut words = block.pack(i);
+        for _ in 0..hops {
+            words = ctx.exchange(send, words, recv).await;
+        }
+        incoming.land(i, words);
     }
-    words
 }
 
 /// Move `block` `k` positions backward ("left"/"up") round the ring of
-/// `side` on one torus axis, and return the block that arrives from `k`
-/// positions forward. The block is cut where [`ring_split`] says: its head
-/// goes the short way, its tail the long way round, both at once (one
-/// `PAR`), so both directions of the axis' links carry the same load. It is
-/// packed once and unpacked once; the nodes in between relay its words.
+/// `side` on one torus axis, landing in `incoming` the block that arrives
+/// from `k` positions forward. [`ring_split`] says how many panels go the
+/// long way round; they are evenly spaced in k, the rest go the short way,
+/// both ways at once (one `PAR`), so both directions of the axis' links
+/// carry the same load and the panels land in k-order at an even rate.
 async fn torus_move(
     ctx: &NodeCtx,
     [back, fwd]: [usize; 2],
     side: u32,
     k: u32,
-    block: Block,
-) -> Block {
-    let (short, share) = ring_split(side, k, 2 * block.len());
-    if short == 0 {
-        return block;
-    }
+    block: &Rc<Block>,
+    incoming: &Rc<Block>,
+) {
+    let p = block.landed.len();
+    let (short, long) = ring_split(side, k, p);
     // `[send, recv]` dimensions of each way; the short way is backward
     // unless k > s/2.
     let (short_way, long_way) = if short == k {
@@ -87,59 +203,92 @@ async fn torus_move(
     } else {
         ([fwd, back], [back, fwd])
     };
-    let cut = block.len() - share / 2;
-    let head = pack_f64s(&block[..cut]);
-    let (head, tail) = if share == 0 {
-        (relay(ctx.clone(), short_way, short, head).await, Vec::new())
+    // Panel i goes the long way when ⌊i·long/p⌋ steps up at i + 1.
+    let far = move |i: &usize| (i + 1) * long / p > i * long / p;
+    let near = (0..p).filter(move |i| !far(i));
+    let near = way(
+        ctx.clone(),
+        short_way,
+        short,
+        near,
+        block.clone(),
+        incoming.clone(),
+    );
+    if long == 0 {
+        near.await;
     } else {
-        let tail = pack_f64s(&block[cut..]);
-        // Boxed: the PAR of two relays would double every mover's future,
+        let far = (0..p).filter(far);
+        let far = way(
+            ctx.clone(),
+            long_way,
+            side - short,
+            far,
+            block.clone(),
+            incoming.clone(),
+        );
+        // Boxed: the PAR of two ways would double every mover's future,
         // and most moves (small blocks, rings of two) never split.
-        Box::pin(occam::par2(
-            ctx.handle(),
-            relay(ctx.clone(), short_way, short, head),
-            relay(ctx.clone(), long_way, side - short, tail),
-        ))
-        .await
-    };
-    let mut incoming = ts_node::take_values(block.len());
-    recycle(block);
-    unpack_f64s_into(&mut incoming, head);
-    unpack_f64s_into(&mut incoming, tail);
-    Rc::new(incoming)
+        Box::pin(occam::par2(ctx.handle(), near, far)).await;
+    }
 }
 
-/// The mover process of one torus axis: skew the block `skew` positions
-/// backward, then hand each resident block to the GEMM and move it on one
-/// position while the GEMM reads it.
+/// The mover process of one torus axis. `blocks[t mod 2]` holds the block
+/// of step t: the skew moves the block `skew` positions backward from
+/// `blocks[1]` into `blocks[0]` (a block with no skew starts in
+/// `blocks[0]`), and each later step moves it on one position into the
+/// other buffer — double buffering. Before each later move the mover waits
+/// for the GEMM's leave on `go`, which the GEMM gives once it has finished
+/// the step whose buffer the move lands in.
 async fn mover(
     ctx: NodeCtx,
     dims: [usize; 2],
     side: u32,
     skew: u32,
-    block: Vec<Sf64>,
-    to_gemm: Rendezvous<Block>,
+    blocks: [Rc<Block>; 2],
+    go: Rendezvous<()>,
 ) {
-    let mut block = torus_move(&ctx, dims, side, skew, Rc::new(block)).await;
-    for _ in 1..side {
-        to_gemm.send(block.clone()).await;
-        block = torus_move(&ctx, dims, side, 1, block).await;
+    for t in 0..side as usize {
+        let k = if t == 0 {
+            skew
+        } else {
+            go.send(()).await;
+            1
+        };
+        if k > 0 {
+            torus_move(&ctx, dims, side, k, &blocks[(t + 1) % 2], &blocks[t % 2]).await;
+        }
     }
-    to_gemm.send(block).await;
 }
 
-/// Local GEMM: `c += a · b` on b×b row-major blocks, as b² chained SAXPY
-/// vector forms (`C[i,:] += A[i,k] · B[k,:]`) in one block form. The forms
-/// are issued back to back and the GEMM sleeps to the last one's
-/// completion interrupt: it is the node's only user of the vector unit and
-/// touches no other unit in between, so no instant inside the chain is
-/// observable (see [`NodeCtx::issue_vec`]).
-async fn local_gemm(ctx: &NodeCtx, bsize: usize, a: &[Sf64], b: &[Sf64], c: &mut [Sf64]) {
-    let done = ctx.issue_gemm_values(bsize, a, b, c);
-    ctx.wait(done).await;
+/// One block step of the GEMM: `c += a · b`, each panel multiplied in
+/// k-order as soon as both A's and B's have landed, as chained SAXPY forms
+/// over the panel's k-range (`C[i,:] += A[i,k] · B[k,:]`, each range
+/// classified once). The GEMM is the node's only user of the vector unit
+/// and touches no other unit in between, so its forms queue behind each
+/// other exactly as if each were awaited (see [`NodeCtx::issue_vec`]).
+/// Returns C and the last form's completion instant.
+async fn gemm_step(
+    ctx: NodeCtx,
+    a: Rc<Block>,
+    b: Rc<Block>,
+    mut c: Vec<Sf64>,
+) -> (Vec<Sf64>, Time) {
+    let mut done = ctx.now();
+    for i in 0..a.landed.len() {
+        a.panel(i).await;
+        b.panel(i).await;
+        let (av, bv) = (a.values.borrow(), b.values.borrow());
+        done = ctx.issue_gemm_values(a.b, a.ks(i), &av, &bv, &mut c);
+    }
+    (c, done)
 }
 
 /// The per-node Cannon program: returns this node's C block.
+///
+/// Each block step clears the buffers the next moves land in, then runs
+/// the step's GEMM in `PAR` with giving the movers leave (A's, then B's),
+/// so a mover starts its next move as soon as its block has landed; then
+/// the GEMM sleeps once, to the step's last completion interrupt.
 pub async fn cannon_node(
     ctx: NodeCtx,
     cube: Hypercube,
@@ -149,24 +298,49 @@ pub async fn cannon_node(
 ) -> Vec<Sf64> {
     let half = cube.dim() / 2;
     let mesh = MeshEmbedding::new(cube, &[half, half]);
-    let s = mesh.side(0);
+    let s = mesh.side(0) as usize;
     let me = ctx.id();
     let coords = mesh.coords_of(me);
     let (col, row) = (coords[0], coords[1]);
     // A moves `row` positions left (axis 0), B `col` up (axis 1). Unit hops
     // keep every transfer on a physical cube edge.
-    let (a_rx, b_rx) = (Rendezvous::new(), Rendezvous::new());
-    for (axis, skew, block, to_gemm) in [(0, row, a, a_rx.clone()), (1, col, b, b_rx.clone())] {
+    let (a_go, b_go) = (Rendezvous::new(), Rendezvous::new());
+    let [a, b] = [(0, row, a, &a_go), (1, col, b, &b_go)].map(|(axis, skew, values, go)| {
         let dims = axis_dims(&mesh, me, &coords, axis);
-        ctx.handle()
-            .spawn(mover(ctx.clone(), dims, s, skew, block, to_gemm));
-    }
+        let block = Block::new(bsize, axis == 0, values, true);
+        let other = block.empty();
+        let blocks = if skew == 0 {
+            [block, other]
+        } else {
+            [other, block]
+        }
+        .map(Rc::new);
+        let mover = mover(
+            ctx.clone(),
+            dims,
+            s as u32,
+            skew,
+            blocks.clone(),
+            go.clone(),
+        );
+        ctx.handle().spawn(mover);
+        blocks
+    });
     let mut c = vec![Sf64::ZERO; bsize * bsize];
-    for _ in 0..s {
-        let (a, b) = (a_rx.recv().await, b_rx.recv().await);
-        local_gemm(&ctx, bsize, &a, &b, &mut c).await;
-        recycle(a);
-        recycle(b);
+    for t in 0..s {
+        a[(t + 1) % 2].clear();
+        b[(t + 1) % 2].clear();
+        let (a_go, b_go) = (a_go.clone(), b_go.clone());
+        let leave = async move {
+            if t + 1 < s {
+                a_go.recv().await;
+                b_go.recv().await;
+            }
+        };
+        let multiply = gemm_step(ctx.clone(), a[t % 2].clone(), b[t % 2].clone(), c);
+        let ((product, done), ()) = occam::par2(ctx.handle(), multiply, leave).await;
+        c = product;
+        ctx.wait(done).await;
     }
     c
 }
@@ -284,18 +458,18 @@ mod tests {
 
     #[test]
     fn overlapped_schedule_matches_the_closed_form() {
-        // skew + (s−1)·max(gemm, shift) + gemm, with the GEMM time taken
-        // from a one-node run of one block.
+        // skew + (s−1)·max(gemm, move(1)) + gemm/P, with the GEMM time
+        // taken from a one-node run of one block.
         let net = t_series_core::model::NetModel::default();
-        for (dim, n) in [(2u32, 64usize), (4, 128)] {
+        for (dim, n) in [(2u32, 64usize), (4, 128), (4, 256)] {
             let s = 1u32 << (dim / 2);
             let b = n / s as usize;
             let gemm = check(0, b).elapsed;
             let measured = check(dim, n).elapsed;
-            let model = net.cannon(s, 2 * b * b, gemm);
+            let model = net.cannon(s, b, gemm);
             let (got, want) = (measured.as_secs_f64(), model.as_secs_f64());
             assert!(
-                (got - want).abs() <= 0.10 * want,
+                (got - want).abs() <= 0.05 * want,
                 "dim {dim}, n {n}: measured {measured}, model {model}"
             );
         }
@@ -303,23 +477,25 @@ mod tests {
 
     #[test]
     fn one_move_in_isolation_matches_the_closed_form() {
-        // One 8 192-word block on every node of the 4×4 torus, moved along
-        // axis 0: by s/2 (half each way, 2 hops) and by one position (a
-        // quarter the long way, 3 hops).
+        // One 64 × 64 block (8 192 words, 32 panels) on every node of the
+        // 4×4 torus, moved along axis 0: by s/2 (half each way, 2 hops) and
+        // by one position (a quarter the long way, 3 hops).
         let net = t_series_core::model::NetModel::default();
-        let words = 8192;
+        let b = 64;
         for k in [2u32, 1] {
             let mut m = Machine::build(MachineCfg::cube_small_mem(4, 8));
             let cube = m.cube;
             m.launch(move |ctx| async move {
                 let mesh = MeshEmbedding::new(cube, &[2, 2]);
                 let dims = axis_dims(&mesh, ctx.id(), &mesh.coords_of(ctx.id()), 0);
-                let block = Rc::new(vec![Sf64::ZERO; words / 2]);
-                recycle(torus_move(&ctx, dims, 4, k, block).await);
+                let block = Block::new(b, true, vec![Sf64::ZERO; b * b], true);
+                let incoming = Rc::new(block.empty());
+                torus_move(&ctx, dims, 4, k, &Rc::new(block), &incoming).await;
+                assert!(incoming.landed.iter().all(Cell::get));
             });
             assert!(m.run().quiescent);
             let measured = m.now().since(ts_sim::Time::ZERO);
-            let model = net.torus_move(4, k, words);
+            let model = net.torus_move(4, k, b);
             let (got, want) = (measured.as_secs_f64(), model.as_secs_f64());
             assert!(
                 (got - want).abs() <= 0.05 * want,
@@ -330,11 +506,15 @@ mod tests {
 
     #[test]
     fn placement_on_any_torus_is_cannons_order_bit_for_bit() {
-        // The oracle for the split moves: node (r, c) multiplies the blocks
-        // A[r, k] and B[k, c] with k = r + c + t (mod s) at step t, so its C
-        // block must equal those GEMMs accumulated in that order on the
-        // host, bit for bit. Blocks below one memory row of share stay on
-        // one path; the larger ones split (b = 40 rounds the share down).
+        // The oracle for the streamed, split moves: node (r, c) multiplies
+        // the blocks A[r, k] and B[k, c] with k = r + c + t (mod s) at step
+        // t, so its C block must equal those whole GEMMs accumulated in that
+        // order on the host, bit for bit. Blocks under one memory row are
+        // one panel (b = 4, 8, 11) and stay on one path; the larger ones
+        // move as panels of whole k-slices, split both ways round rings
+        // over two: b = 32 in full-row panels, b = 48 in panels of two
+        // slices (192 words), b = 40 in panels of three with a ragged
+        // one-slice last panel.
         let bits = |v: &[Sf64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         for (dim, n) in [
             (0u32, 8usize),
@@ -343,7 +523,11 @@ mod tests {
             (2, 64),
             (4, 16),
             (4, 128),
+            (4, 44),
             (4, 160),
+            (2, 80),
+            (2, 96),
+            (4, 192),
             (6, 32),
             (6, 256),
         ] {
@@ -360,7 +544,7 @@ mod tests {
                 let mut want = vec![Sf64::ZERO; bs * bs];
                 for t in 0..s {
                     let k = (r + col + t) % s;
-                    row::gemm(bs, &block(&a, r, k), &block(&b, k, col), &mut want);
+                    row::gemm(bs, 0..bs, &block(&a, r, k), &block(&b, k, col), &mut want);
                 }
                 let (got, want) = (bits(&block(&c, r, col)), bits(&want));
                 assert!(

@@ -914,18 +914,27 @@ impl NodeCtx {
         self.issue_form(VecForm::Saxpy(a), x.len(), None)
     }
 
-    /// Local GEMM on message-buffer values: `c += a·b` on `n × n`
-    /// row-major blocks, as the `n²` chained SAXPY forms
-    /// `C[i,:] += A[i,k]·B[k,:]` issued back to back in `(i, k)` order —
-    /// the same values, meters, spans and completion instant as `n²` calls
-    /// of [`NodeCtx::issue_saxpy_values`], for one classification of the
-    /// blocks ([`row::gemm`]). Returns the last form's instant.
+    /// Local GEMM on message-buffer values: `c += a·b` over the k-range
+    /// `ks` on `n × n` row-major blocks, as the `n·|ks|` chained SAXPY
+    /// forms `C[i,:] += A[i,k]·B[k,:]` issued back to back in `(i, k)`
+    /// order — the same values, meters, spans and completion instant as
+    /// that many calls of [`NodeCtx::issue_saxpy_values`], for one
+    /// classification of the range's operands ([`row::gemm`]). Returns the
+    /// last form's instant.
     #[must_use = "an issued form completes only once its instant is waited for"]
-    pub fn issue_gemm_values(&self, n: usize, a: &[Sf64], b: &[Sf64], c: &mut [Sf64]) -> Time {
-        row::gemm(n, a, b, c);
+    pub fn issue_gemm_values(
+        &self,
+        n: usize,
+        ks: std::ops::Range<usize>,
+        a: &[Sf64],
+        b: &[Sf64],
+        c: &mut [Sf64],
+    ) -> Time {
+        let forms = n * ks.len();
+        row::gemm(n, ks, a, b, c);
         let timing = VecUnit::timing(VecForm::Saxpy(Sf64::ZERO), n, 1, Precision::Double);
         let mut done = self.now();
-        for _ in 0..n * n {
+        for _ in 0..forms {
             done = self.occupy_vec(timing, n);
         }
         done
@@ -1231,35 +1240,38 @@ impl NodeCtx {
     }
 }
 
-/// The wire form of `vals` (low word first), in a word-pool buffer — what
-/// [`NodeCtx::send_f64s`] sends. A kernel that relays a message unopened
-/// packs it once with this and unpacks it once with [`unpack_f64s_into`].
-pub fn pack_f64s(vals: &[Sf64]) -> Vec<u32> {
+/// The wire form of `vals`, in a word-pool buffer — what
+/// [`NodeCtx::send_f64s`] sends.
+fn pack_f64s(vals: &[Sf64]) -> Vec<u32> {
     let mut words = ts_sim::pool::take_words(vals.len() * 2);
+    pack_f64s_into(&mut words, vals);
+    words
+}
+
+/// Append the wire form of `vals` (low word first) to `words`. A kernel
+/// that relays a message unopened packs it once with this and reads it
+/// once with [`f64s_of`].
+pub fn pack_f64s_into(words: &mut Vec<u32>, vals: &[Sf64]) {
     for v in vals {
         let b = v.to_bits();
         words.push(b as u32);
         words.push((b >> 32) as u32);
     }
-    words
 }
 
-/// Append the values `words` carry to `vals`; `words` goes back to its
-/// pool.
-pub fn unpack_f64s_into(vals: &mut Vec<Sf64>, words: Vec<u32>) {
-    vals.extend(
-        words
-            .chunks_exact(2)
-            .map(|c| Sf64::from_bits(c[0] as u64 | ((c[1] as u64) << 32))),
-    );
-    ts_sim::pool::put_words(words);
+/// The values a wire form carries, in order.
+pub fn f64s_of(words: &[u32]) -> impl Iterator<Item = Sf64> + '_ {
+    words
+        .chunks_exact(2)
+        .map(|c| Sf64::from_bits(c[0] as u64 | ((c[1] as u64) << 32)))
 }
 
 /// The values `words` carry, in a value-pool buffer; `words` goes back to
 /// its pool.
 fn unpack_f64s(words: Vec<u32>) -> Vec<Sf64> {
     let mut vals = take_values(words.len() / 2);
-    unpack_f64s_into(&mut vals, words);
+    vals.extend(f64s_of(&words));
+    ts_sim::pool::put_words(words);
     vals
 }
 
@@ -1563,14 +1575,15 @@ mod tests {
 
     #[test]
     fn gemm_block_form_equals_its_saxpys_in_values_meters_and_instants() {
-        /// Run one node's GEMM of `c += a·b`, as the block form or as `n²`
-        /// SAXPY value forms; its C, completion instant and vector meters.
+        /// Run one node's GEMM of `c += a·b`, as block forms over k-ranges
+        /// of `width` (in k-order) or, with no width, as `n²` SAXPY value
+        /// forms; its C, completion instant and vector meters.
         fn run(
             n: usize,
             a: &[Sf64],
             b: &[Sf64],
             c: &[Sf64],
-            block: bool,
+            width: Option<usize>,
         ) -> impl PartialEq + std::fmt::Debug {
             let mut sim = Sim::new();
             let node = Node::new(0, NodeCfg::default(), sim.handle());
@@ -1578,8 +1591,12 @@ mod tests {
             let (a, b, mut c) = (a.to_vec(), b.to_vec(), c.to_vec());
             let jh = sim.spawn(async move {
                 ctx.cp_compute(3).await; // start off the zero instant
-                let done = if block {
-                    ctx.issue_gemm_values(n, &a, &b, &mut c)
+                let done = if let Some(w) = width {
+                    let mut done = ctx.now();
+                    for k0 in (0..n).step_by(w) {
+                        done = ctx.issue_gemm_values(n, k0..(k0 + w).min(n), &a, &b, &mut c);
+                    }
+                    done
                 } else {
                     let mut done = ctx.now();
                     for i in 0..n {
@@ -1606,20 +1623,25 @@ mod tests {
                     .map(|_| Sf64::from(rng.f64() * 2.0 - 1.0))
                     .collect()
             });
-            assert_eq!(
-                run(n, &m[0], &m[1], &m[2], true),
-                run(n, &m[0], &m[1], &m[2], false),
-                "n {n}"
-            );
+            for w in [n, 2] {
+                assert_eq!(
+                    run(n, &m[0], &m[1], &m[2], Some(w)),
+                    run(n, &m[0], &m[1], &m[2], None),
+                    "n {n}, k-ranges of {w}"
+                );
+            }
             for (which, &p) in PLANTED.iter().enumerate() {
                 let pos = rng.below((n * n) as u64) as usize;
                 let keep = std::mem::replace(&mut m[which % 3][pos], Sf64::from_bits(p));
-                assert_eq!(
-                    run(n, &m[0], &m[1], &m[2], true),
-                    run(n, &m[0], &m[1], &m[2], false),
-                    "n {n}, {p:#x} planted in {} at {pos}",
-                    ["A", "B", "C"][which % 3]
-                );
+                let want = run(n, &m[0], &m[1], &m[2], None);
+                for w in [n, 2] {
+                    assert_eq!(
+                        run(n, &m[0], &m[1], &m[2], Some(w)),
+                        want,
+                        "n {n}, k-ranges of {w}, {p:#x} planted in {} at {pos}",
+                        ["A", "B", "C"][which % 3]
+                    );
+                }
                 m[which % 3][pos] = keep;
             }
         }

@@ -10,9 +10,9 @@
 //! * **simulated time**: deterministic ceilings, so the overlap cannot
 //!   silently regress to the one-link-at-a-time schedule;
 //! * **simulator events** of the Cannon runs, exactly: the GEMM chains its
-//!   b² SAXPYs behind one completion interrupt per block step, and a
-//!   schedule that went back to sleeping after every form would compute the
-//!   same bits in the same simulated time at several times the events;
+//!   SAXPYs behind one completion interrupt per block step, and a schedule
+//!   that went back to sleeping after every form would compute the same
+//!   bits in the same simulated time at several times the events;
 //! * **overlap itself**: on a Cannon node the vector unit's busy time plus
 //!   its incoming wires' busy time exceeds the elapsed time, which a
 //!   schedule that does one thing at a time cannot produce, and every
@@ -43,30 +43,35 @@ fn fft_input(points: usize) -> Vec<(f64, f64)> {
 /// ceilings sit within 5 % above what the overlapped schedules take; the
 /// sequential ones took 224.6 ms, 136.9 ms and 1151 ms on the last row of
 /// each table. Cannon splits every move between the two ways round its
-/// ring (88.9 ms at n = 128 moving one way). The FFT rows cross each link
-/// with half a block (one operand of every butterfly, not both: 43.9 ms at
-/// 2¹⁴ points with the whole block) and run the in-piece local stages under
-/// the pipeline (23.9 ms at 2¹⁴ points with every local stage first), and LU agrees on a pivot with a 3-word max-loc vote and lets the
-/// control processor store multipliers under the SAXPYs (235.4 ms at
-/// n = 128 with an all-gather vote and a wait per row; 1.370 ms on one
-/// node, where only the wait per row applied). LU streams each pivot row
-/// down n edge-disjoint spanning trees in pieces (with n rotated trees all
-/// leaving the root: 12.650 ms at n = 32 on dim 2, 46.644 ms at n = 64 and
-/// 170.551 ms at n = 128 on dim 4).
+/// ring (88.9 ms at n = 128 moving one way) and streams it in one-row
+/// panels that the GEMM multiplies as they land (60.292 ms at n = 128 with
+/// whole blocks; the smaller blocks are one panel). The FFT rows cross each
+/// link with half a block (one operand of every butterfly, not both:
+/// 43.9 ms at 2¹⁴ points with the whole block), run the in-piece local
+/// stages under the pipeline (23.9 ms at 2¹⁴ points with every local stage
+/// first) and release the pieces depth-first (22.143 ms at 2¹⁴ points with
+/// every cross-piece stage before the first piece), and LU agrees on a
+/// pivot with a 3-word max-loc vote and lets the control processor store
+/// multipliers under the SAXPYs (235.4 ms at n = 128 with an all-gather
+/// vote and a wait per row; 1.370 ms on one node, where only the wait per
+/// row applied). LU streams each pivot row down n edge-disjoint spanning
+/// trees in pieces (with n rotated trees all leaving the root: 12.650 ms at
+/// n = 32 on dim 2, 46.644 ms at n = 64 and 170.551 ms at n = 128 on
+/// dim 4).
 type Case = (u32, usize, u64, Dur);
 
 const MATMUL: [Case; 4] = [
     (0, 8, 0x044f21f450531a61, Dur::us(250)),
     (2, 16, 0x8a69de326dd77700, Dur::us(2_400)),
     (4, 32, 0xa58efba468da0095, Dur::us(5_600)),
-    (4, 128, 0x5162e951f1f550cc, Dur::us(63_300)),
+    (4, 128, 0x5162e951f1f550cc, Dur::us(57_800)),
 ];
 
 const FFT: [Case; 4] = [
     (0, 64, 0x6211dd68d732bde0, Dur::us(140)),
     (2, 256, 0xc5bceab057184184, Dur::us(2_350)),
     (4, 1024, 0x8ac909e5526ca33f, Dur::us(4_550)),
-    (4, 1 << 14, 0x4f6f6cbc9325d55c, Dur::us(23_250)),
+    (4, 1 << 14, 0x4f6f6cbc9325d55c, Dur::us(22_500)),
 ];
 
 const LU: [Case; 4] = [
@@ -89,9 +94,17 @@ fn check(kernel: &str, case: Case, digest: u64, elapsed: Dur) {
     );
 }
 
-/// Timer events of each [`MATMUL`] run (with one completion sleep per SAXPY
-/// they were 64, 536, 4 352 and 65 792: b² per block step on top of these).
-const MATMUL_EVENTS: [u64; 4] = [1, 32, 320, 1024];
+/// Timer events of each [`MATMUL`] run: two per message a node sends (the
+/// DMA start and the transfer's end; a panel relayed h hops is h messages)
+/// and one GEMM sleep per block step. A block moves as
+/// `t_series_core::model::panels(b)` panels, and a one-position move on a
+/// ring of 4 sends its `P/4` long-way panels 3 hops and the rest 1 hop. The
+/// blocks of the first three runs (b ≤ 8) are one panel each; at n = 128,
+/// b = 32 is 8 panels, so a one-position move is 12 messages, not the 4 of
+/// a head and tail sent whole (1 024 events then), and the 2-position skew
+/// 16, not 4. With one completion sleep per SAXPY instead of per block
+/// step, every block step would add b² − 1 more.
+const MATMUL_EVENTS: [u64; 4] = [1, 32, 320, 3008];
 
 #[test]
 fn cannon_output_is_pinned_and_time_is_bounded() {

@@ -16,7 +16,7 @@
 //! key's count lives.
 
 use ts_node::{ColdMeters, Node, NodeMeters};
-use ts_sim::metrics::HIST_BUCKETS;
+use ts_sim::metrics::{rank_bucket, HIST_BUCKETS};
 use ts_sim::{Counter, Dur, Histogram, MetricsRegistry, Time};
 
 use crate::system::SystemBoard;
@@ -428,16 +428,10 @@ pub(crate) struct MergedHist {
 
 impl MergedHist {
     /// Upper bound of the bucket containing the `q`-quantile.
+    /// An empty merge reads as the last bucket's bound.
     pub(crate) fn quantile_bound(&self, q: f64) -> u64 {
-        let target = (q.clamp(0.0, 1.0) * self.total as f64).ceil() as u64;
-        let mut seen = 0u64;
-        for (i, &c) in self.counts.iter().enumerate() {
-            seen += c;
-            if seen >= target && c > 0 {
-                return Histogram::bucket_range(i).1;
-            }
-        }
-        Histogram::bucket_range(HIST_BUCKETS - 1).1
+        rank_bucket(&self.counts, self.total, q)
+            .map_or(u64::MAX, |(b, _)| Histogram::bucket_range(b).1)
     }
 }
 

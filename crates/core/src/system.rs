@@ -24,7 +24,7 @@ use std::cell::Cell;
 use std::rc::Rc;
 
 use ts_link::{LinkChannel, Wire};
-use ts_node::NodeCtx;
+use ts_node::{occam, NodeCtx};
 use ts_sim::{Dur, Resource, SimHandle};
 
 /// Words per system-thread message chunk (4 KB): amortizes the 5 µs DMA
@@ -213,28 +213,19 @@ impl SystemBoard {
     /// into the staging area. Nodes stream concurrently but share the
     /// board's one input engine.
     pub async fn collect_payloads(&self, count: usize) -> Vec<(u32, Vec<u32>)> {
-        let mut handles = Vec::new();
-        for slot in 0..count {
+        let procs = (0..count).map(|slot| {
             let board = self.clone();
-            handles.push(
-                self.h
-                    .spawn(async move { board.receive_payload(slot).await }),
-            );
-        }
-        let mut payloads = Vec::with_capacity(count);
-        for jh in handles {
-            payloads.push(jh.await);
-        }
-        payloads
+            async move { board.receive_payload(slot).await }
+        });
+        occam::par_all(&self.h, procs.collect()).await
     }
 
     /// Stream restore images back down to the nodes (disk read first).
     /// Restores are always full images — the committed version on disk.
     pub async fn send_restore(&self, images: Vec<Vec<u32>>) {
-        let mut handles = Vec::new();
-        for (slot, image) in images.into_iter().enumerate() {
+        let procs = images.into_iter().enumerate().map(|(slot, image)| {
             let board = self.clone();
-            handles.push(self.h.spawn(async move {
+            async move {
                 board.disk.read(&board.h, image.len() * 4).await;
                 let ch = board.state.borrow().to_node[slot].clone();
                 ch.send(&board.h, vec![PAYLOAD_FULL, image.len() as u32])
@@ -242,11 +233,9 @@ impl SystemBoard {
                 for chunk in image.chunks(CHUNK_WORDS) {
                     ch.send(&board.h, chunk.to_vec()).await;
                 }
-            }));
-        }
-        for jh in handles {
-            jh.await;
-        }
+            }
+        });
+        occam::par_all(&self.h, procs.collect()).await;
     }
 
     /// Forward `words` to the next board on the ring. A flapped ring link
@@ -359,31 +348,25 @@ pub async fn ring_commit(boards: &[SystemBoard], epoch: u64) {
         b.disk.write(&b.h, COMMIT_RECORD_BYTES).await;
         return;
     }
-    let h = boards[0].h.clone();
-    let mut handles = Vec::new();
-    {
-        let b0 = boards[0].clone();
-        handles.push(h.spawn(async move {
-            b0.ring_send(vec![epoch as u32, PREPARE]).await;
-            b0.ring_recv().await;
-            b0.ring_send(vec![epoch as u32, COMMIT]).await;
-            b0.ring_recv().await;
-            b0.disk.write(&b0.h, COMMIT_RECORD_BYTES).await;
-        }));
-    }
-    for board in boards.iter().skip(1) {
+    let procs = boards.iter().enumerate().map(|(i, board)| {
         let b = board.clone();
-        handles.push(h.spawn(async move {
-            let prep = b.ring_recv().await;
-            b.ring_send(prep).await;
-            let commit = b.ring_recv().await;
-            b.disk.write(&b.h, COMMIT_RECORD_BYTES).await;
-            b.ring_send(commit).await;
-        }));
-    }
-    for jh in handles {
-        jh.await;
-    }
+        async move {
+            if i == 0 {
+                b.ring_send(vec![epoch as u32, PREPARE]).await;
+                b.ring_recv().await;
+                b.ring_send(vec![epoch as u32, COMMIT]).await;
+                b.ring_recv().await;
+                b.disk.write(&b.h, COMMIT_RECORD_BYTES).await;
+            } else {
+                let prep = b.ring_recv().await;
+                b.ring_send(prep).await;
+                let commit = b.ring_recv().await;
+                b.disk.write(&b.h, COMMIT_RECORD_BYTES).await;
+                b.ring_send(commit).await;
+            }
+        }
+    });
+    occam::par_all(&boards[0].h, procs.collect()).await;
 }
 
 /// Result of one node's power-on self-test during [`boot`].
@@ -501,36 +484,29 @@ pub async fn ring_distribute(boards: &[SystemBoard], payload: Vec<u32>) {
     if m <= 1 {
         return;
     }
-    let h = boards[0].h.clone();
-    let mut handles = Vec::new();
     // Board 0 originates; each other board forwards until the last.
-    {
-        let b0 = boards[0].clone();
-        let p = payload.clone();
-        handles.push(h.spawn(async move {
-            for chunk in p.chunks(CHUNK_WORDS) {
-                b0.ring_send(chunk.to_vec()).await;
-            }
-        }));
-    }
-    let total = payload.len();
-    for board in boards.iter().skip(1) {
-        let b = board.clone();
+    let payload = Rc::new(payload);
+    let procs = boards.iter().enumerate().map(|(i, board)| {
+        let (b, p) = (board.clone(), payload.clone());
         let is_last = board.module as usize == m - 1;
-        handles.push(h.spawn(async move {
+        async move {
+            if i == 0 {
+                for chunk in p.chunks(CHUNK_WORDS) {
+                    b.ring_send(chunk.to_vec()).await;
+                }
+                return;
+            }
             let mut got = 0;
-            while got < total {
+            while got < p.len() {
                 let chunk = b.ring_recv().await;
                 got += chunk.len();
                 if !is_last {
                     b.ring_send(chunk).await;
                 }
             }
-        }));
-    }
-    for jh in handles {
-        jh.await;
-    }
+        }
+    });
+    occam::par_all(&boards[0].h, procs.collect()).await;
 }
 
 #[cfg(test)]

@@ -291,33 +291,23 @@ impl Parser {
                 };
                 Ok(Stmt::If(cond, then, els))
             }
-            Some(Tok::KwSend) => {
+            Some(kw @ (Tok::KwSend | Tok::KwRecv)) => {
+                let (word, stmt): (_, fn(_, _) -> _) = if kw == Tok::KwSend {
+                    ("send", Stmt::Send)
+                } else {
+                    ("recv", Stmt::Recv)
+                };
                 let chan = self.expr(0)?;
                 self.expect(&Tok::Comma, ",")?;
                 let line2 = self.line();
                 match self.next() {
                     Some(Tok::Ident(v)) => {
                         self.expect(&Tok::Semi, ";")?;
-                        Ok(Stmt::Send(chan, v))
+                        Ok(stmt(chan, v))
                     }
                     other => Err(OccError {
                         line: line2,
-                        msg: format!("send needs a variable, found {other:?}"),
-                    }),
-                }
-            }
-            Some(Tok::KwRecv) => {
-                let chan = self.expr(0)?;
-                self.expect(&Tok::Comma, ",")?;
-                let line2 = self.line();
-                match self.next() {
-                    Some(Tok::Ident(v)) => {
-                        self.expect(&Tok::Semi, ";")?;
-                        Ok(Stmt::Recv(chan, v))
-                    }
-                    other => Err(OccError {
-                        line: line2,
-                        msg: format!("recv needs a variable, found {other:?}"),
+                        msg: format!("{word} needs a variable, found {other:?}"),
                     }),
                 }
             }

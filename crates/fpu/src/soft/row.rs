@@ -303,29 +303,24 @@ pub fn sum<L: Lane>(acc: Option<L>, x: &[L]) -> Option<L> {
     feed(acc, x)
 }
 
-/// `c += a·b` over the k-range `ks` on `n × n` row-major blocks, as the
-/// SAXPYs `C[i,:] += A[i,k]·B[k,:]` for k in `ks`, in `(i, k)` order: every
-/// element of `C` sees the same sequence of roundings as under calls of
-/// [`saxpy`]. So `0..n` is the whole product, and consecutive ranges in
-/// k-order compose to it bit for bit.
+/// `c += a·b` over the k-range `ks` on `n × n` row-major blocks, given
+/// `at` = Aᵀ, as the SAXPYs `C[i,:] += A[i,k]·B[k,:]` for k in `ks`, in
+/// `(i, k)` order: every element of `C` sees the same sequence of roundings
+/// as under calls of [`saxpy`]. So `0..n` is the whole product, and
+/// consecutive ranges in k-order compose to it bit for bit.
 ///
-/// The range's operands — columns `ks` of A, rows `ks` of B — are
-/// classified once. When every |a| and |b| lies in the band `[2^−H, 2^H)`,
+/// The range's operands — rows `ks` of Aᵀ and of B, two contiguous runs —
+/// are classified once. When every |a| and |b| lies in the band `[2^−H, 2^H)`,
 /// `H = (BIAS − 2)/2`, every product is normal, clear and finite, so a
 /// lane's guard narrows to "accumulator normal, result clear"; otherwise
 /// each row takes [`saxpy`]'s full guard.
-pub fn gemm<L: Lane>(n: usize, ks: Range<usize>, a: &[L], b: &[L], c: &mut [L]) {
-    assert!(a.len() == n * n && b.len() == n * n && c.len() == n * n && ks.end <= n);
-    if ks.is_empty() {
-        return;
-    }
-    let b = &b[ks.start * n..ks.end * n];
-    let band = |ok, run: &[L]| run.iter().fold(ok, |ok, &v| ok & in_band(v));
-    let banded = a
-        .chunks_exact(n)
-        .fold(band(true, b), |ok, ai| band(ok, &ai[ks.clone()]));
-    for (ai, ci) in a.chunks_exact(n).zip(c.chunks_exact_mut(n)) {
-        for (&aik, bk) in ai[ks.clone()].iter().zip(b.chunks_exact(n)) {
+pub fn gemm<L: Lane>(n: usize, ks: Range<usize>, at: &[L], b: &[L], c: &mut [L]) {
+    assert!(at.len() == n * n && b.len() == n * n && c.len() == n * n && ks.end <= n);
+    let (at, b) = (&at[ks.start * n..ks.end * n], &b[ks.start * n..ks.end * n]);
+    let banded = at.iter().chain(b).fold(true, |ok, &v| ok & in_band(v));
+    for (i, ci) in c.chunks_exact_mut(n).enumerate() {
+        for (ak, bk) in at.chunks_exact(n).zip(b.chunks_exact(n)) {
+            let aik = ak[i];
             if banded {
                 zip_with(
                     ci,
@@ -661,13 +656,13 @@ mod tests {
     }
 
     /// [`gemm`], whole and in k-ranges, against `n²` bit-level SAXPYs in
-    /// `(i, k)` order.
+    /// `(i, k)` order; `a` is Aᵀ.
     fn gemm_matches_saxpys<L: Lane>(n: usize, a: &[L], b: &[L], c: &[L]) {
         let mut want = c.to_vec();
         for i in 0..n {
             for k in 0..n {
                 for j in 0..n {
-                    want[i * n + j] = bit_add(bit_mul(a[i * n + k], b[k * n + j]), want[i * n + j]);
+                    want[i * n + j] = bit_add(bit_mul(a[k * n + i], b[k * n + j]), want[i * n + j]);
                 }
             }
         }

@@ -14,12 +14,12 @@
 //! log₂ p dimension-exchange latency — the communication/computation
 //! balance of §II, iterated.
 
-use ts_cube::{embed::MeshEmbedding, Hypercube};
+use ts_cube::Hypercube;
 use ts_fpu::Sf64;
 use ts_node::{CombineOp, NodeCtx};
 
-use crate::stencil::Tile;
-use crate::{run_spmd, KernelStats};
+use crate::stencil::{on_tiles, Tile};
+use crate::KernelStats;
 
 /// Global dot product: local dot via the vector pipe, then a scalar
 /// all-reduce over the cube.
@@ -80,40 +80,14 @@ pub fn distributed_cg(
     seed: u64,
 ) -> (Vec<f64>, Vec<f64>, usize, KernelStats) {
     let cube = machine.cube;
-    let half = cube.dim() / 2;
-    let mesh = MeshEmbedding::new(cube, &[half, cube.dim() - half]);
-    let (sx, sy) = (mesh.side(0) as usize, mesh.side(1) as usize);
-    let side_x = sx * g;
     let mut st = seed;
-    let b: Vec<f64> = (0..side_x * sy * g)
+    let b: Vec<f64> = (0..cube.nodes() as usize * g * g)
         .map(|_| crate::rand_f64(&mut st))
         .collect();
-
-    let (tiles, stats) = run_spmd(machine, "CG", |ctx| {
-        let coords = mesh.coords_of(ctx.id());
-        let (cx, cy) = (coords[0] as usize, coords[1] as usize);
-        let mut tile = vec![0.0; g * g];
-        for y in 0..g {
-            for x in 0..g {
-                tile[y * g + x] = b[(cy * g + y) * side_x + cx * g + x];
-            }
-        }
+    let (x, iters, stats) = on_tiles(machine, "CG", g, &b, |ctx, tile| {
         cg_node(ctx, cube, g, tile, tol, 10_000)
     });
-
-    let mut x = vec![0.0; b.len()];
-    let mut iters = 0;
-    for (id, (tile, it)) in tiles.into_iter().enumerate() {
-        iters = it;
-        let coords = mesh.coords_of(id as u32);
-        let (cx, cy) = (coords[0] as usize, coords[1] as usize);
-        for y in 0..g {
-            for xx in 0..g {
-                x[(cy * g + y) * side_x + cx * g + xx] = tile[y * g + xx];
-            }
-        }
-    }
-    (b, x, iters, stats)
+    (b, x, iters[iters.len() - 1], stats)
 }
 
 /// Max-norm residual `|A·x − b|` of the global five-point system (host).

@@ -45,7 +45,7 @@ use t_series_core::model::NetModel;
 use ts_cube::Hypercube;
 use ts_fpu::soft::row;
 use ts_fpu::Sf64;
-use ts_mem::ROW_WORDS;
+use ts_mem::{join, split, ROW_WORDS};
 use ts_node::{occam, NodeCtx};
 use ts_sim::{Rendezvous, Time};
 
@@ -130,18 +130,16 @@ pub const FLOPS_PER_BUTTERFLY: u64 = 10;
 fn pack(data: &[Cpx]) -> Vec<u32> {
     let mut words = ts_sim::pool::take_words(data.len() * POINT_WORDS);
     for c in data {
-        for bits in [c.re.to_bits(), c.im.to_bits()] {
-            words.push(bits as u32);
-            words.push((bits >> 32) as u32);
-        }
+        words.extend_from_slice(&split(c.re.to_bits()));
+        words.extend_from_slice(&split(c.im.to_bits()));
     }
     words
 }
 
 fn unpack(words: &[u32]) -> impl Iterator<Item = Cpx> + '_ {
     words.chunks_exact(POINT_WORDS).map(|c| Cpx {
-        re: Sf64::from_bits(c[0] as u64 | ((c[1] as u64) << 32)),
-        im: Sf64::from_bits(c[2] as u64 | ((c[3] as u64) << 32)),
+        re: Sf64::from_bits(join(c)),
+        im: Sf64::from_bits(join(&c[2..])),
     })
 }
 

@@ -54,6 +54,7 @@ pub mod transpose;
 use std::future::Future;
 
 use t_series_core::Machine;
+use ts_mem::{join, split};
 use ts_node::NodeCtx;
 use ts_sim::{Dur, Time};
 
@@ -148,22 +149,16 @@ where
     (outputs, KernelStats::since(machine, mark))
 }
 
-/// Message encoding of `f64` values: two words each, low half first.
-fn pack(vals: &[f64]) -> Vec<u32> {
-    let mut words = Vec::with_capacity(vals.len() * 2);
-    for v in vals {
-        let b = v.to_bits();
-        words.push(b as u32);
-        words.push((b >> 32) as u32);
-    }
-    words
+/// Message encoding of `f64` values: two words each ([`split`]).
+fn pack<'a>(vals: impl IntoIterator<Item = &'a f64>) -> Vec<u32> {
+    vals.into_iter().flat_map(|v| split(v.to_bits())).collect()
 }
 
 /// Inverse of [`pack`].
 fn unpack(words: &[u32]) -> Vec<f64> {
     words
         .chunks_exact(2)
-        .map(|c| f64::from_bits(c[0] as u64 | ((c[1] as u64) << 32)))
+        .map(|c| f64::from_bits(join(c)))
         .collect()
 }
 

@@ -24,8 +24,8 @@
 
 use ts_cube::Hypercube;
 use ts_fpu::{softdiv, Sf64};
-use ts_mem::ROW_WORDS;
-use ts_node::NodeCtx;
+use ts_mem::{join, split, ROW_WORDS};
+use ts_node::{f64s_of, NodeCtx};
 use ts_vec::VecForm;
 
 use crate::{rand_f64, run_spmd, KernelStats};
@@ -125,10 +125,7 @@ pub async fn lu_node(ctx: NodeCtx, cube: Hypercube, n: usize) -> Vec<usize> {
         )
         .await;
         // pivot_f[j − k] is column j of the pivot row.
-        let pivot_f: Vec<Sf64> = pivot
-            .chunks_exact(2)
-            .map(|c| Sf64::from_bits(c[0] as u64 | ((c[1] as u64) << 32)))
-            .collect();
+        let pivot_f: Vec<Sf64> = f64s_of(&pivot).collect();
         // Software reciprocal of the pivot element (no divider!).
         let pivot_recip = softdiv::recip(pivot_f[0]);
         ctx.charge_vec_flops(softdiv::RECIP_FLOPS).await;
@@ -201,13 +198,9 @@ fn beats((v, row): (f64, u32), (best_v, best_row): (f64, u32)) -> bool {
 /// [`NetModel::max_loc`]: t_series_core::model::NetModel::max_loc
 async fn pivot_vote(ctx: &NodeCtx, cube: Hypercube, mut best: (f64, u32)) -> (f64, u32) {
     for d in 0..cube.dim() as usize {
-        let bits = best.0.to_bits();
-        let mine = vec![bits as u32, (bits >> 32) as u32, best.1];
-        let theirs = ctx.exchange(d, mine, d).await;
-        let other = (
-            f64::from_bits(theirs[0] as u64 | ((theirs[1] as u64) << 32)),
-            theirs[2],
-        );
+        let [lo, hi] = split(best.0.to_bits());
+        let theirs = ctx.exchange(d, vec![lo, hi, best.1], d).await;
+        let other = (f64::from_bits(join(&theirs)), theirs[2]);
         if beats(other, best) {
             best = other;
         }
@@ -251,12 +244,12 @@ pub async fn solve_node(
             let lrow = read_row_vals(g, 0, k);
             let dot = ctx.dot_values(&lrow, &y[..k]).await;
             let v = Sf64::from(b[g]) - dot;
-            Some(vec![v.to_bits() as u32, (v.to_bits() >> 32) as u32])
+            Some(split(v.to_bits()).to_vec())
         } else {
             None
         };
         let words = t_series_core::collectives::broadcast(&ctx, cube, owner, val).await;
-        y.push(Sf64::from_bits(words[0] as u64 | ((words[1] as u64) << 32)));
+        y.push(Sf64::from_bits(join(&words)));
     }
 
     // Back substitution: x[k] = (y[k] − U[k, k+1..] · x[k+1..]) / U[k][k].
@@ -270,12 +263,12 @@ pub async fn solve_node(
             let recip = softdiv::recip(urow[0]);
             ctx.charge_vec_flops(softdiv::RECIP_FLOPS + 2).await;
             let v = (y[k] - dot) * recip;
-            Some(vec![v.to_bits() as u32, (v.to_bits() >> 32) as u32])
+            Some(split(v.to_bits()).to_vec())
         } else {
             None
         };
         let words = t_series_core::collectives::broadcast(&ctx, cube, owner, val).await;
-        x[k] = Sf64::from_bits(words[0] as u64 | ((words[1] as u64) << 32));
+        x[k] = Sf64::from_bits(join(&words));
     }
     x.into_iter().map(|v| v.to_host()).collect()
 }

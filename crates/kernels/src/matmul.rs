@@ -23,13 +23,14 @@
 //! costs `max(p2p(3m/4), 3·p2p(m/4))` and the 2-position skew
 //! `2·p2p(m/2)`, against `p2p(m)` and `2·p2p(m)` one way.
 //!
-//! A block moves as **panels** ([`panel_slices`]): whole k-slices —
-//! columns of A, rows of B — one memory row of words each, the unit the
-//! link DMA streams. The long way carries evenly spaced panels, so the
-//! panels of both ways land in k-order at an even rate, and the GEMM
-//! multiplies each panel as it lands: the last GEMM ends a panel's share of
-//! a GEMM after the last move, not a whole GEMM. Each C element still sums
-//! its k in order, so the output is bit-identical to whole-block GEMMs.
+//! A block moves as **panels** ([`panel_slices`]): whole k-slices — rows
+//! of B, and rows of Aᵀ, since each node holds its A block transposed —
+//! one memory row of words each, the unit the link DMA streams. The long
+//! way carries evenly spaced panels, so the panels of both ways land in
+//! k-order at an even rate, and the GEMM multiplies each panel as it
+//! lands: the last GEMM ends a panel's share of a GEMM after the last
+//! move, not a whole GEMM. Each C element still sums its k in order, so
+//! the output is bit-identical to whole-block GEMMs.
 
 use std::cell::{Cell, RefCell};
 use std::future::poll_fn;
@@ -45,14 +46,12 @@ use ts_sim::{Rendezvous, Time};
 
 use crate::{rand_f64, run_spmd, KernelStats};
 
-/// A `b × b` row-major block of A or B on one node, landing panel by
+/// A `b × b` row-major block of Aᵀ or B on one node, landing panel by
 /// panel: the mover writes each landed panel's values in place and wakes
 /// the GEMM, which reads panel `i` once `landed[i]` is set. Its values
 /// live in a value-pool buffer and go back to the pool with the block.
 struct Block {
     b: usize,
-    /// A's panels are columns, B's rows.
-    columns: bool,
     values: RefCell<Vec<Sf64>>,
     landed: Vec<Cell<bool>>,
     /// The GEMM, while it waits for a panel.
@@ -61,10 +60,9 @@ struct Block {
 
 impl Block {
     /// A block of `values` whose panels have all `landed`, or none.
-    fn new(b: usize, columns: bool, values: Vec<Sf64>, landed: bool) -> Block {
+    fn new(b: usize, values: Vec<Sf64>, landed: bool) -> Block {
         Block {
             b,
-            columns,
             values: RefCell::new(values),
             landed: (0..panels(b)).map(|_| Cell::new(landed)).collect(),
             waiting: Cell::new(None),
@@ -75,7 +73,7 @@ impl Block {
     fn empty(&self) -> Block {
         let mut values = ts_node::take_values(self.b * self.b);
         values.resize(self.b * self.b, Sf64::ZERO);
-        Block::new(self.b, self.columns, values, false)
+        Block::new(self.b, values, false)
     }
 
     /// Make the block a landing place again: no panel has landed.
@@ -89,41 +87,28 @@ impl Block {
         i * q..((i + 1) * q).min(self.b)
     }
 
-    /// The row-major runs of panel `i`: one for rows of B, or for columns
-    /// of A that span whole rows; otherwise one per row.
-    fn runs(&self, i: usize) -> impl Iterator<Item = Range<usize>> {
-        let (b, ks) = (self.b, self.ks(i));
-        let (first, len, count) = if !self.columns || ks.len() == b {
-            (ks.start * b, ks.len() * b, 1)
-        } else {
-            (ks.start, ks.len(), b)
-        };
-        (0..count).map(move |r| first + r * b..first + r * b + len)
+    /// Panel `i`'s values: its k-range's whole rows.
+    fn rows(&self, i: usize) -> Range<usize> {
+        let ks = self.ks(i);
+        ks.start * self.b..ks.end * self.b
     }
 
-    /// Panel `i`'s wire form, packed from slices of the block into one
-    /// word-pool buffer.
+    /// Panel `i`'s wire form, in one word-pool buffer.
     fn pack(&self, i: usize) -> Vec<u32> {
-        let values = self.values.borrow();
-        let mut words = ts_sim::pool::take_words(2 * self.b * self.ks(i).len());
-        for run in self.runs(i) {
-            pack_f64s_into(&mut words, &values[run]);
-        }
+        let rows = self.rows(i);
+        let mut words = ts_sim::pool::take_words(2 * rows.len());
+        pack_f64s_into(&mut words, &self.values.borrow()[rows]);
         words
     }
 
     /// Write panel `i` from its wire form and wake the GEMM; `words` goes
     /// back to its pool.
     fn land(&self, i: usize, words: Vec<u32>) {
-        {
-            let mut values = self.values.borrow_mut();
-            let mut from = f64s_of(&words);
-            for run in self.runs(i) {
-                for (to, v) in values[run].iter_mut().zip(&mut from) {
-                    *to = v;
-                }
-            }
+        let mut values = self.values.borrow_mut();
+        for (to, v) in values[self.rows(i)].iter_mut().zip(f64s_of(&words)) {
+            *to = v;
         }
+        drop(values);
         ts_sim::pool::put_words(words);
         self.landed[i].set(true);
         if let Some(gemm) = self.waiting.take() {
@@ -307,7 +292,7 @@ pub async fn cannon_node(
     let (a_go, b_go) = (Rendezvous::new(), Rendezvous::new());
     let [a, b] = [(0, row, a, &a_go), (1, col, b, &b_go)].map(|(axis, skew, values, go)| {
         let dims = axis_dims(&mesh, me, &coords, axis);
-        let block = Block::new(bsize, axis == 0, values, true);
+        let block = Block::new(bsize, values, true);
         let other = block.empty();
         let blocks = if skew == 0 {
             [block, other]
@@ -369,12 +354,14 @@ pub fn distributed_matmul(
     let b: Vec<f64> = (0..n * n).map(|_| rand_f64(&mut st)).collect();
 
     // Cut blocks, into pool buffers: the node programs recycle every block
-    // they are done with, so the pool neither grows nor drains.
-    let block_of = |m: &[f64], br: usize, bc: usize| -> Vec<Sf64> {
+    // they are done with, so the pool neither grows nor drains. A's blocks
+    // are cut transposed, so a panel of either matrix is whole rows.
+    let block_of = |m: &[f64], br: usize, bc: usize, transposed: bool| -> Vec<Sf64> {
         let mut out = ts_node::take_values(bsize * bsize);
         for i in 0..bsize {
             for j in 0..bsize {
-                out.push(Sf64::from(m[(br * bsize + i) * n + bc * bsize + j]));
+                let (r, c) = if transposed { (j, i) } else { (i, j) };
+                out.push(Sf64::from(m[(br * bsize + r) * n + bc * bsize + c]));
             }
         }
         out
@@ -384,8 +371,8 @@ pub fn distributed_matmul(
     let (blocks, stats) = run_spmd(machine, "Cannon", |ctx| {
         let coords = mesh.coords_of(ctx.id());
         let (bc, br) = (coords[0] as usize, coords[1] as usize);
-        let ab = block_of(&a, br, bc);
-        let bb = block_of(&b, br, bc);
+        let ab = block_of(&a, br, bc, true);
+        let bb = block_of(&b, br, bc, false);
         cannon_node(ctx, cube, bsize, ab, bb)
     });
 
@@ -488,7 +475,7 @@ mod tests {
             m.launch(move |ctx| async move {
                 let mesh = MeshEmbedding::new(cube, &[2, 2]);
                 let dims = axis_dims(&mesh, ctx.id(), &mesh.coords_of(ctx.id()), 0);
-                let block = Block::new(b, true, vec![Sf64::ZERO; b * b], true);
+                let block = Block::new(b, vec![Sf64::ZERO; b * b], true);
                 let incoming = Rc::new(block.empty());
                 torus_move(&ctx, dims, 4, k, &Rc::new(block), &incoming).await;
                 assert!(incoming.landed.iter().all(Cell::get));
@@ -540,11 +527,15 @@ mod tests {
                     .map(|e| Sf64::from(mat[(br * bs + e / bs) * n + bc * bs + e % bs]))
                     .collect()
             };
+            let transposed = |v: Vec<Sf64>| -> Vec<Sf64> {
+                (0..bs * bs).map(|e| v[e % bs * bs + e / bs]).collect()
+            };
             for (r, col) in (0..s).flat_map(|r| (0..s).map(move |col| (r, col))) {
                 let mut want = vec![Sf64::ZERO; bs * bs];
                 for t in 0..s {
                     let k = (r + col + t) % s;
-                    row::gemm(bs, 0..bs, &block(&a, r, k), &block(&b, k, col), &mut want);
+                    let at = transposed(block(&a, r, k));
+                    row::gemm(bs, 0..bs, &at, &block(&b, k, col), &mut want);
                 }
                 let (got, want) = (bits(&block(&c, r, col)), bits(&want));
                 assert!(

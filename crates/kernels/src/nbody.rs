@@ -18,7 +18,7 @@ use ts_cube::{embed::RingEmbedding, Hypercube};
 use ts_fpu::softdiv;
 use ts_node::NodeCtx;
 
-use crate::{rand_f64, run_spmd, KernelStats};
+use crate::{pack, rand_f64, run_spmd, unpack, KernelStats};
 
 /// A point mass.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -37,32 +37,6 @@ pub const SOFTENING: f64 = 1e-3;
 /// Hardware operations charged per interaction pair: subtracts, multiplies
 /// and the Newton–Raphson reciprocal square root (r² → r⁻³ path).
 pub const FLOPS_PER_PAIR: u64 = 10 + softdiv::SQRT_FLOPS + softdiv::RECIP_FLOPS;
-
-fn pack(bodies: &[Body]) -> Vec<u32> {
-    let mut words = Vec::with_capacity(bodies.len() * 6);
-    for b in bodies {
-        for v in [b.x, b.y, b.m] {
-            let bits = v.to_bits();
-            words.push(bits as u32);
-            words.push((bits >> 32) as u32);
-        }
-    }
-    words
-}
-
-fn unpack(words: &[u32]) -> Vec<Body> {
-    words
-        .chunks_exact(6)
-        .map(|c| {
-            let f = |i: usize| f64::from_bits(c[2 * i] as u64 | ((c[2 * i + 1] as u64) << 32));
-            Body {
-                x: f(0),
-                y: f(1),
-                m: f(2),
-            }
-        })
-        .collect()
-}
 
 /// Accumulate the forces `residents` feel from `visitors`.
 fn accumulate(residents: &[Body], visitors: &[Body], forces: &mut [(f64, f64)]) {
@@ -105,8 +79,16 @@ pub async fn nbody_node(ctx: NodeCtx, cube: Hypercube, residents: Vec<Body>) -> 
     // Circulate the visitor buffer p−1 steps around the ring.
     let mut visitors = residents.clone();
     for _ in 1..cube.nodes() {
-        let incoming = ctx.exchange(send_dim, pack(&visitors), recv_dim).await;
-        visitors = unpack(&incoming);
+        let words = pack(visitors.iter().flat_map(|b| [&b.x, &b.y, &b.m]));
+        let incoming = ctx.exchange(send_dim, words, recv_dim).await;
+        visitors = unpack(&incoming)
+            .chunks_exact(3)
+            .map(|v| Body {
+                x: v[0],
+                y: v[1],
+                m: v[2],
+            })
+            .collect();
         accumulate(&residents, &visitors, &mut forces);
         ctx.charge_vec_flops(FLOPS_PER_PAIR * (nl * visitors.len()) as u64)
             .await;

@@ -8,6 +8,8 @@
 //! `u' = ¼(N+S+E+W)`, charging the vector units 4 flops per interior
 //! point. Numerics use host `f64` values carried through `Sf64` storage.
 
+use std::future::Future;
+
 use ts_cube::{embed::MeshEmbedding, Hypercube};
 use ts_node::NodeCtx;
 
@@ -109,6 +111,44 @@ impl Tile {
     }
 }
 
+/// The tiled-mesh driver behind the grid kernels: cut `grid`, the global
+/// (s·g)-wide row-major grid, into each node's g×g tile, run `program` on
+/// every node with its tile, and paste the tiles the nodes return back into
+/// one grid. Also returns each node's second output, in node order.
+pub(crate) fn on_tiles<X: 'static, Fut: Future<Output = (Vec<f64>, X)> + 'static>(
+    machine: &mut t_series_core::Machine,
+    kernel: &str,
+    g: usize,
+    grid: &[f64],
+    program: impl Fn(NodeCtx, Vec<f64>) -> Fut,
+) -> (Vec<f64>, Vec<X>, KernelStats) {
+    let cube = machine.cube;
+    let half = cube.dim() / 2;
+    let mesh = MeshEmbedding::new(cube, &[half, cube.dim() - half]);
+    let side_x = mesh.side(0) as usize * g;
+    assert_eq!(grid.len(), side_x * mesh.side(1) as usize * g);
+    // Where element i of node `id`'s tile sits in the grid.
+    let place = |id: u32| {
+        let c = mesh.coords_of(id);
+        let corner = c[1] as usize * g * side_x + c[0] as usize * g;
+        move |i: usize| corner + i / g * side_x + i % g
+    };
+    let (outs, stats) = run_spmd(machine, kernel, |ctx| {
+        let at = place(ctx.id());
+        program(ctx, (0..g * g).map(|i| grid[at(i)]).collect())
+    });
+    let mut out = vec![0.0; grid.len()];
+    let mut extras = Vec::with_capacity(outs.len());
+    for (id, (tile, extra)) in outs.into_iter().enumerate() {
+        let at = place(id as u32);
+        for (i, v) in tile.into_iter().enumerate() {
+            out[at(i)] = v;
+        }
+        extras.push(extra);
+    }
+    (out, extras, stats)
+}
+
 /// The per-node Jacobi program: `tile` is g×g row-major; runs `sweeps`
 /// iterations and returns the final tile.
 pub async fn jacobi_node(
@@ -135,34 +175,9 @@ pub fn distributed_jacobi(
     init: &[f64],
 ) -> (Vec<f64>, KernelStats) {
     let cube = machine.cube;
-    let half = cube.dim() / 2;
-    let mesh = MeshEmbedding::new(cube, &[half, cube.dim() - half]);
-    let (sx, sy) = (mesh.side(0) as usize, mesh.side(1) as usize);
-    let side_x = sx * g;
-    assert_eq!(init.len(), side_x * sy * g);
-
-    let (tiles, stats) = run_spmd(machine, "Jacobi", |ctx| {
-        let coords = mesh.coords_of(ctx.id());
-        let (cx, cy) = (coords[0] as usize, coords[1] as usize);
-        let mut tile = vec![0.0; g * g];
-        for y in 0..g {
-            for x in 0..g {
-                tile[y * g + x] = init[(cy * g + y) * side_x + cx * g + x];
-            }
-        }
-        jacobi_node(ctx, cube, g, tile, sweeps)
+    let (out, _, stats) = on_tiles(machine, "Jacobi", g, init, |ctx, tile| async move {
+        (jacobi_node(ctx, cube, g, tile, sweeps).await, ())
     });
-
-    let mut out = vec![0.0; init.len()];
-    for (id, tile) in tiles.into_iter().enumerate() {
-        let coords = mesh.coords_of(id as u32);
-        let (cx, cy) = (coords[0] as usize, coords[1] as usize);
-        for y in 0..g {
-            for x in 0..g {
-                out[(cy * g + y) * side_x + cx * g + x] = tile[y * g + x];
-            }
-        }
-    }
     (out, stats)
 }
 

@@ -17,18 +17,14 @@
 use ts_cube::Hypercube;
 use ts_node::NodeCtx;
 
-use crate::{rand_f64, run_spmd, KernelStats};
+use crate::{rand_f64, run_spmd, unpack, KernelStats};
 
 fn pack_blocks(blocks: &[(u32, Vec<f64>)]) -> Vec<u32> {
     let mut words = Vec::new();
     for (dest, data) in blocks {
         words.push(*dest);
         words.push(data.len() as u32);
-        for v in data {
-            let bits = v.to_bits();
-            words.push(bits as u32);
-            words.push((bits >> 32) as u32);
-        }
+        words.extend(data.iter().flat_map(|v| ts_mem::split(v.to_bits())));
     }
     words
 }
@@ -39,13 +35,7 @@ fn unpack_blocks(words: &[u32]) -> Vec<(u32, Vec<f64>)> {
     while i < words.len() {
         let dest = words[i];
         let len = words[i + 1] as usize;
-        let mut data = Vec::with_capacity(len);
-        for k in 0..len {
-            let lo = words[i + 2 + 2 * k] as u64;
-            let hi = words[i + 3 + 2 * k] as u64;
-            data.push(f64::from_bits(lo | (hi << 32)));
-        }
-        out.push((dest, data));
+        out.push((dest, unpack(&words[i + 2..i + 2 + 2 * len])));
         i += 2 + 2 * len;
     }
     out

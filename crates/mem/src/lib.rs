@@ -48,6 +48,17 @@ pub const GATHER64_TIME: Dur = Dur::ns(4 * 400);
 /// Cost for a 32-bit element: one read + one write (§II: 0.8 µs).
 pub const GATHER32_TIME: Dur = Dur::ns(2 * 400);
 
+/// The one layout of a 64-bit value over 32-bit words — in memory, in a
+/// vector register and on a link: two words, low word first.
+pub fn split(v: u64) -> [u32; 2] {
+    [v as u32, (v >> 32) as u32]
+}
+
+/// The inverse of [`split`]: the 64-bit value in `w[0]` (low) and `w[1]`.
+pub fn join(w: &[u32]) -> u64 {
+    w[0] as u64 | ((w[1] as u64) << 32)
+}
+
 /// Which bank a row lives in. The vector unit streams one operand from each
 /// bank per cycle; two operands in the same bank halve the stream rate.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -300,15 +311,14 @@ impl NodeMemory {
 
     /// Read a 64-bit value as two consecutive words (low word first).
     pub fn read_u64(&self, addr: usize) -> Result<u64, MemError> {
-        let lo = self.read_word(addr)? as u64;
-        let hi = self.read_word(addr + 1)? as u64;
-        Ok(lo | (hi << 32))
+        Ok(join(&[self.read_word(addr)?, self.read_word(addr + 1)?]))
     }
 
     /// Write a 64-bit value as two consecutive words (low word first).
     pub fn write_u64(&mut self, addr: usize, v: u64) -> Result<(), MemError> {
-        self.write_word(addr, v as u32)?;
-        self.write_word(addr + 1, (v >> 32) as u32)
+        let [lo, hi] = split(v);
+        self.write_word(addr, lo)?;
+        self.write_word(addr + 1, hi)
     }
 
     /// Read an `Sf64` stored at `addr` (two words).

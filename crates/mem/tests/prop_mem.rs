@@ -1,8 +1,28 @@
 //! Property tests for the dual-ported memory: port consistency, parity,
 //! snapshot fidelity. Seeded random cases via [`Rng`] (offline, reproducible).
 
-use ts_mem::{MemCfg, NodeMemory, ROW_WORDS};
+use ts_mem::{join, split, MemCfg, NodeMemory, ROW_WORDS};
 use ts_sim::Rng;
+
+/// The one 64-bit layout memory, registers and links share: `join` undoes
+/// `split`, the low word comes first, and `write_u64` lays a value down as
+/// `split` cuts it.
+#[test]
+fn a_64_bit_value_is_two_words_low_first() {
+    let mut rng = Rng::new(0x3e30_0064);
+    let edges = [0, 1, 1 << 31, 1 << 32, u64::MAX];
+    let seeded: Vec<u64> = (0..64).map(|_| rng.next_u64()).collect();
+    let mut m = NodeMemory::new(MemCfg::small(16));
+    for (n, &v) in edges.iter().chain(&seeded).enumerate() {
+        assert_eq!(join(&split(v)), v, "{v:#x}");
+        assert_eq!(split(v), [v as u32, (v >> 32) as u32], "{v:#x}");
+        let addr = 2 * n + 1;
+        m.write_u64(addr, v).unwrap();
+        assert_eq!(m.read_word(addr).unwrap(), split(v)[0], "{v:#x}");
+        assert_eq!(m.read_word(addr + 1).unwrap(), split(v)[1], "{v:#x}");
+        assert_eq!(m.read_u64(addr).unwrap(), v, "{v:#x}");
+    }
+}
 
 /// Writes through either port are visible through both.
 #[test]

@@ -915,23 +915,23 @@ impl NodeCtx {
     }
 
     /// Local GEMM on message-buffer values: `c += a·b` over the k-range
-    /// `ks` on `n × n` row-major blocks, as the `n·|ks|` chained SAXPY
-    /// forms `C[i,:] += A[i,k]·B[k,:]` issued back to back in `(i, k)`
-    /// order — the same values, meters, spans and completion instant as
-    /// that many calls of [`NodeCtx::issue_saxpy_values`], for one
-    /// classification of the range's operands ([`row::gemm`]). Returns the
-    /// last form's instant.
+    /// `ks` on `n × n` row-major blocks, given `at` = Aᵀ, as the `n·|ks|`
+    /// chained SAXPY forms `C[i,:] += A[i,k]·B[k,:]` issued back to back
+    /// in `(i, k)` order — the same values, meters, spans and completion
+    /// instant as that many calls of [`NodeCtx::issue_saxpy_values`], for
+    /// one classification of the range's operands ([`row::gemm`]). Returns
+    /// the last form's instant.
     #[must_use = "an issued form completes only once its instant is waited for"]
     pub fn issue_gemm_values(
         &self,
         n: usize,
         ks: std::ops::Range<usize>,
-        a: &[Sf64],
+        at: &[Sf64],
         b: &[Sf64],
         c: &mut [Sf64],
     ) -> Time {
         let forms = n * ks.len();
-        row::gemm(n, ks, a, b, c);
+        row::gemm(n, ks, at, b, c);
         let timing = VecUnit::timing(VecForm::Saxpy(Sf64::ZERO), n, 1, Precision::Double);
         let mut done = self.now();
         for _ in 0..forms {
@@ -1252,18 +1252,14 @@ fn pack_f64s(vals: &[Sf64]) -> Vec<u32> {
 /// that relays a message unopened packs it once with this and reads it
 /// once with [`f64s_of`].
 pub fn pack_f64s_into(words: &mut Vec<u32>, vals: &[Sf64]) {
-    for v in vals {
-        let b = v.to_bits();
-        words.push(b as u32);
-        words.push((b >> 32) as u32);
-    }
+    words.extend(vals.iter().flat_map(|v| ts_mem::split(v.to_bits())));
 }
 
 /// The values a wire form carries, in order.
 pub fn f64s_of(words: &[u32]) -> impl Iterator<Item = Sf64> + '_ {
     words
         .chunks_exact(2)
-        .map(|c| Sf64::from_bits(c[0] as u64 | ((c[1] as u64) << 32)))
+        .map(|c| Sf64::from_bits(ts_mem::join(c)))
 }
 
 /// The values `words` carry, in a value-pool buffer; `words` goes back to
@@ -1575,9 +1571,9 @@ mod tests {
 
     #[test]
     fn gemm_block_form_equals_its_saxpys_in_values_meters_and_instants() {
-        /// Run one node's GEMM of `c += a·b`, as block forms over k-ranges
-        /// of `width` (in k-order) or, with no width, as `n²` SAXPY value
-        /// forms; its C, completion instant and vector meters.
+        /// Run one node's GEMM of `c += a·b` (`a` holds Aᵀ), as block forms
+        /// over k-ranges of `width` (in k-order) or, with no width, as `n²`
+        /// SAXPY value forms; its C, completion instant and vector meters.
         fn run(
             n: usize,
             a: &[Sf64],
@@ -1603,7 +1599,7 @@ mod tests {
                         for k in 0..n {
                             let row = &mut c[i * n..(i + 1) * n];
                             done =
-                                ctx.issue_saxpy_values(a[i * n + k], &b[k * n..(k + 1) * n], row);
+                                ctx.issue_saxpy_values(a[k * n + i], &b[k * n..(k + 1) * n], row);
                         }
                     }
                     done

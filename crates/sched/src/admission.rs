@@ -91,7 +91,7 @@ struct Waiter {
 impl Waiter {
     /// Effective priority: the level the job waits in.
     fn level(&self) -> u32 {
-        self.priority + self.boost
+        self.priority.saturating_add(self.boost)
     }
 
     /// Job `id`'s place in the queue.

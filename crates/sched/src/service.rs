@@ -490,4 +490,27 @@ mod tests {
             );
         }
     }
+
+    #[test]
+    fn a_top_priority_job_ages_without_overflow_and_starts_first() {
+        // A p=0 job holds the whole 1-cube for 2 ms; a p=u32::MAX job and
+        // then a p=0 job queue behind it, and both age once (1 ms period)
+        // before it ends. The urgent job's level saturates instead of
+        // overflowing (a panic in debug, a wrap to the bottom in release).
+        let trace = Trace::parse(
+            "class first\nclass urgent\nclass last\n\
+             0ps job d=1 p=0 c=first k=synthetic s=2000000000ps dl=-\n\
+             10000000ps job d=1 p=4294967295 c=urgent k=synthetic s=1000000000ps dl=-\n\
+             20000000ps job d=1 p=0 c=last k=synthetic s=1000000000ps dl=-\n",
+        )
+        .unwrap();
+        let rep = ServiceScheduler::new(ServiceCfg::new(1)).run(&trace);
+        let wait = |class: usize| rep.classes[class].2;
+        assert!(
+            wait(1) < wait(2),
+            "the urgent job waited {:?}, the last {:?}",
+            wait(1),
+            wait(2)
+        );
+    }
 }

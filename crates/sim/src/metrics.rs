@@ -213,18 +213,7 @@ impl Histogram {
     /// (`q` in `[0, 1]`); 0 if the histogram is empty.
     pub fn quantile_bound(&self, q: f64) -> u64 {
         let h = self.0.borrow();
-        if h.total == 0 {
-            return 0;
-        }
-        let rank = ((h.total as f64 * q).ceil() as u64).clamp(1, h.total);
-        let mut seen = 0;
-        for (b, &c) in h.counts.iter().enumerate() {
-            seen += c;
-            if seen >= rank {
-                return Self::bucket_range(b).1;
-            }
-        }
-        u64::MAX
+        rank_bucket(&h.counts, h.total, q).map_or(0, |(b, _)| Self::bucket_range(b).1)
     }
 
     /// Point estimate of the `q`-quantile (`q` in `[0, 1]`): the bucket
@@ -235,22 +224,30 @@ impl Histogram {
     /// range is a single value. Returns 0 for an empty histogram.
     pub fn quantile(&self, q: f64) -> u64 {
         let h = self.0.borrow();
-        if h.total == 0 {
-            return 0;
-        }
-        let rank = ((h.total as f64 * q).ceil() as u64).clamp(1, h.total);
-        let mut seen = 0u64;
-        for (b, &c) in h.counts.iter().enumerate() {
-            if seen + c >= rank {
-                let (lo, hi) = Self::bucket_range(b);
-                // Position of the rank within this bucket, in (0, 1].
-                let frac = (rank - seen) as f64 / c as f64;
-                return lo + ((hi - lo) as f64 * frac).round() as u64;
-            }
-            seen += c;
-        }
-        u64::MAX
+        rank_bucket(&h.counts, h.total, q).map_or(0, |(b, rank)| {
+            let (lo, hi) = Self::bucket_range(b);
+            // Position of the rank within this bucket, in (0, 1].
+            let frac = rank as f64 / h.counts[b] as f64;
+            lo + ((hi - lo) as f64 * frac).round() as u64
+        })
     }
+}
+
+/// The bucket of `counts` (`total` samples) holding the rank-`⌈q·total⌉`
+/// sample (rank at least 1), and that sample's rank within the bucket;
+/// `None` if there are no samples. Every quantile read walks through here.
+pub fn rank_bucket(counts: &[u64], total: u64, q: f64) -> Option<(usize, u64)> {
+    if total == 0 {
+        return None;
+    }
+    let mut rank = ((total as f64 * q).ceil() as u64).clamp(1, total);
+    for (b, &c) in counts.iter().enumerate() {
+        if rank <= c {
+            return Some((b, rank));
+        }
+        rank -= c;
+    }
+    None
 }
 
 // ---------------------------------------------------------------------------

@@ -50,20 +50,9 @@ impl Resource {
     /// Returns `(start, end)` of the granted slot. The caller is responsible
     /// for sleeping until `end` (or use [`Resource::use_for`]).
     pub fn reserve(&self, now: Time, dur: Dur) -> (Time, Time) {
-        let mut st = self.state.borrow_mut();
-        debug_assert!(
-            now + Dur::ZERO >= Time::ZERO,
-            "reservations must be in nondecreasing time order"
-        );
-        let start = st.busy_until.max(now);
-        let end = start + dur;
-        st.busy_until = end;
-        st.busy_total += dur;
-        st.uses += 1;
-        if let Some((tracer, track)) = &st.tracer {
-            tracer.record_span(*track, start, end);
-        }
-        (start, end)
+        let start = self.busy_until().max(now);
+        self.apply_grant(start, start + dur, dur);
+        (start, start + dur)
     }
 
     /// Attach a tracer: every granted slot from now on is recorded as a
@@ -111,11 +100,12 @@ impl Resource {
         Rc::ptr_eq(&self.state, &other.state)
     }
 
-    /// Book an externally computed grant onto this resource: exactly one
-    /// side of [`Resource::reserve_pair`]'s accounting. The parallel backend
-    /// uses this when the two engines of a transfer live on different
-    /// shards — each side computes the joint `(start, end)` from exchanged
-    /// watermarks and applies its half locally.
+    /// Book a grant onto this resource — the one booking behind
+    /// [`Resource::reserve`] and each side of [`Resource::reserve_pair`].
+    /// The parallel backend also calls it when the two engines of a
+    /// transfer live on different shards: each side computes the joint
+    /// `(start, end)` from exchanged watermarks and applies its half
+    /// locally.
     pub fn apply_grant(&self, start: Time, end: Time, dur: Dur) {
         let mut st = self.state.borrow_mut();
         debug_assert!(start >= st.busy_until, "grant overlaps an earlier slot");
@@ -136,15 +126,8 @@ impl Resource {
         }
         let start = now.max(a.busy_until()).max(b.busy_until());
         let end = start + dur;
-        for r in [a, b] {
-            let mut st = r.state.borrow_mut();
-            st.busy_until = end;
-            st.busy_total += dur;
-            st.uses += 1;
-            if let Some((tracer, track)) = &st.tracer {
-                tracer.record_span(*track, start, end);
-            }
-        }
+        a.apply_grant(start, end, dur);
+        b.apply_grant(start, end, dur);
         (start, end)
     }
 }
@@ -200,5 +183,17 @@ mod tests {
         // Second request at the same instant queues behind the first.
         let (s2, _) = res.reserve(t0, Dur::ns(50));
         assert_eq!(s2, e1);
+    }
+
+    /// `apply_grant`'s overlap check is the one check behind `reserve`,
+    /// `reserve_pair` and the parallel backend's split grants.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "grant overlaps an earlier slot")]
+    fn a_grant_inside_an_earlier_slot_panics() {
+        let res = Resource::new("port");
+        let t0 = Time::ZERO + Dur::ns(100);
+        let (_, end) = res.reserve(t0, Dur::ns(50));
+        res.apply_grant(end - Dur::ns(1), end + Dur::ns(9), Dur::ns(10));
     }
 }

@@ -70,13 +70,12 @@ impl VectorReg {
 
     /// Element as 64-bit bits (two words, low first).
     pub fn get64(&self, i: usize) -> u64 {
-        self.words[2 * i] as u64 | ((self.words[2 * i + 1] as u64) << 32)
+        ts_mem::join(&self.words[2 * i..])
     }
 
     /// Set a 64-bit element.
     pub fn set64(&mut self, i: usize, bits: u64) {
-        self.words[2 * i] = bits as u32;
-        self.words[2 * i + 1] = (bits >> 32) as u32;
+        self.words[2 * i..2 * i + 2].copy_from_slice(&ts_mem::split(bits));
     }
 
     /// Element as 32-bit bits.
@@ -399,15 +398,13 @@ impl Elem for B64 {
     #[inline]
     fn read(reg: &VectorReg, out: &mut [Sf64]) {
         for (o, w) in out.iter_mut().zip(reg.words.chunks_exact(2)) {
-            *o = Sf64::from_bits(w[0] as u64 | ((w[1] as u64) << 32));
+            *o = Sf64::from_bits(ts_mem::join(w));
         }
     }
     #[inline]
     fn write(reg: &mut VectorReg, vals: &[Sf64]) {
         for (w, v) in reg.words.chunks_exact_mut(2).zip(vals) {
-            let bits = v.to_bits();
-            w[0] = bits as u32;
-            w[1] = (bits >> 32) as u32;
+            w.copy_from_slice(&ts_mem::split(v.to_bits()));
         }
     }
     #[inline]

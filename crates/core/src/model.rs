@@ -65,6 +65,22 @@ impl NetModel {
         self.p2p(3) * n as u64
     }
 
+    /// One step of LU's communication on a `2^dr × 2^dc` process grid, from
+    /// the pivot candidates on: the max-loc vote down the pivot's process
+    /// column, its row index along each process row, then at once, on
+    /// disjoint links, the `rows` multipliers along the process rows and
+    /// the pivot row's `cols` trailing values down the process columns
+    /// (64-bit values, two words each; nothing to send moves nothing) —
+    /// `max_loc(dr) + broadcast(dc, 1) + max(broadcast_striped(dc, 2·rows),
+    /// broadcast_striped(dr, 2·cols))`.
+    pub fn lu_step(&self, dr: u32, dc: u32, rows: usize, cols: usize) -> Dur {
+        let stripe = |n, m| match m {
+            0 => Dur::ZERO,
+            _ => self.broadcast_striped(n, m),
+        };
+        self.max_loc(dr) + self.broadcast(dc, 1) + stripe(dc, 2 * rows).max(stripe(dr, 2 * cols))
+    }
+
     /// Pipelined broadcast down the n edge-disjoint spanning binomial trees
     /// ([`collectives::broadcast_striped`](crate::collectives::broadcast_striped)):
     /// stripe t of the `m` words (⌈m/n⌉ at most) streams down tree t in `P`
@@ -339,6 +355,25 @@ mod tests {
         assert!(
             within(measured, predicted, 0.10),
             "routed 3 hops: measured {measured}, model {predicted}"
+        );
+    }
+
+    #[test]
+    fn lu_step_is_built_from_the_vote_and_the_broadcasts() {
+        // The kernels crate's LU tests check it against a one-step probe;
+        // here the closed form itself: 16 nodes, 32 rows and columns a node.
+        let net = NetModel::default();
+        let stripe = net.broadcast_striped(2, 64);
+        assert_eq!(
+            net.lu_step(2, 2, 32, 32),
+            Dur::us(2 * 29) + Dur::us(2 * 13) + stripe
+        );
+        assert_eq!(net.lu_step(2, 2, 32, 0), net.lu_step(2, 2, 32, 32));
+        assert_eq!(net.lu_step(2, 2, 0, 0), Dur::us(2 * 29 + 2 * 13));
+        assert_eq!(
+            net.lu_step(0, 0, 5, 5),
+            Dur::ZERO,
+            "one node talks to no one"
         );
     }
 

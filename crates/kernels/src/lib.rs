@@ -12,12 +12,13 @@
 //! * [`fft`] — radix-2 complex FFT using the dilation-1 butterfly
 //!   embedding: high stages exchange across cube dimensions — pipelined,
 //!   one stage process and one link per dimension — low stages are local;
-//! * [`lu`] — LU factorization with partial pivoting on row-cyclic
-//!   distributed matrices, using the **real node memory**: gather for
-//!   column access, the `AbsMax` vector form for pivot search, an implicit
-//!   permutation instead of a swap (no row moves), a striped broadcast of
-//!   the pivot row's trailing columns, software division (no divider!),
-//!   and `Saxpy` vector forms for elimination;
+//! * [`lu`] — LU factorization with partial pivoting on a 2-D grid of
+//!   process rows and columns, using the **real node memory**: gather for
+//!   column access, the `AbsMax` vector form and a vote down one process
+//!   column for pivot search, an implicit permutation instead of a swap (no
+//!   row moves), the multipliers and the pivot row's trailing columns
+//!   striped along the rows and down the columns at once, software
+//!   division (no divider!), and `Saxpy` vector forms for elimination;
 //! * [`sort`] — bitonic sort across the cube (the paper's "sorting
 //!   records" use of fast data movement);
 //! * [`stencil`] — Jacobi relaxation on the embedded 2-D mesh with halo

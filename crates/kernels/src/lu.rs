@@ -1,31 +1,35 @@
 //! Distributed LU factorization with partial pivoting — the kernel that
 //! exercises every §II mechanism at once, against **real node memory**:
 //!
-//! * matrix rows live in memory rows (one 128-element row each, bank B);
+//! * the matrix lies cyclically on a 2-D **process grid** of subcubes
+//!   (`Grid`): a node holds its process row's rows and its process
+//!   column's columns, one local row per memory row (bank B);
 //! * column access is strided, so the pivot-search column is **gathered**
 //!   by the control processor at 1.6 µs/element (the paper's number);
 //! * the local pivot candidate comes from the `AbsMax` **vector form**;
-//! * the global pivot is agreed by a **max-loc vote**, a dimension exchange
-//!   of 3 words per link (the candidate's |v| and its row);
-//! * the trailing columns of the pivot row are **broadcast** down the n
-//!   edge-disjoint spanning binomial trees, one stripe per tree, each
-//!   stripe streamed in pieces (`collectives::broadcast_striped`);
-//! * the division by the pivot has no divider to use, so it runs the
-//!   Newton–Raphson **software reciprocal** (`ts_fpu::softdiv`);
+//! * the global pivot is agreed by a **max-loc vote** down the one process
+//!   column that holds the pivot column, a dimension exchange of 3 words
+//!   per link (the candidate's signed value and its row);
+//! * the division by the pivot has no divider to use, so that column runs
+//!   the Newton–Raphson **software reciprocal** (`ts_fpu::softdiv`) and
+//!   forms the multipliers at once;
+//! * the multipliers stream along the process rows while the pivot row's
+//!   trailing columns stream down the process columns: two **striped
+//!   broadcasts** (`collectives::broadcast_striped`) on disjoint links;
 //! * elimination is one **SAXPY vector form per row**
 //!   (`A[i,:] −= f · pivot_row`), streaming bank A (scratch) against
 //!   bank B (matrix) at the full dual-bank rate, issued by the control
 //!   processor, which stores the multipliers while the forms run.
 //!
-//! Rows are distributed cyclically (global row g on node g mod p) and
-//! pivoting is implicit (a shared permutation): no row ever moves, within
+//! Pivoting is implicit (a shared permutation): no row ever moves, within
 //! a node or between nodes. (Experiment E15 measures what an explicit swap
 //! would cost, row moves against element-wise.)
 
+use t_series_core::collectives::{allgather, broadcast, broadcast_striped};
 use ts_cube::Hypercube;
 use ts_fpu::{softdiv, Sf64};
 use ts_mem::{join, split, ROW_WORDS};
-use ts_node::{f64s_of, NodeCtx};
+use ts_node::{f64s_of, occam, NodeCtx};
 use ts_vec::VecForm;
 
 use crate::{rand_f64, run_spmd, KernelStats};
@@ -52,148 +56,223 @@ impl LuLayout {
     }
 }
 
-/// The per-node LU program. `n` is the (global) matrix order; rows are
-/// stored one per memory row, so `n ≤ 128`. Returns the permutation
-/// `perm[k] = global row chosen as pivot k` (identical on every node).
-pub async fn lu_node(ctx: NodeCtx, cube: Hypercube, n: usize) -> Vec<usize> {
-    let p = cube.nodes() as usize;
-    let me = ctx.id() as usize;
-    let layout = LuLayout::new(ctx.mem().cfg().rows_a());
-    let local_rows = n.div_ceil(p);
-    let mut perm = Vec::with_capacity(n);
-    // Which of my local rows are still unpivoted, by global index.
-    let mut free: Vec<usize> = (0..local_rows)
-        .map(|l| l * p + me)
-        .filter(|&g| g < n)
-        .collect();
+/// LU's process grid on an n-cube, cyclic with block size 1: `pr =
+/// 2^⌊n/2⌋` process rows by `pc = 2^⌈n/2⌉` process columns. Node `r·pc + c`
+/// holds the rows `g ≡ r (mod pr)` and the columns `j ≡ c (mod pc)`, so the
+/// low `dc` dimensions run along a process row and the other `dr` down a
+/// process column.
+#[derive(Clone, Copy)]
+struct Grid {
+    dr: u32,
+    dc: u32,
+    pr: usize,
+    pc: usize,
+}
 
-    for k in 0..n {
-        // --- local pivot candidate: gather column k of my free rows, then
-        // AbsMax over the gathered vector ----------------------------------
-        let candidate = if free.is_empty() {
-            (0.0f64, NO_ROW)
-        } else {
-            let srcs: Vec<usize> = free
-                .iter()
-                .map(|&g| {
-                    let l = g / p;
-                    (layout.matrix_base + l) * ROW_WORDS + 2 * k
-                })
-                .collect();
-            ctx.gather64(&srcs, layout.column_row * ROW_WORDS)
-                .await
-                .unwrap();
-            let r = ctx
-                .vec(
-                    VecForm::AbsMax,
-                    layout.column_row,
-                    layout.column_row,
-                    0,
-                    free.len(),
-                )
-                .await
-                .unwrap();
-            let idx = r.index.unwrap();
-            (f64::from_bits(r.scalar.unwrap()), free[idx] as u32)
+impl Grid {
+    fn new(cube: Hypercube) -> Grid {
+        let (dr, dc) = (cube.dim() / 2, cube.dim().div_ceil(2));
+        let (pr, pc) = (1 << dr, 1 << dc);
+        Grid { dr, dc, pr, pc }
+    }
+
+    /// The node holding element `(g, j)`.
+    fn node(self, g: usize, j: usize) -> usize {
+        g % self.pr * self.pc + j % self.pc
+    }
+
+    /// The word of element `(g, j)` in its node's memory: local column
+    /// `j / pc` of local row `g / pr`, which is memory row `matrix_base + g / pr`.
+    fn word(self, layout: &LuLayout, g: usize, j: usize) -> usize {
+        (layout.matrix_base + g / self.pr) * ROW_WORDS + 2 * (j / self.pc)
+    }
+}
+
+/// One node's LU program: its place on the grid and in memory.
+struct LuNode {
+    ctx: NodeCtx,
+    grid: Grid,
+    layout: LuLayout,
+    /// Process row and column.
+    r: usize,
+    c: usize,
+    /// The process row (virtual id c) and the process column (virtual id
+    /// r), each as a subcube view and its cube.
+    along: (NodeCtx, Hypercube),
+    down: (NodeCtx, Hypercube),
+    /// Local columns: the length of every SAXPY.
+    cols: usize,
+}
+
+impl LuNode {
+    fn new(ctx: NodeCtx, cube: Hypercube, n: usize) -> LuNode {
+        let grid = Grid::new(cube);
+        let (id, dc) = (ctx.id() as usize, grid.dc as usize);
+        let (r, c) = (id >> dc, id & (grid.pc - 1));
+        let along = ctx.subcube_view(c as u32, (0..dc).collect());
+        let down = ctx.subcube_view(r as u32, (dc..cube.dim() as usize).collect());
+        let layout = LuLayout::new(ctx.mem().cfg().rows_a());
+        LuNode {
+            layout,
+            cols: (c..n).step_by(grid.pc).len(),
+            along: (along, Hypercube::new(grid.dc)),
+            down: (down, Hypercube::new(grid.dr)),
+            ctx,
+            grid,
+            r,
+            c,
+        }
+    }
+
+    /// Step `k`'s pivot candidate `(v, row)` on the process column holding
+    /// column k: gather column k of the free rows, then `AbsMax` over the
+    /// gathered vector. `None` on every other process column.
+    async fn candidate(&self, k: usize, free: &[usize]) -> Option<(f64, u32)> {
+        if k % self.grid.pc != self.c || free.is_empty() {
+            return (k % self.grid.pc == self.c).then_some((0.0, NO_ROW));
+        }
+        let (ctx, col) = (&self.ctx, self.layout.column_row);
+        let word = |&g: &usize| self.grid.word(&self.layout, g, k);
+        let srcs: Vec<usize> = free.iter().map(word).collect();
+        ctx.gather64(&srcs, col * ROW_WORDS).await.unwrap();
+        let max = ctx.vec(VecForm::AbsMax, col, col, 0, free.len()).await;
+        let idx = max.unwrap().index.unwrap();
+        // The signed value: the multipliers need not wait for the pivot row.
+        let v = ctx.mem().read_u64(col * ROW_WORDS + 2 * idx).unwrap();
+        Some((f64::from_bits(v), free[idx] as u32))
+    }
+
+    /// Step `k`'s communication from the candidates on: the vote down the
+    /// pivot column, the pivot's row along the process rows, then the free
+    /// rows' multipliers along them ‖ the pivot row's trailing columns down
+    /// the process columns. Retires the pivot from `free` and returns all three.
+    async fn trade(
+        &self,
+        k: usize,
+        candidate: Option<(f64, u32)>,
+        free: &mut Vec<usize>,
+    ) -> (usize, Vec<u32>, Vec<u32>) {
+        let (ctx, grid, cc) = (&self.ctx, self.grid, k % self.grid.pc);
+        let pivot = match candidate {
+            Some(mine) => Some(pivot_vote(&self.down.0, self.down.1, mine).await),
+            None => None,
         };
-
-        // --- agree on the global pivot (max-loc by dimension exchange) ----
-        let best_row = pivot_vote(&ctx, cube, candidate).await.1 as usize;
-        perm.push(best_row);
-        let owner = (best_row % p) as u32;
-
-        // --- broadcast the pivot row -------------------------------------
-        // Only columns k.. travel: the elimination masks the rest to zero.
-        let pivot_words: Option<Vec<u32>> = if me == owner as usize {
-            let l = best_row / p;
-            let mem = ctx.mem();
-            let base = (layout.matrix_base + l) * ROW_WORDS;
-            Some(
-                (2 * k..2 * n)
-                    .map(|i| mem.read_word(base + i).unwrap())
-                    .collect(),
-            )
-        } else {
-            None
-        };
-        let pivot = t_series_core::collectives::broadcast_striped(
-            &ctx,
-            cube,
-            owner,
-            2 * (n - k),
-            pivot_words,
-        )
-        .await;
-        // pivot_f[j − k] is column j of the pivot row.
-        let pivot_f: Vec<Sf64> = f64s_of(&pivot).collect();
-        // Software reciprocal of the pivot element (no divider!).
-        let pivot_recip = softdiv::recip(pivot_f[0]);
-        ctx.charge_vec_flops(softdiv::RECIP_FLOPS).await;
-
-        // Owner retires the pivot row from its free set.
-        if me == owner as usize {
+        let index = pivot.map(|(_, row)| vec![row]);
+        let best_row = broadcast(&self.along.0, self.along.1, cc as u32, index).await[0] as usize;
+        let root_row = best_row % grid.pr;
+        if self.r == root_row {
             free.retain(|&g| g != best_row);
         }
-        if free.is_empty() {
-            continue;
+        let multipliers = pivot.map(|(v, _)| {
+            let recip = softdiv::recip(Sf64::from_bits(v.to_bits()));
+            let mem = ctx.mem();
+            let f = |&g: &usize| mem.read_f64(grid.word(&self.layout, g, k)).unwrap() * recip;
+            free.iter().flat_map(|g| split(f(g).to_bits())).collect()
+        });
+        if pivot.is_some() {
+            let flops = softdiv::RECIP_FLOPS + free.len() as u64;
+            ctx.charge_vec_flops(flops).await;
         }
+        // Columns j > k: local columns `first..cols`.
+        let first = (k + grid.pc - self.c) / grid.pc;
+        let trailing = (self.r == root_row).then(|| {
+            let (mem, base) = (ctx.mem(), grid.word(&self.layout, best_row, 0));
+            let words = base + 2 * first..base + 2 * self.cols;
+            words.map(|a| mem.read_word(a).unwrap()).collect()
+        });
+        let (rows, cols) = (2 * free.len(), 2 * (self.cols - first));
+        let l = stripe(self.along.clone(), cc, rows, multipliers);
+        let u = stripe(self.down.clone(), root_row, cols, trailing);
+        let (l, u) = occam::par2(ctx.handle(), l, u).await;
+        (best_row, l, u)
+    }
 
-        // --- write the masked pivot row into bank-A scratch ---------------
-        // Columns ≤ k are zeroed so a full-row SAXPY leaves the already-
-        // factored part (and the stored multipliers) untouched.
-        {
-            let mut mem = ctx.mem_mut();
-            let base = layout.pivot_row * ROW_WORDS;
-            for j in 0..n {
-                let v = if j > k { pivot_f[j - k] } else { Sf64::ZERO };
-                mem.write_f64(base + 2 * j, v).unwrap();
-            }
+    /// Step `k`'s elimination with multipliers `l` and the pivot row's
+    /// trailing columns `u`: one SAXPY per free row over the whole local row,
+    /// the pivot row masked to zero in columns ≤ k. A shorter form would zero
+    /// the rest of its row (`VecUnit::exec64`), factors and all.
+    async fn eliminate(&self, k: usize, free: &[usize], l: &[u32], u: &[u32]) {
+        let (ctx, grid, layout) = (&self.ctx, self.grid, &self.layout);
+        if free.is_empty() || self.cols == 0 {
+            return;
+        }
+        let zeros = std::iter::repeat_n(Sf64::ZERO, self.cols - u.len() / 2);
+        for (m, v) in zeros.chain(f64s_of(u)).enumerate() {
+            let word = layout.pivot_row * ROW_WORDS + 2 * m;
+            ctx.mem_mut().write_f64(word, v).unwrap();
         }
         // Masking is a control-processor pass over the row.
-        ctx.cp_compute(n as u64).await;
+        ctx.cp_compute(self.cols as u64).await;
 
-        // --- eliminate every free local row -------------------------------
-        // Per row the control processor issues the multiplier's flop and the
-        // SAXPY, stores the multiplier and carries on while the vector unit
-        // runs them ("the complete arithmetic unit operates in parallel with
-        // the node control processor"): the next row's forms queue behind
-        // this row's, and the step waits once, for the last SAXPY.
+        // Per row the control processor issues the SAXPY, stores the
+        // multiplier (on the pivot column) and carries on while the vector
+        // unit runs it ("the complete arithmetic unit operates in parallel
+        // with the node control processor"): the next row's form queues
+        // behind this row's, and the step waits once, for the last SAXPY.
         let mut done = ctx.now();
-        for &g in &free {
-            let row = layout.matrix_base + g / p;
-            let aik = ctx.mem().read_f64(row * ROW_WORDS + 2 * k).unwrap();
-            // Multiplier f = a[i][k] · (1 / pivot).
-            let f = aik * pivot_recip;
-            let _ = ctx.issue_vec_flops(1);
+        for (&g, f) in free.iter().zip(f64s_of(l)) {
+            let row = layout.matrix_base + g / grid.pr;
             // A[i, k+1..] −= f · pivot_row  (full-row chained SAXPY).
             (_, done) = ctx
-                .issue_vec(VecForm::Saxpy(-f), layout.pivot_row, row, row, n)
+                .issue_vec(VecForm::Saxpy(-f), layout.pivot_row, row, row, self.cols)
                 .unwrap();
             // Store the multiplier where the zero just appeared (L factor).
-            ctx.mem_mut().write_f64(row * ROW_WORDS + 2 * k, f).unwrap();
+            if k % grid.pc == self.c {
+                ctx.mem_mut().write_f64(grid.word(layout, g, k), f).unwrap();
+            }
             ctx.cp_compute(4).await;
         }
         ctx.wait(done).await;
     }
+}
+
+/// One of a step's two striped broadcasts, on a process row or column:
+/// nothing moves when there is nothing to send.
+async fn stripe(
+    (ctx, cube): (NodeCtx, Hypercube),
+    root: usize,
+    len: usize,
+    data: Option<Vec<u32>>,
+) -> Vec<u32> {
+    match len {
+        0 => Vec::new(),
+        _ => broadcast_striped(&ctx, cube, root as u32, len, data).await,
+    }
+}
+
+/// The per-node LU program. `n` is the (global) matrix order; a node's
+/// columns fit one memory row. Returns the permutation
+/// `perm[k] = global row chosen as pivot k` (identical on every node).
+pub async fn lu_node(ctx: NodeCtx, cube: Hypercube, n: usize) -> Vec<usize> {
+    let node = LuNode::new(ctx, cube, n);
+    let mut free: Vec<usize> = (node.r..n).step_by(node.grid.pr).collect();
+    let mut perm = Vec::with_capacity(n);
+    for k in 0..n {
+        let candidate = node.candidate(k, &free).await;
+        let (pivot, l, u) = node.trade(k, candidate, &mut free).await;
+        perm.push(pivot);
+        node.eliminate(k, &free, &l, &u).await;
+    }
     perm
 }
 
-/// The row a node with no free rows offers to the pivot vote, with |v| = 0.
+/// The row a node with no free rows offers to the pivot vote, with v = 0.
 const NO_ROW: u32 = u32::MAX;
 
 /// Does pivot candidate `a` beat `b`? The larger |v| wins, then the lower
-/// row — the order a one-node `AbsMax` scan decides by. |v| is never
-/// negative or NaN and rows are distinct, so this is a total order on one
-/// step's candidates (both ends of an exchange keep the same one), and the
+/// row — the order a one-node `AbsMax` scan decides by. |v| is never NaN
+/// and rows are distinct, so this is a total order on one step's
+/// candidates (both ends of an exchange keep the same one), and the
 /// no-candidate offer `(0, NO_ROW)` comes last in it.
 fn beats((v, row): (f64, u32), (best_v, best_row): (f64, u32)) -> bool {
+    let (v, best_v) = (v.abs(), best_v.abs());
     v > best_v || (v == best_v && row < best_row)
 }
 
 /// Agree on the global pivot: a dimension-exchange max-loc of this node's
-/// candidate `(|v|, row)`, 3 words per dimension (the value's two halves
+/// candidate `(v, row)`, 3 words per dimension (the value's two halves
 /// and the row), `n·(o + 3w)` on an n-cube ([`NetModel::max_loc`]). Every
-/// node returns the winner under [`beats`].
+/// node returns the winner under [`beats`], with its sign.
 ///
 /// [`NetModel::max_loc`]: t_series_core::model::NetModel::max_loc
 async fn pivot_vote(ctx: &NodeCtx, cube: Hypercube, mut best: (f64, u32)) -> (f64, u32) {
@@ -214,6 +293,9 @@ async fn pivot_vote(ctx: &NodeCtx, cube: Hypercube, mut best: (f64, u32)) -> (f6
 /// the full solution vector (replicated, like the paper's homogeneous
 /// programs would keep it).
 ///
+/// First each process row all-gathers its columns along itself, so every
+/// node holds its process row's rows whole, in column order. Row g is then
+/// solved on one node of its process row, the `(g / pr) mod pc`-th.
 /// Each step has a true sequential dependency — y\[k\] needs y\[0..k\] — so
 /// the solve is latency-bound: one small broadcast per row, the classic
 /// reason triangular solves scale poorly on message-passing machines.
@@ -224,31 +306,39 @@ pub async fn solve_node(
     perm: Vec<usize>,
     b: Vec<f64>,
 ) -> Vec<f64> {
-    let p = cube.nodes() as usize;
+    let node = LuNode::new(ctx, cube, n);
+    let (ctx, grid) = (&node.ctx, node.grid);
+    let (pr, pc) = (grid.pr, grid.pc);
+    let mut mine = Vec::new();
+    for g in (node.r..n).step_by(pr) {
+        let mut row = [0; ROW_WORDS];
+        let at = node.layout.matrix_base + g / pr;
+        ctx.mem().read_row(at, &mut row).unwrap();
+        mine.extend_from_slice(&row[..2 * node.cols]);
+    }
+    let parts = allgather(&node.along.0, node.along.1, mine).await;
+    // rows[g / pr][j] is element (g, j): local column j / pc of node j mod pc.
+    let rows: Vec<Vec<Sf64>> = (0..(node.r..n).step_by(pr).len())
+        .map(|l| {
+            let at = |j: usize| 2 * (l * (j % pc..n).step_by(pc).len() + j / pc);
+            let value = |j: usize| Sf64::from_bits(join(&parts[j % pc].1[at(j)..]));
+            (0..n).map(value).collect()
+        })
+        .collect();
+    let owner = |g: usize| g % pr * pc + g / pr % pc;
     let me = ctx.id() as usize;
-    let layout = LuLayout::new(ctx.mem().cfg().rows_a());
-    let read_row_vals = |g: usize, lo: usize, hi: usize| -> Vec<Sf64> {
-        let l = g / p;
-        let base = (layout.matrix_base + l) * ROW_WORDS;
-        let mem = ctx.mem();
-        (lo..hi)
-            .map(|j| mem.read_f64(base + 2 * j).unwrap())
-            .collect()
-    };
 
     // Forward substitution: y[k] = (Pb)[k] − L[k, 0..k] · y[0..k].
     let mut y: Vec<Sf64> = Vec::with_capacity(n);
     for (k, &g) in perm.iter().enumerate() {
-        let owner = (g % p) as u32;
-        let val = if me == owner as usize {
-            let lrow = read_row_vals(g, 0, k);
-            let dot = ctx.dot_values(&lrow, &y[..k]).await;
+        let val = if me == owner(g) {
+            let dot = ctx.dot_values(&rows[g / pr][..k], &y[..k]).await;
             let v = Sf64::from(b[g]) - dot;
             Some(split(v.to_bits()).to_vec())
         } else {
             None
         };
-        let words = t_series_core::collectives::broadcast(&ctx, cube, owner, val).await;
+        let words = broadcast(ctx, cube, owner(g) as u32, val).await;
         y.push(Sf64::from_bits(join(&words)));
     }
 
@@ -256,9 +346,8 @@ pub async fn solve_node(
     let mut x = vec![Sf64::ZERO; n];
     for k in (0..n).rev() {
         let g = perm[k];
-        let owner = (g % p) as u32;
-        let val = if me == owner as usize {
-            let urow = read_row_vals(g, k, n);
+        let val = if me == owner(g) {
+            let urow = &rows[g / pr][k..];
             let dot = ctx.dot_values(&urow[1..], &x[k + 1..]).await;
             let recip = softdiv::recip(urow[0]);
             ctx.charge_vec_flops(softdiv::RECIP_FLOPS + 2).await;
@@ -267,7 +356,7 @@ pub async fn solve_node(
         } else {
             None
         };
-        let words = t_series_core::collectives::broadcast(&ctx, cube, owner, val).await;
+        let words = broadcast(ctx, cube, owner(g) as u32, val).await;
         x[k] = Sf64::from_bits(join(&words));
     }
     x.into_iter().map(|v| v.to_host()).collect()
@@ -326,18 +415,19 @@ fn factor(
     a: &[f64],
 ) -> (Vec<usize>, Vec<f64>, KernelStats) {
     let cube = machine.cube;
-    let p = cube.nodes() as usize;
-    assert!(n <= 128, "one matrix row per 128-element memory row");
+    let grid = Grid::new(cube);
+    // A gathered column may span memory rows; a local row may not.
+    let fits = n.div_ceil(grid.pc) <= ROW_WORDS / 2;
+    assert!(fits, "a node's columns fit one memory row");
+    let layout = LuLayout::new(machine.nodes[0].mem().cfg().rows_a());
+    let at = |g: usize, j: usize| (grid.node(g, j), grid.word(&layout, g, j));
 
-    // Load rows into node memories (cyclic by global row).
     for g in 0..n {
-        let node = &machine.nodes[g % p];
-        let layout = LuLayout::new(node.mem().cfg().rows_a());
-        let l = g / p;
-        let mut mem = node.mem_mut();
-        let base = (layout.matrix_base + l) * ROW_WORDS;
         for j in 0..n {
-            mem.write_f64(base + 2 * j, Sf64::from(a[g * n + j]))
+            let (node, word) = at(g, j);
+            machine.nodes[node]
+                .mem_mut()
+                .write_f64(word, Sf64::from(a[g * n + j]))
                 .unwrap();
         }
     }
@@ -349,13 +439,9 @@ fn factor(
     // Collect the factored rows back out (still in original row slots).
     let mut lu = vec![0.0f64; n * n];
     for g in 0..n {
-        let node = &machine.nodes[g % p];
-        let layout = LuLayout::new(node.mem().cfg().rows_a());
-        let l = g / p;
-        let mem = node.mem();
-        let base = (layout.matrix_base + l) * ROW_WORDS;
         for j in 0..n {
-            lu[g * n + j] = mem.read_f64(base + 2 * j).unwrap().to_host();
+            let (node, word) = at(g, j);
+            lu[g * n + j] = machine.nodes[node].mem().read_f64(word).unwrap().to_host();
         }
     }
     (perms.swap_remove(0), lu, stats)
@@ -411,7 +497,7 @@ mod tests {
     use super::*;
     use t_series_core::model::NetModel;
     use t_series_core::{Machine, MachineCfg};
-    use ts_sim::Time;
+    use ts_sim::{Dur, Time};
 
     fn check(dim: u32, n: usize) -> KernelStats {
         let mut m = Machine::build(MachineCfg::cube(dim));
@@ -502,14 +588,16 @@ mod tests {
 
     #[test]
     fn placement_on_any_cube_is_one_node_bit_for_bit() {
-        // Rows sit on node g mod p and the pivot is agreed by vote; every
-        // pivot choice and every SAXPY is the one-node run's, so the
-        // permutation and every bit of the factors are too.
+        // Element (g, j) sits on grid node (g mod pr, j mod pc), square and
+        // rectangular grids alike, and the pivot is agreed by vote down one
+        // process column; every pivot choice and every SAXPY is the one-node
+        // run's, so the permutation and every bit of the factors are too.
+        // n = 30 is ragged on every grid from 4 process columns up.
         let run = |dim: u32, n: usize, a: &[f64]| {
             let (perm, lu, _) = factor(&mut Machine::build(MachineCfg::cube(dim)), n, a);
             (perm, lu.iter().map(|v| v.to_bits()).collect::<Vec<_>>())
         };
-        let mut cases: Vec<(usize, Vec<f64>)> = [16usize, 32, 64]
+        let mut cases: Vec<(usize, Vec<f64>)> = [16usize, 30, 32, 64]
             .into_iter()
             .map(|n| {
                 let mut st = n as u64;
@@ -519,7 +607,7 @@ mod tests {
         cases.push((16, tied(16)));
         for (n, a) in &cases {
             let one = run(0, *n, a);
-            for dim in [2u32, 4] {
+            for dim in 1..=5u32 {
                 assert_eq!(run(dim, *n, a), one, "dim {dim}, n {n}");
             }
         }
@@ -530,16 +618,81 @@ mod tests {
     }
 
     #[test]
+    fn a_negative_zero_multiplier_keeps_its_sign() {
+        // Rows 1 and 3 start with −0, so their column-0 multipliers are −0.
+        // The pivot column stores each multiplier after issuing its row's
+        // SAXPY, whose masked zero would turn a −0 stored first into +0;
+        // every later multiplier of those rows is positive, which keeps −0.
+        let a = [
+            4.0, 1.0, 1.0, 1.0, //
+            -0.0, 4.0, 1.0, 1.0, //
+            1.0, 1.0, 4.0, 1.0, //
+            -0.0, 1.0, 1.0, 4.0,
+        ];
+        for dim in [0u32, 2, 3] {
+            let (_, lu, _) = factor(&mut Machine::build(MachineCfg::cube(dim)), 4, &a);
+            for g in [1, 3] {
+                assert_eq!(
+                    lu[g * 4].to_bits(),
+                    (-0.0f64).to_bits(),
+                    "dim {dim}, row {g}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_matrix_wider_than_one_memory_row_factors_alike_on_two_grids() {
+        // n = 256: a node's 128 (dims 1, 2) or 64 (dim 4) columns fit one
+        // memory row, though no node could hold a whole matrix row. On a
+        // 1 × 2 grid each pivot search gathers up to 256 values, two rows.
+        let n = 256;
+        let mut st = 256u64;
+        let a: Vec<f64> = (0..n * n).map(|_| rand_f64(&mut st) + 0.1).collect();
+        let run = |dim: u32| factor(&mut Machine::build(MachineCfg::cube(dim)), n, &a);
+        let (perm, lu, _) = run(2);
+        let bits = |lu: &[f64]| lu.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for dim in [1, 4] {
+            let (p, l, _) = run(dim);
+            assert_eq!((p, bits(&l)), (perm.clone(), bits(&lu)), "dim {dim}");
+        }
+        let err = reconstruction_error(n, &a, &perm, &lu);
+        assert!(err < 1e-12, "reconstruction error {err}");
+    }
+
+    /// FNV-1a over the bit patterns of a float sequence.
+    fn fnv(vals: &[f64]) -> u64 {
+        vals.iter()
+            .flat_map(|v| v.to_bits().to_le_bytes())
+            .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+                (h ^ b as u64).wrapping_mul(0x100_0000_01b3)
+            })
+    }
+
+    #[test]
+    fn solution_is_pinned_bit_for_bit() {
+        // `x` of `solve_has_small_residual`'s cases, digested at the commit
+        // before the grid layout (rows cyclic over all nodes); the solve now
+        // all-gathers each process row first, and must give the same bits.
+        for dim in [0u32, 2] {
+            let (_, _, x, _) = distributed_solve(&mut Machine::build(MachineCfg::cube(dim)), 24, 8);
+            assert_eq!(fnv(&x), 0x6ff32da98aa5022b, "dim {dim}");
+        }
+    }
+
+    #[test]
     fn pivot_vote_costs_the_max_loc_model() {
         // The vote alone, on every cube to a cabinet: each node offers a
-        // candidate (ties, and a node with none, included), every node
-        // ends with the one `beats` ranks first, in n·(o + 3w).
+        // candidate (ties, negative values that beat smaller positive ones,
+        // and a node with none, included), every node ends with the one
+        // `beats` ranks first, sign and all, in n·(o + 3w).
         let net = NetModel::default();
         for dim in 1..=4u32 {
             let mut m = Machine::build(MachineCfg::cube_small_mem(dim, 8));
             let cube = m.cube;
             let offer = |id: u32| match id {
                 0 => (0.0, NO_ROW),
+                _ if id % 2 == 1 => (-((id % 3) as f64), 100 - id),
                 _ => ((id % 3) as f64, 100 - id),
             };
             let handles =
@@ -549,6 +702,12 @@ mod tests {
                 .map(offer)
                 .reduce(|best, c| if beats(c, best) { c } else { best })
                 .unwrap();
+            // A negative value beats none, and ties a positive one by |v|.
+            match dim {
+                1 => assert_eq!(want, (-1.0, 99)),
+                3 => assert_eq!(want, (-2.0, 95), "node 5 beats node 2 on its row"),
+                _ => {}
+            }
             for h in handles {
                 assert_eq!(h.try_take().unwrap(), want, "dim {dim}");
             }
@@ -559,5 +718,83 @@ mod tests {
                 "dim {dim}: vote {got}, model {model}"
             );
         }
+    }
+
+    #[test]
+    fn one_step_costs_the_lu_step_model() {
+        // Step 0's communication alone, from the candidates on, with every
+        // row still free: `NetModel::lu_step` of the longest process row's
+        // free rows and the longest process column's trailing columns.
+        let net = NetModel::default();
+        let n = 64;
+        for dim in 2..=4u32 {
+            let mut m = Machine::build(MachineCfg::cube(dim));
+            let cube = m.cube;
+            m.launch(move |ctx| async move {
+                let node = LuNode::new(ctx, cube, n);
+                let mut free: Vec<usize> = (node.r..n).step_by(node.grid.pr).collect();
+                let candidate = (node.c == 0).then(|| (1.0 + node.r as f64, free[0] as u32));
+                node.trade(0, candidate, &mut free).await;
+            });
+            assert!(m.run().quiescent);
+            let grid = Grid::new(cube);
+            let model = net.lu_step(grid.dr, grid.dc, n / grid.pr, n / grid.pc);
+            let got = m.now().since(Time::ZERO);
+            let (g, w) = (got.as_secs_f64(), model.as_secs_f64());
+            assert!(
+                (g - w).abs() <= 0.05 * w,
+                "dim {dim}: step {got}, model {model}"
+            );
+        }
+    }
+
+    #[test]
+    fn factoring_takes_the_steps_and_at_most_the_work_between_them() {
+        // Every step's communication is on the critical path, one step
+        // after the other. What else is on it is work: each step's pivot
+        // search on the pivot column, then the elimination on the next
+        // one. So it is at most the busiest node's vector and CP time plus
+        // every pivot search of a process row (a node's own searches are a
+        // 1/pc share of them).
+        let n = 128;
+        let mut m = Machine::build(MachineCfg::cube(4));
+        let (_, perm, _, stats) = distributed_lu(&mut m, n, 1986);
+        let grid = Grid::new(m.cube);
+        let net = NetModel::default();
+        let steps = (0..n).fold(Dur::ZERO, |sum, k| {
+            let rows = (0..grid.pr)
+                .map(|r| {
+                    (r..n)
+                        .step_by(grid.pr)
+                        .filter(|g| !perm[..=k].contains(g))
+                        .count()
+                })
+                .max()
+                .unwrap();
+            let cols = (0..grid.pc)
+                .map(|c| (c..n).step_by(grid.pc).filter(|&j| j > k).count())
+                .max()
+                .unwrap();
+            sum + net.lu_step(grid.dr, grid.dc, rows, cols)
+        });
+        let meters = |id: usize| m.nodes[id].meters();
+        let work = (0..m.nodes.len())
+            .map(|id| meters(id).vec_busy.get() + meters(id).cp_busy.get())
+            .max()
+            .unwrap();
+        let searches = (0..grid.pr)
+            .map(|r| {
+                (0..grid.pc)
+                    .map(|c| meters(r * grid.pc + c).cp_gathered.get())
+                    .sum()
+            })
+            .max()
+            .map(|gathered: u64| ts_mem::GATHER64_TIME * gathered)
+            .unwrap();
+        assert!(
+            steps <= stats.elapsed && stats.elapsed <= steps + work + searches,
+            "LU {}, steps {steps}, busiest node's work {work}, searches {searches}",
+            stats.elapsed
+        );
     }
 }

@@ -77,7 +77,7 @@ impl Block {
     }
 
     /// Make the block a landing place again: no panel has landed.
-    fn clear(&self) {
+    fn unland(&self) {
         self.landed.iter().for_each(|l| l.set(false));
     }
 
@@ -313,8 +313,8 @@ pub async fn cannon_node(
     });
     let mut c = vec![Sf64::ZERO; bsize * bsize];
     for t in 0..s {
-        a[(t + 1) % 2].clear();
-        b[(t + 1) % 2].clear();
+        a[(t + 1) % 2].unland();
+        b[(t + 1) % 2].unland();
         let (a_go, b_go) = (a_go.clone(), b_go.clone());
         let leave = async move {
             if t + 1 < s {

@@ -183,21 +183,44 @@ impl std::error::Error for MemError {}
 /// subsystem reads the dirty set to build incremental snapshots and clears
 /// it only once a checkpoint has durably committed, so an aborted snapshot
 /// loses no delta information.
+///
+/// The backing store is allocated a row at a time, on the row's first
+/// write: a row never written reads as zeros with clean parity, so a
+/// machine of thousands of 1 MB nodes holds only the rows its programs use.
 pub struct NodeMemory {
     cfg: MemCfg,
-    data: Vec<u32>,
-    /// One parity nibble per word: bit i = even parity of byte lane i.
-    parity: Vec<u8>,
+    /// The rows written so far; `None` reads as [`Row::ZERO`].
+    rows: Vec<Option<Box<Row>>>,
     /// One bit per row: set on any write touching the row, cleared only by
     /// [`NodeMemory::clear_dirty`] (i.e. by a committed checkpoint).
     dirty: Vec<u64>,
     /// Every word address whose data may disagree with its stored parity,
     /// each at most once. Only [`NodeMemory::inject_bit_flip`] changes data
-    /// without its parity (every other mutator writes both, and `data` is
+    /// without its parity (every other mutator writes both, and the rows are
     /// private), so the patrol read checks these words instead of the whole
     /// store. A repaired word stays listed — it just checks clean — until a
     /// full scrub empties the list.
     suspects: Vec<usize>,
+}
+
+/// One row of backing store: its words and their parity.
+struct Row {
+    data: [u32; ROW_WORDS],
+    /// One parity nibble per word: bit i = even parity of byte lane i.
+    parity: [u8; ROW_WORDS],
+}
+
+impl Row {
+    /// A row never written: zeros, whose parity is zero.
+    const ZERO: Row = Row {
+        data: [0; ROW_WORDS],
+        parity: [0; ROW_WORDS],
+    };
+
+    /// Is word `i`'s stored parity its data's?
+    fn clean(&self, i: usize) -> bool {
+        self.parity[i] == parity_nibble(self.data[i])
+    }
 }
 
 /// Bit `i` = parity of byte lane `i`, for all four lanes at once: an
@@ -214,13 +237,12 @@ fn parity_nibble(word: u32) -> u8 {
 }
 
 impl NodeMemory {
-    /// Allocate a zeroed memory with the given geometry.
+    /// A zeroed memory with the given geometry (no row allocated yet).
     pub fn new(cfg: MemCfg) -> NodeMemory {
         cfg.validate().expect("invalid memory geometry");
         NodeMemory {
             cfg,
-            data: vec![0; cfg.words()],
-            parity: vec![0; cfg.words()],
+            rows: (0..cfg.rows()).map(|_| None).collect(),
             dirty: vec![0; cfg.rows().div_ceil(64)],
             suspects: Vec::new(),
         }
@@ -240,6 +262,16 @@ impl NodeMemory {
         }
     }
 
+    /// Row `r` as stored, or [`Row::ZERO`] if it was never written.
+    fn row(&self, r: usize) -> &Row {
+        self.rows[r].as_deref().unwrap_or(&Row::ZERO)
+    }
+
+    /// Row `r` for writing, allocated zeroed on first use.
+    fn row_mut(&mut self, r: usize) -> &mut Row {
+        self.rows[r].get_or_insert_with(|| Box::new(Row::ZERO))
+    }
+
     #[inline]
     fn check(&self, addr: usize) -> Result<(), MemError> {
         if addr < self.cfg.words() {
@@ -255,9 +287,10 @@ impl NodeMemory {
     /// Word-port read (charge [`WORD_TIME`]).
     pub fn read_word(&self, addr: usize) -> Result<u32, MemError> {
         self.check(addr)?;
-        let w = self.data[addr];
+        let (row, i) = (self.row(addr / ROW_WORDS), addr % ROW_WORDS);
+        let w = row.data[i];
         let want = parity_nibble(w);
-        let got = self.parity[addr];
+        let got = row.parity[i];
         if want != got {
             let lane = (want ^ got).trailing_zeros() as usize;
             return Err(MemError::Parity { addr, lane });
@@ -268,8 +301,9 @@ impl NodeMemory {
     /// Word-port write (charge [`WORD_TIME`]).
     pub fn write_word(&mut self, addr: usize, w: u32) -> Result<(), MemError> {
         self.check(addr)?;
-        self.data[addr] = w;
-        self.parity[addr] = parity_nibble(w);
+        let row = self.row_mut(addr / ROW_WORDS);
+        row.data[addr % ROW_WORDS] = w;
+        row.parity[addr % ROW_WORDS] = parity_nibble(w);
         self.mark_row_dirty(addr / ROW_WORDS);
         Ok(())
     }
@@ -279,8 +313,7 @@ impl NodeMemory {
     pub fn read_row(&self, row: usize, out: &mut [u32; ROW_WORDS]) -> Result<(), MemError> {
         let base = row * ROW_WORDS;
         self.check(base + ROW_WORDS - 1)?;
-        let data = &self.data[base..base + ROW_WORDS];
-        let parity = &self.parity[base..base + ROW_WORDS];
+        let Row { data, parity } = self.row(row);
         // One pass accumulates every lane's disagreement; only a faulty
         // row is scanned again, and the word port's check names its first
         // bad word.
@@ -299,10 +332,10 @@ impl NodeMemory {
 
     /// Row-port write of one full row (charge [`ROW_TIME`]).
     pub fn write_row(&mut self, row: usize, data: &[u32; ROW_WORDS]) -> Result<(), MemError> {
-        let base = row * ROW_WORDS;
-        self.check(base + ROW_WORDS - 1)?;
-        self.data[base..base + ROW_WORDS].copy_from_slice(data);
-        for (p, &w) in self.parity[base..base + ROW_WORDS].iter_mut().zip(data) {
+        self.check(row * ROW_WORDS + ROW_WORDS - 1)?;
+        let stored = self.row_mut(row);
+        stored.data = *data;
+        for (p, &w) in stored.parity.iter_mut().zip(data) {
             *p = parity_nibble(w);
         }
         self.mark_row_dirty(row);
@@ -336,7 +369,7 @@ impl NodeMemory {
     /// the fault model behind the checkpoint/restart experiments.
     pub fn inject_bit_flip(&mut self, addr: usize, bit: u32) -> Result<(), MemError> {
         self.check(addr)?;
-        self.data[addr] ^= 1 << (bit % 32);
+        self.row_mut(addr / ROW_WORDS).data[addr % ROW_WORDS] ^= 1 << (bit % 32);
         if !self.suspects.contains(&addr) {
             self.suspects.push(addr);
         }
@@ -349,7 +382,10 @@ impl NodeMemory {
     /// restore has rewritten the word).
     pub fn scrub(&mut self, addr: usize) -> Result<(), MemError> {
         self.check(addr)?;
-        self.parity[addr] = parity_nibble(self.data[addr]);
+        if let Some(row) = &mut self.rows[addr / ROW_WORDS] {
+            let i = addr % ROW_WORDS;
+            row.parity[i] = parity_nibble(row.data[i]);
+        }
         Ok(())
     }
 
@@ -358,11 +394,13 @@ impl NodeMemory {
     /// recovery path so a restored machine starts with a clean store.
     pub fn scrub_all(&mut self) -> usize {
         let mut fixed = 0;
-        for (i, &w) in self.data.iter().enumerate() {
-            let want = parity_nibble(w);
-            if self.parity[i] != want {
-                self.parity[i] = want;
-                fixed += 1;
+        for row in self.rows.iter_mut().flatten() {
+            for (p, &w) in row.parity.iter_mut().zip(&row.data) {
+                let want = parity_nibble(w);
+                if *p != want {
+                    *p = want;
+                    fixed += 1;
+                }
             }
         }
         self.suspects.clear();
@@ -378,7 +416,7 @@ impl NodeMemory {
         let bad = self
             .suspects
             .iter()
-            .filter(|&&a| self.parity[a] != parity_nibble(self.data[a]))
+            .filter(|&&a| !self.row(a / ROW_WORDS).clean(a % ROW_WORDS))
             .count();
         #[cfg(debug_assertions)]
         assert_eq!(
@@ -393,16 +431,18 @@ impl NodeMemory {
     /// suspect list is checked against.
     #[cfg(any(test, debug_assertions))]
     fn scan_parity_errors(&self) -> usize {
-        self.data
-            .iter()
-            .zip(&self.parity)
-            .filter(|(&w, &p)| p != parity_nibble(w))
-            .count()
+        let rows = self.rows.iter().flatten();
+        rows.map(|row| (0..ROW_WORDS).filter(|&i| !row.clean(i)).count())
+            .sum()
     }
 
     /// Copy the entire contents out (the system disk's snapshot image).
     pub fn snapshot(&self) -> Vec<u32> {
-        self.data.clone()
+        let mut image = Vec::with_capacity(self.cfg.words());
+        for r in 0..self.cfg.rows() {
+            image.extend_from_slice(&self.row(r).data);
+        }
+        image
     }
 
     /// Restore contents from a snapshot image (recomputing parity via the
@@ -412,7 +452,12 @@ impl NodeMemory {
     /// [`NodeMemory::clear_dirty`].
     pub fn restore(&mut self, image: &[u32]) {
         assert_eq!(image.len(), self.cfg.words(), "snapshot geometry mismatch");
-        self.data.copy_from_slice(image);
+        for (r, words) in image.chunks_exact(ROW_WORDS).enumerate() {
+            // A row never written and zero in the image stays unwritten.
+            if self.rows[r].is_some() || words.iter().any(|&w| w != 0) {
+                self.row_mut(r).data.copy_from_slice(words);
+            }
+        }
         self.scrub_all();
         self.mark_all_dirty();
     }
@@ -467,8 +512,7 @@ impl NodeMemory {
         let rows = self.dirty_rows();
         let mut words = Vec::with_capacity(rows.len() * ROW_WORDS);
         for &r in &rows {
-            let base = r * ROW_WORDS;
-            words.extend_from_slice(&self.data[base..base + ROW_WORDS]);
+            words.extend_from_slice(&self.row(r).data);
         }
         RowDelta {
             rows: rows.into_iter().map(|r| r as u32).collect(),
@@ -720,7 +764,7 @@ mod tests {
     fn patrol_count_equals_a_full_scan_under_random_mutation() {
         fn bad_words(m: &NodeMemory) -> Vec<usize> {
             (0..m.cfg.words())
-                .filter(|&a| m.parity[a] != parity_nibble(m.data[a]))
+                .filter(|&a| !m.row(a / ROW_WORDS).clean(a % ROW_WORDS))
                 .collect()
         }
         for seed in [1u64, 0x1986, 0xfeed_f00d] {
@@ -775,6 +819,56 @@ mod tests {
             listed.dedup();
             assert_eq!(listed.len(), m.suspects.len(), "a word listed twice");
         }
+    }
+
+    /// Rows allocated so far.
+    fn resident(m: &NodeMemory) -> usize {
+        m.rows.iter().flatten().count()
+    }
+
+    #[test]
+    fn rows_are_allocated_on_first_write() {
+        let mut m = NodeMemory::new(MemCfg::default());
+        assert_eq!(resident(&m), 0, "a fresh memory holds no row");
+        // An untouched row reads zero, clean through both ports, and a read
+        // neither allocates nor dirties it.
+        let mut out = [7u32; ROW_WORDS];
+        m.read_row(600, &mut out).unwrap();
+        assert_eq!(out, [0; ROW_WORDS]);
+        assert_eq!(m.read_u64(5 * ROW_WORDS + 8).unwrap(), 0);
+        assert_eq!((resident(&m), m.parity_errors(), m.scrub_all()), (0, 0, 0));
+        assert_eq!(m.dirty_rows(), Vec::<usize>::new());
+        m.write_word(3 * ROW_WORDS + 1, 9).unwrap();
+        assert_eq!((resident(&m), m.dirty_rows()), (1, vec![3]));
+        // A flip on an untouched row allocates it and is caught.
+        m.inject_bit_flip(900 * ROW_WORDS + 4, 12).unwrap();
+        assert_eq!((resident(&m), m.parity_errors()), (2, 1));
+        assert_eq!(m.dirty_rows(), vec![3, 900]);
+        assert!(matches!(
+            m.read_word(900 * ROW_WORDS + 4),
+            Err(MemError::Parity { lane: 1, .. })
+        ));
+    }
+
+    #[test]
+    fn a_sparse_image_round_trips_and_stays_sparse() {
+        let mut m = NodeMemory::new(MemCfg::default());
+        m.write_word(17, 0xfeed).unwrap();
+        m.write_word(700 * ROW_WORDS + 255, 0xbeef).unwrap();
+        let image = m.snapshot();
+        assert_eq!(image.len(), m.cfg().words());
+
+        let mut fresh = NodeMemory::new(MemCfg::default());
+        fresh.restore(&image);
+        assert_eq!(resident(&fresh), 2, "zero rows of the image stay unwritten");
+        assert_eq!(fresh.snapshot(), image);
+        assert_eq!(fresh.dirty_row_count(), fresh.cfg().rows());
+        // Over a memory that held other rows, the image's zeros win.
+        m.write_word(40 * ROW_WORDS, 1).unwrap();
+        m.inject_bit_flip(41 * ROW_WORDS, 0).unwrap();
+        m.restore(&image);
+        assert_eq!(m.snapshot(), image);
+        assert_eq!(m.parity_errors(), 0);
     }
 
     #[test]

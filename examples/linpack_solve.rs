@@ -1,9 +1,12 @@
 //! LU factorization with partial pivoting on distributed node memory —
 //! the LINPACK-style solve that drove supercomputer procurement in 1986,
-//! exercising the full §II machinery: gathers for column access, the
-//! `AbsMax` vector form for pivot search, binomial-tree broadcasts of the
-//! pivot row, Newton–Raphson software division (the node has no divider),
-//! and one chained SAXPY vector form per eliminated row.
+//! exercising the full §II machinery: the matrix on a 2-D grid of process
+//! rows and columns (subcubes), gathers for column access, the `AbsMax`
+//! vector form for pivot search and a max-loc vote down one process
+//! column, Newton–Raphson software division (the node has no divider),
+//! the multipliers striped along the process rows while the pivot row
+//! streams down the process columns, and one chained SAXPY vector form per
+//! eliminated row. 2 and 8 nodes make rectangular grids (1 × 2, 2 × 4).
 //!
 //! ```text
 //! cargo run --release --example linpack_solve

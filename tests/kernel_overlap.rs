@@ -57,7 +57,15 @@ fn fft_input(points: usize) -> Vec<(f64, f64)> {
 /// row applied). LU streams each pivot row down n edge-disjoint spanning
 /// trees in pieces (with n rotated trees all leaving the root: 12.650 ms at
 /// n = 32 on dim 2, 46.644 ms at n = 64 and 170.551 ms at n = 128 on
-/// dim 4).
+/// dim 4), and lays the matrix on a 2-D process grid: the vote runs down
+/// one process column, and the multipliers and the pivot row's trailing
+/// columns stream along the process rows and down the process columns at
+/// once (rows cyclic over all nodes, each node sent the whole trailing
+/// row: 11.362 ms at n = 32 on dim 2, 28.161 ms at n = 64 and 92.538 ms at
+/// n = 128 on dim 4; 1.306 ms on one node, which formed each multiplier
+/// with its own flop). Each step's communication is
+/// `t_series_core::model::NetModel::lu_step`, and LU's time lies between
+/// their sum and that plus the work between them (`ts-kernels`' LU tests).
 type Case = (u32, usize, u64, Dur);
 
 const MATMUL: [Case; 4] = [
@@ -75,10 +83,10 @@ const FFT: [Case; 4] = [
 ];
 
 const LU: [Case; 4] = [
-    (0, 16, 0xa94c207878fe7883, Dur::us(1_370)),
-    (2, 32, 0x88cdbf76201bf065, Dur::us(11_900)),
-    (4, 64, 0x03667c5d4d604d36, Dur::us(29_500)),
-    (4, 128, 0xe7c040a474133ab1, Dur::us(97_100)),
+    (0, 16, 0xa94c207878fe7883, Dur::us(1_000)),
+    (2, 32, 0x88cdbf76201bf065, Dur::us(8_100)),
+    (4, 64, 0x03667c5d4d604d36, Dur::us(20_800)),
+    (4, 128, 0xe7c040a474133ab1, Dur::us(68_100)),
 ];
 
 fn check(kernel: &str, case: Case, digest: u64, elapsed: Dur) {

@@ -9,10 +9,11 @@
 //!   moves);
 //! * **simulated time**: deterministic ceilings, so the overlap cannot
 //!   silently regress to the one-link-at-a-time schedule;
-//! * **simulator events** of the Cannon runs, exactly: the GEMM chains its
-//!   SAXPYs behind one completion interrupt per block step, and a schedule
-//!   that went back to sleeping after every form would compute the same
-//!   bits in the same simulated time at several times the events;
+//! * **simulator events** of the Cannon and FFT runs, exactly: the GEMM
+//!   chains its SAXPYs behind one completion interrupt per block step, and
+//!   the FFT's feed its forms behind one per piece, and a schedule that
+//!   went back to sleeping after every form would compute the same bits in
+//!   the same simulated time at several times the events;
 //! * **overlap itself**: on a Cannon node the vector unit's busy time plus
 //!   its incoming wires' busy time exceeds the elapsed time, which a
 //!   schedule that does one thing at a time cannot produce, and every
@@ -50,7 +51,11 @@ fn fft_input(points: usize) -> Vec<(f64, f64)> {
 /// 43.9 ms at 2¹⁴ points with the whole block), run the in-piece local
 /// stages under the pipeline (23.9 ms at 2¹⁴ points with every local stage
 /// first) and release the pieces depth-first (22.143 ms at 2¹⁴ points with
-/// every cross-piece stage before the first piece), and LU agrees on a
+/// every cross-piece stage before the first piece); each cross stage
+/// computes a piece's butterflies under the next piece's exchange, and the
+/// feed charges the cross-piece stages at a derived constant rate (21.463
+/// ms at 2¹⁴ points with the butterflies between exchanges and each block
+/// charged whole at the piece that opens it). LU agrees on a
 /// pivot with a 3-word max-loc vote and lets the control processor store
 /// multipliers under the SAXPYs (235.4 ms at n = 128 with an all-gather
 /// vote and a wait per row; 1.370 ms on one node, where only the wait per
@@ -79,7 +84,7 @@ const FFT: [Case; 4] = [
     (0, 64, 0x6211dd68d732bde0, Dur::us(140)),
     (2, 256, 0xc5bceab057184184, Dur::us(2_350)),
     (4, 1024, 0x8ac909e5526ca33f, Dur::us(4_550)),
-    (4, 1 << 14, 0x4f6f6cbc9325d55c, Dur::us(22_500)),
+    (4, 1 << 14, 0x4f6f6cbc9325d55c, Dur::us(21_600)),
 ];
 
 const LU: [Case; 4] = [
@@ -129,13 +134,27 @@ fn cannon_output_is_pinned_and_time_is_bounded() {
     }
 }
 
+/// Timer events of each [`FFT`] run: p · pieces · (1 + 3n). Per piece a
+/// node's feed sleeps once on its chain of forms, and each of the n cross
+/// stages sleeps twice for the message (the DMA start and the transfer's
+/// end) and once on its butterflies. The first three runs are one piece a
+/// node; at 2¹⁴ points there are 16. One node sleeps once, on the chain of
+/// every stage.
+const FFT_EVENTS: [u64; 4] = [1, 28, 208, 3328];
+
 #[test]
 fn fft_output_is_pinned_and_time_is_bounded() {
-    for case in FFT {
+    for (case, events) in FFT.into_iter().zip(FFT_EVENTS) {
         let mut m = Machine::build(MachineCfg::cube(case.0));
         let (spectrum, stats) = distributed_fft(&mut m, &fft_input(case.1));
         let flat = spectrum.into_iter().flat_map(|(re, im)| [re, im]);
         check("fft", case, fnv(flat), stats.elapsed);
+        let got = m.profile().timer_events;
+        assert_eq!(
+            got, events,
+            "fft dim {} size {}: simulator events moved",
+            case.0, case.1
+        );
     }
 }
 

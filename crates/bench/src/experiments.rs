@@ -12,7 +12,7 @@ use ts_cube::{Hypercube, SublinkBudget};
 use ts_fpu::Sf64;
 use ts_kernels::{fft, lu, matmul, sort, stencil, KernelStats};
 use ts_mem::NodeMemory;
-use ts_node::NodeCtx;
+use ts_node::{occam, NodeCtx};
 use ts_sim::Dur;
 use ts_vec::{VecForm, VecUnit};
 
@@ -191,47 +191,16 @@ pub fn e2_bandwidths() -> (f64, f64, f64, f64) {
     // (both directions), against 5 neighbours in a 4-cube.
     let agg_mbps = {
         let mut m = Machine::build(MachineCfg::cube(4));
+        let swap = |ctx: NodeCtx, d: usize| async move {
+            for _ in 0..8 {
+                ctx.exchange(d, vec![0u32; 1024], d).await;
+            }
+        };
         let c0 = m.ctx(0);
-        let h = m.handle();
-        m.launch_on(0, async move {
-            let mut tasks = Vec::new();
-            for d in 0..4usize {
-                let tx = c0.clone();
-                tasks.push(h.spawn(async move {
-                    for _ in 0..8 {
-                        tx.send_dim(d, vec![0u32; 1024]).await;
-                    }
-                }));
-                let rx = c0.clone();
-                tasks.push(h.spawn(async move {
-                    for _ in 0..8 {
-                        rx.recv_dim(d).await;
-                    }
-                }));
-            }
-            for t in tasks {
-                t.await;
-            }
-        });
+        let links = (0..4).map(|d| swap(c0.clone(), d)).collect();
+        m.launch_on(0, async move { occam::par_all(c0.handle(), links).await });
         for d in 0..4usize {
-            let ctx = m.ctx(1 << d);
-            m.launch_on(1 << d, async move {
-                let h = ctx.handle().clone();
-                let rx = ctx.clone();
-                let a = h.spawn(async move {
-                    for _ in 0..8 {
-                        rx.recv_dim(d).await;
-                    }
-                });
-                let tx = ctx.clone();
-                let b = h.spawn(async move {
-                    for _ in 0..8 {
-                        tx.send_dim(d, vec![0u32; 1024]).await;
-                    }
-                });
-                a.await;
-                b.await;
-            });
+            m.launch_on(1 << d, swap(m.ctx(1 << d), d));
         }
         assert!(m.run().quiescent);
         let bytes = 8.0 * 4096.0 * 8.0; // 8 msgs × 4 KB × (4 out + 4 in)

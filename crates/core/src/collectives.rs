@@ -136,7 +136,8 @@ pub async fn broadcast(
 /// link carries two trees, so the n pipelines flow side by side:
 /// `(P + n)·(o + ⌈m/(nP)⌉·w)` ([`NetModel::broadcast_striped`]) against
 /// [`broadcast`]'s `n·(o + m·w)`. Every node passes the payload's `len`
-/// (the collective is SPMD); otherwise the contract of [`broadcast`].
+/// (the collective is SPMD); otherwise the contract of [`broadcast`]. An
+/// empty payload returns at once: nothing moves and no latency is booked.
 pub async fn broadcast_striped(
     ctx: &NodeCtx,
     cube: Hypercube,
@@ -144,6 +145,9 @@ pub async fn broadcast_striped(
     len: usize,
     data: Option<Vec<u32>>,
 ) -> Vec<u32> {
+    if len == 0 {
+        return Vec::new();
+    }
     let t0 = ctx.now();
     let (me, n) = (ctx.id(), cube.dim());
     let mut buf = if me == root {
@@ -575,13 +579,9 @@ mod tests {
                     let words = vec![me; 1 + out];
                     let vals = vec![Sf64::from(me as f64 + 0.5); 3 - out];
                     let (w, v) = if par2 {
-                        let (tx, rx) = (ctx.clone(), ctx.clone());
-                        let send = async move { tx.send_dim(out, words).await };
-                        let recv = async move { rx.recv_dim(inp).await };
+                        let (send, recv) = (ctx.send_dim(out, words), ctx.recv_dim(inp));
                         let (_, w) = occam::par2(ctx.handle(), send, recv).await;
-                        let (tx, rx) = (ctx.clone(), ctx.clone());
-                        let send = async move { tx.send_f64s(out, &vals).await };
-                        let recv = async move { rx.recv_f64s(inp).await };
+                        let (send, recv) = (ctx.send_f64s(out, &vals), ctx.recv_f64s(inp));
                         (w, occam::par2(ctx.handle(), send, recv).await.1)
                     } else {
                         let w = ctx.exchange(out, words, inp).await;
@@ -689,6 +689,32 @@ mod tests {
                 let words = m.registry().sum_counters("link/words_sent");
                 assert_eq!(words, len as u64 * ((1 << dim) - 1), "dim {dim} len {len}");
             }
+        }
+    }
+
+    #[test]
+    fn an_empty_striped_broadcast_returns_at_once() {
+        // Nothing to send moves nothing: no task beyond the node programs,
+        // no timer event and no latency sample.
+        for dim in 0..=4u32 {
+            let mut m = small(dim);
+            let cube = m.cube;
+            let handles = m.launch(move |ctx| async move {
+                let data = (ctx.id() == 0).then(Vec::new);
+                broadcast_striped(&ctx, cube, 0, 0, data).await
+            });
+            assert!(m.run().quiescent);
+            for h in handles {
+                assert_eq!(h.try_take(), Some(Vec::new()), "dim {dim}");
+            }
+            let profile = m.profile();
+            assert_eq!(profile.spawned, cube.nodes() as u64, "dim {dim}");
+            assert_eq!(profile.timer_events, 0, "dim {dim}");
+            let snapshot = m.registry().snapshot();
+            let booked = snapshot
+                .iter()
+                .any(|(path, _)| path.contains("broadcast_striped_us"));
+            assert!(!booked, "dim {dim}");
         }
     }
 

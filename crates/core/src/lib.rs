@@ -1053,12 +1053,8 @@ mod tests {
             let mut sum = 0u64;
             for d in 0..dim {
                 let me = ctx.id();
-                let h = ctx.handle().clone();
-                let c2 = ctx.clone();
-                let send = async move { c2.send_dim(d, vec![me]).await };
-                let c3 = ctx.clone();
-                let recv = async move { c3.recv_dim(d).await };
-                let (_, got) = ts_node::occam::par2(&h, send, recv).await;
+                let (send, recv) = (ctx.send_dim(d, vec![me]), ctx.recv_dim(d));
+                let (_, got) = ts_node::occam::par2(ctx.handle(), send, recv).await;
                 assert_eq!(got[0], me ^ (1 << d));
                 sum += got[0] as u64;
             }
@@ -1078,16 +1074,12 @@ mod tests {
         // (d mod 4): sending on both at once must serialize on the wire.
         let mut m = Machine::build(MachineCfg::cube_small_mem(5, 8));
         let ctx0 = m.ctx(0);
-        let h = m.handle();
         m.launch_on(0, async move {
-            let c1 = ctx0.clone();
-            let c2 = ctx0.clone();
-            ts_node::occam::par2(
-                &h,
-                async move { c1.send_dim(0, vec![0u32; 256]).await },
-                async move { c2.send_dim(4, vec![0u32; 256]).await },
-            )
-            .await;
+            let (a, b) = (
+                ctx0.send_dim(0, vec![0; 256]),
+                ctx0.send_dim(4, vec![0; 256]),
+            );
+            ts_node::occam::par2(ctx0.handle(), a, b).await;
         });
         let ctx1 = m.ctx(1);
         m.launch_on(1, async move {
@@ -1105,16 +1097,12 @@ mod tests {
         // Same transfers on different physical links run in parallel.
         let mut m2 = Machine::build(MachineCfg::cube_small_mem(5, 8));
         let ctx0 = m2.ctx(0);
-        let h = m2.handle();
         m2.launch_on(0, async move {
-            let c1 = ctx0.clone();
-            let c2 = ctx0.clone();
-            ts_node::occam::par2(
-                &h,
-                async move { c1.send_dim(0, vec![0u32; 256]).await },
-                async move { c2.send_dim(1, vec![0u32; 256]).await },
-            )
-            .await;
+            let (a, b) = (
+                ctx0.send_dim(0, vec![0; 256]),
+                ctx0.send_dim(1, vec![0; 256]),
+            );
+            ts_node::occam::par2(ctx0.handle(), a, b).await;
         });
         let ctx1 = m2.ctx(1);
         m2.launch_on(1, async move {

@@ -74,11 +74,9 @@ impl NetModel {
     /// `max_loc(dr) + broadcast(dc, 1) + max(broadcast_striped(dc, 2·rows),
     /// broadcast_striped(dr, 2·cols))`.
     pub fn lu_step(&self, dr: u32, dc: u32, rows: usize, cols: usize) -> Dur {
-        let stripe = |n, m| match m {
-            0 => Dur::ZERO,
-            _ => self.broadcast_striped(n, m),
-        };
-        self.max_loc(dr) + self.broadcast(dc, 1) + stripe(dc, 2 * rows).max(stripe(dr, 2 * cols))
+        let l = self.broadcast_striped(dc, 2 * rows);
+        let u = self.broadcast_striped(dr, 2 * cols);
+        self.max_loc(dr) + self.broadcast(dc, 1) + l.max(u)
     }
 
     /// Pipelined broadcast down the n edge-disjoint spanning binomial trees
@@ -90,7 +88,8 @@ impl NetModel {
     /// `(P + n)·(o + ⌈m/(nP)⌉·w)`, and `P·(o + ⌈m/P⌉·w)` on a 1-cube,
     /// whose one tree is one hop deep. Exact while every dimension has a
     /// link to itself (n ≤ 4, one cabinet); beyond that dimensions `d` and
-    /// `d + 4` share one and the form is a lower bound.
+    /// `d + 4` share one and the form is a lower bound. An empty payload
+    /// moves nothing and costs nothing.
     pub fn broadcast_striped(&self, n: u32, m: usize) -> Dur {
         self.striped_at(n, m, self.broadcast_pieces(n, m))
     }
@@ -108,9 +107,9 @@ impl NetModel {
     /// [`NetModel::broadcast_striped`] at `pieces` pieces per stripe.
     fn striped_at(&self, n: u32, m: usize, pieces: usize) -> Dur {
         // Hops after the first: a tree is n + 1 deep, 1 on a 1-cube.
-        let hops = match n {
-            0 => return Dur::ZERO,
-            1 => 0,
+        let hops = match (n, m) {
+            (0, _) | (_, 0) => return Dur::ZERO,
+            (1, _) => 0,
             _ => n as u64,
         };
         self.p2p(m.div_ceil(n as usize * pieces)) * (pieces as u64 + hops)
@@ -246,7 +245,7 @@ mod tests {
     fn striped_broadcast_matches_model() {
         let net = NetModel::default();
         for dim in 1..=4u32 {
-            for words in [7usize, 64, 250, 256] {
+            for words in [0usize, 7, 64, 250, 256] {
                 for root in [1, (1u32 << dim) - 1] {
                     let mut m = Machine::build(MachineCfg::cube_small_mem(dim, 8));
                     let cube = m.cube;
@@ -264,6 +263,10 @@ mod tests {
                     );
                 }
             }
+        }
+        // An empty payload costs nothing on any cube.
+        for dim in 0..=7 {
+            assert_eq!(net.broadcast_striped(dim, 0), Dur::ZERO, "dim {dim}");
         }
         // A long row streams in 2n pieces a stripe; a word a stripe in one.
         assert_eq!(net.broadcast_pieces(4, 256), 8);
@@ -369,7 +372,16 @@ mod tests {
             Dur::us(2 * 29) + Dur::us(2 * 13) + stripe
         );
         assert_eq!(net.lu_step(2, 2, 32, 0), net.lu_step(2, 2, 32, 32));
+        assert_eq!(net.lu_step(2, 2, 0, 32), net.lu_step(2, 2, 32, 32));
         assert_eq!(net.lu_step(2, 2, 0, 0), Dur::us(2 * 29 + 2 * 13));
+        assert_eq!(
+            net.lu_step(2, 3, 0, 5),
+            net.lu_step(2, 3, 0, 0) + net.broadcast_striped(2, 10)
+        );
+        assert_eq!(
+            net.lu_step(2, 3, 5, 0),
+            net.lu_step(2, 3, 0, 0) + net.broadcast_striped(3, 10)
+        );
         assert_eq!(
             net.lu_step(0, 0, 5, 5),
             Dur::ZERO,

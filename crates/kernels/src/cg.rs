@@ -144,6 +144,23 @@ mod tests {
     }
 
     #[test]
+    fn iteration_timing_is_pinned() {
+        // Halos, all-reduces and vector charges, to the picosecond: g = 8
+        // tiles, seed 42, on a square and on a 4-cube, with the
+        // simulator's timer events per machine.
+        for (dim, iters, ps, events) in [
+            (2u32, 62, 18_715_075_000u64, 5_236u64),
+            (4, 125, 49_257_000_000, 70_208),
+        ] {
+            let mut m = Machine::build(MachineCfg::cube_small_mem(dim, 8));
+            let (_, _, got, stats) = distributed_cg(&mut m, 8, 1e-10, 42);
+            assert_eq!(got, iters, "dim {dim}");
+            assert_eq!(stats.elapsed.as_ps(), ps, "dim {dim}");
+            assert_eq!(m.profile().timer_events, events, "dim {dim}");
+        }
+    }
+
+    #[test]
     fn cg_converges_in_at_most_n_iterations() {
         // Exact arithmetic would finish in ≤ n steps; floating point with
         // a tight tolerance stays in the same ballpark for this SPD system.

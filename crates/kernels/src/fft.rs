@@ -155,8 +155,11 @@ const POINT_WORDS: usize = 4;
 /// feed's chain of local stages, ahead of the `stages` exchanges (so a
 /// 1-cube still pipelines its one exchange against the feed), rounded up
 /// to whole memory rows (the unit the DMA engine streams) and to a power
-/// of two so it divides `nl`.
+/// of two so it divides `nl`. With no cross stage the block is one piece.
 fn piece_points(ctx: &NodeCtx, stages: u32, nl: usize) -> usize {
+    if stages == 0 {
+        return nl;
+    }
     let net = NetModel::from_params(ctx.in_channel(0).wire().params());
     let words = net.pipeline_piece_words(stages + 1, nl * POINT_WORDS);
     let rows = words.div_ceil(ROW_WORDS).next_power_of_two();
@@ -205,37 +208,32 @@ async fn cross_stage(
 ) {
     let pdim = span.trailing_zeros() as usize;
     let low_side = ctx.id() as usize & span == 0;
+    let (ctx, input, output) = (&ctx, &input, &output);
     // A piece and the partner's half of it.
-    let fetch = || {
-        let (ctx, input) = (ctx.clone(), input.clone());
-        async move {
-            let piece = input.recv().await;
-            let half = piece.len() / 2;
-            let give = if low_side { half..2 * half } else { 0..half };
-            let words = ctx.exchange(pdim, pack(&piece[give]), pdim).await;
-            (piece, words)
-        }
+    let fetch = || async move {
+        let piece = input.recv().await;
+        let half = piece.len() / 2;
+        let give = if low_side { half..2 * half } else { 0..half };
+        let words = ctx.exchange(pdim, pack(&piece[give]), pdim).await;
+        (piece, words)
     };
-    let finish = |(mut piece, words): (Vec<Cpx>, Vec<u32>)| {
-        let (ctx, output) = (ctx.clone(), output.clone());
-        async move {
-            let half = piece.len() / 2;
-            let (lows, highs) = piece.split_at_mut(half);
-            for ((lo, hi), theirs) in lows.iter_mut().zip(highs).zip(unpack(&words)) {
-                // The butterfly's first operand is the low node's point.
-                let (a, b) = if low_side {
-                    (*lo, theirs)
-                } else {
-                    (theirs, *hi)
-                };
-                *lo = sum(a, b);
-                *hi = twiddled(a, b, w);
-            }
-            ts_sim::pool::put_words(words);
-            ctx.charge_vec_flops(FLOPS_PER_BUTTERFLY * half as u64)
-                .await;
-            output.send(piece).await;
+    let finish = |(mut piece, words): (Vec<Cpx>, Vec<u32>)| async move {
+        let half = piece.len() / 2;
+        let (lows, highs) = piece.split_at_mut(half);
+        for ((lo, hi), theirs) in lows.iter_mut().zip(highs).zip(unpack(&words)) {
+            // The butterfly's first operand is the low node's point.
+            let (a, b) = if low_side {
+                (*lo, theirs)
+            } else {
+                (theirs, *hi)
+            };
+            *lo = sum(a, b);
+            *hi = twiddled(a, b, w);
         }
+        ts_sim::pool::put_words(words);
+        ctx.charge_vec_flops(FLOPS_PER_BUTTERFLY * half as u64)
+            .await;
+        output.send(piece).await;
     };
     let mut landed = fetch().await;
     for _ in 1..pieces {
@@ -259,18 +257,6 @@ pub async fn fft_node(
     let q = ctx.id() as usize;
     let nl = local.len();
     assert!(nl.is_power_of_two() && total == nl * p);
-    if p == 1 {
-        // Every stage is local. Nothing else uses the vector unit and the
-        // stages need no other unit, so their forms are chained behind one
-        // completion interrupt.
-        let (mut span, mut done) = (total / 2, ctx.now());
-        while span >= 1 {
-            done = local_stage(&ctx, &table, p, span, &mut local);
-            span /= 2;
-        }
-        ctx.wait(done).await;
-        return local;
-    }
     // The feed runs the local stages (span ≥ p) and sends the block piece
     // by piece into the cross-node stages (span < p), one pipeline process
     // per dimension, and the drain collects the result. A node's
@@ -316,29 +302,28 @@ pub async fn fft_node(
         butterflies(q, &table, p, span, &mut local);
         span /= 2;
     }
-    let feeder = ctx.clone();
     let (_, out) = occam::par2(
         ctx.handle(),
-        async move {
+        async {
             let mut charged = 0;
             for (i, start) in (0..nl).step_by(piece).enumerate() {
                 // One chain: the control processor queues the forms at
                 // once; a cross stage's form issued meanwhile queues
                 // behind them.
                 let due = need.min(head + i as u64 * rate);
-                let mut done = feeder.issue_vec_flops(FLOPS_PER_BUTTERFLY * (due - charged));
+                let mut done = ctx.issue_vec_flops(FLOPS_PER_BUTTERFLY * (due - charged));
                 charged = due;
                 let mut span = p * piece / 2;
                 let slots = &mut local[start..start + piece];
                 while span >= p {
-                    done = local_stage(&feeder, &table, p, span, slots);
+                    done = local_stage(&ctx, &table, p, span, slots);
                     span /= 2;
                 }
-                feeder.wait(done).await;
+                ctx.wait(done).await;
                 feed.send(slots.to_vec()).await;
             }
         },
-        async move {
+        async {
             let mut out = Vec::with_capacity(nl);
             for _ in 0..pieces {
                 out.extend(drain.recv().await);
@@ -384,11 +369,7 @@ pub fn distributed_fft(
     let total = input.len();
     assert!(total.is_power_of_two() && total >= 2 * p);
     let nl = total / p;
-    let half = if p > 1 {
-        piece_points(&machine.ctx(0), cube.dim(), nl) / 2
-    } else {
-        0
-    };
+    let half = piece_points(&machine.ctx(0), cube.dim(), nl) / 2;
     // The launch closure owns the run's table and is dropped before the
     // run, so the node programs are its only holders and it is freed with
     // the last of them, before the spectrum is assembled.

@@ -181,8 +181,8 @@ impl LuNode {
             words.map(|a| mem.read_word(a).unwrap()).collect()
         });
         let (rows, cols) = (2 * free.len(), 2 * (self.cols - first));
-        let l = stripe(self.along.clone(), cc, rows, multipliers);
-        let u = stripe(self.down.clone(), root_row, cols, trailing);
+        let l = broadcast_striped(&self.along.0, self.along.1, cc as u32, rows, multipliers);
+        let u = broadcast_striped(&self.down.0, self.down.1, root_row as u32, cols, trailing);
         let (l, u) = occam::par2(ctx.handle(), l, u).await;
         (best_row, l, u)
     }
@@ -223,20 +223,6 @@ impl LuNode {
             ctx.cp_compute(4).await;
         }
         ctx.wait(done).await;
-    }
-}
-
-/// One of a step's two striped broadcasts, on a process row or column:
-/// nothing moves when there is nothing to send.
-async fn stripe(
-    (ctx, cube): (NodeCtx, Hypercube),
-    root: usize,
-    len: usize,
-    data: Option<Vec<u32>>,
-) -> Vec<u32> {
-    match len {
-        0 => Vec::new(),
-        _ => broadcast_striped(&ctx, cube, root as u32, len, data).await,
     }
 }
 
@@ -722,29 +708,44 @@ mod tests {
 
     #[test]
     fn one_step_costs_the_lu_step_model() {
-        // Step 0's communication alone, from the candidates on, with every
-        // row still free: `NetModel::lu_step` of the longest process row's
-        // free rows and the longest process column's trailing columns.
+        // One step's communication alone, from the candidates on:
+        // `NetModel::lu_step` of the longest process row's free rows and
+        // the longest process column's trailing columns. Step 0 with every
+        // row free; the last step, which has no trailing columns; and a
+        // step whose only free row is the pivot's, which has no multipliers.
         let net = NetModel::default();
         let n = 64;
         for dim in 2..=4u32 {
-            let mut m = Machine::build(MachineCfg::cube(dim));
-            let cube = m.cube;
-            m.launch(move |ctx| async move {
-                let node = LuNode::new(ctx, cube, n);
-                let mut free: Vec<usize> = (node.r..n).step_by(node.grid.pr).collect();
-                let candidate = (node.c == 0).then(|| (1.0 + node.r as f64, free[0] as u32));
-                node.trade(0, candidate, &mut free).await;
-            });
-            assert!(m.run().quiescent);
-            let grid = Grid::new(cube);
-            let model = net.lu_step(grid.dr, grid.dc, n / grid.pr, n / grid.pc);
-            let got = m.now().since(Time::ZERO);
-            let (g, w) = (got.as_secs_f64(), model.as_secs_f64());
-            assert!(
-                (g - w).abs() <= 0.05 * w,
-                "dim {dim}: step {got}, model {model}"
-            );
+            let grid = Grid::new(Hypercube::new(dim));
+            let (rows, cols) = (n / grid.pr, n / grid.pc);
+            for (k, pivot_only, rows, cols) in [
+                (0, false, rows, cols),
+                (n - 1, false, rows, 0),
+                (0, true, 0, cols),
+            ] {
+                let mut m = Machine::build(MachineCfg::cube(dim));
+                let cube = m.cube;
+                m.launch(move |ctx| async move {
+                    let node = LuNode::new(ctx, cube, n);
+                    let mut free: Vec<usize> = (node.r..n).step_by(node.grid.pr).collect();
+                    if pivot_only {
+                        free.retain(|&g| g == 0);
+                    }
+                    let candidate = (k % node.grid.pc == node.c).then(|| match free.first() {
+                        Some(&g) => (1.0 + node.r as f64, g as u32),
+                        None => (0.0, NO_ROW),
+                    });
+                    node.trade(k, candidate, &mut free).await;
+                });
+                assert!(m.run().quiescent);
+                let model = net.lu_step(grid.dr, grid.dc, rows, cols);
+                let got = m.now().since(Time::ZERO);
+                let (g, w) = (got.as_secs_f64(), model.as_secs_f64());
+                assert!(
+                    (g - w).abs() <= 0.05 * w,
+                    "dim {dim}, step {k}, {rows} rows, {cols} columns: step {got}, model {model}"
+                );
+            }
         }
     }
 

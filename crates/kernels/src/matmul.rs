@@ -149,12 +149,12 @@ fn axis_dims(mesh: &MeshEmbedding, me: u32, coords: &[u32], axis: usize) -> [usi
 /// Every node relays the words it received, unopened, so a node lands the
 /// panel that started `hops` positions upstream.
 async fn way(
-    ctx: NodeCtx,
+    ctx: &NodeCtx,
     [send, recv]: [usize; 2],
     hops: u32,
     panels: impl Iterator<Item = usize>,
-    block: Rc<Block>,
-    incoming: Rc<Block>,
+    block: &Block,
+    incoming: &Block,
 ) {
     for i in panels {
         let mut words = block.pack(i);
@@ -176,8 +176,8 @@ async fn torus_move(
     [back, fwd]: [usize; 2],
     side: u32,
     k: u32,
-    block: &Rc<Block>,
-    incoming: &Rc<Block>,
+    block: &Block,
+    incoming: &Block,
 ) {
     let p = block.landed.len();
     let (short, long) = ring_split(side, k, p);
@@ -190,27 +190,12 @@ async fn torus_move(
     };
     // Panel i goes the long way when ⌊i·long/p⌋ steps up at i + 1.
     let far = move |i: &usize| (i + 1) * long / p > i * long / p;
-    let near = (0..p).filter(move |i| !far(i));
-    let near = way(
-        ctx.clone(),
-        short_way,
-        short,
-        near,
-        block.clone(),
-        incoming.clone(),
-    );
+    let (near, far) = ((0..p).filter(move |i| !far(i)), (0..p).filter(far));
+    let near = way(ctx, short_way, short, near, block, incoming);
     if long == 0 {
         near.await;
     } else {
-        let far = (0..p).filter(far);
-        let far = way(
-            ctx.clone(),
-            long_way,
-            side - short,
-            far,
-            block.clone(),
-            incoming.clone(),
-        );
+        let far = way(ctx, long_way, side - short, far, block, incoming);
         // Boxed: the PAR of two ways would double every mover's future,
         // and most moves (small blocks, rings of two) never split.
         Box::pin(occam::par2(ctx.handle(), near, far)).await;
@@ -251,21 +236,16 @@ async fn mover(
 /// classified once). The GEMM is the node's only user of the vector unit
 /// and touches no other unit in between, so its forms queue behind each
 /// other exactly as if each were awaited (see [`NodeCtx::issue_vec`]).
-/// Returns C and the last form's completion instant.
-async fn gemm_step(
-    ctx: NodeCtx,
-    a: Rc<Block>,
-    b: Rc<Block>,
-    mut c: Vec<Sf64>,
-) -> (Vec<Sf64>, Time) {
+/// Returns the last form's completion instant.
+async fn gemm_step(ctx: &NodeCtx, a: &Block, b: &Block, c: &mut [Sf64]) -> Time {
     let mut done = ctx.now();
     for i in 0..a.landed.len() {
         a.panel(i).await;
         b.panel(i).await;
         let (av, bv) = (a.values.borrow(), b.values.borrow());
-        done = ctx.issue_gemm_values(a.b, a.ks(i), &av, &bv, &mut c);
+        done = ctx.issue_gemm_values(a.b, a.ks(i), &av, &bv, c);
     }
-    (c, done)
+    done
 }
 
 /// The per-node Cannon program: returns this node's C block.
@@ -315,16 +295,14 @@ pub async fn cannon_node(
     for t in 0..s {
         a[(t + 1) % 2].unland();
         b[(t + 1) % 2].unland();
-        let (a_go, b_go) = (a_go.clone(), b_go.clone());
-        let leave = async move {
+        let leave = async {
             if t + 1 < s {
                 a_go.recv().await;
                 b_go.recv().await;
             }
         };
-        let multiply = gemm_step(ctx.clone(), a[t % 2].clone(), b[t % 2].clone(), c);
-        let ((product, done), ()) = occam::par2(ctx.handle(), multiply, leave).await;
-        c = product;
+        let multiply = gemm_step(&ctx, &a[t % 2], &b[t % 2], &mut c);
+        let (done, ()) = occam::par2(ctx.handle(), multiply, leave).await;
         ctx.wait(done).await;
     }
     c
@@ -476,8 +454,8 @@ mod tests {
                 let mesh = MeshEmbedding::new(cube, &[2, 2]);
                 let dims = axis_dims(&mesh, ctx.id(), &mesh.coords_of(ctx.id()), 0);
                 let block = Block::new(b, vec![Sf64::ZERO; b * b], true);
-                let incoming = Rc::new(block.empty());
-                torus_move(&ctx, dims, 4, k, &Rc::new(block), &incoming).await;
+                let incoming = block.empty();
+                torus_move(&ctx, dims, 4, k, &block, &incoming).await;
                 assert!(incoming.landed.iter().all(Cell::get));
             });
             assert!(m.run().quiescent);

@@ -11,7 +11,7 @@
 use std::future::Future;
 
 use ts_cube::{embed::MeshEmbedding, Hypercube};
-use ts_node::NodeCtx;
+use ts_node::{occam, NodeCtx};
 
 use crate::{pack, run_spmd, unpack, KernelStats};
 
@@ -56,36 +56,16 @@ impl Tile {
         let g = self.g;
         let col = |x: usize| -> Vec<f64> { (0..g).map(|y| p[y * g + x]).collect() };
         let row = |y: usize| -> Vec<f64> { p[y * g..(y + 1) * g].to_vec() };
-        // All four directions in PAR (deadlock-free: every edge has a send
-        // and a receive posted at once).
-        let h = ctx.handle().clone();
-        let mut sends = Vec::new();
-        for (dim, strip) in self
-            .dims
-            .into_iter()
-            .zip([col(0), col(g - 1), row(0), row(g - 1)])
-        {
-            if let Some(d) = dim {
-                let c = ctx.clone();
-                let words = pack(&strip);
-                sends.push(h.spawn(async move { c.send_dim(d, words).await }));
-            }
-        }
-        let mut halos: [Option<Vec<f64>>; 4] = [None, None, None, None];
-        let mut recvs = Vec::new();
-        for (slot, dim) in self.dims.into_iter().enumerate() {
-            if let Some(d) = dim {
-                let c = ctx.clone();
-                recvs.push((slot, h.spawn(async move { c.recv_dim(d).await })));
-            }
-        }
-        for (slot, jh) in recvs {
-            halos[slot] = Some(unpack(&jh.await));
-        }
-        for s in sends {
-            s.await;
-        }
-        let [w_h, e_h, n_h, s_h] = halos;
+        // One exchange per edge, all four in PAR (deadlock-free: every
+        // edge has a send and a receive posted at once).
+        let strips = [col(0), col(g - 1), row(0), row(g - 1)];
+        let edges = (self.dims.into_iter().zip(strips)).filter_map(|(dim, strip)| {
+            let (d, ctx, words) = (dim?, ctx.clone(), pack(&strip));
+            Some(async move { ctx.exchange(d, words, d).await })
+        });
+        let halos = occam::par_all(ctx.handle(), edges.collect()).await;
+        let mut halos = halos.iter().map(|words| unpack(words));
+        let [w_h, e_h, n_h, s_h] = self.dims.map(|d| d.and_then(|_| halos.next()));
         let at = |x: isize, y: isize| -> f64 {
             if x < 0 {
                 w_h.as_ref().map_or(0.0, |h| h[y as usize])
@@ -246,6 +226,20 @@ mod tests {
     #[test]
     fn jacobi_on_an_8_node_rectangle() {
         check(3, 4, 3);
+    }
+
+    #[test]
+    fn sweep_timing_is_pinned() {
+        // The halo exchange's schedule, to the picosecond: three sweeps of
+        // g = 8 tiles, the same on a square and on a 4-cube's 4 × 4 mesh,
+        // and the simulator's timer events per machine.
+        for (dim, events) in [(2u32, 60u64), (4, 336)] {
+            let mut m = Machine::build(MachineCfg::cube_small_mem(dim, 8));
+            let init: Vec<f64> = (0..64 << dim).map(|i| (i % 7) as f64).collect();
+            let (_, stats) = distributed_jacobi(&mut m, 8, 3, &init);
+            assert_eq!(stats.elapsed.as_ps(), 455_475_000, "dim {dim}");
+            assert_eq!(m.profile().timer_events, events, "dim {dim}");
+        }
     }
 
     #[test]

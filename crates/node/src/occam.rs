@@ -30,17 +30,11 @@ use ts_sim::{JoinHandle, SimHandle};
 /// Run two processes in parallel (Occam `PAR`), resuming when both finish.
 ///
 /// The constituents are polled in place — a `PAR` costs no task spawns, no
-/// boxing and no ready-queue round trips, which matters on the collective
-/// hot path where every dimension exchange is one `PAR` of a send and a
-/// receive. Dropping the `PAR` cancels both constituents, as Occam's
+/// boxing and no ready-queue round trips — so they may borrow from the
+/// caller, as an Occam process reads the variables of the process it is
+/// part of. Dropping the `PAR` cancels both constituents, as Occam's
 /// process-tree semantics require.
-pub async fn par2<A, B>(_h: &SimHandle, a: A, b: B) -> (A::Output, B::Output)
-where
-    A: Future + 'static,
-    B: Future + 'static,
-    A::Output: 'static,
-    B::Output: 'static,
-{
+pub async fn par2<A: Future, B: Future>(_h: &SimHandle, a: A, b: B) -> (A::Output, B::Output) {
     let mut a = pin!(a);
     let mut b = pin!(b);
     let mut ra = None;
@@ -92,16 +86,15 @@ mod tests {
         let mut sim = Sim::new();
         let h = sim.handle();
         let jh = sim.spawn(async move {
-            let h2 = h.clone();
-            let h3 = h.clone();
+            // Both processes borrow the caller's handle.
             let (x, y) = par2(
                 &h,
-                async move {
-                    h2.sleep(Dur::us(10)).await;
+                async {
+                    h.sleep(Dur::us(10)).await;
                     1u32
                 },
-                async move {
-                    h3.sleep(Dur::us(25)).await;
+                async {
+                    h.sleep(Dur::us(25)).await;
                     2u32
                 },
             )

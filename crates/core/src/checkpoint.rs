@@ -196,11 +196,6 @@ impl CheckpointStore {
         }
     }
 
-    /// Stage a full image for one node.
-    pub fn stage_full(&mut self, node: usize, image: Vec<u32>) {
-        self.staging[node] = Some(Payload::Full(image));
-    }
-
     /// Stage the payload one node captured. A delta stays a delta until
     /// [`CheckpointStore::commit`] folds its rows into the committed image
     /// (the disk has both on hand), so an abort costs the base nothing.
@@ -338,14 +333,14 @@ mod tests {
         let mut store = CheckpointStore::new(2);
         assert!(!store.has_committed());
         store.begin();
-        store.stage_full(0, vec![1, 2]);
+        store.stage(0, Payload::Full(vec![1, 2])).unwrap();
         // Committing with node 1 unstaged must fail and commit nothing.
         assert_eq!(
             store.commit(SnapshotMode::Full, 8, 8),
             Err(StoreError::Incomplete { node: 1 })
         );
         assert!(!store.has_committed());
-        store.stage_full(1, vec![3, 4]);
+        store.stage(1, Payload::Full(vec![3, 4])).unwrap();
         store.commit(SnapshotMode::Full, 16, 16).unwrap();
         assert_eq!(store.epoch(), 1);
         assert_eq!(store.committed(), &[vec![1, 2], vec![3, 4]]);
@@ -355,11 +350,11 @@ mod tests {
     fn abort_keeps_the_previous_version() {
         let mut store = CheckpointStore::new(1);
         store.begin();
-        store.stage_full(0, vec![7; 4]);
+        store.stage(0, Payload::Full(vec![7; 4])).unwrap();
         store.commit(SnapshotMode::Full, 16, 16).unwrap();
         // Second snapshot starts staging, then the machine crashes.
         store.begin();
-        store.stage_full(0, vec![9; 4]);
+        store.stage(0, Payload::Full(vec![9; 4])).unwrap();
         store.abort();
         assert_eq!(store.committed(), &[vec![7; 4]]);
         assert_eq!(store.torn_aborts(), 1);
@@ -378,7 +373,9 @@ mod tests {
             Err(StoreError::NoBase { node: 0 })
         );
         // Commit a full base, then the delta applies on top of it.
-        store.stage_full(0, vec![0; mem.cfg().words()]);
+        store
+            .stage(0, Payload::Full(vec![0; mem.cfg().words()]))
+            .unwrap();
         store
             .commit(SnapshotMode::Full, mem.cfg().bytes() as u64, 0)
             .unwrap();

@@ -112,16 +112,15 @@ pub async fn broadcast(
     let buf = if me == root {
         data.expect("root must provide the broadcast payload")
     } else {
-        let parent_dim = (me ^ root).trailing_zeros() as usize;
-        ctx.recv_dim(parent_dim).await
+        let parent = cube.binomial_parent(root, me);
+        ctx.recv_dim(cube.link_dim(me, parent)).await
     };
     // Children: dimensions below our parent dimension (all for the root),
     // highest first so the biggest subtrees start earliest.
     let mut children = cube.binomial_children(root, me);
     children.reverse();
     for child in children {
-        let d = (me ^ child).trailing_zeros() as usize;
-        ctx.send_dim(d, buf.clone()).await;
+        ctx.send_dim(cube.link_dim(me, child), buf.clone()).await;
     }
     book_latency(ctx, "broadcast", t0);
     buf
@@ -161,7 +160,7 @@ pub async fn broadcast_striped(
         let net = NetModel::from_params(ctx.in_channel(0).wire().params());
         let pieces = net.broadcast_pieces(n, len);
         let shared = Rc::new(RefCell::new(buf));
-        let dim = |node: u32| (me ^ node).trailing_zeros() as usize;
+        let dim = |node: u32| cube.link_dim(me, node);
         let trees = (0..n)
             .map(|t| {
                 let stripe = t as usize * len / n as usize..(t + 1) as usize * len / n as usize;
@@ -282,16 +281,15 @@ pub async fn reduce(
     // Receive from each child subtree (lowest dimension first — the order
     // children finish in a balanced tree).
     for child in cube.binomial_children(root, me) {
-        let d = (me ^ child).trailing_zeros() as usize;
-        let theirs = ctx.recv_f64s(d).await;
+        let theirs = ctx.recv_f64s(cube.link_dim(me, child)).await;
         ctx.combine_values(op, &mut acc, &theirs).await;
         ts_node::recycle_values(theirs);
     }
     let result = if me == root {
         Some(acc)
     } else {
-        let parent_dim = (me ^ root).trailing_zeros() as usize;
-        ctx.send_f64s(parent_dim, &acc).await;
+        let parent = cube.binomial_parent(root, me);
+        ctx.send_f64s(cube.link_dim(me, parent), &acc).await;
         None
     };
     book_latency(ctx, "reduce", t0);

@@ -17,7 +17,7 @@ use std::fmt;
 
 use ts_cube::NodeId;
 use ts_node::Node;
-use ts_sim::{Dur, Rng, Time};
+use ts_sim::{text, Dur, Rng, Time};
 
 use crate::Machine;
 
@@ -351,67 +351,48 @@ impl FaultPlan {
     }
 
     /// Parse the plain-text plan format written by the plan's `Display`
-    /// impl: one `<time>ps <fault tokens>` line per fault, blank lines and
-    /// `#` comments ignored. Inverse of `to_string`, so a shrunk chaos
-    /// repro can be copy-pasted straight back into a test.
+    /// impl: one `<time>ps <fault tokens>` line per fault, in time order,
+    /// blank lines and `#` comments ignored. Inverse of `to_string`, so a
+    /// shrunk chaos repro can be copy-pasted straight back into a test.
     pub fn parse(text: &str) -> Result<FaultPlan, PlanParseError> {
+        const BAD: &str = "bad field";
         let mut plan = FaultPlan::new();
-        for (lineno, raw) in text.lines().enumerate() {
-            let line = raw.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            let err = |what: &'static str| PlanParseError {
-                line: lineno + 1,
-                what,
-                text: raw.to_string(),
-            };
-            let mut tok = line.split_whitespace();
-            let at_tok = tok.next().ok_or_else(|| err("missing time"))?;
-            let at_ps: u64 = at_tok
-                .strip_suffix("ps")
-                .and_then(|d| d.parse().ok())
-                .ok_or_else(|| err("bad time (want `<int>ps`)"))?;
-            let kind = tok.next().ok_or_else(|| err("missing fault kind"))?;
-            // Field helpers: next token must carry the given prefix, and
-            // its number must fit the field's type.
-            let mut field = |prefix: &'static str| -> Result<u64, PlanParseError> {
-                tok.next()
-                    .and_then(|t| t.strip_prefix(prefix))
-                    .and_then(|d| d.trim_end_matches("ps").parse().ok())
-                    .ok_or_else(|| err("bad field"))
-            };
-            let narrow = |v: u64| u32::try_from(v).map_err(|_| err("bad field"));
-            let event = match kind {
+        for mut rec in text::records(text) {
+            let at = Dur::ps(rec.ps("", "bad time (want `<int>ps`)")?);
+            let event = match rec.token("missing fault kind")? {
                 "link_down" => FaultEvent::LinkDown {
-                    node: narrow(field("n")?)?,
-                    dim: narrow(field("d")?)?,
+                    node: rec.number("n", BAD)?,
+                    dim: rec.number("d", BAD)?,
                 },
                 "node_crash" => FaultEvent::NodeCrash {
-                    node: narrow(field("n")?)?,
+                    node: rec.number("n", BAD)?,
                 },
                 "mem_flip" => FaultEvent::MemFlip {
-                    node: narrow(field("n")?)?,
-                    addr: usize::try_from(field("a")?).map_err(|_| err("bad field"))?,
-                    bit: narrow(field("b")?)?,
+                    node: rec.number("n", BAD)?,
+                    addr: rec.number("a", BAD)?,
+                    bit: rec.number("b", BAD)?,
                 },
                 "wire_corrupt" => FaultEvent::WireCorrupt {
-                    node: narrow(field("n")?)?,
-                    dim: narrow(field("d")?)?,
-                    flit_bit: field("bit")?,
+                    node: rec.number("n", BAD)?,
+                    dim: rec.number("d", BAD)?,
+                    flit_bit: rec.number("bit", BAD)?,
                 },
                 "flit_drop" => FaultEvent::FlitDrop {
-                    node: narrow(field("n")?)?,
-                    dim: narrow(field("d")?)?,
+                    node: rec.number("n", BAD)?,
+                    dim: rec.number("d", BAD)?,
                 },
                 "link_flap" => FaultEvent::LinkFlap {
-                    node: narrow(field("n")?)?,
-                    dim: narrow(field("d")?)?,
-                    down_for: Dur::ps(field("down")?),
+                    node: rec.number("n", BAD)?,
+                    dim: rec.number("d", BAD)?,
+                    down_for: Dur::ps(rec.ps("down", BAD)?),
                 },
-                _ => return Err(err("unknown fault kind")),
+                _ => return Err(rec.err("unknown fault kind")),
             };
-            plan.push(Dur::ps(at_ps), event);
+            rec.end("trailing tokens")?;
+            if plan.faults.last().is_some_and(|last| at < last.at) {
+                return Err(rec.err("faults out of time order"));
+            }
+            plan.faults.push(TimedFault { at, event });
         }
         Ok(plan)
     }
@@ -503,27 +484,7 @@ impl std::str::FromStr for FaultPlan {
 }
 
 /// A line of plan text that did not parse.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct PlanParseError {
-    /// 1-based line number of the offending line.
-    pub line: usize,
-    /// What was wrong with it.
-    pub what: &'static str,
-    /// The raw line text.
-    pub text: String,
-}
-
-impl fmt::Display for PlanParseError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "fault plan line {}: {} in {:?}",
-            self.line, self.what, self.text
-        )
-    }
-}
-
-impl std::error::Error for PlanParseError {}
+pub type PlanParseError = text::ParseError;
 
 #[cfg(test)]
 mod tests {
@@ -640,78 +601,6 @@ mod tests {
         assert_eq!(
             widest.iter().next().unwrap().event,
             FaultEvent::NodeCrash { node: u32::MAX }
-        );
-    }
-
-    /// One to three edits of plan `text`: a byte turned into a random
-    /// printable character, a token dropped or duplicated, or a token's
-    /// number replaced by one too large for its field (or for `u64`).
-    fn mutate(rng: &mut Rng, text: &str) -> String {
-        let mut lines: Vec<Vec<String>> = text
-            .lines()
-            .map(|l| l.split(' ').map(String::from).collect())
-            .collect();
-        for _ in 0..rng.range(1, 4) {
-            let n = lines.len();
-            let line = &mut lines[rng.range(0, n)];
-            if line.is_empty() {
-                continue;
-            }
-            let at = rng.range(0, line.len());
-            match rng.below(4) {
-                0 => {
-                    let mut bytes = std::mem::take(&mut line[at]).into_bytes();
-                    if !bytes.is_empty() {
-                        let i = rng.range(0, bytes.len());
-                        bytes[i] = b' ' + rng.below(95) as u8;
-                    }
-                    line[at] = String::from_utf8(bytes).expect("printable ASCII");
-                }
-                1 => {
-                    line.remove(at);
-                }
-                2 => {
-                    let dup = line[at].clone();
-                    line.insert(at, dup);
-                }
-                _ => {
-                    let tok = &line[at];
-                    let digit = |c: &char| c.is_ascii_digit();
-                    let prefix: String = tok.chars().take_while(|c| !digit(c)).collect();
-                    let suffix: String = tok
-                        .chars()
-                        .skip_while(|c| !digit(c))
-                        .skip_while(digit)
-                        .collect();
-                    let huge = ["4294967296", "4294967297", "18446744073709551616"];
-                    line[at] = format!("{prefix}{}{suffix}", huge[rng.below(3) as usize]);
-                }
-            }
-        }
-        let lines: Vec<String> = lines.iter().map(|l| l.join(" ")).collect();
-        lines.join("\n")
-    }
-
-    #[test]
-    fn mutated_plan_text_errs_or_round_trips() {
-        let mut rng = Rng::new(0xFA17_7E57);
-        let (mut rejected, mut parsed) = (0, 0);
-        for seed in 0..64 {
-            let text = FaultPlan::generate(seed, 4, 1024, 8, Dur::secs(1)).to_string();
-            for _ in 0..32 {
-                let mutant = mutate(&mut rng, &text);
-                let Ok(plan) = FaultPlan::parse(&mutant) else {
-                    rejected += 1;
-                    continue;
-                };
-                parsed += 1;
-                let again = FaultPlan::parse(&plan.to_string()).expect("a plan's own text parses");
-                assert_eq!(again.faults, plan.faults, "mutant:\n{mutant}");
-            }
-        }
-        assert!(
-            rejected > 0 && parsed > 0,
-            "{rejected} rejected, {parsed} parsed"
         );
     }
 

@@ -1184,7 +1184,8 @@ mod tests {
         let mut bad = CheckpointStore::new(8);
         for (i, image) in store.committed().iter().enumerate() {
             let short = if i == 2 { 1 } else { 0 };
-            bad.stage_full(i, image[..image.len() - short].to_vec());
+            let image = image[..image.len() - short].to_vec();
+            bad.stage(i, Payload::Full(image)).unwrap();
         }
         bad.commit(SnapshotMode::Full, 0, 0).unwrap();
         for r in [

@@ -257,9 +257,7 @@ impl Supervisor {
                     }
                 }
 
-                let crashed = m.nodes.iter().any(|n| n.is_crashed());
-                let latent: usize = m.nodes.iter().map(|n| n.mem().parity_errors()).sum();
-                if crashed || latent > 0 {
+                if m.nodes.iter().any(|n| n.is_unfit()) {
                     break false;
                 }
 

@@ -69,6 +69,12 @@ impl Hypercube {
         node ^ (1 << d)
     }
 
+    /// The dimension of the link joining neighbours `a` and `b`.
+    pub fn link_dim(self, a: NodeId, b: NodeId) -> usize {
+        debug_assert!(a < self.nodes() && b < self.nodes() && (a ^ b).is_power_of_two());
+        (a ^ b).trailing_zeros() as usize
+    }
+
     /// Hamming distance — the minimum hop count between two nodes.
     pub fn distance(self, a: NodeId, b: NodeId) -> u32 {
         (a ^ b).count_ones()
@@ -450,6 +456,23 @@ mod tests {
                 assert_eq!(c.distance(node, n), 1);
             }
         }
+    }
+
+    #[test]
+    fn link_dim_inverts_neighbor() {
+        let c = Hypercube::new(4);
+        for node in c.iter() {
+            for d in 0..c.dim() {
+                assert_eq!(c.link_dim(node, c.neighbor(node, d)), d as usize);
+            }
+        }
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic]
+    fn link_dim_of_a_non_neighbour_pair_panics() {
+        Hypercube::new(4).link_dim(0b0001, 0b0110);
     }
 
     #[test]

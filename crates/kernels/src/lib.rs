@@ -56,7 +56,7 @@ use std::future::Future;
 
 use t_series_core::Machine;
 use ts_mem::{join, split};
-use ts_node::NodeCtx;
+use ts_node::{NodeCtx, NodeMeters};
 use ts_sim::{Dur, Time};
 
 /// What a kernel run achieved, derived from machine metrics.
@@ -70,61 +70,15 @@ pub struct KernelStats {
     pub bytes_sent: u64,
     /// Aggregate achieved MFLOPS.
     pub mflops: f64,
-    /// Fraction of node-time the vector units were busy (0..=1 per node).
-    pub vec_utilization: f64,
 }
 
-/// The machine-wide counters behind a [`KernelStats`], read at one instant.
-#[derive(Clone, Copy, Debug)]
-pub struct Mark {
-    at: Time,
-    flops: u64,
-    bytes_sent: u64,
-    vec_busy: Dur,
-}
-
-impl KernelStats {
-    /// Read the counters before launching a kernel. They are cumulative
-    /// over the machine's life, so a kernel's stats are the deltas from
-    /// its mark — the same on a reused machine as on a fresh one.
-    pub fn mark(machine: &Machine) -> Mark {
-        let mut mark = Mark {
-            at: machine.now(),
-            flops: 0,
-            bytes_sent: 0,
-            vec_busy: Dur::ZERO,
-        };
-        for node in &machine.nodes {
-            mark.flops += node.meters().vec_flops.get();
-            mark.bytes_sent += node.meters().link_bytes_sent.get();
-            mark.vec_busy += node.meters().vec_busy.get();
-        }
-        mark
-    }
-
-    /// What the machine did since `mark`.
-    pub fn since(machine: &Machine, mark: Mark) -> KernelStats {
-        let now = KernelStats::mark(machine);
-        let elapsed = now.at.since(mark.at);
-        let flops = now.flops - mark.flops;
-        let secs = elapsed.as_secs_f64();
-        let node_secs = secs * machine.nodes.len() as f64;
-        KernelStats {
-            elapsed,
-            flops,
-            bytes_sent: now.bytes_sent - mark.bytes_sent,
-            mflops: if secs > 0.0 {
-                flops as f64 / secs / 1e6
-            } else {
-                0.0
-            },
-            vec_utilization: if secs > 0.0 {
-                (now.vec_busy - mark.vec_busy).as_secs_f64() / node_secs
-            } else {
-                0.0
-            },
-        }
-    }
+/// The machine's cumulative `(instant, vector flops, link bytes sent)`.
+/// A kernel's stats are the deltas across its run, so they are the same
+/// on a reused machine as on a fresh one.
+fn counters(machine: &Machine) -> (Time, u64, u64) {
+    let sum = |f: fn(&NodeMeters) -> u64| machine.nodes.iter().map(|n| f(n.meters())).sum();
+    let flops = sum(|m| m.vec_flops.get());
+    (machine.now(), flops, sum(|m| m.link_bytes_sent.get()))
 }
 
 /// The SPMD runner behind every `distributed_*` driver: launch `program`
@@ -140,14 +94,27 @@ where
     Fut: Future + 'static,
     Fut::Output: 'static,
 {
-    let mark = KernelStats::mark(machine);
+    let (t0, flops0, bytes0) = counters(machine);
     let handles = machine.launch(program);
     assert!(machine.run().quiescent, "{kernel} deadlocked");
     let outputs = handles
         .into_iter()
         .map(|h| h.try_take().expect("quiescent, so finished"))
         .collect();
-    (outputs, KernelStats::since(machine, mark))
+    let (t1, flops1, bytes1) = counters(machine);
+    let (elapsed, flops) = (t1.since(t0), flops1 - flops0);
+    let secs = elapsed.as_secs_f64();
+    let stats = KernelStats {
+        elapsed,
+        flops,
+        bytes_sent: bytes1 - bytes0,
+        mflops: if secs > 0.0 {
+            flops as f64 / secs / 1e6
+        } else {
+            0.0
+        },
+    };
+    (outputs, stats)
 }
 
 /// Message encoding of `f64` values: two words each ([`split`]).
@@ -192,7 +159,7 @@ mod tests {
 
         let mut reused = Machine::build(cfg);
         matmul::distributed_matmul(&mut reused, 16, 3);
-        lu::distributed_solve(&mut reused, 16, 3);
+        lu::distributed_lu(&mut reused, 16, 3);
         let (_, got) = fft::distributed_fft(&mut reused, &input);
         assert_eq!(format!("{got:?}"), format!("{want:?}"));
     }

@@ -25,7 +25,7 @@
 //! a node or between nodes. (Experiment E15 measures what an explicit swap
 //! would cost, row moves against element-wise.)
 
-use t_series_core::collectives::{allgather, broadcast, broadcast_striped};
+use t_series_core::collectives::{broadcast, broadcast_striped};
 use ts_cube::Hypercube;
 use ts_fpu::{softdiv, Sf64};
 use ts_mem::{join, split, ROW_WORDS};
@@ -273,113 +273,6 @@ async fn pivot_vote(ctx: &NodeCtx, cube: Hypercube, mut best: (f64, u32)) -> (f6
     best
 }
 
-/// The per-node triangular-solve program (`Ly = Pb`, then `Ux = y`),
-/// run after [`lu_node`] with the same storage. All nodes receive the
-/// replicated pivot permutation and right-hand side; every node returns
-/// the full solution vector (replicated, like the paper's homogeneous
-/// programs would keep it).
-///
-/// First each process row all-gathers its columns along itself, so every
-/// node holds its process row's rows whole, in column order. Row g is then
-/// solved on one node of its process row, the `(g / pr) mod pc`-th.
-/// Each step has a true sequential dependency — y\[k\] needs y\[0..k\] — so
-/// the solve is latency-bound: one small broadcast per row, the classic
-/// reason triangular solves scale poorly on message-passing machines.
-pub async fn solve_node(
-    ctx: NodeCtx,
-    cube: Hypercube,
-    n: usize,
-    perm: Vec<usize>,
-    b: Vec<f64>,
-) -> Vec<f64> {
-    let node = LuNode::new(ctx, cube, n);
-    let (ctx, grid) = (&node.ctx, node.grid);
-    let (pr, pc) = (grid.pr, grid.pc);
-    let mut mine = Vec::new();
-    for g in (node.r..n).step_by(pr) {
-        let mut row = [0; ROW_WORDS];
-        let at = node.layout.matrix_base + g / pr;
-        ctx.mem().read_row(at, &mut row).unwrap();
-        mine.extend_from_slice(&row[..2 * node.cols]);
-    }
-    let parts = allgather(&node.along.0, node.along.1, mine).await;
-    // rows[g / pr][j] is element (g, j): local column j / pc of node j mod pc.
-    let rows: Vec<Vec<Sf64>> = (0..(node.r..n).step_by(pr).len())
-        .map(|l| {
-            let at = |j: usize| 2 * (l * (j % pc..n).step_by(pc).len() + j / pc);
-            let value = |j: usize| Sf64::from_bits(join(&parts[j % pc].1[at(j)..]));
-            (0..n).map(value).collect()
-        })
-        .collect();
-    let owner = |g: usize| g % pr * pc + g / pr % pc;
-    let me = ctx.id() as usize;
-
-    // Forward substitution: y[k] = (Pb)[k] − L[k, 0..k] · y[0..k].
-    let mut y: Vec<Sf64> = Vec::with_capacity(n);
-    for (k, &g) in perm.iter().enumerate() {
-        let val = if me == owner(g) {
-            let dot = ctx.dot_values(&rows[g / pr][..k], &y[..k]).await;
-            let v = Sf64::from(b[g]) - dot;
-            Some(split(v.to_bits()).to_vec())
-        } else {
-            None
-        };
-        let words = broadcast(ctx, cube, owner(g) as u32, val).await;
-        y.push(Sf64::from_bits(join(&words)));
-    }
-
-    // Back substitution: x[k] = (y[k] − U[k, k+1..] · x[k+1..]) / U[k][k].
-    let mut x = vec![Sf64::ZERO; n];
-    for k in (0..n).rev() {
-        let g = perm[k];
-        let val = if me == owner(g) {
-            let urow = &rows[g / pr][k..];
-            let dot = ctx.dot_values(&urow[1..], &x[k + 1..]).await;
-            let recip = softdiv::recip(urow[0]);
-            ctx.charge_vec_flops(softdiv::RECIP_FLOPS + 2).await;
-            let v = (y[k] - dot) * recip;
-            Some(split(v.to_bits()).to_vec())
-        } else {
-            None
-        };
-        let words = broadcast(ctx, cube, owner(g) as u32, val).await;
-        x[k] = Sf64::from_bits(join(&words));
-    }
-    x.into_iter().map(|v| v.to_host()).collect()
-}
-
-/// Host driver: factor **and solve** `A x = b` end to end; returns
-/// `(A, b, x, stats)` with the stats covering the whole run.
-pub fn distributed_solve(
-    machine: &mut t_series_core::Machine,
-    n: usize,
-    seed: u64,
-) -> (Vec<f64>, Vec<f64>, Vec<f64>, KernelStats) {
-    let mark = KernelStats::mark(machine);
-    let (a, perm, _lu, _) = distributed_lu(machine, n, seed);
-    let mut st = seed ^ 0xb0b;
-    let b: Vec<f64> = (0..n).map(|_| rand_f64(&mut st)).collect();
-    let cube = machine.cube;
-    let (xs, _) = run_spmd(machine, "solve", |ctx| {
-        solve_node(ctx, cube, n, perm.clone(), b.clone())
-    });
-    for x in &xs[1..] {
-        assert_eq!(x, &xs[0], "nodes disagree on the solution");
-    }
-    let stats = KernelStats::since(machine, mark);
-    (a, b, xs[0].clone(), stats)
-}
-
-/// Max-norm residual `|A·x − b|` for verification.
-pub fn residual(n: usize, a: &[f64], x: &[f64], b: &[f64]) -> f64 {
-    (0..n)
-        .map(|i| {
-            let ax: f64 = (0..n).map(|j| a[i * n + j] * x[j]).sum();
-            (ax - b[i]).abs()
-        })
-        .fold(0.0, f64::max)
-}
-
 /// Host driver: factor a random `n×n` matrix on `machine`; returns
 /// `(original A, perm, combined LU rows, stats)`.
 pub fn distributed_lu(
@@ -529,17 +422,6 @@ mod tests {
     }
 
     #[test]
-    fn solve_has_small_residual() {
-        for dim in [0u32, 2] {
-            let mut m = Machine::build(MachineCfg::cube(dim));
-            let (a, b, x, stats) = distributed_solve(&mut m, 24, 8);
-            let r = residual(24, &a, &x, &b);
-            assert!(r < 1e-8, "residual {r} on {dim}-cube");
-            assert!(stats.flops > 0);
-        }
-    }
-
-    #[test]
     fn pivoting_actually_pivots() {
         // A matrix with a tiny leading element forces a row interchange.
         let mut m = Machine::build(MachineCfg::cube(0));
@@ -644,26 +526,6 @@ mod tests {
         }
         let err = reconstruction_error(n, &a, &perm, &lu);
         assert!(err < 1e-12, "reconstruction error {err}");
-    }
-
-    /// FNV-1a over the bit patterns of a float sequence.
-    fn fnv(vals: &[f64]) -> u64 {
-        vals.iter()
-            .flat_map(|v| v.to_bits().to_le_bytes())
-            .fold(0xcbf2_9ce4_8422_2325, |h, b| {
-                (h ^ b as u64).wrapping_mul(0x100_0000_01b3)
-            })
-    }
-
-    #[test]
-    fn solution_is_pinned_bit_for_bit() {
-        // `x` of `solve_has_small_residual`'s cases, digested at the commit
-        // before the grid layout (rows cyclic over all nodes); the solve now
-        // all-gathers each process row first, and must give the same bits.
-        for dim in [0u32, 2] {
-            let (_, _, x, _) = distributed_solve(&mut Machine::build(MachineCfg::cube(dim)), 24, 8);
-            assert_eq!(fnv(&x), 0x6ff32da98aa5022b, "dim {dim}");
-        }
     }
 
     #[test]

@@ -136,12 +136,15 @@ impl Drop for Block {
 }
 
 /// The cube dimensions a node crosses stepping one position `[backward,
-/// forward]` along torus `axis` (wrapping).
-fn axis_dims(mesh: &MeshEmbedding, me: u32, coords: &[u32], axis: usize) -> [usize; 2] {
-    [false, true].map(|forward| {
-        let nb = mesh.node_at(&mesh.step_wrap(coords, axis, forward));
-        (me ^ nb).trailing_zeros() as usize
-    })
+/// forward]` along torus `axis` (wrapping). A ring of one position (the
+/// 0-cube's) has no link and never moves: its dimensions read 0.
+fn axis_dims(cube: Hypercube, mesh: &MeshEmbedding, me: u32, axis: usize) -> [usize; 2] {
+    if mesh.side(axis) == 1 {
+        return [0; 2];
+    }
+    let coords = mesh.coords_of(me);
+    [false, true]
+        .map(|forward| cube.link_dim(me, mesh.node_at(&mesh.step_wrap(&coords, axis, forward))))
 }
 
 /// One way round a ring: carry the `panels` of `block`, one after another,
@@ -271,7 +274,7 @@ pub async fn cannon_node(
     // keep every transfer on a physical cube edge.
     let (a_go, b_go) = (Rendezvous::new(), Rendezvous::new());
     let [a, b] = [(0, row, a, &a_go), (1, col, b, &b_go)].map(|(axis, skew, values, go)| {
-        let dims = axis_dims(&mesh, me, &coords, axis);
+        let dims = axis_dims(cube, &mesh, me, axis);
         let block = Block::new(bsize, values, true);
         let other = block.empty();
         let blocks = if skew == 0 {
@@ -452,7 +455,7 @@ mod tests {
             let cube = m.cube;
             m.launch(move |ctx| async move {
                 let mesh = MeshEmbedding::new(cube, &[2, 2]);
-                let dims = axis_dims(&mesh, ctx.id(), &mesh.coords_of(ctx.id()), 0);
+                let dims = axis_dims(cube, &mesh, ctx.id(), 0);
                 let block = Block::new(b, vec![Sf64::ZERO; b * b], true);
                 let incoming = block.empty();
                 torus_move(&ctx, dims, 4, k, &block, &incoming).await;

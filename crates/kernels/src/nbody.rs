@@ -60,10 +60,6 @@ fn accumulate(residents: &[Body], visitors: &[Body], forces: &mut [(f64, f64)]) 
 pub async fn nbody_node(ctx: NodeCtx, cube: Hypercube, residents: Vec<Body>) -> Vec<(f64, f64)> {
     let ring = RingEmbedding::new(cube);
     let me = ctx.id();
-    let next = ring.next(me);
-    let prev = ring.prev(me);
-    let send_dim = (me ^ next).trailing_zeros() as usize;
-    let recv_dim = (me ^ prev).trailing_zeros() as usize;
     let nl = residents.len();
 
     let mut forces = vec![(0.0, 0.0); nl];
@@ -76,11 +72,13 @@ pub async fn nbody_node(ctx: NodeCtx, cube: Hypercube, residents: Vec<Body>) -> 
     ctx.charge_vec_flops(FLOPS_PER_PAIR * (nl * nl.saturating_sub(1)) as u64)
         .await;
 
-    // Circulate the visitor buffer p−1 steps around the ring.
+    // Circulate the visitor buffer p−1 steps around the ring (a ring of
+    // one node has no link to cross).
     let mut visitors = residents.clone();
     for _ in 1..cube.nodes() {
         let words = pack(visitors.iter().flat_map(|b| [&b.x, &b.y, &b.m]));
-        let incoming = ctx.exchange(send_dim, words, recv_dim).await;
+        let [send, recv] = [ring.next(me), ring.prev(me)].map(|nb| cube.link_dim(me, nb));
+        let incoming = ctx.exchange(send, words, recv).await;
         visitors = unpack(&incoming)
             .chunks_exact(3)
             .map(|v| Body {

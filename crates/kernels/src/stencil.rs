@@ -32,7 +32,7 @@ impl Tile {
         let coords = mesh.coords_of(me);
         let neighbor = |axis: usize, forward: bool| -> Option<usize> {
             mesh.step(&coords, axis, forward)
-                .map(|nc| (me ^ mesh.node_at(&nc)).trailing_zeros() as usize)
+                .map(|nc| cube.link_dim(me, mesh.node_at(&nc)))
         };
         Tile {
             g,

@@ -462,6 +462,12 @@ impl Node {
         !self.shared.state.borrow().health.is_up()
     }
 
+    /// True when the node cannot be trusted with work: it has crashed, or
+    /// its memory holds a latent parity error the next access would trip.
+    pub fn is_unfit(&self) -> bool {
+        self.is_crashed() || self.mem().parity_errors() > 0
+    }
+
     /// The node's watchable health flag ("up" while alive). Daemons race
     /// their channel waits against this so a crash tears them down.
     pub fn health(&self) -> ts_link::LinkStatus {

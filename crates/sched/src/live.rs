@@ -221,10 +221,7 @@ impl Scheduler {
                 else {
                     unreachable!("the running set holds running jobs");
                 };
-                let sick = |p: NodeId| {
-                    let n = &m.nodes[p as usize];
-                    n.is_crashed() || n.mem().parity_errors() > 0
-                };
+                let sick = |p: NodeId| m.nodes[p as usize].is_unfit();
                 if !sub.iter().any(sick) {
                     return true;
                 }

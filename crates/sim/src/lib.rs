@@ -16,6 +16,8 @@
 //!   links, memory ports, disks).
 //! * [`metrics`] — the typed metrics registry: counters, busy time and
 //!   histograms behind pre-registered handles.
+//! * [`text`] — the strict line reader of the plain-text formats (fault
+//!   plans, arrival traces).
 //!
 //! ## Determinism
 //!
@@ -51,6 +53,7 @@ pub mod perfetto;
 pub mod pool;
 pub mod resource;
 pub mod rng;
+pub mod text;
 pub mod time;
 pub mod trace;
 

@@ -9,7 +9,6 @@
 //! arrival gaps exhibit, plus fixed and uniform for calibration runs.
 
 use std::f64::consts::PI;
-use std::fmt;
 
 use ts_sim::Rng;
 
@@ -88,48 +87,6 @@ impl Dist {
             Dist::Pareto { xmin, alpha } => (alpha > 1.0).then(|| alpha * xmin / (alpha - 1.0)),
             Dist::LogNormal { mu, sigma } => Some((mu + sigma * sigma / 2.0).exp()),
         }
-    }
-}
-
-impl fmt::Display for Dist {
-    /// Compact single-token form used in trace headers:
-    /// `fixed:v`, `uniform:lo:hi`, `exp:mean`, `pareto:xmin:alpha`,
-    /// `lognormal:mu:sigma`.
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match *self {
-            Dist::Fixed(v) => write!(f, "fixed:{v}"),
-            Dist::Uniform { lo, hi } => write!(f, "uniform:{lo}:{hi}"),
-            Dist::Exp { mean } => write!(f, "exp:{mean}"),
-            Dist::Pareto { xmin, alpha } => write!(f, "pareto:{xmin}:{alpha}"),
-            Dist::LogNormal { mu, sigma } => write!(f, "lognormal:{mu}:{sigma}"),
-        }
-    }
-}
-
-impl Dist {
-    /// Parse the token form written by `Display`.
-    pub fn parse(tok: &str) -> Option<Dist> {
-        let mut parts = tok.split(':');
-        let kind = parts.next()?;
-        let mut num = || parts.next()?.parse::<f64>().ok();
-        let d = match kind {
-            "fixed" => Dist::Fixed(num()?),
-            "uniform" => Dist::Uniform {
-                lo: num()?,
-                hi: num()?,
-            },
-            "exp" => Dist::Exp { mean: num()? },
-            "pareto" => Dist::Pareto {
-                xmin: num()?,
-                alpha: num()?,
-            },
-            "lognormal" => Dist::LogNormal {
-                mu: num()?,
-                sigma: num()?,
-            },
-            _ => return None,
-        };
-        parts.next().is_none().then_some(d)
     }
 }
 
@@ -214,28 +171,5 @@ mod tests {
             .mean(),
             None
         );
-    }
-
-    #[test]
-    fn display_parse_round_trip() {
-        for d in [
-            Dist::Fixed(2.5),
-            Dist::Uniform { lo: 1.0, hi: 9.0 },
-            Dist::Exp { mean: 0.125 },
-            Dist::Pareto {
-                xmin: 3.0,
-                alpha: 1.5,
-            },
-            Dist::LogNormal {
-                mu: -1.0,
-                sigma: 0.75,
-            },
-        ] {
-            let s = d.to_string();
-            assert_eq!(Dist::parse(&s), Some(d), "{s}");
-        }
-        assert_eq!(Dist::parse("weibull:1:2"), None);
-        assert_eq!(Dist::parse("exp:abc"), None);
-        assert_eq!(Dist::parse("exp:1:2"), None);
     }
 }

@@ -27,7 +27,7 @@
 
 use std::fmt;
 
-use ts_sim::Dur;
+use ts_sim::{text, Dur};
 
 /// What an arriving job runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -66,7 +66,7 @@ impl WorkKind {
     pub fn parse(tok: &str) -> Option<WorkKind> {
         let mut parts = tok.split('/');
         let kind = parts.next()?;
-        let mut num = || parts.next()?.parse::<u32>().ok();
+        let mut num = || text::number(parts.next()?);
         let k = match kind {
             "synthetic" => WorkKind::Synthetic,
             "saxpy" => WorkKind::Saxpy {
@@ -102,27 +102,7 @@ pub struct Arrival {
 }
 
 /// Error from [`Trace::parse`], pointing at the offending line.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TraceParseError {
-    /// 1-based line number.
-    pub line: usize,
-    /// What was wrong.
-    pub what: &'static str,
-    /// The raw line text.
-    pub text: String,
-}
-
-impl fmt::Display for TraceParseError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "trace line {}: {} in {:?}",
-            self.line, self.what, self.text
-        )
-    }
-}
-
-impl std::error::Error for TraceParseError {}
+pub type TraceParseError = text::ParseError;
 
 /// An open-arrival workload trace: class names plus arrivals sorted by
 /// offset (ties keep push order, which is the submission order).
@@ -186,78 +166,51 @@ impl Trace {
     /// Blank lines and `#` comments are ignored. Exact inverse of
     /// `to_string`.
     pub fn parse(text: &str) -> Result<Trace, TraceParseError> {
+        const JOB: &str = "expected `job` after the time";
         let mut trace = Trace::new();
-        for (lineno, raw) in text.lines().enumerate() {
-            let line = raw.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            let err = |what: &'static str| TraceParseError {
-                line: lineno + 1,
-                what,
-                text: raw.to_string(),
-            };
-            let mut tok = line.split_whitespace();
-            let first = tok.next().ok_or_else(|| err("empty line"))?;
+        for mut rec in text::records(text) {
+            let first = rec.token("missing time")?;
             if first == "class" {
-                let name = tok.next().ok_or_else(|| err("missing class name"))?;
+                let name = rec.token("missing class name")?;
+                if !trace.arrivals.is_empty() {
+                    return Err(rec.err("class declared after an arrival"));
+                }
                 // A class index is a `u8`.
                 if trace.classes.len() == 256 && !trace.classes.iter().any(|c| c == name) {
-                    return Err(err("too many classes"));
+                    return Err(rec.err("too many classes"));
                 }
                 trace.class(name);
-                if tok.next().is_some() {
-                    return Err(err("trailing tokens after class name"));
-                }
+                rec.end("trailing tokens after class name")?;
                 continue;
             }
-            let at_ps: u64 = first
-                .strip_suffix("ps")
-                .and_then(|d| d.parse().ok())
-                .ok_or_else(|| err("bad time (want `<int>ps`)"))?;
-            if tok.next() != Some("job") {
-                return Err(err("expected `job` after the time"));
+            let at_ps = text::ps(first).ok_or_else(|| rec.err("bad time (want `<int>ps`)"))?;
+            if rec.token(JOB)? != "job" {
+                return Err(rec.err(JOB));
             }
-            // Field helper: next token must carry the given `key=` prefix.
-            let mut field = |key: &'static str| -> Result<String, TraceParseError> {
-                tok.next()
-                    .and_then(|t| t.strip_prefix(key))
-                    .and_then(|t| t.strip_prefix('='))
-                    .map(str::to_string)
-                    .ok_or_else(|| err("bad or missing field"))
+            let dim = rec.number("d=", "bad dim")?;
+            let priority = rec.number("p=", "bad priority")?;
+            let cname = rec.field("c=", "bad or missing field")?;
+            let work = WorkKind::parse(rec.field("k=", "bad work kind")?)
+                .ok_or_else(|| rec.err("bad work kind"))?;
+            let svc = rec.ps("s=", "bad service time")?;
+            let deadline = match rec.field("dl=", "bad deadline")? {
+                "-" => None,
+                dl => Some(Dur::ps(
+                    text::ps(dl).ok_or_else(|| rec.err("bad deadline"))?,
+                )),
             };
-            let dim: u32 = field("d")?.parse().map_err(|_| err("bad dim"))?;
-            let priority: u32 = field("p")?.parse().map_err(|_| err("bad priority"))?;
-            let cname = field("c")?;
-            let work = WorkKind::parse(&field("k")?).ok_or_else(|| err("bad work kind"))?;
-            let svc: u64 = field("s")?
-                .strip_suffix("ps")
-                .and_then(|d| d.parse().ok())
-                .ok_or_else(|| err("bad service time"))?;
-            let dl = field("dl")?;
-            let deadline = if dl == "-" {
-                None
-            } else {
-                Some(Dur::ps(
-                    dl.strip_suffix("ps")
-                        .and_then(|d| d.parse().ok())
-                        .ok_or_else(|| err("bad deadline"))?,
-                ))
-            };
-            if tok.next().is_some() {
-                return Err(err("trailing tokens"));
-            }
+            rec.end("trailing tokens")?;
             // Past `u64::MAX` ps the clock overflows; at it, a deadline
             // reads as none.
             let horizon = u64::MAX - at_ps;
             if svc >= horizon || deadline.is_some_and(|d| d.as_ps() >= horizon) {
-                return Err(err("past the picosecond horizon"));
+                return Err(rec.err("past the picosecond horizon"));
             }
             let class = trace
                 .classes
                 .iter()
-                .position(|c| *c == cname)
-                .ok_or_else(|| err("undeclared class"))? as u8;
+                .position(|c| c == cname)
+                .ok_or_else(|| rec.err("undeclared class"))? as u8;
             let a = Arrival {
                 at: Dur::ps(at_ps),
                 dim,
@@ -268,7 +221,7 @@ impl Trace {
                 deadline,
             };
             if trace.arrivals.last().is_some_and(|last| a.at < last.at) {
-                return Err(err("arrivals out of time order"));
+                return Err(rec.err("arrivals out of time order"));
             }
             trace.arrivals.push(a);
         }

@@ -1,6 +1,7 @@
 //! LU factorization with partial pivoting on distributed node memory —
-//! the LINPACK-style solve that drove supercomputer procurement in 1986,
-//! exercising the full §II machinery: the matrix on a 2-D grid of process
+//! the factorization at the heart of the LINPACK benchmark that drove
+//! supercomputer procurement in 1986 (the example factors and verifies
+//! `P·A = L·U`; it solves no system), exercising the full §II machinery: the matrix on a 2-D grid of process
 //! rows and columns (subcubes), gathers for column access, the `AbsMax`
 //! vector form for pivot search and a max-loc vote down one process
 //! column, Newton–Raphson software division (the node has no divider),

@@ -202,27 +202,28 @@ impl LuNode {
             ctx.mem_mut().write_f64(word, v).unwrap();
         }
         // Masking is a control-processor pass over the row.
-        ctx.cp_compute(self.cols as u64).await;
+        let mut cp = ctx.issue_cp(self.cols as u64);
 
         // Per row the control processor issues the SAXPY, stores the
         // multiplier (on the pivot column) and carries on while the vector
         // unit runs it ("the complete arithmetic unit operates in parallel
-        // with the node control processor"): the next row's form queues
-        // behind this row's, and the step waits once, for the last SAXPY.
-        let mut done = ctx.now();
+        // with the node control processor"). Its work is booked, not slept
+        // on: each form is issued at the instant the CP reaches it, and the
+        // step waits once, for the later of the last SAXPY and CP charge.
+        let (mut done, pivot, cols) = (cp, layout.pivot_row, self.cols);
         for (&g, f) in free.iter().zip(f64s_of(l)) {
             let row = layout.matrix_base + g / grid.pr;
             // A[i, k+1..] −= f · pivot_row  (full-row chained SAXPY).
             (_, done) = ctx
-                .issue_vec(VecForm::Saxpy(-f), layout.pivot_row, row, row, self.cols)
+                .issue_vec_at(cp, VecForm::Saxpy(-f), pivot, row, row, cols)
                 .unwrap();
             // Store the multiplier where the zero just appeared (L factor).
             if k % grid.pc == self.c {
                 ctx.mem_mut().write_f64(grid.word(layout, g, k), f).unwrap();
             }
-            ctx.cp_compute(4).await;
+            cp = ctx.issue_cp(4);
         }
-        ctx.wait(done).await;
+        ctx.wait(done.max(cp)).await;
     }
 }
 

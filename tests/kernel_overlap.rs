@@ -9,11 +9,13 @@
 //!   moves);
 //! * **simulated time**: deterministic ceilings, so the overlap cannot
 //!   silently regress to the one-link-at-a-time schedule;
-//! * **simulator events** of the Cannon and FFT runs, exactly: the GEMM
-//!   chains its SAXPYs behind one completion interrupt per block step, and
-//!   the FFT's feed its forms behind one per piece, and a schedule that
-//!   went back to sleeping after every form would compute the same bits in
-//!   the same simulated time at several times the events;
+//! * **simulator events** of all three, exactly: the GEMM chains its
+//!   SAXPYs behind one completion interrupt per block step, the FFT's feed
+//!   its forms behind one per piece, and LU's elimination its SAXPYs and
+//!   the control processor's work between them behind one per step, and a
+//!   schedule that went back to sleeping after every form would compute
+//!   the same bits in the same simulated time at several times the events;
+//! * **LU's simulated time**, to the picosecond;
 //! * **overlap itself**: on a Cannon node the vector unit's busy time plus
 //!   its incoming wires' busy time exceeds the elapsed time, which a
 //!   schedule that does one thing at a time cannot produce, and every
@@ -158,13 +160,57 @@ fn fft_output_is_pinned_and_time_is_bounded() {
     }
 }
 
+/// Simulated time of each [`LU`] run, to the picosecond: booking the
+/// control processor's per-row charges ahead (`NodeCtx::issue_cp`) instead
+/// of sleeping on each moved no instant.
+const LU_PS: [u64; 4] = [958_999_920, 7_728_883_168, 19_868_874_664, 64_896_415_312];
+
+/// Timer events of each [`LU`] run: two per message a node sends (the DMA
+/// start and the transfer's end: 0, 250, 11 336 and 24 274 messages) and
+/// the sleeps of the work. Per step, on each process row's node of the
+/// pivot column, one on the reciprocal's flops and, while the process row
+/// has free rows, one on the gather and one on the `AbsMax`; and one wait
+/// per elimination step on each node whose process row still has free
+/// rows — the control processor books the masking pass and each row's
+/// 4-instruction charge, and the SAXPYs are issued at the instants it
+/// reaches, so the step sleeps once. One node: 16 · 3 + 15 = 63. With a
+/// sleep on the masking pass and on every row's charge, the four runs took
+/// 198, 1 926, 33 440 and 86 570 events.
+const LU_EVENTS: [u64; 4] = [63, 812, 24_400, 52_062];
+
 #[test]
 fn lu_output_is_pinned_and_time_is_bounded() {
-    for case in LU {
-        let mut m = Machine::build(MachineCfg::cube(case.0));
-        let (_, perm, rows, stats) = distributed_lu(&mut m, case.1, 1986);
-        let flat = perm.into_iter().map(|p| p as f64).chain(rows);
+    for ((case, ps), events) in LU.into_iter().zip(LU_PS).zip(LU_EVENTS) {
+        let (dim, n) = (case.0, case.1);
+        let mut m = Machine::build(MachineCfg::cube(dim));
+        let (_, perm, rows, stats) = distributed_lu(&mut m, n, 1986);
+        // The derivation of `LU_EVENTS`, from the pivot order: process row
+        // r (of pr) holds the rows g ≡ r (mod pr) on its pc nodes.
+        let (pr, pc) = (1 << (dim / 2), 1 << dim.div_ceil(2));
+        let free = |r: usize, k: usize| (r..n).step_by(pr).any(|g| !perm[..k].contains(&g));
+        let work: u64 = (0..n)
+            .flat_map(|k| (0..pr).map(move |r| (k, r)))
+            .map(|(k, r)| 1 + 2 * free(r, k) as u64 + pc * free(r, k + 1) as u64)
+            .sum();
+        let msgs: u64 = m
+            .nodes
+            .iter()
+            .map(|x| x.meters().link_msgs_sent.get())
+            .sum();
+        let flat = perm.iter().map(|&p| p as f64).chain(rows);
         check("lu", case, fnv(flat), stats.elapsed);
+        assert_eq!(
+            stats.elapsed,
+            Dur::ps(ps),
+            "lu dim {dim} size {n}: time moved"
+        );
+        let got = m.profile().timer_events;
+        assert_eq!(
+            got,
+            2 * msgs + work,
+            "lu dim {dim} size {n}: a sleep per row?"
+        );
+        assert_eq!(got, events, "lu dim {dim} size {n}: simulator events moved");
     }
 }
 

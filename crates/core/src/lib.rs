@@ -546,13 +546,8 @@ impl Machine {
 
     /// Achieved MFLOPS across the machine for the elapsed simulated time.
     pub fn achieved_mflops(&self) -> f64 {
-        let flops: u64 = self.nodes.iter().map(|n| n.meters().vec_flops.get()).sum();
-        let t = self.now().as_secs_f64();
-        if t == 0.0 {
-            0.0
-        } else {
-            flops as f64 / t / 1e6
-        }
+        let flops = self.nodes.iter().map(|n| n.meters().vec_flops.get()).sum();
+        ts_sim::mflops(flops, self.now().since(Time::ZERO))
     }
 
     /// Attach an execution tracer across the whole machine:

@@ -16,8 +16,7 @@
 //! key's count lives.
 
 use ts_node::{ColdMeters, Node, NodeMeters};
-use ts_sim::metrics::{rank_bucket, HIST_BUCKETS};
-use ts_sim::{Counter, Dur, Histogram, MetricsRegistry, Time};
+use ts_sim::{mflops, Counter, Dur, HistSnapshot, MetricsRegistry, Time};
 
 use crate::system::SystemBoard;
 use crate::NODE_PEAK_MFLOPS;
@@ -83,31 +82,6 @@ pub(crate) const COUNTER_KEYS: &[(&str, Source)] = {
         ("supervisor.snapshots", Machine("machine/supervisor/snapshots")),
     ]
 };
-
-/// A plain-data snapshot of one [`Histogram`]: exactly the values the
-/// report's merge loop reads (bucket counts, total, and the histogram's own
-/// mean — kept as the `f64` the live object would have produced, so the
-/// merged weighted mean reproduces bit-for-bit).
-#[derive(Clone, Debug)]
-pub struct HistSnapshot {
-    /// Per-bucket observation counts.
-    pub counts: Vec<u64>,
-    /// Total observations.
-    pub total: u64,
-    /// The histogram's mean at capture time.
-    pub mean: f64,
-}
-
-impl HistSnapshot {
-    /// Capture a live histogram.
-    pub fn of(h: &Histogram) -> HistSnapshot {
-        HistSnapshot {
-            counts: h.counts(),
-            total: h.total(),
-            mean: h.mean(),
-        }
-    }
-}
 
 /// One row of the per-node utilization table.
 #[derive(Clone, Copy, Debug)]
@@ -187,9 +161,9 @@ impl ReportData {
                 sent_b: mt.link_bytes_sent.get(),
                 recv_b: mt.link_bytes_recv.get(),
             });
-            data.vec_len.push(HistSnapshot::of(&mt.vec_len));
-            data.latency.push(HistSnapshot::of(&mt.link_latency_ns));
-            data.flaps.push(HistSnapshot::of(&mt.link_flap_us));
+            data.vec_len.push(mt.vec_len.snapshot());
+            data.latency.push(mt.link_latency_ns.snapshot());
+            data.flaps.push(mt.link_flap_us.snapshot());
         }
         data.counters = COUNTER_KEYS
             .iter()
@@ -245,13 +219,8 @@ impl ReportData {
 
     /// Achieved MFLOPS over the captured run.
     pub fn achieved_mflops(&self) -> f64 {
-        let flops: u64 = self.rows.iter().map(|r| r.vec_flops).sum();
-        let t = Time(self.now_ps).as_secs_f64();
-        if t == 0.0 {
-            0.0
-        } else {
-            flops as f64 / t / 1e6
-        }
+        let flops = self.rows.iter().map(|r| r.vec_flops).sum();
+        mflops(flops, Dur::ps(self.now_ps))
     }
 
     /// Render the utilization report — the exact text
@@ -289,7 +258,7 @@ impl ReportData {
         );
         // Histogram aggregation: merge the per-node distributions the hot
         // paths observed into machine-wide summaries.
-        let vec_len = merge_snapshots(&self.vec_len);
+        let vec_len = HistSnapshot::merge(&self.vec_len);
         if vec_len.total > 0 {
             let _ = writeln!(
                 out,
@@ -299,7 +268,7 @@ impl ReportData {
                 vec_len.quantile_bound(0.99),
             );
         }
-        let lat = merge_snapshots(&self.latency);
+        let lat = HistSnapshot::merge(&self.latency);
         if lat.total > 0 {
             let _ = writeln!(
                 out,
@@ -325,7 +294,7 @@ impl ReportData {
                  {escal} links condemned",
             );
         }
-        let flaps = merge_snapshots(&self.flaps);
+        let flaps = HistSnapshot::merge(&self.flaps);
         if flaps.total > 0 {
             let _ = writeln!(
                 out,
@@ -416,47 +385,6 @@ impl ReportData {
             );
         }
         out
-    }
-}
-
-/// A machine-wide merge of per-node histogram distributions.
-pub(crate) struct MergedHist {
-    pub(crate) total: u64,
-    pub(crate) mean: f64,
-    pub(crate) counts: [u64; HIST_BUCKETS],
-}
-
-impl MergedHist {
-    /// Upper bound of the bucket containing the `q`-quantile.
-    /// An empty merge reads as the last bucket's bound.
-    pub(crate) fn quantile_bound(&self, q: f64) -> u64 {
-        rank_bucket(&self.counts, self.total, q)
-            .map_or(u64::MAX, |(b, _)| Histogram::bucket_range(b).1)
-    }
-}
-
-/// Merge snapshots exactly as the live-histogram merge always has: bucket
-/// adds, then a weighted mean accumulated in input order (the `f64`
-/// accumulation order is part of the report's byte-for-byte contract).
-pub(crate) fn merge_snapshots(snaps: &[HistSnapshot]) -> MergedHist {
-    let mut counts = [0u64; HIST_BUCKETS];
-    let mut total = 0u64;
-    let mut weighted = 0.0f64;
-    for s in snaps {
-        for (acc, c) in counts.iter_mut().zip(s.counts.iter()) {
-            *acc += c;
-        }
-        total += s.total;
-        weighted += s.mean * s.total as f64;
-    }
-    MergedHist {
-        total,
-        mean: if total > 0 {
-            weighted / total as f64
-        } else {
-            0.0
-        },
-        counts,
     }
 }
 

@@ -57,7 +57,7 @@ use std::future::Future;
 use t_series_core::Machine;
 use ts_mem::{join, split};
 use ts_node::{NodeCtx, NodeMeters};
-use ts_sim::{Dur, Time};
+use ts_sim::{mflops, Dur, Time};
 
 /// What a kernel run achieved, derived from machine metrics.
 #[derive(Clone, Copy, Debug)]
@@ -103,16 +103,11 @@ where
         .collect();
     let (t1, flops1, bytes1) = counters(machine);
     let (elapsed, flops) = (t1.since(t0), flops1 - flops0);
-    let secs = elapsed.as_secs_f64();
     let stats = KernelStats {
         elapsed,
         flops,
         bytes_sent: bytes1 - bytes0,
-        mflops: if secs > 0.0 {
-            flops as f64 / secs / 1e6
-        } else {
-            0.0
-        },
+        mflops: mflops(flops, elapsed),
     };
     (outputs, stats)
 }

@@ -33,7 +33,7 @@ use std::cmp::Reverse;
 use t_series_core::checkpoint::CheckpointStore;
 use t_series_core::Machine;
 use ts_cube::{NodeId, Subcube};
-use ts_sim::{Counter, Dur, JoinHandle, Time, Tracer, TrackId};
+use ts_sim::{mflops, Counter, Dur, JoinHandle, Time, Tracer, TrackId};
 
 use crate::admission::{Admission, RESERVE_AFTER};
 use crate::{BatchReport, JobOutcome, JobSpec, Policy};
@@ -414,9 +414,7 @@ impl Scheduler {
                     turnaround,
                     preemptions: j.preemptions,
                     reallocations: j.reallocations,
-                    mflops: j.spec.kernel.flops(j.spec.dim) as f64
-                        / j.run.as_secs_f64().max(f64::MIN_POSITIVE)
-                        / 1e6,
+                    mflops: mflops(j.spec.kernel.flops(j.spec.dim), j.run),
                     missed_deadline: j.spec.deadline.is_some_and(|d| turnaround > d),
                     name: j.spec.name,
                     result: j.result,

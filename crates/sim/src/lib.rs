@@ -60,7 +60,8 @@ pub mod trace;
 pub use channel::{select2, Alt, Either, Mailbox, OneShot, Rendezvous};
 pub use executor::{ExecProfile, JoinHandle, RunReport, Sim, SimHandle};
 pub use metrics::{
-    natural_cmp, BusyTime, Counter, Histogram, MetricValue, MetricsRegistry, MetricsScope,
+    mflops, natural_cmp, BusyTime, Counter, HistSnapshot, Histogram, MetricValue, MetricsRegistry,
+    MetricsScope,
 };
 pub use perfetto::{trace_event_json, write_trace};
 pub use resource::Resource;

@@ -170,8 +170,8 @@ impl Histogram {
         }
     }
 
-    /// Inclusive-exclusive value range `[lo, hi)` covered by `bucket`
-    /// (`hi = u64::MAX` for the last bucket).
+    /// Value range `[lo, hi)` covered by `bucket`; the last bucket,
+    /// `[2^63, u64::MAX]`, is inclusive, since `u64::MAX` lands in it.
     pub fn bucket_range(bucket: usize) -> (u64, u64) {
         match bucket {
             0 => (0, 1),
@@ -209,45 +209,116 @@ impl Histogram {
         self.0.borrow().counts.to_vec()
     }
 
-    /// Upper bound of the bucket containing the `q`-quantile sample
-    /// (`q` in `[0, 1]`); 0 if the histogram is empty.
+    /// The histogram's summary as plain data.
+    pub fn snapshot(&self) -> HistSnapshot {
+        HistSnapshot {
+            counts: self.counts(),
+            total: self.total(),
+            mean: self.mean(),
+        }
+    }
+
+    /// See [`HistSnapshot::quantile_bound`].
     pub fn quantile_bound(&self, q: f64) -> u64 {
-        let h = self.0.borrow();
-        rank_bucket(&h.counts, h.total, q).map_or(0, |(b, _)| Self::bucket_range(b).1)
+        self.snapshot().quantile_bound(q)
+    }
+
+    /// See [`HistSnapshot::quantile`].
+    pub fn quantile(&self, q: f64) -> u64 {
+        self.snapshot().quantile(q)
+    }
+}
+
+/// A plain-data summary of a [`Histogram`], or of several merged: bucket
+/// counts, sample count and mean (kept as the `f64` the live histogram
+/// computed, so a merged weighted mean reproduces bit for bit). It is
+/// `Send`, so per-shard captures cross threads.
+#[derive(Clone, Debug, PartialEq)]
+pub struct HistSnapshot {
+    /// Per-bucket sample counts ([`HIST_BUCKETS`] entries).
+    pub counts: Vec<u64>,
+    /// Number of samples.
+    pub total: u64,
+    /// Mean sample value (0.0 if empty).
+    pub mean: f64,
+}
+
+impl HistSnapshot {
+    /// Merge `snaps` into one summary: bucket adds, then a weighted mean
+    /// accumulated in input order (the `f64` accumulation order is part of
+    /// the utilization report's byte-for-byte contract).
+    pub fn merge(snaps: &[HistSnapshot]) -> HistSnapshot {
+        let mut counts = vec![0u64; HIST_BUCKETS];
+        let mut total = 0u64;
+        let mut weighted = 0.0f64;
+        for s in snaps {
+            for (acc, c) in counts.iter_mut().zip(s.counts.iter()) {
+                *acc += c;
+            }
+            total += s.total;
+            weighted += s.mean * s.total as f64;
+        }
+        let mean = if total > 0 {
+            weighted / total as f64
+        } else {
+            0.0
+        };
+        HistSnapshot {
+            counts,
+            total,
+            mean,
+        }
+    }
+
+    /// The bucket holding the rank-`⌈q·total⌉` sample (rank at least 1),
+    /// and that sample's rank within the bucket; `None` if there are no
+    /// samples. Every quantile read walks through here.
+    fn rank_bucket(&self, q: f64) -> Option<(usize, u64)> {
+        if self.total == 0 {
+            return None;
+        }
+        let mut rank = ((self.total as f64 * q).ceil() as u64).clamp(1, self.total);
+        for (b, &c) in self.counts.iter().enumerate() {
+            if rank <= c {
+                return Some((b, rank));
+            }
+            rank -= c;
+        }
+        None
+    }
+
+    /// Upper bound of the bucket containing the `q`-quantile sample
+    /// (`q` in `[0, 1]`); 0 if there are no samples.
+    pub fn quantile_bound(&self, q: f64) -> u64 {
+        self.rank_bucket(q)
+            .map_or(0, |(b, _)| Histogram::bucket_range(b).1)
     }
 
     /// Point estimate of the `q`-quantile (`q` in `[0, 1]`): the bucket
     /// holding the rank-`⌈q·n⌉` sample, interpolated linearly through the
-    /// bucket's `[lo, hi)` value range under a uniform-within-bucket
-    /// assumption. Tighter than [`Histogram::quantile_bound`] (which
-    /// always reports `hi`), and exact for buckets 0 and 1 where the
-    /// range is a single value. Returns 0 for an empty histogram.
+    /// bucket's value range under a uniform-within-bucket assumption and
+    /// clamped to it. Tighter than [`HistSnapshot::quantile_bound`] (which
+    /// always reports `hi`), and exact for buckets 0 and 1 where the range
+    /// is a single value. 0 if there are no samples.
     pub fn quantile(&self, q: f64) -> u64 {
-        let h = self.0.borrow();
-        rank_bucket(&h.counts, h.total, q).map_or(0, |(b, rank)| {
-            let (lo, hi) = Self::bucket_range(b);
+        self.rank_bucket(q).map_or(0, |(b, rank)| {
+            let (lo, hi) = Histogram::bucket_range(b);
             // Position of the rank within this bucket, in (0, 1].
-            let frac = rank as f64 / h.counts[b] as f64;
-            lo + ((hi - lo) as f64 * frac).round() as u64
+            let frac = rank as f64 / self.counts[b] as f64;
+            lo + (((hi - lo) as f64 * frac).round() as u64).min(hi - lo)
         })
     }
 }
 
-/// The bucket of `counts` (`total` samples) holding the rank-`⌈q·total⌉`
-/// sample (rank at least 1), and that sample's rank within the bucket;
-/// `None` if there are no samples. Every quantile read walks through here.
-pub fn rank_bucket(counts: &[u64], total: u64, q: f64) -> Option<(usize, u64)> {
-    if total == 0 {
-        return None;
+/// Achieved MFLOPS: `flops` over the simulated span `over`; 0 over zero
+/// time.
+pub fn mflops(flops: u64, over: Dur) -> f64 {
+    let secs = over.as_secs_f64();
+    if secs == 0.0 {
+        0.0
+    } else {
+        flops as f64 / secs / 1e6
     }
-    let mut rank = ((total as f64 * q).ceil() as u64).clamp(1, total);
-    for (b, &c) in counts.iter().enumerate() {
-        if rank <= c {
-            return Some((b, rank));
-        }
-        rank -= c;
-    }
-    None
 }
 
 // ---------------------------------------------------------------------------
@@ -278,15 +349,8 @@ pub enum MetricValue {
     Count(u64),
     /// Accumulated busy time.
     Busy(Dur),
-    /// Histogram summary: `(samples, mean, bucket counts)`.
-    Hist {
-        /// Number of samples recorded.
-        total: u64,
-        /// Mean sample value.
-        mean: f64,
-        /// Per-bucket counts ([`HIST_BUCKETS`] entries).
-        counts: Vec<u64>,
-    },
+    /// Histogram summary.
+    Hist(HistSnapshot),
 }
 
 /// Typed, hierarchical metrics store shared by every unit of a machine.
@@ -392,11 +456,7 @@ impl MetricsRegistry {
                 let val = match v {
                     Slot::Counter(c) => MetricValue::Count(c.get()),
                     Slot::Busy(b) => MetricValue::Busy(b.get()),
-                    Slot::Hist(h) => MetricValue::Hist {
-                        total: h.total(),
-                        mean: h.mean(),
-                        counts: h.counts(),
-                    },
+                    Slot::Hist(h) => MetricValue::Hist(h.snapshot()),
                 };
                 (k.clone(), val)
             })
@@ -417,7 +477,7 @@ impl MetricsRegistry {
                 MetricValue::Busy(d) => {
                     let _ = writeln!(out, "{path:<40} {d}");
                 }
-                MetricValue::Hist { total, mean, .. } => {
+                MetricValue::Hist(HistSnapshot { total, mean, .. }) => {
                     let _ = writeln!(out, "{path:<40} n={total} mean={mean:.1}");
                 }
             }
@@ -573,6 +633,53 @@ mod tests {
         assert_eq!(z.quantile(0.5), 1); // rank 1 is the 0 sample → hi of [0,1)
         assert_eq!(z.quantile(1.0), 2);
         assert_eq!(Histogram::new().quantile(0.99), 0);
+    }
+
+    #[test]
+    fn the_last_bucket_reads_u64_max() {
+        let h = Histogram::new();
+        h.observe(u64::MAX);
+        assert_eq!(h.quantile(1.0), u64::MAX);
+        assert_eq!(h.quantile_bound(1.0), u64::MAX);
+    }
+
+    #[test]
+    fn merged_snapshots_equal_one_histogram_of_every_sample() {
+        let mut rng = crate::Rng::new(1986);
+        for nodes in [1, 2, 7, 16] {
+            let whole = Histogram::new();
+            let parts: Vec<HistSnapshot> = (0..nodes)
+                .map(|_| {
+                    let h = Histogram::new();
+                    for _ in 0..rng.below(200) {
+                        // Magnitudes spread over the buckets.
+                        let v = rng.next_u64() >> rng.below(64);
+                        h.observe(v);
+                        whole.observe(v);
+                    }
+                    h.snapshot()
+                })
+                .collect();
+            let merged = HistSnapshot::merge(&parts);
+            let want = whole.snapshot();
+            assert_eq!(merged.counts, want.counts);
+            assert_eq!(merged.total, want.total);
+            for q in [0.0, 0.5, 0.99, 1.0] {
+                assert_eq!(merged.quantile_bound(q), want.quantile_bound(q), "q {q}");
+            }
+            let err = (merged.mean - want.mean).abs();
+            assert!(
+                err <= 1e-12 * want.mean.abs(),
+                "{} vs {}",
+                merged.mean,
+                want.mean
+            );
+        }
+        // An empty summary reads 0, merged or live.
+        let empty = HistSnapshot::merge(&[Histogram::new().snapshot()]);
+        assert_eq!((empty.total, empty.mean), (0, 0.0));
+        assert_eq!(empty.quantile_bound(0.99), 0);
+        assert_eq!(empty.quantile(0.99), 0);
     }
 
     #[test]

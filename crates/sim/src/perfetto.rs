@@ -10,8 +10,7 @@
 //!   under one process group;
 //! * span events become complete slices (`"ph":"X"`) with microsecond
 //!   `ts`/`dur`;
-//! * instants become `"ph":"i"`, counter samples `"ph":"C"`, and flow
-//!   arrows a `"ph":"s"`/`"ph":"f"` pair sharing an `id`.
+//! * flow arrows become a `"ph":"s"`/`"ph":"f"` pair sharing an `id`.
 //!
 //! The writer is hand-rolled (the workspace builds offline with no JSON
 //! dependency); the telemetry integration tests validate the output with a
@@ -89,7 +88,8 @@ pub fn trace_event_json(tracer: &Tracer) -> String {
         .map(|(i, n)| addr(n, TrackId(i as u32)))
         .collect();
 
-    let mut out = String::with_capacity(4096 + tracer.events().len() * 96);
+    let events = tracer.events();
+    let mut out = String::with_capacity(4096 + events.len() * 96);
     out.push_str("{\"traceEvents\":[\n");
     let mut first = true;
     let push = |out: &mut String, first: &mut bool, line: &str| {
@@ -129,7 +129,7 @@ pub fn trace_event_json(tracer: &Tracer) -> String {
         );
     }
 
-    for e in tracer.events() {
+    for e in events {
         let line = match e {
             Event::Span { track, start, end } => {
                 let a = &addrs[track.0 as usize];
@@ -140,35 +140,6 @@ pub fn trace_event_json(tracer: &Tracer) -> String {
                      \"dur\":{},\"pid\":{},\"tid\":{}}}",
                     us(start),
                     us(end) - us(start),
-                    a.pid,
-                    a.tid
-                )
-            }
-            Event::Instant { track, at, name } => {
-                let a = &addrs[track.0 as usize];
-                let mut n = String::new();
-                escape(name, &mut n);
-                format!(
-                    "{{\"name\":\"{n}\",\"cat\":\"mark\",\"ph\":\"i\",\"s\":\"t\",\
-                     \"ts\":{},\"pid\":{},\"tid\":{}}}",
-                    us(at),
-                    a.pid,
-                    a.tid
-                )
-            }
-            Event::Counter {
-                track,
-                at,
-                name,
-                value,
-            } => {
-                let a = &addrs[track.0 as usize];
-                let mut n = String::new();
-                escape(name, &mut n);
-                format!(
-                    "{{\"name\":\"{n}\",\"cat\":\"sample\",\"ph\":\"C\",\"ts\":{},\
-                     \"pid\":{},\"tid\":{},\"args\":{{\"{n}\":{value}}}}}",
-                    us(at),
                     a.pid,
                     a.tid
                 )
@@ -236,17 +207,10 @@ mod tests {
         let b = tr.track("n1.cp");
         let m = tr.track("sys.ring");
         tr.record_span(a, t(0), t(2));
-        tr.instant(m, t(1), "boot");
-        tr.counter(a, t(1), "depth", 3);
+        tr.record_span(m, t(1), t(2));
         tr.flow(a, b, t(0), t(2));
         let json = trace_event_json(&tr);
-        for frag in [
-            "\"ph\":\"X\"",
-            "\"ph\":\"i\"",
-            "\"ph\":\"C\"",
-            "\"ph\":\"s\"",
-            "\"ph\":\"f\"",
-        ] {
+        for frag in ["\"ph\":\"X\"", "\"ph\":\"s\"", "\"ph\":\"f\""] {
             assert!(json.contains(frag), "missing {frag} in {json}");
         }
         // Non-node track lands in the shared "sim" process.

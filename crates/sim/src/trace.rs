@@ -18,7 +18,7 @@ use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use crate::metrics::natural_cmp;
-use crate::time::{Dur, Time};
+use crate::time::Time;
 
 /// Interned identifier of one timeline track (e.g. `"n0.vec"`).
 ///
@@ -42,26 +42,6 @@ pub enum Event {
         start: Time,
         /// Slot end.
         end: Time,
-    },
-    /// A point-in-time marker (e.g. a fault injection, a reboot).
-    Instant {
-        /// Track the marker belongs to.
-        track: TrackId,
-        /// When it happened.
-        at: Time,
-        /// Static label shown by viewers.
-        name: &'static str,
-    },
-    /// A sampled counter value (e.g. queue depth after an enqueue).
-    Counter {
-        /// Track the series belongs to.
-        track: TrackId,
-        /// Sample instant.
-        at: Time,
-        /// Static series name.
-        name: &'static str,
-        /// Sampled value.
-        value: u64,
     },
     /// A flow arrow connecting a departure on one track to an arrival on
     /// another (one link message travelling between nodes).
@@ -141,24 +121,6 @@ impl Tracer {
             .push(Event::Span { track, start, end });
     }
 
-    /// Record a point-in-time marker.
-    pub fn instant(&self, track: TrackId, at: Time, name: &'static str) {
-        self.inner
-            .borrow_mut()
-            .events
-            .push(Event::Instant { track, at, name });
-    }
-
-    /// Record a counter sample.
-    pub fn counter(&self, track: TrackId, at: Time, name: &'static str, value: u64) {
-        self.inner.borrow_mut().events.push(Event::Counter {
-            track,
-            at,
-            name,
-            value,
-        });
-    }
-
     /// Record a flow arrow from `from` (at `depart`) to `to` (at `arrive`).
     /// Returns the arrow id.
     pub fn flow(&self, from: TrackId, to: TrackId, depart: Time, arrive: Time) -> u64 {
@@ -198,31 +160,6 @@ impl Tracer {
                 _ => None,
             })
             .collect()
-    }
-
-    /// Total busy time per track, sorted in natural (node, unit) order:
-    /// digit runs inside names compare numerically, so `n2.vec` sorts
-    /// before `n10.vec`.
-    pub fn busy_by_track(&self) -> Vec<(String, Dur)> {
-        let inner = self.inner.borrow();
-        let mut busy = vec![Dur::ZERO; inner.tracks.len()];
-        let mut seen = vec![false; inner.tracks.len()];
-        for e in &inner.events {
-            if let Event::Span { track, start, end } = e {
-                busy[track.0 as usize] += end.since(*start);
-                seen[track.0 as usize] = true;
-            }
-        }
-        let mut out: Vec<(String, Dur)> = inner
-            .tracks
-            .iter()
-            .zip(busy)
-            .zip(seen)
-            .filter(|(_, seen)| *seen)
-            .map(|((name, d), _)| (name.clone(), d))
-            .collect();
-        out.sort_by(|a, b| natural_cmp(&a.0, &b.0));
-        out
     }
 
     /// Render an ASCII Gantt chart `width` characters wide covering
@@ -268,6 +205,7 @@ impl Tracer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::time::Dur;
 
     fn t(us: u64) -> Time {
         Time::ZERO + Dur::us(us)
@@ -283,12 +221,16 @@ mod tests {
         span(&tr, "a", t(0), t(10));
         span(&tr, "a", t(20), t(30));
         span(&tr, "b", t(5), t(15));
-        let busy = tr.busy_by_track();
+        let spans = tr.spans();
+        assert_eq!(spans.len(), 3);
         assert_eq!(
-            busy,
-            vec![("a".into(), Dur::us(20)), ("b".into(), Dur::us(10))]
+            spans[2],
+            Span {
+                track: "b".into(),
+                start: t(5),
+                end: t(15)
+            }
         );
-        assert_eq!(tr.spans().len(), 3);
     }
 
     #[test]
@@ -304,27 +246,15 @@ mod tests {
     }
 
     #[test]
-    fn busy_by_track_sorts_numerically_not_lexicographically() {
-        let tr = Tracer::new();
-        span(&tr, "n10.vec", t(0), t(1));
-        span(&tr, "n2.vec", t(0), t(1));
-        span(&tr, "n2.cp", t(0), t(1));
-        let order: Vec<String> = tr.busy_by_track().into_iter().map(|(n, _)| n).collect();
-        assert_eq!(order, vec!["n2.cp", "n2.vec", "n10.vec"]);
-    }
-
-    #[test]
     fn typed_events_round_trip() {
         let tr = Tracer::new();
         let a = tr.track("n0.cp");
         let b = tr.track("n1.cp");
         tr.record_span(a, t(0), t(5));
-        tr.instant(a, t(2), "fault");
-        tr.counter(b, t(3), "depth", 4);
         let id = tr.flow(a, b, t(1), t(4));
         assert_eq!(id, 0);
         let ev = tr.events();
-        assert_eq!(ev.len(), 4);
+        assert_eq!(ev.len(), 2);
         assert_eq!(
             ev[0],
             Event::Span {
@@ -335,23 +265,6 @@ mod tests {
         );
         assert_eq!(
             ev[1],
-            Event::Instant {
-                track: a,
-                at: t(2),
-                name: "fault"
-            }
-        );
-        assert_eq!(
-            ev[2],
-            Event::Counter {
-                track: b,
-                at: t(3),
-                name: "depth",
-                value: 4
-            }
-        );
-        assert_eq!(
-            ev[3],
             Event::Flow {
                 from: a,
                 to: b,
@@ -374,6 +287,20 @@ mod tests {
         let vec = lines.iter().find(|l| l.starts_with("vec")).unwrap();
         assert!(cp.contains(".....#####"), "{cp}");
         assert!(vec.contains("#####....."), "{vec}");
+
+        // Rows come out in natural (node, unit) order: digit runs compare
+        // numerically, so n2 precedes n10.
+        let tr = Tracer::new();
+        span(&tr, "n10.vec", t(0), t(1));
+        span(&tr, "n2.vec", t(0), t(1));
+        span(&tr, "n2.cp", t(0), t(1));
+        let g = tr.gantt(t(100), 10);
+        let rows: Vec<&str> = g
+            .lines()
+            .skip(1)
+            .map(|l| l.split(' ').next().unwrap())
+            .collect();
+        assert_eq!(rows, vec!["n2.cp", "n2.vec", "n10.vec"]);
     }
 
     #[test]

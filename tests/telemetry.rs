@@ -293,12 +293,6 @@ fn perfetto_export_is_schema_valid_trace_event_json() {
                 let dur = e.get("dur").and_then(|v| v.as_f64()).expect("X has dur");
                 assert!(ts >= 0.0 && dur >= 0.0, "non-negative ts/dur");
             }
-            "i" => {
-                assert!(e.get("ts").and_then(|v| v.as_f64()).is_some(), "i has ts");
-            }
-            "C" => {
-                assert!(e.get("args").is_some(), "C carries its sample in args");
-            }
             "s" => {
                 flows_s += 1;
                 assert!(e.get("id").is_some(), "flow start has id");

@@ -356,12 +356,21 @@ pub fn complex_sum<L: Lane>(a: (L, L), b: (L, L)) -> (L, L) {
     }
 }
 
+/// `w` is `1 ± 0i`, the k = 0 twiddle.
+#[inline(always)]
+fn unit_twiddle<L: Lane>(w: (L, L)) -> bool {
+    let one = (L::F::BIAS as u64) << L::F::MANT_BITS;
+    w.0.bits() == one && w.1.bits() & !L::F::SIGN_BIT == 0
+}
+
 /// The twiddled difference `(a − b)·w` of complex `(re, im)` values, the
 /// high half of a radix-2 butterfly: the host's, unless the guard rejects
 /// one of its eight ops. The differences and products feed the two checked
 /// results, so each needs only `above_bottom`. The k = 0 twiddle `1 − 0i`
-/// has a zero part, so its lane of every group is rejected — alone: the
-/// rest of a row keeps the host path.
+/// has a zero part, which the guard rejects; it has an exact case of its
+/// own: with normal operands and both differences clear, each product by
+/// the zero part is a zero and adding it leaves a difference as it is, so
+/// the result is the differences. Any other lane takes the element path.
 #[inline(always)]
 pub fn complex_diff_mul<L: Lane>(a: (L, L), b: (L, L), w: (L, L)) -> (L, L) {
     let (dr, di) = (a.0.host_sub(b.0), a.1.host_sub(b.1));
@@ -374,6 +383,8 @@ pub fn complex_diff_mul<L: Lane>(a: (L, L), b: (L, L), w: (L, L)) -> (L, L) {
         .fold(true, |ok, s| ok & above_bottom(s));
     if complex_operands(a, b) & twiddle & steps & clear(r.0) & clear(r.1) {
         r
+    } else if unit_twiddle(w) & complex_operands(a, b) & clear(dr) & clear(di) {
+        (dr, di)
     } else {
         let (dr, di) = (a.0 - b.0, a.1 - b.1);
         (dr * w.0 - di * w.1, dr * w.1 + di * w.0)
@@ -764,13 +775,7 @@ mod tests {
     /// against the bit-level core.
     fn butterfly_matches_the_bit_level_core(a: C, b: C, w: C) {
         let bits = |c: C| (c.0.to_bits(), c.1.to_bits());
-        let diff_mul = |a: C, b: C| {
-            let (dr, di) = (bit_sub(a.0, b.0), bit_sub(a.1, b.1));
-            (
-                bit_sub(bit_mul(dr, w.0), bit_mul(di, w.1)),
-                bit_add(bit_mul(dr, w.1), bit_mul(di, w.0)),
-            )
-        };
+        let diff_mul = |a: C, b: C| bit_diff_mul(a, b, w);
         let ctx = || format!("{a:?} {b:?} {w:?}");
         let want = (bit_add(a.0, b.0), bit_add(a.1, b.1));
         assert_eq!(bits(complex_sum(a, b)), bits(want), "{}", ctx());
@@ -823,6 +828,66 @@ mod tests {
                 butterfly_matches_the_bit_level_core(a, b, twiddle(k, 8));
             }
         }
+    }
+
+    /// `(a − b)·w` through the bit-level core.
+    fn bit_diff_mul<L: Lane>(a: (L, L), b: (L, L), w: (L, L)) -> (L, L) {
+        let (dr, di) = (bit_sub(a.0, b.0), bit_sub(a.1, b.1));
+        (
+            bit_sub(bit_mul(dr, w.0), bit_mul(di, w.1)),
+            bit_add(bit_mul(dr, w.1), bit_mul(di, w.0)),
+        )
+    }
+
+    /// Every pairing of parts whose difference is clear, zero, subnormal or
+    /// in the bottom binade, either sign, under both signs of the unit
+    /// twiddle's zero: the exact case and the element path it falls back to
+    /// against the bit-level core.
+    fn unit_twiddle_matches_the_bit_level_core<L: Lane>(seed: u64) {
+        let mut rng = Rng::new(seed);
+        let m = L::F::MANT_BITS;
+        let (mn, two, three) = (1u64 << m, 2 << m, (2 << m) | 1 << (m - 1));
+        let one = (L::F::BIAS as u64) << m;
+        // `(x, y)` operand pairs, both normal: x − y is clear, zero, one ulp
+        // of the bottom binade (subnormal), min-normal (the bottom binade)
+        // or 3/2 of it.
+        let mut pairs = Vec::new();
+        for _ in 0..8 {
+            let (x, y) = (ordinary::<L::F>(&mut rng), ordinary::<L::F>(&mut rng));
+            pairs.extend([(x, y), (x, x)]);
+        }
+        pairs.extend([(mn + 1, mn), (three, two), (three, mn), (two, mn)]);
+        let flip = |(x, y): (u64, u64)| (y, x);
+        let pairs: Vec<(u64, u64)> = pairs.iter().flat_map(|&p| [p, flip(p)]).collect();
+        let mut admitted = 0;
+        for zero in [0, L::F::SIGN_BIT] {
+            let w = (L::of_bits(one), L::of_bits(zero));
+            for &(ar, br) in &pairs {
+                for &(ai, bi) in &pairs {
+                    let (a, b) = (
+                        (L::of_bits(ar), L::of_bits(ai)),
+                        (L::of_bits(br), L::of_bits(bi)),
+                    );
+                    let got = complex_diff_mul(a, b, w);
+                    let want = bit_diff_mul(a, b, w);
+                    let ctx = format!("{:x?} {:x?} {:x?}", (ar, ai), (br, bi), zero);
+                    assert_eq!(
+                        (got.0.bits(), got.1.bits()),
+                        (want.0.bits(), want.1.bits()),
+                        "{ctx}"
+                    );
+                    let d = (a.0.host_sub(b.0), a.1.host_sub(b.1));
+                    admitted += usize::from(clear(d.0) & clear(d.1));
+                }
+            }
+        }
+        assert!(admitted > 0);
+    }
+
+    #[test]
+    fn the_unit_twiddle_equals_the_bit_level_core_in_both_widths() {
+        unit_twiddle_matches_the_bit_level_core::<Sf64>(0x1_0064);
+        unit_twiddle_matches_the_bit_level_core::<Sf32>(0x1_0032);
     }
 
     #[test]

@@ -49,7 +49,7 @@ use std::ops::Range;
 
 pub use ts_cube::Hypercube;
 use ts_cube::{NodeId, Subcube, SublinkBudget};
-use ts_link::{BoundaryOutbox, LinkChannel, LinkParams, Wire};
+use ts_link::{BoundaryOutbox, LinkChannel, LinkMeters, LinkParams, LinkStatus, Wire};
 use ts_node::{Node, NodeCfg, NodeCtx, NodeMeters};
 use ts_sim::{Dur, JoinHandle, MetricsRegistry, RunReport, Sim, SimHandle, Time};
 
@@ -223,23 +223,23 @@ fn edge_key(tx_node: u32, dim: u32) -> u64 {
     ((tx_node as u64) << 6) | dim as u64
 }
 
-/// Attach the transmitting node's meters to a cube sublink: per-message
-/// counts at commit, and retransmit accounting — corruption is injected at
-/// the sender's end and retransmission is the sender's work.
-fn meter_tx(ch: &mut LinkChannel, m: &NodeMeters) {
-    ch.set_sent_meters(m.link_msgs_sent.clone(), m.link_bytes_sent.clone());
-    ch.set_transport_meters(
-        m.link_retransmits.clone(),
-        m.link_crc_errors.clone(),
-        m.link_escalations.clone(),
-    );
-}
-
-/// Attach the receiving node's meters to a cube sublink: delivery counts
-/// and message latency are booked at delivery, on the receiver.
-fn meter_rx(ch: &mut LinkChannel, m: &NodeMeters) {
-    ch.set_recv_meters(m.link_msgs_recv.clone(), m.link_bytes_recv.clone());
-    ch.set_latency_histogram(m.link_latency_ns.clone());
+/// The meters of a cube sublink from `tx` to `rx`. The transmitting node
+/// books per-message counts at commit and the retransmit accounting —
+/// corruption is injected at the sender's end and retransmission is the
+/// sender's work; the receiving node books delivery counts and message
+/// latency at delivery. A boundary half has one local node, which stands
+/// on both sides: each half only ever books its own.
+fn cube_meters(tx: &NodeMeters, rx: &NodeMeters) -> LinkMeters {
+    LinkMeters {
+        msgs_sent: tx.link_msgs_sent.clone(),
+        bytes_sent: tx.link_bytes_sent.clone(),
+        retransmits: tx.link_retransmits.clone(),
+        crc_errors: tx.link_crc_errors.clone(),
+        escalations: tx.link_escalations.clone(),
+        msgs_recv: rx.link_msgs_recv.clone(),
+        bytes_recv: rx.link_bytes_recv.clone(),
+        latency_ns: Some(rx.link_latency_ns.clone()),
+    }
 }
 
 /// Assemble the homogeneous unit of §III — nodes, cube edges, one system
@@ -296,37 +296,39 @@ pub(crate) fn wire(
                     continue;
                 }
                 let bi = li(b);
-                let directed = |tx: usize, rx: usize| {
-                    let mut ch =
-                        LinkChannel::new_pair(wires_out[tx][l].clone(), wires_in[rx][l].clone());
-                    meter_tx(&mut ch, nodes[tx].meters());
-                    meter_rx(&mut ch, nodes[rx].meters());
-                    ch
-                };
-                let (ab, mut ba) = (directed(ai, bi), directed(bi, ai));
                 // Both directions of one physical edge share a health flag,
                 // so a single LinkDown fault fails traffic both ways.
-                ba.set_status(ab.status().clone());
+                let status = LinkStatus::new();
+                let directed = |tx: usize, rx: usize| {
+                    LinkChannel::metered(
+                        wires_out[tx][l].clone(),
+                        wires_in[rx][l].clone(),
+                        status.clone(),
+                        cube_meters(nodes[tx].meters(), nodes[rx].meters()),
+                    )
+                };
+                let (ab, ba) = (directed(ai, bi), directed(bi, ai));
                 nodes[ai].wire_dim(d as usize, ab.clone(), ba.clone());
                 nodes[bi].wire_dim(d as usize, ba, ab);
             } else {
                 // The far end lives on another shard: a boundary half on
                 // each side stands in for the rendezvous pair.
                 let peer = b / range.len() as u32;
-                let mut out = LinkChannel::new_boundary_tx(
+                let meters = || cube_meters(nodes[ai].meters(), nodes[ai].meters());
+                let out = LinkChannel::new_boundary_tx(
                     wires_out[ai][l].clone(),
                     edge_key(a, d),
                     peer,
                     outbox.clone(),
+                    meters(),
                 );
-                meter_tx(&mut out, nodes[ai].meters());
-                let mut inp = LinkChannel::new_boundary_rx(
+                let inp = LinkChannel::new_boundary_rx(
                     wires_in[ai][l].clone(),
                     edge_key(b, d),
                     peer,
                     outbox.clone(),
+                    meters(),
                 );
-                meter_rx(&mut inp, nodes[ai].meters());
                 boundary.insert(edge_key(a, d), out.clone());
                 boundary.insert(edge_key(b, d), inp.clone());
                 nodes[ai].wire_dim(d as usize, out, inp);
@@ -346,8 +348,12 @@ pub(crate) fn wire(
         for id in (m * 8) as u32..((m + 1) * 8).min(range.end as usize) as u32 {
             let i = li(id);
             let down = LinkChannel::new_pair(board_out.clone(), wires_in[i][3].clone());
-            let mut up = LinkChannel::new_pair(wires_out[i][3].clone(), board_in.clone());
-            up.set_status(down.status().clone());
+            let up = LinkChannel::metered(
+                wires_out[i][3].clone(),
+                board_in.clone(),
+                down.status().clone(),
+                LinkMeters::default(),
+            );
             nodes[i].wire_system(up.clone(), down.clone());
             to_node.push(down);
             from_node.push(up);

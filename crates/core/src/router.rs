@@ -38,7 +38,7 @@ use std::pin::pin;
 use std::rc::Rc;
 
 use ts_cube::Hypercube;
-use ts_link::{AltSet, LinkChannel, LinkParams, LinkStatus, Wire};
+use ts_link::{AltSet, LinkChannel, LinkMeters, LinkParams, LinkStatus, Wire};
 use ts_node::NodeCtx;
 use ts_sim::{Dur, JoinHandle, Mailbox};
 
@@ -166,10 +166,11 @@ impl Router {
         let mut handles = Vec::with_capacity(machine.nodes.len());
         for node in &machine.nodes {
             let ctx = node.ctx();
-            let mut inject = LinkChannel::new(Wire::new("router.loopback", loop_params));
             // The loopback dies with the node, so injection into a crashed
             // node's daemon errors instead of hanging.
-            inject.set_status(node.health());
+            let wire = Wire::new("router.loopback", loop_params);
+            let inject =
+                LinkChannel::metered(wire.clone(), wire, node.health(), LinkMeters::default());
             let deliver = Mailbox::new();
             let daemon_ctx = ctx.clone();
             let daemon_inject = inject.clone();

@@ -16,20 +16,18 @@ use crate::{DownWatch, LinkChannel, LinkError};
 /// nothing, and the branches that did not fire are left holding this set's
 /// one cell, not a cancelled one per message.
 pub struct AltSet {
-    chans: Vec<LinkChannel>,
-    alt: Alt<Packet>,
+    alt: Alt<Packet, LinkChannel>,
 }
 
 impl AltSet {
     /// Prepare an `ALT` over `chans` (branch priority = slice order).
     pub fn new(chans: &[&LinkChannel]) -> AltSet {
         assert!(
-            chans.iter().all(|c| c.inner.boundary.is_none()),
+            chans.iter().all(|c| !c.inner.boundary),
             "ALT over a shard-boundary channel is unsupported"
         );
         AltSet {
-            chans: chans.iter().map(|&c| c.clone()).collect(),
-            alt: Alt::new(chans.iter().map(|c| c.inner.rv.clone()).collect()),
+            alt: Alt::new(chans.iter().map(|&c| c.clone()).collect()),
         }
     }
 
@@ -38,7 +36,7 @@ impl AltSet {
     /// senders are already parked (`PRI ALT`).
     pub async fn recv(&mut self, h: &SimHandle) -> (usize, Vec<u32>) {
         let (idx, pkt) = self.alt.recv().await;
-        (idx, self.chans[idx].complete_recv(h, pkt).await)
+        (idx, self.alt.channels()[idx].complete_recv(h, pkt).await)
     }
 
     /// Failable [`AltSet::recv`]: resolves to [`LinkError::Down`] when
@@ -53,7 +51,9 @@ impl AltSet {
             return Err(LinkError::Down);
         }
         match select2(self.alt.recv(), down).await {
-            Either::Left((idx, pkt)) => Ok((idx, self.chans[idx].complete_recv(h, pkt).await)),
+            Either::Left((idx, pkt)) => {
+                Ok((idx, self.alt.channels()[idx].complete_recv(h, pkt).await))
+            }
             Either::Right(()) => Err(LinkError::Down),
         }
     }

@@ -9,7 +9,7 @@ use std::rc::Rc;
 use ts_sim::{Dur, Mailbox, OneShot, SimHandle, Time};
 
 use crate::channel::{await_done, take_done};
-use crate::{LinkChannel, Wire};
+use crate::{LinkChannel, LinkMeters, LinkStatus, Wire};
 
 /// One leg of the three-leg cross-shard transfer protocol.
 ///
@@ -17,7 +17,7 @@ use crate::{LinkChannel, Wire};
 /// CSP rendezvous is replayed as plain-data messages: the sender posts
 /// `Data` when it commits; the receiver answers with `Request`, carrying
 /// its link engine's free watermark and the framed duration; the sender's
-/// shard computes the joint slot exactly as [`ts_sim::Resource::reserve_pair`]
+/// shard computes the joint slot exactly as [`ts_sim::ResourceCore::reserve_pair`]
 /// would — `start = max(now, tx_free, rx_free)` — books its half, and
 /// returns `Grant` so the receiver can book the other half. All three legs
 /// travel at the same virtual instant (the lockstep driver's global `T`),
@@ -137,25 +137,29 @@ impl BoundaryState {
 impl LinkChannel {
     /// Create the **transmitting half** of a shard-boundary sublink: the
     /// local sender's output wire, with the receiver on `peer_shard`.
-    /// Protocol messages are collected into the shard's shared `outbox`.
+    /// Protocol messages are collected into the shard's shared `outbox`;
+    /// the half books into `meters` (the sending side's).
     pub fn new_boundary_tx(
         tx_wire: Wire,
         edge: u64,
         peer_shard: u32,
         outbox: BoundaryOutbox,
+        meters: LinkMeters,
     ) -> LinkChannel {
-        Self::new_boundary(tx_wire, true, edge, peer_shard, outbox)
+        Self::new_boundary(tx_wire, true, edge, peer_shard, outbox, meters)
     }
 
     /// Create the **receiving half** of a shard-boundary sublink: the local
-    /// receiver's input wire, with the sender on `peer_shard`.
+    /// receiver's input wire, with the sender on `peer_shard`; the half
+    /// books into `meters` (the receiving side's).
     pub fn new_boundary_rx(
         rx_wire: Wire,
         edge: u64,
         peer_shard: u32,
         outbox: BoundaryOutbox,
+        meters: LinkMeters,
     ) -> LinkChannel {
-        Self::new_boundary(rx_wire, false, edge, peer_shard, outbox)
+        Self::new_boundary(rx_wire, false, edge, peer_shard, outbox, meters)
     }
 
     /// One half of a boundary sublink: only the local engine's `wire`
@@ -166,6 +170,7 @@ impl LinkChannel {
         edge: u64,
         peer_shard: u32,
         outbox: BoundaryOutbox,
+        meters: LinkMeters,
     ) -> LinkChannel {
         let boundary = BoundaryState {
             edge,
@@ -177,11 +182,18 @@ impl LinkChannel {
             pending: RefCell::default(),
             inbox: Mailbox::new(),
         };
-        Self::assemble(wire.clone(), wire, Some(boundary))
+        Self::assemble(
+            wire.clone(),
+            wire,
+            LinkStatus::new(),
+            meters,
+            Some(boundary),
+        )
     }
 
     fn boundary(&self) -> &BoundaryState {
         self.inner
+            .cold
             .boundary
             .as_ref()
             .expect("boundary protocol on a local channel")
@@ -262,7 +274,7 @@ impl LinkChannel {
                 let now = h.now();
                 let dur = Dur::ps(dur_ps);
                 let tx_wire = &self.inner.tx_wire;
-                // The joint slot of `Resource::reserve_pair`, computed from
+                // The joint slot of `ResourceCore::reserve_pair`, computed from
                 // the exchanged watermark: starts when both engines are free.
                 let start = now
                     .max(tx_wire.resource().busy_until())

@@ -1,11 +1,11 @@
 //! One sublink: the CSP channel whose transfer holds both link engines for
 //! the framed duration and charges the DMA startup.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 use ts_sim::{
-    select2, Counter, Either, Histogram, OneShot, Rendezvous, SimHandle, Time, Tracer, TrackId,
+    select2, Counter, Dur, Either, Histogram, OneShot, RvCore, SimHandle, Time, Tracer, TrackId,
 };
 
 use crate::boundary::BoundaryState;
@@ -39,7 +39,7 @@ fn put_done(done: OneShot<Time>) {
         done.reset();
         DONE_POOL.with(|p| {
             let mut p = p.borrow_mut();
-            if p.len() < 4096 {
+            if p.len() < ts_sim::pool::POOL_MAX {
                 p.push(done);
             }
         });
@@ -55,19 +55,33 @@ pub(crate) async fn await_done(h: &SimHandle, done: OneShot<Time>) {
     put_done(done);
 }
 
-/// Optional telemetry shared by every clone of one sublink: an end-to-end
-/// message-latency histogram and a trace flow arrow per delivered message.
-#[derive(Default)]
-struct LinkTelemetry {
-    latency_ns: Option<Histogram>,
-    flow: Option<(Tracer, TrackId, TrackId)>,
+/// The meters one sublink books into, handed over when it is built. The
+/// machine gives the transmitting node's message, byte and retransmit
+/// counters and the receiving node's message and byte counters and latency
+/// histogram; `LinkMeters::default()` is detached counters nobody reads and
+/// no histogram.
+#[derive(Clone, Default)]
+pub struct LinkMeters {
+    /// Messages committed by the sender.
+    pub msgs_sent: Counter,
+    /// Payload bytes committed by the sender.
+    pub bytes_sent: Counter,
+    /// Flits resent by go-back-N recovery (the sender's work).
+    pub retransmits: Counter,
+    /// Flits that failed their CRC.
+    pub crc_errors: Counter,
+    /// Transfers that exhausted the retransmit budget.
+    pub escalations: Counter,
+    /// Messages delivered to the receiver.
+    pub msgs_recv: Counter,
+    /// Payload bytes delivered to the receiver.
+    pub bytes_recv: Counter,
+    /// End-to-end latency (sender commit → receiver completion, ns) of
+    /// every delivered message.
+    pub latency_ns: Option<Histogram>,
 }
 
-/// One direction's per-message counters: messages and payload bytes. The
-/// machine layer attaches the transmitting node's handles to a sublink's
-/// `sent` side and the receiving node's to its `recv` side; a sublink built
-/// bare keeps detached counters nobody reads.
-#[derive(Default)]
+/// One direction's per-message counters: messages and payload bytes.
 struct Traffic {
     msgs: Counter,
     bytes: Counter,
@@ -82,23 +96,44 @@ impl Traffic {
 }
 
 /// Shared state of one sublink. Everything — both endpoints and every clone
-/// they hand out — refers to a single `ChanInner` behind one `Rc`, so
-/// cloning a channel on the hot path is one refcount bump, not a field-by-
-/// field clone of wires, counters and status flags.
+/// they hand out — refers to a single `ChanInner` behind one `Rc`.
+///
+/// The leading fields are what a healthy message touches, in the order of
+/// the layout pinned by `the_hot_fields_lead_the_sublink`: the rendezvous
+/// core (held by value, so a message reaches its partner without a further
+/// hop), both engine handles, both traffic meters and the latency histogram
+/// fill the first two cache lines; the sender's DMA start-up, the three
+/// flags that guard the cold paths and the link status follow. What a
+/// healthy, local, fault-free message never reads sits in one [`Cold`] box.
+#[repr(C)]
 pub(crate) struct ChanInner {
-    pub(crate) rv: Rendezvous<Packet>,
+    pub(crate) rv: RvCore<Packet>,
     pub(crate) tx_wire: Wire,
     pub(crate) rx_wire: Wire,
     /// Booked at the sender's commit, into the transmitting node's meters.
     sent: Traffic,
     /// Booked at delivery, into the receiving node's meters.
     recv: Traffic,
+    latency_ns: Option<Histogram>,
+    /// `tx_wire`'s DMA start-up, copied so a send reads no engine.
+    dma_startup: Dur,
+    /// The far endpoint lives on another shard: `send`/`recv` replay the
+    /// rendezvous over [`crate::BoundaryEnvelope`]s instead of `rv`.
+    pub(crate) boundary: bool,
+    /// Transient impairments are queued in the cold transport state.
+    pub(crate) impaired: Cell<bool>,
+    /// A flow trace is attached in the cold box.
+    flow: Cell<bool>,
     pub(crate) status: LinkStatus,
-    telem: RefCell<LinkTelemetry>,
+    pub(crate) cold: Box<Cold>,
+}
+
+/// The cold state of one sublink: go-back-N recovery, the flow trace and
+/// the shard-boundary protocol. Each is guarded by a flag in [`ChanInner`],
+/// so a healthy local message never loads this box.
+pub(crate) struct Cold {
     pub(crate) transport: RefCell<TransportState>,
-    /// Set when the far endpoint lives on another shard: `send`/`recv`
-    /// replay the rendezvous over [`crate::BoundaryEnvelope`]s instead of
-    /// `rv`.
+    flow: RefCell<Option<(Tracer, TrackId, TrackId)>>,
     pub(crate) boundary: Option<BoundaryState>,
 }
 
@@ -118,90 +153,105 @@ impl LinkChannel {
     /// Create a sublink whose two ends share one `wire` (unit tests and
     /// simple point-to-point setups).
     pub fn new(wire: Wire) -> LinkChannel {
-        LinkChannel::assemble(wire.clone(), wire, None)
+        LinkChannel::new_pair(wire.clone(), wire)
     }
 
     /// Create a sublink between two distinct link engines: the sender's
-    /// output wire and the receiver's input wire.
+    /// output wire and the receiver's input wire. Its health flag is its
+    /// own and its meters are detached.
     pub fn new_pair(tx_wire: Wire, rx_wire: Wire) -> LinkChannel {
-        LinkChannel::assemble(tx_wire, rx_wire, None)
+        LinkChannel::metered(tx_wire, rx_wire, LinkStatus::new(), LinkMeters::default())
+    }
+
+    /// Create a sublink with its final handles: the health flag of the
+    /// physical link under it (both directions of one node-pair link share
+    /// one, so a single fault fails traffic both ways) and the meters it
+    /// books into.
+    pub fn metered(
+        tx_wire: Wire,
+        rx_wire: Wire,
+        status: LinkStatus,
+        meters: LinkMeters,
+    ) -> LinkChannel {
+        LinkChannel::assemble(tx_wire, rx_wire, status, meters, None)
     }
 
     pub(crate) fn assemble(
         tx_wire: Wire,
         rx_wire: Wire,
+        status: LinkStatus,
+        meters: LinkMeters,
         boundary: Option<BoundaryState>,
     ) -> LinkChannel {
+        let LinkMeters {
+            msgs_sent,
+            bytes_sent,
+            retransmits,
+            crc_errors,
+            escalations,
+            msgs_recv,
+            bytes_recv,
+            latency_ns,
+        } = meters;
         LinkChannel {
             inner: Rc::new(ChanInner {
-                rv: Rendezvous::new(),
+                rv: RvCore::new(),
+                dma_startup: tx_wire.params().dma_startup,
                 tx_wire,
                 rx_wire,
-                sent: Traffic::default(),
-                recv: Traffic::default(),
-                status: LinkStatus::new(),
-                telem: RefCell::new(LinkTelemetry::default()),
-                transport: RefCell::new(TransportState::default()),
-                boundary,
+                sent: Traffic {
+                    msgs: msgs_sent,
+                    bytes: bytes_sent,
+                },
+                recv: Traffic {
+                    msgs: msgs_recv,
+                    bytes: bytes_recv,
+                },
+                latency_ns,
+                boundary: boundary.is_some(),
+                impaired: Cell::new(false),
+                flow: Cell::new(false),
+                status,
+                cold: Box::new(Cold {
+                    transport: RefCell::new(TransportState::new(
+                        retransmits,
+                        crc_errors,
+                        escalations,
+                    )),
+                    flow: RefCell::new(None),
+                    boundary,
+                }),
             }),
         }
     }
 
-    /// The sublink's state during the wiring phase, while this handle
-    /// still owns it: before the channel is cloned out to its endpoints.
-    fn wiring(&mut self) -> &mut ChanInner {
-        Rc::get_mut(&mut self.inner).expect("sublink wired after being cloned out")
-    }
-
-    /// Book every message this sublink sends into the transmitting node's
-    /// meters. Must run before the channel is cloned out to its endpoints.
-    pub fn set_sent_meters(&mut self, msgs: Counter, bytes: Counter) {
-        self.wiring().sent = Traffic { msgs, bytes };
-    }
-
-    /// Book every message this sublink delivers into the receiving node's
-    /// meters. Same wiring-phase rule as [`LinkChannel::set_sent_meters`].
-    pub fn set_recv_meters(&mut self, msgs: Counter, bytes: Counter) {
-        self.wiring().recv = Traffic { msgs, bytes };
-    }
-
-    /// Record every delivered message's end-to-end latency (sender commit →
-    /// receiver completion, in nanoseconds) into `hist`. The telemetry slot
-    /// is shared across clones, so enabling it on either end covers both.
-    pub fn set_latency_histogram(&self, hist: Histogram) {
-        self.inner.telem.borrow_mut().latency_ns = Some(hist);
-    }
-
     /// Emit a trace flow arrow from track `from` to track `to` for every
-    /// delivered message. Shared across clones, like the histogram.
+    /// delivered message. Shared across clones, so enabling it on either
+    /// end covers both.
     pub fn enable_flow_trace(&self, tracer: Tracer, from: TrackId, to: TrackId) {
-        self.inner.telem.borrow_mut().flow = Some((tracer, from, to));
+        *self.inner.cold.flow.borrow_mut() = Some((tracer, from, to));
+        self.inner.flow.set(true);
     }
 
     /// Receive-side accounting shared by every delivery path: the receiving
     /// node's counters, the optional latency histogram and the optional
     /// flow arrow.
     pub(crate) fn book_recv(&self, sent_at: Time, end: Time, bytes: usize) {
-        self.inner.recv.book(bytes);
-        let telem = self.inner.telem.borrow();
-        if let Some(hist) = &telem.latency_ns {
+        let inner = &*self.inner;
+        inner.recv.book(bytes);
+        if let Some(hist) = &inner.latency_ns {
             hist.observe(end.since(sent_at).as_ns());
         }
-        if let Some((tracer, from, to)) = &telem.flow {
-            tracer.flow(*from, *to, sent_at, end);
+        if inner.flow.get() {
+            if let Some((tracer, from, to)) = &*inner.cold.flow.borrow() {
+                tracer.flow(*from, *to, sent_at, end);
+            }
         }
     }
 
     /// The shared health flag of the physical link under this sublink.
     pub fn status(&self) -> &LinkStatus {
         &self.inner.status
-    }
-
-    /// Tie this sublink to an existing physical-link status. Call before the
-    /// channel is cloned out to its endpoints, e.g. so both direction
-    /// channels of one node-pair link share a single flag.
-    pub fn set_status(&mut self, status: LinkStatus) {
-        self.wiring().status = status;
     }
 
     /// True while the underlying physical link is alive.
@@ -218,14 +268,14 @@ impl LinkChannel {
     /// side, then the message is booked into the transmitting node's
     /// meters.
     pub(crate) async fn commit(&self, h: &SimHandle, bytes: usize) {
-        h.sleep(self.inner.tx_wire.params().dma_startup).await;
+        h.sleep(self.inner.dma_startup).await;
         self.inner.sent.book(bytes);
     }
 
     /// Send `words` and suspend until the receiver has them (CSP semantics:
     /// the sender resumes when the transfer completes).
     pub async fn send(&self, h: &SimHandle, words: Vec<u32>) {
-        if self.inner.boundary.is_some() {
+        if self.inner.boundary {
             return self.boundary_send(h, words).await;
         }
         self.commit(h, words.len() * 4).await;
@@ -244,7 +294,7 @@ impl LinkChannel {
     /// Receive a message, suspending until a sender arrives and the framed
     /// transfer completes. Returns the payload words.
     pub async fn recv(&self, h: &SimHandle) -> Vec<u32> {
-        if self.inner.boundary.is_some() {
+        if self.inner.boundary {
             return self.boundary_recv(h).await;
         }
         let pkt = self.inner.rv.recv().await;
@@ -271,7 +321,7 @@ impl LinkChannel {
     /// the framed transfer is in flight and completes even if the link dies
     /// underneath it.
     pub async fn try_send(&self, h: &SimHandle, words: Vec<u32>) -> Result<(), LinkError> {
-        if self.inner.boundary.is_some() {
+        if self.inner.boundary {
             // Boundary links carry no fault state (cross-shard faults are
             // unsupported); the plain protocol path always succeeds.
             self.boundary_send(h, words).await;
@@ -283,7 +333,7 @@ impl LinkChannel {
         }
         let bytes = words.len() * 4;
         // DMA engine setup on the sending side.
-        h.sleep(self.inner.tx_wire.params().dma_startup).await;
+        h.sleep(self.inner.dma_startup).await;
         if !self.inner.status.is_up() {
             ts_sim::pool::put_words(words);
             return Err(LinkError::Down);
@@ -309,7 +359,7 @@ impl LinkChannel {
     /// that committed first still hands its message over (the transfer was
     /// already in flight when the link died).
     pub async fn try_recv(&self, h: &SimHandle) -> Result<Vec<u32>, LinkError> {
-        if self.inner.boundary.is_some() {
+        if self.inner.boundary {
             return Ok(self.boundary_recv(h).await);
         }
         if !self.inner.status.is_up() {
@@ -322,11 +372,61 @@ impl LinkChannel {
     }
 }
 
+/// An `ALT` reaches each sublink's rendezvous core through the channel.
+impl AsRef<RvCore<Packet>> for LinkChannel {
+    fn as_ref(&self) -> &RvCore<Packet> {
+        &self.inner.rv
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::LinkParams;
     use ts_sim::{Dur, Sim};
+
+    /// A healthy message reads only `ChanInner`'s leading fields. The
+    /// rendezvous core, both engine handles, both traffic meters and the
+    /// latency histogram fill the first two cache lines; the sender's DMA
+    /// start-up, the three cold-path flags and the link status (read by
+    /// the failable forms) fit in the third; the cold box closes the
+    /// struct.
+    #[test]
+    fn the_hot_fields_lead_the_sublink() {
+        use std::mem::{offset_of, size_of};
+        let ends = |fields: &[(usize, usize)]| fields.iter().map(|&(o, s)| o + s).max().unwrap();
+        let first_two = ends(&[
+            (offset_of!(ChanInner, rv), size_of::<RvCore<Packet>>()),
+            (offset_of!(ChanInner, tx_wire), size_of::<Wire>()),
+            (offset_of!(ChanInner, rx_wire), size_of::<Wire>()),
+            (offset_of!(ChanInner, sent), size_of::<Traffic>()),
+            (offset_of!(ChanInner, recv), size_of::<Traffic>()),
+            (
+                offset_of!(ChanInner, latency_ns),
+                size_of::<Option<Histogram>>(),
+            ),
+        ]);
+        assert!(
+            first_two <= 128,
+            "core, engines, meters and histogram end at byte {first_two}"
+        );
+        let third = ends(&[
+            (offset_of!(ChanInner, dma_startup), size_of::<Dur>()),
+            (offset_of!(ChanInner, boundary), 1),
+            (offset_of!(ChanInner, impaired), 1),
+            (offset_of!(ChanInner, flow), 1),
+            (offset_of!(ChanInner, status), size_of::<LinkStatus>()),
+        ]);
+        assert!(
+            third <= 192,
+            "start-up, flags and status end at byte {third}"
+        );
+        assert_eq!(
+            offset_of!(ChanInner, cold) + size_of::<Box<Cold>>(),
+            size_of::<ChanInner>(),
+            "the cold box is the last field"
+        );
+    }
 
     #[test]
     fn single_transfer_timing() {
@@ -448,9 +548,15 @@ mod tests {
         let h = sim.handle();
         let (msgs_sent, bytes_sent) = (Counter::new(), Counter::new());
         let (msgs_recv, bytes_recv) = (Counter::new(), Counter::new());
-        let mut ch = LinkChannel::new(Wire::new("w", LinkParams::default()));
-        ch.set_sent_meters(msgs_sent.clone(), bytes_sent.clone());
-        ch.set_recv_meters(msgs_recv.clone(), bytes_recv.clone());
+        let wire = Wire::new("w", LinkParams::default());
+        let meters = LinkMeters {
+            msgs_sent: msgs_sent.clone(),
+            bytes_sent: bytes_sent.clone(),
+            msgs_recv: msgs_recv.clone(),
+            bytes_recv: bytes_recv.clone(),
+            ..Default::default()
+        };
+        let ch = LinkChannel::metered(wire.clone(), wire, LinkStatus::new(), meters);
         let (tx, rx) = (ch.clone(), ch);
         let h2 = h.clone();
         sim.spawn(async move { tx.send(&h2, vec![0; 4]).await });
@@ -468,9 +574,13 @@ mod tests {
     fn latency_histogram_observes_message_time() {
         let mut sim = Sim::new();
         let h = sim.handle();
-        let ch = LinkChannel::new(Wire::new("w", LinkParams::default()));
         let hist = Histogram::new();
-        ch.set_latency_histogram(hist.clone());
+        let wire = Wire::new("w", LinkParams::default());
+        let meters = LinkMeters {
+            latency_ns: Some(hist.clone()),
+            ..Default::default()
+        };
+        let ch = LinkChannel::metered(wire.clone(), wire, LinkStatus::new(), meters);
         let (tx, rx) = (ch.clone(), ch);
         let h2 = h.clone();
         sim.spawn(async move { tx.send(&h2, vec![0xff; 2]).await });
@@ -609,8 +719,7 @@ mod tests {
         let wa = Wire::new("a", LinkParams::default());
         let wb = Wire::new("b", LinkParams::default());
         let ab = LinkChannel::new_pair(wa.clone(), wb.clone());
-        let mut ba = LinkChannel::new_pair(wb, wa);
-        ba.set_status(ab.status().clone());
+        let ba = LinkChannel::metered(wb, wa, ab.status().clone(), LinkMeters::default());
         let ab2 = ab.clone();
         ab.status().set_down();
         assert!(!ab2.is_up());

@@ -34,7 +34,8 @@
 //!   physical link.
 //! * `transport` — transient impairments and go-back-N recovery, up to
 //!   [`RETRANSMIT_BUDGET`] rounds before the link is condemned.
-//! * `channel` — [`LinkChannel`]: `send`/`recv` and their failable forms.
+//! * `channel` — [`LinkChannel`]: `send`/`recv` and their failable forms,
+//!   and the [`LinkMeters`] a sublink is built with.
 //! * `boundary` — [`BoundaryEnvelope`]: a sublink cut by a shard boundary
 //!   (parallel backend), replayed as three plain-data legs.
 //! * `alt` — [`AltSet`]: Occam `ALT` over sublinks.
@@ -52,7 +53,7 @@ mod wire;
 
 pub use alt::AltSet;
 pub use boundary::{BoundaryEnvelope, BoundaryLeg, BoundaryOutbox};
-pub use channel::LinkChannel;
+pub use channel::{LinkChannel, LinkMeters};
 pub use frame::{crc16, Flit};
 pub use params::LinkParams;
 pub use status::{DownWatch, LinkError, LinkStatus};

@@ -42,8 +42,8 @@ enum Impair {
 }
 
 /// Per-direction reliable-transport state, shared by every clone of one
-/// sublink.
-#[derive(Default)]
+/// sublink. Its counts go to the meters the sublink was built with (the
+/// sending node's, since retransmission is the sender's work).
 pub(crate) struct TransportState {
     pending: VecDeque<Impair>,
     retransmits: Counter,
@@ -51,21 +51,18 @@ pub(crate) struct TransportState {
     escalations: Counter,
 }
 
-impl LinkChannel {
-    /// Route retransmit/CRC/escalation counts into pre-registered meters
-    /// (the sending node's, since retransmission is the sender's work).
-    pub fn set_transport_meters(
-        &self,
-        retransmits: Counter,
-        crc_errors: Counter,
-        escalations: Counter,
-    ) {
-        let mut tr = self.inner.transport.borrow_mut();
-        tr.retransmits = retransmits;
-        tr.crc_errors = crc_errors;
-        tr.escalations = escalations;
+impl TransportState {
+    pub(crate) fn new(retransmits: Counter, crc_errors: Counter, escalations: Counter) -> Self {
+        TransportState {
+            pending: VecDeque::new(),
+            retransmits,
+            crc_errors,
+            escalations,
+        }
     }
+}
 
+impl LinkChannel {
     /// Queue a transient wire fault: one payload bit of the next message on
     /// this direction is flipped in flight. The receiver's CRC catches it
     /// and the go-back-N protocol recovers.
@@ -81,10 +78,16 @@ impl LinkChannel {
 
     fn inject(&self, imp: Impair) {
         assert!(
-            self.inner.boundary.is_none(),
+            !self.inner.boundary,
             "transient faults on shard-boundary links are unsupported"
         );
-        self.inner.transport.borrow_mut().pending.push_back(imp);
+        self.inner
+            .cold
+            .transport
+            .borrow_mut()
+            .pending
+            .push_back(imp);
+        self.inner.impaired.set(true);
     }
 
     /// Complete the framed transfer of `words` on both link engines,
@@ -106,11 +109,12 @@ impl LinkChannel {
     pub(crate) fn transfer(&self, now: Time, words: &[u32]) -> (Time, Time) {
         let inner = &*self.inner;
         let (start, end) = reserve_both(&inner.tx_wire, &inner.rx_wire, now, words.len() * 4);
-        if inner.transport.borrow().pending.is_empty() {
+        if !inner.impaired.get() {
             return (start, end);
         }
 
-        let mut tr = inner.transport.borrow_mut();
+        inner.impaired.set(false);
+        let mut tr = inner.cold.transport.borrow_mut();
         let flits = Flit::frame(words);
         let nflits = flits.len();
         let payload_bits = (FLIT_WORDS * 32) as u64;
@@ -177,23 +181,23 @@ impl LinkChannel {
 }
 
 /// Counter readers for the tests below; the machine reads the same counts
-/// through [`LinkChannel::set_transport_meters`].
+/// through the [`crate::LinkMeters`] it builds each sublink with.
 #[cfg(test)]
 impl LinkChannel {
     fn pending_impairments(&self) -> usize {
-        self.inner.transport.borrow().pending.len()
+        self.inner.cold.transport.borrow().pending.len()
     }
 
     fn transport_retransmits(&self) -> u64 {
-        self.inner.transport.borrow().retransmits.get()
+        self.inner.cold.transport.borrow().retransmits.get()
     }
 
     fn transport_crc_errors(&self) -> u64 {
-        self.inner.transport.borrow().crc_errors.get()
+        self.inner.cold.transport.borrow().crc_errors.get()
     }
 
     fn transport_escalations(&self) -> u64 {
-        self.inner.transport.borrow().escalations.get()
+        self.inner.cold.transport.borrow().escalations.get()
     }
 }
 
@@ -320,9 +324,15 @@ mod tests {
     fn transport_meters_route_into_shared_counters() {
         let mut sim = Sim::new();
         let h = sim.handle();
-        let ch = LinkChannel::new(Wire::new("w", LinkParams::default()));
         let (retrans, crc, esc) = (Counter::new(), Counter::new(), Counter::new());
-        ch.set_transport_meters(retrans.clone(), crc.clone(), esc.clone());
+        let wire = Wire::new("w", LinkParams::default());
+        let meters = crate::LinkMeters {
+            retransmits: retrans.clone(),
+            crc_errors: crc.clone(),
+            escalations: esc.clone(),
+            ..Default::default()
+        };
+        let ch = LinkChannel::metered(wire.clone(), wire, crate::LinkStatus::new(), meters);
         ch.inject_corrupt(7);
         let (tx, rx) = (ch.clone(), ch);
         let h2 = h.clone();

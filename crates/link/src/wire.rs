@@ -1,56 +1,63 @@
 //! One direction of one physical link: the bandwidth server every sublink
 //! multiplexed onto the link contends for.
 
-use ts_sim::{Counter, Dur, Resource, Time};
+use std::cell::Cell;
+use std::rc::Rc;
+
+use ts_sim::{Dur, ResourceCore, Time};
 
 use crate::LinkParams;
 
 /// One direction of one physical serial link: a FIFO bandwidth server with
 /// utilization accounting. The four sublinks multiplexed onto the link all
-/// reserve capacity here.
+/// reserve capacity here. A handle: every clone names the same engine.
 #[derive(Clone)]
-pub struct Wire {
-    resource: Resource,
+pub struct Wire(Rc<Engine>);
+
+/// A link engine's state in one allocation: the FIFO server, the framing
+/// and the byte tally a transfer books together.
+struct Engine {
+    resource: ResourceCore,
     params: LinkParams,
-    /// Payload bytes carried, shared by every clone of this wire.
-    bytes: Counter,
+    /// Payload bytes carried.
+    bytes: Cell<u64>,
 }
 
 impl Wire {
     /// Create an idle wire.
     pub fn new(name: &'static str, params: LinkParams) -> Wire {
-        Wire {
-            resource: Resource::new(name),
+        Wire(Rc::new(Engine {
+            resource: ResourceCore::new(name),
             params,
-            bytes: Counter::new(),
-        }
+            bytes: Cell::new(0),
+        }))
     }
 
     /// Framing parameters.
     pub fn params(&self) -> LinkParams {
-        self.params
+        self.0.params
     }
 
     /// Account a `bytes`-byte transfer (or retransmission) in the per-wire
     /// tally. Called by every reservation path, since each grants its slot
     /// on [`Wire::resource`] directly.
     pub(crate) fn book(&self, bytes: usize) {
-        self.bytes.add(bytes as u64);
+        self.0.bytes.set(self.0.bytes.get() + bytes as u64);
     }
 
     /// Payload bytes this wire has carried.
     pub fn bytes_carried(&self) -> u64 {
-        self.bytes.get()
+        self.0.bytes.get()
     }
 
     /// Total time the wire has carried data.
     pub fn busy_total(&self) -> Dur {
-        self.resource.busy_total()
+        self.0.resource.busy_total()
     }
 
     /// The underlying FIFO server (for joint reservations).
-    pub fn resource(&self) -> &Resource {
-        &self.resource
+    pub fn resource(&self) -> &ResourceCore {
+        &self.0.resource
     }
 }
 
@@ -60,10 +67,11 @@ impl Wire {
 /// once.
 pub(crate) fn reserve_both(tx: &Wire, rx: &Wire, now: Time, bytes: usize) -> (Time, Time) {
     tx.book(bytes);
-    if !tx.resource.same_as(&rx.resource) {
+    if !Rc::ptr_eq(&tx.0, &rx.0) {
         rx.book(bytes);
     }
-    Resource::reserve_pair(&tx.resource, &rx.resource, now, rx.params.wire_time(bytes))
+    let dur = rx.0.params.wire_time(bytes);
+    ResourceCore::reserve_pair(&tx.0.resource, &rx.0.resource, now, dur)
 }
 
 #[cfg(test)]

@@ -2,7 +2,7 @@
 //! bytes, determinism of contention. Seeded random cases via [`Rng`] so the
 //! suite runs offline and fails reproducibly.
 
-use ts_link::{LinkChannel, LinkParams, Wire};
+use ts_link::{LinkChannel, LinkMeters, LinkParams, LinkStatus, Wire};
 use ts_sim::{Dur, Rng, Sim, Time};
 
 /// Wire time is exactly linear in bytes; message time adds startup.
@@ -58,9 +58,14 @@ fn byte_conservation() {
         let h = sim.handle();
         let counter = ts_sim::Counter::new;
         let (msgs_sent, bytes_sent, bytes_recv) = (counter(), counter(), counter());
-        let mut ch = LinkChannel::new(Wire::new("w", LinkParams::default()));
-        ch.set_sent_meters(msgs_sent.clone(), bytes_sent.clone());
-        ch.set_recv_meters(counter(), bytes_recv.clone());
+        let wire = Wire::new("w", LinkParams::default());
+        let meters = LinkMeters {
+            msgs_sent: msgs_sent.clone(),
+            bytes_sent: bytes_sent.clone(),
+            bytes_recv: bytes_recv.clone(),
+            ..Default::default()
+        };
+        let ch = LinkChannel::metered(wire.clone(), wire, LinkStatus::new(), meters);
         let (tx, rx) = (ch.clone(), ch);
         let sizes2 = sizes.clone();
         let h2 = h.clone();

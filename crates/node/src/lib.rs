@@ -67,7 +67,8 @@ pub const CP_INSTR_TIME: Dur = Dur::ps(133_333);
 thread_local! {
     /// Free list for `Vec<Sf64>` message values (the unpacked side of the
     /// word-buffer pool in [`ts_sim::pool`]).
-    static VALUES: ts_sim::pool::BufPool<Sf64> = const { ts_sim::pool::BufPool::new(4096) };
+    static VALUES: ts_sim::pool::BufPool<Sf64> =
+        const { ts_sim::pool::BufPool::new(ts_sim::pool::POOL_MAX) };
 }
 
 /// Take an empty value buffer with at least `cap` capacity from the pool.
@@ -105,9 +106,6 @@ pub struct NodeCfg {
 struct NodeState {
     mem: NodeMemory,
     vec_unit: VecUnit,
-    /// `(out, in)` channels to each hypercube neighbour, indexed by
-    /// dimension.
-    dims: Vec<(LinkChannel, LinkChannel)>,
     /// `(out, in)` system-thread channels (to the module's system board).
     sys: Option<(LinkChannel, LinkChannel)>,
     /// Health flag, "up" while the node is alive. Set down by a fault plan
@@ -322,6 +320,9 @@ pub struct Node {
 /// The single shared allocation behind every clone of one [`Node`].
 struct NodeShared {
     state: RefCell<NodeState>,
+    /// `(out, in)` channels to each hypercube neighbour, indexed by
+    /// dimension: inline, so a transfer reaches its sublink in one hop.
+    dims: [OnceCell<(LinkChannel, LinkChannel)>; ts_cube::Hypercube::MAX_DIM as usize],
     /// The control processor (scalar side) as an exclusive resource.
     cp_res: Resource,
     /// The vector arithmetic unit as an exclusive resource.
@@ -350,10 +351,10 @@ impl Node {
                 state: RefCell::new(NodeState {
                     mem: NodeMemory::new(cfg.mem),
                     vec_unit: VecUnit::new(),
-                    dims: Vec::new(),
                     sys: None,
                     health: ts_link::LinkStatus::new(),
                 }),
+                dims: Default::default(),
                 cp_res: Resource::new("cp"),
                 vec_res: Resource::new("vec"),
                 port_res: Resource::new("port"),
@@ -365,17 +366,22 @@ impl Node {
     /// Attach the channel pair for hypercube dimension `dim` (the machine
     /// layer wires both endpoints).
     pub fn wire_dim(&self, dim: usize, out: LinkChannel, inp: LinkChannel) {
-        let mut st = self.shared.state.borrow_mut();
-        let filler = || {
-            LinkChannel::new(ts_link::Wire::new(
-                "unwired",
-                ts_link::LinkParams::default(),
-            ))
-        };
-        while st.dims.len() <= dim {
-            st.dims.push((filler(), filler()));
-        }
-        st.dims[dim] = (out, inp);
+        let wired = self.shared.dims[dim].set((out, inp));
+        assert!(
+            wired.is_ok(),
+            "node {}: dimension {dim} wired twice",
+            self.id
+        );
+    }
+
+    /// The `(out, in)` sublinks across `dim`, if wired.
+    fn dim(&self, dim: usize) -> Option<&(LinkChannel, LinkChannel)> {
+        self.shared.dims.get(dim)?.get()
+    }
+
+    /// Every wired `(out, in)` cube pair.
+    fn wired_dims(&self) -> impl Iterator<Item = &(LinkChannel, LinkChannel)> {
+        self.shared.dims.iter().filter_map(OnceCell::get)
     }
 
     /// Attach the system-board channel pair.
@@ -387,7 +393,7 @@ impl Node {
     /// are marked down, so failable traffic on either end errors instead of
     /// hanging.
     pub fn set_link_down(&self, dim: usize) {
-        if let Some((out, inp)) = self.shared.state.borrow().dims.get(dim) {
+        if let Some((out, inp)) = self.dim(dim) {
             out.status().set_down();
             inp.status().set_down();
         }
@@ -396,7 +402,7 @@ impl Node {
     /// Repair the physical link on dimension `dim`: both direction channels
     /// are marked up again (the inverse of [`Node::set_link_down`]).
     pub fn set_link_up(&self, dim: usize) {
-        if let Some((out, inp)) = self.shared.state.borrow().dims.get(dim) {
+        if let Some((out, inp)) = self.dim(dim) {
             out.status().set_up();
             inp.status().set_up();
         }
@@ -406,7 +412,7 @@ impl Node {
     /// the flit addressed by `flit_bit` arrives with a flipped payload bit,
     /// fails its CRC, and is retransmitted by go-back-N recovery.
     pub fn queue_wire_corrupt(&self, dim: usize, flit_bit: u64) {
-        if let Some((out, _)) = self.shared.state.borrow().dims.get(dim) {
+        if let Some((out, _)) = self.dim(dim) {
             out.inject_corrupt(flit_bit);
         }
     }
@@ -414,7 +420,7 @@ impl Node {
     /// Queue a transient flit loss on the next outbound message of `dim`:
     /// the receiver times out and the window is retransmitted.
     pub fn queue_flit_drop(&self, dim: usize) {
-        if let Some((out, _)) = self.shared.state.borrow().dims.get(dim) {
+        if let Some((out, _)) = self.dim(dim) {
             out.inject_drop();
         }
     }
@@ -439,9 +445,7 @@ impl Node {
     /// True while the physical link on `dim` is alive (an unwired dimension
     /// counts as down).
     pub fn link_up(&self, dim: usize) -> bool {
-        let st = self.shared.state.borrow();
-        st.dims
-            .get(dim)
+        self.dim(dim)
             .is_some_and(|(out, inp)| out.is_up() && inp.is_up())
     }
 
@@ -451,7 +455,7 @@ impl Node {
     pub fn crash(&self) {
         let st = self.shared.state.borrow();
         st.health.set_down();
-        for (out, inp) in st.dims.iter().chain(&st.sys) {
+        for (out, inp) in self.wired_dims().chain(&st.sys) {
             out.status().set_down();
             inp.status().set_down();
         }
@@ -491,8 +495,7 @@ impl Node {
     /// telemetry layer uses this to attach flow traces and latency
     /// histograms to each cube edge).
     pub fn out_channel(&self, dim: usize) -> Option<LinkChannel> {
-        let st = self.shared.state.borrow();
-        st.dims.get(dim).map(|(out, _)| out.clone())
+        self.dim(dim).map(|(out, _)| out.clone())
     }
 
     /// Direct (zero-simulated-time) access to memory, for host-side setup
@@ -1019,15 +1022,12 @@ impl NodeCtx {
 
     // --- links --------------------------------------------------------------
 
-    /// The `(out, in)` sublink pair across (virtual) `dim`. Clone the end
-    /// you need and let the borrow go before awaiting on it.
-    fn dim_pair(&self, dim: usize) -> Ref<'_, (LinkChannel, LinkChannel)> {
+    /// The `(out, in)` sublink pair across (virtual) `dim`.
+    fn dim_pair(&self, dim: usize) -> &(LinkChannel, LinkChannel) {
         let dim = self.map_dim(dim);
-        Ref::map(self.node.shared.state.borrow(), |st| {
-            st.dims
-                .get(dim)
-                .unwrap_or_else(|| panic!("node {}: dimension {dim} not wired", self.node.id))
-        })
+        self.node
+            .dim(dim)
+            .unwrap_or_else(|| panic!("node {}: dimension {dim} not wired", self.node.id))
     }
 
     /// The incoming sublink for dimension `dim` (router daemons `ALT` over
@@ -1038,14 +1038,14 @@ impl NodeCtx {
 
     /// Send words to the hypercube neighbour across `dim`.
     pub async fn send_dim(&self, dim: usize, words: Vec<u32>) {
-        let ch = self.dim_pair(dim).0.clone();
+        let ch = &self.dim_pair(dim).0;
         self.meters().link_words_sent.add(words.len() as u64);
         ch.send(&self.node.h, words).await;
     }
 
     /// Receive words from the neighbour across `dim`.
     pub async fn recv_dim(&self, dim: usize) -> Vec<u32> {
-        let ch = self.dim_pair(dim).1.clone();
+        let ch = &self.dim_pair(dim).1;
         let w = ch.recv(&self.node.h).await;
         self.meters().link_words_recv.add(w.len() as u64);
         w
@@ -1054,7 +1054,7 @@ impl NodeCtx {
     /// Failable [`NodeCtx::send_dim`]: returns [`LinkError::Down`] instead
     /// of hanging when the link across `dim` is (or goes) dead.
     pub async fn try_send_dim(&self, dim: usize, words: Vec<u32>) -> Result<(), LinkError> {
-        let ch = self.dim_pair(dim).0.clone();
+        let ch = &self.dim_pair(dim).0;
         let n = words.len() as u64;
         let r = ch.try_send(&self.node.h, words).await;
         if r.is_ok() {
@@ -1074,9 +1074,7 @@ impl NodeCtx {
     /// hop (the router) cache these handles once and read two shared flags
     /// per decision instead of borrowing node state per dimension.
     pub fn link_statuses(&self, dim: usize) -> Option<(ts_link::LinkStatus, ts_link::LinkStatus)> {
-        let dim = self.map_dim(dim);
-        let st = self.node.shared.state.borrow();
-        let pair = st.dims.get(dim)?;
+        let pair = self.node.dim(self.map_dim(dim))?;
         Some((pair.0.status().clone(), pair.1.status().clone()))
     }
 
@@ -1149,8 +1147,8 @@ impl NodeCtx {
         unpack_f64s(self.exchange(out_dim, pack_f64s(vals), in_dim).await)
     }
 
-    /// The `(out, in)` system-thread sublinks to the module's board (same
-    /// borrow rule as [`NodeCtx::dim_pair`]).
+    /// The `(out, in)` system-thread sublinks to the module's board. Clone
+    /// the end you need and let the borrow go before awaiting on it.
     fn sys_pair(&self) -> Ref<'_, (LinkChannel, LinkChannel)> {
         Ref::map(self.node.shared.state.borrow(), |st| {
             st.sys.as_ref().expect("system thread not wired")

@@ -1,11 +1,15 @@
 //! CSP-style channels.
 //!
 //! The paper's control processor runs Occam, whose inter-process
-//! communication is synchronous rendezvous over channels. [`Rendezvous`]
-//! models exactly that: a `send` and a `recv` meet, the value moves, and both
-//! sides resume at the instant of the meeting (which, because the executor
-//! runs in time order, is the later party's arrival time). Hardware transfer
-//! *durations* are layered on top by `ts-link`.
+//! communication is synchronous rendezvous over channels. [`RvCore`] models
+//! exactly that: a `send` and a `recv` meet, the value moves, and both sides
+//! resume at the instant of the meeting (which, because the executor runs in
+//! time order, is the later party's arrival time). It is the one rendezvous
+//! implementation, held by value by whoever owns the channel: [`Rendezvous`]
+//! shares one through an `Rc` (soft channels), and a `ts-link` sublink keeps
+//! its own inline, layering the hardware transfer *durations* on top. A
+//! plain party that finds nobody queued parks in the core's inline slot, so
+//! a healthy message costs no cell, no claim flag and no queue buffer.
 //!
 //! [`Mailbox`] is a buffered (asynchronous) queue used for infrastructure
 //! that is not rendezvous-shaped (e.g. metrics or host-side collection), and
@@ -20,9 +24,10 @@
 //! owns its cells and flag for its lifetime: a daemon that `ALT`s over the
 //! same channels forever re-arms them each round instead of rebuilding them.
 
-use std::cell::{Cell, RefCell};
+use std::cell::{Cell, OnceCell, RefCell, RefMut};
 use std::collections::VecDeque;
 use std::future::Future;
+use std::ops::Deref;
 use std::pin::Pin;
 use std::rc::Rc;
 use std::task::{Context, Poll, Waker};
@@ -130,7 +135,8 @@ impl<T> Future for OneShotRecv<T> {
 // Rendezvous
 // ---------------------------------------------------------------------------
 
-/// A parked receiver's cell.
+/// A queued receiver's cell: an `ALT` branch, or a plain receive that
+/// arrived while another receiver was already parked.
 ///
 /// `claim` is shared among all cells of one `ALT` (each plain `recv` has its
 /// own): a sender may deposit only after winning the claim, which guarantees
@@ -148,7 +154,7 @@ struct RecvCell<T> {
     parked: bool,
 }
 
-/// A parked sender's cell. `claim` marks cancellation (dropped send future).
+/// A queued sender's cell. `claim` marks cancellation (dropped send future).
 struct SendCell<T> {
     value: Option<T>,
     taken: bool,
@@ -156,85 +162,180 @@ struct SendCell<T> {
     waker: Option<Waker>,
 }
 
-/// Most cells a channel keeps on its free lists. Parked populations per
+/// Most cells a channel keeps on its free lists. Queued populations per
 /// channel are tiny (a rendezvous pairs off immediately), so a small cap
-/// bounds memory while still making steady-state parking allocation-free.
+/// bounds memory while still making steady-state queueing allocation-free.
 const CELL_POOL_MAX: usize = 32;
 
-struct RvState<T> {
+/// Who holds a core's inline slot.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Slot {
+    /// Nobody.
+    Empty,
+    /// A parked sender; its value waits in the slot.
+    Send,
+    /// A receiver took the parked sender's value; the sender has not yet
+    /// been polled to see it.
+    Taken,
+    /// A parked receiver.
+    Recv,
+    /// A sender deposited into the parked receiver's slot; the receiver
+    /// has not yet been polled to take it.
+    Filled,
+}
+
+/// The cell queues behind the slot, allocated by a channel's first `ALT`
+/// branch or second parker.
+struct Queues<T> {
     senders: VecDeque<Rc<RefCell<SendCell<T>>>>,
     receivers: VecDeque<Rc<RefCell<RecvCell<T>>>>,
-    /// Free lists of completed park cells. A send/recv that parked and then
+    /// Free lists of completed cells. A send/recv that queued and then
     /// completed recycles its cell here instead of dropping the two `Rc`
     /// allocations (cell + claim flag) — on a steady channel the same cells
     /// shuttle back and forth forever. Cancelled cells are *not* pooled
-    /// (the parked queue still references them until lazily skipped).
+    /// (the queue still references them until lazily skipped).
     free_send: Vec<Rc<RefCell<SendCell<T>>>>,
     free_recv: Vec<Rc<RefCell<RecvCell<T>>>>,
 }
 
-/// Synchronous (unbuffered, CSP) channel, the Occam `CHAN`.
-pub struct Rendezvous<T> {
-    state: Rc<RefCell<RvState<T>>>,
+/// The state of one synchronous channel, held by value by whatever owns
+/// the channel: [`Rendezvous`] wraps it in an `Rc`, and a link sublink
+/// keeps it inline in its shared state, so a message reaches its partner
+/// without a further pointer hop.
+///
+/// A plain send or receive that finds nobody queued parks in the core's
+/// inline one-entry **slot** (value, waker, occupant): no cell, no claim
+/// flag, no queue buffer. The cell **queues** behind it take `ALT` branches
+/// and any party that parks while the slot or a queue is occupied. A slot
+/// is only taken when its side's queue is empty and the queues only grow
+/// behind a taken slot, so the slot is always the head of its side and
+/// pairing stays FIFO. A party that leaves the slot (completed or
+/// cancelled) vacates it at once; a cancelled queue cell lingers until a
+/// partner skips it.
+pub struct RvCore<T> {
+    value: Cell<Option<T>>,
+    waker: Cell<Option<Waker>>,
+    slot: Cell<Slot>,
+    queues: OnceCell<Box<RefCell<Queues<T>>>>,
 }
 
-impl<T> Clone for Rendezvous<T> {
-    fn clone(&self) -> Self {
-        Rendezvous {
-            state: self.state.clone(),
-        }
-    }
-}
-
-impl<T> Default for Rendezvous<T> {
+impl<T> Default for RvCore<T> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<T> Rendezvous<T> {
-    /// Create an empty rendezvous channel.
-    pub fn new() -> Self {
-        Rendezvous {
-            state: Rc::new(RefCell::new(RvState {
-                senders: VecDeque::new(),
-                receivers: VecDeque::new(),
-                free_send: Vec::new(),
-                free_recv: Vec::new(),
-            })),
+impl<T> RvCore<T> {
+    /// An empty channel: nobody parked, no queues.
+    pub const fn new() -> RvCore<T> {
+        RvCore {
+            value: Cell::new(None),
+            waker: Cell::new(None),
+            slot: Cell::new(Slot::Empty),
+            queues: OnceCell::new(),
         }
     }
 
     /// Send: completes when a receiver takes the value.
-    pub fn send(&self, v: T) -> SendFut<T> {
+    pub fn send(&self, v: T) -> SendFut<'_, T> {
         SendFut {
-            state: self.state.clone(),
+            core: self,
             value: Some(v),
             cell: None,
+            in_slot: false,
         }
     }
 
     /// Receive: completes when a sender provides a value.
-    pub fn recv(&self) -> RecvFut<T> {
+    pub fn recv(&self) -> RecvFut<'_, T> {
         RecvFut {
-            state: self.state.clone(),
+            core: self,
             cell: None,
+            in_slot: false,
         }
     }
 
     /// True if an (uncancelled) sender is currently blocked on this channel.
     pub fn sender_waiting(&self) -> bool {
-        self.state
-            .borrow()
-            .senders
-            .iter()
-            .any(|c| !c.borrow().claim.get())
+        self.slot.get() == Slot::Send
+            || self
+                .queues
+                .get()
+                .is_some_and(|q| q.borrow().senders.iter().any(|c| !c.borrow().claim.get()))
     }
 
-    /// Match a parked sender immediately, if one exists.
+    /// Receivers currently parked on this channel: one in the slot, and the
+    /// queued cells, live or cancelled (cancelled cells linger until a
+    /// sender next arrives and skips them).
+    pub fn parked_receivers(&self) -> usize {
+        let queued = self.queues.get().map_or(0, |q| q.borrow().receivers.len());
+        usize::from(self.slot.get() == Slot::Recv) + queued
+    }
+
+    /// The queues, allocated on first use.
+    fn queues_mut(&self) -> RefMut<'_, Queues<T>> {
+        self.queues
+            .get_or_init(|| {
+                Box::new(RefCell::new(Queues {
+                    senders: VecDeque::new(),
+                    receivers: VecDeque::new(),
+                    free_send: Vec::new(),
+                    free_recv: Vec::new(),
+                }))
+            })
+            .borrow_mut()
+    }
+
+    /// Wake and clear whoever parked in the slot.
+    fn wake_slot(&self) {
+        if let Some(w) = self.waker.take() {
+            w.wake();
+        }
+    }
+
+    /// Re-register the slot's waker on a repeated poll.
+    fn rewake_slot(&self, cx: &Context<'_>) {
+        let w = match self.waker.take() {
+            Some(w) if w.will_wake(cx.waker()) => w,
+            _ => cx.waker().clone(),
+        };
+        self.waker.set(Some(w));
+    }
+
+    /// Park in the slot if it is free and nobody of this side is queued.
+    fn park_in_slot(
+        &self,
+        side: Slot,
+        value: Option<T>,
+        cx: &Context<'_>,
+    ) -> Result<(), Option<T>> {
+        let free = self.slot.get() == Slot::Empty
+            && self.queues.get().is_none_or(|q| {
+                let q = q.borrow();
+                match side {
+                    Slot::Send => q.senders.is_empty(),
+                    _ => q.receivers.is_empty(),
+                }
+            });
+        if !free {
+            return Err(value);
+        }
+        self.value.set(value);
+        self.waker.set(Some(cx.waker().clone()));
+        self.slot.set(side);
+        Ok(())
+    }
+
+    /// Match the head sender, if one is parked: the slot, then the queue.
     fn try_take(&self) -> Option<T> {
-        let mut st = self.state.borrow_mut();
-        while let Some(sc) = st.senders.pop_front() {
+        if self.slot.get() == Slot::Send {
+            self.slot.set(Slot::Taken);
+            let v = self.value.take();
+            self.wake_slot();
+            return v;
+        }
+        let mut q = self.queues.get()?.borrow_mut();
+        while let Some(sc) = q.senders.pop_front() {
             let mut s = sc.borrow_mut();
             if s.claim.get() {
                 continue; // cancelled send
@@ -250,51 +351,20 @@ impl<T> Rendezvous<T> {
         None
     }
 
-    /// Park a receive cell (used by both plain recv and ALT).
-    fn park_receiver(&self, cell: Rc<RefCell<RecvCell<T>>>) {
-        cell.borrow_mut().parked = true;
-        self.state.borrow_mut().receivers.push_back(cell);
-    }
-
-    /// Receive cells currently queued on this channel, live or cancelled
-    /// (cancelled ones linger until a sender next arrives and skips them).
-    pub fn parked_receivers(&self) -> usize {
-        self.state.borrow().receivers.len()
-    }
-}
-
-/// Future returned by [`Rendezvous::send`].
-pub struct SendFut<T> {
-    state: Rc<RefCell<RvState<T>>>,
-    value: Option<T>,
-    cell: Option<Rc<RefCell<SendCell<T>>>>,
-}
-
-// The futures never rely on the address of their fields, so they are Unpin
-// regardless of `T` (a `T` is only ever stored boxed behind Rc cells).
-impl<T> Unpin for SendFut<T> {}
-impl<T> Unpin for RecvFut<T> {}
-
-impl<T> Future for SendFut<T> {
-    type Output = ();
-
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
-        let this = self.get_mut();
-        if let Some(cell) = &this.cell {
-            let mut c = cell.borrow_mut();
-            if c.taken {
-                drop(c);
-                let cell = this.cell.take().expect("checked above");
-                recycle_send_cell(&this.state, cell);
-                return Poll::Ready(());
-            }
-            c.waker = Some(cx.waker().clone());
-            return Poll::Pending;
+    /// Hand `v` to the head receiver whose claim we can win: the slot, then
+    /// the queue. Gives `v` back when nobody is listening.
+    fn deposit(&self, v: T) -> Option<T> {
+        if self.slot.get() == Slot::Recv {
+            self.value.set(Some(v));
+            self.slot.set(Slot::Filled);
+            self.wake_slot();
+            return None;
         }
-        let v = this.value.take().expect("SendFut polled after completion");
-        let mut st = this.state.borrow_mut();
-        // Deposit into the first receive cell whose claim we can win.
-        while let Some(rc) = st.receivers.pop_front() {
+        let Some(q) = self.queues.get() else {
+            return Some(v);
+        };
+        let mut q = q.borrow_mut();
+        while let Some(rc) = q.receivers.pop_front() {
             let mut r = rc.borrow_mut();
             r.parked = false;
             if r.claim.get() {
@@ -305,79 +375,192 @@ impl<T> Future for SendFut<T> {
             if let Some(w) = r.waker.take() {
                 w.wake();
             }
-            return Poll::Ready(());
+            return None;
         }
-        // No receiver: park (reusing a recycled cell when one is free).
-        let cell = match st.free_send.pop() {
+        Some(v)
+    }
+
+    /// Queue a receive cell (an ALT branch, or a receiver behind another).
+    fn park_receiver(&self, cell: Rc<RefCell<RecvCell<T>>>) {
+        cell.borrow_mut().parked = true;
+        self.queues_mut().receivers.push_back(cell);
+    }
+
+    /// Return a completed (taken) send cell to the free list, if nothing
+    /// else still references it.
+    fn recycle_send_cell(&self, cell: Rc<RefCell<SendCell<T>>>) {
+        if Rc::strong_count(&cell) != 1 {
+            return;
+        }
+        let mut q = self.queues_mut();
+        if q.free_send.len() < CELL_POOL_MAX {
+            let mut c = cell.borrow_mut();
+            c.value = None;
+            c.taken = false;
+            c.waker = None;
+            if Rc::strong_count(&c.claim) == 1 {
+                c.claim.set(false);
+            } else {
+                c.claim = Rc::new(Cell::new(false));
+            }
+            drop(c);
+            q.free_send.push(cell);
+        }
+    }
+
+    /// Return a completed (value delivered and consumed) receive cell to
+    /// the free list, if nothing else still references it.
+    fn recycle_recv_cell(&self, cell: Rc<RefCell<RecvCell<T>>>) {
+        if Rc::strong_count(&cell) != 1 {
+            return;
+        }
+        let mut q = self.queues_mut();
+        if q.free_recv.len() < CELL_POOL_MAX {
+            let mut c = cell.borrow_mut();
+            debug_assert!(c.value.is_none());
+            c.branch = 0;
+            c.waker = None;
+            if Rc::strong_count(&c.claim) == 1 {
+                c.claim.set(false);
+            } else {
+                c.claim = Rc::new(Cell::new(false));
+            }
+            drop(c);
+            q.free_recv.push(cell);
+        }
+    }
+}
+
+/// Synchronous (unbuffered, CSP) channel, the Occam `CHAN`: an [`RvCore`]
+/// shared by every clone. It dereferences to the core, whose `send` and
+/// `recv` it offers.
+pub struct Rendezvous<T> {
+    core: Rc<RvCore<T>>,
+}
+
+impl<T> Clone for Rendezvous<T> {
+    fn clone(&self) -> Self {
+        Rendezvous {
+            core: self.core.clone(),
+        }
+    }
+}
+
+impl<T> Default for Rendezvous<T> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl<T> Rendezvous<T> {
+    /// Create an empty rendezvous channel.
+    pub fn new() -> Self {
+        Rendezvous {
+            core: Rc::new(RvCore::new()),
+        }
+    }
+}
+
+impl<T> Deref for Rendezvous<T> {
+    type Target = RvCore<T>;
+
+    fn deref(&self) -> &RvCore<T> {
+        &self.core
+    }
+}
+
+impl<T> AsRef<RvCore<T>> for Rendezvous<T> {
+    fn as_ref(&self) -> &RvCore<T> {
+        &self.core
+    }
+}
+
+/// Future returned by [`RvCore::send`].
+pub struct SendFut<'a, T> {
+    core: &'a RvCore<T>,
+    value: Option<T>,
+    cell: Option<Rc<RefCell<SendCell<T>>>>,
+    /// Parked in the core's slot.
+    in_slot: bool,
+}
+
+// The futures never rely on the address of their fields, so they are Unpin
+// regardless of `T`.
+impl<T> Unpin for SendFut<'_, T> {}
+impl<T> Unpin for RecvFut<'_, T> {}
+
+impl<T> Future for SendFut<'_, T> {
+    type Output = ();
+
+    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
+        let this = self.get_mut();
+        let core = this.core;
+        if this.in_slot {
+            if core.slot.get() == Slot::Taken {
+                core.slot.set(Slot::Empty);
+                this.in_slot = false;
+                return Poll::Ready(());
+            }
+            debug_assert_eq!(core.slot.get(), Slot::Send);
+            core.rewake_slot(cx);
+            return Poll::Pending;
+        }
+        if let Some(cell) = &this.cell {
+            let mut c = cell.borrow_mut();
+            if c.taken {
+                drop(c);
+                let cell = this.cell.take().expect("checked above");
+                core.recycle_send_cell(cell);
+                return Poll::Ready(());
+            }
+            c.waker = Some(cx.waker().clone());
+            return Poll::Pending;
+        }
+        let v = this.value.take().expect("SendFut polled after completion");
+        let Some(v) = core.deposit(v) else {
+            return Poll::Ready(());
+        };
+        // No receiver: park, in the slot when it is free and nobody is
+        // queued, else in a (recycled when possible) queue cell.
+        let v = match core.park_in_slot(Slot::Send, Some(v), cx) {
+            Ok(()) => {
+                this.in_slot = true;
+                return Poll::Pending;
+            }
+            Err(v) => v,
+        };
+        let mut q = core.queues_mut();
+        let cell = match q.free_send.pop() {
             Some(cell) => {
                 let mut c = cell.borrow_mut();
                 debug_assert!(!c.taken && !c.claim.get());
-                c.value = Some(v);
+                c.value = v;
                 c.waker = Some(cx.waker().clone());
                 drop(c);
                 cell
             }
             None => Rc::new(RefCell::new(SendCell {
-                value: Some(v),
+                value: v,
                 taken: false,
                 claim: Rc::new(Cell::new(false)),
                 waker: Some(cx.waker().clone()),
             })),
         };
-        st.senders.push_back(cell.clone());
-        drop(st);
+        q.senders.push_back(cell.clone());
         this.cell = Some(cell);
         Poll::Pending
     }
 }
 
-/// Return a completed (taken) send cell to its channel's free list, if
-/// nothing else still references it.
-fn recycle_send_cell<T>(state: &Rc<RefCell<RvState<T>>>, cell: Rc<RefCell<SendCell<T>>>) {
-    if Rc::strong_count(&cell) != 1 {
-        return;
-    }
-    let mut st = state.borrow_mut();
-    if st.free_send.len() < CELL_POOL_MAX {
-        let mut c = cell.borrow_mut();
-        c.value = None;
-        c.taken = false;
-        c.waker = None;
-        if Rc::strong_count(&c.claim) == 1 {
-            c.claim.set(false);
-        } else {
-            c.claim = Rc::new(Cell::new(false));
-        }
-        drop(c);
-        st.free_send.push(cell);
-    }
-}
-
-/// Return a completed (value delivered and consumed) receive cell to its
-/// channel's free list, if nothing else still references it.
-fn recycle_recv_cell<T>(state: &Rc<RefCell<RvState<T>>>, cell: Rc<RefCell<RecvCell<T>>>) {
-    if Rc::strong_count(&cell) != 1 {
-        return;
-    }
-    let mut st = state.borrow_mut();
-    if st.free_recv.len() < CELL_POOL_MAX {
-        let mut c = cell.borrow_mut();
-        debug_assert!(c.value.is_none());
-        c.branch = 0;
-        c.waker = None;
-        if Rc::strong_count(&c.claim) == 1 {
-            c.claim.set(false);
-        } else {
-            c.claim = Rc::new(Cell::new(false));
-        }
-        drop(c);
-        st.free_recv.push(cell);
-    }
-}
-
-impl<T> Drop for SendFut<T> {
+impl<T> Drop for SendFut<'_, T> {
     fn drop(&mut self) {
-        if let Some(cell) = &self.cell {
+        if self.in_slot {
+            // Cancelled (value and waker go) or completed but not yet
+            // polled: either way the slot is free again.
+            self.core.value.take();
+            self.core.waker.take();
+            self.core.slot.set(Slot::Empty);
+        } else if let Some(cell) = &self.cell {
             let c = cell.borrow();
             if !c.taken {
                 c.claim.set(true); // cancel: receivers skip this cell
@@ -386,23 +569,36 @@ impl<T> Drop for SendFut<T> {
     }
 }
 
-/// Future returned by [`Rendezvous::recv`].
-pub struct RecvFut<T> {
-    state: Rc<RefCell<RvState<T>>>,
+/// Future returned by [`RvCore::recv`].
+pub struct RecvFut<'a, T> {
+    core: &'a RvCore<T>,
     cell: Option<Rc<RefCell<RecvCell<T>>>>,
+    /// Parked in the core's slot.
+    in_slot: bool,
 }
 
-impl<T> Future for RecvFut<T> {
+impl<T> Future for RecvFut<'_, T> {
     type Output = T;
 
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<T> {
         let this = self.get_mut();
+        let core = this.core;
+        if this.in_slot {
+            if core.slot.get() == Slot::Filled {
+                core.slot.set(Slot::Empty);
+                this.in_slot = false;
+                return Poll::Ready(core.value.take().expect("filled slot without value"));
+            }
+            debug_assert_eq!(core.slot.get(), Slot::Recv);
+            core.rewake_slot(cx);
+            return Poll::Pending;
+        }
         if let Some(cell) = &this.cell {
             let mut c = cell.borrow_mut();
             if let Some(v) = c.value.take() {
                 drop(c);
                 let cell = this.cell.take().expect("checked above");
-                recycle_recv_cell(&this.state, cell);
+                core.recycle_recv_cell(cell);
                 return Poll::Ready(v);
             }
             debug_assert!(!c.claim.get(), "RecvFut cell claimed without value");
@@ -410,13 +606,15 @@ impl<T> Future for RecvFut<T> {
             return Poll::Pending;
         }
         // First poll: match a parked sender, else park ourselves.
-        let ch = Rendezvous {
-            state: this.state.clone(),
-        };
-        if let Some(v) = ch.try_take() {
+        if let Some(v) = core.try_take() {
             return Poll::Ready(v);
         }
-        let cell = match this.state.borrow_mut().free_recv.pop() {
+        if core.park_in_slot(Slot::Recv, None, cx).is_ok() {
+            this.in_slot = true;
+            return Poll::Pending;
+        }
+        let recycled = core.queues_mut().free_recv.pop();
+        let cell = match recycled {
             Some(cell) => {
                 let mut c = cell.borrow_mut();
                 debug_assert!(c.value.is_none() && !c.claim.get());
@@ -432,22 +630,27 @@ impl<T> Future for RecvFut<T> {
                 parked: false,
             })),
         };
-        ch.park_receiver(cell.clone());
+        core.park_receiver(cell.clone());
         this.cell = Some(cell);
         Poll::Pending
     }
 }
 
-impl<T> Drop for RecvFut<T> {
+impl<T> Drop for RecvFut<'_, T> {
     fn drop(&mut self) {
-        if let Some(cell) = &self.cell {
+        if self.in_slot {
+            // Cancelled, or filled but never polled out: the sender has
+            // already resumed, so CSP-wise the communication completed and
+            // the value is dropped.
+            self.core.value.take();
+            self.core.waker.take();
+            self.core.slot.set(Slot::Empty);
+        } else if let Some(cell) = &self.cell {
             let c = cell.borrow();
             if c.value.is_none() {
                 c.claim.set(true); // cancel
             }
-            // If a value was deposited but never polled out, the sender has
-            // already resumed: CSP-wise the communication completed and the
-            // value is dropped with the cell.
+            // A deposited value is dropped with the cell, as above.
         }
     }
 }
@@ -461,25 +664,27 @@ impl<T> Drop for RecvFut<T> {
 /// first channel on which a sender commits; if several senders are already
 /// waiting, the lowest branch index wins (Occam's `PRI ALT`).
 ///
-/// The set owns one receive cell per branch and the claim flag they share
-/// for its whole lifetime. A round *arms* the flag and parks only the cells
-/// a sender has popped since they were last parked; the cells of branches
-/// that did not fire stay queued where they are, skipped like a cancelled
-/// receive while the flag is down and live again at the next round. So a
-/// round allocates nothing, an idle branch never holds more than this one
-/// cell, and dropping the set takes its cells out of the queues. (A cell
-/// that stays queued keeps its place ahead of receivers that park on the
-/// same channel later.)
-pub struct Alt<T> {
-    chans: Vec<Rendezvous<T>>,
+/// The channels are anything that reaches an [`RvCore`]: [`Rendezvous`]
+/// values by default, or a wrapper that holds its core inline (a link
+/// sublink). The set owns one receive cell per branch and the claim flag
+/// they share for its whole lifetime. A round *arms* the flag and queues
+/// only the cells a sender has popped since they were last queued; the
+/// cells of branches that did not fire stay queued where they are, skipped
+/// like a cancelled receive while the flag is down and live again at the
+/// next round. So a round allocates nothing, an idle branch never holds
+/// more than this one cell, and dropping the set takes its cells out of the
+/// queues. (A cell that stays queued keeps its place ahead of receivers
+/// that park on the same channel later.)
+pub struct Alt<T, C: AsRef<RvCore<T>> = Rendezvous<T>> {
+    chans: Vec<C>,
     cells: Vec<Rc<RefCell<RecvCell<T>>>>,
     /// False only while a round is armed and no sender has committed.
     claim: Rc<Cell<bool>>,
 }
 
-impl<T> Alt<T> {
+impl<T, C: AsRef<RvCore<T>>> Alt<T, C> {
     /// Prepare an `ALT` over `chans` (branch priority = slice order).
-    pub fn new(chans: Vec<Rendezvous<T>>) -> Alt<T> {
+    pub fn new(chans: Vec<C>) -> Alt<T, C> {
         let claim = Rc::new(Cell::new(true));
         let cells = (0..chans.len())
             .map(|branch| {
@@ -499,9 +704,14 @@ impl<T> Alt<T> {
         }
     }
 
+    /// The channels, in branch order.
+    pub fn channels(&self) -> &[C] {
+        &self.chans
+    }
+
     /// One round: wait for the first branch whose sender commits. Dropping
     /// the future unresolved cancels the round.
-    pub fn recv(&mut self) -> AltFut<'_, T> {
+    pub fn recv(&mut self) -> AltFut<'_, T, C> {
         AltFut {
             alt: self,
             armed: false,
@@ -509,25 +719,27 @@ impl<T> Alt<T> {
     }
 }
 
-impl<T> Drop for Alt<T> {
+impl<T, C: AsRef<RvCore<T>>> Drop for Alt<T, C> {
     fn drop(&mut self) {
         for (ch, cell) in self.chans.iter().zip(&self.cells) {
             if cell.borrow().parked {
-                let mut st = ch.state.borrow_mut();
-                st.receivers.retain(|c| !Rc::ptr_eq(c, cell));
+                ch.as_ref()
+                    .queues_mut()
+                    .receivers
+                    .retain(|c| !Rc::ptr_eq(c, cell));
             }
         }
     }
 }
 
 /// Future returned by [`Alt::recv`].
-pub struct AltFut<'a, T> {
-    alt: &'a mut Alt<T>,
+pub struct AltFut<'a, T, C: AsRef<RvCore<T>>> {
+    alt: &'a mut Alt<T, C>,
     /// This round has armed the claim flag and not yet taken a value.
     armed: bool,
 }
 
-impl<T> Future for AltFut<'_, T> {
+impl<T, C: AsRef<RvCore<T>>> Future for AltFut<'_, T, C> {
     type Output = (usize, T);
 
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<(usize, T)> {
@@ -545,7 +757,7 @@ impl<T> Future for AltFut<'_, T> {
         } else {
             // Fast path: an already-parked sender on the lowest-index branch.
             for (i, ch) in alt.chans.iter().enumerate() {
-                if let Some(v) = ch.try_take() {
+                if let Some(v) = ch.as_ref().try_take() {
                     return Poll::Ready((i, v));
                 }
             }
@@ -560,14 +772,14 @@ impl<T> Future for AltFut<'_, T> {
             }
             if !c.parked {
                 drop(c);
-                ch.park_receiver(cell.clone());
+                ch.as_ref().park_receiver(cell.clone());
             }
         }
         Poll::Pending
     }
 }
 
-impl<T> Drop for AltFut<'_, T> {
+impl<T, C: AsRef<RvCore<T>>> Drop for AltFut<'_, T, C> {
     fn drop(&mut self) {
         if self.armed {
             // Cancel the round. If a branch fired but the value was not
@@ -813,6 +1025,35 @@ mod tests {
         });
         assert!(sim.run().quiescent);
         assert_eq!(jh.try_take(), Some(vec![0, 1, 2, 3]));
+    }
+
+    #[test]
+    fn a_completion_not_yet_polled_keeps_the_slot_and_pairing_stays_fifo() {
+        // At t = 0, in spawn order: the first sender parks in the slot, a
+        // receiver takes its value (the slot holds the completion until the
+        // sender is polled again, after the second sender's first poll), and
+        // the second sender queues behind. A later receiver gets the second
+        // value, and nothing stays parked.
+        let mut sim = Sim::new();
+        let ch: Rendezvous<u32> = Rendezvous::new();
+        for (v, receive) in [(1, false), (0, true), (2, false)] {
+            let ch = ch.clone();
+            sim.spawn(async move {
+                if receive {
+                    assert_eq!(ch.recv().await, 1);
+                } else {
+                    ch.send(v).await;
+                }
+            });
+        }
+        let (rx, h) = (ch.clone(), sim.handle());
+        let jh = sim.spawn(async move {
+            h.sleep(Dur::ns(5)).await;
+            rx.recv().await
+        });
+        assert!(sim.run().quiescent);
+        assert_eq!(jh.try_take(), Some(2));
+        assert!(!ch.sender_waiting() && ch.parked_receivers() == 0);
     }
 
     #[test]

@@ -57,14 +57,14 @@ pub mod text;
 pub mod time;
 pub mod trace;
 
-pub use channel::{select2, Alt, Either, Mailbox, OneShot, Rendezvous};
+pub use channel::{select2, Alt, Either, Mailbox, OneShot, Rendezvous, RvCore};
 pub use executor::{ExecProfile, JoinHandle, RunReport, Sim, SimHandle};
 pub use metrics::{
     mflops, natural_cmp, BusyTime, Counter, HistSnapshot, Histogram, MetricValue, MetricsRegistry,
     MetricsScope,
 };
 pub use perfetto::{trace_event_json, write_trace};
-pub use resource::Resource;
+pub use resource::{Resource, ResourceCore};
 pub use rng::Rng;
 pub use time::{Dur, Time};
 pub use trace::{Event, Span, Tracer, TrackId};

@@ -110,8 +110,14 @@ impl<T> BufPool<T> {
     }
 }
 
+/// Most buffers one free list keeps: four per node of the paper's largest
+/// machine, the 14-cube, so a lockstep round there recycles every buffer it
+/// has in flight. Every hot-path pool (link words, node values, link
+/// completion one-shots) is sized by it.
+pub const POOL_MAX: usize = 4 << 14;
+
 thread_local! {
-    static WORDS: BufPool<u32> = const { BufPool::new(4096) };
+    static WORDS: BufPool<u32> = const { BufPool::new(POOL_MAX) };
 }
 
 /// Take a link-payload word buffer with at least `cap` capacity.

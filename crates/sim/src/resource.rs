@@ -8,6 +8,7 @@
 //! needed, and utilization accounting falls out for free.
 
 use std::cell::RefCell;
+use std::ops::Deref;
 use std::rc::Rc;
 
 use crate::executor::SimHandle;
@@ -20,23 +21,45 @@ struct ResState {
     tracer: Option<(crate::trace::Tracer, crate::trace::TrackId)>,
 }
 
-/// An exclusive, FIFO-served resource with utilization accounting.
-#[derive(Clone)]
-pub struct Resource {
-    state: Rc<RefCell<ResState>>,
+/// The state of one exclusive, FIFO-served resource with utilization
+/// accounting, held by value by whatever owns it: [`Resource`] shares one
+/// through an `Rc`, and a link engine keeps its own inline beside its
+/// framing parameters, so a transfer books it without a further hop.
+pub struct ResourceCore {
+    state: RefCell<ResState>,
     name: &'static str,
 }
+
+/// An exclusive, FIFO-served resource: a [`ResourceCore`] shared by every
+/// clone, whose methods it offers.
+#[derive(Clone)]
+pub struct Resource(Rc<ResourceCore>);
 
 impl Resource {
     /// Create an idle resource. The name appears in utilization reports.
     pub fn new(name: &'static str) -> Resource {
-        Resource {
-            state: Rc::new(RefCell::new(ResState {
+        Resource(Rc::new(ResourceCore::new(name)))
+    }
+}
+
+impl Deref for Resource {
+    type Target = ResourceCore;
+
+    fn deref(&self) -> &ResourceCore {
+        &self.0
+    }
+}
+
+impl ResourceCore {
+    /// An idle resource. The name appears in utilization reports.
+    pub const fn new(name: &'static str) -> ResourceCore {
+        ResourceCore {
+            state: RefCell::new(ResState {
                 busy_until: Time::ZERO,
                 busy_total: Dur::ZERO,
                 uses: 0,
                 tracer: None,
-            })),
+            }),
             name,
         }
     }
@@ -48,7 +71,7 @@ impl Resource {
 
     /// Reserve the resource for `dur`, starting no earlier than `now`.
     /// Returns `(start, end)` of the granted slot. The caller is responsible
-    /// for sleeping until `end` (or use [`Resource::use_for`]).
+    /// for sleeping until `end` (or use [`ResourceCore::use_for`]).
     pub fn reserve(&self, now: Time, dur: Dur) -> (Time, Time) {
         let start = self.busy_until().max(now);
         self.apply_grant(start, start + dur, dur);
@@ -95,17 +118,17 @@ impl Resource {
         }
     }
 
-    /// Do these handles name the same underlying resource?
-    pub fn same_as(&self, other: &Resource) -> bool {
-        Rc::ptr_eq(&self.state, &other.state)
+    /// Are these the same underlying resource?
+    pub fn same_as(&self, other: &ResourceCore) -> bool {
+        std::ptr::eq(self, other)
     }
 
     /// Book a grant onto this resource — the one booking behind
-    /// [`Resource::reserve`] and each side of [`Resource::reserve_pair`].
-    /// The parallel backend also calls it when the two engines of a
-    /// transfer live on different shards: each side computes the joint
-    /// `(start, end)` from exchanged watermarks and applies its half
-    /// locally.
+    /// [`ResourceCore::reserve`] and each side of
+    /// [`ResourceCore::reserve_pair`]. The parallel backend also calls it
+    /// when the two engines of a transfer live on different shards: each
+    /// side computes the joint `(start, end)` from exchanged watermarks and
+    /// applies its half locally.
     pub fn apply_grant(&self, start: Time, end: Time, dur: Dur) {
         let mut st = self.state.borrow_mut();
         debug_assert!(start >= st.busy_until, "grant overlaps an earlier slot");
@@ -119,8 +142,8 @@ impl Resource {
 
     /// Reserve **two** resources for the same `dur` slot (e.g. the sending
     /// and receiving link engines of one transfer): the slot starts when
-    /// both are free. If both handles name one resource it is reserved once.
-    pub fn reserve_pair(a: &Resource, b: &Resource, now: Time, dur: Dur) -> (Time, Time) {
+    /// both are free. If both name one resource it is reserved once.
+    pub fn reserve_pair(a: &ResourceCore, b: &ResourceCore, now: Time, dur: Dur) -> (Time, Time) {
         if a.same_as(b) {
             return a.reserve(now, dur);
         }

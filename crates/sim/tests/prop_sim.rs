@@ -351,3 +351,318 @@ fn scripted_timers_fire_in_instant_then_registration_order() {
         assert_eq!(run(&stops), bounded, "case {case}: not deterministic");
     }
 }
+
+/// One party of a rendezvous script. Every arrival and timeout instant
+/// (ns) is distinct across the script, so no two things happen at once and
+/// the outcome is a pure function of the arrival order.
+#[derive(Clone, Debug)]
+enum Party {
+    /// Send this op's id on `ch`, cancelled by a `select2` timeout if given.
+    Send {
+        ch: usize,
+        at: u64,
+        timeout: Option<u64>,
+    },
+    /// Receive on `ch`, cancelled by a `select2` timeout if given.
+    Recv {
+        ch: usize,
+        at: u64,
+        timeout: Option<u64>,
+    },
+    /// One prepared `Alt` over every channel, one round per `(at, timeout)`;
+    /// each round is an op of its own.
+    Alt { rounds: Vec<(u64, u64)> },
+}
+
+/// How an op ended, or `None` if it was cancelled or never paired.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Outcome {
+    /// A send completed at this instant (ns).
+    Sent(u64),
+    /// A receive (or an `Alt` round, on this branch) took this sender's id.
+    Got { at: u64, branch: usize, from: usize },
+}
+
+/// A receive entry queued on one channel of the reference model.
+#[derive(Clone, Copy)]
+enum Rx {
+    Plain(usize),
+    /// An `Alt` party's cell for one branch.
+    Alt(usize, usize),
+}
+
+/// The FIFO reference model: every parked party in one queue per side and
+/// channel, in arrival order, cancelled ones skipped lazily, an `Alt`'s
+/// cells queued where they were parked until a sender pops them — the
+/// pairing the inline slot must keep.
+struct Model {
+    senders: Vec<std::collections::VecDeque<usize>>,
+    receivers: Vec<std::collections::VecDeque<Rx>>,
+    waiting: Vec<bool>,
+    out: Vec<Option<Outcome>>,
+    /// Per `Alt` party: the round op that is armed, and which cells are queued.
+    armed: Vec<Option<usize>>,
+    cell_queued: Vec<Vec<bool>>,
+    /// Times a plain party parked behind a live one of its own side.
+    second_parkers: u32,
+}
+
+impl Model {
+    fn pair(&mut self, t: u64, send: usize, recv: usize, branch: usize) {
+        self.waiting[send] = false;
+        self.waiting[recv] = false;
+        self.out[send] = Some(Outcome::Sent(t));
+        self.out[recv] = Some(Outcome::Got {
+            at: t,
+            branch,
+            from: send,
+        });
+    }
+
+    fn pop_live_sender(&mut self, ch: usize) -> Option<usize> {
+        while let Some(s) = self.senders[ch].pop_front() {
+            if self.waiting[s] {
+                return Some(s);
+            }
+        }
+        None
+    }
+
+    fn send(&mut self, t: u64, op: usize, ch: usize) {
+        while let Some(rx) = self.receivers[ch].pop_front() {
+            match rx {
+                Rx::Plain(r) if self.waiting[r] => return self.pair(t, op, r, ch),
+                Rx::Plain(_) => {}
+                Rx::Alt(p, b) => {
+                    self.cell_queued[p][b] = false;
+                    if let Some(round) = self.armed[p].take() {
+                        return self.pair(t, op, round, b);
+                    }
+                }
+            }
+        }
+        if self.senders[ch].iter().any(|&s| self.waiting[s]) {
+            self.second_parkers += 1;
+        }
+        self.senders[ch].push_back(op);
+        self.waiting[op] = true;
+    }
+
+    fn recv(&mut self, t: u64, op: usize, ch: usize) {
+        if let Some(s) = self.pop_live_sender(ch) {
+            return self.pair(t, s, op, ch);
+        }
+        let live = |rx: &Rx, m: &Model| match *rx {
+            Rx::Plain(r) => m.waiting[r],
+            Rx::Alt(p, _) => m.armed[p].is_some(),
+        };
+        if self.receivers[ch].iter().any(|rx| live(rx, self)) {
+            self.second_parkers += 1;
+        }
+        self.receivers[ch].push_back(Rx::Plain(op));
+        self.waiting[op] = true;
+    }
+
+    fn alt_round(&mut self, t: u64, op: usize, party: usize) {
+        for ch in 0..self.senders.len() {
+            if let Some(s) = self.pop_live_sender(ch) {
+                return self.pair(t, s, op, ch);
+            }
+        }
+        self.armed[party] = Some(op);
+        self.waiting[op] = true;
+        for ch in 0..self.senders.len() {
+            if !self.cell_queued[party][ch] {
+                self.cell_queued[party][ch] = true;
+                self.receivers[ch].push_back(Rx::Alt(party, ch));
+            }
+        }
+    }
+}
+
+/// Seeded scripts over one to three channels mixing the four ways a
+/// rendezvous pairs: plain sends and receives that park alone (the inline
+/// slot), parties that park behind another of their side (the queue),
+/// prepared `Alt` rounds over the same channels, and sends, receives and
+/// rounds cancelled by a `select2` timeout. Every pairing and every
+/// completion instant must equal the FIFO reference model's.
+#[test]
+fn rendezvous_pairs_like_the_fifo_reference() {
+    use ts_sim::{select2, Alt, Either};
+
+    let mut rng = Rng::new(0x51b0_0006);
+    let (mut second_parkers, mut alt_pairings, mut cancelled) = (0, 0, 0);
+    for case in 0..256 {
+        let nch = rng.range(1, 4);
+        let mut used = std::collections::HashSet::new();
+        let mut fresh = |rng: &mut Rng, lo: u64, span: u64| loop {
+            let t = lo + rng.below(span);
+            if used.insert(t) {
+                return t;
+            }
+        };
+        let parties: Vec<Party> = (0..rng.range(2, 16))
+            .map(|_| {
+                let ch = rng.below(nch as u64) as usize;
+                let at = fresh(&mut rng, 1, 400);
+                let timeout = (rng.below(3) == 0).then(|| fresh(&mut rng, at + 1, 200));
+                match rng.below(9) {
+                    0..=3 => Party::Send { ch, at, timeout },
+                    4..=7 => Party::Recv { ch, at, timeout },
+                    _ => {
+                        let mut rounds = Vec::new();
+                        let mut end = at;
+                        for _ in 0..rng.range(1, 5) {
+                            let at = fresh(&mut rng, end + 1, 100);
+                            end = fresh(&mut rng, at + 1, 100);
+                            rounds.push((at, end));
+                        }
+                        Party::Alt { rounds }
+                    }
+                }
+            })
+            .collect();
+        // Op ids: each send and receive, then each round, in party order.
+        let mut first_op = Vec::new();
+        let mut ops = 0;
+        for p in &parties {
+            first_op.push(ops);
+            ops += match p {
+                Party::Alt { rounds } => rounds.len(),
+                _ => 1,
+            };
+        }
+
+        // The simulated run.
+        let mut sim = Sim::new();
+        let chans: Vec<Rendezvous<usize>> = (0..nch).map(|_| Rendezvous::new()).collect();
+        let out: Rc<RefCell<Vec<Option<Outcome>>>> = Rc::new(RefCell::new(vec![None; ops]));
+        let at_ns = |t: u64| Time::ZERO + Dur::ns(t);
+        for (p, party) in parties.iter().enumerate() {
+            let (h, out, chans, party, op) = (
+                sim.handle(),
+                out.clone(),
+                chans.clone(),
+                party.clone(),
+                first_op[p],
+            );
+            sim.spawn(async move {
+                let now = || h.now().as_ns();
+                match party {
+                    Party::Send { ch, at, timeout } => {
+                        h.sleep_until(at_ns(at)).await;
+                        let done = match timeout {
+                            None => {
+                                chans[ch].send(op).await;
+                                true
+                            }
+                            Some(to) => {
+                                let race = select2(chans[ch].send(op), h.sleep_until(at_ns(to)));
+                                matches!(race.await, Either::Left(()))
+                            }
+                        };
+                        if done {
+                            out.borrow_mut()[op] = Some(Outcome::Sent(now()));
+                        }
+                    }
+                    Party::Recv { ch, at, timeout } => {
+                        h.sleep_until(at_ns(at)).await;
+                        let got = match timeout {
+                            None => Some(chans[ch].recv().await),
+                            Some(to) => {
+                                match select2(chans[ch].recv(), h.sleep_until(at_ns(to))).await {
+                                    Either::Left(v) => Some(v),
+                                    Either::Right(()) => None,
+                                }
+                            }
+                        };
+                        if let Some(from) = got {
+                            out.borrow_mut()[op] = Some(Outcome::Got {
+                                at: now(),
+                                branch: ch,
+                                from,
+                            });
+                        }
+                    }
+                    Party::Alt { rounds } => {
+                        let mut set = Alt::new(chans);
+                        for (k, (at, to)) in rounds.into_iter().enumerate() {
+                            h.sleep_until(at_ns(at)).await;
+                            let race = select2(set.recv(), h.sleep_until(at_ns(to)));
+                            if let Either::Left((branch, from)) = race.await {
+                                out.borrow_mut()[op + k] = Some(Outcome::Got {
+                                    at: now(),
+                                    branch,
+                                    from,
+                                });
+                            }
+                        }
+                    }
+                }
+            });
+        }
+        sim.run();
+
+        // The reference model, event by event in instant order.
+        enum Ev {
+            Arrive(usize),
+            Timeout(usize),
+        }
+        let mut events: Vec<(u64, usize, Ev)> = Vec::new();
+        let mut alt_party = vec![None; ops];
+        for (p, party) in parties.iter().enumerate() {
+            let op = first_op[p];
+            match party {
+                Party::Send { at, timeout, .. } | Party::Recv { at, timeout, .. } => {
+                    events.push((*at, p, Ev::Arrive(op)));
+                    if let Some(to) = timeout {
+                        events.push((*to, p, Ev::Timeout(op)));
+                    }
+                }
+                Party::Alt { rounds } => {
+                    for (k, &(at, to)) in rounds.iter().enumerate() {
+                        alt_party[op + k] = Some(p);
+                        events.push((at, p, Ev::Arrive(op + k)));
+                        events.push((to, p, Ev::Timeout(op + k)));
+                    }
+                }
+            }
+        }
+        events.sort_by_key(|e| e.0);
+        let mut m = Model {
+            senders: vec![Default::default(); nch],
+            receivers: vec![Default::default(); nch],
+            waiting: vec![false; ops],
+            out: vec![None; ops],
+            armed: vec![None; parties.len()],
+            cell_queued: vec![vec![false; nch]; parties.len()],
+            second_parkers: 0,
+        };
+        for (t, p, ev) in events {
+            match (ev, &parties[p]) {
+                (Ev::Arrive(op), Party::Send { ch, .. }) => m.send(t, op, *ch),
+                (Ev::Arrive(op), Party::Recv { ch, .. }) => m.recv(t, op, *ch),
+                (Ev::Arrive(op), Party::Alt { .. }) => m.alt_round(t, op, p),
+                (Ev::Timeout(op), _) => {
+                    if m.waiting[op] {
+                        m.waiting[op] = false;
+                        cancelled += 1;
+                        if alt_party[op].is_some() {
+                            m.armed[p] = None;
+                        }
+                    }
+                }
+            }
+        }
+        second_parkers += m.second_parkers;
+        alt_pairings += m
+            .out
+            .iter()
+            .zip(&alt_party)
+            .filter(|(o, p)| o.is_some() && p.is_some())
+            .count();
+        assert_eq!(*out.borrow(), m.out, "case {case}: {parties:?}");
+    }
+    // The scripts mixed all four cases.
+    assert!(second_parkers > 200 && alt_pairings > 100 && cancelled > 200);
+}

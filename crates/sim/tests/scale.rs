@@ -164,47 +164,71 @@ fn parallel_backend_matches_golden_digest_at_1_shard() {
     assert_eq!(got, GOLDEN_DIM8_ALLREDUCE);
 }
 
-/// Allreduce `[id, 1.0]` on a machine built from `cfg`: every node must
-/// hold the two sums, and the poll count must stay within 2x of the timer
-/// event count — every wake does useful work, so scaling the node count
-/// cannot trigger poll storms.
-fn allreduce_sums_without_poll_storm(cfg: MachineCfg) {
-    let mut m = Machine::build(cfg);
+/// Allreduce `[id, 1.0]` on `m`: every node must hold the two sums, and
+/// the poll count must stay within 2x of the timer event count — every
+/// wake does useful work, so scaling the node count cannot trigger poll
+/// storms. Returns the run's timer events and the allocations it made
+/// (the program's vectors come from and go back to the value pool).
+fn allreduce_sums_without_poll_storm(m: &mut Machine) -> (u64, u64) {
     let cube = m.cube;
     let handles = m.launch(move |ctx| async move {
-        let mine = vec![Sf64::from(ctx.id() as f64), Sf64::from(1.0)];
+        let mut mine = ts_node::take_values(2);
+        mine.extend([Sf64::from(ctx.id() as f64), Sf64::from(1.0)]);
         collectives::allreduce(&ctx, cube, CombineOp::Add, mine).await
     });
+    let (p0, allocs) = (m.profile(), ALLOCS.with(Cell::get));
     assert!(m.run().quiescent, "dim-{} allreduce stalled", cube.dim());
+    let allocs = ALLOCS.with(Cell::get) - allocs;
     let n = handles.len() as f64;
     for h in handles {
         let got = h.try_take().expect("allreduce result missing");
         assert_eq!(got[0].to_host(), n * (n - 1.0) / 2.0);
         assert_eq!(got[1].to_host(), n);
+        ts_node::recycle_values(got);
     }
     let p = m.profile();
-    assert!(p.timer_events > 0 && p.polls > 0, "profile counters empty");
+    let (events, polls) = (p.timer_events - p0.timer_events, p.polls - p0.polls);
+    assert!(events > 0 && polls > 0, "profile counters empty");
     assert!(
-        p.polls <= 2 * p.timer_events,
-        "poll storm at dim {}: {} polls for {} timer events (> 2x)",
+        polls <= 2 * events,
+        "poll storm at dim {}: {polls} polls for {events} timer events (> 2x)",
         cube.dim(),
-        p.polls,
-        p.timer_events
     );
+    (events, allocs)
 }
 
 #[test]
 fn polls_stay_within_twice_events() {
-    allreduce_sums_without_poll_storm(MachineCfg::cube_small_mem(6, 8));
+    allreduce_sums_without_poll_storm(&mut Machine::build(MachineCfg::cube_small_mem(6, 8)));
 }
 
 /// The paper's largest machine, run sequentially: the 14-cube (16,384
 /// nodes, every node ending on `[134209536, 16384]`) on the full sublink
-/// budget. Release-only — a debug build takes minutes.
+/// budget, twice. The first allreduce fills the buffer pools; the second
+/// finds every buffer it has in flight there, so it allocates at most once
+/// per fifty timer events: a pool must cover a lockstep round of 16 384
+/// nodes. Release-only — a debug build takes minutes.
 #[test]
 #[cfg_attr(debug_assertions, ignore)]
 fn dim14_cube_max_allreduce_runs_sequentially() {
-    allreduce_sums_without_poll_storm(MachineCfg::cube_max(14));
+    let mut m = Machine::build(MachineCfg::cube_max(14));
+    allreduce_sums_without_poll_storm(&mut m);
+    let (events, allocs) = allreduce_sums_without_poll_storm(&mut m);
+    assert!(
+        allocs * 50 <= events,
+        "second dim-14 allreduce: {allocs} allocations for {events} timer events"
+    );
+}
+
+/// Building a machine makes what it keeps: every sublink is built with its
+/// final meters and health flag, and a node's cube channels sit in a table
+/// filled once, so a dim-10 build makes at most 180 allocations per node.
+#[test]
+fn building_a_machine_keeps_what_it_makes() {
+    let before = ALLOCS.with(Cell::get);
+    let m = Machine::build(MachineCfg::cube_small_mem(10, 8));
+    let per_node = (ALLOCS.with(Cell::get) - before) / m.nodes.len() as u64;
+    assert!(per_node <= 180, "{per_node} allocations per node");
 }
 
 /// Meter updates are allocation-free: at 4096 nodes the per-event metrics

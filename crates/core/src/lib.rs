@@ -224,20 +224,22 @@ fn edge_key(tx_node: u32, dim: u32) -> u64 {
 }
 
 /// The meters of a cube sublink from `tx` to `rx`. The transmitting node
-/// books per-message counts at commit and the retransmit accounting —
-/// corruption is injected at the sender's end and retransmission is the
-/// sender's work; the receiving node books delivery counts and message
-/// latency at delivery. A boundary half has one local node, which stands
+/// books message, byte and word counts at commit and the retransmit
+/// accounting — corruption is injected at the sender's end and
+/// retransmission is the sender's work; the receiving node books delivery
+/// counts and message latency at delivery. A boundary half has one local node, which stands
 /// on both sides: each half only ever books its own.
 fn cube_meters(tx: &NodeMeters, rx: &NodeMeters) -> LinkMeters {
     LinkMeters {
         msgs_sent: tx.link_msgs_sent.clone(),
         bytes_sent: tx.link_bytes_sent.clone(),
+        words_sent: tx.link_words_sent.clone(),
         retransmits: tx.link_retransmits.clone(),
         crc_errors: tx.link_crc_errors.clone(),
         escalations: tx.link_escalations.clone(),
         msgs_recv: rx.link_msgs_recv.clone(),
         bytes_recv: rx.link_bytes_recv.clone(),
+        words_recv: rx.link_words_recv.clone(),
         latency_ns: Some(rx.link_latency_ns.clone()),
     }
 }
@@ -352,7 +354,7 @@ pub(crate) fn wire(
                 wires_out[i][3].clone(),
                 board_in.clone(),
                 down.status().clone(),
-                LinkMeters::default(),
+                LinkMeters::detached(),
             );
             nodes[i].wire_system(up.clone(), down.clone());
             to_node.push(down);

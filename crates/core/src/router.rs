@@ -170,7 +170,7 @@ impl Router {
             // node's daemon errors instead of hanging.
             let wire = Wire::new("router.loopback", loop_params);
             let inject =
-                LinkChannel::metered(wire.clone(), wire, node.health(), LinkMeters::default());
+                LinkChannel::metered(wire.clone(), wire, node.health(), LinkMeters::detached());
             let deliver = Mailbox::new();
             let daemon_ctx = ctx.clone();
             let daemon_inject = inject.clone();
@@ -393,6 +393,8 @@ mod tests {
     use super::*;
     use crate::fault::FaultEvent;
     use crate::MachineCfg;
+    use ts_fpu::Sf64;
+    use ts_node::CombineOp;
 
     #[test]
     fn point_to_point_across_the_cube() {
@@ -492,6 +494,77 @@ mod tests {
         assert!(r.quiescent, "crashed node must not strand the fabric");
         assert!(done.try_take().is_some());
         assert!(m.registry().sum_counters("router/dropped") >= 1);
+    }
+
+    /// Every word a cube sublink carries is booked once at each end:
+    /// Σ `link/words_sent` = Σ `link/words_recv` = Σ `link/bytes_sent` / 4
+    /// over the machine, on routed traffic (whose hops each daemon receives
+    /// through its `ALT`), on a collective, and on a collective whose
+    /// transfers go-back-N recovers.
+    #[test]
+    fn every_link_word_is_booked_at_both_ends() {
+        // Words sent, words received, and both byte counts in words.
+        let balance = |m: &Machine| {
+            let sum = |path| m.registry().sum_counters(path);
+            let words = [sum("link/words_sent"), sum("link/words_recv")];
+            let bytes = [sum("link/bytes_sent"), sum("link/bytes_recv")];
+            [words[0], words[1], bytes[0] / 4, bytes[1] / 4]
+        };
+        let cube = || Machine::build(MachineCfg::cube_small_mem(4, 8));
+
+        // One 8-word message from every node to node (id + 5) mod 16.
+        let mut m = cube();
+        let router = Router::start(&m);
+        let ends: Vec<RouterHandle> = (0..16).map(|i| router.handle(i)).collect();
+        m.handle().spawn(async move {
+            for (i, end) in (0..).zip(&ends) {
+                end.send_to((i + 5) % 16, vec![i; 8]).await.unwrap();
+            }
+            for end in &ends {
+                end.recv().await;
+            }
+            router.shutdown().await;
+        });
+        assert!(m.run().quiescent);
+        let routed = balance(&m);
+
+        let allreduce = |m: &mut Machine| {
+            let cube = m.cube;
+            m.launch(move |ctx| async move {
+                let mine = vec![Sf64::from(ctx.id() as f64); 4];
+                crate::collectives::allreduce(&ctx, cube, CombineOp::Add, mine).await
+            });
+            assert!(m.run().quiescent);
+        };
+        let mut m = cube();
+        allreduce(&mut m);
+        let collective = balance(&m);
+
+        let mut m = cube();
+        for node in [0, 5, 10] {
+            FaultEvent::WireCorrupt {
+                node,
+                dim: 1,
+                flit_bit: 7,
+            }
+            .apply(&m);
+            FaultEvent::FlitDrop { node, dim: 2 }.apply(&m);
+        }
+        allreduce(&mut m);
+        assert!(m.registry().sum_counters("link/retransmits") > 0);
+        let recovered = balance(&m);
+
+        for (case, booked) in [
+            ("routed", routed),
+            ("collective", collective),
+            ("recovered", recovered),
+        ] {
+            assert!(booked[0] > 0, "{case}: no traffic");
+            assert_eq!(
+                booked, [booked[0]; 4],
+                "{case}: words out, words in, bytes out / 4, bytes in / 4"
+            );
+        }
     }
 
     #[test]

@@ -38,8 +38,6 @@ pub enum BoundaryLeg {
         rx_free_ps: u64,
         /// Framed wire occupancy of the payload, picoseconds.
         dur_ps: u64,
-        /// Payload bytes (for the sender-side byte tally).
-        bytes: u64,
     },
     /// Sender → receiver: the granted `[start, end]` slot.
     Grant {
@@ -206,7 +204,7 @@ impl LinkChannel {
     pub(crate) async fn boundary_send(&self, h: &SimHandle, words: Vec<u32>) {
         let b = self.boundary();
         debug_assert!(b.is_tx, "send on the receiving half of a boundary link");
-        self.commit(h, words.len() * 4).await;
+        self.commit(h, words.len()).await;
         let seq = b.next_seq.get();
         b.next_seq.set(seq + 1);
         let done = take_done();
@@ -231,9 +229,8 @@ impl LinkChannel {
         let b = self.boundary();
         debug_assert!(!b.is_tx, "recv on the transmitting half of a boundary link");
         let (seq, words, sent_at) = b.inbox.recv().await;
-        let bytes = words.len() * 4;
         let rx_wire = &self.inner.rx_wire;
-        let dur = rx_wire.params().wire_time(bytes);
+        let dur = rx_wire.params().wire_time(words.len() * 4);
         let slot: OneShot<(Time, Time)> = OneShot::new();
         b.pending.borrow_mut().insert(seq, slot.clone());
         b.post(
@@ -242,15 +239,13 @@ impl LinkChannel {
             BoundaryLeg::Request {
                 rx_free_ps: rx_wire.resource().busy_until().as_ps(),
                 dur_ps: dur.as_ps(),
-                bytes: bytes as u64,
             },
         );
         let (start, end) = slot.recv().await;
         // The receive half of what `reserve_both` books in one call.
-        rx_wire.book(bytes);
         rx_wire.resource().apply_grant(start, end, dur);
         h.sleep_until(end).await;
-        self.book_recv(sent_at, end, bytes);
+        self.book_recv(sent_at, end, words.len());
         words
     }
 
@@ -265,11 +260,7 @@ impl LinkChannel {
                 debug_assert!(!b.is_tx);
                 b.inbox.send((env.seq, words, Time(sent_at_ps)));
             }
-            BoundaryLeg::Request {
-                rx_free_ps,
-                dur_ps,
-                bytes,
-            } => {
+            BoundaryLeg::Request { rx_free_ps, dur_ps } => {
                 debug_assert!(b.is_tx);
                 let now = h.now();
                 let dur = Dur::ps(dur_ps);
@@ -280,7 +271,6 @@ impl LinkChannel {
                     .max(tx_wire.resource().busy_until())
                     .max(Time(rx_free_ps));
                 let end = start + dur;
-                tx_wire.book(bytes as usize);
                 tx_wire.resource().apply_grant(start, end, dur);
                 if let Some(done) = b.granted.borrow_mut().remove(&env.seq) {
                     done.send(end);

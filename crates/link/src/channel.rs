@@ -55,17 +55,36 @@ pub(crate) async fn await_done(h: &SimHandle, done: OneShot<Time>) {
     put_done(done);
 }
 
+thread_local! {
+    /// The counters every bare sublink books into: one set per thread, so
+    /// a sublink nobody meters allocates none of its own.
+    static DETACHED: LinkMeters = LinkMeters {
+        msgs_sent: Counter::new(),
+        bytes_sent: Counter::new(),
+        words_sent: Counter::new(),
+        retransmits: Counter::new(),
+        crc_errors: Counter::new(),
+        escalations: Counter::new(),
+        msgs_recv: Counter::new(),
+        bytes_recv: Counter::new(),
+        words_recv: Counter::new(),
+        latency_ns: None,
+    };
+}
+
 /// The meters one sublink books into, handed over when it is built. The
-/// machine gives the transmitting node's message, byte and retransmit
-/// counters and the receiving node's message and byte counters and latency
-/// histogram; `LinkMeters::default()` is detached counters nobody reads and
-/// no histogram.
-#[derive(Clone, Default)]
+/// machine gives the transmitting node's message, byte, word and
+/// retransmit counters and the receiving node's message, byte and word
+/// counters and latency histogram; [`LinkMeters::detached`] is the
+/// thread's shared counters nobody reads and no histogram.
+#[derive(Clone)]
 pub struct LinkMeters {
     /// Messages committed by the sender.
     pub msgs_sent: Counter,
     /// Payload bytes committed by the sender.
     pub bytes_sent: Counter,
+    /// Payload words committed by the sender.
+    pub words_sent: Counter,
     /// Flits resent by go-back-N recovery (the sender's work).
     pub retransmits: Counter,
     /// Flits that failed their CRC.
@@ -76,22 +95,35 @@ pub struct LinkMeters {
     pub msgs_recv: Counter,
     /// Payload bytes delivered to the receiver.
     pub bytes_recv: Counter,
+    /// Payload words delivered to the receiver.
+    pub words_recv: Counter,
     /// End-to-end latency (sender commit → receiver completion, ns) of
     /// every delivered message.
     pub latency_ns: Option<Histogram>,
 }
 
-/// One direction's per-message counters: messages and payload bytes.
+impl LinkMeters {
+    /// The meters of a bare sublink (system thread, ring, loopback): this
+    /// thread's one shared set of detached counters.
+    pub fn detached() -> LinkMeters {
+        DETACHED.with(LinkMeters::clone)
+    }
+}
+
+/// One direction's per-message counters: messages, payload bytes and
+/// payload words.
 struct Traffic {
     msgs: Counter,
     bytes: Counter,
+    words: Counter,
 }
 
 impl Traffic {
     #[inline]
-    fn book(&self, bytes: usize) {
+    fn book(&self, words: usize) {
         self.msgs.inc();
-        self.bytes.add(bytes as u64);
+        self.bytes.add(4 * words as u64);
+        self.words.add(words as u64);
     }
 }
 
@@ -102,8 +134,8 @@ impl Traffic {
 /// the layout pinned by `the_hot_fields_lead_the_sublink`: the rendezvous
 /// core (held by value, so a message reaches its partner without a further
 /// hop), both engine handles, both traffic meters and the latency histogram
-/// fill the first two cache lines; the sender's DMA start-up, the three
-/// flags that guard the cold paths and the link status follow. What a
+/// fill the first 144 bytes; the sender's DMA start-up, the three flags
+/// that guard the cold paths and the link status follow. What a
 /// healthy, local, fault-free message never reads sits in one [`Cold`] box.
 #[repr(C)]
 pub(crate) struct ChanInner {
@@ -160,7 +192,7 @@ impl LinkChannel {
     /// output wire and the receiver's input wire. Its health flag is its
     /// own and its meters are detached.
     pub fn new_pair(tx_wire: Wire, rx_wire: Wire) -> LinkChannel {
-        LinkChannel::metered(tx_wire, rx_wire, LinkStatus::new(), LinkMeters::default())
+        LinkChannel::metered(tx_wire, rx_wire, LinkStatus::new(), LinkMeters::detached())
     }
 
     /// Create a sublink with its final handles: the health flag of the
@@ -186,11 +218,13 @@ impl LinkChannel {
         let LinkMeters {
             msgs_sent,
             bytes_sent,
+            words_sent,
             retransmits,
             crc_errors,
             escalations,
             msgs_recv,
             bytes_recv,
+            words_recv,
             latency_ns,
         } = meters;
         LinkChannel {
@@ -202,10 +236,12 @@ impl LinkChannel {
                 sent: Traffic {
                     msgs: msgs_sent,
                     bytes: bytes_sent,
+                    words: words_sent,
                 },
                 recv: Traffic {
                     msgs: msgs_recv,
                     bytes: bytes_recv,
+                    words: words_recv,
                 },
                 latency_ns,
                 boundary: boundary.is_some(),
@@ -236,9 +272,9 @@ impl LinkChannel {
     /// Receive-side accounting shared by every delivery path: the receiving
     /// node's counters, the optional latency histogram and the optional
     /// flow arrow.
-    pub(crate) fn book_recv(&self, sent_at: Time, end: Time, bytes: usize) {
+    pub(crate) fn book_recv(&self, sent_at: Time, end: Time, words: usize) {
         let inner = &*self.inner;
-        inner.recv.book(bytes);
+        inner.recv.book(words);
         if let Some(hist) = &inner.latency_ns {
             hist.observe(end.since(sent_at).as_ns());
         }
@@ -267,9 +303,9 @@ impl LinkChannel {
     /// The head of every committed send: DMA engine setup on the sending
     /// side, then the message is booked into the transmitting node's
     /// meters.
-    pub(crate) async fn commit(&self, h: &SimHandle, bytes: usize) {
+    pub(crate) async fn commit(&self, h: &SimHandle, words: usize) {
         h.sleep(self.inner.dma_startup).await;
-        self.inner.sent.book(bytes);
+        self.inner.sent.book(words);
     }
 
     /// Send `words` and suspend until the receiver has them (CSP semantics:
@@ -278,7 +314,7 @@ impl LinkChannel {
         if self.inner.boundary {
             return self.boundary_send(h, words).await;
         }
-        self.commit(h, words.len() * 4).await;
+        self.commit(h, words.len()).await;
         let done = take_done();
         self.inner
             .rv
@@ -306,10 +342,9 @@ impl LinkChannel {
     /// receiving side and release the sender. Every receive path — plain,
     /// failable, `ALT` — ends here.
     pub(crate) async fn complete_recv(&self, h: &SimHandle, pkt: Packet) -> Vec<u32> {
-        let bytes = pkt.words.len() * 4;
         let (_start, end) = self.transfer(h.now(), &pkt.words);
         h.sleep_until(end).await;
-        self.book_recv(pkt.sent_at, end, bytes);
+        self.book_recv(pkt.sent_at, end, pkt.words.len());
         pkt.done.send(end);
         pkt.words
     }
@@ -331,7 +366,7 @@ impl LinkChannel {
             ts_sim::pool::put_words(words);
             return Err(LinkError::Down);
         }
-        let bytes = words.len() * 4;
+        let n = words.len();
         // DMA engine setup on the sending side.
         h.sleep(self.inner.dma_startup).await;
         if !self.inner.status.is_up() {
@@ -346,7 +381,7 @@ impl LinkChannel {
         };
         match select2(self.inner.rv.send(pkt), self.inner.status.watch_down()).await {
             Either::Left(()) => {
-                self.inner.sent.book(bytes);
+                self.inner.sent.book(n);
                 await_done(h, done).await;
                 Ok(())
             }
@@ -387,15 +422,15 @@ mod tests {
 
     /// A healthy message reads only `ChanInner`'s leading fields. The
     /// rendezvous core, both engine handles, both traffic meters and the
-    /// latency histogram fill the first two cache lines; the sender's DMA
-    /// start-up, the three cold-path flags and the link status (read by
-    /// the failable forms) fit in the third; the cold box closes the
-    /// struct.
+    /// latency histogram fill the first two cache lines and the two word
+    /// counters; the sender's DMA start-up, the three cold-path flags and
+    /// the link status (read by the failable forms) end within the third;
+    /// the cold box closes the struct.
     #[test]
     fn the_hot_fields_lead_the_sublink() {
         use std::mem::{offset_of, size_of};
         let ends = |fields: &[(usize, usize)]| fields.iter().map(|&(o, s)| o + s).max().unwrap();
-        let first_two = ends(&[
+        let hot = ends(&[
             (offset_of!(ChanInner, rv), size_of::<RvCore<Packet>>()),
             (offset_of!(ChanInner, tx_wire), size_of::<Wire>()),
             (offset_of!(ChanInner, rx_wire), size_of::<Wire>()),
@@ -407,8 +442,8 @@ mod tests {
             ),
         ]);
         assert!(
-            first_two <= 128,
-            "core, engines, meters and histogram end at byte {first_two}"
+            hot <= 128 + 2 * size_of::<Counter>(),
+            "core, engines, meters and histogram end at byte {hot}"
         );
         let third = ends(&[
             (offset_of!(ChanInner, dma_startup), size_of::<Dur>()),
@@ -546,15 +581,17 @@ mod tests {
     fn metrics_count_traffic() {
         let mut sim = Sim::new();
         let h = sim.handle();
-        let (msgs_sent, bytes_sent) = (Counter::new(), Counter::new());
-        let (msgs_recv, bytes_recv) = (Counter::new(), Counter::new());
+        let (msgs_sent, bytes_sent, words_sent) = (Counter::new(), Counter::new(), Counter::new());
+        let (msgs_recv, bytes_recv, words_recv) = (Counter::new(), Counter::new(), Counter::new());
         let wire = Wire::new("w", LinkParams::default());
         let meters = LinkMeters {
             msgs_sent: msgs_sent.clone(),
             bytes_sent: bytes_sent.clone(),
+            words_sent: words_sent.clone(),
             msgs_recv: msgs_recv.clone(),
             bytes_recv: bytes_recv.clone(),
-            ..Default::default()
+            words_recv: words_recv.clone(),
+            ..LinkMeters::detached()
         };
         let ch = LinkChannel::metered(wire.clone(), wire, LinkStatus::new(), meters);
         let (tx, rx) = (ch.clone(), ch);
@@ -564,10 +601,14 @@ mod tests {
             rx.recv(&h).await;
         });
         assert!(sim.run().quiescent);
-        assert_eq!(msgs_sent.get(), 1);
-        assert_eq!(bytes_sent.get(), 16);
-        assert_eq!(msgs_recv.get(), 1);
-        assert_eq!(bytes_recv.get(), 16);
+        assert_eq!(
+            (msgs_sent.get(), bytes_sent.get(), words_sent.get()),
+            (1, 16, 4)
+        );
+        assert_eq!(
+            (msgs_recv.get(), bytes_recv.get(), words_recv.get()),
+            (1, 16, 4)
+        );
     }
 
     #[test]
@@ -578,7 +619,7 @@ mod tests {
         let wire = Wire::new("w", LinkParams::default());
         let meters = LinkMeters {
             latency_ns: Some(hist.clone()),
-            ..Default::default()
+            ..LinkMeters::detached()
         };
         let ch = LinkChannel::metered(wire.clone(), wire, LinkStatus::new(), meters);
         let (tx, rx) = (ch.clone(), ch);
@@ -719,7 +760,7 @@ mod tests {
         let wa = Wire::new("a", LinkParams::default());
         let wb = Wire::new("b", LinkParams::default());
         let ab = LinkChannel::new_pair(wa.clone(), wb.clone());
-        let ba = LinkChannel::metered(wb, wa, ab.status().clone(), LinkMeters::default());
+        let ba = LinkChannel::metered(wb, wa, ab.status().clone(), LinkMeters::detached());
         let ab2 = ab.clone();
         ab.status().set_down();
         assert!(!ab2.is_up());

@@ -180,39 +180,42 @@ impl LinkChannel {
     }
 }
 
-/// Counter readers for the tests below; the machine reads the same counts
-/// through the [`crate::LinkMeters`] it builds each sublink with.
-#[cfg(test)]
-impl LinkChannel {
-    fn pending_impairments(&self) -> usize {
-        self.inner.cold.transport.borrow().pending.len()
-    }
-
-    fn transport_retransmits(&self) -> u64 {
-        self.inner.cold.transport.borrow().retransmits.get()
-    }
-
-    fn transport_crc_errors(&self) -> u64 {
-        self.inner.cold.transport.borrow().crc_errors.get()
-    }
-
-    fn transport_escalations(&self) -> u64 {
-        self.inner.cold.transport.borrow().escalations.get()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{LinkParams, Wire};
+    use crate::{LinkMeters, LinkParams, LinkStatus, Wire};
     use ts_sim::Sim;
+
+    /// A sublink with both ends on `wire` that books into counters of its
+    /// own, handed back beside it.
+    fn own_meters(wire: Wire) -> (LinkChannel, LinkMeters) {
+        let c = Counter::new;
+        let meters = LinkMeters {
+            msgs_sent: c(),
+            bytes_sent: c(),
+            words_sent: c(),
+            retransmits: c(),
+            crc_errors: c(),
+            escalations: c(),
+            msgs_recv: c(),
+            bytes_recv: c(),
+            words_recv: c(),
+            latency_ns: None,
+        };
+        let ch = LinkChannel::metered(wire.clone(), wire, LinkStatus::new(), meters.clone());
+        (ch, meters)
+    }
+
+    fn pending_impairments(ch: &LinkChannel) -> usize {
+        ch.inner.cold.transport.borrow().pending.len()
+    }
 
     #[test]
     fn corrupt_flit_costs_a_nak_and_a_window_resend() {
         let mut sim = Sim::new();
         let h = sim.handle();
         let wire = Wire::new("w", LinkParams::default());
-        let ch = LinkChannel::new(wire.clone());
+        let (ch, m) = own_meters(wire.clone());
         ch.inject_corrupt(0); // hits flit 0 of the next message
         let (tx, rx) = (ch.clone(), ch.clone());
         let h2 = h.clone();
@@ -228,13 +231,14 @@ mod tests {
         // flit 0 rewinds the full 2-flit message: 2 × (16 + 6) B = 44 B of
         // retransmission (88 µs) plus a 2-byte-time NAK turnaround (4 µs).
         assert_eq!(t.as_ns(), 69_000 + 88_000 + 4_000);
-        assert_eq!(ch.transport_crc_errors(), 1);
-        assert_eq!(ch.transport_retransmits(), 2);
-        assert_eq!(ch.transport_escalations(), 0);
-        assert_eq!(ch.pending_impairments(), 0, "impairment consumed");
-        // The retransmitted bytes really occupied the wire.
+        assert_eq!(m.crc_errors.get(), 1);
+        assert_eq!(m.retransmits.get(), 2);
+        assert_eq!(m.escalations.get(), 0);
+        assert_eq!(pending_impairments(&ch), 0, "impairment consumed");
+        // The retransmitted bytes really occupied the wire, and the
+        // message's payload was booked once each way.
         assert_eq!(wire.busy_total(), Dur::us(64 + 88));
-        assert_eq!(wire.bytes_carried(), 32 + 44);
+        assert_eq!((m.bytes_sent.get(), m.bytes_recv.get()), (32, 32));
         assert!(ch.is_up(), "one recoverable error must not kill the link");
     }
 
@@ -242,7 +246,7 @@ mod tests {
     fn corruption_late_in_the_message_resends_less() {
         let mut sim = Sim::new();
         let h = sim.handle();
-        let ch = LinkChannel::new(Wire::new("w", LinkParams::default()));
+        let (ch, m) = own_meters(Wire::new("w", LinkParams::default()));
         // Bit 128 lands in flit 1 (payload bits 0..128 are flit 0).
         ch.inject_corrupt(128);
         let (tx, rx) = (ch.clone(), ch.clone());
@@ -255,14 +259,14 @@ mod tests {
         assert!(sim.run().quiescent);
         // Only the tail flit is resent: 22 B = 44 µs + 4 µs NAK.
         assert_eq!(jh.try_take().unwrap().as_ns(), 69_000 + 44_000 + 4_000);
-        assert_eq!(ch.transport_retransmits(), 1);
+        assert_eq!(m.retransmits.get(), 1);
     }
 
     #[test]
     fn drops_back_off_exponentially() {
         let mut sim = Sim::new();
         let h = sim.handle();
-        let ch = LinkChannel::new(Wire::new("w", LinkParams::default()));
+        let (ch, m) = own_meters(Wire::new("w", LinkParams::default()));
         ch.inject_drop();
         ch.inject_drop();
         let (tx, rx) = (ch.clone(), ch.clone());
@@ -279,15 +283,15 @@ mod tests {
             jh.try_take().unwrap().as_ns(),
             69_000 + 2 * 88_000 + 600_000
         );
-        assert_eq!(ch.transport_retransmits(), 4);
-        assert_eq!(ch.transport_crc_errors(), 0, "a drop is not a CRC hit");
+        assert_eq!(m.retransmits.get(), 4);
+        assert_eq!(m.crc_errors.get(), 0, "a drop is not a CRC hit");
     }
 
     #[test]
     fn budget_exhaustion_condemns_the_link_but_delivers() {
         let mut sim = Sim::new();
         let h = sim.handle();
-        let ch = LinkChannel::new(Wire::new("w", LinkParams::default()));
+        let (ch, m) = own_meters(Wire::new("w", LinkParams::default()));
         for _ in 0..=RETRANSMIT_BUDGET {
             ch.inject_drop();
         }
@@ -302,7 +306,7 @@ mod tests {
             Some(vec![3; 4]),
             "the in-flight message completes"
         );
-        assert_eq!(ch.transport_escalations(), 1);
+        assert_eq!(m.escalations.get(), 1);
         assert!(
             !ch.is_up(),
             "budget exhaustion escalates to a permanent link-down"
@@ -326,13 +330,13 @@ mod tests {
         let h = sim.handle();
         let (retrans, crc, esc) = (Counter::new(), Counter::new(), Counter::new());
         let wire = Wire::new("w", LinkParams::default());
-        let meters = crate::LinkMeters {
+        let meters = LinkMeters {
             retransmits: retrans.clone(),
             crc_errors: crc.clone(),
             escalations: esc.clone(),
-            ..Default::default()
+            ..LinkMeters::detached()
         };
-        let ch = LinkChannel::metered(wire.clone(), wire, crate::LinkStatus::new(), meters);
+        let ch = LinkChannel::metered(wire.clone(), wire, LinkStatus::new(), meters);
         ch.inject_corrupt(7);
         let (tx, rx) = (ch.clone(), ch);
         let h2 = h.clone();

@@ -1,7 +1,6 @@
 //! One direction of one physical link: the bandwidth server every sublink
 //! multiplexed onto the link contends for.
 
-use std::cell::Cell;
 use std::rc::Rc;
 
 use ts_sim::{Dur, ResourceCore, Time};
@@ -14,13 +13,11 @@ use crate::LinkParams;
 #[derive(Clone)]
 pub struct Wire(Rc<Engine>);
 
-/// A link engine's state in one allocation: the FIFO server, the framing
-/// and the byte tally a transfer books together.
+/// A link engine's state in one allocation: the FIFO server and the
+/// framing that prices a transfer.
 struct Engine {
     resource: ResourceCore,
     params: LinkParams,
-    /// Payload bytes carried.
-    bytes: Cell<u64>,
 }
 
 impl Wire {
@@ -29,25 +26,12 @@ impl Wire {
         Wire(Rc::new(Engine {
             resource: ResourceCore::new(name),
             params,
-            bytes: Cell::new(0),
         }))
     }
 
     /// Framing parameters.
     pub fn params(&self) -> LinkParams {
         self.0.params
-    }
-
-    /// Account a `bytes`-byte transfer (or retransmission) in the per-wire
-    /// tally. Called by every reservation path, since each grants its slot
-    /// on [`Wire::resource`] directly.
-    pub(crate) fn book(&self, bytes: usize) {
-        self.0.bytes.set(self.0.bytes.get() + bytes as u64);
-    }
-
-    /// Payload bytes this wire has carried.
-    pub fn bytes_carried(&self) -> u64 {
-        self.0.bytes.get()
     }
 
     /// Total time the wire has carried data.
@@ -66,10 +50,6 @@ impl Wire {
 /// when both are free. A sublink whose two ends share one wire books it
 /// once.
 pub(crate) fn reserve_both(tx: &Wire, rx: &Wire, now: Time, bytes: usize) -> (Time, Time) {
-    tx.book(bytes);
-    if !Rc::ptr_eq(&tx.0, &rx.0) {
-        rx.book(bytes);
-    }
     let dur = rx.0.params.wire_time(bytes);
     ResourceCore::reserve_pair(&tx.0.resource, &rx.0.resource, now, dur)
 }
@@ -81,7 +61,7 @@ mod tests {
     use ts_sim::Sim;
 
     #[test]
-    fn wire_tallies_bytes() {
+    fn a_transfer_holds_the_wire_for_its_framed_bytes() {
         let mut sim = Sim::new();
         let h = sim.handle();
         let wire = Wire::new("w", LinkParams::default());
@@ -93,6 +73,7 @@ mod tests {
             rx.recv(&h).await;
         });
         assert!(sim.run().quiescent);
-        assert_eq!(wire.bytes_carried(), 32);
+        // 32 payload bytes at 2 µs each.
+        assert_eq!(wire.busy_total(), Dur::us(64));
     }
 }

@@ -63,7 +63,7 @@ fn byte_conservation() {
             msgs_sent: msgs_sent.clone(),
             bytes_sent: bytes_sent.clone(),
             bytes_recv: bytes_recv.clone(),
-            ..Default::default()
+            ..LinkMeters::detached()
         };
         let ch = LinkChannel::metered(wire.clone(), wire, LinkStatus::new(), meters);
         let (tx, rx) = (ch.clone(), ch);

@@ -942,13 +942,8 @@ impl NodeCtx {
     }
 
     /// SAXPY on message-buffer values: `y[i] += a·x[i]` through the chained
-    /// multiplier→adder pipe (2 flops per element, II = 1).
-    pub async fn saxpy_values(&self, a: Sf64, x: &[Sf64], y: &mut [Sf64]) {
-        let done = self.issue_saxpy_values(a, x, y);
-        self.wait(done).await;
-    }
-
-    /// [`NodeCtx::saxpy_values`] without the wait.
+    /// multiplier→adder pipe (2 flops per element, II = 1). Returns the
+    /// form's completion instant, for [`NodeCtx::wait`].
     #[must_use = "an issued form completes only once its instant is waited for"]
     pub fn issue_saxpy_values(&self, a: Sf64, x: &[Sf64], y: &mut [Sf64]) -> Time {
         assert_eq!(x.len(), y.len(), "saxpy_values length mismatch");
@@ -1038,29 +1033,18 @@ impl NodeCtx {
 
     /// Send words to the hypercube neighbour across `dim`.
     pub async fn send_dim(&self, dim: usize, words: Vec<u32>) {
-        let ch = &self.dim_pair(dim).0;
-        self.meters().link_words_sent.add(words.len() as u64);
-        ch.send(&self.node.h, words).await;
+        self.dim_pair(dim).0.send(&self.node.h, words).await;
     }
 
     /// Receive words from the neighbour across `dim`.
     pub async fn recv_dim(&self, dim: usize) -> Vec<u32> {
-        let ch = &self.dim_pair(dim).1;
-        let w = ch.recv(&self.node.h).await;
-        self.meters().link_words_recv.add(w.len() as u64);
-        w
+        self.dim_pair(dim).1.recv(&self.node.h).await
     }
 
     /// Failable [`NodeCtx::send_dim`]: returns [`LinkError::Down`] instead
     /// of hanging when the link across `dim` is (or goes) dead.
     pub async fn try_send_dim(&self, dim: usize, words: Vec<u32>) -> Result<(), LinkError> {
-        let ch = &self.dim_pair(dim).0;
-        let n = words.len() as u64;
-        let r = ch.try_send(&self.node.h, words).await;
-        if r.is_ok() {
-            self.meters().link_words_sent.add(n);
-        }
-        r
+        self.dim_pair(dim).0.try_send(&self.node.h, words).await
     }
 
     /// True while the physical link across `dim` (a virtual dimension when
@@ -1093,7 +1077,6 @@ impl NodeCtx {
         let chans: Vec<LinkChannel> = dims.iter().map(|&d| self.in_channel(d)).collect();
         let refs: Vec<&LinkChannel> = chans.iter().collect();
         let (idx, words) = ts_link::AltSet::new(&refs).recv(&self.node.h).await;
-        self.meters().link_words_recv.add(words.len() as u64);
         (dims[idx], words)
     }
 
@@ -1212,19 +1195,6 @@ impl NodeCtx {
         }
     }
 
-    /// Compile an `occ` program (the mini-Occam of `ts-cp::occ`) and run it
-    /// on this node's control processor. Returns the processor state and
-    /// the variable slot map, so callers can read results out of the
-    /// workspace (`256 + slot`).
-    pub async fn run_occ(
-        &self,
-        src: &str,
-    ) -> Result<(Cp, std::collections::HashMap<String, usize>), CpRunError> {
-        let prog = ts_cp::occ::compile(src).map_err(CpRunError::Compile)?;
-        let cp = self.run_cp_program(&prog.code, 8192, 256).await?;
-        Ok((cp, prog.vars))
-    }
-
     async fn service_event(&self, ev: CpEvent) -> Result<(), CpRunError> {
         match ev {
             CpEvent::Out { chan, ptr, words } => {
@@ -1317,8 +1287,6 @@ pub enum CpRunError {
     Cp(CpError),
     /// Memory system fault during event service.
     Mem(MemError),
-    /// `occ` source failed to compile.
-    Compile(ts_cp::occ::OccError),
 }
 
 impl std::fmt::Display for CpRunError {
@@ -1326,7 +1294,6 @@ impl std::fmt::Display for CpRunError {
         match self {
             CpRunError::Cp(e) => write!(f, "control processor fault: {e}"),
             CpRunError::Mem(e) => write!(f, "memory fault: {e}"),
-            CpRunError::Compile(e) => write!(f, "occ compile error: {e}"),
         }
     }
 }
@@ -1485,7 +1452,7 @@ mod tests {
                 mark(&ctx);
                 ctx.vec(VecForm::VAdd, 0, 256, 300, n).await.unwrap();
                 mark(&ctx);
-                ctx.saxpy_values(a, &x, &mut y).await;
+                ctx.wait(ctx.issue_saxpy_values(a, &x, &mut y)).await;
                 mark(&ctx);
                 ctx.vec(VecForm::Saxpy(a), 0, 256, 300, n).await.unwrap();
                 mark(&ctx);
@@ -1498,7 +1465,7 @@ mod tests {
             assert!(sim.run().quiescent);
             let took = jh.try_take().unwrap();
             assert_eq!(took[0], took[1], "combine_values(Add) vs VAdd, n = {n}");
-            assert_eq!(took[2], took[3], "saxpy_values vs Saxpy, n = {n}");
+            assert_eq!(took[2], took[3], "issue_saxpy_values vs Saxpy, n = {n}");
             assert_eq!(took[4], took[5], "dot_values vs Dot, n = {n}");
         }
     }
@@ -1570,7 +1537,7 @@ mod tests {
                         assert_eq!(row_of(&ctx), each(f), "{form:?} {what}");
                     }
                     let mut z = y.clone();
-                    ctx.saxpy_values(a, &x, &mut z).await;
+                    ctx.wait(ctx.issue_saxpy_values(a, &x, &mut z)).await;
                     ctx.vec(VecForm::Saxpy(a), 0, 256, 300, len).await.unwrap();
                     assert_eq!(bits(&z), each(&|x, y| a * x + y), "saxpy {what}");
                     assert_eq!(row_of(&ctx), each(&|x, y| a * x + y), "Saxpy {what}");
@@ -1816,20 +1783,25 @@ mod tests {
     }
 
     #[test]
-    fn run_occ_convenience() {
+    fn compiled_occ_runs_on_the_node() {
         let mut sim = Sim::new();
         let node = Node::new(0, NodeCfg::default(), sim.handle());
         let ctx = node.ctx();
         let jh = sim.spawn(async move {
-            let (cp, vars) = ctx
-                .run_occ("n := 6; f := 1; while n > 1 { f := f * n; n := n - 1; }")
-                .await
-                .unwrap();
+            let prog =
+                ts_cp::occ::compile("n := 6; f := 1; while n > 1 { f := f * n; n := n - 1; }")
+                    .unwrap();
+            let cp = ctx.run_cp_program(&prog.code, 8192, 256).await.unwrap();
             // A second, shorter program on the same node: its charge cursor
             // starts at zero again, so both are charged in full.
-            let (short, _) = ctx.run_occ("n := 2;").await.unwrap();
+            let short = ts_cp::occ::compile("n := 2;").unwrap();
+            let short = ctx.run_cp_program(&short.code, 8192, 256).await.unwrap();
             assert!(short.elapsed() < cp.elapsed());
-            (cp.instructions, vars["f"], cp.elapsed() + short.elapsed())
+            (
+                cp.instructions,
+                prog.vars["f"],
+                cp.elapsed() + short.elapsed(),
+            )
         });
         assert!(sim.run().quiescent);
         let (instrs, slot, elapsed) = jh.try_take().unwrap();
@@ -1837,19 +1809,6 @@ mod tests {
         assert_eq!(node.mem().read_word(256 + slot).unwrap(), 720);
         assert_eq!(node.meters().cp_busy.get(), elapsed);
         assert_eq!(sim.now(), ts_sim::Time::ZERO + elapsed);
-    }
-
-    #[test]
-    fn run_occ_reports_compile_errors() {
-        let mut sim = Sim::new();
-        let node = Node::new(0, NodeCfg::default(), sim.handle());
-        let ctx = node.ctx();
-        let jh =
-            sim.spawn(
-                async move { matches!(ctx.run_occ("x := ;").await, Err(CpRunError::Compile(_))) },
-            );
-        assert!(sim.run().quiescent);
-        assert_eq!(jh.try_take(), Some(true));
     }
 
     #[test]

@@ -267,7 +267,8 @@ fn issue(ctx: &NodeCtx, op: VecOp, step: usize, out: &mut Vec<u64>) -> Time {
 }
 
 /// The same operation through the awaited front door (`vec`, `vec32`,
-/// `saxpy_values`, …), so the test also pins `async = wait(issue(..))`.
+/// `dot_values`, …; SAXPY's has only the issue form, awaited by `wait`),
+/// so the test also pins `async = wait(issue(..))`.
 async fn awaited(ctx: &NodeCtx, op: VecOp, step: usize, out: &mut Vec<u64>) {
     let salt = step as u64;
     match op {
@@ -281,7 +282,8 @@ async fn awaited(ctx: &NodeCtx, op: VecOp, step: usize, out: &mut Vec<u64>) {
         }
         VecOp::Saxpy(n) => {
             let (x, mut y) = operands(n, salt);
-            ctx.saxpy_values(value(n, salt), &x, &mut y).await;
+            ctx.wait(ctx.issue_saxpy_values(value(n, salt), &x, &mut y))
+                .await;
             out.extend(y.iter().map(|v| v.to_bits()));
         }
         VecOp::Dot(n) => {

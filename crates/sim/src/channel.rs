@@ -154,18 +154,13 @@ struct RecvCell<T> {
     parked: bool,
 }
 
-/// A queued sender's cell. `claim` marks cancellation (dropped send future).
+/// A queued sender's cell. Its value leaves when a receiver takes it or
+/// when the send is cancelled (its future dropped); receivers skip an
+/// empty cell.
 struct SendCell<T> {
     value: Option<T>,
-    taken: bool,
-    claim: Rc<Cell<bool>>,
     waker: Option<Waker>,
 }
-
-/// Most cells a channel keeps on its free lists. Queued populations per
-/// channel are tiny (a rendezvous pairs off immediately), so a small cap
-/// bounds memory while still making steady-state queueing allocation-free.
-const CELL_POOL_MAX: usize = 32;
 
 /// Who holds a core's inline slot.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -185,17 +180,12 @@ enum Slot {
 }
 
 /// The cell queues behind the slot, allocated by a channel's first `ALT`
-/// branch or second parker.
+/// branch or second parker. A queued party allocates its cell (a plain
+/// receive also its claim flag) and drops it when done: queueing is rare
+/// enough that a pool of spent cells never pays for itself.
 struct Queues<T> {
     senders: VecDeque<Rc<RefCell<SendCell<T>>>>,
     receivers: VecDeque<Rc<RefCell<RecvCell<T>>>>,
-    /// Free lists of completed cells. A send/recv that queued and then
-    /// completed recycles its cell here instead of dropping the two `Rc`
-    /// allocations (cell + claim flag) — on a steady channel the same cells
-    /// shuttle back and forth forever. Cancelled cells are *not* pooled
-    /// (the queue still references them until lazily skipped).
-    free_send: Vec<Rc<RefCell<SendCell<T>>>>,
-    free_recv: Vec<Rc<RefCell<RecvCell<T>>>>,
 }
 
 /// The state of one synchronous channel, held by value by whatever owns
@@ -258,10 +248,12 @@ impl<T> RvCore<T> {
     /// True if an (uncancelled) sender is currently blocked on this channel.
     pub fn sender_waiting(&self) -> bool {
         self.slot.get() == Slot::Send
-            || self
-                .queues
-                .get()
-                .is_some_and(|q| q.borrow().senders.iter().any(|c| !c.borrow().claim.get()))
+            || self.queues.get().is_some_and(|q| {
+                q.borrow()
+                    .senders
+                    .iter()
+                    .any(|c| c.borrow().value.is_some())
+            })
     }
 
     /// Receivers currently parked on this channel: one in the slot, and the
@@ -279,8 +271,6 @@ impl<T> RvCore<T> {
                 Box::new(RefCell::new(Queues {
                     senders: VecDeque::new(),
                     receivers: VecDeque::new(),
-                    free_send: Vec::new(),
-                    free_recv: Vec::new(),
                 }))
             })
             .borrow_mut()
@@ -337,12 +327,9 @@ impl<T> RvCore<T> {
         let mut q = self.queues.get()?.borrow_mut();
         while let Some(sc) = q.senders.pop_front() {
             let mut s = sc.borrow_mut();
-            if s.claim.get() {
+            let Some(v) = s.value.take() else {
                 continue; // cancelled send
-            }
-            s.claim.set(true);
-            s.taken = true;
-            let v = s.value.take().expect("parked sender without value");
+            };
             if let Some(w) = s.waker.take() {
                 w.wake();
             }
@@ -384,50 +371,6 @@ impl<T> RvCore<T> {
     fn park_receiver(&self, cell: Rc<RefCell<RecvCell<T>>>) {
         cell.borrow_mut().parked = true;
         self.queues_mut().receivers.push_back(cell);
-    }
-
-    /// Return a completed (taken) send cell to the free list, if nothing
-    /// else still references it.
-    fn recycle_send_cell(&self, cell: Rc<RefCell<SendCell<T>>>) {
-        if Rc::strong_count(&cell) != 1 {
-            return;
-        }
-        let mut q = self.queues_mut();
-        if q.free_send.len() < CELL_POOL_MAX {
-            let mut c = cell.borrow_mut();
-            c.value = None;
-            c.taken = false;
-            c.waker = None;
-            if Rc::strong_count(&c.claim) == 1 {
-                c.claim.set(false);
-            } else {
-                c.claim = Rc::new(Cell::new(false));
-            }
-            drop(c);
-            q.free_send.push(cell);
-        }
-    }
-
-    /// Return a completed (value delivered and consumed) receive cell to
-    /// the free list, if nothing else still references it.
-    fn recycle_recv_cell(&self, cell: Rc<RefCell<RecvCell<T>>>) {
-        if Rc::strong_count(&cell) != 1 {
-            return;
-        }
-        let mut q = self.queues_mut();
-        if q.free_recv.len() < CELL_POOL_MAX {
-            let mut c = cell.borrow_mut();
-            debug_assert!(c.value.is_none());
-            c.branch = 0;
-            c.waker = None;
-            if Rc::strong_count(&c.claim) == 1 {
-                c.claim.set(false);
-            } else {
-                c.claim = Rc::new(Cell::new(false));
-            }
-            drop(c);
-            q.free_recv.push(cell);
-        }
     }
 }
 
@@ -507,11 +450,10 @@ impl<T> Future for SendFut<'_, T> {
         }
         if let Some(cell) = &this.cell {
             let mut c = cell.borrow_mut();
-            if c.taken {
+            if c.value.is_none() {
                 drop(c);
-                let cell = this.cell.take().expect("checked above");
-                core.recycle_send_cell(cell);
-                return Poll::Ready(());
+                this.cell = None;
+                return Poll::Ready(()); // taken
             }
             c.waker = Some(cx.waker().clone());
             return Poll::Pending;
@@ -521,7 +463,7 @@ impl<T> Future for SendFut<'_, T> {
             return Poll::Ready(());
         };
         // No receiver: park, in the slot when it is free and nobody is
-        // queued, else in a (recycled when possible) queue cell.
+        // queued, else in a queue cell.
         let v = match core.park_in_slot(Slot::Send, Some(v), cx) {
             Ok(()) => {
                 this.in_slot = true;
@@ -529,24 +471,11 @@ impl<T> Future for SendFut<'_, T> {
             }
             Err(v) => v,
         };
-        let mut q = core.queues_mut();
-        let cell = match q.free_send.pop() {
-            Some(cell) => {
-                let mut c = cell.borrow_mut();
-                debug_assert!(!c.taken && !c.claim.get());
-                c.value = v;
-                c.waker = Some(cx.waker().clone());
-                drop(c);
-                cell
-            }
-            None => Rc::new(RefCell::new(SendCell {
-                value: v,
-                taken: false,
-                claim: Rc::new(Cell::new(false)),
-                waker: Some(cx.waker().clone()),
-            })),
-        };
-        q.senders.push_back(cell.clone());
+        let cell = Rc::new(RefCell::new(SendCell {
+            value: v,
+            waker: Some(cx.waker().clone()),
+        }));
+        core.queues_mut().senders.push_back(cell.clone());
         this.cell = Some(cell);
         Poll::Pending
     }
@@ -561,10 +490,7 @@ impl<T> Drop for SendFut<'_, T> {
             self.core.waker.take();
             self.core.slot.set(Slot::Empty);
         } else if let Some(cell) = &self.cell {
-            let c = cell.borrow();
-            if !c.taken {
-                c.claim.set(true); // cancel: receivers skip this cell
-            }
+            cell.borrow_mut().value = None; // cancel: receivers skip this cell
         }
     }
 }
@@ -597,8 +523,7 @@ impl<T> Future for RecvFut<'_, T> {
             let mut c = cell.borrow_mut();
             if let Some(v) = c.value.take() {
                 drop(c);
-                let cell = this.cell.take().expect("checked above");
-                core.recycle_recv_cell(cell);
+                this.cell = None;
                 return Poll::Ready(v);
             }
             debug_assert!(!c.claim.get(), "RecvFut cell claimed without value");
@@ -613,23 +538,13 @@ impl<T> Future for RecvFut<'_, T> {
             this.in_slot = true;
             return Poll::Pending;
         }
-        let recycled = core.queues_mut().free_recv.pop();
-        let cell = match recycled {
-            Some(cell) => {
-                let mut c = cell.borrow_mut();
-                debug_assert!(c.value.is_none() && !c.claim.get());
-                c.waker = Some(cx.waker().clone());
-                drop(c);
-                cell
-            }
-            None => Rc::new(RefCell::new(RecvCell {
-                value: None,
-                branch: 0,
-                claim: Rc::new(Cell::new(false)),
-                waker: Some(cx.waker().clone()),
-                parked: false,
-            })),
-        };
+        let cell = Rc::new(RefCell::new(RecvCell {
+            value: None,
+            branch: 0,
+            claim: Rc::new(Cell::new(false)),
+            waker: Some(cx.waker().clone()),
+            parked: false,
+        }));
         core.park_receiver(cell.clone());
         this.cell = Some(cell);
         Poll::Pending

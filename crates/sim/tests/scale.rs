@@ -1,7 +1,7 @@
 //! Scale guards for the executor overhaul.
 //!
 //! The hot-loop rewrite (local ready queue, due-batch timer drain, slot
-//! recycling, routing tables, cell pooling) must not move a single event:
+//! recycling, routing tables) must not move a single event:
 //! the simulator's output is a pure function of the program, so a dim-8
 //! allreduce must produce bit-identical results *and* finish at the
 //! identical picosecond before and after the optimizations. The golden
@@ -221,14 +221,29 @@ fn dim14_cube_max_allreduce_runs_sequentially() {
 }
 
 /// Building a machine makes what it keeps: every sublink is built with its
-/// final meters and health flag, and a node's cube channels sit in a table
-/// filled once, so a dim-10 build makes at most 180 allocations per node.
+/// final meters and health flag, the bare ones (system thread, ring) book
+/// into the thread's one detached set, and a node's cube channels sit in a
+/// table filled once, so a dim-10 build makes at most 150 allocations per
+/// node.
 #[test]
 fn building_a_machine_keeps_what_it_makes() {
     let before = ALLOCS.with(Cell::get);
     let m = Machine::build(MachineCfg::cube_small_mem(10, 8));
     let per_node = (ALLOCS.with(Cell::get) - before) / m.nodes.len() as u64;
-    assert!(per_node <= 180, "{per_node} allocations per node");
+    assert!(per_node <= 150, "{per_node} allocations per node");
+}
+
+/// Starting the router on a dim-10 machine costs each node its loopback
+/// sublink (an engine, the channel and its cold box; its meters are the
+/// thread's detached set), its delivery mailbox and its daemon: at most 8
+/// allocations per node.
+#[test]
+fn starting_the_router_allocates_at_most_8_per_node() {
+    let m = Machine::build(MachineCfg::cube_small_mem(10, 8));
+    let before = ALLOCS.with(Cell::get);
+    let _router = t_series_core::router::Router::start(&m);
+    let per_node = (ALLOCS.with(Cell::get) - before) / m.nodes.len() as u64;
+    assert!(per_node <= 8, "{per_node} allocations per node");
 }
 
 /// Meter updates are allocation-free: at 4096 nodes the per-event metrics

@@ -14,9 +14,12 @@
 //! * each hop pays the real link time plus a small control-processor
 //!   routing charge.
 //!
-//! Shutdown is itself routed: poison messages visit nodes in decreasing
-//! address order, so every intermediate a poison needs is still alive
-//! (e-cube intermediates are strict submasks of the destination).
+//! Shutdown is the system board's reset line: every live node's daemon is
+//! poisoned through its own loopback, all at the same instant, and the
+//! daemons are awaited. Nothing is routed, so stopping costs one loopback
+//! frame plus one routing decision on any fabric, healthy or degraded.
+//! Shutdown is for a quiet fabric: a frame still in flight when it starts
+//! is dropped after `FORWARD_DEADLINE` and counted in `router/dropped`.
 //!
 //! ## Degraded-mode routing
 //!
@@ -46,6 +49,16 @@ use crate::Machine;
 
 /// Control-processor instructions charged per routing decision.
 const ROUTE_CP_INSTRS: u64 = 12;
+
+/// Loopback line: injection is a memory handoff, not a wire, so its rate is
+/// fast enough to be negligible (1 Gbit/s, no DMA startup beyond 1 ns).
+const LOOPBACK: LinkParams = LinkParams {
+    bit_rate: 1_000_000_000,
+    frame_bits: 8,
+    ack_bits: 0,
+    turnaround_bits: 0,
+    dma_startup: Dur::ns(1),
+};
 
 const KIND_DATA: u32 = 0;
 const KIND_POISON: u32 = 1;
@@ -115,7 +128,6 @@ pub struct RouterHandle {
     ctx: NodeCtx,
     inject: LinkChannel,
     deliver: Mailbox<(u32, Vec<u32>)>,
-    daemon: std::rc::Rc<JoinHandle<u64>>,
 }
 
 impl RouterHandle {
@@ -132,11 +144,6 @@ impl RouterHandle {
         self.deliver.recv().await
     }
 
-    /// Non-blocking receive.
-    pub fn try_recv(&self) -> Option<(u32, Vec<u32>)> {
-        self.deliver.try_recv()
-    }
-
     /// The node context behind this endpoint (clock access etc.).
     pub fn ctx(&self) -> &NodeCtx {
         &self.ctx
@@ -146,47 +153,37 @@ impl RouterHandle {
 /// The running router fabric: one daemon per node.
 pub struct Router {
     handles: Vec<RouterHandle>,
-    cube: Hypercube,
+    daemons: Vec<JoinHandle<u64>>,
 }
 
 impl Router {
     /// Spawn router daemons on every node of the machine.
     pub fn start(machine: &Machine) -> Router {
         let cube = machine.cube;
-        // Loopback params: injection is a memory handoff, not a wire — give
-        // it a line rate fast enough to be negligible (1 Gbit/s, no DMA
-        // startup beyond 1 ns).
-        let loop_params = LinkParams {
-            bit_rate: 1_000_000_000,
-            frame_bits: 8,
-            ack_bits: 0,
-            turnaround_bits: 0,
-            dma_startup: Dur::ns(1),
-        };
         let mut handles = Vec::with_capacity(machine.nodes.len());
+        let mut daemons = Vec::with_capacity(machine.nodes.len());
         for node in &machine.nodes {
             let ctx = node.ctx();
             // The loopback dies with the node, so injection into a crashed
             // node's daemon errors instead of hanging.
-            let wire = Wire::new("router.loopback", loop_params);
+            let wire = Wire::new("router.loopback", LOOPBACK);
             let inject =
                 LinkChannel::metered(wire.clone(), wire, node.health(), LinkMeters::detached());
             let deliver = Mailbox::new();
-            let daemon_ctx = ctx.clone();
-            let daemon_inject = inject.clone();
-            let daemon_deliver = deliver.clone();
-            let daemon =
-                ctx.handle()
-                    .spawn(daemon(daemon_ctx, cube, daemon_inject, daemon_deliver));
+            daemons.push(ctx.handle().spawn(daemon(
+                ctx.clone(),
+                cube,
+                inject.clone(),
+                deliver.clone(),
+            )));
             handles.push(RouterHandle {
                 me: node.id,
                 ctx,
                 inject,
                 deliver,
-                daemon: std::rc::Rc::new(daemon),
             });
         }
-        Router { handles, cube }
+        Router { handles, daemons }
     }
 
     /// This node's endpoint.
@@ -194,53 +191,26 @@ impl Router {
         self.handles[node as usize].clone()
     }
 
-    /// Stop every daemon by routing poison to each node, highest address
-    /// first (host task; await it before expecting quiescence).
-    ///
-    /// Tolerates a degraded fabric: poisons are injected from the lowest
-    /// *live* node (detouring around dead links like any message), poisons
-    /// to crashed nodes are simply dropped en route, and a crashed node's
-    /// daemon has already been torn down by its health watch.
+    /// Stop every daemon through the reset line: poison each live node's
+    /// daemon through its own loopback, all at once, and await them all
+    /// (host task; await it before expecting quiescence). A crashed node's
+    /// daemon has already been torn down by its health watch. Returns the
+    /// number of data frames the daemons forwarded.
     pub async fn shutdown(self) -> u64 {
-        let cube = self.cube;
-        // A poison to node k only transits submasks of k (any correction
-        // order), which are poisoned later, so every forwarder is alive.
-        let injector = self.handles.iter().find(|h| !h.ctx.is_crashed()).cloned();
-        if let Some(h0) = injector {
-            // The injector's own poison must go last — its daemon has to
-            // stay alive to accept every other injection.
-            let order = (0..cube.nodes())
-                .rev()
-                .filter(|&d| d != h0.me)
-                .chain([h0.me]);
-            for dst in order {
-                let frame = frame_for(dst, h0.me, KIND_POISON, &[]);
-                // A poison for a dead node may be refused; skip it.
-                let _ = h0.inject.try_send(h0.ctx.handle(), frame).await;
+        for (h, daemon) in self.handles.iter().zip(&self.daemons) {
+            if !daemon.is_finished() {
+                let reset = h.clone();
+                h.ctx.handle().spawn(async move {
+                    let frame = frame_for(reset.me, reset.me, KIND_POISON, &[]);
+                    // A node that crashes meanwhile refuses the poison; its
+                    // daemon stops on its own.
+                    let _ = reset.inject.try_send(reset.ctx.handle(), frame).await;
+                });
             }
         }
-        // Collect forwarding counts.
         let mut total = 0;
-        for h in &self.handles {
-            // The daemon finishes once its poison (or crash) arrives. If a
-            // routed poison was dropped by the degraded fabric, poison the
-            // straggler directly through its loopback after a grace period
-            // (the system board's reset line).
-            let mut waited = 0u32;
-            while !h.daemon.is_finished() {
-                h.ctx.handle().sleep(Dur::us(100)).await;
-                waited += 1;
-                if waited == 2000 {
-                    let frame = frame_for(h.me, h.me, KIND_POISON, &[]);
-                    let hh = h.clone();
-                    h.ctx.handle().spawn(async move {
-                        let send = Box::pin(hh.inject.try_send(hh.ctx.handle(), frame));
-                        let timeout = hh.ctx.handle().sleep(FORWARD_DEADLINE);
-                        let _ = ts_sim::select2(send, timeout).await;
-                    });
-                }
-            }
-            total += h.daemon.try_take().unwrap_or(0);
+        for daemon in self.daemons {
+            total += daemon.await;
         }
         total
     }
@@ -472,8 +442,6 @@ mod tests {
             m.registry().sum_counters("router/reroutes") >= 1,
             "detour must be counted"
         );
-        // Data traffic was fully delivered (asserted above); only shutdown
-        // poisons may have been dropped and recovered by the backstop.
     }
 
     #[test]
@@ -494,6 +462,53 @@ mod tests {
         assert!(r.quiescent, "crashed node must not strand the fabric");
         assert!(done.try_take().is_some());
         assert!(m.registry().sum_counters("router/dropped") >= 1);
+    }
+
+    /// Shutdown is the reset line on any fabric: healthy, with crashed
+    /// nodes or with a dead link, it ends one loopback frame plus one
+    /// routing decision after it starts, every live daemon takes its poison
+    /// (one routing charge each, none on a crashed node) and nothing is
+    /// dropped.
+    #[test]
+    fn shutdown_is_one_loopback_hop_on_any_fabric() {
+        use FaultEvent::{LinkDown, NodeCrash};
+        let hop = LOOPBACK.message_time(HDR * 4) + ts_node::CP_INSTR_TIME * ROUTE_CP_INSTRS;
+        let cases: [(&str, &[FaultEvent]); 4] = [
+            ("healthy", &[]),
+            ("node 0 crashed", &[NodeCrash { node: 0 }]),
+            (
+                "nodes 1 and 2 crashed",
+                &[NodeCrash { node: 1 }, NodeCrash { node: 2 }],
+            ),
+            ("link 0/0 down", &[LinkDown { node: 0, dim: 0 }]),
+        ];
+        for (case, faults) in cases {
+            let mut m = Machine::build(MachineCfg::cube_small_mem(4, 8));
+            let router = Router::start(&m);
+            faults.iter().for_each(|f| f.apply(&m));
+            let sim = m.handle();
+            let done = m.handle().spawn(async move {
+                let start = sim.now();
+                let forwarded = router.shutdown().await;
+                (forwarded, sim.now().since(start))
+            });
+            assert!(m.run().quiescent, "{case}: not quiescent");
+            assert_eq!(done.try_take(), Some((0, hop)), "{case}");
+            for node in &m.nodes {
+                let charged = if node.is_crashed() {
+                    0
+                } else {
+                    ROUTE_CP_INSTRS
+                };
+                assert_eq!(
+                    node.meters().cp_instrs.get(),
+                    charged,
+                    "{case}: node {}",
+                    node.id
+                );
+            }
+            assert_eq!(m.registry().sum_counters("router/dropped"), 0, "{case}");
+        }
     }
 
     /// Every word a cube sublink carries is booked once at each end:

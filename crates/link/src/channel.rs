@@ -339,8 +339,8 @@ impl LinkChannel {
 
     /// Finish a receive whose sender has committed `pkt`: run the framed
     /// transfer on both engines, wait it out, book the delivery on the
-    /// receiving side and release the sender. Every receive path — plain,
-    /// failable, `ALT` — ends here.
+    /// receiving side and release the sender. Both receive paths — plain and
+    /// `ALT` — end here.
     pub(crate) async fn complete_recv(&self, h: &SimHandle, pkt: Packet) -> Vec<u32> {
         let (_start, end) = self.transfer(h.now(), &pkt.words);
         h.sleep_until(end).await;
@@ -385,23 +385,6 @@ impl LinkChannel {
                 await_done(h, done).await;
                 Ok(())
             }
-            Either::Right(()) => Err(LinkError::Down),
-        }
-    }
-
-    /// Failable [`LinkChannel::recv`]: resolves to [`LinkError::Down`] when
-    /// the link is already dead or dies before any sender commits. A sender
-    /// that committed first still hands its message over (the transfer was
-    /// already in flight when the link died).
-    pub async fn try_recv(&self, h: &SimHandle) -> Result<Vec<u32>, LinkError> {
-        if self.inner.boundary {
-            return Ok(self.boundary_recv(h).await);
-        }
-        if !self.inner.status.is_up() {
-            return Err(LinkError::Down);
-        }
-        match select2(self.inner.rv.recv(), self.inner.status.watch_down()).await {
-            Either::Left(pkt) => Ok(self.complete_recv(h, pkt).await),
             Either::Right(()) => Err(LinkError::Down),
         }
     }
@@ -713,27 +696,6 @@ mod tests {
     }
 
     #[test]
-    fn parked_recv_aborts_when_link_dies() {
-        let mut sim = Sim::new();
-        let h = sim.handle();
-        let ch = LinkChannel::new(Wire::new("w", LinkParams::default()));
-        let status = ch.status().clone();
-        let h2 = h.clone();
-        sim.spawn(async move {
-            h2.sleep(Dur::us(50)).await;
-            status.set_down();
-        });
-        let jh = sim.spawn(async move {
-            let r = ch.try_recv(&h).await;
-            (r.is_err(), h.now())
-        });
-        assert!(sim.run().quiescent);
-        let (errored, t) = jh.try_take().unwrap();
-        assert!(errored);
-        assert_eq!(t.as_ns(), 50_000);
-    }
-
-    #[test]
     fn try_paths_keep_exact_timing_when_healthy() {
         let mut sim = Sim::new();
         let h = sim.handle();
@@ -746,7 +708,7 @@ mod tests {
             assert_eq!(h2.now().as_ns(), 21_000);
         });
         let jh = sim.spawn(async move {
-            let words = rx.try_recv(&h).await.unwrap();
+            let words = rx.recv(&h).await;
             (words.len(), h.now())
         });
         assert!(sim.run().quiescent);

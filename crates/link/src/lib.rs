@@ -34,7 +34,7 @@
 //!   physical link.
 //! * `transport` — transient impairments and go-back-N recovery, up to
 //!   [`RETRANSMIT_BUDGET`] rounds before the link is condemned.
-//! * `channel` — [`LinkChannel`]: `send`/`recv` and their failable forms,
+//! * `channel` — [`LinkChannel`]: `send`/`recv` and the failable `try_send`,
 //!   and the [`LinkMeters`] a sublink is built with.
 //! * `boundary` — [`BoundaryEnvelope`]: a sublink cut by a shard boundary
 //!   (parallel backend), replayed as three plain-data legs.

@@ -823,11 +823,6 @@ impl<T> Mailbox<T> {
         }
     }
 
-    /// Non-blocking dequeue.
-    pub fn try_recv(&self) -> Option<T> {
-        self.state.borrow_mut().queue.pop_front()
-    }
-
     /// Queued element count.
     pub fn len(&self) -> usize {
         self.state.borrow().queue.len()

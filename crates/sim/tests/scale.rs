@@ -235,15 +235,42 @@ fn building_a_machine_keeps_what_it_makes() {
 
 /// Starting the router on a dim-10 machine costs each node its loopback
 /// sublink (an engine, the channel and its cold box; its meters are the
-/// thread's detached set), its delivery mailbox and its daemon: at most 8
-/// allocations per node.
+/// thread's detached set), its delivery mailbox and its daemon, whose join
+/// handle the router keeps: at most 7 allocations per node.
 #[test]
-fn starting_the_router_allocates_at_most_8_per_node() {
+fn starting_the_router_allocates_at_most_7_per_node() {
     let m = Machine::build(MachineCfg::cube_small_mem(10, 8));
     let before = ALLOCS.with(Cell::get);
     let _router = t_series_core::router::Router::start(&m);
     let per_node = (ALLOCS.with(Cell::get) - before) / m.nodes.len() as u64;
-    assert!(per_node <= 8, "{per_node} allocations per node");
+    assert!(per_node <= 7, "{per_node} allocations per node");
+}
+
+/// Stopping the router is one loopback frame and one routing decision per
+/// node, not a routed wave: after a dim-10 exchange in which every node
+/// sends 8 words to its antipode (10 hops, so 10 forwards per message),
+/// shutdown adds at most 3 timer events per node and reports the data
+/// frames forwarded, nothing else.
+#[test]
+fn router_shutdown_adds_at_most_3_events_per_node() {
+    let mut m = Machine::build(MachineCfg::cube_small_mem(10, 8));
+    let router = t_series_core::router::Router::start(&m);
+    let n = m.nodes.len() as u32;
+    for id in 0..n {
+        let end = router.handle(id);
+        m.handle().spawn(async move {
+            end.send_to(!id & (n - 1), vec![id; 8]).await.unwrap();
+            assert_eq!(end.recv().await, (!id & (n - 1), vec![!id & (n - 1); 8]));
+        });
+    }
+    // The daemons outlive the exchange.
+    assert!(!m.run().quiescent);
+    let before = m.profile().timer_events;
+    let forwarded = m.handle().spawn(router.shutdown());
+    assert!(m.run().quiescent);
+    let events = m.profile().timer_events - before;
+    assert!(events <= 3 * n as u64, "{events} timer events to shut down");
+    assert_eq!(forwarded.try_take(), Some(10 * n as u64));
 }
 
 /// Meter updates are allocation-free: at 4096 nodes the per-event metrics

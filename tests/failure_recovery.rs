@@ -142,9 +142,9 @@ fn snapshot_overhead_accounts_in_simulated_time() {
 
 #[test]
 fn router_poison_shutdown_completes_after_scheduled_link_down() {
-    // A cable dies while the fabric is idle; the shutdown wave must still
-    // reach every daemon — poisons detour around the dead edge (or are
-    // dropped and recovered by the backstop) instead of parking forever.
+    // A cable dies while the fabric is idle; shutdown must still reach
+    // every daemon — each is poisoned through its own loopback, so no
+    // poison crosses the dead edge.
     let mut m = Machine::build(MachineCfg::cube_small_mem(3, 8));
     let router = Router::start(&m);
     FaultPlan::new()

@@ -9,12 +9,13 @@ use t_series_core::system::ring_distribute;
 use t_series_core::{collectives, Machine, MachineCfg};
 use ts_cube::embed::{FftEmbedding, MeshEmbedding, RingEmbedding};
 use ts_cube::{Hypercube, SublinkBudget};
+use ts_fpu::pipeline::Precision;
 use ts_fpu::Sf64;
-use ts_kernels::{fft, lu, matmul, sort, stencil, KernelStats};
-use ts_mem::NodeMemory;
+use ts_kernels::{cg, fft, lu, matmul, nbody, sort, stencil, KernelStats};
+use ts_mem::{NodeMemory, ROW_TIME};
 use ts_node::{occam, NodeCtx};
 use ts_sim::Dur;
-use ts_vec::{VecForm, VecUnit};
+use ts_vec::{op_mix_mflops, VecForm, VecUnit, ISSUE_OVERHEAD};
 
 use crate::{header, row};
 
@@ -244,12 +245,21 @@ pub fn e3_peak_arithmetic() -> (f64, f64) {
         "(startup-bound)",
         &format!("{short:.2}"),
     );
-    row("adder pipeline", "6 stages", "6 stages");
-    row(
-        "multiplier pipeline (64/32-bit)",
-        "7 / 5 stages",
-        "7 / 5 stages",
-    );
+    // A one-element form is the issue, one row in, the pipe and one row
+    // out: what is left of its time is the pipe's depth.
+    let (double, single) = (Precision::Double, Precision::Single);
+    let pipes = [
+        (VecForm::VAdd, double),
+        (VecForm::VMul, double),
+        (VecForm::VMul, single),
+    ];
+    let [add, mul, mul32] = pipes.map(|(form, prec)| {
+        let t = VecUnit::timing(form, 1, 1, prec).duration;
+        (t - ISSUE_OVERHEAD - ROW_TIME * 2).as_ps() / Dur::CYCLE.as_ps()
+    });
+    row("adder pipeline", "6 stages", &format!("{add} stages"));
+    let muls = format!("{mul} / {mul32} stages");
+    row("multiplier pipeline (64/32-bit)", "7 / 5 stages", &muls);
     row("gradual underflow", "not supported", "flush-to-zero");
     (saxpy, vadd)
 }
@@ -629,37 +639,43 @@ pub fn e10_comm_comp_balance() -> f64 {
 }
 
 /// E11 — kernels across machine sizes. Returns (name, nodes, elapsed_s,
-/// mflops) tuples for the record.
-pub fn e11_kernel_scaling() -> Vec<(&'static str, u32, f64, f64)> {
+/// mflops, ceiling) tuples for the record.
+pub fn e11_kernel_scaling() -> Vec<(&'static str, u32, f64, f64, f64)> {
     header("E11: application kernels across machine sizes (§I, §III)");
     println!(
-        "  {:<10} {:>6} {:>9} {:>12} {:>9} {:>12} {:>10}",
-        "kernel", "nodes", "problem", "elapsed", "MFLOPS", "bytes sent", "verified"
+        "  {:<10} {:>6} {:>9} {:>12} {:>9} {:>9} {:>12} {:>10}",
+        "kernel", "nodes", "problem", "elapsed", "MFLOPS", "ceiling", "bytes sent", "verified"
     );
     let mut out = Vec::new();
     // Print one row and record it under the kernel's name, without a
-    // `(schedule)` suffix. An unrated kernel prints `-` and records 0.
+    // `(schedule)` suffix. Its ceiling is `nodes` times the best op-mix
+    // roofline of the form sequences the kernel's arithmetic issues. A
+    // kernel with no arithmetic prints `-` for both and records 0.
     let mut report = |label: &'static str,
                       nodes: u32,
                       problem: String,
                       stats: KernelStats,
                       ok: bool,
-                      rated: bool| {
-        let mflops = rated.then_some(stats.mflops);
+                      forms: &[&[VecForm]]| {
+        let roof = forms.iter().map(|f| op_mix_mflops(*f)).reduce(f64::max);
+        let rated = roof.map(|r| [stats.mflops, r * nodes as f64]);
+        let cell = |i: usize| rated.map_or("-".into(), |r| format!("{:.2}", r[i]));
         println!(
-            "  {:<10} {:>6} {:>9} {:>12} {:>9} {:>12} {:>10}",
+            "  {:<10} {:>6} {:>9} {:>12} {:>9} {:>9} {:>12} {:>10}",
             label,
             nodes,
             problem,
             stats.elapsed.to_string(),
-            mflops.map_or("-".into(), |f| format!("{f:.2}")),
+            cell(0),
+            cell(1),
             stats.bytes_sent,
             if ok { "yes" } else { "NO" }
         );
         let name = label.split_once('(').map_or(label, |(name, _)| name);
-        let mflops = mflops.unwrap_or(0.0);
-        out.push((name, nodes, stats.elapsed.as_secs_f64(), mflops));
+        let [mflops, ceiling] = rated.unwrap_or_default();
+        out.push((name, nodes, stats.elapsed.as_secs_f64(), mflops, ceiling));
     };
+    let saxpy: &[VecForm] = &[VecForm::Saxpy(Sf64::ZERO)];
     // Matmul: fixed N across machine sizes (strong scaling).
     for dim in [0u32, 2, 4] {
         let mut m = Machine::build(MachineCfg::cube(dim));
@@ -670,7 +686,7 @@ pub fn e11_kernel_scaling() -> Vec<(&'static str, u32, f64, f64)> {
             .iter()
             .zip(&want)
             .all(|(g, w)| (g - w).abs() <= 1e-12 * w.abs().max(1.0));
-        report("matmul", 1 << dim, format!("{n}x{n}"), stats, ok, true);
+        report("matmul", 1 << dim, format!("{n}x{n}"), stats, ok, &[saxpy]);
     }
     // FFT: N grows with the machine (weak-ish scaling).
     for dim in [0u32, 2, 4] {
@@ -686,7 +702,11 @@ pub fn e11_kernel_scaling() -> Vec<(&'static str, u32, f64, f64)> {
             .iter()
             .zip(&want)
             .all(|(&(gr, gi), &(wr, wi))| (gr - wr).abs() < 1e-8 && (gi - wi).abs() < 1e-8);
-        report("fft", 1 << dim, n.to_string(), stats, ok, true);
+        let forms = [
+            &fft::butterfly(fft::Cpx::new(1.0, 0.0))[..],
+            &fft::BUTTERFLY_TWIDDLES,
+        ];
+        report("fft", 1 << dim, n.to_string(), stats, ok, &forms);
     }
     // LU: fixed N = 64.
     for dim in [0u32, 2] {
@@ -694,7 +714,8 @@ pub fn e11_kernel_scaling() -> Vec<(&'static str, u32, f64, f64)> {
         let n = 64;
         let (a, perm, lumat, stats) = lu::distributed_lu(&mut m, n, 4);
         let ok = lu::reconstruction_error(n, &a, &perm, &lumat) < 1e-9;
-        report("lu", 1 << dim, format!("{n}x{n}"), stats, ok, true);
+        let forms = [saxpy, &VecForm::RECIP, &[VecForm::VSMul(Sf64::ZERO)]];
+        report("lu", 1 << dim, format!("{n}x{n}"), stats, ok, &forms);
     }
     // Bitonic sort: keys grow with the machine.
     for dim in [0u32, 3] {
@@ -702,7 +723,7 @@ pub fn e11_kernel_scaling() -> Vec<(&'static str, u32, f64, f64)> {
         let n = 128 << dim;
         let (sorted, stats) = sort::distributed_sort(&mut m, n, 17);
         let ok = sorted.windows(2).all(|w| w[0] <= w[1]);
-        report("sort", 1 << dim, n.to_string(), stats, ok, true);
+        report("sort", 1 << dim, n.to_string(), stats, ok, &[]);
     }
     // Jacobi: per-node tile fixed (weak scaling).
     for dim in [0u32, 2, 4] {
@@ -718,29 +739,31 @@ pub fn e11_kernel_scaling() -> Vec<(&'static str, u32, f64, f64)> {
         let want = stencil::reference_jacobi(sx * g, sy * g, 5, &init);
         let ok = got.iter().zip(&want).all(|(a, b)| (a - b).abs() < 1e-12);
         let problem = format!("{}x{}", sx * g, sy * g);
-        report("jacobi", 1 << dim, problem, stats, ok, true);
+        report("jacobi", 1 << dim, problem, stats, ok, &[&stencil::RELAX]);
     }
     // CG: per-node tile fixed.
     for dim in [0u32, 2] {
         let mut m = Machine::build(MachineCfg::cube_small_mem(dim, 8));
         let g = 8;
-        let (b, x, iters, stats) = ts_kernels::cg::distributed_cg(&mut m, g, 1e-10, 21);
+        let (b, x, iters, stats) = cg::distributed_cg(&mut m, g, 1e-10, 21);
         let half = dim / 2;
         let (sx, sy) = (1usize << half, 1usize << (dim - half));
-        let ok = ts_kernels::cg::cg_residual(sx * g, sy * g, &x, &b) < 1e-8;
-        report("cg", 1 << dim, format!("{iters} it"), stats, ok, true);
+        let ok = cg::cg_residual(sx * g, sy * g, &x, &b) < 1e-8;
+        let forms = [&cg::MATVEC, saxpy, &[VecForm::Dot]];
+        report("cg", 1 << dim, format!("{iters} it"), stats, ok, &forms);
     }
     // N-body: ring pipeline, arithmetic-heavy.
     for dim in [0u32, 3] {
         let mut m = Machine::build(MachineCfg::cube_small_mem(dim, 8));
         let nb = 64;
-        let (bodies, forces, stats) = ts_kernels::nbody::distributed_nbody(&mut m, nb, 55);
-        let want = ts_kernels::nbody::reference_forces(&bodies);
+        let (bodies, forces, stats) = nbody::distributed_nbody(&mut m, nb, 55);
+        let want = nbody::reference_forces(&bodies);
         let ok = forces
             .iter()
             .zip(&want)
             .all(|((gx, gy), (wx, wy))| (gx - wx).abs() < 1e-9 && (gy - wy).abs() < 1e-9);
-        report("nbody", 1 << dim, nb.to_string(), stats, ok, true);
+        let pair = nbody::PAIR.concat();
+        report("nbody", 1 << dim, nb.to_string(), stats, ok, &[&pair]);
     }
     // Sparse mat-vec: the gather-bound regime, both schedules.
     use ts_kernels::spmv::SpmvSchedule::{Overlapped, Sequential};
@@ -750,7 +773,7 @@ pub fn e11_kernel_scaling() -> Vec<(&'static str, u32, f64, f64)> {
         let (x, y, stats) = ts_kernels::spmv::distributed_spmv(&mut m, &a, schedule, 6);
         let want = a.apply(&x);
         let ok = y.iter().zip(&want).all(|(g, w)| (g - w).abs() < 1e-10);
-        report(label, 4, "64, 12nz".into(), stats, ok, true);
+        report(label, 4, "64, 12nz".into(), stats, ok, &[&[VecForm::Dot]]);
     }
     // Transpose: all-to-all personalized exchange, no arithmetic to rate.
     for dim in [1u32, 3] {
@@ -758,7 +781,7 @@ pub fn e11_kernel_scaling() -> Vec<(&'static str, u32, f64, f64)> {
         let n = 8 << dim;
         let (a, at, stats) = ts_kernels::transpose::distributed_transpose(&mut m, n, 31);
         let ok = at == ts_kernels::transpose::reference_transpose(n, &a);
-        report("transpose", 1 << dim, format!("{n}x{n}"), stats, ok, false);
+        report("transpose", 1 << dim, format!("{n}x{n}"), stats, ok, &[]);
     }
     println!("  (small problems are link-bound, exactly as the 1:130 rule predicts;");
     println!("   per-node efficiency recovers as ops-per-transferred-word approach 130 — see E10)");

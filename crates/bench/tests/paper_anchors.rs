@@ -1,7 +1,8 @@
 //! The experiments return their headline measurements so tests can assert
-//! on them: the paper anchors of E2, E3 and E5, measured on the simulator.
+//! on them: the paper anchors of E2, E3 and E5, measured on the simulator,
+//! and E11's kernel rows against their op-mix rooflines.
 
-use ts_bench::{e2_bandwidths, e3_peak_arithmetic, e5_balance_ratios};
+use ts_bench::{e11_kernel_scaling, e2_bandwidths, e3_peak_arithmetic, e5_balance_ratios};
 
 #[test]
 fn experiments_return_the_paper_anchors() {
@@ -18,4 +19,20 @@ fn experiments_return_the_paper_anchors() {
         "1 : {gather}, paper 13"
     );
     assert!((link / 130.0 - 1.0).abs() <= 0.05, "1 : {link}, paper 130");
+}
+
+#[test]
+fn every_kernel_row_stays_under_its_op_mix_roofline() {
+    // §II: one adder and one multiplier, each an operation a cycle. No row
+    // may run faster than the mix of adds and multiplies in its kernel's
+    // forms allows, `16 · flops / (2 · max(adds, muls))` MFLOPS a node.
+    let rows = e11_kernel_scaling();
+    let below_peak = |name| rows.iter().any(|r| r.0 == name && r.1 == 1 && r.4 < 16.0);
+    assert!(["fft", "jacobi", "nbody"].into_iter().all(below_peak));
+    for (name, nodes, _, mflops, ceiling) in rows {
+        assert!(
+            mflops <= ceiling,
+            "{name} on {nodes} nodes: {mflops:.2} MFLOPS, ceiling {ceiling:.2}"
+        );
+    }
 }

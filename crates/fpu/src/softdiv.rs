@@ -14,20 +14,13 @@
 //!   `q ← q + r·recip(b)` where `r = a − q·b`, which brings the result to
 //!   within 1 ulp of the correctly rounded quotient.
 //! * [`sqrt`] — via reciprocal square root `y ← y·(3 − x·y²)/2`.
-//! * [`RECIP_FLOPS`], [`DIV_FLOPS`], [`SQRT_FLOPS`] — operation counts used
-//!   by the timing model (a divide is ~13 hardware operations, which is why
-//!   vectorized division runs far below 8 MFLOPS on this machine).
+//!
+//! A program pays for these by issuing their arithmetic as vector forms
+//! (`ts_vec::VecForm::RECIP` and `SQRT`): a reciprocal is 17 dependent
+//! adds and multiplies, which is why division runs far below 8 MFLOPS on
+//! this machine.
 
 use crate::soft::{Format, Sf64, B64};
-
-/// Hardware add/mul operations consumed by one [`recip`].
-pub const RECIP_FLOPS: u64 = 17; // 2-op seed + 5 iterations × 3 ops
-
-/// Hardware add/mul operations consumed by one [`div`].
-pub const DIV_FLOPS: u64 = RECIP_FLOPS + 4; // q = a·y, r = a − q·b, q += r·y
-
-/// Hardware add/mul operations consumed by one [`sqrt`].
-pub const SQRT_FLOPS: u64 = 9 * 4 + 2 + RECIP_FLOPS + 3; // rsqrt sweeps + s=x·y + Heron
 
 /// Reciprocal seed: write `x = 2^(e+1) · d` with `d ∈ [0.5, 1)` and use the
 /// classic Newton division seed `1/d ≈ 48/17 − 32/17·d` (≥ 4.54 correct
@@ -213,13 +206,5 @@ mod tests {
         assert!(sqrt(Sf64::from(-1.0)).is_nan());
         assert_eq!(sqrt(Sf64::from(0.0)).to_host(), 0.0);
         assert_eq!(sqrt(Sf64::from(f64::INFINITY)).to_host(), f64::INFINITY);
-    }
-
-    #[test]
-    fn flop_budgets_are_consistent() {
-        const { assert!(DIV_FLOPS > RECIP_FLOPS) };
-        // The point the paper's design makes implicitly: a divide costs an
-        // order of magnitude more than an add or multiply on this machine.
-        const { assert!(DIV_FLOPS >= 10) };
     }
 }

@@ -10,23 +10,35 @@
 //! * two **all-reduce** scalar products (`pᵀq`, `rᵀr`) over the cube,
 //! * three local AXPYs through the vector pipes.
 //!
-//! The vector work charges the node's 16 MFLOPS pipes; the dots pay the
-//! log₂ p dimension-exchange latency — the communication/computation
-//! balance of §II, iterated.
+//! The tile arithmetic is `Sf64` by the FPU's rules, issued as the vector
+//! forms it is ([`MATVEC`], then chained SAXPYs); the dots pay the log₂ p
+//! dimension-exchange latency — the communication/computation balance of
+//! §II, iterated. A step's two scalar quotients, α and β, are host
+//! divisions that no unit is charged for.
 
 use ts_cube::Hypercube;
+use ts_fpu::soft::row;
 use ts_fpu::Sf64;
 use ts_node::{CombineOp, NodeCtx};
+use ts_vec::VecForm;
 
-use crate::stencil::{on_tiles, Tile};
+use crate::stencil::{host_neighbour_sums, on_tiles, Tile};
 use crate::KernelStats;
+
+/// CG's matrix–vector forms over a tile, `q = 4·p − (((W + E) + N) + S)`:
+/// the neighbour sums (three adds), `4·p`, and their difference.
+pub const MATVEC: [VecForm; 5] = {
+    use VecForm::{VAdd, VSMul, VSub};
+    [VAdd, VAdd, VAdd, VSMul(FOUR), VSub]
+};
+
+const FOUR: Sf64 = Sf64::from_bits(4f64.to_bits());
 
 /// Global dot product: local dot via the vector pipe, then a scalar
 /// all-reduce over the cube.
-async fn global_dot(ctx: &NodeCtx, cube: Hypercube, a: &[f64], b: &[f64]) -> f64 {
-    let asf: Vec<Sf64> = a.iter().map(|&v| Sf64::from(v)).collect();
-    let bsf: Vec<Sf64> = b.iter().map(|&v| Sf64::from(v)).collect();
-    let local = ctx.dot_values(&asf, &bsf).await;
+async fn global_dot(ctx: &NodeCtx, cube: Hypercube, a: &[Sf64], b: &[Sf64]) -> f64 {
+    let (local, done) = ctx.issue_dot_values(a, b);
+    ctx.wait(done).await;
     let total = t_series_core::collectives::allreduce(ctx, cube, CombineOp::Add, vec![local]).await;
     total[0].to_host()
 }
@@ -37,34 +49,34 @@ pub async fn cg_node(
     ctx: NodeCtx,
     cube: Hypercube,
     g: usize,
-    b: Vec<f64>,
+    b: Vec<Sf64>,
     tol: f64,
     max_iters: usize,
-) -> (Vec<f64>, usize) {
+) -> (Vec<Sf64>, usize) {
     let geo = Tile::new(&ctx, cube, g);
     let n_local = g * g;
-    let mut x = vec![0.0; n_local];
-    let mut r = b.clone();
+    let mut x = vec![Sf64::ZERO; n_local];
+    let mut r = b;
     let mut p = r.clone();
     let mut rs = global_dot(&ctx, cube, &r, &r).await;
     let mut iters = 0;
     while iters < max_iters && rs.sqrt() > tol {
-        // q = A·p, the five-point Laplacian: 4p − (N + S + E + W).
-        let q = geo.five_point(&ctx, &p, |c, sum| 4.0 * c - sum).await;
-        ctx.charge_vec_flops(5 * n_local as u64).await;
+        let sums = geo.neighbour_sums(&ctx, &p).await;
+        let mut q = vec![Sf64::ZERO; n_local];
+        row::scale(FOUR, &p, &mut q);
+        row::sub(&mut q, &sums);
+        ctx.wait(ctx.issue_forms(&MATVEC, n_local)).await;
         let pq = global_dot(&ctx, cube, &p, &q).await;
-        let alpha = rs / pq;
-        for i in 0..n_local {
-            x[i] += alpha * p[i];
-            r[i] -= alpha * q[i];
-        }
-        ctx.charge_vec_flops(4 * n_local as u64).await;
+        let alpha = Sf64::from(rs / pq);
+        // x += α·p, then r −= α·q: one chain.
+        let _ = ctx.issue_saxpy_values(alpha, &p, &mut x);
+        ctx.wait(ctx.issue_saxpy_values(-alpha, &q, &mut r)).await;
         let rs_new = global_dot(&ctx, cube, &r, &r).await;
-        let beta = rs_new / rs;
-        for i in 0..n_local {
-            p[i] = r[i] + beta * p[i];
-        }
-        ctx.charge_vec_flops(2 * n_local as u64).await;
+        let beta = Sf64::from(rs_new / rs);
+        // p = β·p + r.
+        let mut next = r.clone();
+        ctx.wait(ctx.issue_saxpy_values(beta, &p, &mut next)).await;
+        p = next;
         rs = rs_new;
         iters += 1;
     }
@@ -92,22 +104,13 @@ pub fn distributed_cg(
 
 /// Max-norm residual `|A·x − b|` of the global five-point system (host).
 pub fn cg_residual(width: usize, height: usize, x: &[f64], b: &[f64]) -> f64 {
-    let at = |g: &[f64], xx: isize, yy: isize| -> f64 {
-        if xx < 0 || yy < 0 || xx >= width as isize || yy >= height as isize {
-            0.0
-        } else {
-            g[yy as usize * width + xx as usize]
-        }
-    };
-    let mut worst = 0.0f64;
-    for y in 0..height as isize {
-        for xx in 0..width as isize {
-            let ax = 4.0 * at(x, xx, y)
-                - (at(x, xx - 1, y) + at(x, xx + 1, y) + at(x, xx, y - 1) + at(x, xx, y + 1));
-            worst = worst.max((ax - b[y as usize * width + xx as usize]).abs());
-        }
-    }
-    worst
+    let sums = host_neighbour_sums(width, height, x);
+    let residuals = x
+        .iter()
+        .zip(sums)
+        .zip(b)
+        .map(|((x, s), b)| (4.0 * x - s - b).abs());
+    residuals.fold(0.0, f64::max)
 }
 
 #[cfg(test)]
@@ -145,12 +148,12 @@ mod tests {
 
     #[test]
     fn iteration_timing_is_pinned() {
-        // Halos, all-reduces and vector charges, to the picosecond: g = 8
+        // Halos, all-reduces and vector forms, to the picosecond: g = 8
         // tiles, seed 42, on a square and on a 4-cube, with the
         // simulator's timer events per machine.
         for (dim, iters, ps, events) in [
-            (2u32, 62, 18_715_075_000u64, 5_236u64),
-            (4, 125, 49_257_000_000, 70_208),
+            (2u32, 62, 20_567_325_000u64, 5_236u64),
+            (4, 125, 52_991_375_000, 70_208),
         ] {
             let mut m = Machine::build(MachineCfg::cube_small_mem(dim, 8));
             let (_, _, got, stats) = distributed_cg(&mut m, 8, 1e-10, 42);

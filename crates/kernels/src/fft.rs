@@ -38,8 +38,10 @@
 //! plus the pipelined exchange (`NetModel::pipelined_exchange`).
 //!
 //! Arithmetic is complex `Sf64` (the machine's 64-bit mode); a butterfly
-//! is 10 hardware flops (complex add, sub and multiply), charged to the
-//! vector unit of the node that computes it. Every butterfly sees the
+//! is 10 flops (complex add, sub and multiply), issued as vector forms
+//! over a stage's butterflies on the node that computes them: 8 forms a
+//! butterfly when the stage shares one twiddle ([`butterfly`]), 10 with a
+//! twiddle vector ([`BUTTERFLY_TWIDDLES`]). Every butterfly sees the
 //! operands and the twiddle it would see on one node, in the same order,
 //! so the spectrum is bit-identical at every machine size.
 
@@ -52,6 +54,7 @@ use ts_fpu::Sf64;
 use ts_mem::{join, split, ROW_WORDS};
 use ts_node::{occam, NodeCtx};
 use ts_sim::{Rendezvous, Time};
+use ts_vec::VecForm;
 
 use crate::{run_spmd, KernelStats};
 
@@ -127,8 +130,31 @@ impl Twiddles {
     }
 }
 
-/// Hardware flops charged per butterfly (complex add + sub + mul).
-pub const FLOPS_PER_BUTTERFLY: u64 = 10;
+/// The forms of a stage's butterflies that share the twiddle `w`, each
+/// over the butterflies: the sums and differences (real and imaginary
+/// parts), then each part of `(a − b)·w` as one part scaled plus a chained
+/// SAXPY of the other. 8 cycles for a butterfly's 10 flops.
+pub fn butterfly(w: Cpx) -> [VecForm; 8] {
+    use VecForm::{Saxpy, VAdd, VSMul, VSub};
+    [
+        VAdd,
+        VAdd,
+        VSub,
+        VSub,
+        VSMul(w.re),
+        Saxpy(-w.im),
+        VSMul(w.im),
+        Saxpy(w.re),
+    ]
+}
+
+/// The forms of a stage's butterflies with a twiddle vector: the sums and
+/// differences, the four products of `(a − b)·w`, and their difference
+/// and sum. 10 cycles for a butterfly's 10 flops.
+pub const BUTTERFLY_TWIDDLES: [VecForm; 10] = {
+    use VecForm::{VAdd, VMul, VSub};
+    [VAdd, VAdd, VSub, VSub, VMul, VMul, VMul, VMul, VSub, VAdd]
+};
 
 /// The wire form of `data`, in a word-pool buffer.
 fn pack(data: &[Cpx]) -> Vec<u32> {
@@ -182,11 +208,17 @@ fn butterflies(q: usize, table: &Twiddles, p: usize, span: usize, slots: &mut [C
     }
 }
 
-/// [`butterflies`] as the stage's vector form: returns the instant of its
-/// completion interrupt.
+/// [`butterflies`] as the stage's vector forms: returns the instant of the
+/// last one's completion interrupt. A stage of gap 1 pairs neighbouring
+/// slots, and all its butterflies take the one twiddle of index q.
 fn local_stage(ctx: &NodeCtx, table: &Twiddles, p: usize, span: usize, slots: &mut [Cpx]) -> Time {
-    butterflies(ctx.id() as usize, table, p, span, slots);
-    ctx.issue_vec_flops(FLOPS_PER_BUTTERFLY * (slots.len() as u64 / 2))
+    let q = ctx.id() as usize;
+    butterflies(q, table, p, span, slots);
+    let forms = match span / p {
+        1 => &butterfly(table.at(q, span))[..],
+        _ => &BUTTERFLY_TWIDDLES,
+    };
+    ctx.issue_forms(forms, slots.len() / 2)
 }
 
 /// One cross-node butterfly stage of span `span` (< p) as a pipeline
@@ -231,8 +263,7 @@ async fn cross_stage(
             *hi = twiddled(a, b, w);
         }
         ts_sim::pool::put_words(words);
-        ctx.charge_vec_flops(FLOPS_PER_BUTTERFLY * half as u64)
-            .await;
+        ctx.wait(ctx.issue_forms(&butterfly(w), half)).await;
         output.send(piece).await;
     };
     let mut landed = fetch().await;
@@ -311,7 +342,7 @@ pub async fn fft_node(
                 // once; a cross stage's form issued meanwhile queues
                 // behind them.
                 let due = need.min(head + i as u64 * rate);
-                let mut done = ctx.issue_vec_flops(FLOPS_PER_BUTTERFLY * (due - charged));
+                let mut done = ctx.issue_forms(&BUTTERFLY_TWIDDLES, (due - charged) as usize);
                 charged = due;
                 let mut span = p * piece / 2;
                 let slots = &mut local[start..start + piece];
@@ -490,27 +521,35 @@ mod tests {
         // of 64 points through 4 stages, each sending half a piece (128
         // words). The first piece leaves once the 4 local stages that pair
         // slots of two pieces have run on the blocks it opens — 512 + 256 +
-        // 128 + 64 butterflies, about nl — and what the run adds to that is
-        // the pipeline: the feed releases the rest of the local work at a
-        // rate the wire hides, and each stage computes a piece's
-        // butterflies under the next piece's exchange. The model leaves out
-        // the first piece's in-piece stages and the last piece's
-        // butterflies, which nothing hides. On a 1-cube the feed is the
-        // stage ahead of the one exchange, and the pieces are sized so.
+        // 128 + 64 butterflies, about nl — and its own in-piece stages; what
+        // the run adds to that is the pipeline: the feed releases the rest
+        // of the local work at a rate the wire hides, and each stage
+        // computes a piece's butterflies under the next piece's exchange.
+        // The model leaves out that first release and the last piece's
+        // butterflies at every stage, which nothing hides; the test prices
+        // them with the kernel's own forms on one node. On a 1-cube the feed
+        // is the stage ahead of the one exchange, and the pieces are sized
+        // so.
         let net = NetModel::default();
         for (dim, total) in [(4u32, 1usize << 14), (4, 1 << 16), (1, 1 << 12)] {
             let mut m = Machine::build(MachineCfg::cube_small_mem(dim, 8));
-            let nl = total >> dim;
+            let (p, nl) = (1 << dim, total >> dim);
             let piece = piece_points(&m.ctx(0), dim, nl);
             let pieces = nl / piece;
             assert!(pieces > 1, "dim {dim}, N {total}: nothing pipelined");
             let mut one = Machine::build(MachineCfg::cube_small_mem(0, 8));
             one.launch(move |ctx| async move {
-                let mut gap = nl / 2;
-                while gap >= piece {
-                    ctx.charge_vec_flops(FLOPS_PER_BUTTERFLY * gap as u64).await;
-                    gap /= 2;
+                let (table, mut slots) = (Twiddles::new(total), vec![Cpx::new(1.0, -1.0); piece]);
+                let mut done = ctx.issue_forms(&BUTTERFLY_TWIDDLES, nl - piece);
+                let mut span = p * piece / 2;
+                while span >= p {
+                    done = local_stage(&ctx, &table, p, span, &mut slots);
+                    span /= 2;
                 }
+                for _ in 0..dim {
+                    done = ctx.issue_forms(&butterfly(table.at(0, 1)), piece / 2);
+                }
+                ctx.wait(done).await;
             });
             assert!(one.run().quiescent);
             let head = one.now().since(Time::ZERO);

@@ -163,15 +163,18 @@ impl LuNode {
         if self.r == root_row {
             free.retain(|&g| g != best_row);
         }
-        let multipliers = pivot.map(|(v, _)| {
-            let recip = softdiv::recip(Sf64::from_bits(v.to_bits()));
+        let recip = pivot.map(|(v, _)| softdiv::recip(Sf64::from_bits(v.to_bits())));
+        let multipliers = recip.map(|recip| {
             let mem = ctx.mem();
             let f = |&g: &usize| mem.read_f64(grid.word(&self.layout, g, k)).unwrap() * recip;
             free.iter().flat_map(|g| split(f(g).to_bits())).collect()
         });
-        if pivot.is_some() {
-            let flops = softdiv::RECIP_FLOPS + free.len() as u64;
-            ctx.charge_vec_flops(flops).await;
+        if let Some(recip) = recip {
+            // The reciprocal's dependent chain, one element a form, then the
+            // free rows' multipliers in one form.
+            let chain = ctx.issue_forms(&VecForm::RECIP, 1);
+            ctx.wait(chain.max(ctx.issue_forms(&[VecForm::VSMul(recip)], free.len())))
+                .await;
         }
         // Columns j > k: local columns `first..cols`.
         let first = (k + grid.pc - self.c) / grid.pc;
@@ -377,7 +380,16 @@ mod tests {
     use super::*;
     use t_series_core::model::NetModel;
     use t_series_core::{Machine, MachineCfg};
+    use ts_fpu::pipeline::Precision;
     use ts_sim::{Dur, Time};
+    use ts_vec::VecUnit;
+
+    /// The unit's time for `forms` issued back to back over `n` elements,
+    /// as `NodeCtx::issue_forms` books them.
+    fn forms_time(forms: &[VecForm], n: usize) -> Dur {
+        let time = |&form: &VecForm| VecUnit::timing(form, n, 1, Precision::Double).duration;
+        forms.iter().filter(|_| n > 0).map(time).sum()
+    }
 
     fn check(dim: u32, n: usize) -> KernelStats {
         let mut m = Machine::build(MachineCfg::cube(dim));
@@ -571,11 +583,13 @@ mod tests {
 
     #[test]
     fn one_step_costs_the_lu_step_model() {
-        // One step's communication alone, from the candidates on:
+        // One step's communication, from the candidates on:
         // `NetModel::lu_step` of the longest process row's free rows and
-        // the longest process column's trailing columns. Step 0 with every
-        // row free; the last step, which has no trailing columns; and a
-        // step whose only free row is the pivot's, which has no multipliers.
+        // the longest process column's trailing columns, after the pivot
+        // column forms the multipliers (the reciprocal's chain, then one
+        // `VSMul` over the free rows). Step 0 with every row free; the last
+        // step, which has no trailing columns; and a step whose only free
+        // row is the pivot's, which has no multipliers.
         let net = NetModel::default();
         let n = 64;
         for dim in 2..=4u32 {
@@ -601,7 +615,9 @@ mod tests {
                     node.trade(k, candidate, &mut free).await;
                 });
                 assert!(m.run().quiescent);
-                let model = net.lu_step(grid.dr, grid.dc, rows, cols);
+                let multipliers = forms_time(&VecForm::RECIP, 1)
+                    + forms_time(&[VecForm::VSMul(Sf64::ZERO)], rows);
+                let model = net.lu_step(grid.dr, grid.dc, rows, cols) + multipliers;
                 let got = m.now().since(Time::ZERO);
                 let (g, w) = (got.as_secs_f64(), model.as_secs_f64());
                 assert!(
@@ -616,10 +632,10 @@ mod tests {
     fn factoring_takes_the_steps_and_at_most_the_work_between_them() {
         // Every step's communication is on the critical path, one step
         // after the other. What else is on it is work: each step's pivot
-        // search on the pivot column, then the elimination on the next
-        // one. So it is at most the busiest node's vector and CP time plus
-        // every pivot search of a process row (a node's own searches are a
-        // 1/pc share of them).
+        // search and reciprocal on the pivot column, then the elimination
+        // on the next one. So it is at most the busiest node's vector and
+        // CP time plus every pivot search and reciprocal chain of a process
+        // row (a node's own are a 1/pc share of them).
         let n = 128;
         let mut m = Machine::build(MachineCfg::cube(4));
         let (_, perm, _, stats) = distributed_lu(&mut m, n, 1986);
@@ -655,9 +671,11 @@ mod tests {
             .max()
             .map(|gathered: u64| ts_mem::GATHER64_TIME * gathered)
             .unwrap();
+        let recips = forms_time(&VecForm::RECIP, 1) * n as u64;
         assert!(
-            steps <= stats.elapsed && stats.elapsed <= steps + work + searches,
-            "LU {}, steps {steps}, busiest node's work {work}, searches {searches}",
+            steps <= stats.elapsed && stats.elapsed <= steps + work + searches + recips,
+            "LU {}, steps {steps}, busiest node's work {work}, searches {searches}, \
+             reciprocals {recips}",
             stats.elapsed
         );
     }

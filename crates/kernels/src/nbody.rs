@@ -9,14 +9,18 @@
 //! successor (one physical hop, dilation 1). Communication is perfectly
 //! balanced: every link carries the same traffic at the same time.
 //!
-//! Forces use a Plummer-softened inverse square law. Arithmetic cost is
-//! charged per pair: the r⁻³ factor needs the node's *software*
-//! reciprocal-square-root (no divider!), so a pair costs far more than the
-//! naive flop count — an honest accounting of 1986 node arithmetic.
+//! Forces use a Plummer-softened inverse square law, in `Sf64` by the
+//! FPU's rules. Each resident issues its pairs' arithmetic as vector forms
+//! over the visitor vector ([`PAIR`]): the r⁻³ factor needs the node's
+//! *software* square root and reciprocal (no divider!), so a pair costs
+//! far more than the naive flop count — an honest accounting of 1986 node
+//! arithmetic.
 
 use ts_cube::{embed::RingEmbedding, Hypercube};
-use ts_fpu::softdiv;
+use ts_fpu::{softdiv, Sf64};
 use ts_node::NodeCtx;
+use ts_sim::Time;
+use ts_vec::VecForm;
 
 use crate::{pack, rand_f64, run_spmd, unpack, KernelStats};
 
@@ -34,26 +38,44 @@ pub struct Body {
 /// Softening length (Plummer) keeping close encounters finite.
 pub const SOFTENING: f64 = 1e-3;
 
-/// Hardware operations charged per interaction pair: subtracts, multiplies
-/// and the Newton–Raphson reciprocal square root (r² → r⁻³ path).
-pub const FLOPS_PER_PAIR: u64 = 10 + softdiv::SQRT_FLOPS + softdiv::RECIP_FLOPS;
+/// The forms of one resident's pairs, each over the visitor vector: the
+/// differences, `r² = (dx² + dy²) + ε²`, `1/√r²` by [`VecForm::SQRT`] and
+/// [`VecForm::RECIP`], `f = m·M·r⁻¹·r⁻¹·r⁻¹` and the force components
+/// `Σ f·dx`, `Σ f·dy`. (A scalar operand is the resident's coordinate or
+/// mass; a form's time does not depend on it.)
+pub const PAIR: [&[VecForm]; 4] = {
+    use VecForm::{Dot, VAdd, VMul, VSAdd, VSMul};
+    let zero = Sf64::ZERO;
+    [
+        &[VSAdd(zero), VSAdd(zero), VMul, VMul, VAdd, VSAdd(zero)],
+        &VecForm::SQRT,
+        &VecForm::RECIP,
+        &[VSMul(zero), VMul, VMul, VMul, Dot, Dot],
+    ]
+};
 
-/// Accumulate the forces `residents` feel from `visitors`.
-fn accumulate(residents: &[Body], visitors: &[Body], forces: &mut [(f64, f64)]) {
-    for (i, r) in residents.iter().enumerate() {
+/// Add to each resident's force what `visitors` exert on it.
+fn accumulate(residents: &[Body], visitors: &[Body], forces: &mut [(Sf64, Sf64)]) {
+    let eps2 = Sf64::from(SOFTENING * SOFTENING);
+    for (r, force) in residents.iter().zip(forces) {
+        let [rx, ry, rm] = [r.x, r.y, r.m].map(Sf64::from);
         for v in visitors {
-            let dx = v.x - r.x;
-            let dy = v.y - r.y;
-            let r2 = dx * dx + dy * dy + SOFTENING * SOFTENING;
-            if r2 == 0.0 {
-                continue;
-            }
-            let inv_r = 1.0 / r2.sqrt();
-            let f = r.m * v.m * inv_r * inv_r * inv_r;
-            forces[i].0 += f * dx;
-            forces[i].1 += f * dy;
+            let [vx, vy, vm] = [v.x, v.y, v.m].map(Sf64::from);
+            let (dx, dy) = (vx - rx, vy - ry);
+            let inv_r = softdiv::recip(softdiv::sqrt(dx * dx + dy * dy + eps2));
+            let f = rm * vm * inv_r * inv_r * inv_r;
+            *force = (force.0 + f * dx, force.1 + f * dy);
         }
     }
+}
+
+/// [`PAIR`] over `visitors` elements for each of `residents`, as one chain.
+fn issue_pairs(ctx: &NodeCtx, residents: usize, visitors: usize) -> Time {
+    let mut done = ctx.now();
+    for forms in (0..residents).flat_map(|_| PAIR) {
+        done = ctx.issue_forms(forms, visitors);
+    }
+    done
 }
 
 /// The per-node program: returns the total force on each resident body.
@@ -62,15 +84,14 @@ pub async fn nbody_node(ctx: NodeCtx, cube: Hypercube, residents: Vec<Body>) -> 
     let me = ctx.id();
     let nl = residents.len();
 
-    let mut forces = vec![(0.0, 0.0); nl];
+    let mut forces = vec![(Sf64::ZERO, Sf64::ZERO); nl];
     // Self-interactions (excluding each body with itself).
     for i in 0..nl {
         let mut others = residents.clone();
         others.swap_remove(i);
         accumulate(&residents[i..=i], &others, &mut forces[i..=i]);
     }
-    ctx.charge_vec_flops(FLOPS_PER_PAIR * (nl * nl.saturating_sub(1)) as u64)
-        .await;
+    ctx.wait(issue_pairs(&ctx, nl, nl.saturating_sub(1))).await;
 
     // Circulate the visitor buffer p−1 steps around the ring (a ring of
     // one node has no link to cross).
@@ -88,10 +109,12 @@ pub async fn nbody_node(ctx: NodeCtx, cube: Hypercube, residents: Vec<Body>) -> 
             })
             .collect();
         accumulate(&residents, &visitors, &mut forces);
-        ctx.charge_vec_flops(FLOPS_PER_PAIR * (nl * visitors.len()) as u64)
-            .await;
+        ctx.wait(issue_pairs(&ctx, nl, visitors.len())).await;
     }
     forces
+        .into_iter()
+        .map(|(x, y)| (x.into(), y.into()))
+        .collect()
 }
 
 /// Host driver: total forces for `total` random bodies; returns

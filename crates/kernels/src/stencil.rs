@@ -5,15 +5,27 @@
 //! a g×g tile of the global (s·g)×(s·g) grid. Every sweep exchanges halo
 //! rows/columns with the (up to four) mesh neighbours — mesh faces have no
 //! neighbour; the global boundary is held at zero — then relaxes
-//! `u' = ¼(N+S+E+W)`, charging the vector units 4 flops per interior
-//! point. Numerics use host `f64` values carried through `Sf64` storage.
+//! `u' = ¼·(((W + E) + N) + S)` in `Sf64` by the FPU's rules, issuing
+//! the vector forms of that arithmetic over the tile ([`RELAX`]).
 
 use std::future::Future;
 
 use ts_cube::{embed::MeshEmbedding, Hypercube};
-use ts_node::{occam, NodeCtx};
+use ts_fpu::soft::row;
+use ts_fpu::Sf64;
+use ts_node::{f64s_of, occam, pack_f64s_into, NodeCtx};
+use ts_vec::VecForm;
 
-use crate::{pack, run_spmd, unpack, KernelStats};
+use crate::{run_spmd, KernelStats};
+
+/// Jacobi's forms over a tile: the neighbour sums (three adds), then the
+/// quarter.
+pub const RELAX: [VecForm; 4] = {
+    use VecForm::{VAdd, VSMul};
+    [VAdd, VAdd, VAdd, VSMul(QUARTER)]
+};
+
+const QUARTER: Sf64 = Sf64::from_bits(0.25f64.to_bits());
 
 /// A node's g×g tile of the 2-D mesh the grid kernels (Jacobi here, and
 /// CG) distribute, with the cube dimension to each of its up to four mesh
@@ -45,49 +57,49 @@ impl Tile {
         }
     }
 
-    /// The five-point stencil on fresh halos: exchange `p`'s edge strips
-    /// with every neighbour, then `out[i] = f(p[i], W + E + N + S)`.
-    pub(crate) async fn five_point(
-        &self,
-        ctx: &NodeCtx,
-        p: &[f64],
-        f: impl Fn(f64, f64) -> f64,
-    ) -> Vec<f64> {
+    /// The five-point stencil's neighbour sums on fresh halos: exchange
+    /// `p`'s edge strips with every neighbour, then `((W + E) + N) + S` at
+    /// every point, the three adds both grid kernels start with.
+    pub(crate) async fn neighbour_sums(&self, ctx: &NodeCtx, p: &[Sf64]) -> Vec<Sf64> {
         let g = self.g;
-        let col = |x: usize| -> Vec<f64> { (0..g).map(|y| p[y * g + x]).collect() };
-        let row = |y: usize| -> Vec<f64> { p[y * g..(y + 1) * g].to_vec() };
+        let col = |x: usize| -> Vec<Sf64> { (0..g).map(|y| p[y * g + x]).collect() };
+        let row = |y: usize| -> Vec<Sf64> { p[y * g..(y + 1) * g].to_vec() };
         // One exchange per edge, all four in PAR (deadlock-free: every
         // edge has a send and a receive posted at once).
         let strips = [col(0), col(g - 1), row(0), row(g - 1)];
         let edges = (self.dims.into_iter().zip(strips)).filter_map(|(dim, strip)| {
-            let (d, ctx, words) = (dim?, ctx.clone(), pack(&strip));
+            let (d, ctx, mut words) = (dim?, ctx.clone(), Vec::new());
+            pack_f64s_into(&mut words, &strip);
             Some(async move { ctx.exchange(d, words, d).await })
         });
         let halos = occam::par_all(ctx.handle(), edges.collect()).await;
-        let mut halos = halos.iter().map(|words| unpack(words));
+        let mut halos = halos.iter().map(|words| f64s_of(words).collect::<Vec<_>>());
         let [w_h, e_h, n_h, s_h] = self.dims.map(|d| d.and_then(|_| halos.next()));
-        let at = |x: isize, y: isize| -> f64 {
+        let halo =
+            |h: &Option<Vec<Sf64>>, i: isize| h.as_ref().map_or(Sf64::ZERO, |h| h[i as usize]);
+        let at = |x: isize, y: isize| -> Sf64 {
             if x < 0 {
-                w_h.as_ref().map_or(0.0, |h| h[y as usize])
+                halo(&w_h, y)
             } else if x >= g as isize {
-                e_h.as_ref().map_or(0.0, |h| h[y as usize])
+                halo(&e_h, y)
             } else if y < 0 {
-                n_h.as_ref().map_or(0.0, |h| h[x as usize])
+                halo(&n_h, x)
             } else if y >= g as isize {
-                s_h.as_ref().map_or(0.0, |h| h[x as usize])
+                halo(&s_h, x)
             } else {
                 p[y as usize * g + x as usize]
             }
         };
-        let mut out = vec![0.0; g * g];
-        for y in 0..g as isize {
-            for x in 0..g as isize {
-                let sum = at(x - 1, y) + at(x + 1, y) + at(x, y - 1) + at(x, y + 1);
-                let i = y as usize * g + x as usize;
-                out[i] = f(p[i], sum);
-            }
+        let side = |dx: isize, dy: isize| -> Vec<Sf64> {
+            (0..g * g)
+                .map(|i| at((i % g) as isize + dx, (i / g) as isize + dy))
+                .collect()
+        };
+        let mut sums = side(-1, 0);
+        for (dx, dy) in [(1, 0), (0, -1), (0, 1)] {
+            row::add(&mut sums, &side(dx, dy));
         }
-        out
+        sums
     }
 }
 
@@ -95,12 +107,12 @@ impl Tile {
 /// (s·g)-wide row-major grid, into each node's g×g tile, run `program` on
 /// every node with its tile, and paste the tiles the nodes return back into
 /// one grid. Also returns each node's second output, in node order.
-pub(crate) fn on_tiles<X: 'static, Fut: Future<Output = (Vec<f64>, X)> + 'static>(
+pub(crate) fn on_tiles<X: 'static, Fut: Future<Output = (Vec<Sf64>, X)> + 'static>(
     machine: &mut t_series_core::Machine,
     kernel: &str,
     g: usize,
     grid: &[f64],
-    program: impl Fn(NodeCtx, Vec<f64>) -> Fut,
+    program: impl Fn(NodeCtx, Vec<Sf64>) -> Fut,
 ) -> (Vec<f64>, Vec<X>, KernelStats) {
     let cube = machine.cube;
     let half = cube.dim() / 2;
@@ -115,14 +127,14 @@ pub(crate) fn on_tiles<X: 'static, Fut: Future<Output = (Vec<f64>, X)> + 'static
     };
     let (outs, stats) = run_spmd(machine, kernel, |ctx| {
         let at = place(ctx.id());
-        program(ctx, (0..g * g).map(|i| grid[at(i)]).collect())
+        program(ctx, (0..g * g).map(|i| Sf64::from(grid[at(i)])).collect())
     });
     let mut out = vec![0.0; grid.len()];
     let mut extras = Vec::with_capacity(outs.len());
     for (id, (tile, extra)) in outs.into_iter().enumerate() {
         let at = place(id as u32);
         for (i, v) in tile.into_iter().enumerate() {
-            out[at(i)] = v;
+            out[at(i)] = v.to_host();
         }
         extras.push(extra);
     }
@@ -135,13 +147,14 @@ pub async fn jacobi_node(
     ctx: NodeCtx,
     cube: Hypercube,
     g: usize,
-    mut tile: Vec<f64>,
+    mut tile: Vec<Sf64>,
     sweeps: usize,
-) -> Vec<f64> {
+) -> Vec<Sf64> {
     let geo = Tile::new(&ctx, cube, g);
     for _ in 0..sweeps {
-        tile = geo.five_point(&ctx, &tile, |_, sum| 0.25 * sum).await;
-        ctx.charge_vec_flops(4 * (g * g) as u64).await;
+        let sums = geo.neighbour_sums(&ctx, &tile).await;
+        row::scale(QUARTER, &sums, &mut tile);
+        ctx.wait(ctx.issue_forms(&RELAX, g * g)).await;
     }
     tile
 }
@@ -164,27 +177,26 @@ pub fn distributed_jacobi(
 /// Host reference: the same sweeps on the full grid (zero boundary).
 pub fn reference_jacobi(width: usize, height: usize, sweeps: usize, init: &[f64]) -> Vec<f64> {
     let mut cur = init.to_vec();
-    let at = |g: &[f64], x: isize, y: isize| -> f64 {
+    for _ in 0..sweeps {
+        let sums = host_neighbour_sums(width, height, &cur);
+        cur = sums.iter().map(|sum| 0.25 * sum).collect();
+    }
+    cur
+}
+
+/// The host's `((W + E) + N) + S` at every point of a `width × height`
+/// row-major grid with a zero boundary.
+pub(crate) fn host_neighbour_sums(width: usize, height: usize, grid: &[f64]) -> Vec<f64> {
+    let at = |x: isize, y: isize| -> f64 {
         if x < 0 || y < 0 || x >= width as isize || y >= height as isize {
             0.0
         } else {
-            g[y as usize * width + x as usize]
+            grid[y as usize * width + x as usize]
         }
     };
-    for _ in 0..sweeps {
-        let mut next = vec![0.0; cur.len()];
-        for y in 0..height as isize {
-            for x in 0..width as isize {
-                next[y as usize * width + x as usize] = 0.25
-                    * (at(&cur, x - 1, y)
-                        + at(&cur, x + 1, y)
-                        + at(&cur, x, y - 1)
-                        + at(&cur, x, y + 1));
-            }
-        }
-        cur = next;
-    }
-    cur
+    let sum = |x: isize, y: isize| at(x - 1, y) + at(x + 1, y) + at(x, y - 1) + at(x, y + 1);
+    let xy = |i: usize| ((i % width) as isize, (i / width) as isize);
+    (0..width * height).map(|i| sum(xy(i).0, xy(i).1)).collect()
 }
 
 #[cfg(test)]
@@ -237,9 +249,23 @@ mod tests {
             let mut m = Machine::build(MachineCfg::cube_small_mem(dim, 8));
             let init: Vec<f64> = (0..64 << dim).map(|i| (i % 7) as f64).collect();
             let (_, stats) = distributed_jacobi(&mut m, 8, 3, &init);
-            assert_eq!(stats.elapsed.as_ps(), 455_475_000, "dim {dim}");
+            assert_eq!(stats.elapsed.as_ps(), 518_775_000, "dim {dim}");
             assert_eq!(m.profile().timer_events, events, "dim {dim}");
         }
+    }
+
+    #[test]
+    fn a_subnormal_quarter_flushes_to_zero() {
+        // §II: the FPU flushes subnormal results to zero. One point of
+        // 2⁻¹⁰²¹ (normal): its neighbours' quarter of it, 2⁻¹⁰²³, is
+        // subnormal, which host IEEE keeps and the node flushes.
+        let mut m = Machine::build(MachineCfg::cube_small_mem(0, 8));
+        let mut init = vec![0.0; 64];
+        init[27] = f64::from_bits(2 << 52);
+        let host = reference_jacobi(8, 8, 1, &init);
+        assert_eq!(host[26].to_bits(), 1 << 51, "host IEEE keeps 2⁻¹⁰²³");
+        let (got, _) = distributed_jacobi(&mut m, 8, 1, &init);
+        assert!(got.iter().all(|v| v.to_bits() == 0), "{got:?}");
     }
 
     #[test]

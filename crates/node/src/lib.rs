@@ -906,11 +906,27 @@ impl NodeCtx {
     /// live in registers/DMA buffers rather than aligned rows, so the row
     /// model is not touched: the time is the unit's own [`VecUnit::timing`]
     /// of `form` over `n` 64-bit elements streaming cross-bank (II = 1).
-    /// `flops` overrides the form's count.
-    fn issue_form(&self, form: VecForm, n: usize, flops: Option<u64>) -> Time {
-        let mut timing = VecUnit::timing(form, n, 1, Precision::Double);
-        timing.flops = flops.unwrap_or(timing.flops);
+    fn issue_form(&self, form: VecForm, n: usize) -> Time {
+        let timing = VecUnit::timing(form, n, 1, Precision::Double);
         self.occupy_vec(self.now(), timing, n)
+    }
+
+    /// Issue `forms` back to back over `n` message-buffer elements: the
+    /// arithmetic a program does on values it holds, each form priced by
+    /// the unit's own [`VecUnit::timing`] (cross-bank, II = 1) and booking
+    /// its own flops. Returns the last form's instant, for
+    /// [`NodeCtx::wait`]; `n == 0` issues nothing and is complete now —
+    /// earlier than the forms before it in a chain, which waits on the
+    /// latest instant it was given.
+    #[must_use = "an issued form completes only once its instant is waited for"]
+    pub fn issue_forms(&self, forms: &[VecForm], n: usize) -> Time {
+        let mut done = self.now();
+        if n > 0 {
+            for &form in forms {
+                done = self.issue_form(form, n);
+            }
+        }
+        done
     }
 
     /// Combine two value vectors elementwise through the vector unit,
@@ -938,7 +954,7 @@ impl NodeCtx {
                 }
             }
         }
-        self.issue_form(VecForm::VAdd, acc.len(), None)
+        self.issue_form(VecForm::VAdd, acc.len())
     }
 
     /// SAXPY on message-buffer values: `y[i] += a·x[i]` through the chained
@@ -948,7 +964,7 @@ impl NodeCtx {
     pub fn issue_saxpy_values(&self, a: Sf64, x: &[Sf64], y: &mut [Sf64]) -> Time {
         assert_eq!(x.len(), y.len(), "saxpy_values length mismatch");
         row::saxpy(a, x, y);
-        self.issue_form(VecForm::Saxpy(a), x.len(), None)
+        self.issue_form(VecForm::Saxpy(a), x.len())
     }
 
     /// Local GEMM on message-buffer values: `c += a·b` over the k-range
@@ -978,41 +994,14 @@ impl NodeCtx {
     }
 
     /// Dot product on message-buffer values (2 flops per element, plus the
-    /// reduction's feedback drain). Seeded like [`VecForm::Dot`]: the first
-    /// product starts the sum, and an empty product is `+0`.
-    pub async fn dot_values(&self, x: &[Sf64], y: &[Sf64]) -> Sf64 {
-        let (dot, done) = self.issue_dot_values(x, y);
-        self.wait(done).await;
-        dot
-    }
-
-    /// [`NodeCtx::dot_values`] without the wait.
+    /// reduction's feedback drain), and the form's completion instant, for
+    /// [`NodeCtx::wait`]. Seeded like [`VecForm::Dot`]: the first product
+    /// starts the sum, and an empty product is `+0`.
     #[must_use = "an issued form completes only once its instant is waited for"]
     pub fn issue_dot_values(&self, x: &[Sf64], y: &[Sf64]) -> (Sf64, Time) {
-        assert_eq!(x.len(), y.len(), "dot_values length mismatch");
+        assert_eq!(x.len(), y.len(), "dot length mismatch");
         let dot = row::dot(None, x, y).unwrap_or(Sf64::ZERO);
-        (dot, self.issue_form(VecForm::Dot, x.len(), None))
-    }
-
-    /// Charge the vector unit for `flops` floating-point operations issued
-    /// as fused chained forms at the node's 2-flops-per-cycle peak, without
-    /// modeling the individual operands (used by kernels whose inner loops
-    /// are algorithmically regular, e.g. FFT butterflies).
-    pub async fn charge_vec_flops(&self, flops: u64) {
-        let done = self.issue_vec_flops(flops);
-        self.wait(done).await;
-    }
-
-    /// [`NodeCtx::charge_vec_flops`] without the wait. Zero flops issue
-    /// nothing and are complete now — earlier than the forms before them
-    /// in a chain, which waits on the latest instant it was given.
-    #[must_use = "an issued form completes only once its instant is waited for"]
-    pub fn issue_vec_flops(&self, flops: u64) -> Time {
-        if flops == 0 {
-            return self.now();
-        }
-        let cycles = flops.div_ceil(2) as usize;
-        self.issue_form(VecForm::Saxpy(Sf64::ZERO), cycles, Some(flops))
+        (dot, self.issue_form(VecForm::Dot, x.len()))
     }
 
     // --- links --------------------------------------------------------------
@@ -1456,7 +1445,7 @@ mod tests {
                 mark(&ctx);
                 ctx.vec(VecForm::Saxpy(a), 0, 256, 300, n).await.unwrap();
                 mark(&ctx);
-                ctx.dot_values(&x, &y).await;
+                ctx.wait(ctx.issue_dot_values(&x, &y).1).await;
                 mark(&ctx);
                 ctx.vec(VecForm::Dot, 0, 256, 300, n).await.unwrap();
                 mark(&ctx);
@@ -1466,7 +1455,7 @@ mod tests {
             let took = jh.try_take().unwrap();
             assert_eq!(took[0], took[1], "combine_values(Add) vs VAdd, n = {n}");
             assert_eq!(took[2], took[3], "issue_saxpy_values vs Saxpy, n = {n}");
-            assert_eq!(took[4], took[5], "dot_values vs Dot, n = {n}");
+            assert_eq!(took[4], took[5], "issue_dot_values vs Dot, n = {n}");
         }
     }
 
@@ -1542,7 +1531,8 @@ mod tests {
                     assert_eq!(bits(&z), each(&|x, y| a * x + y), "saxpy {what}");
                     assert_eq!(row_of(&ctx), each(&|x, y| a * x + y), "Saxpy {what}");
                     let want = x.iter().zip(&y).map(|(&x, &y)| x * y).reduce(|s, p| s + p);
-                    let dot = ctx.dot_values(&x, &y).await;
+                    let (dot, done) = ctx.issue_dot_values(&x, &y);
+                    ctx.wait(done).await;
                     let form = ctx.vec(VecForm::Dot, 0, 256, 300, len).await.unwrap();
                     assert_eq!(Some(dot.to_bits()), want.map(Sf64::to_bits), "dot {what}");
                     assert_eq!(form.scalar, want.map(Sf64::to_bits), "Dot {what}");
@@ -1556,6 +1546,28 @@ mod tests {
     }
 
     #[test]
+    fn issued_forms_take_their_own_timings_back_to_back() {
+        // Each form is priced by `VecUnit::timing` over the n elements and
+        // books its own flops; no elements issue nothing.
+        let mut sim = Sim::new();
+        let node = Node::new(0, NodeCfg::default(), sim.handle());
+        let ctx = node.ctx();
+        let forms = [VecForm::VAdd, VecForm::VSMul(Sf64::from(0.5)), VecForm::Dot];
+        let jh = sim.spawn(async move {
+            assert_eq!(ctx.issue_forms(&forms, 0), ctx.now(), "nothing issued");
+            let done = ctx.issue_forms(&forms, 100);
+            ctx.wait(done).await;
+            done.since(Time::ZERO)
+        });
+        sim.run();
+        let time = |f| VecUnit::timing(f, 100, 1, Precision::Double).duration;
+        let want = forms.into_iter().map(time).sum::<Dur>();
+        assert_eq!(jh.try_take().unwrap(), want);
+        let m = node.meters();
+        assert_eq!((m.vec_flops.get(), m.vec_len.total()), (400, 3));
+    }
+
+    #[test]
     fn dot_seeding_is_the_same_for_value_and_memory_forms() {
         // The first product seeds the sum: −1 · 0 = −0 stays −0, where
         // seeding with +0 would give +0 + −0 = +0.
@@ -1565,9 +1577,9 @@ mod tests {
             let (x, y) = ([Sf64::from(-1.0)], [Sf64::from(0.0)]);
             ctx.mem_mut().write_f64(0, x[0]).unwrap();
             ctx.mem_mut().write_f64(256 * ROW_WORDS, y[0]).unwrap();
-            let value = ctx.dot_values(&x, &y).await.to_bits();
+            let value = ctx.issue_dot_values(&x, &y).0.to_bits();
             let memory = ctx.vec(VecForm::Dot, 0, 256, 300, 1).await.unwrap();
-            let empty = ctx.dot_values(&[], &[]).await.to_bits();
+            let empty = ctx.issue_dot_values(&[], &[]).0.to_bits();
             (value, memory.scalar, empty)
         });
         sim.run();

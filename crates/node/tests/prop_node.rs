@@ -166,6 +166,15 @@ fn link_payload_integrity() {
 use ts_node::{CombineOp, NodeCtx};
 use ts_sim::{Dur, Span, Time, Tracer};
 
+/// A sequence of forms through [`NodeCtx::issue_forms`]: the adder, the
+/// multiplier, the chained pair and a reduction.
+const FORMS: [VecForm; 4] = [
+    VecForm::VAdd,
+    VecForm::VSMul(Sf64::ZERO),
+    VecForm::Saxpy(Sf64::ZERO),
+    VecForm::Dot,
+];
+
 /// One vector-unit operation of a scripted program.
 #[derive(Clone, Copy, Debug)]
 enum VecOp {
@@ -178,7 +187,8 @@ enum VecOp {
     Saxpy(usize),
     Dot(usize),
     Combine(CombineOp, usize),
-    Flops(u64),
+    /// [`FORMS`] over `n` message-buffer elements.
+    Forms(usize),
     /// `n` control-processor instructions: awaited, except in
     /// [`Mode::Booked`].
     Cp(u64),
@@ -261,14 +271,15 @@ fn issue(ctx: &NodeCtx, op: VecOp, step: usize, out: &mut Vec<u64>) -> Time {
             out.extend(acc.iter().map(|v| v.to_bits()));
             done
         }
-        VecOp::Flops(flops) => ctx.issue_vec_flops(flops),
+        VecOp::Forms(n) => ctx.issue_forms(&FORMS, n),
         VecOp::Cp(_) => unreachable!("a CP charge is awaited or booked"),
     }
 }
 
 /// The same operation through the awaited front door (`vec`, `vec32`,
-/// `dot_values`, …; SAXPY's has only the issue form, awaited by `wait`),
-/// so the test also pins `async = wait(issue(..))`.
+/// `combine_values`; SAXPY's, the dot's and `issue_forms` have only the
+/// issue form, awaited by `wait`), so the test also pins
+/// `async = wait(issue(..))`.
 async fn awaited(ctx: &NodeCtx, op: VecOp, step: usize, out: &mut Vec<u64>) {
     let salt = step as u64;
     match op {
@@ -288,14 +299,16 @@ async fn awaited(ctx: &NodeCtx, op: VecOp, step: usize, out: &mut Vec<u64>) {
         }
         VecOp::Dot(n) => {
             let (x, y) = operands(n, salt);
-            out.push(ctx.dot_values(&x, &y).await.to_bits());
+            let (dot, done) = ctx.issue_dot_values(&x, &y);
+            ctx.wait(done).await;
+            out.push(dot.to_bits());
         }
         VecOp::Combine(cop, n) => {
             let (mut acc, other) = operands(n, salt);
             ctx.combine_values(cop, &mut acc, &other).await;
             out.extend(acc.iter().map(|v| v.to_bits()));
         }
-        VecOp::Flops(flops) => ctx.charge_vec_flops(flops).await,
+        VecOp::Forms(n) => ctx.wait(ctx.issue_forms(&FORMS, n)).await,
         VecOp::Cp(n) => ctx.cp_compute(n).await,
     }
 }
@@ -417,7 +430,7 @@ fn a_chain_of_forms_equals_one_await_per_form() {
             alphabet.push(VecOp::Row { form, wide, n: 0 });
         }
     }
-    alphabet.extend([VecOp::Saxpy(0), VecOp::Dot(0), VecOp::Flops(0)]);
+    alphabet.extend([VecOp::Saxpy(0), VecOp::Dot(0), VecOp::Forms(0)]);
     alphabet.extend(
         [
             CombineOp::Add,
@@ -432,8 +445,8 @@ fn a_chain_of_forms_equals_one_await_per_form() {
         VecOp::Saxpy(_) => VecOp::Saxpy(n),
         VecOp::Dot(_) => VecOp::Dot(n),
         VecOp::Combine(cop, _) => VecOp::Combine(cop, n),
-        // Zero flops issue nothing; keep that case in play.
-        VecOp::Flops(_) => VecOp::Flops(if n.is_multiple_of(7) { 0 } else { 3 * n as u64 }),
+        // Zero elements issue nothing; keep that case in play.
+        VecOp::Forms(_) => VecOp::Forms(if n.is_multiple_of(7) { 0 } else { n }),
         // Not in the alphabet: a chain starts CP work early.
         VecOp::Cp(_) => op,
     };

@@ -37,6 +37,7 @@ use ts_fpu::soft::{self, Format, B32, B64};
 use ts_fpu::{Sf32, Sf64};
 use ts_mem::{Bank, MemError, NodeMemory, ROW_TIME, ROW_WORDS};
 use ts_sim::Dur;
+use VecForm::{VAdd, VMul, VSMul, VSub};
 
 /// One 1024-byte vector register (a full memory row).
 #[derive(Clone)]
@@ -141,6 +142,27 @@ impl VecForm {
         }
     }
 
+    /// Multiplies per element; every other flop of a form is the adder's.
+    fn muls(self) -> u64 {
+        matches!(self, VMul | VSMul(_) | VecForm::Saxpy(_) | VecForm::Dot) as u64
+    }
+
+    /// [`ts_fpu::softdiv::recip`]'s arithmetic as forms: the seed
+    /// `48/17 − 32/17·d`, then five Newton–Raphson steps `y ← y·(2 − x·y)`.
+    /// The seed's exponent flips are bit moves, not forms.
+    pub const RECIP: [VecForm; 17] = chain(&[(&[VSMul(sf64(32.0 / 17.0)), VSub], 1), (&NEWTON, 5)]);
+
+    /// [`ts_fpu::softdiv::sqrt`]'s arithmetic as forms: the seed's scale by
+    /// 1 or ¾, nine steps `y ← y·½·(3 − x·y·y)`, `s = x·y`, then the Heron
+    /// step `(s + x·recip(s))·½`.
+    pub const SQRT: [VecForm; 67] = chain(&[
+        (&[VMul], 1),
+        (&RSQRT, 9),
+        (&[VMul], 1),
+        (&Self::RECIP, 1),
+        (&[VMul, VAdd, VSMul(sf64(0.5))], 1),
+    ]);
+
     /// Pipeline depth in cycles for this form at a given precision.
     pub fn depth(self, prec: Precision) -> u64 {
         let add = Pipeline::adder(prec).stages as u64;
@@ -152,6 +174,43 @@ impl VecForm {
             VecForm::Sum | VecForm::Max | VecForm::Min | VecForm::AbsMax => add,
         }
     }
+}
+
+/// One Newton–Raphson step of the reciprocal: `x·y`, `2 − x·y`, times `y`.
+const NEWTON: [VecForm; 3] = [VMul, VSub, VMul];
+
+/// One reciprocal square root step: `y·½`, `x·y`, `·y`, `3 − x·y²`, product.
+const RSQRT: [VecForm; 5] = [VSMul(sf64(0.5)), VMul, VMul, VSub, VMul];
+
+/// A form's scalar operand, at compile time.
+const fn sf64(v: f64) -> Sf64 {
+    Sf64::from_bits(v.to_bits())
+}
+
+/// The parts, each repeated its count of times, as one sequence of `N` forms.
+const fn chain<const N: usize>(parts: &[(&[VecForm], usize)]) -> [VecForm; N] {
+    let (mut out, mut i, mut p) = ([VAdd; N], 0, 0);
+    while p < parts.len() {
+        let (part, mut j) = (parts[p].0, 0);
+        while j < part.len() * parts[p].1 {
+            out[i] = part[j % part.len()];
+            (i, j) = (i + 1, j + 1);
+        }
+        p += 1;
+    }
+    assert!(i == N, "the parts do not fill the sequence");
+    out
+}
+
+/// The op-mix roofline of a form sequence (§II): one adder and one
+/// multiplier, an operation a cycle each, need `max(adds, muls)` cycles an
+/// element, so no node beats these MFLOPS — the 16 MFLOPS peak only when
+/// adds = muls. A `Saxpy` or `Dot` is one of each.
+pub fn op_mix_mflops<'a>(forms: impl IntoIterator<Item = &'a VecForm>) -> f64 {
+    let (flops, muls) = forms.into_iter().fold((0, 0), |(f, m), form| {
+        (f + form.flops_per_elem(), m + form.muls())
+    });
+    ts_sim::mflops(flops, Dur::CYCLE * muls.max(flops - muls))
 }
 
 /// Timing of one executed vector form.
@@ -1006,6 +1065,35 @@ mod tests {
         let mut want = vec![22.0; 3];
         want.resize(128, 11.0);
         assert_eq!(read64(&mem, z + 1, 128), want, "second row: row 0's tail");
+    }
+
+    #[test]
+    fn op_mix_ceilings_follow_the_busier_pipe() {
+        let mflops = |forms: &[VecForm]| (op_mix_mflops(forms) * 100.0).round() / 100.0;
+        let s = Sf64::ZERO;
+        assert_eq!(mflops(&[VecForm::Saxpy(s)]), 16.0, "one add, one multiply");
+        assert_eq!(mflops(&[VecForm::Dot, VecForm::VMul]), 12.0);
+        assert_eq!(mflops(&[VecForm::VAdd]), 8.0, "the adder alone");
+        let relax = [
+            VecForm::VAdd,
+            VecForm::VAdd,
+            VecForm::VAdd,
+            VecForm::VSMul(s),
+        ];
+        assert_eq!(mflops(&relax), 10.67, "3 adds, 1 multiply");
+    }
+
+    #[test]
+    fn the_division_sequences_are_their_routines_operations() {
+        // (multiplies, adds): recip's seed is one of each, then five
+        // Newton steps of 2 and 1; sqrt's nine steps are 4 and 1 around
+        // a seed scale, `s = x·y` and a Heron step with its own recip.
+        let count = |forms: &[VecForm]| {
+            let muls = forms.iter().map(|f| f.muls()).sum::<u64>();
+            (muls, forms.len() as u64 - muls)
+        };
+        assert_eq!(count(&VecForm::RECIP), (1 + 5 * 2, 1 + 5));
+        assert_eq!(count(&VecForm::SQRT), (1 + 9 * 4 + 1 + 11 + 2, 9 + 6 + 1));
     }
 
     #[test]

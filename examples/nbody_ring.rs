@@ -9,12 +9,17 @@
 //! cargo run --release --example nbody_ring
 //! ```
 
-use fps_t_series::kernels::nbody::{distributed_nbody, reference_forces, FLOPS_PER_PAIR};
+use fps_t_series::kernels::nbody::{distributed_nbody, reference_forces, PAIR};
 use fps_t_series::machine::{Machine, MachineCfg};
 
 fn main() {
     const BODIES: usize = 64;
-    println!("all-pairs N-body, {BODIES} bodies ({FLOPS_PER_PAIR} hardware ops per pair)\n");
+    let ops: u64 = PAIR
+        .iter()
+        .flat_map(|f| f.iter())
+        .map(|f| f.flops_per_elem())
+        .sum();
+    println!("all-pairs N-body, {BODIES} bodies ({ops} hardware ops per pair)\n");
     println!(
         "{:>6} {:>12} {:>10} {:>12} {:>10}",
         "nodes", "elapsed", "MFLOPS", "bytes sent", "max err"

@@ -10,6 +10,7 @@
 //! cargo run --example occam_pipeline
 //! ```
 
+use fps_t_series::fpu::Sf64;
 use fps_t_series::machine::{Machine, MachineCfg};
 use fps_t_series::node::occam;
 
@@ -85,7 +86,10 @@ fn main() {
             {
                 let c = ctx.clone();
                 async move {
-                    c.charge_vec_flops(2000).await;
+                    // y = 2·x + y over 1 000 values: one chained SAXPY form.
+                    let (x, mut y) = (vec![Sf64::from(1.5); 1000], vec![Sf64::ZERO; 1000]);
+                    c.wait(c.issue_saxpy_values(Sf64::from(2.0), &x, &mut y))
+                        .await;
                     "vector work"
                 }
             },

@@ -86,7 +86,9 @@ fn main() {
                         .iter()
                         .map(|&v| Sf64::from(v))
                         .collect();
-                    y_local.push(ctx.dot_values(&row, &xs).await);
+                    let (dot, done) = ctx.issue_dot_values(&row, &xs);
+                    ctx.wait(done).await;
+                    y_local.push(dot);
                 }
                 // Global norm² and Rayleigh numerator by all-reduce.
                 let local_nsq: f64 = y_local.iter().map(|v| v.to_host().powi(2)).sum();
